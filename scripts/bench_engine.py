@@ -12,10 +12,9 @@ what a second run of the same sweep saves.
 
 Writes a JSON timing artifact used by CI for trajectory tracking, and
 appends one line per run to a JSONL history file (git sha, kernel pairs,
-batch fill rate, wall clocks).  The history is the regression gate: a pair
-that runs more than ``--max-regression`` slower than the previous comparable
-entry (same benchmark, same machine/python, same local-vs-CI source) fails
-the run.  Run from the repository root:
+wall clocks).  The history is the regression gate: a pair that runs more
+than ``--max-regression`` slower than the previous comparable entry (same
+benchmark, same machine/python, same local-vs-CI source) fails the run.  Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_engine.py --output BENCH_engine.json
 """
@@ -83,10 +82,10 @@ def _run_sweep(
     }
 
 
-#: Scaling curve of the synthetic-random family: the DSE loop's cost is
-#: dominated by neighbourhood evaluation, so a single size hides how the
-#: batched kernels amortize with problem size.  Each size is its own gated
-#: history pair key (``synthetic-random-n<N>:batch+batch``).
+#: Scaling curve of the synthetic-random family on the auto-selected kernel
+#: pair: a single size hides how the DSE loop's cost grows with problem
+#: size.  Each size is its own gated history pair key
+#: (``synthetic-random-n<N>:array+flat`` under the default selection).
 SYNTHETIC_RANDOM_SCALE = (50, 200, 800)
 #: Sizes also run on the reference pair for the bit-identity gate; the
 #: largest point is timing-only (the reference pair there roughly doubles
@@ -158,11 +157,7 @@ def _git_sha() -> str:
 
 def _pair_entry(run: dict) -> dict:
     """The per-pair slice of one sweep run that the history series tracks."""
-    return {
-        "wall_clock_seconds": run["wall_clock_seconds"],
-        "batch_rows": run["cache"]["batch_rows"],
-        "batch_fill_rate": round(run["cache"]["batch_fill_rate"], 4),
-    }
+    return {"wall_clock_seconds": run["wall_clock_seconds"]}
 
 
 def _append_history(
@@ -279,59 +274,33 @@ def main() -> int:
                 sched_reference["wall_clock_seconds"] / run["wall_clock_seconds"], 3
             )
 
-    # Combined batched pair: both families' batch backends in one session —
-    # the configuration the DSE neighbourhood batching targets.  Same
-    # bit-identity gate as the per-family loops, plus a cold-store pass so
-    # the history series tracks the end-to-end compute-everything cost.
-    batch_pair = None
-    if "batch" in names and "batch" in sched_names:
-        batch_pair = _run_sweep(arguments.preset, "batch", sched_kernel="batch")
-        if (
-            reference_run is not None
-            and batch_pair["acceptance"] != reference_run["acceptance"]
-        ):
-            errors.append("batch+batch kernel pair acceptance differs from reference")
-        if batch_pair["cache"]["batch_rows"] == 0:
-            errors.append("batch+batch kernel pair reported zero batched rows")
-        with tempfile.TemporaryDirectory(prefix="repro-bench-batch-") as store_dir:
-            batch_cold = _run_sweep(
-                arguments.preset,
-                "batch",
-                sched_kernel="batch",
-                store_dir=Path(store_dir),
-            )
-        batch_pair["cold_store_wall_clock_seconds"] = batch_cold[
-            "wall_clock_seconds"
-        ]
-
     # Parameterized synthetic-random family: a cold scaling curve on the
-    # batched pair — one run per SYNTHETIC_RANDOM_SCALE size against a
+    # auto-selected pair — one run per SYNTHETIC_RANDOM_SCALE size against a
     # throwaway store (everything is computed, so the history tracks each
-    # size's end-to-end cost and batch fill rate).  The smaller sizes are
-    # also gated bit-for-bit against the reference pair; the largest point
-    # is timing-only (see SYNTHETIC_RANDOM_GATED).
+    # size's end-to-end cost).  The smaller sizes are also gated
+    # bit-for-bit against the reference pair; the largest point is
+    # timing-only (see SYNTHETIC_RANDOM_GATED).
     synthetic_random = {}
-    if "batch" in names and "batch" in sched_names:
-        for n_processes in SYNTHETIC_RANDOM_SCALE:
-            with tempfile.TemporaryDirectory(prefix="repro-bench-random-") as store_dir:
-                run = _run_synthetic_random(
-                    n_processes, "batch", sched_kernel="batch", store_dir=Path(store_dir)
-                )
-            synthetic_random[f"n{n_processes}"] = run
-            if n_processes in SYNTHETIC_RANDOM_GATED:
-                random_reference = _run_synthetic_random(
-                    n_processes, "reference", sched_kernel="reference"
-                )
-                if run["strategies"] != random_reference["strategies"]:
-                    errors.append(
-                        f"synthetic-random n={n_processes} batch+batch design "
-                        "output diverged from reference"
-                    )
-            if run["cache"]["batch_cold_rows"] < 2:
+    for n_processes in SYNTHETIC_RANDOM_SCALE:
+        with tempfile.TemporaryDirectory(prefix="repro-bench-random-") as store_dir:
+            run = _run_synthetic_random(
+                n_processes, names[0], store_dir=Path(store_dir)
+            )
+        synthetic_random[f"n{n_processes}"] = run
+        if n_processes in SYNTHETIC_RANDOM_GATED:
+            random_reference = _run_synthetic_random(
+                n_processes, "reference", sched_kernel="reference"
+            )
+            if run["strategies"] != random_reference["strategies"]:
                 errors.append(
-                    f"cold synthetic-random n={n_processes} run saw no "
-                    "multi-row cold batch blocks"
+                    f"synthetic-random n={n_processes} {names[0]}+"
+                    f"{headline_sched} design output diverged from reference"
                 )
+        if run["cache"]["points_computed"] == 0:
+            errors.append(
+                f"cold synthetic-random n={n_processes} run computed no "
+                "design points"
+            )
 
     # Persistent-store cold/warm pass on the auto-selected (fastest) kernel.
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as store_dir:
@@ -361,13 +330,10 @@ def main() -> int:
         "kernels": kernels,
         "sched_kernels": sched_kernels,
         "persistent_store": store_report,
+        "synthetic_random": synthetic_random,
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    if batch_pair is not None:
-        payload["batch_pair"] = batch_pair
-    if synthetic_random:
-        payload["synthetic_random"] = synthetic_random
     arguments.output.write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
     pairs = {
@@ -376,15 +342,10 @@ def main() -> int:
             cold_store_wall_clock_seconds=store_report["cold_wall_clock_seconds"],
         )
     }
-    if batch_pair is not None:
-        pairs["batch+batch"] = dict(
-            _pair_entry(batch_pair),
-            cold_store_wall_clock_seconds=batch_pair[
-                "cold_store_wall_clock_seconds"
-            ],
-        )
     for size_key, run in synthetic_random.items():
-        pairs[f"synthetic-random-{size_key}:batch+batch"] = _pair_entry(run)
+        pairs[f"synthetic-random-{size_key}:{names[0]}+{headline_sched}"] = (
+            _pair_entry(run)
+        )
     history_record = {
         "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"

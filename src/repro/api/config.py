@@ -2,10 +2,7 @@
 
 A :class:`RunConfig` is the single typed object through which every knob of
 a scenario run is expressed — kernel backends, persistent cache, worker
-processes, seed, experiment preset and report output.  It replaces the
-previous mix of mutable process-global defaults (``set_default_kernel`` /
-``set_default_sched_kernel``), environment variables and per-subcommand
-CLI flags.
+processes, seed, experiment preset and report output.
 
 **Resolution order** (documented here once, applied everywhere): for each
 knob that also has an environment variable, the effective value is
@@ -14,10 +11,8 @@ knob that also has an environment variable, the effective value is
 2. the environment variable (``REPRO_SFP_KERNEL`` / ``REPRO_SCHED_KERNEL``);
 3. ``auto`` — the highest-priority backend whose ``is_available()`` is true.
 
-(The deprecated process-global default set by ``set_default_*_kernel``
-slots between 1 and 2 for backwards compatibility; new code should not use
-it.)  Kernel backends are bit-identical by contract, so this order is a
-speed knob only and never changes results.
+Kernel backends are bit-identical by contract, so this order is a speed
+knob only and never changes results.
 
 **Scenario parameters** resolve analogously but per scenario family
 (:meth:`repro.api.registry.ScenarioSpec.resolve_params`): an explicit entry

@@ -7,16 +7,6 @@ The generic entry point runs any registered scenario:
   :class:`~repro.api.config.RunConfig` built from the flags.
 * ``repro-ftes run --list`` — list the registered scenarios.
 
-The pre-registry subcommands (``motivational``, ``synthetic``,
-``cruise-control``) are kept as deprecated shims: they emit a single
-deprecation notice (a :class:`DeprecationWarning` plus a stderr line, since
-default warning filters hide non-``__main__`` DeprecationWarnings) and
-delegate to the same scenario runners, so their printed tables and result
-*values* stay identical.  One deliberate exception: ``synthetic --output``
-now writes the registry's normalized payload (``"5"``-style ``%g`` setting
-keys instead of the old ``"5.0"`` float reprs), so the legacy JSON is
-key-for-key identical to ``api.run(...)`` payloads and the golden fixtures.
-
 All output is plain text (tables / ASCII bars); nothing is written to disk
 unless ``--output`` is given.
 """
@@ -24,23 +14,18 @@ unless ``--output`` is given.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.sanitizer import DeterminismSanitizer
 
-from repro.api import RunConfig, RunReport, Session, list_scenarios
+from repro.api import RunConfig, RunReport, list_scenarios
 from repro.api import run as api_run
 from repro.api.config import DEFAULT_CACHE_SIZE_MB, PRESETS
 from repro.core.exceptions import ModelError
 from repro.kernels import AUTO, kernel_names, sched_kernel_names
-
-#: Figure flag values of the legacy ``synthetic`` subcommand → scenario ids.
-_FIGURE_SCENARIOS = {"6a": "fig6a", "6b": "fig6b", "6c": "fig6c", "6d": "fig6d"}
 
 
 def _job_count(value: str) -> int:
@@ -71,7 +56,7 @@ def _scenario_param(value: str) -> Tuple[str, str]:
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by the generic driver and the legacy subcommands.
+    """Configuration flags of the generic scenario driver.
 
     Each flag maps 1:1 onto a :class:`RunConfig` field; ``None`` defaults
     defer to the documented resolution order (explicit > env var > auto).
@@ -132,19 +117,17 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config_from_arguments(
-    arguments: argparse.Namespace, output: Optional[Path] = None
-) -> RunConfig:
+def _config_from_arguments(arguments: argparse.Namespace) -> RunConfig:
     return RunConfig(
-        sfp_kernel=getattr(arguments, "sfp_kernel", None),
-        sched_kernel=getattr(arguments, "sched_kernel", None),
-        cache_dir=getattr(arguments, "cache_dir", None),
-        cache_size_mb=getattr(arguments, "cache_size_mb", DEFAULT_CACHE_SIZE_MB),
-        jobs=getattr(arguments, "jobs", 1),
-        seed=getattr(arguments, "seed", None),
-        preset=getattr(arguments, "preset", "fast"),
-        output=output,
-        scenario_params=dict(getattr(arguments, "params", None) or []),
+        sfp_kernel=arguments.sfp_kernel,
+        sched_kernel=arguments.sched_kernel,
+        cache_dir=arguments.cache_dir,
+        cache_size_mb=arguments.cache_size_mb,
+        jobs=arguments.jobs,
+        seed=arguments.seed,
+        preset=arguments.preset,
+        output=arguments.output,
+        scenario_params=dict(arguments.params or []),
     )
 
 
@@ -259,39 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(run_parser)
     run_parser.set_defaults(handler=_run_scenario)
 
-    motivational = subparsers.add_parser(
-        "motivational",
-        help="[deprecated: use `run motivational`] Fig. 3 / Fig. 4 examples "
-        "and the Appendix A.2 SFP example",
-    )
-    motivational.set_defaults(handler=_run_motivational)
-
-    synthetic = subparsers.add_parser(
-        "synthetic",
-        help="[deprecated: use `run fig6a` … `run fig6d`] Fig. 6 synthetic "
-        "acceptance-rate experiments",
-    )
-    synthetic.add_argument(
-        "--figure",
-        choices=["6a", "6b", "6c", "6d", "all"],
-        default="6a",
-        help="which figure of the paper to regenerate",
-    )
-    synthetic.add_argument(
-        "--preset",
-        choices=sorted(PRESETS),
-        default="fast",
-        help="experiment size/effort preset",
-    )
-    synthetic.set_defaults(handler=_run_synthetic)
-
-    cruise = subparsers.add_parser(
-        "cruise-control",
-        help="[deprecated: use `run cruise-control`] vehicle cruise "
-        "controller case study",
-    )
-    cruise.set_defaults(handler=_run_cruise_control)
-
     serve = subparsers.add_parser(
         "serve",
         help="run the async evaluation service (HTTP JSON API over the "
@@ -370,15 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("lint_args", nargs=argparse.REMAINDER)
     lint.set_defaults(handler=_run_lint)
-
-    for sub in (motivational, synthetic, cruise):
-        sub.add_argument(
-            "--output",
-            type=Path,
-            default=None,
-            help="optional path to also write the results as JSON",
-        )
-        _add_config_arguments(sub)
     return parser
 
 
@@ -429,7 +370,7 @@ def _run_scenario(arguments: argparse.Namespace) -> int:
     if arguments.scenario is None:
         print("error: a scenario id is required (or --list)", file=sys.stderr)
         return 2
-    config = _config_from_arguments(arguments, output=arguments.output)
+    config = _config_from_arguments(arguments)
     sanitizer = _maybe_sanitizer(arguments)
     try:
         if sanitizer is not None:
@@ -481,72 +422,6 @@ def _maybe_sanitizer(
         os.environ.setdefault(SANITIZE_ENV, "1")
         return DeterminismSanitizer()
     return None
-
-
-# ----------------------------------------------------------------------
-# Deprecated sub-command shims (behavior-preserving, registry-backed)
-# ----------------------------------------------------------------------
-def _warn_deprecated_command(old: str, new: str) -> None:
-    message = f"`repro-ftes {old}` is deprecated; use `repro-ftes {new}`"
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-    # Default warning filters only display DeprecationWarnings raised in
-    # __main__; the console entry point lands here via an import, so the
-    # migration notice must also go to stderr to ever be seen.
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def _run_motivational(arguments: argparse.Namespace) -> int:
-    _warn_deprecated_command("motivational", "run motivational")
-    with Session(_config_from_arguments(arguments)) as session:
-        report = session.run("motivational")
-    print(report.text)
-    _maybe_write_json(arguments, report.results)
-    return 0
-
-
-def _run_synthetic(arguments: argparse.Namespace) -> int:
-    figures: List[str] = (
-        ["6a", "6b", "6c", "6d"] if arguments.figure == "all" else [arguments.figure]
-    )
-    _warn_deprecated_command(
-        "synthetic", " / ".join(f"run {_FIGURE_SCENARIOS[f]}" for f in figures)
-    )
-    payload = {}
-    # One session for all figures: they share the memoized experiment, so
-    # e.g. the Fig. 6b table reuses the settings computed for Fig. 6a.
-    with Session(_config_from_arguments(arguments)) as session:
-        report: Optional[RunReport] = None
-        for figure in figures:
-            report = session.run(_FIGURE_SCENARIOS[figure])
-            print(report.text)
-            print()
-            payload[figure] = report.results["acceptance"]
-    assert report is not None
-    _print_cache_summary(report)
-    cache = dict(report.cache)
-    cache["kernel"] = report.kernels["sfp"]
-    cache["sched_kernel"] = report.kernels["sched"]
-    payload["cache"] = cache
-    _maybe_write_json(arguments, payload)
-    return 0
-
-
-def _run_cruise_control(arguments: argparse.Namespace) -> int:
-    _warn_deprecated_command("cruise-control", "run cruise-control")
-    with Session(_config_from_arguments(arguments)) as session:
-        report = session.run("cruise-control")
-    print(report.text)
-    _maybe_write_json(arguments, report.results)
-    return 0
-
-
-def _maybe_write_json(arguments: argparse.Namespace, payload: dict) -> None:
-    if getattr(arguments, "output", None) is None:
-        return
-    arguments.output.write_text(
-        json.dumps(payload, indent=2, default=str), encoding="utf-8"
-    )
-    print(f"results written to {arguments.output}")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation only

@@ -79,10 +79,8 @@ class MappingAlgorithm:
     ----------
     redundancy_optimizer:
         Object with an ``optimize(application, architecture, mapping, profile)``
-        method returning a :class:`RedundancyDecision` or ``None`` — and,
-        optionally, a neighbourhood-level ``optimize_batch(application,
-        architecture, mappings, profile)`` used for the tabu move list (the
-        scalar method is called per move otherwise).  The OPT strategy passes
+        method returning a :class:`RedundancyDecision` or ``None``, called
+        once per tabu move.  The OPT strategy passes
         :class:`~repro.core.redundancy.RedundancyOpt`; the MIN
         and MAX baselines pass
         :class:`~repro.core.redundancy.FixedHardeningRedundancyOpt`.
@@ -184,41 +182,15 @@ class MappingAlgorithm:
             moves = self._candidate_moves(candidates, architecture, current_mapping, profile)
             if not moves:
                 break
-            # The whole neighbourhood in one batched optimizer call: the
-            # optimization memo is partitioned once over the move list and
-            # only cold mappings run the redundancy heuristic (bit-identical
-            # to per-move optimize calls, see optimize_batch).
-            candidate_mappings = [
-                current_mapping.moved(process, node_name)
-                for process, node_name in moves
-            ]
-            optimizer = self.redundancy_optimizer
-            if hasattr(optimizer, "optimize_batch"):
-                decisions = optimizer.optimize_batch(
-                    application, architecture, candidate_mappings, profile
-                )
-            else:  # duck-typed optimizer without the batched entry point
-                decisions = [
-                    optimizer.optimize(
-                        application, architecture, candidate_mapping, profile
-                    )
-                    for candidate_mapping in candidate_mappings
-                ]
-            evaluations += len(moves)
             evaluated: List[
                 Tuple[float, str, str, Optional[RedundancyDecision], ProcessMapping]
-            ] = [
-                (
-                    self._objective_value(decision, objective),
-                    process,
-                    node_name,
-                    decision,
-                    candidate_mapping,
+            ] = []
+            for process, node_name in moves:
+                candidate_mapping = current_mapping.moved(process, node_name)
+                value, decision = evaluate(candidate_mapping)
+                evaluated.append(
+                    (value, process, node_name, decision, candidate_mapping)
                 )
-                for (process, node_name), decision, candidate_mapping in zip(
-                    moves, decisions, candidate_mappings
-                )
-            ]
             evaluated.sort(key=lambda item: (item[0], item[1], item[2]))
 
             chosen = self._select_move(evaluated, best_value, tabu)

@@ -22,7 +22,7 @@ is removed and only the software redundancy is optimized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
@@ -193,154 +193,11 @@ class _RedundancyEvaluator:
         )
 
     # ------------------------------------------------------------------
-    # batched neighbourhood evaluation
-    # ------------------------------------------------------------------
-    def evaluate_hardening_batch(
-        self,
-        application: Application,
-        architecture: Architecture,
-        mapping: ProcessMapping,
-        profile: ExecutionProfile,
-        trials: Sequence[Dict[str, int]],
-    ) -> List[RedundancyDecision]:
-        """Evaluate a whole hardening neighbourhood in one partitioned pass.
-
-        The trial block is partitioned against the decision memo in one
-        :meth:`~repro.engine.cache.MemoCache.get_many` call (key prefix —
-        evaluator signature, architecture and mapping fingerprints — computed
-        once instead of per trial); only the residual cold rows run the
-        re-execution optimizer, and their schedules are built through
-        :meth:`~repro.scheduling.list_scheduler.ListScheduler.schedule_batch`.
-        Results and cache counters are bit-identical to sequential
-        :meth:`evaluate_hardening` calls.
-        """
-        engine = self._active_engine(application, profile)
-        if engine is None or any(
-            len(trial) != len(architecture) for trial in trials
-        ):
-            # Partial vectors bypass the cache (see evaluate_hardening);
-            # keep the whole block on the scalar path for uniform counters.
-            return [
-                self.evaluate_hardening(
-                    application, architecture, mapping, profile, trial
-                )
-                for trial in trials
-            ]
-        prefix = (
-            self._evaluator_signature(),
-            architecture_fingerprint(architecture),
-            mapping_fingerprint(mapping),
-        )
-        keys = [prefix + (hardening_fingerprint(trial),) for trial in trials]
-        values, cold, duplicates = engine.decisions.get_many(keys)
-        if cold:
-            computed = self._evaluate_hardening_batch(
-                application,
-                architecture,
-                mapping,
-                profile,
-                [trials[position] for position in cold],
-            )
-            for position, decision in zip(cold, computed):
-                values[position] = engine.decisions.put(keys[position], decision)
-            engine.evaluations += len(cold)
-            for position, first in duplicates.items():
-                values[position] = values[first]
-        engine.record_batch(rows=len(keys), cold_rows=len(cold))
-        return values
-
-    def _evaluate_hardening_batch(
-        self,
-        application: Application,
-        architecture: Architecture,
-        mapping: ProcessMapping,
-        profile: ExecutionProfile,
-        trials: Sequence[Dict[str, int]],
-    ) -> List[RedundancyDecision]:
-        """Evaluate the cold rows of a hardening neighbourhood.
-
-        Two batch-level savings over the scalar loop, both value-preserving:
-
-        * the base point's per-node failure-probability tuples are derived
-          once and shared — a sibling recomputes only the tuples of nodes
-          whose hardening it flips (the tuple is a pure function of node
-          type, hardening level and the mapped process list);
-        * the per-row schedules are built in one
-          :meth:`~repro.scheduling.list_scheduler.ListScheduler.schedule_batch`
-          call, amortizing the kernel's compiled tables across the block.
-        """
-        if not trials:
-            return []
-        base_levels = {node.name: node.hardening for node in architecture}
-        processes_on = {
-            node.name: mapping.processes_on(node.name) for node in architecture
-        }
-        base_probabilities: Dict[str, Tuple[float, ...]] = {
-            node.name: tuple(
-                profile.failure_probability(
-                    process, node.node_type.name, node.hardening
-                )
-                for process in processes_on[node.name]
-            )
-            for node in architecture
-        }
-        problems: List[Tuple[Architecture, Dict[str, Tuple[float, ...]]]] = []
-        for trial in trials:
-            candidate = architecture.copy()
-            candidate.apply_hardening_vector(trial)
-            probabilities: Dict[str, Tuple[float, ...]] = {}
-            for node in candidate:
-                name = node.name
-                if node.hardening == base_levels[name]:
-                    probabilities[name] = base_probabilities[name]
-                else:
-                    probabilities[name] = tuple(
-                        profile.failure_probability(
-                            process, node.node_type.name, node.hardening
-                        )
-                        for process in processes_on[name]
-                    )
-            problems.append((candidate, probabilities))
-        reexecutions = self.reexecution_opt.optimize_many(
-            application, problems, mapping, profile
-        )
-        rows: List[Tuple[Architecture, ProcessMapping, Dict[str, int]]] = []
-        partial: List[Tuple[Dict[str, int], Architecture, Dict[str, int], bool]] = []
-        for trial, (candidate, _), reexecution in zip(
-            trials, problems, reexecutions
-        ):
-            if reexecution is None:
-                budgets: Dict[str, int] = {node.name: 0 for node in candidate}
-                meets_reliability = False
-            else:
-                budgets = reexecution.reexecutions
-                meets_reliability = True
-            rows.append((candidate, mapping, budgets))
-            partial.append((trial, candidate, budgets, meets_reliability))
-        schedules = self.scheduler.schedule_batch(application, rows, profile)
-        return [
-            RedundancyDecision(
-                hardening=dict(trial),
-                reexecutions=dict(budgets),
-                schedule=schedule,
-                cost=candidate.cost,
-                schedule_length=schedule.length,
-                meets_deadline=schedule.length <= application.deadline,
-                meets_reliability=meets_reliability,
-            )
-            for (trial, candidate, budgets, meets_reliability), schedule in zip(
-                partial, schedules
-            )
-        ]
-
-    # ------------------------------------------------------------------
     def _optimization_prefix(self, architecture: Architecture) -> Tuple:
         """Optimization-memo key minus the mapping fingerprint.
 
         Subclasses extend this with their own configuration (e.g. the fixed
-        hardening policy).  ``optimize_batch`` computes it once per
-        neighbourhood; the scalar ``optimize`` appends one mapping
-        fingerprint to the identical prefix.
+        hardening policy); :meth:`optimize` appends the mapping fingerprint.
         """
         return (
             type(self).__name__,
@@ -348,44 +205,29 @@ class _RedundancyEvaluator:
             architecture_fingerprint(architecture),
         )
 
-    def optimize_batch(
+    def optimize(
         self,
         application: Application,
         architecture: Architecture,
-        mappings: Sequence[ProcessMapping],
+        mapping: ProcessMapping,
         profile: ExecutionProfile,
-    ) -> List[Optional[RedundancyDecision]]:
-        """Optimize redundancy for a whole mapping neighbourhood.
+    ) -> Optional[RedundancyDecision]:
+        """Return the cheapest feasible redundancy decision for ``mapping``.
 
-        The tabu-search move generator emits sibling mappings of one base
-        point; this partitions them against the optimization memo in one
-        pass (evaluator signature and architecture fingerprint hashed once)
-        and runs the optimizer only on the cold rows.  Bit-identical, with
-        identical counters, to sequential :meth:`optimize` calls.
+        Returns ``None`` when no admissible hardening vector yields a
+        solution that is both schedulable and reliable (the mapping is then
+        discarded by the caller, as in the paper's Fig. 4d discussion).
         """
         engine = self._active_engine(application, profile)
-        if engine is None:
-            return [
-                self._optimize(application, architecture, mapping, profile)
-                for mapping in mappings
-            ]
-        prefix = self._optimization_prefix(architecture)
-        keys = [
-            prefix + (mapping_fingerprint(mapping),) for mapping in mappings
-        ]
-        values, cold, duplicates = engine.optimizations.get_many(keys)
-        if cold:
-            for position in cold:
-                values[position] = engine.optimizations.put(
-                    keys[position],
-                    self._optimize(
-                        application, architecture, mappings[position], profile
-                    ),
-                )
-            for position, first in duplicates.items():
-                values[position] = values[first]
-        engine.record_batch(rows=len(keys), cold_rows=len(cold))
-        return values
+        if engine is not None:
+            key = self._optimization_prefix(architecture) + (
+                mapping_fingerprint(mapping),
+            )
+            return engine.optimizations.memoize(
+                key,
+                lambda: self._optimize(application, architecture, mapping, profile),
+            )
+        return self._optimize(application, architecture, mapping, profile)
 
     def _optimize(
         self,
@@ -399,30 +241,6 @@ class _RedundancyEvaluator:
 
 class RedundancyOpt(_RedundancyEvaluator):
     """Hardening/re-execution trade-off heuristic of the paper (OPT)."""
-
-    def optimize(
-        self,
-        application: Application,
-        architecture: Architecture,
-        mapping: ProcessMapping,
-        profile: ExecutionProfile,
-    ) -> Optional[RedundancyDecision]:
-        """Return the cheapest feasible redundancy decision for ``mapping``.
-
-        Returns ``None`` when no hardening level combination yields a solution
-        that is both schedulable and reliable (the mapping is then discarded
-        by the caller, as in the paper's Fig. 4d discussion).
-        """
-        engine = self._active_engine(application, profile)
-        if engine is not None:
-            key = self._optimization_prefix(architecture) + (
-                mapping_fingerprint(mapping),
-            )
-            return engine.optimizations.memoize(
-                key,
-                lambda: self._optimize(application, architecture, mapping, profile),
-            )
-        return self._optimize(application, architecture, mapping, profile)
 
     def _optimize(
         self,
@@ -445,23 +263,19 @@ class RedundancyOpt(_RedundancyEvaluator):
             for node in architecture
         )
         while not decision.is_feasible and visited <= max_steps:
-            # One +1-hardening sibling per non-maxed node — the whole
-            # neighbourhood evaluated as one batch.
-            trials = []
+            # One +1-hardening sibling per non-maxed node.
+            best_candidate: Optional[
+                Tuple[Tuple[int, float], Dict[str, int], RedundancyDecision]
+            ] = None
             for node in architecture:
                 level = hardening[node.name]
                 if level >= node.node_type.max_hardening:
                     continue
                 trial = dict(hardening)
                 trial[node.name] = level + 1
-                trials.append(trial)
-            trial_decisions = self.evaluate_hardening_batch(
-                application, architecture, mapping, profile, trials
-            )
-            best_candidate: Optional[
-                Tuple[Tuple[int, float], Dict[str, int], RedundancyDecision]
-            ] = None
-            for trial, trial_decision in zip(trials, trial_decisions):
+                trial_decision = self.evaluate_hardening(
+                    application, architecture, mapping, profile, trial
+                )
                 # Rank: feasible reliability first, then shorter schedules.
                 key = (
                     0 if trial_decision.meets_reliability else 1,
@@ -480,19 +294,16 @@ class RedundancyOpt(_RedundancyEvaluator):
         improved = True
         while improved:
             improved = False
-            trials = []
+            best_candidate = None
             for node in architecture:
                 level = hardening[node.name]
                 if level <= node.node_type.min_hardening:
                     continue
                 trial = dict(hardening)
                 trial[node.name] = level - 1
-                trials.append(trial)
-            trial_decisions = self.evaluate_hardening_batch(
-                application, architecture, mapping, profile, trials
-            )
-            best_candidate = None
-            for trial, trial_decision in zip(trials, trial_decisions):
+                trial_decision = self.evaluate_hardening(
+                    application, architecture, mapping, profile, trial
+                )
                 if not trial_decision.is_feasible:
                     continue
                 key = (trial_decision.cost, trial_decision.schedule_length)
@@ -534,24 +345,6 @@ class FixedHardeningRedundancyOpt(_RedundancyEvaluator):
             self._evaluator_signature(),
             architecture_fingerprint(architecture),
         )
-
-    def optimize(
-        self,
-        application: Application,
-        architecture: Architecture,
-        mapping: ProcessMapping,
-        profile: ExecutionProfile,
-    ) -> Optional[RedundancyDecision]:
-        engine = self._active_engine(application, profile)
-        if engine is not None:
-            key = self._optimization_prefix(architecture) + (
-                mapping_fingerprint(mapping),
-            )
-            return engine.optimizations.memoize(
-                key,
-                lambda: self._optimize(application, architecture, mapping, profile),
-            )
-        return self._optimize(application, architecture, mapping, profile)
 
     def _optimize(
         self,

@@ -10,52 +10,10 @@ of ``None`` to signal a miss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable
 
 #: Sentinel distinguishing "not cached" from a cached ``None`` result.
 MISS = object()
-
-
-@dataclass
-class BatchStats:
-    """Counters of batched cache partitions (neighbourhood evaluation).
-
-    ``rows`` counts the rows handed to batched lookups, ``cold_rows`` the
-    residual rows that fell through every memo table and reached a kernel.
-    ``fill_rate`` is the cold fraction — how full the blocks handed to the
-    batch kernels actually were (1.0 = every row computed, 0.0 = all served
-    from cache).
-    """
-
-    calls: int = 0
-    rows: int = 0
-    cold_rows: int = 0
-
-    @property
-    def fill_rate(self) -> float:
-        if not self.rows:
-            return 0.0
-        return self.cold_rows / self.rows
-
-    def record(self, rows: int, cold_rows: int) -> None:
-        self.calls += 1
-        self.rows += rows
-        self.cold_rows += cold_rows
-
-    def __add__(self, other: "BatchStats") -> "BatchStats":
-        return BatchStats(
-            calls=self.calls + other.calls,
-            rows=self.rows + other.rows,
-            cold_rows=self.cold_rows + other.cold_rows,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "calls": self.calls,
-            "rows": self.rows,
-            "cold_rows": self.cold_rows,
-            "fill_rate": self.fill_rate,
-        }
 
 
 @dataclass
@@ -128,48 +86,6 @@ class MemoCache:
         if value is MISS:
             value = self.put(key, compute())
         return value
-
-    def get_many(
-        self, keys: Sequence[Hashable]
-    ) -> Tuple[List[Any], List[int], Dict[int, int]]:
-        """Partition a batch of keys into cached values and cold positions.
-
-        Returns ``(values, cold, duplicates)``: ``values[i]`` is the cached
-        value or :data:`MISS`; ``cold`` lists the positions whose keys must
-        be computed — **deduplicated**, only the first occurrence of an
-        uncached key is cold; ``duplicates`` maps each later occurrence of a
-        cold key to its first position.  Duplicate occurrences are counted as
-        hits, exactly as the scalar loop (which computes and stores before
-        the next lookup) would count them.  The caller computes the cold
-        rows, stores them with :meth:`put`, and back-fills duplicates from
-        the first occurrence (see ``EvaluationEngine.batch_node_exceedance``).
-        """
-        values: List[Any] = []
-        cold: List[int] = []
-        duplicates: Dict[int, int] = {}
-        pending: Dict[Hashable, int] = {}
-        store = self._store
-        preloaded = self._preloaded
-        for position, key in enumerate(keys):
-            value = store.get(key, MISS)
-            if value is not MISS:
-                self.hits += 1
-                if preloaded and key in preloaded:
-                    self.disk_hits += 1
-                values.append(value)
-                continue
-            first = pending.get(key)
-            if first is None:
-                self.misses += 1
-                pending[key] = position
-                cold.append(position)
-            else:
-                # The scalar sequence would have computed and stored the
-                # first occurrence already, so this lookup is a hit.
-                self.hits += 1
-                duplicates[position] = first
-            values.append(MISS)
-        return values, cold, duplicates
 
     # ------------------------------------------------------------------
     # persistent-store integration

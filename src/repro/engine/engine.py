@@ -32,11 +32,11 @@ by the equivalence test-suite.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from repro.core.application import Application
 from repro.core.profile import ExecutionProfile
-from repro.engine.cache import MISS, BatchStats, CacheStats, MemoCache
+from repro.engine.cache import MISS, CacheStats, MemoCache
 from repro.engine.fingerprint import (
     context_fingerprint,
     stable_context_fingerprint,
@@ -83,9 +83,6 @@ class EvaluationEngine:
         #: Number of design points actually evaluated (decision-cache misses
         #: that ran the re-execution optimizer + scheduler).
         self.evaluations = 0
-        #: Counters of batched neighbourhood partitions (rows handed to
-        #: batched lookups vs. residual cold rows that reached a kernel).
-        self.batch = BatchStats()
 
     # ------------------------------------------------------------------
     # context safety
@@ -176,53 +173,6 @@ class EvaluationEngine:
         return value
 
     # ------------------------------------------------------------------
-    # batched SFP layer — whole neighbourhoods per call
-    # ------------------------------------------------------------------
-    def batch_node_exceedance(
-        self,
-        requests: Sequence[Tuple[Tuple[float, ...], int]],
-        decimals: int,
-    ) -> List[float]:
-        """Memoized formula (4) for a block of (probabilities, budget) rows.
-
-        The batch is partitioned against the exceedance memo: hits (memo or
-        warm store) are served in place, the residual cold block goes to the
-        kernel's :meth:`~repro.kernels.base.SFPKernel.batch_probability_exceeds`
-        in one call (vectorized on ``supports_batch`` backends, the scalar
-        fallback loop otherwise).  Results and cache counters are identical
-        to issuing the rows as sequential :meth:`node_exceedance` calls —
-        duplicate rows inside one batch count as hits on their first
-        occurrence's computation, exactly like the scalar sequence.
-        """
-        keys = [
-            (probabilities, budget, decimals)
-            for probabilities, budget in requests
-        ]
-        values, cold, duplicates = self.exceedance.get_many(keys)
-        if cold:
-            blocks = [requests[position][0] for position in cold]
-            budgets = [requests[position][1] for position in cold]
-            computed = self.kernel.batch_probability_exceeds(
-                blocks, budgets, decimals
-            )
-            for position, value in zip(cold, computed):
-                values[position] = self.exceedance.put(keys[position], value)
-            for position, first in duplicates.items():
-                values[position] = values[first]
-        self.batch.record(rows=len(keys), cold_rows=len(cold))
-        return values
-
-    def record_batch(self, rows: int, cold_rows: int) -> None:
-        """Attribute one batched partition done by a consumer layer.
-
-        The redundancy layer partitions whole *design-point* neighbourhoods
-        against the decision memo before any kernel is involved; its batch
-        sizes and fill rates land in the same counters as the kernel-level
-        partitions of :meth:`batch_node_exceedance`.
-        """
-        self.batch.record(rows=rows, cold_rows=cold_rows)
-
-    # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
     @property
@@ -269,7 +219,6 @@ class EvaluationEngine:
             "disk_hits": self.disk_hits,
             "kernel": self.kernel.name,
             "sched_kernel": active_sched_kernel().name,
-            "batch": self.batch.as_dict(),
             "caches": self.stats_by_cache(),
         }
 

@@ -159,15 +159,12 @@ class SettingResult:
         the re-execution optimizer and the scheduler.
         """
         hits = misses = search_evaluations = points_computed = 0
-        batch_rows = batch_cold_rows = 0
         for results in self.results.values():
             for result in results:
                 hits += result.cache_hits
                 misses += result.cache_misses
                 search_evaluations += result.evaluations
                 points_computed += result.points_computed
-                batch_rows += result.batch_rows
-                batch_cold_rows += result.batch_cold_rows
         lookups = hits + misses
         return {
             "hits": hits,
@@ -177,9 +174,6 @@ class SettingResult:
             "hit_rate": hits / lookups if lookups else 0.0,
             "disk_hits": self.disk_hits,
             "disk_entries_loaded": self.disk_entries_loaded,
-            "batch_rows": batch_rows,
-            "batch_cold_rows": batch_cold_rows,
-            "batch_fill_rate": batch_cold_rows / batch_rows if batch_rows else 0.0,
         }
 
 
@@ -511,7 +505,6 @@ class AcceptanceExperiment:
         """
         hits = misses = search_evaluations = points_computed = 0
         disk_hits = disk_entries_loaded = 0
-        batch_rows = batch_cold_rows = 0
         for setting in self._cache.values():
             summary = setting.cache_summary()
             hits += summary["hits"]
@@ -520,8 +513,6 @@ class AcceptanceExperiment:
             points_computed += summary["points_computed"]
             disk_hits += summary["disk_hits"]
             disk_entries_loaded += summary["disk_entries_loaded"]
-            batch_rows += summary["batch_rows"]
-            batch_cold_rows += summary["batch_cold_rows"]
         lookups = hits + misses
         return {
             "hits": hits,
@@ -531,9 +522,6 @@ class AcceptanceExperiment:
             "hit_rate": hits / lookups if lookups else 0.0,
             "disk_hits": disk_hits,
             "disk_entries_loaded": disk_entries_loaded,
-            "batch_rows": batch_rows,
-            "batch_cold_rows": batch_cold_rows,
-            "batch_fill_rate": batch_cold_rows / batch_rows if batch_rows else 0.0,
         }
 
     # ------------------------------------------------------------------

@@ -33,8 +33,6 @@ from repro.kernels.registry import (
     resolve_kernel,
     resolve_sched_kernel,
     sched_kernel_names,
-    set_default_kernel,
-    set_default_sched_kernel,
     use_kernel,
 )
 from repro.kernels.sched_base import (
@@ -67,7 +65,5 @@ __all__ = [
     "resolve_kernel",
     "resolve_sched_kernel",
     "sched_kernel_names",
-    "set_default_kernel",
-    "set_default_sched_kernel",
     "use_kernel",
 ]

@@ -14,9 +14,9 @@ for every input, the exact same ``float`` as the ``reference`` backend (the
 pure-Python implementation historically living in ``core/sfp.py``).  The
 rounding direction (success probabilities down, failure probabilities up, on
 the decimal grid of ``decimals`` digits) is part of the paper's pessimism
-argument, so a backend is free to reorganize *how* it computes — vectorized
-buffers, integer quanta arithmetic, batched rounding — but never *what* comes
-out.  The property suite (``tests/property/test_kernel_equivalence.py``)
+argument, so a backend is free to reorganize *how* it computes — preallocated
+buffers, integer quanta arithmetic, a numpy row recurrence — but never *what*
+comes out.  The property suite (``tests/property/test_kernel_equivalence.py``)
 cross-checks all registered backends against the reference on randomized
 inputs, and the golden acceptance fixtures pin the end-to-end sweep output,
 so a drifting backend cannot land silently.
@@ -28,7 +28,7 @@ registry (module state is per process).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.utils.rounding import DEFAULT_DECIMALS
 
@@ -47,11 +47,6 @@ class SFPKernel:
     description: str = ""
     #: ``auto`` selection rank; the highest-priority available kernel wins.
     priority: int = 0
-    #: Whether :meth:`batch_probability_exceeds` is vectorized.  ``False``
-    #: means the default scalar fallback loop below; callers may use the flag
-    #: to size neighbourhoods, never for correctness (the fallback is total
-    #: and bit-identical).
-    supports_batch: bool = False
 
     @classmethod
     def is_available(cls) -> bool:
@@ -91,29 +86,6 @@ class SFPKernel:
     ) -> float:
         """Formula (5): probability that at least one node exceeds its budget."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # batched contract — one call scores a whole neighbourhood of rows
-    # ------------------------------------------------------------------
-    def batch_probability_exceeds(
-        self,
-        blocks: Sequence[Sequence[float]],
-        reexecutions: Sequence[int],
-        decimals: int = DEFAULT_DECIMALS,
-    ) -> List[float]:
-        """Formula (4) for a block of rows — sibling design points at once.
-
-        ``blocks[i]`` is the ordered per-process failure-probability tuple of
-        row ``i`` and ``reexecutions[i]`` its re-execution budget.  Returns
-        one float per row, each bit-identical to the corresponding scalar
-        :meth:`probability_exceeds` call; the default implementation *is*
-        that scalar loop, so every backend supports the batch contract and
-        vectorizing backends (``supports_batch = True``) only change speed.
-        """
-        return [
-            self.probability_exceeds(probabilities, budget, decimals)
-            for probabilities, budget in zip(blocks, reexecutions)
-        ]
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

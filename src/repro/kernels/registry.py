@@ -15,10 +15,8 @@ Selection precedence within a family, highest first:
    scheduling) — accepts a kernel instance or a registered name;
 2. a *scoped* selection entered with :func:`use_kernel` (what the
    ``repro.api`` session layer and the CLI's ``--sfp-kernel`` /
-   ``--sched-kernel`` flags use), or the process-wide default set by the
-   deprecated ``set_default[_sched]_kernel`` shims — both land in the same
-   slot, but ``use_kernel`` restores the previous selection on exit, also
-   when the body raises;
+   ``--sched-kernel`` flags use); it restores the previous selection on
+   exit, also when the body raises;
 3. the family's environment variable;
 4. ``auto``: the highest-priority backend whose ``is_available()`` is true.
 
@@ -32,7 +30,6 @@ store) remain valid across kernel switches and the selection deliberately is
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from typing import Dict, Generic, Iterator, List, Optional, Tuple, Type, TypeVar, Union
 
@@ -107,17 +104,11 @@ class KernelRegistry(Generic[KernelT]):
             instance = self._instances[name] = kernel_class()
         return instance
 
-    def set_default(self, name: Optional[str]) -> Optional[KernelT]:
-        """Set (or clear, with ``None``) the process-wide default backend.
-
-        Returns the resolved instance so callers can report what was picked.
-        """
-        if name is None:
-            self._default_name = None
-            return None
-        kernel = self.get(name)  # validate before committing
+    def set_default(self, name: Optional[str]) -> None:
+        """Set (or clear, with ``None``) the process-wide default backend."""
+        if name is not None:
+            self.get(name)  # validate before committing
         self._default_name = name
-        return kernel
 
     def active(self) -> KernelT:
         """The backend implied by the selection precedence (module docstring)."""
@@ -144,7 +135,7 @@ SCHED_KERNELS: KernelRegistry[SchedulerKernel] = KernelRegistry(
 
 
 # ----------------------------------------------------------------------
-# Scoped selection — the non-deprecated way to change the active backends.
+# Scoped selection — the way to change the active backends.
 # ----------------------------------------------------------------------
 @contextmanager
 def use_kernel(
@@ -199,16 +190,6 @@ def _selection_name(
     return name
 
 
-def _warn_deprecated_setter(old: str, family_kw: str) -> None:
-    warnings.warn(
-        f"{old}() mutates a process-global default and is deprecated; "
-        f"use repro.kernels.use_kernel({family_kw}=...) for a scoped "
-        f"selection, or the repro.api session layer",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 # ----------------------------------------------------------------------
 # SFP family — module-level API kept stable since PR 3.
 # ----------------------------------------------------------------------
@@ -222,17 +203,6 @@ def kernel_names(available_only: bool = False) -> List[str]:
 
 def get_kernel(name: str) -> SFPKernel:
     return SFP_KERNELS.get(name)
-
-
-def set_default_kernel(name: Optional[str]) -> Optional[SFPKernel]:
-    """Deprecated shim: set the process-wide SFP backend (behavior unchanged).
-
-    Prefer :func:`use_kernel` (scoped, exception-safe) or the ``repro.api``
-    session layer; this function stays bit-identical in effect but emits a
-    :class:`DeprecationWarning`.
-    """
-    _warn_deprecated_setter("set_default_kernel", "sfp")
-    return SFP_KERNELS.set_default(name)
 
 
 def active_kernel() -> SFPKernel:
@@ -260,17 +230,6 @@ def get_sched_kernel(name: str) -> SchedulerKernel:
     return SCHED_KERNELS.get(name)
 
 
-def set_default_sched_kernel(name: Optional[str]) -> Optional[SchedulerKernel]:
-    """Deprecated shim: set the process-wide scheduler backend.
-
-    Prefer :func:`use_kernel` (scoped, exception-safe) or the ``repro.api``
-    session layer; this function stays bit-identical in effect but emits a
-    :class:`DeprecationWarning`.
-    """
-    _warn_deprecated_setter("set_default_sched_kernel", "sched")
-    return SCHED_KERNELS.set_default(name)
-
-
 def active_sched_kernel() -> SchedulerKernel:
     return SCHED_KERNELS.active()
 
@@ -288,17 +247,13 @@ def resolve_sched_kernel(
 # its kernel through this registry) finds every function already defined.
 # ----------------------------------------------------------------------
 from repro.kernels.array_backend import ArrayKernel  # noqa: E402
-from repro.kernels.batch import BatchSFPKernel  # noqa: E402
 from repro.kernels.reference import ReferenceKernel  # noqa: E402
 
 register_kernel(ReferenceKernel)
 register_kernel(ArrayKernel)
-register_kernel(BatchSFPKernel)
 
-from repro.kernels.sched_batch import BatchSchedulerKernel  # noqa: E402
 from repro.kernels.sched_flat import FlatSchedulerKernel  # noqa: E402
 from repro.kernels.sched_reference import ReferenceSchedulerKernel  # noqa: E402
 
 register_sched_kernel(ReferenceSchedulerKernel)
 register_sched_kernel(FlatSchedulerKernel)
-register_sched_kernel(BatchSchedulerKernel)

@@ -90,10 +90,6 @@ class SchedulerKernel:
     description: str = ""
     #: ``auto`` selection rank; the highest-priority available kernel wins.
     priority: int = 0
-    #: Whether :meth:`batch_schedule` is specialized for whole neighbourhoods.
-    #: ``False`` means the default per-problem fallback loop; the flag is a
-    #: sizing hint only — the fallback is total and bit-identical.
-    supports_batch: bool = False
 
     @classmethod
     def is_available(cls) -> bool:
@@ -103,17 +99,6 @@ class SchedulerKernel:
     def build_schedule(self, problem: SchedulingProblem) -> "Schedule":
         """Construct the root schedule (with recovery slack) for ``problem``."""
         raise NotImplementedError
-
-    def batch_schedule(self, problems: List[SchedulingProblem]) -> List["Schedule"]:
-        """Construct root schedules for a block of sibling problems.
-
-        Rows usually share the application structure and differ only in
-        hardening / budgets / mapping deltas; specialized backends exploit
-        that (compile once, replay delta rows).  Each returned schedule must
-        be value-equal to the corresponding scalar :meth:`build_schedule`
-        call; the default implementation *is* that scalar loop.
-        """
-        return [self.build_schedule(problem) for problem in problems]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

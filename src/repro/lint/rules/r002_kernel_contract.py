@@ -9,8 +9,8 @@ computation may import the kernels package: a key that observes the selected
 kernel would fragment the warm store by speed knob.
 
 Checks, per class deriving (directly or transitively — stacked backends
-like ``array`` → ``batch`` inherit the contract along with the code) from a
-family base (``SFPKernel`` / ``SchedulerKernel``):
+like ``array`` → ``reference`` inherit the contract along with the code)
+from a family base (``SFPKernel`` / ``SchedulerKernel``):
 
 * every abstract method of the base (body = ``raise NotImplementedError``)
   is implemented somewhere along the inheritance chain; defects of an
@@ -19,12 +19,6 @@ family base (``SFPKernel`` / ``SchedulerKernel``):
 * an override's signature matches the base declaration exactly — same
   argument names, order, defaults, and the same varargs/kwargs shape
   (annotations are mypy's job, not this rule's);
-* the *batch* contract methods (``batch_probability_exceeds`` /
-  ``batch_schedule``) have a total scalar fallback in the base, so they are
-  not abstract — but any override must still match the base signature
-  exactly and stay implemented, and a backend declaring
-  ``supports_batch = True`` must actually provide (or inherit) a
-  specialized override rather than the inherited scalar fallback;
 * the registry attributes ``name`` (non-empty), ``description`` and
   ``priority`` are declared on the class itself — stacked backends are
   distinct registry entries and must not alias a parent's identity;
@@ -39,7 +33,7 @@ the module's runtime import closure must not contain ``repro.kernels``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.lint.model import Violation
 from repro.lint.project import ClassInfo, FunctionNode, LintModule, Project
@@ -53,13 +47,6 @@ FAMILY_BASES: Tuple[str, ...] = (
 
 #: Class attributes every registered backend must declare.
 REQUIRED_CLASS_ATTRS: Tuple[str, ...] = ("name", "description", "priority")
-
-#: Non-abstract batch entry point per family base: total scalar fallback in
-#: the base, exact-signature override required of vectorizing backends.
-BATCH_CONTRACT_METHODS: Dict[str, str] = {
-    "repro.kernels.base.SFPKernel": "batch_probability_exceeds",
-    "repro.kernels.sched_base.SchedulerKernel": "batch_schedule",
-}
 
 #: Modules computing cache keys; their import closure must avoid kernels.
 CACHE_KEY_MODULES: Tuple[str, ...] = (
@@ -140,60 +127,8 @@ class KernelContractRule(LintRule):
                     f"backend {subclass.name}.{method_name}() signature "
                     f"drifts from {base.name}: {mismatch}",
                 )
-        yield from self._check_batch_contract(project, module, subclass, base)
         yield from self._check_class_attrs(module, subclass)
         yield from self._check_mutable_state(module, subclass)
-
-    def _check_batch_contract(
-        self,
-        project: Project,
-        module: LintModule,
-        subclass: ClassInfo,
-        base: ClassInfo,
-    ) -> Iterator[Violation]:
-        batch_name = BATCH_CONTRACT_METHODS.get(base.qualname)
-        if batch_name is None or batch_name not in base.methods:
-            return
-        override = subclass.methods.get(batch_name)
-        if override is not None:
-            if _still_abstract(override.node):
-                yield self._violation(
-                    module,
-                    subclass,
-                    override.node,
-                    f"backend {subclass.name}.{batch_name}() raises "
-                    f"NotImplementedError — the batch contract is total; "
-                    f"inherit the scalar fallback instead of disabling it",
-                )
-            else:
-                mismatch = _signature_mismatch(
-                    base.methods[batch_name].node, override.node
-                )
-                if mismatch is not None:
-                    yield self._violation(
-                        module,
-                        subclass,
-                        override.node,
-                        f"backend {subclass.name}.{batch_name}() signature "
-                        f"drifts from {base.name}: {mismatch}",
-                    )
-        declared = _class_level_assignments(subclass.node).get("supports_batch")
-        if (
-            isinstance(declared, ast.Constant)
-            and declared.value is True
-        ):
-            owner, implementation = _resolve_method(
-                project, subclass, base, batch_name
-            )
-            if implementation is None:
-                yield self._violation(
-                    module,
-                    subclass,
-                    subclass.node,
-                    f"backend {subclass.name} declares supports_batch = True "
-                    f"but inherits the scalar fallback {batch_name}() — a "
-                    f"vectorizing backend must override it",
-                )
 
     def _check_class_attrs(
         self, module: LintModule, subclass: ClassInfo
@@ -305,10 +240,9 @@ def _derives_from(
 def _subclasses_of(project: Project, base: ClassInfo) -> List[ClassInfo]:
     """All project classes deriving from ``base``, directly or transitively.
 
-    Stacked backends (``batch`` on top of ``array`` on top of ``reference``)
-    inherit the family contract through intermediate classes, so a
-    direct-bases-only scan would silently exempt exactly the backends most
-    likely to drift.
+    Stacked backends (``array`` on top of ``reference``) inherit the family
+    contract through intermediate classes, so a direct-bases-only scan would
+    silently exempt exactly the backends most likely to drift.
     """
     result = [
         class_info
@@ -326,8 +260,8 @@ def _resolve_method(
 
     Walks the inheritance chain breadth-first from ``class_info`` (written
     base order, cycle-guarded) and stops before the family base, so the
-    base's own abstract declaration or scalar fallback never counts as an
-    implementation.  Returns ``(owner, method)`` or ``(None, None)``.
+    base's own abstract declaration never counts as an implementation.
+    Returns ``(owner, method)`` or ``(None, None)``.
     """
     queue: List[ClassInfo] = [class_info]
     seen: Set[str] = set()

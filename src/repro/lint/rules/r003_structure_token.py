@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.lint.model import Violation
 from repro.lint.project import LintModule, Project, dotted_name

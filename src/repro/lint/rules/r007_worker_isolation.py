@@ -22,7 +22,7 @@ the guarded classes' attributes.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.lint.model import Violation
 from repro.lint.project import FunctionDataflow, FunctionInfo, LintModule, Project
@@ -47,7 +47,7 @@ WORKER_GUARDS: Tuple[GuardSpec, ...] = (
         class_name="MemoCache",
         attrs=frozenset({"_store", "_preloaded"}),
         mutators=frozenset(
-            {"__init__", "get", "put", "memoize", "get_many", "load", "clear"}
+            {"__init__", "get", "put", "memoize", "load", "clear"}
         ),
     ),
     GuardSpec(

@@ -31,7 +31,7 @@ only and never part of an evaluation-engine cache key.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.comm.bus import Bus, SimpleBus
 from repro.core.application import Application
@@ -166,55 +166,3 @@ class ListScheduler:
             structure=self._application_structure(application),
         )
         return self.kernel.build_schedule(problem)
-
-    def schedule_batch(
-        self,
-        application: Application,
-        rows: List[
-            Tuple[Architecture, ProcessMapping, Optional[Mapping[str, int]]]
-        ],
-        profile: ExecutionProfile,
-    ) -> List[Schedule]:
-        """Build the schedules of a whole candidate neighbourhood in one call.
-
-        Each row is an ``(architecture, mapping, reexecutions)`` sibling of
-        one base design point.  Validation and budget normalization run per
-        row (mapping validity depends on the row's hardening levels via the
-        profile), the static application structure is derived once, and the
-        kernel receives the whole block through
-        :meth:`~repro.kernels.sched_base.SchedulerKernel.batch_schedule` —
-        vectorizing backends amortize their compiled tables across the rows,
-        every other backend falls back to the scalar loop.  Row order is
-        preserved and results are bit-identical to sequential
-        :meth:`schedule` calls.
-        """
-        structure = self._application_structure(application)
-        problems: List[SchedulingProblem] = []
-        for architecture, mapping, reexecutions in rows:
-            mapping.validate(application, architecture, profile)
-            budgets: Dict[str, int] = {node.name: 0 for node in architecture}
-            if reexecutions:
-                for name, value in reexecutions.items():
-                    if name not in budgets:
-                        raise SchedulingError(
-                            f"Re-execution budget given for unknown node {name}"
-                        )
-                    if value < 0:
-                        raise SchedulingError(
-                            f"Re-execution budget of node {name} must be >= 0, "
-                            f"got {value}"
-                        )
-                    budgets[name] = int(value)
-            problems.append(
-                SchedulingProblem(
-                    application=application,
-                    architecture=architecture,
-                    mapping=mapping,
-                    profile=profile,
-                    budgets=budgets,
-                    bus=self.bus,
-                    slack_sharing=self.slack_sharing,
-                    structure=structure,
-                )
-            )
-        return self.kernel.batch_schedule(problems)

@@ -1,4 +1,4 @@
-"""Unit tests for the command-line interface (generic driver + legacy shims)."""
+"""Unit tests for the command-line interface."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-
-# The legacy subcommands under test are deprecated on purpose; emission of
-# the warning itself is asserted in tests/unit/test_deprecation_shims.py.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestParser:
@@ -23,14 +19,11 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["run", "fig6a"]).scenario == "fig6a"
         assert parser.parse_args(["run", "--list"]).list_scenarios
-        assert parser.parse_args(["motivational"]).command == "motivational"
-        assert parser.parse_args(["synthetic", "--figure", "6c"]).figure == "6c"
-        assert parser.parse_args(["cruise-control"]).command == "cruise-control"
 
-    def test_unknown_figure_rejected(self):
-        parser = build_parser()
+    @pytest.mark.parametrize("command", ["motivational", "synthetic", "cruise-control"])
+    def test_removed_legacy_subcommands_are_rejected(self, command):
         with pytest.raises(SystemExit):
-            parser.parse_args(["synthetic", "--figure", "7"])
+            build_parser().parse_args([command])
 
     def test_run_accepts_config_flags(self):
         arguments = build_parser().parse_args(
@@ -141,10 +134,8 @@ class TestRunCommand:
         assert report["config"]["preset"] == "smoke"
         assert "acceptance" in report["results"]
 
-
-class TestMotivationalCommand:
-    def test_prints_fig3_and_fig4_tables(self, capsys):
-        exit_code = main(["motivational"])
+    def test_motivational_prints_fig3_and_fig4_tables(self, capsys):
+        exit_code = main(["run", "motivational"])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Fig. 3" in captured
@@ -152,26 +143,8 @@ class TestMotivationalCommand:
         assert "Appendix A.2" in captured
         assert "680.0" in captured  # the unschedulable N1^1 alternative
 
-    def test_writes_json_output(self, tmp_path, capsys):
-        output = tmp_path / "motivational.json"
-        exit_code = main(["motivational", "--output", str(output)])
-        assert exit_code == 0
-        payload = json.loads(output.read_text(encoding="utf-8"))
-        assert "fig3" in payload and "fig4" in payload and "appendix" in payload
-
-
-class TestSyntheticCommand:
-    def test_smoke_preset_runs_figure_6a(self, capsys):
-        exit_code = main(["synthetic", "--figure", "6a", "--preset", "smoke"])
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "Fig. 6a" in captured
-        assert "MIN" in captured and "OPT" in captured
-
-
-class TestCruiseControlCommand:
-    def test_prints_study_table(self, capsys):
-        exit_code = main(["cruise-control"])
+    def test_cruise_control_prints_study_table(self, capsys):
+        exit_code = main(["run", "cruise-control"])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Cruise controller" in captured

@@ -15,15 +15,9 @@ from repro.kernels import (
     get_kernel,
     kernel_names,
     resolve_kernel,
-    set_default_kernel,
+    use_kernel,
 )
 from repro.kernels import registry as registry_module
-
-# Several tests exercise the deprecated ``set_default_*`` shims on purpose;
-# their DeprecationWarnings are expected (emission itself is covered by
-# tests/unit/test_deprecation_shims.py).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 @pytest.fixture(autouse=True)
 def _clean_selection(monkeypatch):
@@ -65,21 +59,36 @@ def test_env_var_selects_backend(monkeypatch):
     assert isinstance(active_kernel(), ReferenceKernel)
 
 
-def test_set_default_kernel_overrides_env(monkeypatch):
+def test_use_kernel_overrides_env(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-    picked = set_default_kernel("array")
-    assert isinstance(picked, ArrayKernel)
-    assert isinstance(active_kernel(), ArrayKernel)
-    set_default_kernel(None)
+    with use_kernel(sfp="array") as (picked, _):
+        assert isinstance(picked, ArrayKernel)
+        assert isinstance(active_kernel(), ArrayKernel)
     assert isinstance(active_kernel(), ReferenceKernel)
 
 
-def test_set_default_kernel_validates_before_committing(monkeypatch):
+def test_use_kernel_validates_before_committing(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
     with pytest.raises(ModelError):
-        set_default_kernel("no-such-backend")
-    # The failed call must not have clobbered the selection.
+        with use_kernel(sfp="no-such-backend"):
+            pass
+    # The failed selection must not have clobbered the env-var choice.
     assert isinstance(active_kernel(), ReferenceKernel)
+
+
+def test_registries_hold_exactly_the_scalar_backends():
+    assert set(kernel_names()) == {"reference", "array"}
+    assert set(registry_module.sched_kernel_names()) == {"reference", "flat"}
+    with pytest.raises(ModelError, match="Unknown SFP kernel 'batch'"):
+        get_kernel("batch")
+    with pytest.raises(ModelError, match="Unknown scheduler kernel 'batch'"):
+        registry_module.get_sched_kernel("batch")
+    with pytest.raises(ModelError):
+        with use_kernel(sfp="batch"):
+            pass
+    with pytest.raises(ModelError):
+        with use_kernel(sched="batch"):
+            pass
 
 
 def test_resolve_kernel_accepts_instance_name_and_none():
@@ -161,7 +170,6 @@ from repro.kernels import (  # noqa: E402
     get_sched_kernel,
     resolve_sched_kernel,
     sched_kernel_names,
-    set_default_sched_kernel,
 )
 
 
@@ -190,12 +198,11 @@ def test_sched_env_var_selects_backend(monkeypatch):
     assert isinstance(active_sched_kernel(), ReferenceSchedulerKernel)
 
 
-def test_set_default_sched_kernel_overrides_env(monkeypatch):
+def test_use_kernel_overrides_sched_env(monkeypatch):
     monkeypatch.setenv(SCHED_KERNEL_ENV_VAR, "reference")
-    picked = set_default_sched_kernel("flat")
-    assert isinstance(picked, FlatSchedulerKernel)
-    assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
-    set_default_sched_kernel(None)
+    with use_kernel(sched="flat") as (_, picked):
+        assert isinstance(picked, FlatSchedulerKernel)
+        assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
     assert isinstance(active_sched_kernel(), ReferenceSchedulerKernel)
 
 
@@ -318,7 +325,6 @@ def test_flat_kernel_recompiles_after_in_place_profile_and_overhead_edits():
 # ----------------------------------------------------------------------
 # Scoped selection: use_kernel
 # ----------------------------------------------------------------------
-from repro.kernels import use_kernel  # noqa: E402
 
 
 class TestUseKernel:

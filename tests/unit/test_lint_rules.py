@@ -153,26 +153,6 @@ class SFPKernel:
         raise NotImplementedError
 """
 
-#: Family base with the (non-abstract) batch entry point: a total scalar
-#: fallback that vectorizing backends override with an identical signature.
-_BATCH_BASE = """
-class SFPKernel:
-    name = ""
-    description = ""
-    priority = 0
-    supports_batch = False
-
-    def probability_exceeds(self, probabilities, reexecutions, threshold):
-        raise NotImplementedError
-
-    def batch_probability_exceeds(self, blocks, reexecutions, threshold):
-        return [
-            self.probability_exceeds(probabilities, budget, threshold)
-            for probabilities, budget in zip(blocks, reexecutions)
-        ]
-"""
-
-
 class TestKernelContract:
     def test_conforming_backend_is_quiet(self):
         project = project_from(
@@ -352,98 +332,6 @@ class TestKernelContract:
         (violation,) = findings(project, "R002")
         assert violation.symbol == "repro.kernels.custom.DriftedKernel"
         assert "signature drifts" in violation.message
-
-    def test_conforming_batch_backend_is_quiet(self):
-        project = project_from(
-            **{
-                "repro.kernels.base": _BATCH_BASE,
-                "repro.kernels.custom": """
-                from repro.kernels.base import SFPKernel
-
-                class VectorKernel(SFPKernel):
-                    name = "vector"
-                    description = "specialized batch pass"
-                    priority = 5
-                    supports_batch = True
-
-                    def probability_exceeds(self, probabilities, reexecutions, threshold):
-                        return 0.0
-
-                    def batch_probability_exceeds(self, blocks, reexecutions, threshold):
-                        return [0.0 for _ in blocks]
-                """,
-            }
-        )
-        assert findings(project, "R002") == []
-
-    def test_supports_batch_without_override_fires(self):
-        project = project_from(
-            **{
-                "repro.kernels.base": _BATCH_BASE,
-                "repro.kernels.custom": """
-                from repro.kernels.base import SFPKernel
-
-                class PosingKernel(SFPKernel):
-                    name = "posing"
-                    description = "claims batching, runs the fallback"
-                    priority = 5
-                    supports_batch = True
-
-                    def probability_exceeds(self, probabilities, reexecutions, threshold):
-                        return 0.0
-                """,
-            }
-        )
-        (violation,) = findings(project, "R002")
-        assert "supports_batch = True" in violation.message
-        assert "scalar fallback batch_probability_exceeds()" in violation.message
-
-    def test_batch_override_signature_drift_fires(self):
-        project = project_from(
-            **{
-                "repro.kernels.base": _BATCH_BASE,
-                "repro.kernels.custom": """
-                from repro.kernels.base import SFPKernel
-
-                class SkewedKernel(SFPKernel):
-                    name = "skewed"
-                    description = "reordered the batch arguments"
-                    priority = 5
-                    supports_batch = True
-
-                    def probability_exceeds(self, probabilities, reexecutions, threshold):
-                        return 0.0
-
-                    def batch_probability_exceeds(self, reexecutions, blocks, threshold):
-                        return [0.0 for _ in blocks]
-                """,
-            }
-        )
-        (violation,) = findings(project, "R002")
-        assert "batch_probability_exceeds() signature drifts" in violation.message
-
-    def test_batch_override_raising_not_implemented_fires(self):
-        project = project_from(
-            **{
-                "repro.kernels.base": _BATCH_BASE,
-                "repro.kernels.custom": """
-                from repro.kernels.base import SFPKernel
-
-                class RefusingKernel(SFPKernel):
-                    name = "refusing"
-                    description = "disables the total batch fallback"
-                    priority = 5
-
-                    def probability_exceeds(self, probabilities, reexecutions, threshold):
-                        return 0.0
-
-                    def batch_probability_exceeds(self, blocks, reexecutions, threshold):
-                        raise NotImplementedError
-                """,
-            }
-        )
-        (violation,) = findings(project, "R002")
-        assert "the batch contract is total" in violation.message
 
     def test_cache_key_module_importing_kernels_fires(self):
         project = project_from(
