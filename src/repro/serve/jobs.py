@@ -268,6 +268,10 @@ class JobManager:
             raise HttpError(400, "'config' must be a RunConfig object")
         try:
             requested = RunConfig.from_dict(config_data)
+            # Unknown kernel names (e.g. a removed backend) are a 400 here
+            # rather than a job that fails once a worker picks it up.
+            requested.resolved_sfp_kernel()
+            requested.resolved_sched_kernel()
             spec = get_scenario(scenario_id)
             spec.resolve_params(requested.scenario_params)
         except ModelError as error:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.api import RunConfig
 from repro.core.exceptions import ModelError
 from repro.experiments.synthetic import ExperimentPreset
@@ -52,6 +53,15 @@ class TestResolutionOrder:
         monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
         # An explicit "auto" is still an explicit selection: it bypasses env.
         assert RunConfig(sfp_kernel="auto").resolved_sfp_kernel() == "array"
+
+    @pytest.mark.parametrize(
+        "field, family",
+        [("sfp_kernel", "SFP kernel"), ("sched_kernel", "scheduler kernel")],
+    )
+    def test_removed_batch_backend_is_rejected_by_run(self, field, family):
+        config = RunConfig.from_dict({field: "batch"})
+        with pytest.raises(ModelError, match=f"Unknown {family} 'batch'"):
+            api.run("motivational", config)
 
     def test_unknown_kernel_name_is_rejected_at_resolution(self):
         with pytest.raises(ModelError, match="Unknown SFP kernel"):

@@ -37,6 +37,22 @@ class TestParser:
         assert arguments.sched_kernel == "flat"
         assert arguments.seed == 9
 
+    @pytest.mark.parametrize(
+        "flag, backends",
+        [
+            ("--sfp-kernel", {"auto", "reference", "array"}),
+            ("--sched-kernel", {"auto", "reference", "flat"}),
+        ],
+    )
+    def test_kernel_flags_offer_only_the_registered_backends(self, flag, backends, capsys):
+        parser = build_parser()
+        for name in backends:
+            arguments = parser.parse_args(["run", "fig6a", flag, name])
+            assert getattr(arguments, flag[2:].replace("-", "_")) == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "fig6a", flag, "batch"])
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
     def test_run_accepts_repeated_param_flags(self):
         arguments = build_parser().parse_args(
             ["run", "synthetic-random",
@@ -142,6 +158,24 @@ class TestRunCommand:
         assert "Fig. 4" in captured
         assert "Appendix A.2" in captured
         assert "680.0" in captured  # the unschedulable N1^1 alternative
+
+    def test_motivational_writes_json_output(self, tmp_path, capsys):
+        output = tmp_path / "motivational.json"
+        exit_code = main(["run", "motivational", "--output", str(output)])
+        capsys.readouterr()
+        assert exit_code == 0
+        report = json.loads(output.read_text(encoding="utf-8"))
+        assert report["scenario"] == "motivational"
+        assert set(report["results"]) == {"fig3", "fig4", "appendix"}
+
+    def test_cruise_control_writes_json_output(self, tmp_path, capsys):
+        output = tmp_path / "cruise.json"
+        exit_code = main(["run", "cruise-control", "--output", str(output)])
+        capsys.readouterr()
+        assert exit_code == 0
+        report = json.loads(output.read_text(encoding="utf-8"))
+        assert report["scenario"] == "cruise-control"
+        assert set(report["results"]) == {"outcomes", "opt_saving_vs_max"}
 
     def test_cruise_control_prints_study_table(self, capsys):
         exit_code = main(["run", "cruise-control"])

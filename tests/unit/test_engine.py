@@ -85,6 +85,50 @@ class TestMemoCache:
         assert cache.memoize("k", compute) is None
         assert calls == [1]
 
+    def test_lookup_sequence_counts_every_hit_and_miss(self):
+        """Duplicates are hits once computed: the scalar loop stores each
+        miss before the next lookup."""
+        cache = MemoCache("test")
+        cache.put("a", 1)
+        computed = []
+
+        def compute(key):
+            computed.append(key)
+            return key.upper()
+
+        values = [cache.memoize(key, lambda key=key: compute(key))
+                  for key in ["a", "b", "b", "c", "a"]]
+        assert values == [1, "B", "B", "C", 1]
+        assert computed == ["b", "c"]
+        assert cache.hits == 3
+        assert cache.misses == 2
+
+    def test_preloaded_keys_count_disk_hits(self):
+        cache = MemoCache("test")
+        assert cache.load({"a": 1}) == 1
+        cache.put("b", 2)
+        assert [cache.get(key) for key in ["a", "a", "b"]] == [1, 1, 2]
+        assert cache.hits == 3
+        assert cache.disk_hits == 2
+
+    def test_load_keeps_in_memory_entries(self):
+        cache = MemoCache("test")
+        cache.put("a", "fresh")
+        assert cache.load({"a": "stale", "b": "disk"}) == 1
+        assert cache.get("a") == "fresh"
+        assert cache.get("b") == "disk"
+        # Only the newly inserted key was marked preloaded.
+        assert cache.disk_hits == 1
+
+    def test_clear_forgets_preloaded_marks(self):
+        cache = MemoCache("test")
+        cache.load({"a": 1})
+        cache.clear()
+        assert "a" not in cache
+        cache.put("a", 1)
+        assert cache.get("a") == 1
+        assert cache.disk_hits == 0
+
     def test_stats_arithmetic(self):
         total = CacheStats(hits=3, misses=1) + CacheStats(hits=1, misses=3)
         assert total.hits == 4
@@ -141,6 +185,35 @@ class TestEvaluationEngine:
             "no_fault",
             "system_failure",
         }
+
+    def test_report_keys_are_exactly_the_scalar_counters(self, engine):
+        engine.node_exceedance((1e-6,), 1, 11)
+        report = engine.report()
+        assert set(report) == {
+            "context",
+            "evaluations",
+            "hits",
+            "misses",
+            "hit_rate",
+            "disk_hits",
+            "kernel",
+            "sched_kernel",
+            "caches",
+        }
+        assert report["misses"] == 1
+
+    def test_memo_entries_are_valid_across_kernels(self):
+        """The kernel is not part of any memo key: entries computed by one
+        backend serve another backend's engine as preloaded hits."""
+        application, profile = fig1_application(), fig1_profile()
+        source = EvaluationEngine(application, profile, kernel="reference")
+        rows = [((1.2e-5, 3.4e-6), budget) for budget in range(4)]
+        values = [source.node_exceedance(row, budget, 11) for row, budget in rows]
+        target = EvaluationEngine(application, profile, kernel="array")
+        target.exceedance.load(source.exceedance.snapshot())
+        assert [target.node_exceedance(row, budget, 11) for row, budget in rows] == values
+        assert target.exceedance.misses == 0
+        assert target.exceedance.disk_hits == len(rows)
 
     def test_clear_keeps_counters(self, engine):
         engine.node_exceedance((1e-6,), 0, 11)

@@ -333,6 +333,107 @@ class TestKernelContract:
         assert violation.symbol == "repro.kernels.custom.DriftedKernel"
         assert "signature drifts" in violation.message
 
+    def test_override_still_raising_not_implemented_fires(self):
+        project = project_from(
+            **{
+                "repro.kernels.base": _BASE,
+                "repro.kernels.custom": """
+                from repro.kernels.base import SFPKernel
+
+                class StubKernel(SFPKernel):
+                    name = "stub"
+                    description = "overrides but never implements"
+                    priority = 10
+
+                    def probability_exceeds(self, probabilities, reexecutions, threshold):
+                        \"\"\"Not yet.\"\"\"
+                        raise NotImplementedError("todo")
+                """,
+            }
+        )
+        (violation,) = findings(project, "R002")
+        assert "still raises NotImplementedError" in violation.message
+        assert violation.symbol == "repro.kernels.custom.StubKernel"
+
+    def test_empty_registry_name_fires(self):
+        project = project_from(
+            **{
+                "repro.kernels.base": _BASE,
+                "repro.kernels.custom": """
+                from repro.kernels.base import SFPKernel
+
+                class NamelessKernel(SFPKernel):
+                    name = ""
+                    description = "registers under an empty name"
+                    priority = 10
+
+                    def probability_exceeds(self, probabilities, reexecutions, threshold):
+                        return 0.0
+                """,
+            }
+        )
+        (violation,) = findings(project, "R002")
+        assert "empty registry name" in violation.message
+
+    def test_mutable_call_class_state_fires_and_tuple_is_quiet(self):
+        project = project_from(
+            **{
+                "repro.kernels.base": _BASE,
+                "repro.kernels.custom": """
+                from repro.kernels.base import SFPKernel
+
+                class MemoKernel(SFPKernel):
+                    name = "memo"
+                    description = "class-level memo built by a call"
+                    priority = 10
+                    _memo = dict()
+                    _levels = (1, 2, 3)
+
+                    def probability_exceeds(self, probabilities, reexecutions, threshold):
+                        return 0.0
+                """,
+            }
+        )
+        (violation,) = findings(project, "R002")
+        assert "MemoKernel._memo is mutable class state" in violation.message
+
+    def test_scheduler_family_backends_are_checked(self):
+        project = project_from(
+            **{
+                "repro.kernels.sched_base": """
+                class SchedulerKernel:
+                    name = ""
+                    description = ""
+                    priority = 0
+
+                    def build_schedule(self, problem):
+                        raise NotImplementedError
+                """,
+                "repro.kernels.sched_custom": """
+                from repro.kernels.sched_base import SchedulerKernel
+
+                class GoodScheduler(SchedulerKernel):
+                    name = "good"
+                    description = "conforming scheduler backend"
+                    priority = 10
+
+                    def build_schedule(self, problem):
+                        return None
+
+                class DriftedScheduler(SchedulerKernel):
+                    name = "drifted"
+                    description = "renamed the problem argument"
+                    priority = 5
+
+                    def build_schedule(self, scheduling_problem):
+                        return None
+                """,
+            }
+        )
+        (violation,) = findings(project, "R002")
+        assert violation.symbol == "repro.kernels.sched_custom.DriftedScheduler"
+        assert "build_schedule() signature drifts from SchedulerKernel" in violation.message
+
     def test_cache_key_module_importing_kernels_fires(self):
         project = project_from(
             **{

@@ -136,3 +136,32 @@ class TestObjectiveValueHelper:
             MappingAlgorithm._objective_value(None, Objective.SCHEDULE_LENGTH)
             == float("inf")
         )
+
+
+class TestEngineEquivalence:
+    """The tabu neighbourhood is scored move by move through the memoized
+    redundancy optimizer; attaching an engine changes no result."""
+
+    @pytest.mark.parametrize("objective", [Objective.SCHEDULE_LENGTH, Objective.COST])
+    def test_engine_vs_no_engine_is_identical(
+        self, fig1_app, fig1_prof, fig1_architecture, objective
+    ):
+        from repro.engine import EvaluationEngine
+
+        def run(engine):
+            algorithm = MappingAlgorithm(
+                max_iterations=6, stop_after_no_improvement=3, engine=engine
+            )
+            return algorithm.optimize(
+                fig1_app, fig1_architecture, fig1_prof, objective=objective
+            )
+
+        engine = EvaluationEngine(fig1_app, fig1_prof)
+        memoized, plain = run(engine), run(None)
+        assert memoized is not None and plain is not None
+        assert memoized.mapping.as_dict() == plain.mapping.as_dict()
+        assert memoized.decision == plain.decision
+        assert memoized.objective_value == plain.objective_value
+        assert memoized.evaluations == plain.evaluations
+        # Revisited mappings were served from the optimization memo.
+        assert engine.optimizations.hits > 0

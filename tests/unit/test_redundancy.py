@@ -146,3 +146,80 @@ class TestEvaluateHardening:
         )
         assert not decision.meets_reliability
         assert decision.reexecutions == {"N1": 0}
+
+
+# ----------------------------------------------------------------------
+# the memoized optimize() shared by every redundancy optimizer
+# ----------------------------------------------------------------------
+OPTIMIZER_BUILDERS = {
+    "OPT": RedundancyOpt,
+    "MIN": lambda **kwargs: FixedHardeningRedundancyOpt("min", **kwargs),
+    "MAX": lambda **kwargs: FixedHardeningRedundancyOpt("max", **kwargs),
+}
+
+
+@pytest.fixture
+def fig4a_setup():
+    application = fig1_application()
+    n1, n2 = fig1_node_types()
+    profile = fig1_profile()
+    architecture = Architecture([Node("N1", n1), Node("N2", n2)])
+    mapping = ProcessMapping({"P1": "N1", "P2": "N1", "P3": "N2", "P4": "N2"})
+    return application, architecture, mapping, profile
+
+
+@pytest.mark.parametrize("strategy", sorted(OPTIMIZER_BUILDERS))
+def test_engine_memo_returns_the_unmemoized_decision(fig4a_setup, strategy):
+    """With an engine the decision is memoized, never changed: the cold
+    call equals the engine-free call and a repeat is one memo hit."""
+    from repro.engine import EvaluationEngine
+
+    application, architecture, mapping, profile = fig4a_setup
+    plain = OPTIMIZER_BUILDERS[strategy]().optimize(
+        application, architecture, mapping, profile
+    )
+    engine = EvaluationEngine(application, profile)
+    optimizer = OPTIMIZER_BUILDERS[strategy](engine=engine)
+    cold = optimizer.optimize(application, architecture, mapping, profile)
+    assert cold == plain
+    assert engine.optimizations.misses == 1
+    assert optimizer.optimize(application, architecture, mapping, profile) is cold
+    assert engine.optimizations.hits == 1
+    assert architecture.hardening_vector() == {"N1": 1, "N2": 1}
+
+
+def test_fixed_policies_sharing_an_engine_do_not_collide(fig4a_setup):
+    """MIN and MAX are one class; the policy is part of the memo key, so a
+    shared engine serves each its own decision."""
+    from repro.engine import EvaluationEngine
+
+    application, architecture, mapping, profile = fig4a_setup
+    engine = EvaluationEngine(application, profile)
+    expected = {
+        policy: FixedHardeningRedundancyOpt(policy).optimize(
+            application, architecture, mapping, profile
+        )
+        for policy in ("min", "max")
+    }
+    for _ in range(2):
+        for policy in ("min", "max"):
+            decision = FixedHardeningRedundancyOpt(policy, engine=engine).optimize(
+                application, architecture, mapping, profile
+            )
+            assert decision == expected[policy]
+    assert engine.optimizations.misses == 2
+    assert engine.optimizations.hits == 2
+
+
+def test_engine_bound_to_another_context_is_bypassed(fig4a_setup):
+    from repro.engine import EvaluationEngine
+
+    application, architecture, mapping, profile = fig4a_setup
+    foreign = EvaluationEngine(fig1_application(), fig1_profile())
+    decision = RedundancyOpt(engine=foreign).optimize(
+        application, architecture, mapping, profile
+    )
+    assert decision == RedundancyOpt().optimize(
+        application, architecture, mapping, profile
+    )
+    assert foreign.optimizations.hits == foreign.optimizations.misses == 0

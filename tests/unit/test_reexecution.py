@@ -28,6 +28,27 @@ class TestReExecutionOptFig3:
         assert decision.total_reexecutions == expected_k
 
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_engine_memo_is_bit_identical(self, level):
+        """The greedy steps re-query the same exceedances; serving them from
+        the engine memo changes nothing, and a rerun is all memo hits."""
+        from repro.engine import EvaluationEngine
+
+        application = fig3_application()
+        profile = fig3_profile()
+        architecture = Architecture([Node("N1", fig3_node_type(), hardening=level)])
+        mapping = ProcessMapping({"P1": "N1"})
+        plain = ReExecutionOpt().optimize(application, architecture, mapping, profile)
+        engine = EvaluationEngine(application, profile)
+        optimizer = ReExecutionOpt(engine=engine)
+        memoized = optimizer.optimize(application, architecture, mapping, profile)
+        assert memoized == plain
+        misses = engine.exceedance.misses
+        assert misses > 0
+        assert optimizer.optimize(application, architecture, mapping, profile) == plain
+        assert engine.exceedance.misses == misses
+
+
 class TestReExecutionOptFig4a:
     def test_one_reexecution_per_node(
         self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping

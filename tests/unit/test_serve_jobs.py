@@ -70,6 +70,18 @@ def test_submit_validates_scenario_config_and_params(tmp_path):
     assert manager.jobs == {}
 
 
+@pytest.mark.parametrize("field", ["sfp_kernel", "sched_kernel"])
+def test_submit_rejects_unknown_kernel_backends(tmp_path, field):
+    """A payload naming a backend that is not registered (the removed
+    ``batch`` pair) is a 400 at submit time, not a failed job later."""
+    manager = _manager(tmp_path)
+    with pytest.raises(HttpError) as info:
+        manager.submit({"scenario": "fig6a", "config": {field: "batch"}})
+    assert info.value.status == 400
+    assert "'batch'" in str(info.value)
+    assert manager.jobs == {}
+
+
 def test_submit_enqueues_and_spools_the_queued_event(tmp_path):
     manager = _manager(tmp_path)
     job = manager.submit({"scenario": "fig6a", "config": {"preset": "fast"}})
