@@ -125,7 +125,9 @@ class ExhaustiveSearch:
             hardening=dict(decision.hardening),
             reexecutions=dict(decision.reexecutions),
             mapping=mapping,
-            schedule=decision.schedule,
+            schedule=self.evaluator.schedule_of(
+                decision, application, architecture, mapping, profile
+            ),
             schedule_length=decision.schedule_length,
             deadline=application.deadline,
             cost=cost,

@@ -57,7 +57,10 @@ class MappingResult:
 
     @property
     def schedule(self) -> Schedule:
-        return self.decision.schedule
+        schedule = self.decision.schedule
+        # MappingAlgorithm materializes the schedule before returning a result.
+        assert schedule is not None
+        return schedule
 
     @property
     def schedule_length(self) -> float:
@@ -78,11 +81,13 @@ class MappingAlgorithm:
     Parameters
     ----------
     redundancy_optimizer:
-        Object with an ``optimize(application, architecture, mapping, profile)``
-        method returning a :class:`RedundancyDecision` or ``None``, called
-        once per tabu move.  The OPT strategy passes
-        :class:`~repro.core.redundancy.RedundancyOpt`; the MIN
-        and MAX baselines pass
+        A :class:`~repro.core.redundancy._RedundancyEvaluator` whose
+        ``optimize(application, architecture, mapping, profile)`` returns a
+        :class:`RedundancyDecision` or ``None``, called once per tabu move;
+        its ``schedule_of`` supplies the best decision's schedule (rebuilt
+        when the decision came from the persistent store).  The OPT
+        strategy passes :class:`~repro.core.redundancy.RedundancyOpt`; the
+        MIN and MAX baselines pass
         :class:`~repro.core.redundancy.FixedHardeningRedundancyOpt`.
     max_iterations:
         Hard cap on tabu-search iterations.
@@ -175,9 +180,13 @@ class MappingAlgorithm:
         for _ in range(self.max_iterations):
             if stagnation >= self.stop_after_no_improvement:
                 break
-            reference_decision = best_decision
+            reference_schedule = None
+            if best_decision is not None:
+                reference_schedule = self.redundancy_optimizer.schedule_of(
+                    best_decision, application, architecture, best_mapping, profile
+                )
             candidates = self._critical_candidates(
-                application, architecture, current_mapping, reference_decision, waiting
+                application, architecture, current_mapping, reference_schedule, waiting
             )
             moves = self._candidate_moves(candidates, architecture, current_mapping, profile)
             if not moves:
@@ -213,6 +222,9 @@ class MappingAlgorithm:
 
         if best_decision is None or best_value == inf:
             return None
+        self.redundancy_optimizer.schedule_of(
+            best_decision, application, architecture, best_mapping, profile
+        )
         return MappingResult(
             mapping=best_mapping,
             decision=best_decision,
@@ -284,7 +296,7 @@ class MappingAlgorithm:
         application: Application,
         architecture: Architecture,
         mapping: ProcessMapping,
-        decision: Optional[RedundancyDecision],
+        schedule: Optional[Schedule],
         waiting: Dict[str, int],
     ) -> List[str]:
         """Processes considered for re-mapping this iteration.
@@ -295,8 +307,7 @@ class MappingAlgorithm:
         """
         critical: List[str] = []
         seen: set = set()
-        if decision is not None:
-            schedule = decision.schedule
+        if schedule is not None:
             nodes = sorted(
                 schedule.nodes(),
                 key=lambda node: schedule.worst_case_node_completion(node),

@@ -42,11 +42,17 @@ from repro.scheduling.schedule import Schedule
 
 @dataclass(frozen=True)
 class RedundancyDecision:
-    """Hardening levels + re-executions + resulting schedule for one mapping."""
+    """Hardening levels + re-executions + resulting schedule for one mapping.
+
+    ``schedule`` is ``None`` on decisions read back from the persistent
+    design-point store, which keeps only the scalar fields; the search
+    scores designs by ``schedule_length`` and rebuilds the schedule through
+    :meth:`_RedundancyEvaluator.schedule_of` only where it reads one.
+    """
 
     hardening: Dict[str, int]
     reexecutions: Dict[str, int]
-    schedule: Schedule
+    schedule: Optional[Schedule]
     cost: float
     schedule_length: float
     meets_deadline: bool
@@ -191,6 +197,34 @@ class _RedundancyEvaluator:
             meets_deadline=schedule.length <= application.deadline,
             meets_reliability=meets_reliability,
         )
+
+    def schedule_of(
+        self,
+        decision: RedundancyDecision,
+        application: Application,
+        architecture: Architecture,
+        mapping: ProcessMapping,
+        profile: ExecutionProfile,
+    ) -> Schedule:
+        """The decision's schedule, rebuilt once if the store dropped it.
+
+        ``mapping`` must be the mapping the decision was evaluated for.  The
+        rebuild replays the evaluation's scheduler call with the decision's
+        hardening and re-execution budgets — a deterministic function of
+        those inputs — and installs the result on the (shared) decision, so
+        every later reader gets the same object without rescheduling.
+        """
+        schedule = decision.schedule
+        if schedule is None:
+            candidate = architecture.copy()
+            candidate.apply_hardening_vector(decision.hardening)
+            schedule = self.scheduler.schedule(
+                application, candidate, mapping, profile, decision.reexecutions
+            )
+            # Lazy field of a frozen value: the decision's identity and every
+            # compared field are unchanged; only the derived schedule appears.
+            object.__setattr__(decision, "schedule", schedule)
+        return schedule
 
     # ------------------------------------------------------------------
     def _optimization_prefix(self, architecture: Architecture) -> Tuple:

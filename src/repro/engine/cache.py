@@ -107,6 +107,14 @@ class MemoCache:
                 inserted += 1
         return inserted
 
+    @property
+    def fresh_entries(self) -> int:
+        """Entries this table holds that were not preloaded from disk.
+
+        Zero means a persist would write back exactly what was loaded.
+        """
+        return len(self._store) - len(self._preloaded)
+
     def snapshot(self) -> Dict[Hashable, Any]:
         """A shallow copy of the current entries (for persisting)."""
         return dict(self._store)

@@ -37,10 +37,10 @@ import pickle
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import sha256
 from pathlib import Path
-from typing import Dict, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import EvaluationEngine
@@ -49,13 +49,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: result contract; old store files become unreachable (never migrated).
 #: 2: fingerprints moved from repr()-based hashing to the type-tagged
 #: canonical byte encoding (R001), renaming every context key.
-STORE_SCHEMA_VERSION = 2
+#: 3: redundancy decisions are persisted without their schedules
+#: (``schedule=None`` on disk, rebuilt on read by ``schedule_of``).
+STORE_SCHEMA_VERSION = 3
 
 #: Default size cap of a store directory (bytes).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Engine attribute name per persisted memo table.
 PERSISTED_CACHES = ("decisions", "optimizations", "exceedance", "no_fault", "system")
+
+#: Tables whose values are :class:`~repro.core.redundancy.RedundancyDecision`
+#: objects (or ``None``), persisted without their schedules.
+DECISION_CACHES = ("decisions", "optimizations")
 
 
 def code_version_salt() -> str:
@@ -90,6 +96,16 @@ class StoreStats:
             "single_flight_leads": self.single_flight_leads,
             "single_flight_waits": self.single_flight_waits,
         }
+
+
+def _without_schedule(decision: Any, slim: Dict[int, Any]) -> Any:
+    """``decision`` with ``schedule=None``; one copy per distinct object."""
+    if decision is None or decision.schedule is None:
+        return decision
+    copy = slim.get(id(decision))
+    if copy is None:
+        copy = slim[id(decision)] = replace(decision, schedule=None)
+    return copy
 
 
 class DesignPointStore:
@@ -154,21 +170,32 @@ class DesignPointStore:
         Read-modify-write: entries already on disk are kept (union with the
         engine's, engine wins ties — the values are bit-identical anyway),
         the file is replaced atomically, and the store size cap is enforced
-        afterwards.  Returns the number of entries written.
+        afterwards.  Returns the number of entries written — 0, without
+        touching the file, when the engine holds nothing beyond what
+        :meth:`warm` loaded (every fully warm repeat run).
+
+        Decisions are written without their schedules: each distinct
+        decision object is replaced by one slim copy shared by both
+        decision tables, exactly as pickle's memo shared the original.
         """
+        if not any(
+            getattr(engine, attribute).fresh_entries for attribute in PERSISTED_CACHES
+        ):
+            return 0
         path = self.path_for(engine)
         existing = self._read(path)
         caches: Dict[str, Dict[object, object]] = {}
+        slim: Dict[int, Any] = {}
         total = 0
         for attribute in PERSISTED_CACHES:
             merged: Dict[object, object] = {}
             if existing is not None:
                 merged.update(existing["caches"].get(attribute, {}))
             merged.update(getattr(engine, attribute).snapshot())
+            if attribute in DECISION_CACHES:
+                merged = {key: _without_schedule(value, slim) for key, value in merged.items()}
             caches[attribute] = merged
             total += len(merged)
-        if total == 0:
-            return 0
         payload = {
             "salt": self.salt,
             "context": self.context_key(engine),

@@ -18,9 +18,10 @@ fingerprint compute each design point exactly once.
 
 **Backpressure.**  A full queue rejects the submission with HTTP 429 and a
 ``Retry-After`` hint; a per-job wall-clock timeout marks the job
-``failed`` and abandons the worker-side future (a worker mid-run cannot be
-killed without tearing down the whole pool, so its slot frees when the run
-finishes — the timeout bounds *reported* latency, not worker occupancy).
+``failed``, abandons the worker-side future and seals the job's event
+spool: the worker's next progress event raises, ending the run and freeing
+its pool slot (a worker cannot be killed without tearing down the whole
+pool, so a run stops at its next event, not instantly).
 """
 
 from __future__ import annotations
@@ -386,9 +387,9 @@ class JobManager:
             job.result = result
         job.finished_at = time.time()
         if job.state == "done":
-            writer.emit({"event": "job_done", "job": job.job_id, "scenario": job.scenario})
+            writer.seal({"event": "job_done", "job": job.job_id, "scenario": job.scenario})
         else:
-            writer.emit(
+            writer.seal(
                 {
                     "event": "job_failed",
                     "job": job.job_id,

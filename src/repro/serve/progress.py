@@ -12,6 +12,12 @@ A file — not a pipe or queue — is deliberate: it is picklable-by-path
 (only the path string crosses the pool boundary, satisfying R006/R007 by
 construction), it survives worker crashes with the partial event history
 intact, and late stream subscribers replay the full history for free.
+
+A spool is *sealed* when the server decides a job's outcome: before it
+appends the terminal event it creates a ``<spool>.sealed`` sentinel, and
+every later :meth:`EventWriter.emit` raises :class:`SpoolSealed`.  A
+timed-out job's worker therefore stops at its next progress event instead
+of computing on (and appending) after its ``job_failed``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from repro.serve.protocol import event_line
 TERMINAL_EVENTS = frozenset({"job_done", "job_failed"})
 
 
+class SpoolSealed(RuntimeError):
+    """Raised by :meth:`EventWriter.emit` once the job's outcome is decided."""
+
+
 class EventWriter:
     """Append canonicalized NDJSON events to one job's spool file.
 
@@ -40,9 +50,23 @@ class EventWriter:
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
+        self.sealed_path = self.path.with_name(self.path.name + ".sealed")
 
     def emit(self, event: Dict[str, Any]) -> None:
-        """Append one event; matches :data:`ProgressCallback`'s signature."""
+        """Append one event; matches :data:`ProgressCallback`'s signature.
+
+        Raises :class:`SpoolSealed` once the spool is sealed.
+        """
+        if self.sealed_path.exists():
+            raise SpoolSealed(f"event spool {self.path.name} is sealed")
+        self._append(event)
+
+    def seal(self, terminal_event: Dict[str, Any]) -> None:
+        """Create the sentinel, then append the job's terminal event."""
+        self.sealed_path.touch()
+        self._append(terminal_event)
+
+    def _append(self, event: Dict[str, Any]) -> None:
         line = event_line(event)
         descriptor = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644

@@ -212,7 +212,11 @@ class ServeApp:
             for line in lines:
                 writer.write(line)
                 if _is_terminal(line):
+                    # A worker may append after the terminal event (it
+                    # checked the seal just before the server set it);
+                    # nothing past the terminal line is relayed.
                     finished = True
+                    break
             await writer.drain()
             if finished:
                 return

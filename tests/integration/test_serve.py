@@ -247,7 +247,7 @@ def test_job_timeout_records_a_failed_job(tmp_path):
     with serve_app(tmp_path, workers=1, job_timeout_seconds=0.2) as (
         host,
         port,
-        _app,
+        app,
     ):
         job_id = _submit(host, port, "fig6a", {"preset": "fast"})
         record = _wait_done(host, port, job_id)
@@ -255,6 +255,9 @@ def test_job_timeout_records_a_failed_job(tmp_path):
         assert "timed out" in record["error"]
         events = _stream_events(host, port, job_id)
         assert events[-1]["event"] == "job_failed"
+        assert [event["event"] for event in events].count("job_failed") == 1
+        # The spool is sealed, so the abandoned worker stops at its next event.
+        assert app.manager.spool_dir.joinpath(f"{job_id}.ndjson.sealed").exists()
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,214 @@
+"""Schedule-free persistent store: decisions on disk, schedules rebuilt on read.
+
+The store persists every memoized :class:`RedundancyDecision` without its
+schedule; searches that read a schedule rebuild it through
+:meth:`_RedundancyEvaluator.schedule_of`.  These tests pin both halves of
+that contract on a generated 50-process ``synthetic-random`` application:
+
+* no schedule object of any kind survives in a store file, and the two
+  decision tables share one slim object per decision;
+* every rebuilt schedule is value-equal to the one the cold run built;
+* a store-warmed tabu search returns the cold search's result, schedule
+  included, while rebuilding only the schedules it reads;
+* ``schedule_of`` schedules at most once per decision.
+"""
+
+from __future__ import annotations
+
+import pickle
+from dataclasses import replace
+
+import pytest
+
+from repro.api.scenarios_synthetic import FAMILY_HPD, FAMILY_SER
+from repro.core.architecture import Architecture, Node
+from repro.core.baselines import (
+    max_hardening_strategy,
+    min_hardening_strategy,
+    optimized_strategy,
+)
+from repro.core.mapping import MappingAlgorithm, Objective
+from repro.core.mapping_model import ProcessMapping
+from repro.core.redundancy import RedundancyDecision, RedundancyOpt
+from repro.engine import DesignPointStore, EvaluationEngine
+from repro.experiments.synthetic import ExperimentPreset
+from repro.generator.benchmark import BenchmarkConfig, build_platform, generate_benchmark
+from repro.scheduling.list_scheduler import ListScheduler
+from repro.scheduling.schedule import Schedule, ScheduledMessage, ScheduledProcess
+
+SCHEDULE_TYPES = (Schedule, ScheduledProcess, ScheduledMessage)
+
+
+@pytest.fixture(scope="module")
+def platform():
+    """The ``synthetic-random`` n=50, seed 1 application at the family setting."""
+    benchmark = generate_benchmark(
+        1, BenchmarkConfig(n_processes=50, n_node_types=4), name="synthetic_random_1"
+    )
+    node_types, profile = build_platform(
+        benchmark, ser_per_cycle=FAMILY_SER, hardening_performance_degradation=FAMILY_HPD
+    )
+    return benchmark.application, node_types, profile
+
+
+@pytest.fixture(scope="module")
+def explored(platform, tmp_path_factory):
+    """A cold MIN/MAX/OPT exploration persisted to a fresh store."""
+    application, node_types, profile = platform
+    engine = EvaluationEngine(application, profile)
+    algorithm = ExperimentPreset.smoke().mapping_algorithm()
+    scheduler = ListScheduler()
+    for builder in (min_hardening_strategy, max_hardening_strategy, optimized_strategy):
+        builder(node_types, algorithm, scheduler=scheduler).explore(
+            application, profile, engine=engine
+        )
+    store = DesignPointStore(tmp_path_factory.mktemp("store"))
+    assert store.persist(engine) > 0
+    return engine, store
+
+
+def _warm_engine(platform, store) -> EvaluationEngine:
+    application, _, profile = platform
+    engine = EvaluationEngine(application, profile)
+    assert store.warm(engine) > 0
+    return engine
+
+
+def _schedule_objects(value, seen=None):
+    """Every schedule-typed object reachable from an unpickled payload."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, SCHEDULE_TYPES):
+        return [value]
+    if isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = list(value)
+    elif hasattr(value, "__dict__"):
+        children = list(vars(value).values())
+    else:
+        return []
+    found = []
+    for child in children:
+        found.extend(_schedule_objects(child, seen))
+    return found
+
+
+def _design_point(key, node_types):
+    """Rebuild the (architecture, mapping) a decision-table key names."""
+    _, architecture_key, mapping_key, _ = key
+    by_name = {node_type.name: node_type for node_type in node_types}
+    architecture = Architecture(
+        [Node(name, by_name[type_name]) for name, type_name in architecture_key]
+    )
+    return architecture, ProcessMapping(dict(mapping_key))
+
+
+def test_store_file_holds_no_schedule_objects(platform, explored):
+    engine, store = explored
+    with store.path_for(engine).open("rb") as handle:
+        payload = pickle.load(handle)
+    decisions = payload["caches"]["decisions"]
+    optimizations = payload["caches"]["optimizations"]
+    assert decisions and any(value is not None for value in optimizations.values())
+    assert _schedule_objects(payload) == []
+    assert all(decision.schedule is None for decision in decisions.values())
+    # One slim object per decision, shared by both tables as in memory.
+    stored = {id(decision) for decision in decisions.values()}
+    assert all(
+        id(decision) in stored for decision in optimizations.values() if decision is not None
+    )
+    # The engine's in-memory decisions keep the schedules they were built with.
+    assert all(
+        isinstance(decision.schedule, Schedule)
+        for decision in engine.decisions.snapshot().values()
+    )
+
+
+def test_rebuilt_schedules_equal_the_cold_ones(platform, explored):
+    application, node_types, profile = platform
+    cold_engine, store = explored
+    warm_engine = _warm_engine(platform, store)
+    evaluator = RedundancyOpt(scheduler=ListScheduler())
+    cold_decisions = cold_engine.decisions.snapshot()
+    warm_decisions = warm_engine.decisions.snapshot()
+    assert warm_decisions.keys() == cold_decisions.keys()
+    for key, decision in warm_decisions.items():
+        assert key[0] == evaluator._evaluator_signature()
+        assert decision.schedule is None
+        architecture, mapping = _design_point(key, node_types)
+        rebuilt = evaluator.schedule_of(decision, application, architecture, mapping, profile)
+        cold = cold_decisions[key]
+        assert rebuilt == cold.schedule
+        assert rebuilt.length == cold.schedule.length == decision.schedule_length
+        for node in cold.schedule.nodes():
+            assert rebuilt.processes_on(node) == cold.schedule.processes_on(node)
+        assert decision == cold
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_store_warmed_tabu_search_returns_the_cold_result(platform, tmp_path, objective):
+    application, node_types, profile = platform
+    architecture = Architecture([Node(node_type.name, node_type) for node_type in node_types])
+    architecture.set_min_hardening()
+
+    def search(engine):
+        algorithm = MappingAlgorithm(
+            redundancy_optimizer=RedundancyOpt(),
+            max_iterations=3,
+            stop_after_no_improvement=2,
+            max_candidates=2,
+            engine=engine,
+        )
+        return algorithm.optimize(application, architecture, profile, objective=objective)
+
+    cold_engine = EvaluationEngine(application, profile)
+    cold = search(cold_engine)
+    store = DesignPointStore(tmp_path)
+    store.persist(cold_engine)
+    warm_engine = _warm_engine(platform, store)
+    warm = search(warm_engine)
+
+    assert cold is not None and warm is not None
+    assert warm == cold
+    assert isinstance(warm.schedule, Schedule)
+    assert warm.schedule == cold.schedule
+    assert warm_engine.evaluations == 0
+    # Only the schedules the search read were rebuilt.
+    rebuilt = sum(
+        decision.schedule is not None for decision in warm_engine.decisions.snapshot().values()
+    )
+    assert 1 <= rebuilt < len(warm_engine.decisions)
+
+
+class _CountingScheduler(ListScheduler):
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def schedule(self, *args, **kwargs):
+        self.calls += 1
+        return super().schedule(*args, **kwargs)
+
+
+def test_schedule_of_schedules_at_most_once_per_decision(platform, explored):
+    application, node_types, profile = platform
+    cold_engine, _ = explored
+    scheduler = _CountingScheduler()
+    evaluator = RedundancyOpt(scheduler=scheduler)
+    keys = list(cold_engine.decisions.snapshot())[:5]
+    for key in keys:
+        cold = cold_engine.decisions.snapshot()[key]
+        architecture, mapping = _design_point(key, node_types)
+        # A decision that still holds its schedule is returned as is.
+        assert evaluator.schedule_of(
+            cold, application, architecture, mapping, profile
+        ) is cold.schedule
+        slim: RedundancyDecision = replace(cold, schedule=None)
+        first = evaluator.schedule_of(slim, application, architecture, mapping, profile)
+        second = evaluator.schedule_of(slim, application, architecture, mapping, profile)
+        assert first is second is slim.schedule
+        assert first == cold.schedule
+    assert scheduler.calls == len(keys)

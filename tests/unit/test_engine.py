@@ -129,6 +129,19 @@ class TestMemoCache:
         assert cache.get("a") == 1
         assert cache.disk_hits == 0
 
+    def test_fresh_entries_count_what_was_not_preloaded(self):
+        cache = MemoCache("test")
+        cache.put("a", "fresh")
+        cache.load({"a": "stale", "b": "disk", "c": "disk"})
+        assert len(cache) == 3
+        assert cache.fresh_entries == 1
+        cache.memoize("b", lambda: "recomputed")  # a hit adds nothing
+        assert cache.fresh_entries == 1
+        cache.memoize("d", lambda: "new")
+        assert cache.fresh_entries == 2
+        cache.clear()
+        assert cache.fresh_entries == 0
+
     def test_stats_arithmetic(self):
         total = CacheStats(hits=3, misses=1) + CacheStats(hits=1, misses=3)
         assert total.hits == 4

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import pickle
 
 import pytest
 
 from repro.core.exceptions import ModelError
-from repro.serve.jobs import Job, JobManager, ServeConfig
-from repro.serve.progress import iter_new_lines
-from repro.serve.protocol import HttpError
+from repro.serve.jobs import Job, JobManager, ServeConfig, _execute_job
+from repro.serve.progress import EventWriter, SpoolSealed, iter_new_lines
+from repro.serve.protocol import HttpError, event_line, stream_head
+from repro.serve.server import ServeApp
 
 
 def _manager(tmp_path, **overrides) -> JobManager:
@@ -176,3 +178,78 @@ def test_describe_reports_the_lifecycle_record(tmp_path):
     assert record["queue_position"] == 0
     assert record["error"] is None
     assert record["config"]["cache_dir"] == str(manager.store_dir)
+
+
+# ----------------------------------------------------------------------
+# sealed spools: the terminal event is the last event relayed
+# ----------------------------------------------------------------------
+class _RecordingWriter:
+    """Stand-in for ``asyncio.StreamWriter`` that keeps the written bytes."""
+
+    def __init__(self) -> None:
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        return None
+
+
+def test_stream_stops_relaying_at_the_terminal_event(tmp_path):
+    """A worker line appended after ``job_failed`` is never relayed."""
+    manager = _manager(tmp_path)
+    job = manager.submit({"scenario": "fig6a", "config": {}})
+    late = {"event": "setting_progress", "job": job.job_id, "completed": 2}
+    job.events_path.write_bytes(
+        b"".join(
+            event_line(event)
+            for event in [
+                {"event": "job_queued", "job": job.job_id},
+                {"event": "job_started", "job": job.job_id},
+                {"event": "setting_progress", "job": job.job_id, "completed": 1},
+                {"event": "job_failed", "job": job.job_id, "error": "timed out"},
+                late,
+                {"event": "job_done", "job": job.job_id},
+            ]
+        )
+    )
+    app = ServeApp(manager.config)
+    writer = _RecordingWriter()
+    asyncio.run(asyncio.wait_for(app.stream_events(job, writer), timeout=10.0))
+    head = stream_head()
+    assert writer.data.startswith(head)
+    events = [json.loads(line) for line in writer.data[len(head):].splitlines()]
+    assert [event["event"] for event in events] == [
+        "job_queued",
+        "job_started",
+        "setting_progress",
+        "job_failed",
+    ]
+
+
+def test_sealed_writer_raises_and_keeps_the_terminal_event_last(tmp_path):
+    path = tmp_path / "job-000000.ndjson"
+    worker = EventWriter(path)
+    worker.emit({"event": "setting_progress", "completed": 1})
+    EventWriter(path).seal({"event": "job_failed", "error": "timed out"})
+    assert worker.sealed_path == tmp_path / "job-000000.ndjson.sealed"
+    assert worker.sealed_path.exists()
+    with pytest.raises(SpoolSealed):
+        worker.emit({"event": "setting_progress", "completed": 2})
+    lines, _ = iter_new_lines(path, 0)
+    assert [json.loads(line)["event"] for line in lines] == [
+        "setting_progress",
+        "job_failed",
+    ]
+
+
+def test_worker_stops_at_its_first_event_on_a_sealed_spool(tmp_path):
+    """A timed-out job's worker raises instead of running on."""
+    manager = _manager(tmp_path)
+    job = manager.submit({"scenario": "fig6a", "config": {"preset": "fast"}})
+    EventWriter(job.events_path).seal({"event": "job_failed", "error": "timed out"})
+    with pytest.raises(SpoolSealed):
+        _execute_job(job.spec())
+    lines, _ = iter_new_lines(job.events_path, 0)
+    assert json.loads(list(lines)[-1])["event"] == "job_failed"

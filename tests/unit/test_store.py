@@ -105,6 +105,55 @@ def test_persist_merges_with_existing_file(tmp_path, context):
     assert ((9e-6,), 3, 11) in third.exceedance
 
 
+def test_fully_warm_rerun_skips_the_rewrite(tmp_path, context, monkeypatch):
+    """Nothing beyond the warmed entries: no read, no write, same bytes."""
+    application, profile = context
+    store = DesignPointStore(tmp_path)
+    store.persist(_engine_with_entries(context))
+    path = store.path_for(EvaluationEngine(application, profile))
+    before = path.read_bytes()
+    persisted = store.stats.files_persisted
+
+    rerun = EvaluationEngine(application, profile)
+    store.warm(rerun)
+    # The rerun's lookups are all served by preloaded entries.
+    rerun.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
+    rerun.system_failure((1e-9, 2e-9), 11)
+    assert rerun.disk_hits == 2
+
+    def no_io(*args, **kwargs):
+        raise AssertionError("a no-op persist must not touch the store file")
+
+    monkeypatch.setattr(store, "_read", no_io)
+    monkeypatch.setattr(store, "_write_atomic", no_io)
+    assert store.persist(rerun) == 0
+    assert path.read_bytes() == before
+    assert store.stats.files_persisted == persisted
+
+
+def test_one_new_entry_still_merges_and_replaces(tmp_path, context):
+    application, profile = context
+    store = DesignPointStore(tmp_path)
+    first = _engine_with_entries(context)
+    store.persist(first)
+    path = store.path_for(first)
+    before = path.read_bytes()
+    persisted = store.stats.files_persisted
+
+    rerun = EvaluationEngine(application, profile)
+    store.warm(rerun)
+    rerun.node_exceedance((9e-6,), 3, 11)
+    written = store.persist(rerun)
+    assert written == len(first.exceedance) + len(first.no_fault) + len(first.system) + 1
+    assert store.stats.files_persisted == persisted + 1
+    assert path.read_bytes() != before
+
+    check = EvaluationEngine(application, profile)
+    store.warm(check)
+    assert ((1.2e-5, 1.3e-5), 1, 11) in check.exceedance
+    assert ((9e-6,), 3, 11) in check.exceedance
+
+
 def test_empty_engine_persists_nothing(tmp_path, context):
     application, profile = context
     store = DesignPointStore(tmp_path)
