@@ -10,8 +10,8 @@ This module provides three classes:
 * :class:`Process` — a non-preemptable unit of computation.
 * :class:`Message` — a directed data dependency with a worst-case bus
   transmission time.
-* :class:`TaskGraph` — one DAG of processes and messages (thin wrapper around
-  :class:`networkx.DiGraph` with validation and timing helpers).
+* :class:`TaskGraph` — one DAG of processes and messages (insertion-ordered
+  adjacency dicts with validation and timing helpers).
 * :class:`Application` — a set of task graphs plus the global real-time and
   reliability parameters (deadline ``D``, period ``T``, recovery overhead
   ``mu``, reliability goal ``rho`` and the time unit ``tau``).
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
-
-import networkx as nx
 
 from repro.core.exceptions import ModelError
 from repro.utils.validation import (
@@ -101,60 +99,82 @@ class Message:
 
 
 class TaskGraph:
-    """A directed acyclic graph of processes connected by messages."""
+    """A directed acyclic graph of processes connected by messages.
+
+    The structure lives in insertion-ordered dicts: ``_processes`` (name ->
+    :class:`Process`), ``_succ`` / ``_pred`` (name -> ``{neighbour: None}``)
+    and ``_messages`` ((source, destination) -> :class:`Message`).  Every
+    derived order follows insertion order, so
+    neighbour lists, the topological order and its tie breaks are
+    reproducible; removing an edge and adding it back moves it to the end of
+    its endpoints' neighbour orders.
+    """
 
     def __init__(self, name: str) -> None:
         if not name:
             raise ModelError("TaskGraph name must be a non-empty string")
         self.name = name
-        self._graph = nx.DiGraph()
+        self._processes: Dict[str, Process] = {}
+        self._succ: Dict[str, Dict[str, None]] = {}
+        self._pred: Dict[str, Dict[str, None]] = {}
         self._messages: Dict[Tuple[str, str], Message] = {}
         # Structure caches (topological order, adjacency) — rebuilt lazily and
         # dropped on every mutation.  The DSE heuristics query graph structure
         # thousands of times per exploration while the graph never changes.
-        self._topo_cache: Optional[List[str]] = None
+        self._order_cache: Optional[Tuple[List[str], List[List[str]]]] = None
         self._adjacency_cache: Optional[
             Tuple[Dict[str, List[str]], Dict[str, List[str]]]
         ] = None
-        self._generations_cache: Optional[List[List[str]]] = None
         self._token_cache: Optional[Tuple] = None
-        self._process_list_cache: Optional[List[Process]] = None
 
     def _invalidate_structure_caches(self) -> None:
-        self._topo_cache = None
+        self._order_cache = None
         self._adjacency_cache = None
-        self._generations_cache = None
         self._token_cache = None
-        self._process_list_cache = None
 
     def _adjacency(self) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
         if self._adjacency_cache is None:
-            predecessors = {
-                name: list(self._graph.predecessors(name)) for name in self._graph
-            }
-            successors = {
-                name: list(self._graph.successors(name)) for name in self._graph
-            }
+            predecessors = {name: list(preds) for name, preds in self._pred.items()}
+            successors = {name: list(succs) for name, succs in self._succ.items()}
             self._adjacency_cache = (predecessors, successors)
         return self._adjacency_cache
+
+    def _reaches(self, start: str, target: str) -> bool:
+        """Whether a directed path leads from ``start`` to ``target``."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for child in self._succ[stack.pop()]:
+                if child == target:
+                    return True
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return False
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_process(self, process: Process) -> Process:
         """Add ``process`` to the graph.  Re-adding the same name is an error."""
-        if process.name in self._graph:
+        if process.name in self._processes:
             raise ModelError(
                 f"Process {process.name} already exists in task graph {self.name}"
             )
         self._invalidate_structure_caches()
-        self._graph.add_node(process.name, process=process)
+        self._processes[process.name] = process
+        self._succ[process.name] = {}
+        self._pred[process.name] = {}
         return process
 
     def add_message(self, message: Message) -> Message:
-        """Add a data dependency; both endpoints must already be processes."""
+        """Add a data dependency; both endpoints must already be processes.
+
+        An edge that would close a cycle is rejected before anything is
+        mutated, so the graph, its caches and its token stay as they were.
+        """
         for endpoint in (message.source, message.destination):
-            if endpoint not in self._graph:
+            if endpoint not in self._processes:
                 raise ModelError(
                     f"Message {message.name} references unknown process {endpoint} "
                     f"in task graph {self.name}"
@@ -165,16 +185,15 @@ class TaskGraph:
                 f"A message from {message.source} to {message.destination} "
                 f"already exists in task graph {self.name}"
             )
-        self._invalidate_structure_caches()
-        self._graph.add_edge(message.source, message.destination, message=message)
-        self._messages[key] = message
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(message.source, message.destination)
-            del self._messages[key]
+        if self._reaches(message.destination, message.source):
             raise ModelError(
                 f"Adding message {message.name} would create a cycle in task "
                 f"graph {self.name}"
             )
+        self._invalidate_structure_caches()
+        self._succ[message.source][message.destination] = None
+        self._pred[message.destination][message.source] = None
+        self._messages[key] = message
         return message
 
     def remove_message(self, source: str, destination: str) -> Message:
@@ -191,7 +210,8 @@ class TaskGraph:
                 f"No message from {source} to {destination} in task graph {self.name}"
             )
         self._invalidate_structure_caches()
-        self._graph.remove_edge(source, destination)
+        del self._succ[source][destination]
+        del self._pred[destination][source]
         del self._messages[key]
         return message
 
@@ -201,15 +221,11 @@ class TaskGraph:
     @property
     def processes(self) -> List[Process]:
         """All processes, in insertion order."""
-        if self._process_list_cache is None:
-            self._process_list_cache = [
-                self._graph.nodes[name]["process"] for name in self._graph.nodes
-            ]
-        return list(self._process_list_cache)
+        return list(self._processes.values())
 
     @property
     def process_names(self) -> List[str]:
-        return list(self._graph.nodes)
+        return list(self._processes)
 
     @property
     def messages(self) -> List[Message]:
@@ -218,7 +234,7 @@ class TaskGraph:
 
     def process(self, name: str) -> Process:
         try:
-            return self._graph.nodes[name]["process"]
+            return self._processes[name]
         except KeyError as exc:
             raise ModelError(f"Unknown process {name} in task graph {self.name}") from exc
 
@@ -227,7 +243,7 @@ class TaskGraph:
         return self._messages.get((source, destination))
 
     def has_process(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._processes
 
     def predecessors(self, name: str) -> List[str]:
         return list(self._adjacency()[0][name])
@@ -243,16 +259,14 @@ class TaskGraph:
 
     def sources(self) -> List[str]:
         """Processes with no predecessors (entry points of the graph)."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [name for name, preds in self._pred.items() if not preds]
 
     def sinks(self) -> List[str]:
         """Processes with no successors (exit points of the graph)."""
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [name for name, succs in self._succ.items() if not succs]
 
     def topological_order(self) -> List[str]:
-        if self._topo_cache is None:
-            self._topo_cache = list(nx.topological_sort(self._graph))
-        return list(self._topo_cache)
+        return list(self._orders()[0])
 
     def adjacency_maps(self) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
         """Cached ``(predecessor map, successor map)`` of the whole graph.
@@ -267,12 +281,37 @@ class TaskGraph:
     def topological_generations(self) -> List[List[str]]:
         """Antichain layers of the DAG: every process's predecessors live in
         strictly earlier layers.  Cached; treat the result as read-only."""
-        if self._generations_cache is None:
-            self._generations_cache = [
-                sorted(generation)
-                for generation in nx.topological_generations(self._graph)
-            ]
-        return self._generations_cache
+        return self._orders()[1]
+
+    def _orders(self) -> Tuple[List[str], List[List[str]]]:
+        """Cached ``(topological order, generations)`` from one Kahn pass.
+
+        The first generation lists the sources in insertion order; each later
+        one lists the processes released by the previous generation, in the
+        order their last incoming edge was walked (parents in generation
+        order, children in edge-insertion order).  The topological order is
+        the generations flattened; the cached generations are each sorted.
+        """
+        if self._order_cache is not None:
+            return self._order_cache
+        indegree = {name: len(preds) for name, preds in self._pred.items() if preds}
+        generation = [name for name, preds in self._pred.items() if not preds]
+        generations: List[List[str]] = []
+        while generation:
+            generations.append(generation)
+            released: List[str] = []
+            for name in generation:
+                for child in self._succ[name]:
+                    indegree[child] -= 1
+                    if not indegree[child]:
+                        released.append(child)
+                        del indegree[child]
+            generation = released
+        self._order_cache = (
+            [name for layer in generations for name in layer],
+            [sorted(layer) for layer in generations],
+        )
+        return self._order_cache
 
     def structure_token(self) -> Tuple:
         """Value token of the graph structure.
@@ -288,7 +327,7 @@ class TaskGraph:
         """
         if self._token_cache is None:
             self._token_cache = (
-                tuple(self._graph.nodes),
+                tuple(self._processes),
                 tuple(
                     (message.name, message.source, message.destination,
                      message.transmission_time)
@@ -298,10 +337,10 @@ class TaskGraph:
         return self._token_cache
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._processes)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._processes
 
     def __iter__(self) -> Iterator[Process]:
         return iter(self.processes)
@@ -359,10 +398,6 @@ class TaskGraph:
                 best_tail = max(best_tail, tail)
             rank[name] = best_tail + execution_time(name)
         return rank
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a copy of the underlying :class:`networkx.DiGraph`."""
-        return self._graph.copy()
 
 
 class Application:

@@ -10,11 +10,12 @@ that keep the structural token and caches consistent.
 
 The rule flags, anywhere in the tree, item assignment / deletion, mutating
 method calls (``append``, ``update``, ``add_edge`` …) and attribute
-rebinding on the guarded attributes — unless the mutation happens inside the
-owning class's sanctioned mutator methods.  Local-alias mutations
-(``g = graph._graph; g.add_node(...)``) are not modeled; the guarded names
-are private, so any such alias is already a reach into internals that review
-should catch.
+rebinding on the guarded attributes, and the same edits one or more
+subscripts deep (``graph._succ[a][b] = None``, ``graph._pred[b].pop(a)``) —
+unless the mutation happens inside the owning class's sanctioned mutator
+methods.  Local-alias mutations (``succ = graph._succ[a]; succ[b] = None``)
+are not modeled; the guarded names are private, so any such alias is already
+a reach into internals that review should catch.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class GuardSpec:
 GUARDS: Tuple[GuardSpec, ...] = (
     GuardSpec(
         class_name="TaskGraph",
-        attrs=frozenset({"_graph", "_messages"}),
+        attrs=frozenset({"_processes", "_succ", "_pred", "_messages"}),
         mutators=frozenset(
             {
                 "__init__",
@@ -81,7 +82,8 @@ _MUTATING_METHODS = frozenset(
         "clear",
         "remove",
         "discard",
-        # networkx.DiGraph mutators reached through TaskGraph._graph
+        # graph-library style mutators, should a guarded container ever be
+        # a graph object again
         "add_node",
         "add_edge",
         "add_nodes_from",
@@ -154,7 +156,10 @@ class StructureTokenRule(LintRule):
 # mutation detection
 # ----------------------------------------------------------------------
 def _guarded_attribute(expression: ast.expr) -> Optional[str]:
-    """The guarded attribute name if ``expression`` is ``<obj>.<guarded>``."""
+    """The guarded attribute name if ``expression`` is ``<obj>.<guarded>``,
+    possibly subscripted (``<obj>.<guarded>[key]...``)."""
+    while isinstance(expression, ast.Subscript):
+        expression = expression.value
     if isinstance(expression, ast.Attribute) and expression.attr in _ALL_GUARDED_ATTRS:
         return expression.attr
     return None

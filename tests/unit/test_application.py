@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.application import (
@@ -13,6 +19,9 @@ from repro.core.application import (
     build_chain_application,
 )
 from repro.core.exceptions import ModelError
+from repro.generator import BenchmarkConfig, generate_benchmark
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestProcess:
@@ -89,11 +98,20 @@ class TestTaskGraph:
 
     def test_cycle_rejected_and_rolled_back(self):
         graph = self._chain()
-        with pytest.raises(ModelError):
-            graph.add_message(Message("back", "C", "A"))
-        # The rejected edge must not linger in the graph.
+        token = graph.structure_token()
+        messages = graph.messages
+        graph.topological_order()
+        cached_orders = graph._order_cache
+        with pytest.raises(ModelError, match="cycle"):
+            graph.add_message(Message("back", "C", "A"))  # closes A->B->C->A
+        # The rejected edge must not linger in the graph, and nothing derived
+        # from the graph may have been dropped or rebuilt.
         assert graph.message_between("C", "A") is None
+        assert graph.successors("C") == [] and graph.predecessors("A") == []
+        assert graph.structure_token() is token
         assert len(graph.messages) == 2
+        assert all(a is b for a, b in zip(graph.messages, messages))
+        assert graph._order_cache is cached_orders
 
     def test_sources_and_sinks(self):
         graph = self._chain()
@@ -148,11 +166,108 @@ class TestTaskGraph:
         assert "A" in graph
         assert "missing" not in graph
 
-    def test_to_networkx_returns_copy(self):
-        graph = self._chain()
-        nx_graph = graph.to_networkx()
-        nx_graph.remove_node("A")
-        assert "A" in graph
+
+def _structure_digests(graph: TaskGraph) -> dict:
+    payload = {
+        "order": graph.topological_order(),
+        "generations": graph.topological_generations(),
+        "adjacency": [
+            [name, graph.predecessors(name), graph.successors(name)]
+            for name in graph.process_names
+        ],
+    }
+    return {
+        key: hashlib.sha256(json.dumps(value).encode()).hexdigest()
+        for key, value in payload.items()
+    }
+
+
+def _rewired_graph() -> TaskGraph:
+    """A hand-built graph whose tie order depends on edge re-insertion."""
+    graph = TaskGraph("rewired")
+    for name in ("F", "A", "E", "B", "D", "C", "G"):
+        graph.add_process(Process(name))
+    edges = [("A", "C"), ("A", "B"), ("F", "B"), ("B", "D"),
+             ("C", "D"), ("A", "E"), ("E", "D"), ("F", "C")]
+    for index, (source, destination) in enumerate(edges):
+        graph.add_message(Message(f"m{index}", source, destination))
+    graph.remove_message("A", "C")
+    graph.add_message(Message("r1", "A", "C"))
+    graph.remove_message("B", "D")
+    graph.add_message(Message("r2", "B", "D"))
+    graph.remove_message("F", "B")
+    graph.add_message(Message("r3", "G", "B"))
+    return graph
+
+
+#: sha256 of the JSON-encoded topological order, generations and per-process
+#: (predecessors, successors) lists.  Recorded with the networkx-backed
+#: TaskGraph (networkx 3.6.1); the tie order feeds scheduling, so it must not
+#: move.
+STRUCTURE_DIGESTS = {
+    "n20-seed1": {
+        "order": "c544f6aabc0f12cf8aa6caf75574ff3748eb92422c4d624f5c02a63b510cafd5",
+        "generations": "1c76530a9024f3e66d17a1ec8e1ee52c0bdcfae1dde845c5641bd51ece83476e",
+        "adjacency": "f6ad1aa02fd2394161239cc4a4077e32cb848ff896e28df7b7afc45fa5589ee1",
+    },
+    "n20-seed2": {
+        "order": "1098cf033f0f6b8d586f10b7b291ea144ce6a8ec2e60ceff1ce58ceea3a3ba56",
+        "generations": "1c76530a9024f3e66d17a1ec8e1ee52c0bdcfae1dde845c5641bd51ece83476e",
+        "adjacency": "bb720af05fb8804d4f514ff41604ce9a6526216dfeafa2c42592115b1dd8f2d4",
+    },
+    "n20-seed3": {
+        "order": "d3dd2c99eb05e0d190bab82780901a704f1ffb64a6bcf8ab4f45130647ae0b78",
+        "generations": "1c76530a9024f3e66d17a1ec8e1ee52c0bdcfae1dde845c5641bd51ece83476e",
+        "adjacency": "abd1af9f15fcf04cc6bf02e94d69a493c2326c6e96ae49394c83ef5fbabc3e5b",
+    },
+    "n200-seed1": {
+        "order": "4b2cb325dd9e9e36a888e1de63a4e0ed027bf12f07620ae3710a73e953590e8e",
+        "generations": "f787ee2e7a5fa4b6e0e46e3ee78dc72337d76073a9c45b16307bc15f3ad2ac40",
+        "adjacency": "fbc39a808a32a9cdcf921d3b8ff93ecdd3577fc776fa384b2165b9c8b2c9d45e",
+    },
+    "n200-seed2": {
+        "order": "6a8ba1139859121522d566750fe0af64bc598a4714e97b131024ac008d769f61",
+        "generations": "5e55686d3fbc58a595885f7caf5ee73fa18a32371d8ae20fe8db6815d06f3743",
+        "adjacency": "b4e99ad6e5f8863b2e40c496c383e727e8b6aee50fe89aa64a363ef047a2b461",
+    },
+    "n200-seed3": {
+        "order": "b536a48c951c96ecf7917b98fb038e06cb04db60081c3825a92725632e189444",
+        "generations": "45ef140d604ad059eafc79b5ab39ac1ec7271018450e5343c5698cb37eddf359",
+        "adjacency": "d0d5d85f272b420696ff0cff818685408310812df56fdb9ee3ea43a49f98f51c",
+    },
+    "rewired": {
+        "order": "9239a4da1bbd08e78d6af62cd4f6279030a330e4d88a48931c3bdb419ce7d8bb",
+        "generations": "faa6744411f3af0e357f4eb4255be183cbf3e104927d4fa7ec1bb82fc5648eb9",
+        "adjacency": "d567ed36ae95869bef109f34f92977de38cdfeed79f2a6cdd8c9cc1efbab9626",
+    },
+}
+
+
+class TestTieOrderPinned:
+    @pytest.mark.parametrize("n_processes", [20, 200])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_graph_structure(self, n_processes, seed):
+        benchmark = generate_benchmark(seed, BenchmarkConfig(n_processes=n_processes))
+        (graph,) = benchmark.application.graphs
+        assert _structure_digests(graph) == STRUCTURE_DIGESTS[f"n{n_processes}-seed{seed}"]
+
+    def test_rewired_graph_structure(self):
+        graph = _rewired_graph()
+        assert graph.topological_order() == ["F", "A", "G", "E", "C", "B", "D"]
+        assert graph.successors("A") == ["B", "E", "C"]
+        assert _structure_digests(graph) == STRUCTURE_DIGESTS["rewired"]
+
+
+def test_api_and_serve_import_without_networkx():
+    script = "import sys, repro.api, repro.serve; print('networkx' in sys.modules)"
+    output = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(SRC), "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    assert output == "False"
 
 
 class TestApplication:

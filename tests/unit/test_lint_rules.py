@@ -477,7 +477,9 @@ class TestKernelContract:
 _TASKGRAPH = """
 class TaskGraph:
     def __init__(self):
-        self._graph = {}
+        self._processes = {}
+        self._succ = {}
+        self._pred = {}
         self._messages = {}
 
     def add_message(self, message):
@@ -518,17 +520,38 @@ class TestStructureToken:
         (violation,) = findings(project, "R003")
         assert "mutating call .pop()" in violation.message
 
-    def test_networkx_style_mutator_fires(self):
+    def test_adjacency_container_edits_fire(self):
         project = project_from(
             **{
                 "repro.scheduling.rewire": """
-                def rewire(graph, a, b):
-                    graph._graph.add_edge(a, b)
+                def rewire(graph, a, b, name, p):
+                    graph._succ[a][b] = None
+                    graph._pred[b].pop(a)
+                    graph._processes[name] = p
                 """
             }
         )
-        (violation,) = findings(project, "R003")
-        assert "mutating call .add_edge()" in violation.message
+        violations = findings(project, "R003")
+        assert sorted((v.line, v.message.split(" of ")[0]) for v in violations) == [
+            (3, "item assignment"),
+            (4, "mutating call .pop()"),
+            (5, "item assignment"),
+        ]
+        assert all(v.symbol.endswith("rewire") for v in violations)
+
+    def test_adjacency_container_edits_inside_add_message_are_quiet(self):
+        project = project_from(
+            **{
+                "repro.core.application": """
+                class TaskGraph:
+                    def add_message(self, a, b, name, p):
+                        self._succ[a][b] = None
+                        self._pred[b].pop(a)
+                        self._processes[name] = p
+                """
+            }
+        )
+        assert findings(project, "R003") == []
 
     def test_read_access_is_quiet(self):
         project = project_from(
