@@ -22,12 +22,11 @@ def main() -> None:
     print()
 
     # One-shot: run a scenario under a declarative config.
-    config = RunConfig(preset="smoke", sfp_kernel="auto")
+    config = RunConfig(preset="smoke")
     report = run("fig6a", config)
     print(report.text)
     print()
     print(
-        f"kernels: {report.kernels}, "
         f"{report.cache['points_computed']} design points computed in "
         f"{report.timings['wall_clock_seconds']:.2f} s"
     )

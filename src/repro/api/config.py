@@ -1,25 +1,16 @@
 """Declarative run configuration of the ``repro.api`` session layer.
 
 A :class:`RunConfig` is the single typed object through which every knob of
-a scenario run is expressed — kernel backends, persistent cache, worker
-processes, seed, experiment preset and report output.
+a scenario run is expressed — persistent cache, worker processes, seed,
+experiment preset, report output and scenario parameters.  No environment
+variable overrides any of them.
 
-**Resolution order** (documented here once, applied everywhere): for each
-knob that also has an environment variable, the effective value is
-
-1. the explicit :class:`RunConfig` field, when not ``None``;
-2. the environment variable (``REPRO_SFP_KERNEL`` / ``REPRO_SCHED_KERNEL``);
-3. ``auto`` — the highest-priority backend whose ``is_available()`` is true.
-
-Kernel backends are bit-identical by contract, so this order is a speed
-knob only and never changes results.
-
-**Scenario parameters** resolve analogously but per scenario family
+**Scenario parameters** resolve per scenario family
 (:meth:`repro.api.registry.ScenarioSpec.resolve_params`): an explicit entry
 in :attr:`RunConfig.scenario_params` (the CLI's ``--param key=value``)
-beats the parameter's declared default.  Unlike kernels these *are* answer
-knobs — two runs differing in ``scenario_params`` are different workloads —
-which is why the mapping is part of the frozen config and its lossless
+beats the parameter's declared default.  These are answer knobs — two runs
+differing in ``scenario_params`` are different workloads — which is why the
+mapping is part of the frozen config and its lossless
 ``to_dict``/``from_dict`` round-trip.
 """
 
@@ -32,7 +23,6 @@ from typing import Any, Dict, Mapping, Optional
 from repro.core.exceptions import ModelError
 from repro.engine.store import DEFAULT_MAX_BYTES
 from repro.experiments.synthetic import ExperimentPreset
-from repro.kernels.registry import SCHED_KERNELS, SFP_KERNELS
 
 #: Preset names accepted by :attr:`RunConfig.preset`.
 PRESETS = {
@@ -51,10 +41,6 @@ class RunConfig:
 
     Parameters
     ----------
-    sfp_kernel / sched_kernel:
-        Explicit kernel backend names (or ``"auto"``).  ``None`` defers to
-        the family's environment variable, then ``auto`` (see the module
-        docstring for the full resolution order).
     cache_dir:
         Directory of the persistent design-point store; ``None`` disables
         persistence.
@@ -78,8 +64,6 @@ class RunConfig:
         at run time (explicit override > declared default).
     """
 
-    sfp_kernel: Optional[str] = None
-    sched_kernel: Optional[str] = None
     cache_dir: Optional[Path] = None
     cache_size_mb: int = DEFAULT_CACHE_SIZE_MB
     jobs: int = 1
@@ -114,18 +98,6 @@ class RunConfig:
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
-    def resolved_sfp_kernel(self) -> str:
-        """Concrete SFP backend name under the documented resolution order."""
-        if self.sfp_kernel is not None:
-            return SFP_KERNELS.get(self.sfp_kernel).name
-        return SFP_KERNELS.active().name
-
-    def resolved_sched_kernel(self) -> str:
-        """Concrete scheduler backend name under the resolution order."""
-        if self.sched_kernel is not None:
-            return SCHED_KERNELS.get(self.sched_kernel).name
-        return SCHED_KERNELS.active().name
-
     def resolved_preset(self) -> ExperimentPreset:
         """The :class:`ExperimentPreset` instance, reseeded when ``seed`` is set."""
         preset = PRESETS[self.preset]()
@@ -142,8 +114,6 @@ class RunConfig:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "sfp_kernel": self.sfp_kernel,
-            "sched_kernel": self.sched_kernel,
             "cache_dir": str(self.cache_dir) if self.cache_dir is not None else None,
             "cache_size_mb": self.cache_size_mb,
             "jobs": self.jobs,

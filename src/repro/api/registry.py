@@ -5,14 +5,14 @@ case study or a parameterized synthetic workload family — registered with
 :func:`register_scenario` and executed through ``repro.api.run`` or the
 generic CLI driver (``repro-ftes run <scenario>``).  Every scenario obeys
 the same :class:`ScenarioSpec` contract: its runner receives the active
-:class:`~repro.api.session.Session` (configuration, kernel scope, shared
+:class:`~repro.api.session.Session` (configuration, shared
 experiment/engine construction) plus the resolved parameter mapping, and
 returns a :class:`ScenarioOutcome` holding a JSON-native results payload
 plus its human-readable rendering.
 
 **Parameterized scenario families.**  A spec may declare a typed parameter
 schema (:class:`ScenarioParam`: name, type, default, bounds).  Parameter
-values resolve in one documented order, mirroring kernel selection:
+values resolve in one documented order:
 
 1. an explicit override — ``RunConfig.scenario_params`` (the CLI's
    ``--param key=value`` flags land there);

@@ -2,8 +2,8 @@
 
 Every scenario run through the :mod:`repro.api` session layer produces one
 :class:`RunReport`: the scenario id, the resolved :class:`RunConfig`, the
-scenario's JSON-native results payload, the kernel backends that actually
-ran, the evaluation-engine cache counters and wall-clock timings.  The
+scenario's JSON-native results payload, the evaluation-engine cache
+counters and wall-clock timings.  The
 report is the one artifact consumers (CLI, benchmark scripts, CI) read —
 ``to_json()`` / ``from_json()`` round-trip losslessly, which the test-suite
 asserts for every registered scenario.
@@ -18,8 +18,9 @@ from typing import Any, Dict, Iterator, Mapping, Tuple
 from repro.api.config import RunConfig
 from repro.core.exceptions import ModelError
 
-#: Bump when the serialized report layout changes incompatibly.
-REPORT_SCHEMA_VERSION = 1
+#: Bump when the serialized report layout changes incompatibly (2: the
+#: kernel-selection fields left the config and the report).
+REPORT_SCHEMA_VERSION = 2
 
 
 def iter_non_json_native(value: Any, path: str = "$") -> Iterator[Tuple[str, Any]]:
@@ -62,7 +63,6 @@ class RunReport:
     #: Fully resolved scenario parameters (overrides + declared defaults);
     #: empty for scenarios without a parameter schema.
     params: Dict[str, Any] = field(default_factory=dict)
-    kernels: Dict[str, str] = field(default_factory=dict)
     cache: Dict[str, float] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
     #: Human-readable rendering (the tables the CLI prints).
@@ -76,7 +76,6 @@ class RunReport:
             "config": self.config.to_dict(),
             "results": self.results,
             "params": dict(self.params),
-            "kernels": dict(self.kernels),
             "cache": dict(self.cache),
             "timings": dict(self.timings),
             "text": self.text,
@@ -98,7 +97,6 @@ class RunReport:
             config=RunConfig.from_dict(data["config"]),
             results=data["results"],
             params=dict(data.get("params", {})),
-            kernels=dict(data.get("kernels", {})),
             cache=dict(data.get("cache", {})),
             timings=dict(data.get("timings", {})),
             text=data.get("text", ""),

@@ -1,11 +1,8 @@
 """The Session: one configured front door to the evaluation machinery.
 
 A :class:`Session` binds a frozen :class:`~repro.api.config.RunConfig` to
-the performance machinery of PRs 2–4 and owns, for its lifetime:
+the evaluation machinery and owns, for its lifetime:
 
-* **kernel selection** — scoped through
-  :func:`repro.kernels.registry.use_kernel` (snapshot/restore, exception
-  safe) instead of mutating the process-global defaults;
 * **the persistent design-point store** — one lazily-opened
   :class:`~repro.engine.store.DesignPointStore` handle when
   ``config.cache_dir`` is set;
@@ -16,16 +13,15 @@ the performance machinery of PRs 2–4 and owns, for its lifetime:
   :class:`~repro.experiments.synthetic.AcceptanceExperiment` so scenarios
   run back to back (e.g. Fig. 6a then 6b) reuse each other's settings.
 
-Scenarios execute through :meth:`run`, which wraps the runner in the kernel
-scope, times it, and assembles the structured
-:class:`~repro.api.report.RunReport`.
+Scenarios execute through :meth:`run`, which times the runner and assembles
+the structured :class:`~repro.api.report.RunReport`.
 """
 
 from __future__ import annotations
 
 import time
 from types import TracebackType
-from typing import Any, Callable, ContextManager, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.api.config import RunConfig
 from repro.api.registry import get_scenario
@@ -35,11 +31,6 @@ from repro.core.profile import ExecutionProfile
 from repro.engine.engine import EvaluationEngine
 from repro.engine.store import DesignPointStore
 from repro.experiments.synthetic import AcceptanceExperiment
-from repro.kernels.base import SFPKernel
-from repro.kernels.registry import SCHED_KERNELS, SFP_KERNELS, use_kernel
-from repro.kernels.sched_base import SchedulerKernel
-
-_KernelScope = ContextManager[Tuple[SFPKernel, SchedulerKernel]]
 
 #: Observer invoked with one JSON-native event dict per progress step —
 #: ``scenario_started`` / ``setting_progress`` (with engine cache
@@ -75,10 +66,9 @@ _ADDITIVE_CACHE_COUNTERS = (
 class Session:
     """Configured execution context for scenarios and ad-hoc evaluation.
 
-    Usable as a context manager — ``with Session(config) as session:`` pins
-    the configured kernel backends for the block — or directly through
-    :meth:`run`, which enters the kernel scope around each scenario on its
-    own.  Either way the ambient process state is restored afterwards.
+    Usable as a context manager — ``with Session(config) as session:``
+    closes the shared experiment (and its worker pool) on exit — or directly
+    through :meth:`run`.
     """
 
     def __init__(
@@ -100,20 +90,12 @@ class Session:
         self.single_flight = single_flight
         self._experiment: Optional[AcceptanceExperiment] = None
         self._store: Optional[DesignPointStore] = None
-        self._kernel_scope: Optional[_KernelScope] = None
         self._scenario_counters: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    # kernel scope
+    # context management
     # ------------------------------------------------------------------
-    def _scope(self) -> _KernelScope:
-        return use_kernel(sfp=self.config.sfp_kernel, sched=self.config.sched_kernel)
-
     def __enter__(self) -> "Session":
-        if self._kernel_scope is not None:
-            raise RuntimeError("Session is not re-entrant")
-        self._kernel_scope = self._scope()
-        self._kernel_scope.__enter__()
         return self
 
     def __exit__(
@@ -122,13 +104,8 @@ class Session:
         exc_value: Optional[BaseException],
         traceback: Optional[TracebackType],
     ) -> None:
-        scope, self._kernel_scope = self._kernel_scope, None
-        try:
-            if self._experiment is not None:
-                self._experiment.close()
-        finally:
-            if scope is not None:
-                scope.__exit__(exc_type, exc_value, traceback)
+        if self._experiment is not None:
+            self._experiment.close()
 
     # ------------------------------------------------------------------
     # owned resources
@@ -224,36 +201,25 @@ class Session:
         """
         spec = get_scenario(scenario_id)
         params = spec.resolve_params(self.config.scenario_params)
-        with self._scope():
-            kernels = {
-                "sfp": SFP_KERNELS.active().name,
-                "sched": SCHED_KERNELS.active().name,
+        self.emit_progress(
+            {"event": "scenario_started", "scenario": scenario_id, "params": dict(params)}
+        )
+        start = time.perf_counter()
+        outcome = spec.runner(self, params)
+        wall_clock = time.perf_counter() - start
+        self.emit_progress(
+            {
+                "event": "scenario_finished",
+                "scenario": scenario_id,
+                "wall_clock_seconds": wall_clock,
+                "cache": self.cache_report(),
             }
-            self.emit_progress(
-                {
-                    "event": "scenario_started",
-                    "scenario": scenario_id,
-                    "params": dict(params),
-                    "kernels": kernels,
-                }
-            )
-            start = time.perf_counter()
-            outcome = spec.runner(self, params)
-            wall_clock = time.perf_counter() - start
-            self.emit_progress(
-                {
-                    "event": "scenario_finished",
-                    "scenario": scenario_id,
-                    "wall_clock_seconds": wall_clock,
-                    "cache": self.cache_report(),
-                }
-            )
+        )
         report = RunReport(
             scenario=scenario_id,
             config=self.config,
             results=outcome.payload,
             params=params,
-            kernels=kernels,
             cache=self.cache_report(),
             timings={"wall_clock_seconds": wall_clock},
             text=outcome.text,
@@ -269,7 +235,6 @@ class Session:
                 {
                     "results": report.results,
                     "params": report.params,
-                    "kernels": report.kernels,
                     "cache": report.cache,
                     "timings": report.timings,
                 },

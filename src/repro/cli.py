@@ -25,7 +25,6 @@ from repro.api import RunConfig, RunReport, list_scenarios
 from repro.api import run as api_run
 from repro.api.config import DEFAULT_CACHE_SIZE_MB, PRESETS
 from repro.core.exceptions import ModelError
-from repro.kernels import AUTO, kernel_names, sched_kernel_names
 
 
 def _job_count(value: str) -> int:
@@ -58,29 +57,8 @@ def _scenario_param(value: str) -> Tuple[str, str]:
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     """Configuration flags of the generic scenario driver.
 
-    Each flag maps 1:1 onto a :class:`RunConfig` field; ``None`` defaults
-    defer to the documented resolution order (explicit > env var > auto).
+    Each flag maps 1:1 onto a :class:`RunConfig` field.
     """
-    parser.add_argument(
-        "--sfp-kernel",
-        choices=[AUTO] + kernel_names(),
-        default=None,
-        help=(
-            "SFP kernel backend (default: REPRO_SFP_KERNEL env var or "
-            "the fastest available); all backends are bit-identical, "
-            "this is a speed knob only"
-        ),
-    )
-    parser.add_argument(
-        "--sched-kernel",
-        choices=[AUTO] + sched_kernel_names(),
-        default=None,
-        help=(
-            "scheduler kernel backend (default: REPRO_SCHED_KERNEL env "
-            "var or the fastest available); all backends are "
-            "bit-identical, this is a speed knob only"
-        ),
-    )
     parser.add_argument(
         "--jobs",
         type=_job_count,
@@ -119,8 +97,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_arguments(arguments: argparse.Namespace) -> RunConfig:
     return RunConfig(
-        sfp_kernel=arguments.sfp_kernel,
-        sched_kernel=arguments.sched_kernel,
         cache_dir=arguments.cache_dir,
         cache_size_mb=arguments.cache_size_mb,
         jobs=arguments.jobs,
@@ -341,9 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _print_cache_summary(report: RunReport) -> None:
     cache = report.cache
     print(
-        f"evaluation engine ({report.kernels['sfp']} SFP kernel, "
-        f"{report.kernels['sched']} scheduler kernel): "
-        f"{cache['points_computed']} design points computed "
+        f"evaluation engine: {cache['points_computed']} design points computed "
         f"({cache['search_evaluations']} mapping evaluations), "
         f"{cache['hits']} cache hits / {cache['misses']} misses "
         f"(hit rate {cache['hit_rate'] * 100.0:.1f}%)"

@@ -23,8 +23,9 @@ from repro.core.application import Application
 from repro.core.architecture import Architecture
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.core.sfp import KernelSpec, SFPAnalysis, reliability_over_time_unit
-from repro.kernels.registry import resolve_kernel
+from repro.core.sfp import SFPAnalysis, reliability_over_time_unit
+from repro.kernels.base import SFPKernel
+from repro.kernels.registry import SFP_KERNELS
 from repro.utils.rounding import DEFAULT_DECIMALS
 
 
@@ -62,7 +63,8 @@ class ReExecutionOpt:
         are bit-identical with and without an engine.
     kernel:
         SFP kernel backend for the unmemoized path (an engine brings its
-        own); a speed knob only, every backend is bit-identical.
+        own); ``None`` means the production backend.  Every backend is
+        bit-identical.
     """
 
     def __init__(
@@ -70,7 +72,7 @@ class ReExecutionOpt:
         max_reexecutions_per_node: int = 20,
         decimals: int = DEFAULT_DECIMALS,
         engine: Optional["EvaluationEngine"] = None,
-        kernel: KernelSpec = None,
+        kernel: Optional[SFPKernel] = None,
     ) -> None:
         if max_reexecutions_per_node < 0:
             raise ValueError(
@@ -80,7 +82,7 @@ class ReExecutionOpt:
         self.max_reexecutions_per_node = max_reexecutions_per_node
         self.decimals = decimals
         self.engine = engine
-        self.kernel = resolve_kernel(kernel)
+        self.kernel = SFP_KERNELS.or_active(kernel)
 
     # ------------------------------------------------------------------
     def optimize(

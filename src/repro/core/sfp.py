@@ -37,11 +37,10 @@ All intermediate *success* probabilities are rounded **down** and all
 :mod:`repro.utils.rounding`.
 
 The three hot primitives — formulae (1), (4) and (5) — are served by a
-pluggable *kernel backend* (:mod:`repro.kernels`): the module-level functions
-below delegate to the active backend (``--sfp-kernel`` /
-``REPRO_SFP_KERNEL`` / fastest available), every backend being bit-identical
-to the pure-Python reference by contract.  The combinatorial helpers
-(:func:`complete_homogeneous_sum`, :func:`enumerate_fault_scenarios`,
+*kernel backend* (:mod:`repro.kernels`): the module-level functions below
+delegate to the production backend (``SFP_KERNELS.active()``), which is
+bit-identical to the pure-Python reference by contract.  The combinatorial
+helpers (:func:`complete_homogeneous_sum`, :func:`enumerate_fault_scenarios`,
 :func:`probability_exactly`) stay here as the test-suite's independent
 specification of the DP.
 """
@@ -51,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import prod
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports sfp)
     from repro.engine.engine import EvaluationEngine
@@ -62,13 +61,9 @@ from repro.core.exceptions import ModelError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.kernels.base import SFPKernel
-from repro.kernels.registry import resolve_kernel
+from repro.kernels.registry import SFP_KERNELS
 from repro.utils.rounding import DEFAULT_DECIMALS, floor_probability
 from repro.utils.validation import require_in_unit_interval, require_positive
-
-#: Accepted by every ``kernel`` parameter: a backend instance, a registered
-#: backend name, or ``None`` for the process-wide active backend.
-KernelSpec = Union[SFPKernel, str, None]
 
 
 # ----------------------------------------------------------------------
@@ -77,14 +72,14 @@ KernelSpec = Union[SFPKernel, str, None]
 def probability_no_fault(
     failure_probabilities: Sequence[float],
     decimals: int = DEFAULT_DECIMALS,
-    kernel: KernelSpec = None,
+    kernel: Optional[SFPKernel] = None,
 ) -> float:
     """Formula (1): probability that none of the processes fails.
 
     An empty probability list (no process mapped on the node) trivially gives
     probability 1.
     """
-    return resolve_kernel(kernel).probability_no_fault(
+    return SFP_KERNELS.or_active(kernel).probability_no_fault(
         failure_probabilities, decimals
     )
 
@@ -153,7 +148,7 @@ def probability_exceeds(
     failure_probabilities: Sequence[float],
     reexecutions: int,
     decimals: int = DEFAULT_DECIMALS,
-    kernel: KernelSpec = None,
+    kernel: Optional[SFPKernel] = None,
 ) -> float:
     """Formula (4): probability that more than ``reexecutions`` faults occur.
 
@@ -172,10 +167,10 @@ def probability_exceeds(
     (or exact integer-quanta) arithmetic: the operands are already rounded to
     ``decimals`` digits, so the result matches the paper's hand computation
     (Appendix A.2) instead of picking up binary floating point noise.  The
-    computation itself runs on the selected kernel backend
+    computation itself runs on the SFP kernel backend
     (:mod:`repro.kernels`); all backends are bit-identical.
     """
-    return resolve_kernel(kernel).probability_exceeds(
+    return SFP_KERNELS.or_active(kernel).probability_exceeds(
         failure_probabilities, reexecutions, decimals
     )
 
@@ -183,7 +178,7 @@ def probability_exceeds(
 def system_failure_probability(
     per_node_exceedance: Sequence[float],
     decimals: int = DEFAULT_DECIMALS,
-    kernel: KernelSpec = None,
+    kernel: Optional[SFPKernel] = None,
 ) -> float:
     """Formula (5): probability that at least one node exceeds its budget.
 
@@ -191,7 +186,7 @@ def system_failure_probability(
     exceedance probabilities so the union matches the paper's worked example
     digit for digit.
     """
-    return resolve_kernel(kernel).system_failure(per_node_exceedance, decimals)
+    return SFP_KERNELS.or_active(kernel).system_failure(per_node_exceedance, decimals)
 
 
 def reliability_over_time_unit(
@@ -252,9 +247,10 @@ class SFPAnalysis:
     one node's hardening or moving one process recomputes only the affected
     node(s).
 
-    ``kernel`` selects the SFP kernel backend for the unmemoized path (an
-    engine brings its own backend); backends are bit-identical, so this is a
-    speed knob, never a semantics knob.
+    ``kernel`` is the SFP kernel backend of the unmemoized path (an engine
+    brings its own backend); ``None`` means the production backend.
+    Backends are bit-identical, so this is a test seam, never a semantics
+    knob.
     """
 
     def __init__(
@@ -265,7 +261,7 @@ class SFPAnalysis:
         profile: ExecutionProfile,
         decimals: int = DEFAULT_DECIMALS,
         engine: Optional["EvaluationEngine"] = None,
-        kernel: KernelSpec = None,
+        kernel: Optional[SFPKernel] = None,
     ) -> None:
         self.application = application
         self.architecture = architecture
@@ -273,7 +269,7 @@ class SFPAnalysis:
         self.profile = profile
         self.decimals = decimals
         self.engine = engine
-        self.kernel = resolve_kernel(kernel)
+        self.kernel = SFP_KERNELS.or_active(kernel)
 
     # ------------------------------------------------------------------
     def node_failure_probabilities(self, node: Node) -> List[float]:

@@ -32,7 +32,7 @@ by the equivalence test-suite.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.application import Application
 from repro.core.profile import ExecutionProfile
@@ -42,7 +42,7 @@ from repro.engine.fingerprint import (
     stable_context_fingerprint,
 )
 from repro.kernels.base import SFPKernel
-from repro.kernels.registry import active_sched_kernel, resolve_kernel
+from repro.kernels.registry import SFP_KERNELS
 from repro.utils.rounding import DEFAULT_DECIMALS
 
 
@@ -62,15 +62,14 @@ class EvaluationEngine:
         application: Application,
         profile: ExecutionProfile,
         decimals: int = DEFAULT_DECIMALS,
-        kernel: Union[SFPKernel, str, None] = None,
+        kernel: Optional[SFPKernel] = None,
     ) -> None:
         self.application = application
         self.profile = profile
         self.decimals = decimals
         #: SFP kernel backend computing cache misses.  Backends are
-        #: bit-identical, so the kernel is *not* part of any memo key and
-        #: cached entries stay valid across kernel switches.
-        self.kernel = resolve_kernel(kernel)
+        #: bit-identical, so the kernel is *not* part of any memo key.
+        self.kernel = SFP_KERNELS.or_active(kernel)
         #: Lazily-computed context hashes (see :attr:`context` and
         #: :meth:`stable_context`) — ``None`` until first requested.
         self._context: Union[int, None] = None
@@ -202,13 +201,7 @@ class EvaluationEngine:
         return {cache.name: cache.stats.as_dict() for cache in self.caches}
 
     def report(self) -> Dict[str, object]:
-        """JSON-friendly summary used by the CLI and benchmark artifacts.
-
-        ``sched_kernel`` reports the process-wide scheduler-kernel selection
-        that computed this engine's decision-cache misses.  Like ``kernel``
-        it is informational only: backends are bit-identical, so the choice
-        can never affect a cached value.
-        """
+        """JSON-friendly summary used by the CLI and benchmark artifacts."""
         total = self.stats
         return {
             "context": self.context,
@@ -217,8 +210,6 @@ class EvaluationEngine:
             "misses": total.misses,
             "hit_rate": total.hit_rate,
             "disk_hits": self.disk_hits,
-            "kernel": self.kernel.name,
-            "sched_kernel": active_sched_kernel().name,
             "caches": self.stats_by_cache(),
         }
 

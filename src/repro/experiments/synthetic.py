@@ -233,7 +233,7 @@ def _evaluate_benchmark_setting(
         if store is not None:
             disk["disk_entries_loaded"] = store.warm(engine)
         algorithm = preset.mapping_algorithm()
-        # One scheduler (with the process-selected scheduler kernel) shared by
+        # One scheduler (on the production scheduler kernel) shared by
         # all strategies: it is stateless across calls except for the memoized
         # application structure, which is the same for MIN, MAX and OPT — so
         # sharing also means the flat kernel compiles the application once per

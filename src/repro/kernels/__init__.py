@@ -1,6 +1,6 @@
-"""Pluggable kernel backends for the DSE hot paths.
+"""Kernel backends for the DSE hot paths.
 
-Two kernel families are made swappable behind bit-identity contracts:
+Two kernel families sit behind bit-identity contracts:
 
 * **SFP kernels** — the System Failure Probability primitives (formulae (1),
   (4) and (5) of the paper), the innermost numeric kernel of the design-space
@@ -9,9 +9,10 @@ Two kernel families are made swappable behind bit-identity contracts:
   (priorities, layer placement, bus reservation, recovery slack).  See
   :mod:`repro.kernels.sched_base` for the contract.
 
-Selection goes through :mod:`repro.kernels.registry` (``--sfp-kernel`` /
-``REPRO_SFP_KERNEL`` and ``--sched-kernel`` / ``REPRO_SCHED_KERNEL``, both
-defaulting to ``auto``); see ``PERFORMANCE.md`` for measurements.
+Each family has one production backend (``array`` and ``flat``), held by
+:mod:`repro.kernels.registry`; the ``reference`` backend of each family is
+the test oracle it must match bit for bit.  See ``PERFORMANCE.md`` for
+measurements.
 """
 
 from __future__ import annotations
@@ -19,22 +20,7 @@ from __future__ import annotations
 from repro.kernels.array_backend import ArrayKernel
 from repro.kernels.base import SFPKernel
 from repro.kernels.reference import ReferenceKernel
-from repro.kernels.registry import (
-    AUTO,
-    KERNEL_ENV_VAR,
-    SCHED_KERNEL_ENV_VAR,
-    active_kernel,
-    active_sched_kernel,
-    get_kernel,
-    get_sched_kernel,
-    kernel_names,
-    register_kernel,
-    register_sched_kernel,
-    resolve_kernel,
-    resolve_sched_kernel,
-    sched_kernel_names,
-    use_kernel,
-)
+from repro.kernels.registry import SCHED_KERNELS, SFP_KERNELS
 from repro.kernels.sched_base import (
     SchedulerKernel,
     ScheduleStructure,
@@ -44,26 +30,14 @@ from repro.kernels.sched_flat import FlatSchedulerKernel
 from repro.kernels.sched_reference import ReferenceSchedulerKernel
 
 __all__ = [
-    "AUTO",
     "ArrayKernel",
     "FlatSchedulerKernel",
-    "KERNEL_ENV_VAR",
     "ReferenceKernel",
     "ReferenceSchedulerKernel",
-    "SCHED_KERNEL_ENV_VAR",
+    "SCHED_KERNELS",
     "SFPKernel",
+    "SFP_KERNELS",
     "SchedulerKernel",
     "ScheduleStructure",
     "SchedulingProblem",
-    "active_kernel",
-    "active_sched_kernel",
-    "get_kernel",
-    "get_sched_kernel",
-    "kernel_names",
-    "register_kernel",
-    "register_sched_kernel",
-    "resolve_kernel",
-    "resolve_sched_kernel",
-    "sched_kernel_names",
-    "use_kernel",
 ]

@@ -7,8 +7,8 @@ by the property suite) but restructured for speed on the DSE hot path:
 ``array('d')`` buffer owned by the kernel instance, grown geometrically and
 reused across calls, so the hot loop performs no per-call allocation.  For
 wide inputs (many processes on one node) the row recurrence switches to
-``numpy`` when it is importable: rewriting the DP row-major turns the inner
-update into ``h_f(1..i) = h_f(1..i-1) + p_i * h_{f-1}(1..i)`` — a cumulative
+``numpy``: rewriting the DP row-major turns the inner update into
+``h_f(1..i) = h_f(1..i-1) + p_i * h_{f-1}(1..i)`` — a cumulative
 sum of ``p * previous_row`` — and ``np.add.accumulate`` performs *exactly*
 the same left-to-right float additions as the scalar loop, so the results
 stay bit-identical (IEEE-754 operations are deterministic functions of their
@@ -53,15 +53,12 @@ from decimal import Decimal
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.exceptions import ModelError
 from repro.kernels.reference import ReferenceKernel
 from repro.utils.rounding import DEFAULT_DECIMALS
 from repro.utils.validation import require_in_unit_interval
-
-try:  # pragma: no cover - exercised indirectly via the wide-input path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 #: Largest ``decimals`` for which the integer-quanta fast path is used.  The
 #: correctness argument needs the decimal grid to dwarf the float ulp
@@ -123,11 +120,6 @@ class ArrayKernel(ReferenceKernel):
     """Preallocated-buffer SFP kernel with integer-quanta rounding."""
 
     name = "array"
-    description = (
-        "array-module DP buffers + exact integer-quanta rounding "
-        "(numpy row recurrence for wide inputs)"
-    )
-    priority = 10
 
     def __init__(self) -> None:
         # Scalar DP table, reused across calls (see module docstring).
@@ -223,7 +215,7 @@ class ArrayKernel(ReferenceKernel):
         ``array('d')`` buffer; wide inputs run the numpy row recurrence.
         """
         width = len(probabilities)
-        if _np is not None and width >= NUMPY_MIN_WIDTH:
+        if width >= NUMPY_MIN_WIDTH:
             return self._homogeneous_sums_numpy(probabilities, reexecutions)
         table = self._table
         needed = reexecutions + 1
@@ -246,18 +238,18 @@ class ArrayKernel(ReferenceKernel):
         """Row-major DP: one multiply + one sequential accumulate per ``h_f``."""
         width = len(probabilities)
         if self._np_row is None or len(self._np_row) < width:
-            self._np_row = _np.empty(max(width, 64), dtype=_np.float64)
-            self._np_work = _np.empty_like(self._np_row)
+            self._np_row = np.empty(max(width, 64), dtype=np.float64)
+            self._np_work = np.empty_like(self._np_row)
         row = self._np_row[:width]
         work = self._np_work[:width]
-        probs = _np.asarray(probabilities, dtype=_np.float64)
+        probs = np.asarray(probabilities, dtype=np.float64)
         row.fill(1.0)
         sums = []
         for _ in range(reexecutions):
-            _np.multiply(probs, row, out=work)
+            np.multiply(probs, row, out=work)
             # add.accumulate is a strict left-to-right recurrence
             # (r[i] = r[i-1] + a[i]) — the same additions, in the same order,
             # as the scalar DP performs for this row.
-            _np.add.accumulate(work, out=row)
+            np.add.accumulate(work, out=row)
             sums.append(float(row[-1]))
         return sums

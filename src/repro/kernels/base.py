@@ -9,21 +9,21 @@ formula numbering):
   complete-homogeneous-polynomial dynamic program,
 * :meth:`SFPKernel.system_failure` — the formula (5) union.
 
-The backend contract is **bit identity**: every registered kernel must return,
-for every input, the exact same ``float`` as the ``reference`` backend (the
-pure-Python implementation historically living in ``core/sfp.py``).  The
+The backend contract is **bit identity**: every kernel must return, for every
+input, the exact same ``float`` as the ``reference`` backend (the pure-Python
+implementation historically living in ``core/sfp.py``).  The
 rounding direction (success probabilities down, failure probabilities up, on
 the decimal grid of ``decimals`` digits) is part of the paper's pessimism
 argument, so a backend is free to reorganize *how* it computes — preallocated
 buffers, integer quanta arithmetic, a numpy row recurrence — but never *what*
 comes out.  The property suite (``tests/property/test_kernel_equivalence.py``)
-cross-checks all registered backends against the reference on randomized
+cross-checks the production backend against the reference on randomized
 inputs, and the golden acceptance fixtures pin the end-to-end sweep output,
 so a drifting backend cannot land silently.
 
 Kernels may keep preallocated work buffers between calls and are therefore
 **not** thread-safe; the process-parallel sweep gives each worker its own
-registry (module state is per process).
+instance (module state is per process).
 """
 
 from __future__ import annotations
@@ -34,30 +34,10 @@ from repro.utils.rounding import DEFAULT_DECIMALS
 
 
 class SFPKernel:
-    """Abstract SFP kernel backend.
+    """Abstract SFP kernel backend; subclasses set :attr:`name`."""
 
-    Subclasses set :attr:`name` (the registry/CLI identifier), a one-line
-    :attr:`description`, and :attr:`priority` (higher wins ``auto``
-    selection among available backends).
-    """
-
-    #: Registry identifier, also accepted by ``--sfp-kernel``.
+    #: Backend identifier (test ids and ``repr``).
     name: str = ""
-    #: One-line human description shown by the CLI/benchmark artifacts.
-    description: str = ""
-    #: ``auto`` selection rank; the highest-priority available kernel wins.
-    priority: int = 0
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Can this backend run in the current environment?
-
-        Backends with optional dependencies (e.g. an accelerated DP needing
-        ``numpy``) must answer honestly; unavailable backends are skipped by
-        ``auto`` selection and rejected by explicit selection with a clear
-        error.
-        """
-        return True
 
     # ------------------------------------------------------------------
     # the three SFP primitives — see core/sfp.py for formula semantics

@@ -23,8 +23,6 @@ class ReferenceKernel(SFPKernel):
     """Pure-Python SFP primitives (the executable bit-identity specification)."""
 
     name = "reference"
-    description = "pure-Python single-pass DP with Decimal rounding chains"
-    priority = 0
 
     # ------------------------------------------------------------------
     def probability_no_fault(

@@ -6,23 +6,23 @@ placement, bus reservation and the per-node recovery-slack computation.
 :class:`~repro.scheduling.list_scheduler.ListScheduler` stays the public
 entry point — it validates inputs, normalizes re-execution budgets and
 memoizes the application's static structure — and hands the resulting
-:class:`SchedulingProblem` to the selected backend.
+:class:`SchedulingProblem` to its backend.
 
 The backend contract mirrors the SFP kernels (:mod:`repro.kernels.base`):
-**bit identity**.  Every registered scheduler kernel must return, for every
+**bit identity**.  Every scheduler kernel must return, for every
 input, a :class:`~repro.scheduling.schedule.Schedule` that is value-equal
 (``Schedule.__eq__``) to the one the ``reference`` backend produces — every
 process window, message window, recovery-slack reservation and budget, down
 to the last float bit.  All schedule arithmetic is max/+ chains over the same
 input floats, so a backend is free to reorganize *how* the chains are
 evaluated (integer-indexed tables, flat reservation arrays) but never *what*
-comes out.  Because of this, the kernel selection is deliberately **not**
-part of any evaluation-engine cache key: cached design points stay valid
-across kernel switches.
+comes out.  Because of this, the backend is deliberately **not** part of any
+evaluation-engine cache key: cached design points stay valid whichever
+backend computed them.
 
 Kernels may keep a compiled representation of the application between calls
 and are therefore **not** thread-safe; the process-parallel sweep gives each
-worker its own registry (module state is per process).
+worker its own instance (module state is per process).
 """
 
 from __future__ import annotations
@@ -77,24 +77,10 @@ class SchedulingProblem:
 
 
 class SchedulerKernel:
-    """Abstract scheduler kernel backend.
+    """Abstract scheduler kernel backend; subclasses set :attr:`name`."""
 
-    Subclasses set :attr:`name` (the registry/CLI identifier), a one-line
-    :attr:`description`, and :attr:`priority` (higher wins ``auto``
-    selection among available backends).
-    """
-
-    #: Registry identifier, also accepted by ``--sched-kernel``.
+    #: Backend identifier (test ids and ``repr``).
     name: str = ""
-    #: One-line human description shown by the CLI/benchmark artifacts.
-    description: str = ""
-    #: ``auto`` selection rank; the highest-priority available kernel wins.
-    priority: int = 0
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Can this backend run in the current environment?"""
-        return True
 
     def build_schedule(self, problem: SchedulingProblem) -> "Schedule":
         """Construct the root schedule (with recovery slack) for ``problem``."""

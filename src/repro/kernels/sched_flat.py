@@ -41,14 +41,15 @@ from repro.kernels.sched_base import (
     SchedulerKernel,
     SchedulingProblem,
 )
+from repro.kernels.sched_reference import ReferenceSchedulerKernel
 from repro.scheduling.schedule import Schedule, ScheduledMessage, ScheduledProcess
 
 if TYPE_CHECKING:
     from repro.core.application import Application
     from repro.core.profile import ExecutionProfile
 
-#: Name of the fallback backend for bus models the flat tables cannot honour.
-_REFERENCE_NAME = "reference"
+#: Fallback backend for bus models the flat tables cannot honour.
+_REFERENCE = ReferenceSchedulerKernel()
 
 #: Bypass for the frozen-dataclass __setattr__ when handing a ready-made
 #: __dict__ to a __new__-allocated output entry (see build_schedule).
@@ -164,8 +165,6 @@ class FlatSchedulerKernel(SchedulerKernel):
     """Integer-id placement + flat-array bus gap search (bit-identical)."""
 
     name = "flat"
-    description = "integer-indexed tables and flat bus reservation arrays"
-    priority = 10
 
     def __init__(self) -> None:
         self._compiled: Optional[_CompiledApplication] = None
@@ -207,9 +206,7 @@ class FlatSchedulerKernel(SchedulerKernel):
         if not tdma and bus_type is not SimpleBus:
             # Unknown bus subclass: its _find_window may implement any
             # policy; only the reference backend can honour it.
-            from repro.kernels.registry import get_sched_kernel
-
-            return get_sched_kernel(_REFERENCE_NAME).build_schedule(problem)
+            return _REFERENCE.build_schedule(problem)
 
         compiled = self._compile(problem)
         architecture = problem.architecture

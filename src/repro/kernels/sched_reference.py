@@ -29,8 +29,6 @@ class ReferenceSchedulerKernel(SchedulerKernel):
     """Per-object list scheduling (the executable bit-identity specification)."""
 
     name = "reference"
-    description = "per-object placement loop with Bus.reserve per message"
-    priority = 0
 
     # ------------------------------------------------------------------
     def build_schedule(self, problem: SchedulingProblem) -> Schedule:

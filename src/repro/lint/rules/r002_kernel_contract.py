@@ -3,10 +3,10 @@
 Kernel backends are bit-identical drop-ins (PERFORMANCE.md): a backend that
 silently narrows the abstract contract — missing method, drifted signature,
 shared mutable class state — can pass the equivalence suite on the inputs it
-happens to see and still diverge in production.  And because backend
-*selection* must never influence results, no code reachable from cache-key
-computation may import the kernels package: a key that observes the selected
-kernel would fragment the warm store by speed knob.
+happens to see and still diverge in production.  And because the backend
+that computed a value must never influence results, no code reachable from
+cache-key computation may import the kernels package: a key that observes
+the kernel would fragment the warm store by backend.
 
 Checks, per class deriving (directly or transitively — stacked backends
 like ``array`` → ``reference`` inherit the contract along with the code)
@@ -19,12 +19,12 @@ from a family base (``SFPKernel`` / ``SchedulerKernel``):
 * an override's signature matches the base declaration exactly — same
   argument names, order, defaults, and the same varargs/kwargs shape
   (annotations are mypy's job, not this rule's);
-* the registry attributes ``name`` (non-empty), ``description`` and
-  ``priority`` are declared on the class itself — stacked backends are
-  distinct registry entries and must not alias a parent's identity;
+* the attribute ``name`` (non-empty) is declared on the class itself —
+  stacked backends are distinct backends and must not alias a parent's
+  identity;
 * no class-level assignment binds a mutable container (list/dict/set) —
   per-instance buffers belong in ``__init__``, shared class state breaks the
-  one-registry-per-process isolation the parallel sweep relies on.
+  one-instance-per-process isolation the parallel sweep relies on.
 
 Plus, per cache-key module (``engine/fingerprint.py``, ``engine/store.py``):
 the module's runtime import closure must not contain ``repro.kernels``.
@@ -45,8 +45,8 @@ FAMILY_BASES: Tuple[str, ...] = (
     "repro.kernels.sched_base.SchedulerKernel",
 )
 
-#: Class attributes every registered backend must declare.
-REQUIRED_CLASS_ATTRS: Tuple[str, ...] = ("name", "description", "priority")
+#: Class attributes every backend must declare.
+REQUIRED_CLASS_ATTRS: Tuple[str, ...] = ("name",)
 
 #: Modules computing cache keys; their import closure must avoid kernels.
 CACHE_KEY_MODULES: Tuple[str, ...] = (
@@ -68,7 +68,7 @@ class KernelContractRule(LintRule):
     title = "kernel-contract conformance and cache-key isolation"
     rationale = (
         "backends must be bit-identical drop-ins with matching signatures, "
-        "and kernel selection must never be observable from cache-key code"
+        "and the kernel backend must never be observable from cache-key code"
     )
 
     def check(self, project: Project) -> Iterator[Violation]:
@@ -140,7 +140,7 @@ class KernelContractRule(LintRule):
                     module,
                     subclass,
                     subclass.node,
-                    f"backend {subclass.name} must declare the registry "
+                    f"backend {subclass.name} must declare the class "
                     f"attribute {attr!r}",
                 )
                 continue
@@ -151,8 +151,7 @@ class KernelContractRule(LintRule):
                         module,
                         subclass,
                         value,
-                        f"backend {subclass.name} declares an empty registry "
-                        f"name",
+                        f"backend {subclass.name} declares an empty name",
                     )
 
     def _check_mutable_state(
@@ -193,7 +192,7 @@ class KernelContractRule(LintRule):
                     message=(
                         f"cache-key module {module_name} reaches the kernels "
                         f"package at runtime via {', '.join(offenders)}; "
-                        f"kernel selection must not leak into cache keys"
+                        f"kernel backends must not leak into cache keys"
                     ),
                 )
 

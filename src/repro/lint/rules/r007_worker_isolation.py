@@ -36,7 +36,7 @@ WORKER_GUARDS: Tuple[GuardSpec, ...] = (
     GuardSpec(
         class_name="Session",
         attrs=frozenset(
-            {"_experiment", "_store", "_kernel_scope", "_scenario_counters"}
+            {"_experiment", "_store", "_scenario_counters"}
         ),
         mutators=frozenset(
             {"__init__", "__enter__", "__exit__", "store", "experiment",

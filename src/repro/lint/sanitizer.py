@@ -439,7 +439,7 @@ class DeterminismSanitizer:
     def check_report(self, report_dict: Dict[str, Any], scenario: str = "") -> None:
         """Validate the JSON-facing fields of an assembled run report."""
         prefix = f"report[{scenario}]" if scenario else "report"
-        for fragment in ("results", "params", "cache", "timings", "kernels"):
+        for fragment in ("results", "params", "cache", "timings"):
             if fragment in report_dict:
                 self.check_payload(report_dict[fragment], f"{prefix}.{fragment}")
 

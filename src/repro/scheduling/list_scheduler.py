@@ -21,17 +21,17 @@ both for reproducibility of the experiments and for the tabu-search mapping
 heuristic, which compares schedule lengths across small perturbations).
 
 The root-schedule construction itself (priorities, layer placement, bus
-reservation, recovery slack) runs in a pluggable *scheduler kernel backend*
-(:mod:`repro.kernels.sched_base`): ``reference`` is the per-object loop this
-class historically inlined, ``flat`` compiles the application into
-integer-indexed tables.  All backends are bit-identical — selection
-(``--sched-kernel`` / ``REPRO_SCHED_KERNEL`` / ``auto``) is a speed knob
-only and never part of an evaluation-engine cache key.
+reservation, recovery slack) runs in a *scheduler kernel backend*
+(:mod:`repro.kernels.sched_base`): the production ``flat`` backend compiles
+the application into integer-indexed tables, and the ``reference`` backend —
+the per-object loop this class historically inlined — is its test oracle.
+The backends are bit-identical, so the backend is never part of an
+evaluation-engine cache key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional
 
 from repro.comm.bus import Bus, SimpleBus
 from repro.core.application import Application
@@ -39,16 +39,13 @@ from repro.core.architecture import Architecture
 from repro.core.exceptions import SchedulingError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.kernels.registry import resolve_sched_kernel
+from repro.kernels.registry import SCHED_KERNELS
 from repro.kernels.sched_base import (
     SchedulerKernel,
     ScheduleStructure,
     SchedulingProblem,
 )
 from repro.scheduling.schedule import Schedule
-
-#: Accepted ``kernel=`` selections: an instance, a registered name or ``None``.
-SchedulerKernelSpec = Union[SchedulerKernel, str, None]
 
 
 class ListScheduler:
@@ -65,20 +62,20 @@ class ListScheduler:
         node covers the worst single victim ``k_j`` times; when ``False`` the
         naive per-process slack is reserved instead (ablation baseline).
     kernel:
-        Scheduler kernel backend running the root-schedule construction (an
-        instance, a registered name, or ``None`` for the process-wide
-        selection).  A speed knob only: every backend is bit-identical.
+        Scheduler kernel backend running the root-schedule construction;
+        ``None`` means the production backend.  Every backend is
+        bit-identical.
     """
 
     def __init__(
         self,
         bus: Optional[Bus] = None,
         slack_sharing: bool = True,
-        kernel: SchedulerKernelSpec = None,
+        kernel: Optional[SchedulerKernel] = None,
     ) -> None:
         self.bus = bus if bus is not None else SimpleBus()
         self.slack_sharing = slack_sharing
-        self.kernel = resolve_sched_kernel(kernel)
+        self.kernel = SCHED_KERNELS.or_active(kernel)
         # One-slot memo of the application's static structure (scheduling
         # layers and per-process incoming messages).  The DSE stack schedules
         # the same application thousands of times in a row.  The memo holds a

@@ -22,6 +22,11 @@ fingerprint compute each design point exactly once.
 spool: the worker's next progress event raises, ending the run and freeing
 its pool slot (a worker cannot be killed without tearing down the whole
 pool, so a run stops at its next event, not instantly).
+
+**Worker death.**  A pool worker that dies (killed, out of memory) breaks
+the whole pool: every job in the pool fails with ``BrokenProcessPool`` and
+is sealed with ``job_failed`` like any other failure, and the manager swaps
+in a fresh pool so the consumers keep serving later jobs.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import asyncio
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -226,15 +232,30 @@ class JobManager:
         store.mkdir(parents=True, exist_ok=True)
         self._store_dir = store
         self._queue = asyncio.Queue(maxsize=self.config.queue_size)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            initializer=_init_serve_worker,
-            initargs=(self.config.sanitize,),
-        )
+        self._executor = self._new_pool()
         self._consumers = [
             asyncio.get_running_loop().create_task(self._consume())
             for _ in range(self.config.workers)
         ]
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.config.workers,
+            initializer=_init_serve_worker,
+            initargs=(self.config.sanitize,),
+        )
+
+    def _replace_broken_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Swap a pool that lost a worker for a fresh one (once per breakage).
+
+        A dead worker breaks the whole ``ProcessPoolExecutor``: every pending
+        future fails and every later ``submit`` raises.  Each consumer that
+        hit the breakage calls this; only the first, which still sees the
+        broken pool installed, replaces it.
+        """
+        if self._executor is broken:
+            broken.shutdown(wait=False, cancel_futures=True)
+            self._executor = self._new_pool()
 
     async def close(self) -> None:
         """Cancel the consumers and release the pool (best effort)."""
@@ -269,10 +290,6 @@ class JobManager:
             raise HttpError(400, "'config' must be a RunConfig object")
         try:
             requested = RunConfig.from_dict(config_data)
-            # Unknown kernel names (e.g. a removed backend) are a 400 here
-            # rather than a job that fails once a worker picks it up.
-            requested.resolved_sfp_kernel()
-            requested.resolved_sched_kernel()
             spec = get_scenario(scenario_id)
             spec.resolve_params(requested.scenario_params)
         except ModelError as error:
@@ -364,8 +381,9 @@ class JobManager:
         job.started_at = time.time()
         writer = EventWriter(job.events_path)
         writer.emit({"event": "job_started", "job": job.job_id, "scenario": job.scenario})
-        future = asyncio.wrap_future(executor.submit(_execute_job, job.spec()))
+        future: "Optional[asyncio.Future[Dict[str, Any]]]" = None
         try:
+            future = asyncio.wrap_future(executor.submit(_execute_job, job.spec()))
             if self.config.job_timeout_seconds is not None:
                 result = await asyncio.wait_for(future, self.config.job_timeout_seconds)
             else:
@@ -373,18 +391,22 @@ class JobManager:
         except asyncio.TimeoutError:
             job.state = "failed"
             job.error = f"timed out after {self.config.job_timeout_seconds:g} s"
-            future.cancel()
         except asyncio.CancelledError:
             job.state = "failed"
             job.error = "cancelled"
-            future.cancel()
             raise
         except Exception as error:  # noqa: BLE001 - job failures must not kill the consumer
             job.state = "failed"
             job.error = f"{type(error).__name__}: {error}"
+            if isinstance(error, BrokenProcessPool):
+                self._replace_broken_pool(executor)
         else:
             job.state = "done"
             job.result = result
+        finally:
+            # Abandons a timed-out or cancelled run; a no-op once it finished.
+            if future is not None:
+                future.cancel()
         job.finished_at = time.time()
         if job.state == "done":
             writer.seal({"event": "job_done", "job": job.job_id, "scenario": job.scenario})

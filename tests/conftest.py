@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+from typing import Iterator, Optional
+
 import pytest
 
 from repro.core.application import Application, Message, Process
@@ -16,19 +19,40 @@ from repro.experiments.motivational import (
     fig3_node_type,
     fig3_profile,
 )
-from repro.kernels import use_kernel
+from repro.kernels import (
+    SCHED_KERNELS,
+    SFP_KERNELS,
+    ArrayKernel,
+    FlatSchedulerKernel,
+    ReferenceKernel,
+    ReferenceSchedulerKernel,
+    SchedulerKernel,
+    SFPKernel,
+)
+
+#: Every backend of each family by name: the production backend and the
+#: reference backend it must match bit for bit.
+SFP_BACKENDS = {kernel.name: kernel for kernel in (ReferenceKernel(), ArrayKernel())}
+SCHED_BACKENDS = {
+    kernel.name: kernel
+    for kernel in (ReferenceSchedulerKernel(), FlatSchedulerKernel())
+}
 
 
-@pytest.fixture(autouse=True)
-def _kernel_selection_guard():
-    """Snapshot/restore both kernel families' process selection per test.
+@contextlib.contextmanager
+def production_kernels(
+    sfp: Optional[SFPKernel] = None, sched: Optional[SchedulerKernel] = None
+) -> Iterator[None]:
+    """Run the whole stack on the given backends inside the block.
 
-    A test that pins a kernel (through a Session or ``use_kernel``) and
-    then fails must not leak its selection
-    into later tests; ``use_kernel()`` with no arguments is exactly that
-    exception-safe snapshot/restore guard.
+    Swaps the instances every ``kernel=None`` default reads and restores
+    them on exit, also when the block raises.
     """
-    with use_kernel():
+    with pytest.MonkeyPatch.context() as patch:
+        if sfp is not None:
+            patch.setattr(SFP_KERNELS, "kernel", sfp)
+        if sched is not None:
+            patch.setattr(SCHED_KERNELS, "kernel", sched)
         yield
 
 

@@ -8,6 +8,8 @@ results payloads, both matching the checked-in golden fixture exactly.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from repro import api
 from repro.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+DIFF_SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "diff_report_golden.py"
 
 
 def _load(name: str) -> dict:
@@ -58,3 +61,29 @@ def test_generic_run_driver_writes_a_golden_matching_report(tmp_path, capsys):
     assert exit_code == 0
     report = api.RunReport.from_json(output.read_text(encoding="utf-8"))
     assert report.results == _load("fig6a_fast.json")
+
+
+def _diff_against_golden(tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(report.to_json(), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, str(DIFF_SCRIPT), str(path), str(GOLDEN_DIR / "fig6a_fast.json")],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_diff_script_accepts_a_report_matching_the_golden(tmp_path, fig6a_report):
+    completed = _diff_against_golden(tmp_path, fig6a_report)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith("OK: ")
+    assert "('fig6a')" in completed.stdout
+
+
+def test_diff_script_names_every_diverging_key(tmp_path, fig6a_report):
+    results = json.loads(json.dumps(fig6a_report.results))
+    results["acceptance"]["5"]["OPT"] = -1.0
+    diverged = api.RunReport(fig6a_report.scenario, fig6a_report.config, results)
+    completed = _diff_against_golden(tmp_path, diverged)
+    assert completed.returncode == 1
+    assert "DIFF acceptance.5.OPT: report=-1.0 golden=100.0" in completed.stderr

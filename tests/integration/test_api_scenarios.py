@@ -51,7 +51,6 @@ def test_report_carries_the_structured_fields(reports, scenario_id):
     report = reports(scenario_id)
     assert report.scenario == scenario_id
     assert report.config.preset == "fast"
-    assert set(report.kernels) == {"sfp", "sched"}
     assert report.timings["wall_clock_seconds"] >= 0.0
     assert {"hits", "misses", "points_computed"} <= set(report.cache)
     assert report.results  # non-empty payload

@@ -1,13 +1,13 @@
 """Kernel-pair invariance of the whole design-space exploration.
 
-The SFP and scheduler backends are speed knobs only.  Every neighbourhood is
-scored trial by trial through the memoized scalar entry points, so for every
-registered (SFP, scheduler) pair the exploration must return the same
-designs *and* issue the same memo lookups as the ``reference`` pair: the
-search effort, the computed design points and the hit/miss totals are all
-backend-independent.  The API-level checks pin the same property on the
-checked-in golden payload and on the counter keys a report and its progress
-events expose.
+Each kernel family has a production backend and a ``reference`` oracle that
+must agree bit for bit.  Every neighbourhood is scored trial by trial
+through the memoized scalar entry points, so for every (SFP, scheduler) pair
+of backends the exploration must return the same designs *and* issue the
+same memo lookups as the ``reference`` pair: the search effort, the computed
+design points and the hit/miss totals are all backend-independent.  The
+API-level checks pin the same property on the checked-in golden payload and
+on the counter keys a report and its progress events expose.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from repro.generator.benchmark import (
     build_platform,
     generate_benchmark_suite,
 )
-from repro.kernels import kernel_names, sched_kernel_names, use_kernel
+
+from tests.conftest import SCHED_BACKENDS, SFP_BACKENDS, production_kernels
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
-KERNEL_PAIRS = list(
-    product(kernel_names(available_only=True), sched_kernel_names(available_only=True))
-)
+KERNEL_PAIRS = list(product(SFP_BACKENDS, SCHED_BACKENDS))
 PAIR_IDS = [f"{sfp}+{sched}" for sfp, sched in KERNEL_PAIRS]
 
 STRATEGY_BUILDERS = {
@@ -79,7 +78,7 @@ def _explore(platform, strategy_name, sfp, sched):
     algorithm = MappingAlgorithm(
         max_iterations=3, stop_after_no_improvement=2, max_candidates=2
     )
-    with use_kernel(sfp=sfp, sched=sched):
+    with production_kernels(sfp=SFP_BACKENDS[sfp], sched=SCHED_BACKENDS[sched]):
         engine = EvaluationEngine(application, profile)
         result = STRATEGY_BUILDERS[strategy_name](node_types, algorithm).explore(
             application, profile, engine=engine
@@ -126,21 +125,50 @@ def test_exploration_is_identical_on_every_kernel_pair(
     assert result.cache_misses > 0
 
 
+def _counting(kernel, methods, calls):
+    """A fresh backend of ``kernel``'s class that counts its contract calls."""
+    fresh = type(kernel)()
+    for method in methods:
+        bound = getattr(fresh, method)
+
+        def counted(*args, _bound=bound, _method=method):
+            calls[_method] = calls.get(_method, 0) + 1
+            return _bound(*args)
+
+        setattr(fresh, method, counted)
+    return fresh
+
+
+@pytest.mark.parametrize("sfp, sched", KERNEL_PAIRS, ids=PAIR_IDS)
+def test_the_whole_stack_runs_on_the_swapped_pair(platform, sfp, sched):
+    """The swap reaches every layer: the engine's SFP misses and every
+    schedule of the exploration run on the pair's own instances."""
+    sfp_calls, sched_calls = {}, {}
+    sfp_kernel = _counting(
+        SFP_BACKENDS[sfp], ("probability_exceeds", "system_failure"), sfp_calls
+    )
+    sched_kernel = _counting(SCHED_BACKENDS[sched], ("build_schedule",), sched_calls)
+    application, node_types, profile = platform
+    algorithm = MappingAlgorithm(max_iterations=1, stop_after_no_improvement=1, max_candidates=1)
+    with production_kernels(sfp=sfp_kernel, sched=sched_kernel):
+        engine = EvaluationEngine(application, profile)
+        optimized_strategy(node_types, algorithm).explore(application, profile, engine=engine)
+    assert engine.kernel is sfp_kernel
+    assert sfp_calls["probability_exceeds"] > 0 and sfp_calls["system_failure"] > 0
+    assert engine.evaluations > 0
+    assert sched_calls["build_schedule"] == engine.evaluations
+
+
 @pytest.mark.parametrize("sfp, sched", KERNEL_PAIRS, ids=PAIR_IDS)
 def test_synthetic_random_smoke_matches_the_golden_on_every_pair(sfp, sched):
-    report = api.run(
-        "synthetic-random",
-        api.RunConfig(
-            preset="smoke",
-            sfp_kernel=sfp,
-            sched_kernel=sched,
-            scenario_params={"n_processes": 10, "seed": 3},
-        ),
-    )
+    with production_kernels(sfp=SFP_BACKENDS[sfp], sched=SCHED_BACKENDS[sched]):
+        report = api.run(
+            "synthetic-random",
+            api.RunConfig(preset="smoke", scenario_params={"n_processes": 10, "seed": 3}),
+        )
     golden = json.loads(
         (GOLDEN_DIR / "synthetic_random_smoke.json").read_text(encoding="utf-8")
     )
-    assert report.kernels == {"sfp": sfp, "sched": sched}
     assert report.results == golden
     assert set(report.cache) == CACHE_KEYS
 

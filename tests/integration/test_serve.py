@@ -10,7 +10,8 @@ like an external consumer.  The expensive contracts live here:
   store single-flight — the second job computes zero design points;
 * N concurrent jobs with *distinct* contexts return payloads byte-identical
   to sequential in-process runs of the same configs;
-* backpressure (429 + Retry-After) and the per-job timeout.
+* backpressure (429 + Retry-After), the per-job timeout and the death of a
+  pool worker.
 """
 
 from __future__ import annotations
@@ -18,13 +19,18 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
+import signal
 import threading
 import time
 from http.client import HTTPConnection
 from pathlib import Path
 
+import pytest
+
 from repro import api
 from repro.serve import ServeApp, ServeConfig
+from repro.serve.jobs import JobManager
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -139,6 +145,7 @@ def test_fig6a_job_over_http_matches_the_golden_report(tmp_path):
         assert names[0] == "job_queued"
         assert names[1] == "job_started"
         assert names[2] == "scenario_started"
+        assert set(events[2]) == {"event", "scenario", "params"}
         assert names[-2] == "scenario_finished"
         assert names[-1] == "job_done"
         progress = [event for event in events if event["event"] == "setting_progress"]
@@ -150,6 +157,7 @@ def test_fig6a_job_over_http_matches_the_golden_report(tmp_path):
 
         record = _wait_done(host, port, job_id)
         assert record["state"] == "done"
+        assert "kernels" not in record["report"]
         # Byte-identity against the committed golden (the fixture *is* the
         # results payload): same contract as scripts/diff_report_golden.py.
         assert json.dumps(record["report"]["results"], sort_keys=True) == json.dumps(
@@ -276,9 +284,143 @@ def test_sanitized_serve_worker_stays_silent_and_correct(tmp_path):
         )
 
 
+@pytest.mark.parametrize("field", ["sfp_kernel", "sched_kernel"])
+def test_post_jobs_rejects_the_removed_kernel_fields(tmp_path, field):
+    with serve_app(tmp_path, workers=1) as (host, port, app):
+        status, _, payload = _request(
+            host, port, "POST", "/jobs", {"scenario": "fig6a", "config": {field: "reference"}}
+        )
+        assert status == 400
+        assert f"Unknown RunConfig fields: ['{field}']" in json.loads(payload)["error"]
+        assert app.manager.jobs == {}
+
+
 def test_unknown_routes_and_methods(tmp_path):
     with serve_app(tmp_path, workers=1) as (host, port, _app):
         assert _request(host, port, "GET", "/nope")[0] == 404
         assert _request(host, port, "POST", "/scenarios", {})[0] == 405
         assert _request(host, port, "GET", "/jobs/job-404404")[0] == 404
         assert _request(host, port, "GET", "/jobs/job-404404/events")[0] == 404
+
+
+# ----------------------------------------------------------------------
+# pool worker death
+# ----------------------------------------------------------------------
+def _synthetic_job(n_processes, seed):
+    params = {"n_processes": n_processes, "seed": seed}
+    return {"scenario": "synthetic-random", "config": {"preset": "smoke", "scenario_params": params}}
+
+
+#: The golden smoke point, and a job big enough to still be running when
+#: its worker is killed.
+GOLDEN_JOB = _synthetic_job(10, 3)
+LONG_JOB = _synthetic_job(800, 1)
+
+
+async def _until(predicate, timeout=120.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.02)
+
+
+def _events(job):
+    return [json.loads(line) for line in job.events_path.read_text().splitlines()]
+
+
+def _kill_pool_workers(manager):
+    for pid in list(manager._executor._processes):
+        os.kill(pid, signal.SIGKILL)
+
+
+async def _run_after_worker_death(tmp_path, kill_while_running):
+    """Kill the only pool worker, then run the golden job on the same manager.
+
+    ``kill_while_running`` kills it in the middle of a long job (the job's
+    future fails); otherwise it dies idle and the pool is found broken when
+    the next job is submitted to it.
+    """
+    manager = JobManager(ServeConfig(spool_dir=tmp_path / "serve", workers=1))
+    await manager.start()
+    closed = False
+    try:
+        if kill_while_running:
+            killed = manager.submit(LONG_JOB)
+            await _until(lambda: "scenario_started" in killed.events_path.read_text())
+            _kill_pool_workers(manager)
+        else:
+            warmup = manager.submit(GOLDEN_JOB)
+            await _until(lambda: warmup.state in ("done", "failed"))
+            assert warmup.state == "done", warmup.error
+            broken = manager._executor
+            _kill_pool_workers(manager)
+            await _until(lambda: broken._broken)
+            killed = manager.submit(GOLDEN_JOB)
+        await _until(lambda: killed.state in ("done", "failed"))
+        follow_up = manager.submit(GOLDEN_JOB)
+        await _until(lambda: follow_up.state in ("done", "failed"))
+        consumers_alive = all(not task.done() for task in manager._consumers)
+        await manager.close()
+        closed = True
+    finally:
+        if not closed:
+            await manager.close()
+    return killed, follow_up, consumers_alive
+
+
+@pytest.mark.parametrize("kill_while_running", [True, False], ids=["running", "idle"])
+def test_a_dead_pool_worker_fails_one_job_and_the_service_recovers(
+    tmp_path, kill_while_running
+):
+    killed, follow_up, consumers_alive = asyncio.run(
+        _run_after_worker_death(tmp_path, kill_while_running)
+    )
+    assert killed.state == "failed"
+    assert killed.error.startswith("BrokenProcessPool")
+    names = [event["event"] for event in _events(killed)]
+    assert names[-1] == "job_failed"
+    assert names.count("job_failed") == 1 and "job_done" not in names
+
+    assert follow_up.state == "done", follow_up.error
+    golden = json.loads((GOLDEN_DIR / "synthetic_random_smoke.json").read_text())
+    assert follow_up.result["results"] == golden
+    assert [event["event"] for event in _events(follow_up)][-1] == "job_done"
+    assert consumers_alive
+
+
+def test_one_dead_worker_fails_every_job_of_its_pool_and_replaces_it_once(tmp_path):
+    """Two consumers each see the breakage; only the first swaps the pool."""
+
+    async def scenario():
+        manager = JobManager(ServeConfig(spool_dir=tmp_path / "serve", workers=2))
+        await manager.start()
+        pools = [manager._executor]
+        build_pool = manager._new_pool
+
+        def recording_new_pool():
+            pools.append(build_pool())
+            return pools[-1]
+
+        manager._new_pool = recording_new_pool
+        try:
+            running = [manager.submit(LONG_JOB), manager.submit(_synthetic_job(800, 2))]
+            await _until(
+                lambda: all("scenario_started" in job.events_path.read_text() for job in running)
+            )
+            os.kill(next(iter(manager._executor._processes)), signal.SIGKILL)
+            await _until(lambda: all(job.state in ("done", "failed") for job in running))
+            follow_up = manager.submit(GOLDEN_JOB)
+            await _until(lambda: follow_up.state in ("done", "failed"))
+            consumers_alive = all(not task.done() for task in manager._consumers)
+        finally:
+            await manager.close()
+        return running, follow_up, pools, consumers_alive
+
+    running, follow_up, pools, consumers_alive = asyncio.run(scenario())
+    assert [job.state for job in running] == ["failed", "failed"]
+    assert all(job.error.startswith("BrokenProcessPool") for job in running)
+    assert len(pools) == 2
+    assert follow_up.state == "done", follow_up.error
+    golden = json.loads((GOLDEN_DIR / "synthetic_random_smoke.json").read_text())
+    assert follow_up.result["results"] == golden
+    assert consumers_alive

@@ -18,14 +18,15 @@ from repro.core.mapping import MappingAlgorithm
 from repro.core.sfp import SFPAnalysis
 from repro.engine import EvaluationEngine
 from repro.generator.benchmark import build_platform, generate_benchmark_suite
-from repro.kernels import get_kernel, kernel_names
 from repro.simulation.fault_simulator import FaultScenarioSimulator
+
+from tests.conftest import SFP_BACKENDS
 
 #: High enough error rate that a 20k-iteration campaign observes faults.
 SER = 3e-9
 HPD = 25.0
 
-KERNELS = kernel_names(available_only=True)
+KERNELS = list(SFP_BACKENDS)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def _design_with_kernel(small_benchmark, kernel_name):
     node_types, profile = build_platform(
         small_benchmark, ser_per_cycle=SER, hardening_performance_degradation=HPD
     )
-    kernel = get_kernel(kernel_name)
+    kernel = SFP_BACKENDS[kernel_name]
     engine = EvaluationEngine(small_benchmark.application, profile, kernel=kernel)
     algorithm = MappingAlgorithm(
         max_iterations=2, stop_after_no_improvement=1, max_candidates=2
@@ -83,7 +84,7 @@ def test_simulator_respects_analytic_bound(small_benchmark, kernel_name):
         architecture,
         result.mapping,
         profile,
-        kernel=get_kernel(kernel_name),
+        kernel=SFP_BACKENDS[kernel_name],
     )
     assert (
         analysis.system_failure_per_iteration(result.reexecutions)

@@ -1,10 +1,10 @@
-"""Bit-identity property suite for the pluggable SFP kernel backends.
+"""Bit-identity property suite for the SFP kernel backends.
 
-Every registered backend must return, for every input, the exact float the
-``reference`` backend returns — this is the contract that makes kernel
-selection a pure speed knob and keeps memoized/persisted design points valid
-across backends.  Hypothesis drives randomized probability tuples, budgets
-and rounding accuracies through every registered backend, including:
+The production ``array`` backend must return, for every input, the exact
+float the ``reference`` backend (its test oracle) returns — this is the
+contract that keeps memoized/persisted design points valid whichever backend
+computed them.  Hypothesis drives randomized probability tuples, budgets and
+rounding accuracies through both backends, including:
 
 * the decimal accuracies on both sides of the array backend's integer-quanta
   cutoff (``MAX_FAST_DECIMALS``), so the fallback path is exercised;
@@ -23,15 +23,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import ModelError
-from repro.kernels import get_kernel, kernel_names
 from repro.kernels.array_backend import MAX_FAST_DECIMALS, NUMPY_MIN_WIDTH
 from repro.kernels.reference import ReferenceKernel
 
-REFERENCE = get_kernel("reference")
+from tests.conftest import SFP_BACKENDS
+
+REFERENCE = SFP_BACKENDS["reference"]
 
 #: All non-reference backends (the property is trivially true for reference).
 OTHER_KERNELS = [
-    name for name in kernel_names(available_only=True) if name != "reference"
+    name for name in SFP_BACKENDS if name != "reference"
 ]
 
 #: Rounding accuracies: the paper's 11, coarse grids, the fast-path cutoff
@@ -60,7 +61,7 @@ BUDGET = st.integers(min_value=0, max_value=8)
 @given(probabilities=PROBABILITIES, budget=BUDGET, decimals=DECIMALS)
 @settings(max_examples=300, deadline=None)
 def test_probability_exceeds_bit_identical(name, probabilities, budget, decimals):
-    kernel = get_kernel(name)
+    kernel = SFP_BACKENDS[name]
     expected = REFERENCE.probability_exceeds(probabilities, budget, decimals)
     produced = kernel.probability_exceeds(probabilities, budget, decimals)
     assert produced == expected, (
@@ -74,7 +75,7 @@ def test_probability_exceeds_bit_identical(name, probabilities, budget, decimals
 @settings(max_examples=50, deadline=None)
 def test_probability_exceeds_wide_inputs(name, probabilities, budget):
     """Wide tuples route the array backend through the numpy recurrence."""
-    kernel = get_kernel(name)
+    kernel = SFP_BACKENDS[name]
     expected = REFERENCE.probability_exceeds(probabilities, budget)
     assert kernel.probability_exceeds(probabilities, budget) == expected
 
@@ -83,7 +84,7 @@ def test_probability_exceeds_wide_inputs(name, probabilities, budget):
 @given(probabilities=PROBABILITIES, decimals=DECIMALS)
 @settings(max_examples=200, deadline=None)
 def test_probability_no_fault_bit_identical(name, probabilities, decimals):
-    kernel = get_kernel(name)
+    kernel = SFP_BACKENDS[name]
     expected = REFERENCE.probability_no_fault(probabilities, decimals)
     assert kernel.probability_no_fault(probabilities, decimals) == expected
 
@@ -95,20 +96,20 @@ def test_probability_no_fault_bit_identical(name, probabilities, decimals):
 )
 @settings(max_examples=200, deadline=None)
 def test_system_failure_bit_identical(name, exceedances, decimals):
-    kernel = get_kernel(name)
+    kernel = SFP_BACKENDS[name]
     expected = REFERENCE.system_failure(exceedances, decimals)
     assert kernel.system_failure(exceedances, decimals) == expected
 
 
-@pytest.mark.parametrize("name", kernel_names(available_only=True))
+@pytest.mark.parametrize("name", list(SFP_BACKENDS))
 def test_negative_budget_rejected(name):
     with pytest.raises(ModelError):
-        get_kernel(name).probability_exceeds([0.1], -1)
+        SFP_BACKENDS[name].probability_exceeds([0.1], -1)
 
 
-@pytest.mark.parametrize("name", kernel_names(available_only=True))
+@pytest.mark.parametrize("name", list(SFP_BACKENDS))
 def test_out_of_range_probability_rejected(name):
-    kernel = get_kernel(name)
+    kernel = SFP_BACKENDS[name]
     with pytest.raises(ValueError):
         kernel.probability_exceeds([1.5], 1)
     with pytest.raises(ValueError):
@@ -116,6 +117,6 @@ def test_out_of_range_probability_rejected(name):
 
 
 def test_reference_is_the_reference():
-    """The registry's ``reference`` entry is the pure-Python specification."""
+    """The ``reference`` oracle is the pure-Python specification."""
     assert isinstance(REFERENCE, ReferenceKernel)
     assert type(REFERENCE) is ReferenceKernel

@@ -31,14 +31,15 @@ from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig1_application, fig1_profile
-from repro.kernels import get_kernel, kernel_names, sched_kernel_names
 from repro.kernels.array_backend import MAX_FAST_DECIMALS
 from repro.scheduling.list_scheduler import ListScheduler
 
-SFP_REFERENCE = get_kernel("reference")
+from tests.conftest import SCHED_BACKENDS, SFP_BACKENDS
 
-ALL_SFP = kernel_names(available_only=True)
-ALL_SCHED = sched_kernel_names(available_only=True)
+SFP_REFERENCE = SFP_BACKENDS["reference"]
+
+ALL_SFP = list(SFP_BACKENDS)
+ALL_SCHED = list(SCHED_BACKENDS)
 
 DECIMALS = st.sampled_from([2, 5, 11, MAX_FAST_DECIMALS, MAX_FAST_DECIMALS + 3])
 
@@ -82,7 +83,7 @@ def sfp_neighbourhoods(draw):
 
 def _engine(kernel_name: str, decimals: int = 11) -> EvaluationEngine:
     return EvaluationEngine(
-        fig1_application(), fig1_profile(), decimals=decimals, kernel=kernel_name
+        fig1_application(), fig1_profile(), decimals=decimals, kernel=SFP_BACKENDS[kernel_name]
     )
 
 
@@ -297,12 +298,12 @@ def test_neighbourhood_schedules_rowwise_identical(name, problem):
     application, trials, profile, slack_sharing, make_bus = problem
     expected = [
         ListScheduler(
-            bus=make_bus(), slack_sharing=slack_sharing, kernel="reference"
+            bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS["reference"]
         ).schedule(application, architecture, mapping, profile, budgets)
         for architecture, mapping, budgets in trials
     ]
     scheduler = ListScheduler(
-        bus=make_bus(), slack_sharing=slack_sharing, kernel=name
+        bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name]
     )
     produced = [
         scheduler.schedule(application, architecture, mapping, profile, budgets)
@@ -322,7 +323,7 @@ def test_rescheduling_an_earlier_trial_stays_identical(name, problem):
     not see per-mapping tables left behind by the later trials."""
     application, trials, profile, slack_sharing, make_bus = problem
     scheduler = ListScheduler(
-        bus=make_bus(), slack_sharing=slack_sharing, kernel=name
+        bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name]
     )
     produced = [
         scheduler.schedule(application, architecture, mapping, profile, budgets)

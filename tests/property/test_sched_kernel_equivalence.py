@@ -1,13 +1,13 @@
-"""Bit-identity property suite for the pluggable scheduler kernel backends.
+"""Bit-identity property suite for the scheduler kernel backends.
 
-Every registered scheduler backend must return, for every input, a
+The production ``flat`` backend must return, for every input, a
 ``Schedule`` that is value-equal (``Schedule.__eq__`` — every process window,
 message window, recovery-slack reservation, budget and hardening level, down
-to the last float bit) to the one the ``reference`` backend produces.  This
-is the contract that makes ``--sched-kernel`` a pure speed knob and keeps
-memoized/persisted design points valid across backends.
+to the last float bit) to the one the ``reference`` backend (its test
+oracle) produces.  This is the contract that keeps memoized/persisted design
+points valid whichever backend computed them.
 
-Hypothesis drives randomized problems through every registered backend:
+Hypothesis drives randomized problems through both backends:
 
 * random DAGs (not just chains) with random WCETs, transmission times and
   recovery overheads, mapped arbitrarily onto 2-3 nodes with mixed hardening
@@ -37,15 +37,16 @@ from repro.core.application import Application, Message, Process
 from repro.core.architecture import Architecture, HVersion, Node, NodeType
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.kernels import get_sched_kernel, sched_kernel_names
 from repro.kernels.sched_reference import ReferenceSchedulerKernel
 from repro.scheduling.list_scheduler import ListScheduler
 
-REFERENCE = get_sched_kernel("reference")
+from tests.conftest import SCHED_BACKENDS
+
+REFERENCE = SCHED_BACKENDS["reference"]
 
 #: All non-reference backends (the property is trivially true for reference).
 OTHER_KERNELS = [
-    name for name in sched_kernel_names(available_only=True) if name != "reference"
+    name for name in SCHED_BACKENDS if name != "reference"
 ]
 
 NODE_NAMES = ("NA", "NB", "NC")
@@ -139,7 +140,7 @@ def _schedule_with(kernel_name, problem):
     """Run one backend on its own bus instance; return (schedule, bus)."""
     application, architecture, mapping, profile, budgets, slack_sharing, make_bus = problem
     bus = make_bus()
-    scheduler = ListScheduler(bus=bus, slack_sharing=slack_sharing, kernel=kernel_name)
+    scheduler = ListScheduler(bus=bus, slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[kernel_name])
     schedule = scheduler.schedule(application, architecture, mapping, profile, budgets)
     return schedule, bus
 
@@ -182,7 +183,7 @@ def test_backends_validate_and_reuse_structures(name, problem):
     """Back-to-back runs on one scheduler instance stay identical (memo reuse)."""
     application, architecture, mapping, profile, budgets, slack_sharing, make_bus = problem
     scheduler = ListScheduler(
-        bus=make_bus(), slack_sharing=slack_sharing, kernel=name
+        bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name]
     )
     first = scheduler.schedule(application, architecture, mapping, profile, budgets)
     first.validate()
@@ -230,7 +231,7 @@ def test_message_exactly_filling_tdma_slot(name):
     assert entry.start % 8.0 == 0.0
 
 
-@pytest.mark.parametrize("name", sched_kernel_names(available_only=True))
+@pytest.mark.parametrize("name", list(SCHED_BACKENDS))
 def test_oversized_tdma_message_rejected_identically(name):
     from repro.core.exceptions import SchedulingError
 
@@ -240,5 +241,5 @@ def test_oversized_tdma_message_rejected_identically(name):
 
 
 def test_reference_is_the_reference():
-    """The registry's ``reference`` entry is the per-object specification."""
+    """The ``reference`` oracle is the per-object specification."""
     assert type(REFERENCE) is ReferenceSchedulerKernel

@@ -1,9 +1,4 @@
-"""RunConfig: validation, serialization, and the documented resolution order.
-
-The resolution order — explicit config field > environment variable > auto —
-is the contract replacing the old flag/env/global-default plumbing; these
-tests pin it for both kernel families.
-"""
+"""RunConfig: validation, serialization, and the removed kernel fields."""
 
 from __future__ import annotations
 
@@ -11,61 +6,34 @@ from pathlib import Path
 
 import pytest
 
-from repro import api
 from repro.api import RunConfig
 from repro.core.exceptions import ModelError
 from repro.experiments.synthetic import ExperimentPreset
-from repro.kernels import KERNEL_ENV_VAR, SCHED_KERNEL_ENV_VAR
 
 
-@pytest.fixture(autouse=True)
-def _no_env(monkeypatch):
-    """Resolution tests control the env vars explicitly."""
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(SCHED_KERNEL_ENV_VAR, raising=False)
+class TestRemovedKernelFields:
+    """Each kernel family has one production backend, so no field picks one."""
 
+    @pytest.mark.parametrize("field", ["sfp_kernel", "sched_kernel"])
+    def test_constructor_rejects_the_field(self, field):
+        with pytest.raises(TypeError, match=field):
+            RunConfig(**{field: "reference"})
 
-class TestResolutionOrder:
-    def test_explicit_arg_beats_env_sfp(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "array")
-        config = RunConfig(sfp_kernel="reference")
-        assert config.resolved_sfp_kernel() == "reference"
+    @pytest.mark.parametrize("field", ["sfp_kernel", "sched_kernel"])
+    def test_from_dict_rejects_the_field(self, field):
+        with pytest.raises(ModelError, match=f"Unknown RunConfig fields: \\['{field}'\\]"):
+            RunConfig.from_dict({"preset": "fast", field: "reference"})
 
-    def test_explicit_arg_beats_env_sched(self, monkeypatch):
-        monkeypatch.setenv(SCHED_KERNEL_ENV_VAR, "flat")
-        config = RunConfig(sched_kernel="reference")
-        assert config.resolved_sched_kernel() == "reference"
-
-    def test_env_beats_auto_sfp(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert RunConfig().resolved_sfp_kernel() == "reference"
-
-    def test_env_beats_auto_sched(self, monkeypatch):
-        monkeypatch.setenv(SCHED_KERNEL_ENV_VAR, "reference")
-        assert RunConfig().resolved_sched_kernel() == "reference"
-
-    def test_auto_when_nothing_is_set(self):
-        # auto resolves to the fastest available backend of each family.
-        assert RunConfig().resolved_sfp_kernel() == "array"
-        assert RunConfig().resolved_sched_kernel() == "flat"
-
-    def test_explicit_auto_resolves_to_a_concrete_backend(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        # An explicit "auto" is still an explicit selection: it bypasses env.
-        assert RunConfig(sfp_kernel="auto").resolved_sfp_kernel() == "array"
-
-    @pytest.mark.parametrize(
-        "field, family",
-        [("sfp_kernel", "SFP kernel"), ("sched_kernel", "scheduler kernel")],
-    )
-    def test_removed_batch_backend_is_rejected_by_run(self, field, family):
-        config = RunConfig.from_dict({field: "batch"})
-        with pytest.raises(ModelError, match=f"Unknown {family} 'batch'"):
-            api.run("motivational", config)
-
-    def test_unknown_kernel_name_is_rejected_at_resolution(self):
-        with pytest.raises(ModelError, match="Unknown SFP kernel"):
-            RunConfig(sfp_kernel="no-such-backend").resolved_sfp_kernel()
+    def test_serialized_config_has_the_seven_knobs(self):
+        assert sorted(RunConfig().to_dict()) == [
+            "cache_dir",
+            "cache_size_mb",
+            "jobs",
+            "output",
+            "preset",
+            "scenario_params",
+            "seed",
+        ]
 
 
 class TestValidation:
@@ -116,8 +84,6 @@ class TestSerialization:
 
     def test_round_trip_fully_populated(self):
         config = RunConfig(
-            sfp_kernel="reference",
-            sched_kernel="flat",
             cache_dir=Path("/tmp/store"),
             cache_size_mb=64,
             jobs=2,

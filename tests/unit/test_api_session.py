@@ -1,72 +1,69 @@
-"""Session: scoped kernel ownership, store/engine construction, reports."""
+"""Session: store/engine construction, reports, no kernel state."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import RunConfig, RunReport, Session
+from repro.api import REPORT_SCHEMA_VERSION, RunConfig, RunReport, Session
 from repro.api.registry import ScenarioOutcome, register_scenario
 from repro.core.exceptions import ModelError
 from repro.engine.store import DesignPointStore
 from repro.experiments.motivational import fig1_application, fig1_profile
-from repro.kernels import (
-    KERNEL_ENV_VAR,
-    SCHED_KERNEL_ENV_VAR,
-    active_kernel,
-    active_sched_kernel,
-)
+from repro.kernels import SCHED_KERNELS, SFP_KERNELS
 
 
-@pytest.fixture(autouse=True)
-def _no_env(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(SCHED_KERNEL_ENV_VAR, raising=False)
+class TestNoKernelScope:
+    def test_with_block_leaves_the_production_backends_alone(self):
+        sfp, sched = SFP_KERNELS.active(), SCHED_KERNELS.active()
+        with Session(RunConfig()):
+            assert SFP_KERNELS.active() is sfp
+            assert SCHED_KERNELS.active() is sched
+        assert SFP_KERNELS.active() is sfp
+        assert SCHED_KERNELS.active() is sched
 
-
-class TestKernelScope:
-    def test_with_block_pins_and_restores_selection(self):
-        config = RunConfig(sfp_kernel="reference", sched_kernel="reference")
-        with Session(config):
-            assert active_kernel().name == "reference"
-            assert active_sched_kernel().name == "reference"
-        assert active_kernel().name == "array"
-        assert active_sched_kernel().name == "flat"
-
-    def test_restores_selection_when_body_raises(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            with Session(RunConfig(sfp_kernel="reference")):
-                raise RuntimeError("boom")
-        assert active_kernel().name == "array"
-
-    def test_session_is_not_reentrant(self):
-        session = Session()
-        with session:
-            with pytest.raises(RuntimeError, match="not re-entrant"):
-                session.__enter__()
-
-    def test_run_scopes_kernels_without_a_with_block(self):
-        observed = {}
+    def test_started_event_and_report_carry_no_kernel_fields(self):
+        events = []
 
         @register_scenario("_probe-kernels", title="test probe")
         def _probe(session, params):
-            observed["sfp"] = active_kernel().name
-            observed["sched"] = active_sched_kernel().name
             return ScenarioOutcome(payload={})
 
         try:
-            report = Session(
-                RunConfig(sfp_kernel="reference", sched_kernel="reference")
-            ).run("_probe-kernels")
+            report = Session(RunConfig(), progress=events.append).run("_probe-kernels")
         finally:
             # Keep the global registry clean for other tests (and reruns).
             from repro.api.registry import _SCENARIOS
 
             _SCENARIOS.pop("_probe-kernels", None)
-        assert observed == {"sfp": "reference", "sched": "reference"}
-        assert report.kernels == {"sfp": "reference", "sched": "reference"}
-        # Standalone run() restored the ambient selection afterwards.
-        assert active_kernel().name == "array"
-        assert active_sched_kernel().name == "flat"
+        assert events[0] == {"event": "scenario_started", "scenario": "_probe-kernels", "params": {}}
+        assert not hasattr(report, "kernels")
+        assert set(report.to_dict()) == {
+            "schema", "scenario", "config", "results", "params", "cache", "timings", "text",
+        }
+
+
+class TestContextManager:
+    def test_exit_releases_the_experiment_pool_also_when_the_body_raises(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with Session(RunConfig(preset="smoke", jobs=2)) as session:
+                experiment = session.experiment()
+                experiment._pool()
+                assert experiment._executor is not None
+                raise RuntimeError("boom")
+        assert experiment._executor is None
+
+
+class TestReportSchema:
+    def test_reports_of_the_kernel_selection_layout_are_rejected(self):
+        """Schema 1 reports carried kernel fields in the config and a
+        ``kernels`` map; reading one fails on the schema, not on a field."""
+        old = RunReport("fig6a", RunConfig(), {}).to_dict()
+        old["schema"] = 1
+        old["config"].update(sfp_kernel="array", sched_kernel="flat")
+        old["kernels"] = {"sfp": "array", "sched": "flat"}
+        with pytest.raises(ModelError, match="Unsupported RunReport schema 1"):
+            RunReport.from_dict(old)
+        assert REPORT_SCHEMA_VERSION == 2
 
 
 class TestOwnedResources:

@@ -27,31 +27,18 @@ class TestParser:
 
     def test_run_accepts_config_flags(self):
         arguments = build_parser().parse_args(
-            ["run", "fig6a", "--preset", "smoke", "--jobs", "2",
-             "--sfp-kernel", "reference", "--sched-kernel", "flat",
-             "--seed", "9"]
+            ["run", "fig6a", "--preset", "smoke", "--jobs", "2", "--seed", "9"]
         )
         assert arguments.preset == "smoke"
         assert arguments.jobs == 2
-        assert arguments.sfp_kernel == "reference"
-        assert arguments.sched_kernel == "flat"
         assert arguments.seed == 9
 
-    @pytest.mark.parametrize(
-        "flag, backends",
-        [
-            ("--sfp-kernel", {"auto", "reference", "array"}),
-            ("--sched-kernel", {"auto", "reference", "flat"}),
-        ],
-    )
-    def test_kernel_flags_offer_only_the_registered_backends(self, flag, backends, capsys):
-        parser = build_parser()
-        for name in backends:
-            arguments = parser.parse_args(["run", "fig6a", flag, name])
-            assert getattr(arguments, flag[2:].replace("-", "_")) == name
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "fig6a", flag, "batch"])
-        assert "invalid choice: 'batch'" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--sfp-kernel", "--sched-kernel"])
+    def test_removed_kernel_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["run", "fig6a", flag, "reference"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_run_accepts_repeated_param_flags(self):
         arguments = build_parser().parse_args(
@@ -131,12 +118,20 @@ class TestRunCommand:
         assert "Unknown scenario" in captured.err
         assert "fig6a" in captured.err  # the known list helps recovery
 
+    @pytest.mark.parametrize("variable", ["REPRO_SFP_KERNEL", "REPRO_SCHED_KERNEL"])
+    def test_former_kernel_env_vars_are_ignored(self, variable, monkeypatch, capsys):
+        # A name no backend ever had: read by anything, it would be an error.
+        monkeypatch.setenv(variable, "no-such-backend")
+        assert main(["run", "motivational"]) == 0
+        assert "evaluation engine: " in capsys.readouterr().out
+
     def test_runs_a_scenario_and_prints_summary(self, capsys):
         exit_code = main(["run", "fig6a", "--preset", "smoke"])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Fig. 6a" in captured
-        assert "evaluation engine" in captured
+        assert "evaluation engine: " in captured
+        assert "kernel" not in captured
         assert "scenario fig6a" in captured
 
     def test_writes_a_structured_report(self, tmp_path, capsys):

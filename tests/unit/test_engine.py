@@ -21,6 +21,7 @@ from repro.engine.fingerprint import (
     profile_fingerprint,
 )
 from repro.experiments.motivational import fig1_application, fig1_profile
+from repro.kernels import ArrayKernel, ReferenceKernel
 
 
 # ----------------------------------------------------------------------
@@ -209,8 +210,6 @@ class TestEvaluationEngine:
             "misses",
             "hit_rate",
             "disk_hits",
-            "kernel",
-            "sched_kernel",
             "caches",
         }
         assert report["misses"] == 1
@@ -219,10 +218,10 @@ class TestEvaluationEngine:
         """The kernel is not part of any memo key: entries computed by one
         backend serve another backend's engine as preloaded hits."""
         application, profile = fig1_application(), fig1_profile()
-        source = EvaluationEngine(application, profile, kernel="reference")
+        source = EvaluationEngine(application, profile, kernel=ReferenceKernel())
         rows = [((1.2e-5, 3.4e-6), budget) for budget in range(4)]
         values = [source.node_exceedance(row, budget, 11) for row, budget in rows]
-        target = EvaluationEngine(application, profile, kernel="array")
+        target = EvaluationEngine(application, profile, kernel=ArrayKernel())
         target.exceedance.load(source.exceedance.snapshot())
         assert [target.node_exceedance(row, budget, 11) for row, budget in rows] == values
         assert target.exceedance.misses == 0

@@ -1,138 +1,172 @@
-"""Kernel registry behaviour: selection precedence, errors, known values."""
+"""Kernel backends: the production instances, the kernel= seam, known values."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.core.exceptions import ModelError
-from repro.kernels import (
-    AUTO,
-    KERNEL_ENV_VAR,
-    ArrayKernel,
-    ReferenceKernel,
-    SFPKernel,
-    active_kernel,
-    get_kernel,
-    kernel_names,
-    resolve_kernel,
-    use_kernel,
+from repro.comm.bus import SimpleBus, TDMABus
+from repro.core.reexecution import ReExecutionOpt
+from repro.core.sfp import (
+    SFPAnalysis,
+    probability_exceeds,
+    probability_no_fault,
+    system_failure_probability,
 )
-from repro.kernels import registry as registry_module
+from repro.engine import EvaluationEngine
+from repro.experiments.motivational import fig1_application, fig1_profile
+from repro.kernels import (
+    SCHED_KERNELS,
+    SFP_KERNELS,
+    ArrayKernel,
+    FlatSchedulerKernel,
+    ReferenceKernel,
+    ReferenceSchedulerKernel,
+)
+from repro.kernels.array_backend import NUMPY_MIN_WIDTH
+from repro.scheduling.list_scheduler import ListScheduler
 
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Each test starts with no process default and no env override.
+from tests.conftest import (
+    SCHED_BACKENDS,
+    SFP_BACKENDS,
+    build_diamond_application,
+    production_kernels,
+    uniform_profile_for,
+)
 
-    Restoration of the pre-test selection is handled by the suite-wide
-    ``_kernel_selection_guard`` autouse fixture in ``tests/conftest.py``.
-    """
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    registry_module.SFP_KERNELS.set_default(None)
-    yield
-
-
-def test_both_builtin_backends_registered():
-    names = kernel_names()
-    assert "reference" in names
-    assert "array" in names
-
-
-def test_auto_prefers_the_array_backend():
-    # array has the higher priority and is always available (numpy optional).
-    assert kernel_names(available_only=True)[0] == "array"
-    assert isinstance(get_kernel(AUTO), ArrayKernel)
-    assert isinstance(active_kernel(), ArrayKernel)
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
-def test_get_kernel_returns_singletons():
-    assert get_kernel("array") is get_kernel("array")
-    assert get_kernel("reference") is get_kernel("reference")
+def _default_kernels():
+    """The backend each ``kernel=None`` entry point binds."""
+    application, profile = fig1_application(), fig1_profile()
+    return {
+        "EvaluationEngine": EvaluationEngine(application, profile).kernel,
+        "SFPAnalysis": SFPAnalysis(application, None, None, profile).kernel,
+        "ReExecutionOpt": ReExecutionOpt().kernel,
+        "ListScheduler": ListScheduler().kernel,
+    }
 
 
-def test_unknown_kernel_is_a_model_error():
-    with pytest.raises(ModelError, match="Unknown SFP kernel"):
-        get_kernel("simd-on-a-toaster")
+# ----------------------------------------------------------------------
+# One production backend per family
+# ----------------------------------------------------------------------
+def test_production_backends_are_array_and_flat():
+    assert type(SFP_KERNELS.active()) is ArrayKernel
+    assert type(SCHED_KERNELS.active()) is FlatSchedulerKernel
+    assert SFP_KERNELS.active() is SFP_KERNELS.active()
+    assert SCHED_KERNELS.active() is SCHED_KERNELS.active()
 
 
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-    assert isinstance(active_kernel(), ReferenceKernel)
+def test_defaults_bind_the_exact_production_instances():
+    kernels = _default_kernels()
+    for entry_point in ("EvaluationEngine", "SFPAnalysis", "ReExecutionOpt"):
+        assert kernels[entry_point] is SFP_KERNELS.active(), entry_point
+    assert kernels["ListScheduler"] is SCHED_KERNELS.active()
 
 
-def test_use_kernel_overrides_env(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-    with use_kernel(sfp="array") as (picked, _):
-        assert isinstance(picked, ArrayKernel)
-        assert isinstance(active_kernel(), ArrayKernel)
-    assert isinstance(active_kernel(), ReferenceKernel)
+def test_swapped_production_instances_reach_every_default():
+    sfp, sched = ReferenceKernel(), ReferenceSchedulerKernel()
+    with production_kernels(sfp=sfp, sched=sched):
+        kernels = _default_kernels()
+        assert kernels["EvaluationEngine"] is sfp
+        assert kernels["SFPAnalysis"] is sfp
+        assert kernels["ReExecutionOpt"] is sfp
+        assert kernels["ListScheduler"] is sched
+    assert type(SFP_KERNELS.active()) is ArrayKernel
+    assert type(SCHED_KERNELS.active()) is FlatSchedulerKernel
 
 
-def test_use_kernel_validates_before_committing(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-    with pytest.raises(ModelError):
-        with use_kernel(sfp="no-such-backend"):
-            pass
-    # The failed selection must not have clobbered the env-var choice.
-    assert isinstance(active_kernel(), ReferenceKernel)
+def test_module_functions_run_on_the_production_backend():
+    class Recording(ReferenceKernel):
+        def __init__(self):
+            self.calls = []
+
+        def probability_no_fault(self, failure_probabilities, decimals=11):
+            self.calls.append("probability_no_fault")
+            return super().probability_no_fault(failure_probabilities, decimals)
+
+        def system_failure(self, per_node_exceedance, decimals=11):
+            self.calls.append("system_failure")
+            return super().system_failure(per_node_exceedance, decimals)
+
+    recording = Recording()
+    with production_kernels(sfp=recording):
+        probability_no_fault([1e-5])
+        probability_exceeds([1e-5], 1)
+        system_failure_probability([1e-9])
+    # probability_exceeds runs formula (1) first, through the same instance.
+    assert recording.calls == ["probability_no_fault", "probability_no_fault", "system_failure"]
 
 
-def test_registries_hold_exactly_the_scalar_backends():
-    assert set(kernel_names()) == {"reference", "array"}
-    assert set(registry_module.sched_kernel_names()) == {"reference", "flat"}
-    with pytest.raises(ModelError, match="Unknown SFP kernel 'batch'"):
-        get_kernel("batch")
-    with pytest.raises(ModelError, match="Unknown scheduler kernel 'batch'"):
-        registry_module.get_sched_kernel("batch")
-    with pytest.raises(ModelError):
-        with use_kernel(sfp="batch"):
-            pass
-    with pytest.raises(ModelError):
-        with use_kernel(sched="batch"):
-            pass
+@pytest.mark.parametrize("variable", ["REPRO_SFP_KERNEL", "REPRO_SCHED_KERNEL"])
+def test_former_kernel_env_vars_change_nothing_in_process(monkeypatch, variable):
+    monkeypatch.setenv(variable, "reference")
+    kernels = _default_kernels()
+    assert type(kernels["EvaluationEngine"]) is ArrayKernel
+    assert type(kernels["ListScheduler"]) is FlatSchedulerKernel
 
 
-def test_resolve_kernel_accepts_instance_name_and_none():
-    instance = ArrayKernel()
-    assert resolve_kernel(instance) is instance
-    assert isinstance(resolve_kernel("reference"), ReferenceKernel)
-    assert isinstance(resolve_kernel(None), SFPKernel)
+def test_former_kernel_env_vars_change_nothing_in_a_fresh_interpreter():
+    env = dict(os.environ, REPRO_SFP_KERNEL="reference", REPRO_SCHED_KERNEL="reference")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    probe = (
+        "from repro.kernels import SCHED_KERNELS, SFP_KERNELS; "
+        "print(type(SFP_KERNELS.active()).__name__, type(SCHED_KERNELS.active()).__name__)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.split() == ["ArrayKernel", "FlatSchedulerKernel"]
 
 
-def test_register_rejects_duplicate_names():
-    class Impostor(SFPKernel):
-        name = "reference"
-
-    with pytest.raises(ModelError, match="already registered"):
-        registry_module.register_kernel(Impostor)
-
-
-def test_register_rejects_anonymous_and_auto_names():
-    class Nameless(SFPKernel):
-        name = ""
-
-    class TakesAuto(SFPKernel):
-        name = AUTO
-
-    with pytest.raises(ModelError):
-        registry_module.register_kernel(Nameless)
-    with pytest.raises(ModelError):
-        registry_module.register_kernel(TakesAuto)
+# ----------------------------------------------------------------------
+# The kernel= seam takes instances only
+# ----------------------------------------------------------------------
+def test_explicit_instances_are_used_as_given():
+    sfp, sched = ReferenceKernel(), ReferenceSchedulerKernel()
+    application, profile = fig1_application(), fig1_profile()
+    assert EvaluationEngine(application, profile, kernel=sfp).kernel is sfp
+    assert SFPAnalysis(application, None, None, profile, kernel=sfp).kernel is sfp
+    assert ReExecutionOpt(kernel=sfp).kernel is sfp
+    assert ListScheduler(kernel=sched).kernel is sched
 
 
-def test_unavailable_backend_skipped_by_auto_and_rejected_explicitly(monkeypatch):
-    class Phantom(SFPKernel):
-        name = "phantom-test-backend"
-        priority = 10_000  # would win auto selection if it were available
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda kernel: EvaluationEngine(fig1_application(), fig1_profile(), kernel=kernel),
+        lambda kernel: SFPAnalysis(fig1_application(), None, None, fig1_profile(), kernel=kernel),
+        lambda kernel: ReExecutionOpt(kernel=kernel),
+        lambda kernel: ListScheduler(kernel=kernel),
+        lambda kernel: probability_no_fault([1e-5], kernel=kernel),
+        lambda kernel: probability_exceeds([1e-5], 1, kernel=kernel),
+        lambda kernel: system_failure_probability([1e-9], kernel=kernel),
+    ],
+    ids=[
+        "EvaluationEngine",
+        "SFPAnalysis",
+        "ReExecutionOpt",
+        "ListScheduler",
+        "probability_no_fault",
+        "probability_exceeds",
+        "system_failure_probability",
+    ],
+)
+def test_kernel_names_are_rejected(build):
+    with pytest.raises(TypeError, match="instance"):
+        build("reference")
 
-        @classmethod
-        def is_available(cls):
-            return False
 
-    monkeypatch.setitem(registry_module.SFP_KERNELS._classes, Phantom.name, Phantom)
-    assert Phantom.name not in kernel_names(available_only=True)
-    assert get_kernel(AUTO).name != Phantom.name
-    with pytest.raises(ModelError, match="not available"):
-        get_kernel(Phantom.name)
+def test_a_backend_of_the_other_family_is_rejected():
+    with pytest.raises(TypeError, match="SchedulerKernel instance"):
+        ListScheduler(kernel=ArrayKernel())
+    with pytest.raises(TypeError, match="SFPKernel instance"):
+        ReExecutionOpt(kernel=FlatSchedulerKernel())
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +179,7 @@ def test_appendix_a2_anchor_values(name):
     Same inputs as ``tests/integration/test_appendix_sfp.py`` drives through
     the analysis layer; here each backend computes the primitives directly.
     """
-    kernel = get_kernel(name)
+    kernel = SFP_BACKENDS[name]
     probabilities = [1.2e-5, 1.3e-5, 1.4e-5]
     # Exact decimal-grid values produced by the reference chain; pinned as
     # literals so a drifting backend fails loudly with the observed value.
@@ -157,84 +191,38 @@ def test_appendix_a2_anchor_values(name):
     assert union >= exceeds_one
 
 
+def test_wide_inputs_take_the_numpy_row_recurrence():
+    """numpy is a declared dependency, so width alone picks the DP path."""
+    narrow, wide = ArrayKernel(), ArrayKernel()
+    probabilities = [1e-5 * (index + 1) for index in range(NUMPY_MIN_WIDTH)]
+    assert narrow.probability_exceeds(probabilities[:-1], 3) == ReferenceKernel().probability_exceeds(
+        probabilities[:-1], 3
+    )
+    assert wide.probability_exceeds(probabilities, 3) == ReferenceKernel().probability_exceeds(
+        probabilities, 3
+    )
+    assert narrow._np_row is None
+    assert wide._np_row is not None
+
+
 # ----------------------------------------------------------------------
-# Scheduler kernel family: same registry machinery, ``sched`` infix.
+# Scheduler kernel family
 # ----------------------------------------------------------------------
-from repro.comm.bus import Bus, SimpleBus  # noqa: E402
-from repro.kernels import (  # noqa: E402
-    SCHED_KERNEL_ENV_VAR,
-    FlatSchedulerKernel,
-    ReferenceSchedulerKernel,
-    SchedulerKernel,
-    active_sched_kernel,
-    get_sched_kernel,
-    resolve_sched_kernel,
-    sched_kernel_names,
-)
+def _diamond_platform():
+    from repro.core.architecture import Architecture, HVersion, Node, NodeType
+    from repro.core.mapping_model import ProcessMapping
 
-
-@pytest.fixture(autouse=True)
-def _clean_sched_selection(monkeypatch):
-    """Each test starts with no scheduler default and no env override."""
-    monkeypatch.delenv(SCHED_KERNEL_ENV_VAR, raising=False)
-    registry_module.SCHED_KERNELS.set_default(None)
-    yield
-
-
-def test_scheduler_backends_registered():
-    names = sched_kernel_names()
-    assert "reference" in names
-    assert "flat" in names
-
-
-def test_auto_prefers_the_flat_scheduler_backend():
-    assert sched_kernel_names(available_only=True)[0] == "flat"
-    assert isinstance(get_sched_kernel(AUTO), FlatSchedulerKernel)
-    assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
-
-
-def test_sched_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(SCHED_KERNEL_ENV_VAR, "reference")
-    assert isinstance(active_sched_kernel(), ReferenceSchedulerKernel)
-
-
-def test_use_kernel_overrides_sched_env(monkeypatch):
-    monkeypatch.setenv(SCHED_KERNEL_ENV_VAR, "reference")
-    with use_kernel(sched="flat") as (_, picked):
-        assert isinstance(picked, FlatSchedulerKernel)
-        assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
-    assert isinstance(active_sched_kernel(), ReferenceSchedulerKernel)
-
-
-def test_unknown_sched_kernel_names_its_family():
-    with pytest.raises(ModelError, match="Unknown scheduler kernel"):
-        get_sched_kernel("gpu-on-a-toaster")
-
-
-def test_families_do_not_share_a_namespace():
-    # "array" is an SFP kernel, "flat" a scheduler kernel; neither resolves
-    # in the other family even though both registries hold a "reference".
-    with pytest.raises(ModelError):
-        get_sched_kernel("array")
-    with pytest.raises(ModelError):
-        get_kernel("flat")
-    assert type(get_kernel("reference")) is ReferenceKernel
-    assert type(get_sched_kernel("reference")) is ReferenceSchedulerKernel
-
-
-def test_resolve_sched_kernel_accepts_instance_name_and_none():
-    instance = FlatSchedulerKernel()
-    assert resolve_sched_kernel(instance) is instance
-    assert isinstance(resolve_sched_kernel("reference"), ReferenceSchedulerKernel)
-    assert isinstance(resolve_sched_kernel(None), SchedulerKernel)
-
-
-def test_sched_register_rejects_duplicate_names():
-    class Impostor(SchedulerKernel):
-        name = "reference"
-
-    with pytest.raises(ModelError, match="already registered"):
-        registry_module.register_sched_kernel(Impostor)
+    application = build_diamond_application(message_time=2.0)
+    node_types = [
+        NodeType("TA", [HVersion(1, 1.0)]),
+        NodeType("TB", [HVersion(1, 1.0)]),
+    ]
+    profile = uniform_profile_for(application, node_types)
+    architecture = Architecture(
+        [Node("NA", node_types[0]), Node("NB", node_types[1])]
+    )
+    mapping = ProcessMapping({"A": "NA", "B": "NB", "C": "NA", "D": "NB"})
+    return application, architecture, mapping, profile
 
 
 def test_flat_kernel_falls_back_to_reference_for_unknown_bus():
@@ -246,32 +234,44 @@ def test_flat_kernel_falls_back_to_reference_for_unknown_bus():
         def _find_window(self, sender_node, earliest_start, duration):
             return 2.0 * super()._find_window(sender_node, earliest_start, duration)
 
-    from tests.conftest import build_diamond_application, uniform_profile_for
-    from repro.core.architecture import Architecture, HVersion, Node, NodeType
-    from repro.core.mapping_model import ProcessMapping
-    from repro.scheduling.list_scheduler import ListScheduler
-
-    application = build_diamond_application(message_time=2.0)
-    node_types = [
-        NodeType("TA", [HVersion(1, 1.0)]),
-        NodeType("TB", [HVersion(1, 1.0)]),
-    ]
-    profile = uniform_profile_for(application, node_types)
-    architecture = Architecture(
-        [Node("NA", node_types[0]), Node("NB", node_types[1])]
-    )
-    mapping = ProcessMapping({"A": "NA", "B": "NB", "C": "NA", "D": "NB"})
-
-    flat = ListScheduler(bus=EveryOtherSlotBus(), kernel="flat").schedule(
+    application, architecture, mapping, profile = _diamond_platform()
+    flat = ListScheduler(bus=EveryOtherSlotBus(), kernel=SCHED_BACKENDS["flat"]).schedule(
         application, architecture, mapping, profile
     )
-    reference = ListScheduler(bus=EveryOtherSlotBus(), kernel="reference").schedule(
-        application, architecture, mapping, profile
-    )
+    reference = ListScheduler(
+        bus=EveryOtherSlotBus(), kernel=SCHED_BACKENDS["reference"]
+    ).schedule(application, architecture, mapping, profile)
     assert flat == reference
     # The custom policy actually fired (windows were doubled), so the flat
     # backend cannot have used its own SimpleBus gap search.
     assert flat.message_entry("mAB").start == 2.0 * 10.0
+
+
+def test_flat_kernel_falls_back_to_reference_for_a_tdma_subclass():
+    """Only exactly ``SimpleBus``/``TDMABus`` take the flat gap search."""
+
+    class CountingTDMABus(TDMABus):
+        def __init__(self, slot_order, slot_length):
+            super().__init__(slot_order, slot_length)
+            self.window_searches = 0
+
+        def _find_window(self, sender_node, earliest_start, duration):
+            self.window_searches += 1
+            return super()._find_window(sender_node, earliest_start, duration)
+
+    application, architecture, mapping, profile = _diamond_platform()
+    flat = FlatSchedulerKernel()
+    subclass_bus = CountingTDMABus(["NA", "NB"], slot_length=5.0)
+    through_fallback = ListScheduler(bus=subclass_bus, kernel=flat).schedule(
+        application, architecture, mapping, profile
+    )
+    through_flat = ListScheduler(
+        bus=TDMABus(["NA", "NB"], slot_length=5.0), kernel=flat
+    ).schedule(application, architecture, mapping, profile)
+    # The subclass went through Bus.reserve (the reference path), and an
+    # unchanged policy gives the flat gap search's schedule.
+    assert subclass_bus.window_searches > 0
+    assert through_fallback == through_flat
 
 
 def test_flat_kernel_recompiles_after_in_place_profile_and_overhead_edits():
@@ -282,25 +282,11 @@ def test_flat_kernel_recompiles_after_in_place_profile_and_overhead_edits():
     replayed stale snapshot floats while the reference backend read the live
     objects.
     """
-    from tests.conftest import build_diamond_application, uniform_profile_for
-    from repro.core.architecture import Architecture, HVersion, Node, NodeType
-    from repro.core.mapping_model import ProcessMapping
-    from repro.scheduling.list_scheduler import ListScheduler
-
-    application = build_diamond_application(message_time=2.0)
-    node_types = [
-        NodeType("TA", [HVersion(1, 1.0)]),
-        NodeType("TB", [HVersion(1, 1.0)]),
-    ]
-    profile = uniform_profile_for(application, node_types)
-    architecture = Architecture(
-        [Node("NA", node_types[0]), Node("NB", node_types[1])]
-    )
-    mapping = ProcessMapping({"A": "NA", "B": "NB", "C": "NA", "D": "NB"})
+    application, architecture, mapping, profile = _diamond_platform()
     budgets = {"NA": 1, "NB": 1}
 
-    flat = ListScheduler(kernel="flat")
-    reference = ListScheduler(kernel="reference")
+    flat = ListScheduler(kernel=FlatSchedulerKernel())
+    reference = ListScheduler(kernel=ReferenceSchedulerKernel())
     assert flat.schedule(
         application, architecture, mapping, profile, budgets
     ) == reference.schedule(application, architecture, mapping, profile, budgets)
@@ -320,58 +306,3 @@ def test_flat_kernel_recompiles_after_in_place_profile_and_overhead_edits():
         application, architecture, mapping, profile, budgets
     )
     assert after_mu.node_recovery_slack["NA"] == 30.0 + 50.0  # budget 1 × (t + mu)
-
-
-# ----------------------------------------------------------------------
-# Scoped selection: use_kernel
-# ----------------------------------------------------------------------
-
-
-class TestUseKernel:
-    def test_scopes_both_families_and_restores(self):
-        with use_kernel(sfp="reference", sched="reference") as (sfp, sched):
-            assert isinstance(sfp, ReferenceKernel)
-            assert isinstance(sched, ReferenceSchedulerKernel)
-            assert isinstance(active_kernel(), ReferenceKernel)
-            assert isinstance(active_sched_kernel(), ReferenceSchedulerKernel)
-        assert isinstance(active_kernel(), ArrayKernel)
-        assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
-
-    def test_none_leaves_ambient_selection_untouched(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        with use_kernel(sched="flat") as (sfp, sched):
-            assert isinstance(sfp, ReferenceKernel)  # env still decides SFP
-            assert isinstance(sched, FlatSchedulerKernel)
-
-    def test_restores_on_exception(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            with use_kernel(sfp="reference", sched="reference"):
-                assert isinstance(active_kernel(), ReferenceKernel)
-                raise RuntimeError("boom")
-        assert isinstance(active_kernel(), ArrayKernel)
-        assert isinstance(active_sched_kernel(), FlatSchedulerKernel)
-
-    def test_invalid_name_leaves_state_untouched(self):
-        with pytest.raises(ModelError):
-            with use_kernel(sfp="no-such-backend"):
-                pytest.fail("the scope body must not run")  # pragma: no cover
-        assert isinstance(active_kernel(), ArrayKernel)
-
-    def test_accepts_registry_singleton_instances(self):
-        with use_kernel(sfp=get_kernel("reference")) as (sfp, _):
-            assert isinstance(sfp, ReferenceKernel)
-
-    def test_rejects_foreign_instances(self):
-        # A separately constructed object would be silently swapped for the
-        # registry singleton of the same name; that must fail instead.
-        with pytest.raises(ModelError, match="registry-singleton"):
-            with use_kernel(sfp=ReferenceKernel()):
-                pytest.fail("the scope body must not run")  # pragma: no cover
-        assert isinstance(active_kernel(), ArrayKernel)
-
-    def test_nested_scopes_unwind_in_order(self):
-        with use_kernel(sfp="reference"):
-            with use_kernel(sfp="array"):
-                assert isinstance(active_kernel(), ArrayKernel)
-            assert isinstance(active_kernel(), ReferenceKernel)
-        assert isinstance(active_kernel(), ArrayKernel)

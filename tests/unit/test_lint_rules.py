@@ -146,8 +146,6 @@ class TestFingerprintPurity:
 _BASE = """
 class SFPKernel:
     name = ""
-    description = ""
-    priority = 0
 
     def probability_exceeds(self, probabilities, reexecutions, threshold):
         raise NotImplementedError
@@ -163,8 +161,6 @@ class TestKernelContract:
 
                 class GoodKernel(SFPKernel):
                     name = "good"
-                    description = "conforming fixture backend"
-                    priority = 10
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0
@@ -182,8 +178,6 @@ class TestKernelContract:
 
                 class LazyKernel(SFPKernel):
                     name = "lazy"
-                    description = "misses the abstract method"
-                    priority = 10
                 """,
             }
         )
@@ -199,8 +193,6 @@ class TestKernelContract:
 
                 class DriftedKernel(SFPKernel):
                     name = "drifted"
-                    description = "renamed a positional argument"
-                    priority = 10
 
                     def probability_exceeds(self, probs, reexecutions, threshold):
                         return 0.0
@@ -219,8 +211,6 @@ class TestKernelContract:
 
                 class SharedStateKernel(SFPKernel):
                     name = "shared"
-                    description = "class-level scratch buffer"
-                    priority = 10
                     _scratch = []
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
@@ -231,7 +221,7 @@ class TestKernelContract:
         (violation,) = findings(project, "R002")
         assert "mutable class state" in violation.message
 
-    def test_missing_registry_attr_fires(self):
+    def test_missing_name_attr_fires(self):
         project = project_from(
             **{
                 "repro.kernels.base": _BASE,
@@ -239,20 +229,17 @@ class TestKernelContract:
                 from repro.kernels.base import SFPKernel
 
                 class AnonymousKernel(SFPKernel):
-                    name = "anonymous"
-                    description = "priority missing"
-
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0
                 """,
             }
         )
         (violation,) = findings(project, "R002")
-        assert "registry attribute 'priority'" in violation.message
+        assert "class attribute 'name'" in violation.message
 
     def test_stacked_backend_inheriting_implementation_is_quiet(self):
         """A backend stacked on another backend inherits the contract
-        implementation; only the registry attributes must be its own."""
+        implementation; only its name must be its own."""
         project = project_from(
             **{
                 "repro.kernels.base": _BASE,
@@ -261,16 +248,12 @@ class TestKernelContract:
 
                 class GoodKernel(SFPKernel):
                     name = "good"
-                    description = "conforming fixture backend"
-                    priority = 10
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0
 
                 class StackedKernel(GoodKernel):
                     name = "stacked"
-                    description = "inherits the implementation from good"
-                    priority = 5
                 """,
             }
         )
@@ -287,13 +270,9 @@ class TestKernelContract:
 
                 class MiddleKernel(SFPKernel):
                     name = "middle"
-                    description = "no implementation anywhere"
-                    priority = 10
 
                 class LeafKernel(MiddleKernel):
                     name = "leaf"
-                    description = "inherits nothing useful"
-                    priority = 5
                 """,
             }
         )
@@ -316,16 +295,12 @@ class TestKernelContract:
 
                 class DriftedKernel(SFPKernel):
                     name = "drifted"
-                    description = "renamed a positional argument"
-                    priority = 10
 
                     def probability_exceeds(self, probs, reexecutions, threshold):
                         return 0.0
 
                 class HeirKernel(DriftedKernel):
                     name = "heir"
-                    description = "inherits the drifted override"
-                    priority = 5
                 """,
             }
         )
@@ -342,8 +317,6 @@ class TestKernelContract:
 
                 class StubKernel(SFPKernel):
                     name = "stub"
-                    description = "overrides but never implements"
-                    priority = 10
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         \"\"\"Not yet.\"\"\"
@@ -355,7 +328,7 @@ class TestKernelContract:
         assert "still raises NotImplementedError" in violation.message
         assert violation.symbol == "repro.kernels.custom.StubKernel"
 
-    def test_empty_registry_name_fires(self):
+    def test_empty_name_fires(self):
         project = project_from(
             **{
                 "repro.kernels.base": _BASE,
@@ -364,8 +337,6 @@ class TestKernelContract:
 
                 class NamelessKernel(SFPKernel):
                     name = ""
-                    description = "registers under an empty name"
-                    priority = 10
 
                     def probability_exceeds(self, probabilities, reexecutions, threshold):
                         return 0.0
@@ -373,7 +344,7 @@ class TestKernelContract:
             }
         )
         (violation,) = findings(project, "R002")
-        assert "empty registry name" in violation.message
+        assert "declares an empty name" in violation.message
 
     def test_mutable_call_class_state_fires_and_tuple_is_quiet(self):
         project = project_from(
@@ -384,8 +355,6 @@ class TestKernelContract:
 
                 class MemoKernel(SFPKernel):
                     name = "memo"
-                    description = "class-level memo built by a call"
-                    priority = 10
                     _memo = dict()
                     _levels = (1, 2, 3)
 
@@ -403,8 +372,6 @@ class TestKernelContract:
                 "repro.kernels.sched_base": """
                 class SchedulerKernel:
                     name = ""
-                    description = ""
-                    priority = 0
 
                     def build_schedule(self, problem):
                         raise NotImplementedError
@@ -414,16 +381,12 @@ class TestKernelContract:
 
                 class GoodScheduler(SchedulerKernel):
                     name = "good"
-                    description = "conforming scheduler backend"
-                    priority = 10
 
                     def build_schedule(self, problem):
                         return None
 
                 class DriftedScheduler(SchedulerKernel):
                     name = "drifted"
-                    description = "renamed the problem argument"
-                    priority = 5
 
                     def build_schedule(self, scheduling_problem):
                         return None
@@ -449,7 +412,7 @@ class TestKernelContract:
             }
         )
         violations = findings(project, "R002")
-        assert any("kernel selection must not leak" in v.message for v in violations)
+        assert any("kernel backends must not leak" in v.message for v in violations)
 
     def test_type_checking_only_import_is_quiet(self):
         project = project_from(

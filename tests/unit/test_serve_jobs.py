@@ -73,14 +73,14 @@ def test_submit_validates_scenario_config_and_params(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["sfp_kernel", "sched_kernel"])
-def test_submit_rejects_unknown_kernel_backends(tmp_path, field):
-    """A payload naming a backend that is not registered (the removed
-    ``batch`` pair) is a 400 at submit time, not a failed job later."""
+def test_submit_rejects_the_removed_kernel_fields(tmp_path, field):
+    """Each kernel family has one production backend; a payload still
+    naming one is a 400 at submit time, not a job that runs anyway."""
     manager = _manager(tmp_path)
     with pytest.raises(HttpError) as info:
-        manager.submit({"scenario": "fig6a", "config": {field: "batch"}})
+        manager.submit({"scenario": "fig6a", "config": {field: "reference"}})
     assert info.value.status == 400
-    assert "'batch'" in str(info.value)
+    assert f"Unknown RunConfig fields: ['{field}']" in str(info.value)
     assert manager.jobs == {}
 
 
@@ -253,3 +253,33 @@ def test_worker_stops_at_its_first_event_on_a_sealed_spool(tmp_path):
         _execute_job(job.spec())
     lines, _ = iter_new_lines(job.events_path, 0)
     assert json.loads(list(lines)[-1])["event"] == "job_failed"
+
+
+# ----------------------------------------------------------------------
+# pool replacement after a worker death
+# ----------------------------------------------------------------------
+class _StubPool:
+    def __init__(self):
+        self.shutdowns = []
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+
+
+def test_a_broken_pool_is_replaced_once_however_many_consumers_report_it(tmp_path):
+    manager = _manager(tmp_path)
+    broken, fresh = _StubPool(), _StubPool()
+    built = []
+
+    def new_pool():
+        built.append(fresh)
+        return fresh
+
+    manager._executor = broken
+    manager._new_pool = new_pool
+    manager._replace_broken_pool(broken)
+    manager._replace_broken_pool(broken)  # a second consumer saw the same breakage
+    assert manager._executor is fresh
+    assert built == [fresh]
+    assert broken.shutdowns == [(False, True)]
+    assert fresh.shutdowns == []
