@@ -6,9 +6,9 @@ A faithful, laptop-scale reproduction of
     "Analysis and Optimization of Fault-Tolerant Embedded Systems with
     Hardened Processors", DATE 2009.
 
-The public API re-exports the most commonly used classes; see the package
-documentation (README.md and DESIGN.md) for an architecture overview and
-``examples/`` for runnable entry points.
+The public API re-exports the most commonly used classes; see README.md
+for the layout and the scenario driver, PERFORMANCE.md for the kernel and
+caching architecture, and ``examples/`` for runnable entry points.
 """
 
 from __future__ import annotations

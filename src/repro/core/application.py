@@ -49,8 +49,8 @@ class Process:
         profile builders; algorithms never read it directly — they always go
         through an :class:`~repro.core.profile.ExecutionProfile`.
     criticality:
-        Optional designer-provided criticality weight.  It is not used by the
-        paper's heuristics but is kept for the replication policy extension.
+        Optional designer-provided criticality weight.  No heuristic of the
+        paper reads it.
     """
 
     name: str

@@ -14,7 +14,7 @@ keeps the cheapest combination that is schedulable and reliable.  The search
 space grows as ``nodes^processes * levels^nodes`` per architecture, so the
 class refuses instances beyond a configurable size — it exists to validate
 the heuristics on small instances (see
-``benchmarks/test_bench_ablation_optimality.py``), not to replace them.
+``tests/integration/test_paper_shapes.py``), not to replace them.
 """
 
 from __future__ import annotations

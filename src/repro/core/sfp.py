@@ -285,12 +285,6 @@ class SFPAnalysis:
             self.node_failure_probabilities(node), self.decimals
         )
 
-    def probability_exactly(self, node: Node, faults: int) -> float:
-        """Formula (3) for one node at its current hardening level."""
-        return probability_exactly(
-            self.node_failure_probabilities(node), faults, self.decimals
-        )
-
     def node_exceedance(self, node: Node, reexecutions: int) -> float:
         """Formula (4): probability node ``Nj`` sees more than ``k_j`` faults."""
         probabilities = self.node_failure_probabilities(node)
@@ -342,10 +336,6 @@ class SFPAnalysis:
                 for node in self.architecture
             },
         )
-
-    def meets_goal(self, reexecutions: Mapping[str, int]) -> bool:
-        """Does the assignment of re-executions satisfy the reliability goal?"""
-        return self.evaluate(reexecutions).meets_goal
 
     # ------------------------------------------------------------------
     @staticmethod

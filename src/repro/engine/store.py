@@ -85,18 +85,6 @@ class StoreStats:
     single_flight_leads: int = 0
     single_flight_waits: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "files_loaded": self.files_loaded,
-            "entries_loaded": self.entries_loaded,
-            "files_persisted": self.files_persisted,
-            "entries_persisted": self.entries_persisted,
-            "evicted_files": self.evicted_files,
-            "invalid_files": self.invalid_files,
-            "single_flight_leads": self.single_flight_leads,
-            "single_flight_waits": self.single_flight_waits,
-        }
-
 
 def _without_schedule(decision: Any, slim: Dict[int, Any]) -> Any:
     """``decision`` with ``schedule=None``; one copy per distinct object."""
@@ -106,6 +94,29 @@ def _without_schedule(decision: Any, slim: Dict[int, Any]) -> Any:
     if copy is None:
         copy = slim[id(decision)] = replace(decision, schedule=None)
     return copy
+
+
+def _lock_owner_is_gone(path: Path) -> bool:
+    """True only when the lock file names a pid that no longer exists.
+
+    An empty or unparsable file (the leader sits between its ``O_EXCL``
+    create and the pid write), a pid alive under another uid
+    (``PermissionError``) and a live pid all count as held; such locks are
+    broken by age alone.
+    """
+    if os.name != "posix":  # on Windows, signal 0 is CTRL_C_EVENT, not a probe
+        return False
+    try:
+        pid = int(path.read_text())
+    except (OSError, ValueError):
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # PermissionError: alive under another uid
+        pass
+    return False
 
 
 class DesignPointStore:
@@ -234,11 +245,12 @@ class DesignPointStore:
           persist, so every design point the leader computed is served from
           disk and the follower computes nothing.
 
-        The guard degrades, never deadlocks: a lock older than
-        ``stale_after`` seconds is treated as an orphan of a dead leader and
-        broken, and an optional ``timeout`` bounds the total wait — in both
-        cases the follower proceeds and at worst recomputes (bit-identical)
-        design points, which is exactly the behavior without the guard.
+        The guard degrades, never deadlocks: a lock whose recorded pid no
+        longer exists, or one older than ``stale_after`` seconds, is treated
+        as an orphan of a dead leader and broken, and an optional
+        ``timeout`` bounds the total wait — in every case the follower
+        proceeds and at worst recomputes (bit-identical) design points,
+        which is exactly the behavior without the guard.
         """
         lock_path = self.directory / f"{self.context_key(engine)}.lock"
         leader = self._try_lock(lock_path)
@@ -280,7 +292,7 @@ class DesignPointStore:
                 age = time.time() - path.stat().st_mtime
             except OSError:
                 return  # leader released (or lock broken by a peer)
-            if age > stale_after:
+            if age > stale_after or _lock_owner_is_gone(path):
                 # The leader died without releasing; break its lock so the
                 # context can make progress.  At worst two processes compute
                 # the same (bit-identical) entries — the pre-guard behavior.

@@ -19,8 +19,7 @@ reconstruction with the same size (32 processes), the same three-ECU
 architecture and a control-flow structure typical of a cruise controller
 (sensor acquisition → filtering → state estimation → control law →
 arbitration → actuation, plus diagnostics and display).  WCETs are chosen so
-the schedule pressure matches the published behaviour; see DESIGN.md for the
-substitution rationale.
+the schedule pressure matches the published behaviour.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.core.fault_model import FaultModel, HardeningModel, TechnologyModel
 from repro.core.mapping import MappingAlgorithm, Objective
 from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
-from repro.analysis.cost import relative_cost_saving
 
 #: Deadline and period of the cruise controller, in milliseconds.
 CC_DEADLINE = 300.0
@@ -152,6 +150,18 @@ def cruise_controller_profile(
     technology = TechnologyModel(ser_per_cycle=CC_SER, clock_mhz=CC_CLOCK_MHZ)
     fault_model = FaultModel(technology, hardening)
     return fault_model.build_profile(application, node_types)
+
+
+def relative_cost_saving(cost: float, reference_cost: float) -> float:
+    """Relative saving of ``cost`` versus ``reference_cost`` (e.g. OPT vs MAX).
+
+    Returns a fraction in ``[0, 1]``; 0 when there is no saving or the
+    reference is not positive.
+    """
+    if reference_cost <= 0.0:
+        return 0.0
+    saving = (reference_cost - cost) / reference_cost
+    return max(0.0, saving)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ Running the full 150-application sweep takes hours of CPU (the paper reports
 3-60 minutes per application on a 2.8 GHz Pentium 4); this module therefore
 exposes *presets*: ``ExperimentPreset.paper()`` mirrors the published setup,
 ``ExperimentPreset.fast()`` is a scaled-down configuration (fewer, smaller
-applications and reduced tabu-search effort) used by the pytest-benchmark
-harnesses so every figure regenerates in minutes on a laptop.  The qualitative
+applications and reduced tabu-search effort) used by the test suite and
+the ``--preset fast`` runs, so every figure regenerates in seconds on a
+laptop.  The qualitative
 shape — MIN flat over HPD, MAX degrading with HPD and cost pressure, OPT
 dominating both, OPT ≈ MIN at low SER and OPT ≫ MIN at high SER — is
 preserved by the scaled-down preset and asserted in the integration tests.

@@ -10,7 +10,7 @@ i.e. ``k_j * (max_i t_ijh + mu)``, not the sum over all processes.
 
 The module provides both the shared slack used by the paper and the naive
 (per-process, non-shared) slack used as an ablation baseline in
-``benchmarks/test_bench_ablation_slack_sharing.py``.
+``tests/integration/test_paper_shapes.py``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared pytest fixtures: the paper's motivational examples and small helpers."""
+"""Shared pytest fixtures: the paper's examples, the fast-preset experiment, helpers."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from repro.experiments.motivational import (
     fig3_node_type,
     fig3_profile,
 )
+from repro.experiments.synthetic import AcceptanceExperiment, ExperimentPreset
 from repro.kernels import (
     SCHED_KERNELS,
     SFP_KERNELS,
@@ -54,6 +55,16 @@ def production_kernels(
         if sched is not None:
             patch.setattr(SCHED_KERNELS, "kernel", sched)
         yield
+
+
+@pytest.fixture(scope="session")
+def fast_experiment() -> AcceptanceExperiment:
+    """The fast-preset synthetic experiment, computed once per test session.
+
+    Every test that reads a fast-preset Fig. 6 setting shares its memoized
+    settings, so each (SER, HPD) setting is evaluated once per session.
+    """
+    return AcceptanceExperiment(preset=ExperimentPreset.fast())
 
 
 @pytest.fixture

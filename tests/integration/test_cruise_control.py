@@ -17,6 +17,7 @@ from repro.experiments.cruise_control import (
     cruise_controller_application,
     cruise_controller_node_types,
     cruise_controller_profile,
+    relative_cost_saving,
     run_cruise_controller_study,
 )
 
@@ -50,6 +51,12 @@ class TestCruiseControllerModel:
         sources = set(graph.sources())
         assert "read_speed_sensor" in sources
         assert "throttle_command" in graph.sinks()
+
+    def test_relative_cost_saving(self):
+        assert relative_cost_saving(17.0, 50.0) == pytest.approx(0.66)
+        assert relative_cost_saving(50.0, 50.0) == 0.0
+        assert relative_cost_saving(60.0, 50.0) == 0.0
+        assert relative_cost_saving(10.0, 0.0) == 0.0
 
     def test_deadline_and_reliability_goal(self):
         application = cruise_controller_application()

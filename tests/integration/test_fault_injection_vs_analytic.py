@@ -5,13 +5,15 @@ flow as an analytic one.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.application import Application, Message, Process
 from repro.core.architecture import Architecture, Node, linear_cost_node_type
 from repro.core.mapping_model import ProcessMapping
 from repro.core.reexecution import ReExecutionOpt
-from repro.faults.hardening import SelectiveHardeningPlan
+from repro.faults.hardening import SelectiveHardeningPlan, apply_selective_hardening
 from repro.faults.injection import FaultInjectionCampaign
 from repro.faults.processor import ProcessorModel
 from repro.scheduling.list_scheduler import ListScheduler
@@ -38,17 +40,32 @@ class TestCampaignAgreesWithAnalyticModel:
             low, high = estimate.confidence_interval(z=4.0)
             assert low <= processor.failure_probability(wcet) <= high
 
-    def test_hardening_ladder_preserves_ordering(self, processor):
-        plan = SelectiveHardeningPlan.linear(3, max_hardened_fraction=0.95)
-        campaign = FaultInjectionCampaign(runs=20_000, seed=7)
-        from repro.faults.hardening import apply_selective_hardening
-
+    @pytest.mark.parametrize(
+        "overrides, plan, seed",
+        [
+            pytest.param(
+                {}, SelectiveHardeningPlan.linear(3, max_hardened_fraction=0.95), 7,
+                id="3-level",
+            ),
+            pytest.param(
+                {"flip_flops": 50_000, "upset_rate_per_ff_cycle": 2e-12},
+                SelectiveHardeningPlan.linear(
+                    5, max_hardened_fraction=0.99, max_slowdown_percent=25.0
+                ),
+                123,
+                id="5-level",
+            ),
+        ],
+    )
+    def test_hardening_ladder_preserves_ordering(self, processor, overrides, plan, seed):
+        base = replace(processor, **overrides)
+        campaign = FaultInjectionCampaign(runs=20_000, seed=seed)
         estimates = [
-            campaign.inject(apply_selective_hardening(processor, plan, level), 10.0)
-            for level in (1, 2, 3)
+            campaign.inject(apply_selective_hardening(base, plan, level), 10.0)
+            for level in plan.levels
         ]
         rates = [estimate.failure_probability for estimate in estimates]
-        assert rates[0] > rates[2]
+        assert rates[0] > rates[-1]
 
 
 class TestFaultInjectionScenario:

@@ -1,7 +1,8 @@
 """Golden regression fixtures for the Fig. 6a / 6b fast-preset sweeps.
 
 The checked-in JSON files under ``tests/golden/`` pin the exact acceptance
-percentages of the fast preset.  Kernel backends, engine caching, the
+percentages of the fast preset, computed on the session-shared
+``fast_experiment`` fixture.  Kernel backends, engine caching, the
 persistent store and parallelism are all required to be bit-identical
 transformations — so *any* drift in these fixtures is a correctness bug, not
 noise, and the diff in the failure message names the exact setting that
@@ -14,15 +15,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.core.fault_model import SER_MEDIUM
-from repro.experiments.synthetic import (
-    AcceptanceExperiment,
-    ExperimentPreset,
-    figure_6a_hpd_sweep,
-    figure_6b_cost_table,
-)
+from repro.experiments.synthetic import figure_6a_hpd_sweep, figure_6b_cost_table
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -30,12 +24,6 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 def _load(name: str) -> dict:
     with (GOLDEN_DIR / name).open(encoding="utf-8") as handle:
         return json.load(handle)
-
-
-@pytest.fixture(scope="module")
-def fast_experiment() -> AcceptanceExperiment:
-    """One fast-preset experiment shared by both figures (same settings)."""
-    return AcceptanceExperiment(preset=ExperimentPreset.fast())
 
 
 def test_fig6a_acceptance_matches_golden(fast_experiment):

@@ -96,6 +96,16 @@ class TestExperimentMachinery:
         for strategy in ("MIN", "MAX", "OPT"):
             assert len(setting.results[strategy]) == len(experiment.benchmarks)
 
+    def test_context_manager_closes_the_worker_pool(self):
+        with AcceptanceExperiment(preset=ExperimentPreset.smoke(), n_jobs=2) as experiment:
+            experiment.run_setting(SER_MEDIUM, 5.0)
+            pool = experiment._executor
+            assert pool is not None
+        assert experiment._executor is None
+        assert experiment._finalizer is None
+        with pytest.raises(RuntimeError):
+            pool.submit(int)
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             AcceptanceExperiment(

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.core.reexecution import ReExecutionOpt
-from repro.core.sfp import SFPAnalysis
 from repro.engine import (
     DesignPointStore,
     EvaluationEngine,
@@ -21,6 +22,25 @@ from repro.engine.store import code_version_salt
 from repro.experiments.motivational import fig1_application, fig1_profile
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Child-process prelude: a store on ``sys.argv[1]`` and a fresh engine
+#: bound to the Fig. 1 context (the ``context`` fixture's).
+_CHILD_PRELUDE = (
+    "import os, signal, sys, time\n"
+    "from repro.engine import DesignPointStore, EvaluationEngine\n"
+    "from repro.experiments.motivational import fig1_application, fig1_profile\n"
+    "store = DesignPointStore(sys.argv[1])\n"
+    "engine = EvaluationEngine(fig1_application(), fig1_profile())\n"
+)
+
+
+def _child(script: str, directory: Path, **popen_kwargs) -> subprocess.Popen:
+    """Run ``_CHILD_PRELUDE + script`` in a fresh interpreter on ``directory``."""
+    return subprocess.Popen(
+        [sys.executable, "-c", _CHILD_PRELUDE + script, str(directory)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        **popen_kwargs,
+    )
 
 
 @pytest.fixture
@@ -260,6 +280,31 @@ def test_stale_tmp_orphans_are_swept_and_capped(tmp_path, context):
     assert not fresh_orphan.exists()  # counted and evicted like any file
 
 
+def test_writer_killed_between_dump_and_replace_keeps_the_old_file(tmp_path, context):
+    store = DesignPointStore(tmp_path)
+    persisted = store.persist(_engine_with_entries(context))
+    crashing_writer = (
+        "engine.node_exceedance((1.2e-5, 1.3e-5), 3, 11)\n"
+        "os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "store.persist(engine)\n"
+    )
+    with _child(crashing_writer, tmp_path) as writer:
+        assert writer.wait() == -signal.SIGKILL
+    (orphan,) = tmp_path.glob("*.tmp")
+    assert orphan.stat().st_size > 0  # the dump finished, the replace never ran
+
+    # The previous file still loads, with exactly its own entries.
+    application, profile = context
+    reader = DesignPointStore(tmp_path)
+    assert reader.warm(EvaluationEngine(application, profile)) == persisted
+    assert orphan.exists()  # a fresh temp file may be a live write
+
+    past_cutoff = time.time() - 2 * 3600.0
+    os.utime(orphan, (past_cutoff, past_cutoff))
+    DesignPointStore(tmp_path)  # the sweep runs at construction
+    assert not orphan.exists()
+
+
 # ----------------------------------------------------------------------
 # stable fingerprint
 # ----------------------------------------------------------------------
@@ -339,7 +384,7 @@ def test_single_flight_follower_waits_until_the_leader_releases(tmp_path, contex
     store = DesignPointStore(tmp_path)
     engine = EvaluationEngine(application, profile)
     lock = _lock_path(store, engine)
-    lock.write_text("12345")  # a live foreign leader
+    lock.write_text(str(os.getpid()))  # a live foreign leader
 
     def release():
         time_module.sleep(0.3)
@@ -363,7 +408,7 @@ def test_single_flight_breaks_stale_locks(tmp_path, context):
     store = DesignPointStore(tmp_path)
     engine = EvaluationEngine(application, profile)
     lock = _lock_path(store, engine)
-    lock.write_text("12345")
+    lock.write_text(str(os.getpid()))  # alive, so only the age rule applies
     ancient = os.path.getmtime(lock) - 10_000.0
     os.utime(lock, (ancient, ancient))
     with store.single_flight(engine, stale_after=600.0) as leader:
@@ -373,20 +418,65 @@ def test_single_flight_breaks_stale_locks(tmp_path, context):
     assert not lock.exists()
 
 
-def test_single_flight_timeout_bounds_the_wait(tmp_path, context):
-    import time as time_module
+@pytest.mark.parametrize(
+    "content, kill_error",
+    [
+        pytest.param("{pid}", None, id="live-pid"),
+        pytest.param("", None, id="empty"),
+        pytest.param("not-a-pid", None, id="unparsable"),
+        pytest.param("{pid}", PermissionError, id="other-uid"),
+    ],
+)
+def test_single_flight_timeout_bounds_the_wait(
+    tmp_path, context, monkeypatch, content, kill_error
+):
+    """A fresh lock not proven orphaned (its pid may be alive) is waited on."""
+    if kill_error is not None:
 
+        def kill(pid, sig):
+            raise kill_error(f"not allowed to signal {pid}")
+
+        monkeypatch.setattr(os, "kill", kill)
     application, profile = context
     store = DesignPointStore(tmp_path)
     engine = EvaluationEngine(application, profile)
     lock = _lock_path(store, engine)
-    lock.write_text("12345")  # never released
-    start = time_module.monotonic()
-    with store.single_flight(engine, timeout=0.2) as leader:
+    lock.write_text(content.format(pid=os.getpid()))  # never released
+    start = time.monotonic()
+    with store.single_flight(engine, poll_interval=0.02, timeout=0.2) as leader:
+        waited = time.monotonic() - start
         assert leader is False
-    assert time_module.monotonic() - start < 5.0
+    assert 0.2 <= waited < 5.0
     assert lock.exists()  # fresh foreign lock is left alone
-    lock.unlink()
+
+
+def test_single_flight_breaks_the_lock_of_a_killed_leader(tmp_path, context):
+    leader_script = (
+        "with store.single_flight(engine) as leader:\n"
+        "    print(leader, flush=True)\n"
+        "    time.sleep(600)\n"
+    )
+    with _child(leader_script, tmp_path, stdout=subprocess.PIPE, text=True) as leader:
+        try:
+            elected = leader.stdout.readline().strip()
+        finally:
+            leader.kill()
+    # Leaving the ``with`` reaped the leader, so its pid no longer exists.
+    assert elected == "True"
+    application, profile = context
+    store = DesignPointStore(tmp_path)
+    engine = EvaluationEngine(application, profile)
+    lock = _lock_path(store, engine)
+    assert lock.read_text() == str(leader.pid)
+    start = time.monotonic()
+    with store.single_flight(engine, poll_interval=5.0, timeout=30.0) as is_leader:
+        waited = time.monotonic() - start
+        assert is_leader is False
+        assert store.warm(engine) == 0  # the leader died before persisting
+        engine.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
+        assert store.persist(engine) > 0  # so the follower computes
+    assert waited < 5.0  # broken within one poll
+    assert not lock.exists()
 
 
 def test_single_flight_follower_serves_the_leaders_points_from_disk(tmp_path, context):
