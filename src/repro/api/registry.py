@@ -29,12 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.exceptions import ModelError
+import numpy as np
 
-try:  # numpy is optional at the API layer (generator scenarios need it)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None  # type: ignore[assignment]
+from repro.core.exceptions import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.session import Session
@@ -50,11 +47,10 @@ def canonicalize_payload(value: Any) -> Any:
     keeps every :class:`~repro.api.report.RunReport` losslessly
     JSON-round-trippable without per-scenario ceremony.
     """
-    if _np is not None:
-        if isinstance(value, _np.generic):
-            return canonicalize_payload(value.item())
-        if isinstance(value, _np.ndarray):
-            return [canonicalize_payload(item) for item in value.tolist()]
+    if isinstance(value, np.generic):
+        return canonicalize_payload(value.item())
+    if isinstance(value, np.ndarray):
+        return [canonicalize_payload(item) for item in value.tolist()]
     if isinstance(value, dict):
         return {str(key): canonicalize_payload(child) for key, child in value.items()}
     if isinstance(value, (list, tuple)):

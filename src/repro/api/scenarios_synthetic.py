@@ -41,6 +41,8 @@ from repro.experiments.synthetic import (
     STRATEGIES,
     AcceptanceExperiment,
     _evaluate_benchmark_setting,
+    design_counters,
+    sum_cache_counters,
 )
 from repro.faults.hardening import SelectiveHardeningPlan, apply_selective_hardening
 from repro.faults.injection import FaultInjectionCampaign
@@ -77,22 +79,6 @@ def _result_summary(result: DesignResult, max_cost: float) -> Dict[str, Any]:
         "evaluations": result.evaluations,
         "failure_reason": result.failure_reason,
     }
-
-
-def _design_counters(results: Dict[str, DesignResult]) -> Dict[str, float]:
-    """Map DesignResult counters onto the session's additive cache keys."""
-    counters = {
-        "hits": 0.0,
-        "misses": 0.0,
-        "search_evaluations": 0.0,
-        "points_computed": 0.0,
-    }
-    for result in results.values():
-        counters["hits"] += result.cache_hits
-        counters["misses"] += result.cache_misses
-        counters["search_evaluations"] += result.evaluations
-        counters["points_computed"] += result.points_computed
-    return counters
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +147,9 @@ def run_synthetic_random(session: "Session", params: Dict[str, Any]) -> Scenario
         session.config.cache_max_bytes,
         session.single_flight,
     )
-    counters = _design_counters(results)
-    counters.update({key: float(value) for key, value in disk.items()})
-    session.add_cache_counters(counters)
+    session.add_cache_counters(
+        sum_cache_counters([*map(design_counters, results.values()), disk])
+    )
 
     summaries = {name: _result_summary(results[name], max_cost) for name in STRATEGIES}
     payload = {

@@ -6,9 +6,6 @@ the evaluation machinery and owns, for its lifetime:
 * **the persistent design-point store** — one lazily-opened
   :class:`~repro.engine.store.DesignPointStore` handle when
   ``config.cache_dir`` is set;
-* **evaluation-engine construction** — :meth:`engine` builds an
-  :class:`~repro.engine.engine.EvaluationEngine` for an
-  ``(application, profile)`` context, warm-started from the store;
 * **the shared experiment** — :meth:`experiment` memoizes one
   :class:`~repro.experiments.synthetic.AcceptanceExperiment` so scenarios
   run back to back (e.g. Fig. 6a then 6b) reuse each other's settings.
@@ -26,11 +23,8 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from repro.api.config import RunConfig
 from repro.api.registry import get_scenario
 from repro.api.report import RunReport
-from repro.core.application import Application
-from repro.core.profile import ExecutionProfile
-from repro.engine.engine import EvaluationEngine
 from repro.engine.store import DesignPointStore
-from repro.experiments.synthetic import AcceptanceExperiment
+from repro.experiments.synthetic import AcceptanceExperiment, sum_cache_counters
 
 #: Observer invoked with one JSON-native event dict per progress step —
 #: ``scenario_started`` / ``setting_progress`` (with engine cache
@@ -38,29 +32,6 @@ from repro.experiments.synthetic import AcceptanceExperiment
 #: serve layer streams these as NDJSON; a callback must never mutate the
 #: event or raise (a raising observer aborts the run it watches).
 ProgressCallback = Callable[[Dict[str, Any]], None]
-
-#: Zeroed cache counters reported by scenarios that never touch the
-#: memoized experiment machinery (e.g. the motivational examples).
-_EMPTY_CACHE_REPORT: Dict[str, float] = {
-    "hits": 0,
-    "misses": 0,
-    "search_evaluations": 0,
-    "points_computed": 0,
-    "hit_rate": 0.0,
-    "disk_hits": 0,
-    "disk_entries_loaded": 0,
-}
-
-#: Raw additive counters accepted by :meth:`Session.add_cache_counters`;
-#: the derived ``hit_rate`` is recomputed on read.
-_ADDITIVE_CACHE_COUNTERS = (
-    "hits",
-    "misses",
-    "search_evaluations",
-    "points_computed",
-    "disk_hits",
-    "disk_entries_loaded",
-)
 
 
 class Session:
@@ -90,7 +61,7 @@ class Session:
         self.single_flight = single_flight
         self._experiment: Optional[AcceptanceExperiment] = None
         self._store: Optional[DesignPointStore] = None
-        self._scenario_counters: Dict[str, float] = {}
+        self._scenario_counters = sum_cache_counters(())
 
     # ------------------------------------------------------------------
     # context management
@@ -120,22 +91,6 @@ class Session:
                 self.config.cache_dir, max_bytes=self.config.cache_max_bytes
             )
         return self._store
-
-    def engine(
-        self, application: Application, profile: ExecutionProfile
-    ) -> EvaluationEngine:
-        """Build an evaluation engine for one context, warm-started from disk."""
-        engine = EvaluationEngine(application, profile)
-        store = self.store
-        if store is not None:
-            store.warm(engine)
-        return engine
-
-    def persist(self, engine: EvaluationEngine) -> None:
-        """Merge an engine's memo tables back into the persistent store."""
-        store = self.store
-        if store is not None:
-            store.persist(engine)
 
     def experiment(self) -> AcceptanceExperiment:
         """The session's shared synthetic experiment (memoized).
@@ -167,26 +122,17 @@ class Session:
         Scenarios that run their own :class:`EvaluationEngine` (the
         generator-backed families) rather than the shared experiment call
         this so their cache statistics still surface in the
-        :class:`~repro.api.report.RunReport`.  Only the raw additive
-        counters are accepted; derived rates are recomputed on read.
+        :class:`~repro.api.report.RunReport`.  Only the additive counters
+        are summed; ``hit_rate`` is derived from them on read.
         """
-        for key in _ADDITIVE_CACHE_COUNTERS:
-            value = counters.get(key)
-            if value:
-                self._scenario_counters[key] = self._scenario_counters.get(key, 0) + value
+        self._scenario_counters = sum_cache_counters((self._scenario_counters, counters))
 
     def cache_report(self) -> Dict[str, float]:
         """Aggregate engine counters over the experiment and scenario engines."""
-        report = (
-            dict(_EMPTY_CACHE_REPORT)
-            if self._experiment is None
-            else self._experiment.cache_report()
-        )
-        for key, value in self._scenario_counters.items():
-            report[key] = report.get(key, 0) + value
-        lookups = report["hits"] + report["misses"]
-        report["hit_rate"] = report["hits"] / lookups if lookups else 0.0
-        return report
+        parts = [self._scenario_counters]
+        if self._experiment is not None:
+            parts.append(self._experiment.cache_report())
+        return sum_cache_counters(parts)
 
     # ------------------------------------------------------------------
     # scenario execution

@@ -48,21 +48,16 @@ class Process:
         hardening.  It is used by the synthetic generator and by execution
         profile builders; algorithms never read it directly — they always go
         through an :class:`~repro.core.profile.ExecutionProfile`.
-    criticality:
-        Optional designer-provided criticality weight.  No heuristic of the
-        paper reads it.
     """
 
     name: str
     nominal_wcet: Optional[float] = None
-    criticality: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ModelError("Process name must be a non-empty string")
         if self.nominal_wcet is not None:
             require_positive(self.nominal_wcet, f"nominal_wcet of {self.name}")
-        require_positive(self.criticality, f"criticality of {self.name}")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name

@@ -35,7 +35,7 @@ from repro.core.evaluation import DesignResult, infeasible_result
 from repro.core.exceptions import OptimizationError
 from repro.core.mapping import MappingAlgorithm, MappingResult, Objective
 from repro.core.profile import ExecutionProfile
-from repro.engine import EvaluationEngine
+from repro.engine import EvaluationEngine, resolve_engine
 
 
 class ArchitectureEnumerator:
@@ -93,12 +93,6 @@ class DesignStrategy:
     strategy_name:
         Label stored in the produced :class:`DesignResult` (``"OPT"``,
         ``"MIN"``, ``"MAX"`` ...).
-    use_engine:
-        When ``True`` (default) each :meth:`explore` call runs against an
-        :class:`~repro.engine.engine.EvaluationEngine` — a fresh one per call
-        unless a shared engine is injected — so revisited design points are
-        served from cache.  Disable only to benchmark the unmemoized path;
-        results are bit-identical either way.
     """
 
     def __init__(
@@ -106,14 +100,12 @@ class DesignStrategy:
         node_types: Sequence[NodeType],
         mapping_algorithm: Optional[MappingAlgorithm] = None,
         strategy_name: str = "OPT",
-        use_engine: bool = True,
     ) -> None:
         self.enumerator = ArchitectureEnumerator(node_types)
         self.mapping_algorithm = (
             mapping_algorithm if mapping_algorithm is not None else MappingAlgorithm()
         )
         self.strategy_name = strategy_name
-        self.use_engine = use_engine
 
     # ------------------------------------------------------------------
     def explore(
@@ -130,31 +122,26 @@ class DesignStrategy:
         ``ArC`` is re-checked by the caller via
         :meth:`DesignResult.is_accepted`.
 
-        ``engine`` lets callers share one evaluation engine across several
-        strategies exploring the same (application, profile) — e.g. the
-        synthetic experiment harness runs MIN / MAX / OPT against one engine
-        so design points evaluated by one strategy are free for the others.
+        Every design point is evaluated through ``engine`` (``None`` gets a
+        fresh one for this call).  Passing one lets callers share it across
+        several strategies exploring the same (application, profile) — e.g.
+        the synthetic experiment harness runs MIN / MAX / OPT against one
+        engine so design points evaluated by one strategy are free for the
+        others.
         """
         application.validate()
-        if engine is None and self.use_engine:
-            engine = EvaluationEngine(application, profile)
+        engine = resolve_engine(engine, application, profile)
         # Attribute only this exploration's engine activity to the result when
         # the caller shares an engine across strategies.
-        hits_before = engine.stats.hits if engine is not None else 0
-        misses_before = engine.stats.misses if engine is not None else 0
-        computed_before = engine.evaluations if engine is not None else 0
-        self.mapping_algorithm.use_engine(engine)
-        try:
-            best, total_evaluations = self._explore(
-                application, profile, max_architecture_cost
-            )
-        finally:
-            self.mapping_algorithm.use_engine(None)
-        cache_hits = engine.stats.hits - hits_before if engine is not None else 0
-        cache_misses = engine.stats.misses - misses_before if engine is not None else 0
-        points_computed = (
-            engine.evaluations - computed_before if engine is not None else 0
+        before = engine.stats
+        computed_before = engine.evaluations
+        best, total_evaluations = self._explore(
+            application, profile, max_architecture_cost, engine
         )
+        after = engine.stats
+        cache_hits = after.hits - before.hits
+        cache_misses = after.misses - before.misses
+        points_computed = engine.evaluations - computed_before
 
         if best is None:
             return infeasible_result(
@@ -179,6 +166,7 @@ class DesignStrategy:
         application: Application,
         profile: ExecutionProfile,
         max_architecture_cost: Optional[float],
+        engine: EvaluationEngine,
     ):
         best: Optional[DesignResult] = None
         best_cost = inf
@@ -205,6 +193,7 @@ class DesignStrategy:
                     architecture,
                     profile,
                     objective=Objective.SCHEDULE_LENGTH,
+                    engine=engine,
                 )
                 if schedule_result is not None:
                     total_evaluations += schedule_result.evaluations
@@ -224,6 +213,7 @@ class DesignStrategy:
                     profile,
                     objective=Objective.COST,
                     initial_mapping=schedule_result.mapping,
+                    engine=engine,
                 )
                 if cost_result is not None:
                     total_evaluations += cost_result.evaluations

@@ -20,8 +20,7 @@ the heuristics on small instances (see
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import inf
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture, Node, NodeType
@@ -31,6 +30,7 @@ from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import RedundancyDecision, _RedundancyEvaluator
 from repro.core.reexecution import ReExecutionOpt
+from repro.engine import EvaluationEngine, resolve_engine
 from repro.scheduling.list_scheduler import ListScheduler
 
 
@@ -69,9 +69,15 @@ class ExhaustiveSearch:
         application: Application,
         profile: ExecutionProfile,
         max_architecture_cost: Optional[float] = None,
+        engine: Optional[EvaluationEngine] = None,
     ) -> DesignResult:
-        """Return the cheapest feasible design over the whole search space."""
+        """Return the cheapest feasible design over the whole search space.
+
+        Every design point is evaluated through ``engine`` (``None`` gets a
+        fresh one for this call).
+        """
         application.validate()
+        engine = resolve_engine(engine, application, profile)
         n_processes = application.number_of_processes()
         if n_processes > self.max_processes:
             raise OptimizationError(
@@ -102,7 +108,8 @@ class ExhaustiveSearch:
                         if best is not None and cost >= best[0]:
                             continue
                         decision = self.evaluator.evaluate_hardening(
-                            application, architecture, mapping, profile, hardening
+                            application, architecture, mapping, profile, hardening,
+                            engine,
                         )
                         evaluated += 1
                         if not decision.is_feasible:

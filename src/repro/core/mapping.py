@@ -34,7 +34,7 @@ from repro.core.exceptions import MappingError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import RedundancyDecision, RedundancyOpt, _RedundancyEvaluator
-from repro.engine import EvaluationEngine
+from repro.engine import EvaluationEngine, resolve_engine
 from repro.scheduling.schedule import Schedule
 
 
@@ -82,10 +82,10 @@ class MappingAlgorithm:
     ----------
     redundancy_optimizer:
         A :class:`~repro.core.redundancy._RedundancyEvaluator` whose
-        ``optimize(application, architecture, mapping, profile)`` returns a
-        :class:`RedundancyDecision` or ``None``, called once per tabu move;
-        its ``schedule_of`` supplies the best decision's schedule (rebuilt
-        when the decision came from the persistent store).  The OPT
+        ``optimize(application, architecture, mapping, profile, engine)``
+        returns a :class:`RedundancyDecision` or ``None``, called once per
+        tabu move; its ``schedule_of`` supplies the best decision's schedule
+        (rebuilt when the decision came from the persistent store).  The OPT
         strategy passes :class:`~repro.core.redundancy.RedundancyOpt`; the
         MIN and MAX baselines pass
         :class:`~repro.core.redundancy.FixedHardeningRedundancyOpt`.
@@ -99,11 +99,12 @@ class MappingAlgorithm:
     max_candidates:
         At most this many critical-path processes are considered for
         re-mapping per iteration (keeps the neighbourhood small).
-    engine:
-        Optional :class:`~repro.engine.engine.EvaluationEngine` forwarded to
-        the redundancy optimizer so revisited design points (tabu moves, the
-        COST pass re-evaluating the SCHEDULE_LENGTH winner, overlapping
-        hardening trials) are served from cache.
+
+    :meth:`optimize` takes the :class:`~repro.engine.engine.EvaluationEngine`
+    it forwards to the redundancy optimizer (``None`` gets a fresh one), so
+    revisited design points (tabu moves, the COST pass re-evaluating the
+    SCHEDULE_LENGTH winner, overlapping hardening trials) are served from
+    cache.
     """
 
     def __init__(
@@ -113,7 +114,6 @@ class MappingAlgorithm:
         stop_after_no_improvement: int = 4,
         tabu_tenure: int = 3,
         max_candidates: int = 4,
-        engine: Optional[EvaluationEngine] = None,
     ) -> None:
         self.redundancy_optimizer = (
             redundancy_optimizer if redundancy_optimizer is not None else RedundancyOpt()
@@ -122,17 +122,6 @@ class MappingAlgorithm:
         self.stop_after_no_improvement = stop_after_no_improvement
         self.tabu_tenure = tabu_tenure
         self.max_candidates = max_candidates
-        self.engine: Optional[EvaluationEngine] = None
-        if engine is not None:
-            self.use_engine(engine)
-
-    # ------------------------------------------------------------------
-    def use_engine(self, engine: Optional[EvaluationEngine]) -> None:
-        """Attach (or detach, with ``None``) an evaluation engine."""
-        self.engine = engine
-        optimizer = self.redundancy_optimizer
-        if hasattr(optimizer, "use_engine"):
-            optimizer.use_engine(engine)
 
     # ------------------------------------------------------------------
     # public API
@@ -144,6 +133,7 @@ class MappingAlgorithm:
         profile: ExecutionProfile,
         objective: Objective = Objective.SCHEDULE_LENGTH,
         initial_mapping: Optional[ProcessMapping] = None,
+        engine: Optional[EvaluationEngine] = None,
     ) -> Optional[MappingResult]:
         """Optimize the mapping of ``application`` onto ``architecture``.
 
@@ -153,6 +143,7 @@ class MappingAlgorithm:
         the architecture is unusable; for ``COST`` it means no schedulable
         design exists to cheapen.
         """
+        engine = resolve_engine(engine, application, profile)
         evaluations = 0
         mapping = (
             initial_mapping.copy()
@@ -164,7 +155,7 @@ class MappingAlgorithm:
             nonlocal evaluations
             evaluations += 1
             decision = self.redundancy_optimizer.optimize(
-                application, architecture, candidate, profile
+                application, architecture, candidate, profile, engine=engine
             )
             return self._objective_value(decision, objective), decision
 

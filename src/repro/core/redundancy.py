@@ -26,11 +26,11 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
-from repro.core.exceptions import OptimizationError
+from repro.core.exceptions import ModelError, OptimizationError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.reexecution import ReExecutionOpt
-from repro.engine import MISS, EvaluationEngine
+from repro.engine import MISS, EvaluationEngine, resolve_engine
 from repro.engine.fingerprint import (
     architecture_fingerprint,
     hardening_fingerprint,
@@ -67,10 +67,11 @@ class RedundancyDecision:
 class _RedundancyEvaluator:
     """Shared machinery: evaluate one hardening vector for a fixed mapping.
 
-    When an :class:`~repro.engine.engine.EvaluationEngine` is attached (via
-    :meth:`use_engine`), every evaluated design point — (architecture,
-    mapping, hardening vector) under the bound (application, profile) — is
-    memoized, so revisited points skip both the re-execution optimization and
+    :meth:`evaluate_hardening` and :meth:`optimize` take the
+    :class:`~repro.engine.engine.EvaluationEngine` of the (application,
+    profile) being explored (``None`` gets a fresh one).  Every evaluated
+    design point — (architecture, mapping, hardening vector) — is memoized
+    there, so revisited points skip both the re-execution optimization and
     the list scheduler.  Cached :class:`RedundancyDecision` objects are shared
     between callers and must be treated as immutable (their dict fields are
     copied by every consumer that mutates).
@@ -80,30 +81,11 @@ class _RedundancyEvaluator:
         self,
         scheduler: Optional[ListScheduler] = None,
         reexecution_opt: Optional[ReExecutionOpt] = None,
-        engine: Optional[EvaluationEngine] = None,
     ) -> None:
         self.scheduler = scheduler if scheduler is not None else ListScheduler()
         self.reexecution_opt = (
             reexecution_opt if reexecution_opt is not None else ReExecutionOpt()
         )
-        self.engine: Optional[EvaluationEngine] = None
-        if engine is not None:
-            self.use_engine(engine)
-
-    # ------------------------------------------------------------------
-    def use_engine(self, engine: Optional[EvaluationEngine]) -> None:
-        """Attach (or detach, with ``None``) an evaluation engine."""
-        self.engine = engine
-        self.reexecution_opt.engine = engine
-
-    def _active_engine(
-        self, application: Application, profile: ExecutionProfile
-    ) -> Optional[EvaluationEngine]:
-        """The attached engine, if it is bound to this (application, profile)."""
-        engine = self.engine
-        if engine is not None and engine.matches(application, profile):
-            return engine
-        return None
 
     def _evaluator_signature(self) -> Tuple:
         """Configuration part of the cache keys.
@@ -135,17 +117,23 @@ class _RedundancyEvaluator:
         mapping: ProcessMapping,
         profile: ExecutionProfile,
         hardening: Dict[str, int],
+        engine: Optional[EvaluationEngine] = None,
     ) -> RedundancyDecision:
-        """Evaluate one hardening vector: re-executions, schedule, cost."""
-        engine = self._active_engine(application, profile)
-        # The cache key treats the hardening vector as a *total* description
-        # of the node levels; a partial vector (legal for the unmemoized
-        # path — apply_hardening_vector only updates the named nodes) would
-        # alias design points that differ in the unnamed nodes' current
-        # levels, so it bypasses the cache.
-        if engine is None or len(hardening) != len(architecture):
-            return self._evaluate_hardening(
-                application, architecture, mapping, profile, hardening
+        """Evaluate one hardening vector: re-executions, schedule, cost.
+
+        ``hardening`` must name every node of ``architecture``: the memo key
+        treats it as a total description of the node levels, so a partial
+        vector would alias design points that differ in the unnamed nodes'
+        current levels.
+        """
+        engine = resolve_engine(engine, application, profile)
+        # Unknown names are rejected by apply_hardening_vector on a miss and
+        # can never hit (the names are part of the key); a matching length
+        # therefore means every node is named.
+        if len(hardening) != len(architecture):
+            raise ModelError(
+                f"Hardening vector {sorted(hardening)} must name every node of "
+                f"the architecture {architecture.node_names}"
             )
         key = (
             self._evaluator_signature(),
@@ -158,7 +146,7 @@ class _RedundancyEvaluator:
             decision = engine.decisions.put(
                 key,
                 self._evaluate_hardening(
-                    application, architecture, mapping, profile, hardening
+                    application, architecture, mapping, profile, hardening, engine
                 ),
             )
             engine.evaluations += 1
@@ -171,11 +159,12 @@ class _RedundancyEvaluator:
         mapping: ProcessMapping,
         profile: ExecutionProfile,
         hardening: Dict[str, int],
+        engine: EvaluationEngine,
     ) -> RedundancyDecision:
         candidate = architecture.copy()
         candidate.apply_hardening_vector(hardening)
         reexecution = self.reexecution_opt.optimize(
-            application, candidate, mapping, profile
+            application, candidate, mapping, profile, engine=engine
         )
         if reexecution is None:
             # Reliability goal unreachable at this hardening level; schedule
@@ -245,6 +234,7 @@ class _RedundancyEvaluator:
         architecture: Architecture,
         mapping: ProcessMapping,
         profile: ExecutionProfile,
+        engine: Optional[EvaluationEngine] = None,
     ) -> Optional[RedundancyDecision]:
         """Return the cheapest feasible redundancy decision for ``mapping``.
 
@@ -252,16 +242,12 @@ class _RedundancyEvaluator:
         solution that is both schedulable and reliable (the mapping is then
         discarded by the caller, as in the paper's Fig. 4d discussion).
         """
-        engine = self._active_engine(application, profile)
-        if engine is not None:
-            key = self._optimization_prefix(architecture) + (
-                mapping_fingerprint(mapping),
-            )
-            return engine.optimizations.memoize(
-                key,
-                lambda: self._optimize(application, architecture, mapping, profile),
-            )
-        return self._optimize(application, architecture, mapping, profile)
+        engine = resolve_engine(engine, application, profile)
+        key = self._optimization_prefix(architecture) + (mapping_fingerprint(mapping),)
+        return engine.optimizations.memoize(
+            key,
+            lambda: self._optimize(application, architecture, mapping, profile, engine),
+        )
 
     def _optimize(
         self,
@@ -269,6 +255,7 @@ class _RedundancyEvaluator:
         architecture: Architecture,
         mapping: ProcessMapping,
         profile: ExecutionProfile,
+        engine: EvaluationEngine,
     ) -> Optional[RedundancyDecision]:
         raise NotImplementedError
 
@@ -282,12 +269,13 @@ class RedundancyOpt(_RedundancyEvaluator):
         architecture: Architecture,
         mapping: ProcessMapping,
         profile: ExecutionProfile,
+        engine: EvaluationEngine,
     ) -> Optional[RedundancyDecision]:
         hardening = {
             node.name: node.node_type.min_hardening for node in architecture
         }
         decision = self.evaluate_hardening(
-            application, architecture, mapping, profile, hardening
+            application, architecture, mapping, profile, hardening, engine
         )
 
         # ---------------- Phase 1: harden until feasible -----------------
@@ -308,7 +296,7 @@ class RedundancyOpt(_RedundancyEvaluator):
                 trial = dict(hardening)
                 trial[node.name] = level + 1
                 trial_decision = self.evaluate_hardening(
-                    application, architecture, mapping, profile, trial
+                    application, architecture, mapping, profile, trial, engine
                 )
                 # Rank: feasible reliability first, then shorter schedules.
                 key = (
@@ -336,7 +324,7 @@ class RedundancyOpt(_RedundancyEvaluator):
                 trial = dict(hardening)
                 trial[node.name] = level - 1
                 trial_decision = self.evaluate_hardening(
-                    application, architecture, mapping, profile, trial
+                    application, architecture, mapping, profile, trial, engine
                 )
                 if not trial_decision.is_feasible:
                     continue
@@ -362,9 +350,8 @@ class FixedHardeningRedundancyOpt(_RedundancyEvaluator):
         policy: str,
         scheduler: Optional[ListScheduler] = None,
         reexecution_opt: Optional[ReExecutionOpt] = None,
-        engine: Optional[EvaluationEngine] = None,
     ) -> None:
-        super().__init__(scheduler=scheduler, reexecution_opt=reexecution_opt, engine=engine)
+        super().__init__(scheduler=scheduler, reexecution_opt=reexecution_opt)
         if policy not in ("min", "max"):
             raise OptimizationError(
                 f"FixedHardeningRedundancyOpt policy must be 'min' or 'max', got {policy!r}"
@@ -386,6 +373,7 @@ class FixedHardeningRedundancyOpt(_RedundancyEvaluator):
         architecture: Architecture,
         mapping: ProcessMapping,
         profile: ExecutionProfile,
+        engine: EvaluationEngine,
     ) -> Optional[RedundancyDecision]:
         hardening = {
             node.name: (
@@ -396,7 +384,7 @@ class FixedHardeningRedundancyOpt(_RedundancyEvaluator):
             for node in architecture
         }
         decision = self.evaluate_hardening(
-            application, architecture, mapping, profile, hardening
+            application, architecture, mapping, profile, hardening, engine
         )
         if not decision.is_feasible:
             return None

@@ -14,18 +14,14 @@ system failure probability the most receives one more re-execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.engine import EvaluationEngine
+from typing import Dict, Optional
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.sfp import SFPAnalysis, reliability_over_time_unit
-from repro.kernels.base import SFPKernel
-from repro.kernels.registry import SFP_KERNELS
+from repro.engine.engine import EvaluationEngine, resolve_engine
 from repro.utils.rounding import DEFAULT_DECIMALS
 
 
@@ -55,24 +51,19 @@ class ReExecutionOpt:
         goal with software redundancy alone".
     decimals:
         Rounding accuracy forwarded to the SFP analysis.
-    engine:
-        Optional :class:`~repro.engine.engine.EvaluationEngine` serving the
-        per-node exceedance and system-failure memo tables.  The greedy loop
-        re-queries the same (node, budget) exceedances on every iteration, so
-        memoization removes most of the Decimal-chain recomputation.  Results
-        are bit-identical with and without an engine.
-    kernel:
-        SFP kernel backend for the unmemoized path (an engine brings its
-        own); ``None`` means the production backend.  Every backend is
-        bit-identical.
+
+    :meth:`optimize` and :meth:`evaluate` take the
+    :class:`~repro.engine.engine.EvaluationEngine` whose per-node exceedance
+    and system-failure memo tables serve the SFP queries (``None`` gets a
+    fresh one).  The greedy loop re-queries the same (node, budget)
+    exceedances on every iteration, so memoization removes most of the
+    Decimal-chain recomputation.
     """
 
     def __init__(
         self,
         max_reexecutions_per_node: int = 20,
         decimals: int = DEFAULT_DECIMALS,
-        engine: Optional["EvaluationEngine"] = None,
-        kernel: Optional[SFPKernel] = None,
     ) -> None:
         if max_reexecutions_per_node < 0:
             raise ValueError(
@@ -81,8 +72,6 @@ class ReExecutionOpt:
             )
         self.max_reexecutions_per_node = max_reexecutions_per_node
         self.decimals = decimals
-        self.engine = engine
-        self.kernel = SFP_KERNELS.or_active(kernel)
 
     # ------------------------------------------------------------------
     def optimize(
@@ -91,22 +80,22 @@ class ReExecutionOpt:
         architecture: Architecture,
         mapping: ProcessMapping,
         profile: ExecutionProfile,
+        engine: Optional[EvaluationEngine] = None,
     ) -> Optional[ReExecutionDecision]:
         """Return the cheapest re-execution assignment meeting ``rho``.
 
         Returns ``None`` when the goal cannot be met within the per-node cap
         (typically because the hardening level is too low for the error rate).
         """
-        engine = self.engine
-        kernel = self.kernel
+        engine = resolve_engine(engine, application, profile)
         decimals = self.decimals
         cap = self.max_reexecutions_per_node
         node_names = [node.name for node in architecture]
         # Ordered tuples: the DP sums are order-sensitive in their last bits,
-        # and the engine memo must reproduce the unmemoized result exactly.
+        # so only the mapping order reproduces the kernel's result exactly.
         analysis = SFPAnalysis(
             application, architecture, mapping, profile,
-            decimals=decimals, engine=engine, kernel=kernel,
+            decimals=decimals, engine=engine,
         )
         # Per-node state lives in lists aligned with ``node_names``: the
         # candidate tuples below are substitute-snapshot-restore over one
@@ -116,25 +105,17 @@ class ReExecutionOpt:
             tuple(analysis.node_failure_probabilities(node)) for node in architecture
         ]
         count = len(node_names)
-
-        def exceedance(probabilities: Tuple[float, ...], budget: int) -> float:
-            if engine is not None:
-                return engine.node_exceedance(probabilities, budget, decimals)
-            return kernel.probability_exceeds(probabilities, budget, decimals)
-
-        def union_failure(values: Tuple[float, ...]) -> float:
-            if engine is not None:
-                return engine.system_failure(values, decimals)
-            return kernel.system_failure(values, decimals)
+        exceedance = engine.node_exceedance
+        union_failure = engine.system_failure
 
         budget_list = [0] * count
-        ex_list = [exceedance(block, 0) for block in prob_list]
+        ex_list = [exceedance(block, 0, decimals) for block in prob_list]
 
         goal = application.reliability_goal
         time_unit = application.time_unit
         period = application.period
 
-        system = union_failure(tuple(ex_list))
+        system = union_failure(tuple(ex_list), decimals)
         reliability = reliability_over_time_unit(system, time_unit, period)
         while reliability < goal:
             best_index = -1
@@ -144,12 +125,14 @@ class ReExecutionOpt:
                 # Nodes without mapped processes: re-executions cannot help.
                 if budget_list[i] >= cap or not prob_list[i]:
                     continue
-                candidate_exceedance = exceedance(prob_list[i], budget_list[i] + 1)
+                candidate_exceedance = exceedance(
+                    prob_list[i], budget_list[i] + 1, decimals
+                )
                 previous = ex_list[i]
                 ex_list[i] = candidate_exceedance
                 candidate_values = tuple(ex_list)
                 ex_list[i] = previous
-                candidate_system = union_failure(candidate_values)
+                candidate_system = union_failure(candidate_values, decimals)
                 if candidate_system < best_system:
                     # Only a strict improvement is accepted, so stagnation
                     # (no candidate lowers the rounded system failure) is
@@ -163,7 +146,7 @@ class ReExecutionOpt:
                 return None
             budget_list[best_index] += 1
             ex_list[best_index] = best_exceedance
-            system = union_failure(tuple(ex_list))
+            system = union_failure(tuple(ex_list), decimals)
             reliability = reliability_over_time_unit(system, time_unit, period)
 
         return ReExecutionDecision(
@@ -181,11 +164,12 @@ class ReExecutionOpt:
         mapping: ProcessMapping,
         profile: ExecutionProfile,
         reexecutions: Dict[str, int],
+        engine: Optional[EvaluationEngine] = None,
     ) -> ReExecutionDecision:
         """Evaluate a user-supplied assignment without optimizing it."""
         analysis = SFPAnalysis(
             application, architecture, mapping, profile, decimals=self.decimals,
-            engine=self.engine, kernel=self.kernel,
+            engine=engine,
         )
         report = analysis.evaluate(reexecutions)
         return ReExecutionDecision(

@@ -39,10 +39,12 @@ All intermediate *success* probabilities are rounded **down** and all
 The three hot primitives — formulae (1), (4) and (5) — are served by a
 *kernel backend* (:mod:`repro.kernels`): the module-level functions below
 delegate to the production backend (``SFP_KERNELS.active()``), which is
-bit-identical to the pure-Python reference by contract.  The combinatorial
-helpers (:func:`complete_homogeneous_sum`, :func:`enumerate_fault_scenarios`,
-:func:`probability_exactly`) stay here as the test-suite's independent
-specification of the DP.
+bit-identical to the pure-Python reference by contract, and
+:class:`SFPAnalysis` reads them through the memo tables of its
+:class:`~repro.engine.engine.EvaluationEngine`, on the engine's kernel.  The
+combinatorial helpers (:func:`complete_homogeneous_sum`,
+:func:`enumerate_fault_scenarios`, :func:`probability_exactly`) stay here as
+the test-suite's independent specification of the DP.
 """
 
 from __future__ import annotations
@@ -50,16 +52,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import prod
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports sfp)
-    from repro.engine.engine import EvaluationEngine
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture, Node
 from repro.core.exceptions import ModelError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
+from repro.engine.engine import EvaluationEngine, resolve_engine
 from repro.kernels.base import SFPKernel
 from repro.kernels.registry import SFP_KERNELS
 from repro.utils.rounding import DEFAULT_DECIMALS, floor_probability
@@ -240,17 +240,13 @@ class SFPAnalysis:
     hardening levels of the architecture nodes, so the optimization heuristics
     can mutate hardening in place and re-query.
 
-    When an :class:`~repro.engine.engine.EvaluationEngine` is supplied, the
-    per-node exceedance and the system-failure union are served from its memo
-    tables (keyed by the ordered failure-probability tuples, which canonically
-    encode node type, hardening level and mapped process multiset) — changing
-    one node's hardening or moving one process recomputes only the affected
-    node(s).
-
-    ``kernel`` is the SFP kernel backend of the unmemoized path (an engine
-    brings its own backend); ``None`` means the production backend.
-    Backends are bit-identical, so this is a test seam, never a semantics
-    knob.
+    The per-node exceedance and the system-failure union are served from the
+    memo tables of an :class:`~repro.engine.engine.EvaluationEngine` (keyed
+    by the ordered failure-probability tuples, which canonically encode node
+    type, hardening level and mapped process multiset) — changing one node's
+    hardening or moving one process recomputes only the affected node(s).
+    ``engine=None`` gets a fresh engine for this (application, profile); the
+    engine's kernel is the SFP backend of every query.
     """
 
     def __init__(
@@ -260,16 +256,14 @@ class SFPAnalysis:
         mapping: ProcessMapping,
         profile: ExecutionProfile,
         decimals: int = DEFAULT_DECIMALS,
-        engine: Optional["EvaluationEngine"] = None,
-        kernel: Optional[SFPKernel] = None,
+        engine: Optional[EvaluationEngine] = None,
     ) -> None:
         self.application = application
         self.architecture = architecture
         self.mapping = mapping
         self.profile = profile
         self.decimals = decimals
-        self.engine = engine
-        self.kernel = SFP_KERNELS.or_active(kernel)
+        self.engine = resolve_engine(engine, application, profile)
 
     # ------------------------------------------------------------------
     def node_failure_probabilities(self, node: Node) -> List[float]:
@@ -281,30 +275,23 @@ class SFPAnalysis:
 
     def probability_no_fault(self, node: Node) -> float:
         """Formula (1) for one node at its current hardening level."""
-        return self.kernel.probability_no_fault(
+        return self.engine.kernel.probability_no_fault(
             self.node_failure_probabilities(node), self.decimals
         )
 
     def node_exceedance(self, node: Node, reexecutions: int) -> float:
         """Formula (4): probability node ``Nj`` sees more than ``k_j`` faults."""
-        probabilities = self.node_failure_probabilities(node)
-        if self.engine is not None:
-            return self.engine.node_exceedance(
-                tuple(probabilities), reexecutions, self.decimals
-            )
-        return self.kernel.probability_exceeds(
-            probabilities, reexecutions, self.decimals
+        return self.engine.node_exceedance(
+            tuple(self.node_failure_probabilities(node)), reexecutions, self.decimals
         )
 
     def system_failure_per_iteration(self, reexecutions: Mapping[str, int]) -> float:
         """Formula (5) for the whole architecture."""
-        exceedances = [
+        exceedances = tuple(
             self.node_exceedance(node, self._budget_of(node, reexecutions))
             for node in self.architecture
-        ]
-        if self.engine is not None:
-            return self.engine.system_failure(tuple(exceedances), self.decimals)
-        return self.kernel.system_failure(exceedances, self.decimals)
+        )
+        return self.engine.system_failure(exceedances, self.decimals)
 
     def evaluate(self, reexecutions: Mapping[str, int]) -> SFPReport:
         """Full evaluation of formulae (1)-(6) for a redundancy assignment."""
@@ -312,14 +299,9 @@ class SFPAnalysis:
             node.name: self.node_exceedance(node, self._budget_of(node, reexecutions))
             for node in self.architecture
         }
-        if self.engine is not None:
-            system_per_iteration = self.engine.system_failure(
-                tuple(per_node.values()), self.decimals
-            )
-        else:
-            system_per_iteration = self.kernel.system_failure(
-                list(per_node.values()), self.decimals
-            )
+        system_per_iteration = self.engine.system_failure(
+            tuple(per_node.values()), self.decimals
+        )
         reliability = reliability_over_time_unit(
             system_per_iteration,
             self.application.time_unit,

@@ -7,11 +7,10 @@ See :mod:`repro.engine.engine` for the architecture overview and
 from __future__ import annotations
 
 from repro.engine.cache import CacheStats, MemoCache, MISS
-from repro.engine.engine import EvaluationEngine
+from repro.engine.engine import EvaluationEngine, resolve_engine
 from repro.engine.fingerprint import (
     application_fingerprint,
     architecture_fingerprint,
-    context_fingerprint,
     hardening_fingerprint,
     mapping_fingerprint,
     profile_fingerprint,
@@ -37,9 +36,9 @@ __all__ = [
     "application_fingerprint",
     "architecture_fingerprint",
     "code_version_salt",
-    "context_fingerprint",
     "hardening_fingerprint",
     "mapping_fingerprint",
     "profile_fingerprint",
+    "resolve_engine",
     "stable_context_fingerprint",
 ]

@@ -126,11 +126,6 @@ class MemoCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._store
 
-    def clear(self) -> None:
-        """Drop all entries (counters are kept — they describe history)."""
-        self._store.clear()
-        self._preloaded.clear()
-
     @property
     def stats(self) -> CacheStats:
         return CacheStats(hits=self.hits, misses=self.misses)

@@ -4,9 +4,13 @@ One :class:`EvaluationEngine` is bound to a single ``(application, profile)``
 context — the quantities that stay fixed while the design-space exploration
 stack (:class:`~repro.core.design_strategy.DesignStrategy` →
 :class:`~repro.core.mapping.MappingAlgorithm` →
-:class:`~repro.core.redundancy.RedundancyOpt` → SFP /
+:class:`~repro.core.redundancy.RedundancyOpt` →
+:class:`~repro.core.reexecution.ReExecutionOpt` → SFP /
 :class:`~repro.scheduling.list_scheduler.ListScheduler`) varies architecture,
-mapping and hardening.  The engine owns four memo tables:
+mapping and hardening.  Every design point of that stack is evaluated through
+an engine: each entry point takes ``engine=None``, resolves it once with
+:func:`resolve_engine` (a fresh engine when none is given) and passes it on
+explicitly to the layer below.  The engine owns four memo tables:
 
 ``decisions``
     Full :class:`~repro.core.redundancy.RedundancyDecision` per design point,
@@ -16,8 +20,8 @@ mapping and hardening.  The engine owns four memo tables:
     Outcome of a whole redundancy-optimizer run (Phase 1 + Phase 2, or a
     fixed-hardening baseline) per (optimizer signature, architecture,
     mapping).  Hits make revisited tabu-search moves free.
-``exceedance`` / ``no_fault``
-    Per-node SFP quantities keyed by the ordered tuple of per-process failure
+``exceedance``
+    Per-node formula (4) keyed by the ordered tuple of per-process failure
     probabilities (which canonically encodes node type × hardening level ×
     mapped process multiset) plus the re-execution budget ``k``.  Changing one
     node's hardening or moving one process only invalidates — by key
@@ -32,15 +36,12 @@ by the equivalence test-suite.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.application import Application
 from repro.core.profile import ExecutionProfile
 from repro.engine.cache import MISS, CacheStats, MemoCache
-from repro.engine.fingerprint import (
-    context_fingerprint,
-    stable_context_fingerprint,
-)
+from repro.engine.fingerprint import stable_context_fingerprint
 from repro.kernels.base import SFPKernel
 from repro.kernels.registry import SFP_KERNELS
 from repro.utils.rounding import DEFAULT_DECIMALS
@@ -53,8 +54,8 @@ class EvaluationEngine:
     and mapping layers build the keys (see :mod:`repro.engine.fingerprint`)
     and decide what to store.  The engine guarantees bookkeeping (hit/miss
     counters, evaluation counts) and context safety via :meth:`matches` —
-    a consumer handed an engine for a different application/profile must
-    bypass it.
+    :func:`resolve_engine` rejects an engine bound to another
+    application/profile.
     """
 
     def __init__(
@@ -70,14 +71,12 @@ class EvaluationEngine:
         #: SFP kernel backend computing cache misses.  Backends are
         #: bit-identical, so the kernel is *not* part of any memo key.
         self.kernel = SFP_KERNELS.or_active(kernel)
-        #: Lazily-computed context hashes (see :attr:`context` and
-        #: :meth:`stable_context`) — ``None`` until first requested.
-        self._context: Union[int, None] = None
-        self._stable_context: Union[str, None] = None
+        #: Lazily-computed context hash (see :meth:`stable_context`) —
+        #: ``None`` until first requested.
+        self._stable_context: Optional[str] = None
         self.decisions = MemoCache("decisions")
         self.optimizations = MemoCache("optimizations")
         self.exceedance = MemoCache("exceedance")
-        self.no_fault = MemoCache("no_fault")
         self.system = MemoCache("system_failure")
         #: Number of design points actually evaluated (decision-cache misses
         #: that ran the re-execution optimizer + scheduler).
@@ -86,18 +85,6 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # context safety
     # ------------------------------------------------------------------
-    @property
-    def context(self) -> int:
-        """Content hash of the bound context (diagnostics and reports).
-
-        Computed on first access: the canonical encoding walks the whole
-        application and profile, which is pure overhead on the DSE hot path
-        (context safety uses identity, see :meth:`matches`).
-        """
-        if self._context is None:
-            self._context = context_fingerprint(self.application, self.profile)
-        return self._context
-
     def stable_context(self) -> str:
         """Cross-process content hash of the bound context, computed once.
 
@@ -116,26 +103,13 @@ class EvaluationEngine:
         """Is the engine bound to exactly this (application, profile) pair?
 
         Identity comparison keeps the check O(1) on the hot path; the content
-        fingerprint exists for diagnostics and persisted artifacts.
+        fingerprint (:meth:`stable_context`) names persisted artifacts.
         """
         return application is self.application and profile is self.profile
 
     # ------------------------------------------------------------------
     # incremental SFP layer
     # ------------------------------------------------------------------
-    def node_no_fault(
-        self, probabilities: Tuple[float, ...], decimals: int
-    ) -> float:
-        """Memoized formula (1) for one node's failure-probability tuple."""
-        cache = self.no_fault
-        key = (probabilities, decimals)
-        value = cache.get(key)
-        if value is MISS:
-            value = cache.put(
-                key, self.kernel.probability_no_fault(probabilities, decimals)
-            )
-        return value
-
     def node_exceedance(
         self, probabilities: Tuple[float, ...], reexecutions: int, decimals: int
     ) -> float:
@@ -143,8 +117,8 @@ class EvaluationEngine:
 
         The probability tuple is kept in mapping order (not sorted): the DP
         accumulates floating-point sums whose last bits depend on the order,
-        and bit-identical results with the unmemoized path are a hard
-        requirement.
+        so a sorted key would let two orderings share one entry that is
+        bit-identical to the kernel's result for only one of them.
         """
         cache = self.exceedance
         key = (probabilities, reexecutions, decimals)
@@ -180,7 +154,6 @@ class EvaluationEngine:
             self.decisions,
             self.optimizations,
             self.exceedance,
-            self.no_fault,
             self.system,
         )
 
@@ -200,24 +173,6 @@ class EvaluationEngine:
     def stats_by_cache(self) -> Dict[str, Dict[str, float]]:
         return {cache.name: cache.stats.as_dict() for cache in self.caches}
 
-    def report(self) -> Dict[str, object]:
-        """JSON-friendly summary used by the CLI and benchmark artifacts."""
-        total = self.stats
-        return {
-            "context": self.context,
-            "evaluations": self.evaluations,
-            "hits": total.hits,
-            "misses": total.misses,
-            "hit_rate": total.hit_rate,
-            "disk_hits": self.disk_hits,
-            "caches": self.stats_by_cache(),
-        }
-
-    def clear(self) -> None:
-        """Drop all cached entries (counters are kept)."""
-        for cache in self.caches:
-            cache.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         total = self.stats
         return (
@@ -225,3 +180,26 @@ class EvaluationEngine:
             f"hits={total.hits}, misses={total.misses}, "
             f"evaluations={self.evaluations})"
         )
+
+
+def resolve_engine(
+    engine: Optional[EvaluationEngine],
+    application: Application,
+    profile: ExecutionProfile,
+) -> EvaluationEngine:
+    """The engine an entry point evaluates ``(application, profile)`` on.
+
+    ``None`` gets a fresh engine for this context, so an engine-free call
+    still memoizes within itself; an engine bound to another context is an
+    error (its memo keys do not encode the application or profile, so its
+    entries would alias); otherwise ``engine`` itself is returned.
+    """
+    if engine is None:
+        return EvaluationEngine(application, profile)
+    if not engine.matches(application, profile):
+        raise ValueError(
+            f"EvaluationEngine bound to application {engine.application.name!r} "
+            f"cannot evaluate application {application.name!r}: an engine "
+            "serves exactly the (application, profile) objects it was built for"
+        )
+    return engine

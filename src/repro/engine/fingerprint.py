@@ -105,13 +105,6 @@ def profile_fingerprint(profile: ExecutionProfile) -> int:
     return _stable_digest(_canonical_profile(profile))
 
 
-def context_fingerprint(application: Application, profile: ExecutionProfile) -> int:
-    """Combined content digest identifying one (application, profile) context."""
-    return _stable_digest(
-        (application_fingerprint(application), profile_fingerprint(profile))
-    )
-
-
 def _canonical_application(application: Application) -> Tuple[object, ...]:
     """Canonical content tuple of an application (same data as the hash)."""
     graphs = []

@@ -57,7 +57,7 @@ STORE_SCHEMA_VERSION = 3
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Engine attribute name per persisted memo table.
-PERSISTED_CACHES = ("decisions", "optimizations", "exceedance", "no_fault", "system")
+PERSISTED_CACHES = ("decisions", "optimizations", "exceedance", "system")
 
 #: Tables whose values are :class:`~repro.core.redundancy.RedundancyDecision`
 #: objects (or ``None``), persisted without their schedules.

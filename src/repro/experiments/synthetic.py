@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.baselines import (
     max_hardening_strategy,
@@ -57,6 +57,45 @@ PAPER_ARC_VALUES = (15.0, 20.0, 25.0)
 
 #: Soft error rates of the three technologies of Fig. 6c / 6d.
 PAPER_SER_VALUES = (SER_LOW, SER_MEDIUM, SER_HIGH)
+
+#: Additive engine counters of a cache report.  ``search_evaluations``
+#: counts design points *examined* by the tabu searches; ``points_computed``
+#: counts points actually evaluated — decision-cache misses that ran the
+#: re-execution optimizer and the scheduler.  The derived ``hit_rate`` is
+#: recomputed from the summed hits and misses, never summed itself.
+CACHE_COUNTERS = (
+    "hits",
+    "misses",
+    "search_evaluations",
+    "points_computed",
+    "disk_hits",
+    "disk_entries_loaded",
+)
+
+
+def design_counters(result: DesignResult) -> Dict[str, int]:
+    """One exploration's engine counters under the cache-report keys."""
+    return {
+        "hits": result.cache_hits,
+        "misses": result.cache_misses,
+        "search_evaluations": result.evaluations,
+        "points_computed": result.points_computed,
+    }
+
+
+def sum_cache_counters(parts: Iterable[Mapping[str, float]]) -> Dict[str, float]:
+    """Sum the :data:`CACHE_COUNTERS` of ``parts`` and derive ``hit_rate``.
+
+    A counter missing from a part counts as zero, so the empty sum is the
+    zeroed report.
+    """
+    total: Dict[str, float] = {key: 0 for key in CACHE_COUNTERS}
+    for part in parts:
+        for key in CACHE_COUNTERS:
+            total[key] += part.get(key, 0)
+    lookups = total["hits"] + total["misses"]
+    total["hit_rate"] = total["hits"] / lookups if lookups else 0.0
+    return total
 
 
 @dataclass(frozen=True)
@@ -154,28 +193,17 @@ class SettingResult:
     def cache_summary(self) -> Dict[str, float]:
         """Aggregate engine counters over all strategies/applications.
 
-        ``search_evaluations`` counts design points *examined* by the tabu
-        searches (identical with or without caching); ``points_computed``
-        counts points actually evaluated — decision-cache misses that ran
-        the re-execution optimizer and the scheduler.
+        See :data:`CACHE_COUNTERS` for the field semantics.
         """
-        hits = misses = search_evaluations = points_computed = 0
-        for results in self.results.values():
-            for result in results:
-                hits += result.cache_hits
-                misses += result.cache_misses
-                search_evaluations += result.evaluations
-                points_computed += result.points_computed
-        lookups = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "search_evaluations": search_evaluations,
-            "points_computed": points_computed,
-            "hit_rate": hits / lookups if lookups else 0.0,
-            "disk_hits": self.disk_hits,
-            "disk_entries_loaded": self.disk_entries_loaded,
-        }
+        parts: List[Mapping[str, float]] = [
+            design_counters(result)
+            for results in self.results.values()
+            for result in results
+        ]
+        parts.append(
+            {"disk_hits": self.disk_hits, "disk_entries_loaded": self.disk_entries_loaded}
+        )
+        return sum_cache_counters(parts)
 
 
 def _evaluate_benchmark_setting(
@@ -502,28 +530,11 @@ class AcceptanceExperiment:
     def cache_report(self) -> Dict[str, float]:
         """Aggregate engine counters over every setting run so far.
 
-        See :meth:`SettingResult.cache_summary` for the field semantics.
+        See :data:`CACHE_COUNTERS` for the field semantics.
         """
-        hits = misses = search_evaluations = points_computed = 0
-        disk_hits = disk_entries_loaded = 0
-        for setting in self._cache.values():
-            summary = setting.cache_summary()
-            hits += summary["hits"]
-            misses += summary["misses"]
-            search_evaluations += summary["search_evaluations"]
-            points_computed += summary["points_computed"]
-            disk_hits += summary["disk_hits"]
-            disk_entries_loaded += summary["disk_entries_loaded"]
-        lookups = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "search_evaluations": search_evaluations,
-            "points_computed": points_computed,
-            "hit_rate": hits / lookups if lookups else 0.0,
-            "disk_hits": disk_hits,
-            "disk_entries_loaded": disk_entries_loaded,
-        }
+        return sum_cache_counters(
+            setting.cache_summary() for setting in self._cache.values()
+        )
 
     # ------------------------------------------------------------------
     def hpd_sweep(

@@ -10,8 +10,9 @@ Two kernel families exist, each with one production backend:
 
 :data:`SFP_KERNELS` and :data:`SCHED_KERNELS` hold those instances.  Every
 entry point with a ``kernel=None`` default (the :mod:`repro.core.sfp`
-functions, ``SFPAnalysis``, ``EvaluationEngine``, ``ReExecutionOpt`` and
-``ListScheduler``) reads :meth:`active` when it is built, so a whole-stack
+functions, ``EvaluationEngine`` and ``ListScheduler``) reads :meth:`active`
+when it is built — ``SFPAnalysis`` and ``ReExecutionOpt`` run on their
+engine's kernel — so a whole-stack
 test swaps a family's backend by replacing the holder's ``kernel``
 attribute (``monkeypatch.setattr(SFP_KERNELS, "kernel", ReferenceKernel())``).
 An explicit ``kernel=`` takes an instance of the family's base class.

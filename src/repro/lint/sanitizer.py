@@ -470,7 +470,7 @@ def _guarded_runtime_classes() -> Iterator[Tuple[type, Tuple[str, ...]]]:
     try:
         from repro.engine.cache import MemoCache
 
-        yield MemoCache, ("put", "load", "clear")
+        yield MemoCache, ("put", "load")
     except ImportError:  # pragma: no cover - engine is a core package
         pass
     try:

@@ -52,6 +52,16 @@ def test_synthetic_random_smoke_matches_the_golden_fixture():
     assert report.results == _load("synthetic_random_smoke.json")
 
 
+@pytest.mark.parametrize(
+    "scenario, golden",
+    [("motivational", "motivational.json"), ("cruise-control", "cruise_control.json")],
+)
+def test_fixed_study_payload_equals_the_golden_fixture(scenario, golden):
+    # The motivational examples and the cruise-control study evaluate their
+    # design points one call at a time, each on the engine it creates.
+    assert api.run(scenario).results == _load(golden)
+
+
 def test_generic_run_driver_writes_a_golden_matching_report(tmp_path, capsys):
     output = tmp_path / "report.json"
     exit_code = main(

@@ -1,8 +1,9 @@
 """Cache-equivalence guarantees of the evaluation engine.
 
-The engine's whole contract is "same results, less work": a warm cache, a
-cold cache and no cache at all must produce bit-identical designs for every
-strategy.  These tests drive the full DSE stack over several generated
+The engine's whole contract is "same results, less work": a warm engine,
+a cold engine, an engine shared with other strategies and the fresh engine
+an engine-free call makes for itself must produce bit-identical designs for
+every strategy.  These tests drive the full DSE stack over several generated
 applications and compare every semantic field of the resulting
 :class:`DesignResult`s (cache counters are bookkeeping, not semantics, and
 are excluded from ``DesignResult`` equality by construction).
@@ -10,8 +11,11 @@ are excluded from ``DesignResult`` equality by construction).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core.architecture import Architecture, Node
 from repro.core.baselines import (
     max_hardening_strategy,
     min_hardening_strategy,
@@ -19,6 +23,9 @@ from repro.core.baselines import (
 )
 from repro.core.fault_model import SER_MEDIUM
 from repro.core.mapping import MappingAlgorithm
+from repro.core.mapping_model import ProcessMapping
+from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
+from repro.core.reexecution import ReExecutionOpt
 from repro.engine import EvaluationEngine
 from repro.generator.benchmark import (
     BenchmarkConfig,
@@ -85,16 +92,29 @@ class TestColdWarmEquivalence:
         assert warm.cache_hits > 0
         assert warm.cache_hit_rate > cold.cache_hit_rate
 
-    def test_engine_vs_no_engine_is_bit_identical(self, platform, strategy_name):
+    def test_fresh_vs_shared_engine_is_bit_identical(self, platform, strategy_name):
         application, node_types, profile = platform
-        cached_strategy = STRATEGY_BUILDERS[strategy_name](node_types, _algorithm())
-        uncached_strategy = STRATEGY_BUILDERS[strategy_name](node_types, _algorithm())
-        uncached_strategy.use_engine = False
-        cached = cached_strategy.explore(application, profile)
-        uncached = uncached_strategy.explore(application, profile)
-        assert _semantic_fields(cached) == _semantic_fields(uncached)
-        assert uncached.cache_hits == 0
-        assert uncached.cache_misses == 0
+        # The shared engine already holds the other strategies' design points.
+        shared_engine = EvaluationEngine(application, profile)
+        for other, builder in STRATEGY_BUILDERS.items():
+            if other != strategy_name:
+                builder(node_types, _algorithm()).explore(
+                    application, profile, engine=shared_engine
+                )
+        shared_strategy = STRATEGY_BUILDERS[strategy_name](node_types, _algorithm())
+        fresh_strategy = STRATEGY_BUILDERS[strategy_name](node_types, _algorithm())
+        shared = shared_strategy.explore(application, profile, engine=shared_engine)
+        fresh = fresh_strategy.explore(application, profile)
+        assert _semantic_fields(shared) == _semantic_fields(fresh)
+        # An engine-free call counts exactly the activity of its own private
+        # engine: the same counters as a call on an explicit fresh engine.
+        private = EvaluationEngine(application, profile)
+        STRATEGY_BUILDERS[strategy_name](node_types, _algorithm()).explore(
+            application, profile, engine=private
+        )
+        assert fresh.cache_hits == private.stats.hits
+        assert fresh.cache_misses == private.stats.misses
+        assert fresh.points_computed == private.evaluations
 
 
 def test_shared_engine_across_strategies_is_bit_identical(platform):
@@ -118,3 +138,92 @@ def test_design_result_reports_nonzero_cache_activity(platform):
         application, profile
     )
     assert result.cache_hits + result.cache_misses > 0
+
+
+# ----------------------------------------------------------------------
+# aliasing oracle for the decisions and optimizations memo tables
+# ----------------------------------------------------------------------
+def _design_points(application, node_types, profile, rng, count):
+    """Random (architecture, mapping, full hardening vector) triples.
+
+    Nodes are named by position (``N1``, ``N2`` ...), not by type, so
+    triples on different node-type subsets share node names, mappings and
+    hardening vectors: exactly the collisions the memo keys must tell
+    apart.  About a third of the triples repeat an earlier one as new,
+    equal objects, so the shared engine also serves hits.
+    """
+    processes = application.process_names()
+    points = []
+    while len(points) < count:
+        if points and rng.random() < 0.3:
+            architecture, mapping, hardening = rng.choice(points)
+            points.append((architecture.copy(), mapping.copy(), dict(hardening)))
+            continue
+        size = rng.randint(1, min(3, len(node_types)))
+        subset = rng.sample(node_types, size)
+        architecture = Architecture(
+            [Node(f"N{index + 1}", node_type) for index, node_type in enumerate(subset)]
+        )
+        assignment = {}
+        for process in processes:
+            supported = [
+                node.name
+                for node in architecture
+                if profile.supports(process, node.node_type.name)
+            ]
+            if not supported:
+                break
+            assignment[process] = rng.choice(supported)
+        else:
+            hardening = {
+                node.name: rng.choice(node.node_type.hardening_levels)
+                for node in architecture
+            }
+            points.append((architecture, ProcessMapping(assignment), hardening))
+    return points
+
+
+def test_shared_engine_decisions_equal_fresh_engine_decisions(platform):
+    """One long-lived engine serving every design point returns, point by
+    point, what a fresh engine computes for that point alone."""
+    application, node_types, profile = platform
+    rng = random.Random(application.name)
+    # Two evaluator configurations whose decisions differ, sharing the engine.
+    evaluators = (
+        RedundancyOpt(),
+        RedundancyOpt(reexecution_opt=ReExecutionOpt(max_reexecutions_per_node=1)),
+    )
+    shared = EvaluationEngine(application, profile)
+    for architecture, mapping, hardening in _design_points(
+        application, node_types, profile, rng, 120
+    ):
+        for evaluator in evaluators:
+            fresh = EvaluationEngine(application, profile)
+            assert evaluator.evaluate_hardening(
+                application, architecture, mapping, profile, hardening, shared
+            ) == evaluator.evaluate_hardening(
+                application, architecture, mapping, profile, hardening, fresh
+            )
+    assert shared.decisions.hits > 0
+
+
+def test_shared_engine_optimizations_equal_fresh_engine_optimizations(platform):
+    """The same oracle one level up: whole redundancy-optimizer runs of
+    OPT, MIN and MAX on one shared engine versus a fresh engine each."""
+    application, node_types, profile = platform
+    rng = random.Random(application.name)
+    optimizers = (
+        RedundancyOpt(),
+        FixedHardeningRedundancyOpt("min"),
+        FixedHardeningRedundancyOpt("max"),
+    )
+    shared = EvaluationEngine(application, profile)
+    for architecture, mapping, _ in _design_points(
+        application, node_types, profile, rng, 40
+    ):
+        for optimizer in optimizers:
+            fresh = EvaluationEngine(application, profile)
+            assert optimizer.optimize(
+                application, architecture, mapping, profile, shared
+            ) == optimizer.optimize(application, architecture, mapping, profile, fresh)
+    assert shared.optimizations.hits > 0

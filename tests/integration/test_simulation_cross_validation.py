@@ -84,7 +84,9 @@ def test_simulator_respects_analytic_bound(small_benchmark, kernel_name):
         architecture,
         result.mapping,
         profile,
-        kernel=SFP_BACKENDS[kernel_name],
+        engine=EvaluationEngine(
+            small_benchmark.application, profile, kernel=SFP_BACKENDS[kernel_name]
+        ),
     )
     assert (
         analysis.system_failure_per_iteration(result.reexecutions)

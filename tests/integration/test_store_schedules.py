@@ -160,9 +160,10 @@ def test_store_warmed_tabu_search_returns_the_cold_result(platform, tmp_path, ob
             max_iterations=3,
             stop_after_no_improvement=2,
             max_candidates=2,
-            engine=engine,
         )
-        return algorithm.optimize(application, architecture, profile, objective=objective)
+        return algorithm.optimize(
+            application, architecture, profile, objective=objective, engine=engine
+        )
 
     cold_engine = EvaluationEngine(application, profile)
     cold = search(cold_engine)

@@ -8,7 +8,6 @@ from repro.api import REPORT_SCHEMA_VERSION, RunConfig, RunReport, Session
 from repro.api.registry import ScenarioOutcome, register_scenario
 from repro.core.exceptions import ModelError
 from repro.engine.store import DesignPointStore
-from repro.experiments.motivational import fig1_application, fig1_profile
 from repro.kernels import SCHED_KERNELS, SFP_KERNELS
 
 
@@ -76,18 +75,6 @@ class TestOwnedResources:
         assert isinstance(store, DesignPointStore)
         assert session.store is store
 
-    def test_engine_binds_context_and_warms_from_store(self, tmp_path):
-        application, profile = fig1_application(), fig1_profile()
-        session = Session(RunConfig(cache_dir=tmp_path / "store"))
-        engine = session.engine(application, profile)
-        assert engine.matches(application, profile)
-        # Persist a warm engine; a second session must reload its entries.
-        engine.exceedance.memoize(("probe", 1, 12), lambda: 0.5)
-        session.persist(engine)
-        second = Session(RunConfig(cache_dir=tmp_path / "store"))
-        warmed = second.engine(application, profile)
-        assert warmed.exceedance.memoize(("probe", 1, 12), lambda: 0.0) == 0.5
-
     def test_experiment_is_shared_within_a_session(self):
         session = Session(RunConfig(preset="smoke"))
         assert session.experiment() is session.experiment()
@@ -95,8 +82,30 @@ class TestOwnedResources:
 
     def test_cache_report_is_zeroed_before_any_experiment(self):
         report = Session().cache_report()
-        assert report["hits"] == 0
-        assert report["points_computed"] == 0
+        assert report == {
+            "hits": 0,
+            "misses": 0,
+            "search_evaluations": 0,
+            "points_computed": 0,
+            "hit_rate": 0.0,
+            "disk_hits": 0,
+            "disk_entries_loaded": 0,
+        }
+
+    def test_cache_report_sums_scenario_counters_and_derives_the_hit_rate(self):
+        session = Session()
+        # A passed-in hit_rate is derived, never summed.
+        session.add_cache_counters({"hits": 3, "misses": 1, "points_computed": 2, "hit_rate": 0.75})
+        session.add_cache_counters({"hits": 1, "misses": 3, "disk_hits": 4})
+        assert session.cache_report() == {
+            "hits": 4,
+            "misses": 4,
+            "search_evaluations": 0,
+            "points_computed": 2,
+            "hit_rate": 0.5,
+            "disk_hits": 4,
+            "disk_entries_loaded": 0,
+        }
 
 
 class TestRun:

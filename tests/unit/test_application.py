@@ -29,7 +29,6 @@ class TestProcess:
         process = Process("P1", nominal_wcet=12.5)
         assert process.name == "P1"
         assert process.nominal_wcet == 12.5
-        assert process.criticality == 1.0
 
     def test_empty_name_rejected(self):
         with pytest.raises(ModelError):
@@ -38,10 +37,6 @@ class TestProcess:
     def test_non_positive_wcet_rejected(self):
         with pytest.raises(ValueError):
             Process("P1", nominal_wcet=0.0)
-
-    def test_non_positive_criticality_rejected(self):
-        with pytest.raises(ValueError):
-            Process("P1", criticality=0.0)
 
     def test_is_frozen(self):
         process = Process("P1")

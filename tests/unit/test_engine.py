@@ -6,12 +6,8 @@ import pytest
 
 from repro.core.architecture import Architecture, Node, linear_cost_node_type
 from repro.core.mapping_model import ProcessMapping
-from repro.core.sfp import (
-    probability_exceeds,
-    probability_no_fault,
-    system_failure_probability,
-)
-from repro.engine import EvaluationEngine, MISS, MemoCache
+from repro.core.sfp import probability_exceeds, system_failure_probability
+from repro.engine import EvaluationEngine, MISS, MemoCache, resolve_engine
 from repro.engine.cache import CacheStats
 from repro.engine.fingerprint import (
     application_fingerprint,
@@ -20,7 +16,7 @@ from repro.engine.fingerprint import (
     mapping_fingerprint,
     profile_fingerprint,
 )
-from repro.experiments.motivational import fig1_application, fig1_profile
+from repro.experiments.motivational import fig1_application, fig1_profile, fig3_application
 from repro.kernels import ArrayKernel, ReferenceKernel
 
 
@@ -121,15 +117,6 @@ class TestMemoCache:
         # Only the newly inserted key was marked preloaded.
         assert cache.disk_hits == 1
 
-    def test_clear_forgets_preloaded_marks(self):
-        cache = MemoCache("test")
-        cache.load({"a": 1})
-        cache.clear()
-        assert "a" not in cache
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.disk_hits == 0
-
     def test_fresh_entries_count_what_was_not_preloaded(self):
         cache = MemoCache("test")
         cache.put("a", "fresh")
@@ -140,8 +127,6 @@ class TestMemoCache:
         assert cache.fresh_entries == 1
         cache.memoize("d", lambda: "new")
         assert cache.fresh_entries == 2
-        cache.clear()
-        assert cache.fresh_entries == 0
 
     def test_stats_arithmetic(self):
         total = CacheStats(hits=3, misses=1) + CacheStats(hits=1, misses=3)
@@ -171,9 +156,6 @@ class TestEvaluationEngine:
             assert engine.node_exceedance(
                 probabilities, reexecutions, 11
             ) == probability_exceeds(probabilities, reexecutions, 11)
-        assert engine.node_no_fault(probabilities, 11) == probability_no_fault(
-            probabilities, 11
-        )
         exceedances = (1.0e-9, 2.0e-9)
         assert engine.system_failure(exceedances, 11) == system_failure_probability(
             exceedances, 11
@@ -187,32 +169,17 @@ class TestEvaluationEngine:
         assert engine.exceedance.misses == 1
         assert engine.stats.hits == 1
 
-    def test_report_shape(self, engine):
-        report = engine.report()
-        assert {"context", "evaluations", "hits", "misses", "hit_rate", "caches"} <= set(
-            report
-        )
-        assert set(report["caches"]) == {
+    def test_stats_by_cache_names_every_memo_table(self, engine):
+        engine.node_exceedance((1e-6,), 1, 11)
+        by_cache = engine.stats_by_cache()
+        assert set(by_cache) == {
             "decisions",
             "optimizations",
             "exceedance",
-            "no_fault",
             "system_failure",
         }
-
-    def test_report_keys_are_exactly_the_scalar_counters(self, engine):
-        engine.node_exceedance((1e-6,), 1, 11)
-        report = engine.report()
-        assert set(report) == {
-            "context",
-            "evaluations",
-            "hits",
-            "misses",
-            "hit_rate",
-            "disk_hits",
-            "caches",
-        }
-        assert report["misses"] == 1
+        assert by_cache["exceedance"]["misses"] == 1
+        assert engine.stats.misses == 1
 
     def test_memo_entries_are_valid_across_kernels(self):
         """The kernel is not part of any memo key: entries computed by one
@@ -227,8 +194,20 @@ class TestEvaluationEngine:
         assert target.exceedance.misses == 0
         assert target.exceedance.disk_hits == len(rows)
 
-    def test_clear_keeps_counters(self, engine):
-        engine.node_exceedance((1e-6,), 0, 11)
-        engine.clear()
-        assert len(engine.exceedance) == 0
-        assert engine.exceedance.misses == 1
+
+class TestResolveEngine:
+    def test_none_gets_a_fresh_engine_for_the_context(self):
+        application, profile = fig1_application(), fig1_profile()
+        first = resolve_engine(None, application, profile)
+        assert first.matches(application, profile)
+        assert resolve_engine(None, application, profile) is not first
+
+    def test_an_engine_of_the_context_is_returned_as_is(self, engine):
+        assert resolve_engine(engine, engine.application, engine.profile) is engine
+
+    def test_an_engine_of_another_context_names_both_applications(self, engine):
+        other = fig3_application()
+        with pytest.raises(ValueError, match="'fig1'.*'fig3'"):
+            resolve_engine(engine, other, engine.profile)
+        with pytest.raises(ValueError, match="'fig1'.*'fig1'"):
+            resolve_engine(engine, engine.application, fig1_profile())

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.comm.bus import SimpleBus, TDMABus
-from repro.core.reexecution import ReExecutionOpt
 from repro.core.sfp import (
     SFPAnalysis,
     probability_exceeds,
@@ -42,12 +41,15 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
 def _default_kernels():
-    """The backend each ``kernel=None`` entry point binds."""
+    """The backend each ``kernel=None`` entry point binds.
+
+    ``SFPAnalysis`` runs on the kernel of the fresh engine it gets when no
+    engine is passed in.
+    """
     application, profile = fig1_application(), fig1_profile()
     return {
         "EvaluationEngine": EvaluationEngine(application, profile).kernel,
-        "SFPAnalysis": SFPAnalysis(application, None, None, profile).kernel,
-        "ReExecutionOpt": ReExecutionOpt().kernel,
+        "SFPAnalysis": SFPAnalysis(application, None, None, profile).engine.kernel,
         "ListScheduler": ListScheduler().kernel,
     }
 
@@ -64,7 +66,7 @@ def test_production_backends_are_array_and_flat():
 
 def test_defaults_bind_the_exact_production_instances():
     kernels = _default_kernels()
-    for entry_point in ("EvaluationEngine", "SFPAnalysis", "ReExecutionOpt"):
+    for entry_point in ("EvaluationEngine", "SFPAnalysis"):
         assert kernels[entry_point] is SFP_KERNELS.active(), entry_point
     assert kernels["ListScheduler"] is SCHED_KERNELS.active()
 
@@ -75,7 +77,6 @@ def test_swapped_production_instances_reach_every_default():
         kernels = _default_kernels()
         assert kernels["EvaluationEngine"] is sfp
         assert kernels["SFPAnalysis"] is sfp
-        assert kernels["ReExecutionOpt"] is sfp
         assert kernels["ListScheduler"] is sched
     assert type(SFP_KERNELS.active()) is ArrayKernel
     assert type(SCHED_KERNELS.active()) is FlatSchedulerKernel
@@ -130,9 +131,9 @@ def test_former_kernel_env_vars_change_nothing_in_a_fresh_interpreter():
 def test_explicit_instances_are_used_as_given():
     sfp, sched = ReferenceKernel(), ReferenceSchedulerKernel()
     application, profile = fig1_application(), fig1_profile()
-    assert EvaluationEngine(application, profile, kernel=sfp).kernel is sfp
-    assert SFPAnalysis(application, None, None, profile, kernel=sfp).kernel is sfp
-    assert ReExecutionOpt(kernel=sfp).kernel is sfp
+    engine = EvaluationEngine(application, profile, kernel=sfp)
+    assert engine.kernel is sfp
+    assert SFPAnalysis(application, None, None, profile, engine=engine).engine.kernel is sfp
     assert ListScheduler(kernel=sched).kernel is sched
 
 
@@ -140,8 +141,6 @@ def test_explicit_instances_are_used_as_given():
     "build",
     [
         lambda kernel: EvaluationEngine(fig1_application(), fig1_profile(), kernel=kernel),
-        lambda kernel: SFPAnalysis(fig1_application(), None, None, fig1_profile(), kernel=kernel),
-        lambda kernel: ReExecutionOpt(kernel=kernel),
         lambda kernel: ListScheduler(kernel=kernel),
         lambda kernel: probability_no_fault([1e-5], kernel=kernel),
         lambda kernel: probability_exceeds([1e-5], 1, kernel=kernel),
@@ -149,8 +148,6 @@ def test_explicit_instances_are_used_as_given():
     ],
     ids=[
         "EvaluationEngine",
-        "SFPAnalysis",
-        "ReExecutionOpt",
         "ListScheduler",
         "probability_no_fault",
         "probability_exceeds",
@@ -166,7 +163,7 @@ def test_a_backend_of_the_other_family_is_rejected():
     with pytest.raises(TypeError, match="SchedulerKernel instance"):
         ListScheduler(kernel=ArrayKernel())
     with pytest.raises(TypeError, match="SFPKernel instance"):
-        ReExecutionOpt(kernel=FlatSchedulerKernel())
+        EvaluationEngine(fig1_application(), fig1_profile(), kernel=FlatSchedulerKernel())
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.architecture import Architecture, Node
-from repro.core.exceptions import OptimizationError
+from repro.core.baselines import optimized_strategy
+from repro.core.exceptions import ModelError, OptimizationError
+from repro.core.exhaustive import ExhaustiveSearch
+from repro.core.mapping import MappingAlgorithm
 from repro.core.mapping_model import ProcessMapping
 from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
+from repro.core.reexecution import ReExecutionOpt
+from repro.core.sfp import SFPAnalysis
+from repro.engine import EvaluationEngine
 from repro.experiments.motivational import (
     fig1_application,
     fig1_node_types,
@@ -138,8 +144,6 @@ class TestEvaluateHardening:
         application, architecture, mapping, profile = fig3_setup
         evaluator = RedundancyOpt(reexecution_opt=None)
         # Re-execution cap of zero makes the goal unreachable at h=1.
-        from repro.core.reexecution import ReExecutionOpt
-
         evaluator = RedundancyOpt(reexecution_opt=ReExecutionOpt(max_reexecutions_per_node=0))
         decision = evaluator.evaluate_hardening(
             application, architecture, mapping, profile, {"N1": 1}
@@ -169,21 +173,20 @@ def fig4a_setup():
 
 
 @pytest.mark.parametrize("strategy", sorted(OPTIMIZER_BUILDERS))
-def test_engine_memo_returns_the_unmemoized_decision(fig4a_setup, strategy):
-    """With an engine the decision is memoized, never changed: the cold
-    call equals the engine-free call and a repeat is one memo hit."""
-    from repro.engine import EvaluationEngine
-
+def test_shared_engine_memo_returns_the_fresh_engine_decision(fig4a_setup, strategy):
+    """On a shared engine the decision is memoized, never changed: the cold
+    call equals the engine-free call (on its private engine) and a repeat is
+    one memo hit."""
     application, architecture, mapping, profile = fig4a_setup
     plain = OPTIMIZER_BUILDERS[strategy]().optimize(
         application, architecture, mapping, profile
     )
     engine = EvaluationEngine(application, profile)
-    optimizer = OPTIMIZER_BUILDERS[strategy](engine=engine)
-    cold = optimizer.optimize(application, architecture, mapping, profile)
+    optimizer = OPTIMIZER_BUILDERS[strategy]()
+    cold = optimizer.optimize(application, architecture, mapping, profile, engine)
     assert cold == plain
     assert engine.optimizations.misses == 1
-    assert optimizer.optimize(application, architecture, mapping, profile) is cold
+    assert optimizer.optimize(application, architecture, mapping, profile, engine) is cold
     assert engine.optimizations.hits == 1
     assert architecture.hardening_vector() == {"N1": 1, "N2": 1}
 
@@ -191,8 +194,6 @@ def test_engine_memo_returns_the_unmemoized_decision(fig4a_setup, strategy):
 def test_fixed_policies_sharing_an_engine_do_not_collide(fig4a_setup):
     """MIN and MAX are one class; the policy is part of the memo key, so a
     shared engine serves each its own decision."""
-    from repro.engine import EvaluationEngine
-
     application, architecture, mapping, profile = fig4a_setup
     engine = EvaluationEngine(application, profile)
     expected = {
@@ -203,23 +204,68 @@ def test_fixed_policies_sharing_an_engine_do_not_collide(fig4a_setup):
     }
     for _ in range(2):
         for policy in ("min", "max"):
-            decision = FixedHardeningRedundancyOpt(policy, engine=engine).optimize(
-                application, architecture, mapping, profile
+            decision = FixedHardeningRedundancyOpt(policy).optimize(
+                application, architecture, mapping, profile, engine
             )
             assert decision == expected[policy]
     assert engine.optimizations.misses == 2
     assert engine.optimizations.hits == 2
 
 
-def test_engine_bound_to_another_context_is_bypassed(fig4a_setup):
-    from repro.engine import EvaluationEngine
-
+def test_partial_hardening_vector_is_rejected(fig4a_setup):
+    """The memo key reads a hardening vector as the level of every node, so
+    a vector that leaves a node out is an error, not a bypass."""
     application, architecture, mapping, profile = fig4a_setup
-    foreign = EvaluationEngine(fig1_application(), fig1_profile())
-    decision = RedundancyOpt(engine=foreign).optimize(
-        application, architecture, mapping, profile
-    )
-    assert decision == RedundancyOpt().optimize(
-        application, architecture, mapping, profile
-    )
-    assert foreign.optimizations.hits == foreign.optimizations.misses == 0
+    with pytest.raises(ModelError, match="must name every node"):
+        RedundancyOpt().evaluate_hardening(
+            application, architecture, mapping, profile, {"N1": 2}
+        )
+
+
+#: Every DSE entry point that takes an engine, called on the Fig. 4a setup.
+FOREIGN_ENGINE_CALLS = {
+    "DesignStrategy.explore": lambda app, arch, mapping, prof, engine: optimized_strategy(
+        fig1_node_types()
+    ).explore(app, prof, engine=engine),
+    "MappingAlgorithm.optimize": lambda app, arch, mapping, prof, engine: MappingAlgorithm().optimize(
+        app, arch, prof, engine=engine
+    ),
+    "RedundancyOpt.optimize": lambda app, arch, mapping, prof, engine: RedundancyOpt().optimize(
+        app, arch, mapping, prof, engine=engine
+    ),
+    "FixedHardeningRedundancyOpt.optimize": lambda app, arch, mapping, prof, engine: (
+        FixedHardeningRedundancyOpt("max").optimize(app, arch, mapping, prof, engine=engine)
+    ),
+    "RedundancyOpt.evaluate_hardening": lambda app, arch, mapping, prof, engine: (
+        RedundancyOpt().evaluate_hardening(
+            app, arch, mapping, prof, {"N1": 2, "N2": 2}, engine=engine
+        )
+    ),
+    "ReExecutionOpt.optimize": lambda app, arch, mapping, prof, engine: ReExecutionOpt().optimize(
+        app, arch, mapping, prof, engine=engine
+    ),
+    "ReExecutionOpt.evaluate": lambda app, arch, mapping, prof, engine: ReExecutionOpt().evaluate(
+        app, arch, mapping, prof, {"N1": 1, "N2": 1}, engine=engine
+    ),
+    "SFPAnalysis": lambda app, arch, mapping, prof, engine: SFPAnalysis(
+        app, arch, mapping, prof, engine=engine
+    ),
+    "ExhaustiveSearch.explore": lambda app, arch, mapping, prof, engine: ExhaustiveSearch(
+        fig1_node_types()
+    ).explore(app, prof, engine=engine),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(FOREIGN_ENGINE_CALLS))
+def test_engine_bound_to_another_context_raises(fig4a_setup, entry_point):
+    """An engine's memo keys do not encode its (application, profile), so
+    an engine of another context is refused at every entry point instead of
+    being used (aliasing) or silently bypassed."""
+    application, architecture, mapping, profile = fig4a_setup
+    foreign = EvaluationEngine(fig3_application(), fig3_profile())
+    with pytest.raises(ValueError, match="'fig3'.*'fig1'"):
+        FOREIGN_ENGINE_CALLS[entry_point](
+            application, architecture, mapping, profile, foreign
+        )
+    assert foreign.stats.hits == foreign.stats.misses == 0
+    assert foreign.evaluations == 0

@@ -29,9 +29,10 @@ class TestReExecutionOptFig3:
 
 
     @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_engine_memo_is_bit_identical(self, level):
+    def test_shared_engine_memo_is_bit_identical(self, level):
         """The greedy steps re-query the same exceedances; serving them from
-        the engine memo changes nothing, and a rerun is all memo hits."""
+        a shared engine's memo matches the engine-free call's private engine,
+        and a rerun is all memo hits."""
         from repro.engine import EvaluationEngine
 
         application = fig3_application()
@@ -40,12 +41,12 @@ class TestReExecutionOptFig3:
         mapping = ProcessMapping({"P1": "N1"})
         plain = ReExecutionOpt().optimize(application, architecture, mapping, profile)
         engine = EvaluationEngine(application, profile)
-        optimizer = ReExecutionOpt(engine=engine)
-        memoized = optimizer.optimize(application, architecture, mapping, profile)
+        optimizer = ReExecutionOpt()
+        memoized = optimizer.optimize(application, architecture, mapping, profile, engine)
         assert memoized == plain
         misses = engine.exceedance.misses
         assert misses > 0
-        assert optimizer.optimize(application, architecture, mapping, profile) == plain
+        assert optimizer.optimize(application, architecture, mapping, profile, engine) == plain
         assert engine.exceedance.misses == misses
 
 

@@ -52,7 +52,6 @@ def _engine_with_entries(context) -> EvaluationEngine:
     """A fresh engine with a few real memo entries in every SFP table."""
     application, profile = context
     engine = EvaluationEngine(application, profile)
-    engine.node_no_fault((1.2e-5, 1.3e-5), 11)
     engine.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
     engine.node_exceedance((1.2e-5, 1.3e-5), 2, 11)
     engine.system_failure((1e-9, 2e-9), 11)
@@ -70,7 +69,7 @@ def test_round_trip_restores_entries_and_counts_disk_hits(tmp_path, context):
 
     second = EvaluationEngine(application, profile)
     loaded = DesignPointStore(tmp_path).warm(second)
-    assert loaded == len(first.exceedance) + len(first.no_fault) + len(first.system)
+    assert loaded == len(first.exceedance) + len(first.system)
     assert second.disk_hits == 0
 
     # Preloaded entries must serve (and count) hits without recomputation.
@@ -78,6 +77,25 @@ def test_round_trip_restores_entries_and_counts_disk_hits(tmp_path, context):
     assert value == first.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
     assert second.disk_hits == 1
     assert second.exceedance.stats.misses == 0
+
+
+def test_a_file_with_the_former_no_fault_table_still_warms(tmp_path, context):
+    """Store files written before the ``no_fault`` table was dropped carry
+    it; warming reads the tables it knows by name and a persist drops it."""
+    application, profile = context
+    store = DesignPointStore(tmp_path)
+    first = _engine_with_entries(context)
+    store.persist(first)
+    path = store.path_for(first)
+    payload = store._read(path)
+    payload["caches"]["no_fault"] = {((1.2e-5, 1.3e-5), 11): 0.99997500015}
+    store._write_atomic(path, payload)
+
+    second = EvaluationEngine(application, profile)
+    assert store.warm(second) == len(first.exceedance) + len(first.system)
+    second.node_exceedance((9e-6,), 3, 11)
+    store.persist(second)
+    assert "no_fault" not in store._read(path)["caches"]
 
 
 def test_round_trip_is_bit_identical_through_the_analysis_layer(tmp_path, context):
@@ -92,16 +110,16 @@ def test_round_trip_is_bit_identical_through_the_analysis_layer(tmp_path, contex
     mapping = ProcessMapping({"P1": "N1", "P2": "N1", "P3": "N2", "P4": "N2"})
 
     cold_engine = EvaluationEngine(application, profile)
-    cold = ReExecutionOpt(engine=cold_engine).optimize(
-        application, architecture, mapping, profile
+    cold = ReExecutionOpt().optimize(
+        application, architecture, mapping, profile, engine=cold_engine
     )
     store = DesignPointStore(tmp_path)
     store.persist(cold_engine)
 
     warm_engine = EvaluationEngine(application, profile)
     store.warm(warm_engine)
-    warm = ReExecutionOpt(engine=warm_engine).optimize(
-        application, architecture, mapping, profile
+    warm = ReExecutionOpt().optimize(
+        application, architecture, mapping, profile, engine=warm_engine
     )
     assert warm == cold
     assert warm_engine.disk_hits > 0
@@ -164,7 +182,7 @@ def test_one_new_entry_still_merges_and_replaces(tmp_path, context):
     store.warm(rerun)
     rerun.node_exceedance((9e-6,), 3, 11)
     written = store.persist(rerun)
-    assert written == len(first.exceedance) + len(first.no_fault) + len(first.system) + 1
+    assert written == len(first.exceedance) + len(first.system) + 1
     assert store.stats.files_persisted == persisted + 1
     assert path.read_bytes() != before
 
