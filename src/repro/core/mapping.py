@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
-from repro.core.exceptions import MappingError
+from repro.core.exceptions import MappingError, OptimizationError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import RedundancyDecision, RedundancyOpt, _RedundancyEvaluator
@@ -57,9 +57,17 @@ class MappingResult:
 
     @property
     def schedule(self) -> Schedule:
+        """The winner's schedule, which ``MappingAlgorithm.optimize`` builds.
+
+        Raises :class:`OptimizationError` on a result assembled around a
+        decision whose schedule nobody built (see ``schedule_of``).
+        """
         schedule = self.decision.schedule
-        # MappingAlgorithm materializes the schedule before returning a result.
-        assert schedule is not None
+        if schedule is None:
+            raise OptimizationError(
+                "MappingResult holds a decision without a schedule; build it "
+                "through the redundancy optimizer's schedule_of"
+            )
         return schedule
 
     @property

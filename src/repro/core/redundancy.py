@@ -44,10 +44,12 @@ from repro.scheduling.schedule import Schedule
 class RedundancyDecision:
     """Hardening levels + re-executions + resulting schedule for one mapping.
 
-    ``schedule`` is ``None`` on decisions read back from the persistent
-    design-point store, which keeps only the scalar fields; the search
-    scores designs by ``schedule_length`` and rebuilds the schedule through
-    :meth:`_RedundancyEvaluator.schedule_of` only where it reads one.
+    Every decision starts without a schedule (``schedule is None``), whether
+    it was just evaluated or read back from the persistent design-point
+    store: the search scores designs by ``schedule_length`` alone, computed
+    by :meth:`ListScheduler.worst_case_length`.  The schedule is built on
+    first read through :meth:`_RedundancyEvaluator.schedule_of`, which
+    installs it on the decision.
     """
 
     hardening: Dict[str, int]
@@ -167,23 +169,23 @@ class _RedundancyEvaluator:
             application, candidate, mapping, profile, engine=engine
         )
         if reexecution is None:
-            # Reliability goal unreachable at this hardening level; schedule
+            # Reliability goal unreachable at this hardening level; score
             # with zero re-executions only to report a schedule length.
             budgets: Dict[str, int] = {node.name: 0 for node in candidate}
             meets_reliability = False
         else:
             budgets = reexecution.reexecutions
             meets_reliability = True
-        schedule = self.scheduler.schedule(
+        length = self.scheduler.worst_case_length(
             application, candidate, mapping, profile, budgets
         )
         return RedundancyDecision(
             hardening=dict(hardening),
             reexecutions=dict(budgets),
-            schedule=schedule,
+            schedule=None,
             cost=candidate.cost,
-            schedule_length=schedule.length,
-            meets_deadline=schedule.length <= application.deadline,
+            schedule_length=length,
+            meets_deadline=length <= application.deadline,
             meets_reliability=meets_reliability,
         )
 
@@ -195,13 +197,15 @@ class _RedundancyEvaluator:
         mapping: ProcessMapping,
         profile: ExecutionProfile,
     ) -> Schedule:
-        """The decision's schedule, rebuilt once if the store dropped it.
+        """The decision's schedule, built on first read.
 
+        This is the only place the exploration builds a schedule.
         ``mapping`` must be the mapping the decision was evaluated for.  The
-        rebuild replays the evaluation's scheduler call with the decision's
+        build replays the evaluation's scheduler call with the decision's
         hardening and re-execution budgets — a deterministic function of
-        those inputs — and installs the result on the (shared) decision, so
-        every later reader gets the same object without rescheduling.
+        those inputs, whose length is the decision's ``schedule_length`` —
+        and installs the result on the (shared) decision, so every later
+        reader gets the same object without rescheduling.
         """
         schedule = decision.schedule
         if schedule is None:

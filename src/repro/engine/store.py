@@ -60,7 +60,9 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 PERSISTED_CACHES = ("decisions", "optimizations", "exceedance", "system")
 
 #: Tables whose values are :class:`~repro.core.redundancy.RedundancyDecision`
-#: objects (or ``None``), persisted without their schedules.
+#: objects (or ``None``), persisted without their schedules.  In memory a
+#: decision holds a schedule only once a search has read it through
+#: ``schedule_of``; every other decision is schedule-less from the start.
 DECISION_CACHES = ("decisions", "optimizations")
 
 

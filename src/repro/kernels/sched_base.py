@@ -8,12 +8,22 @@ entry point — it validates inputs, normalizes re-execution budgets and
 memoizes the application's static structure — and hands the resulting
 :class:`SchedulingProblem` to its backend.
 
+A backend has two entry points over one :class:`SchedulingProblem`:
+
+* :meth:`SchedulerKernel.build_schedule` returns the full root schedule and
+  leaves the problem's bus holding the granted windows;
+* :meth:`SchedulerKernel.worst_case_length` returns only the worst-case
+  length ``SL`` — the one number the design-space exploration scores a
+  design point by.  A backend may compute it without building a
+  ``Schedule`` or touching the bus; the default builds the schedule.
+
 The backend contract mirrors the SFP kernels (:mod:`repro.kernels.base`):
 **bit identity**.  Every scheduler kernel must return, for every
 input, a :class:`~repro.scheduling.schedule.Schedule` that is value-equal
 (``Schedule.__eq__``) to the one the ``reference`` backend produces — every
 process window, message window, recovery-slack reservation and budget, down
-to the last float bit.  All schedule arithmetic is max/+ chains over the same
+to the last float bit — and a ``worst_case_length`` equal (``==``) to that
+schedule's ``length``.  All schedule arithmetic is max/+ chains over the same
 input floats, so a backend is free to reorganize *how* the chains are
 evaluated (integer-indexed tables, flat reservation arrays) but never *what*
 comes out.  Because of this, the backend is deliberately **not** part of any
@@ -85,6 +95,10 @@ class SchedulerKernel:
     def build_schedule(self, problem: SchedulingProblem) -> "Schedule":
         """Construct the root schedule (with recovery slack) for ``problem``."""
         raise NotImplementedError
+
+    def worst_case_length(self, problem: SchedulingProblem) -> float:
+        """The worst-case length of the schedule :meth:`build_schedule` builds."""
+        return self.build_schedule(problem).length
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

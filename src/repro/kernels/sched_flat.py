@@ -18,6 +18,10 @@ same reservation-scan order, same tie-breaks), so the resulting ``Schedule``
 is value-equal bit for bit; the property suite and the golden fixtures pin
 this.
 
+One placement routine feeds both entry points: ``worst_case_length`` reads
+the length it computes and never touches the bus, while ``build_schedule``
+turns its recorded windows into the ``Schedule`` and the bus reservations.
+
 Buses other than exactly ``SimpleBus`` / ``TDMABus`` may override
 ``_find_window`` with arbitrary policies the flat gap search cannot
 reproduce, so those problems are delegated to the ``reference`` backend
@@ -32,7 +36,8 @@ application actually changes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.comm.bus import SimpleBus, TDMABus
 from repro.core.exceptions import SchedulingError
@@ -51,9 +56,11 @@ if TYPE_CHECKING:
 #: Fallback backend for bus models the flat tables cannot honour.
 _REFERENCE = ReferenceSchedulerKernel()
 
-#: Bypass for the frozen-dataclass __setattr__ when handing a ready-made
-#: __dict__ to a __new__-allocated output entry (see build_schedule).
-_SET_ATTR = object.__setattr__
+#: The bus models whose gap search the flat arrays reproduce.
+_FLAT_BUSES = (SimpleBus, TDMABus)
+
+#: Sort key of a ``(message, sender, start, finish)`` bus window.
+_WINDOW_START = itemgetter(2)
 
 
 class _CompiledApplication:
@@ -161,6 +168,26 @@ class _CompiledApplication:
         return row
 
 
+class _Placement(NamedTuple):
+    """What one placement pass leaves behind, indexed by process/node id."""
+
+    names: List[str]
+    node_names: List[str]
+    node_keys: List[Tuple[str, int]]
+    node_idx_of: List[int]
+    start: List[float]
+    finish: List[float]
+    #: Process ids in placement order.
+    order: List[int]
+    #: Granted bus windows in grant order:
+    #: (message, producer, consumer id, sender node, start, finish).
+    messages: List[Tuple[str, str, int, str, float, float]]
+    #: Recovery slack per node id.
+    slack: List[float]
+    #: Worst-case schedule length (the seeded ``Schedule.length``).
+    length: float
+
+
 class FlatSchedulerKernel(SchedulerKernel):
     """Integer-id placement + flat-array bus gap search (bit-identical)."""
 
@@ -199,15 +226,67 @@ class FlatSchedulerKernel(SchedulerKernel):
         return compiled
 
     # ------------------------------------------------------------------
+    def worst_case_length(self, problem: SchedulingProblem) -> float:
+        if type(problem.bus) not in _FLAT_BUSES:
+            return _REFERENCE.worst_case_length(problem)
+        return self._place(problem).length
+
     def build_schedule(self, problem: SchedulingProblem) -> Schedule:
-        bus = problem.bus
-        bus_type = type(bus)
-        tdma = bus_type is TDMABus
-        if not tdma and bus_type is not SimpleBus:
+        if type(problem.bus) not in _FLAT_BUSES:
             # Unknown bus subclass: its _find_window may implement any
             # policy; only the reference backend can honour it.
             return _REFERENCE.build_schedule(problem)
+        placement = self._place(problem)
+        names = placement.names
+        node_names = placement.node_names
+        node_idx_of = placement.node_idx_of
+        processes_by_name = {
+            names[p]: ScheduledProcess(
+                names[p], node_names[node_idx_of[p]],
+                placement.start[p], placement.finish[p],
+            )
+            for p in placement.order
+        }
+        messages_by_name: Dict[str, ScheduledMessage] = {}
+        windows: List[Tuple[str, str, float, float]] = []
+        for message_name, producer_name, p, sender, window, window_finish in (
+            placement.messages
+        ):
+            messages_by_name[message_name] = ScheduledMessage(
+                message_name, producer_name, names[p],
+                sender, node_names[node_idx_of[p]],
+                window, window_finish,
+            )
+            windows.append((message_name, sender, window, window_finish))
+        # A stable sort by start of the grant order is the order a
+        # bisect_right insertion per grant (Bus.reserve) leaves behind.
+        windows.sort(key=_WINDOW_START)
+        problem.bus.adopt_reservations(windows)
 
+        schedule = Schedule.from_kernel(
+            processes_by_name=processes_by_name,
+            messages_by_name=messages_by_name,
+            node_recovery_slack=dict(zip(node_names, placement.slack)),
+            reexecutions=problem.budgets,
+            hardening={
+                name: key[1] for name, key in zip(node_names, placement.node_keys)
+            },
+        )
+        schedule.seed_worst_case_length(placement.length)
+        return schedule
+
+    # ------------------------------------------------------------------
+    def _place(self, problem: SchedulingProblem) -> _Placement:
+        """Priorities, layer placement, bus gap search and recovery slack.
+
+        The one placement loop both consumers share.  It runs the gap search
+        over its own flat arrays and never touches ``problem.bus``;
+        :meth:`build_schedule` turns the recorded windows into a
+        ``Schedule`` and the bus's reservations, :meth:`worst_case_length`
+        reads only the length.
+        """
+        bus = problem.bus
+        tdma = type(bus) is TDMABus
         compiled = self._compile(problem)
         architecture = problem.architecture
         mapping = problem.mapping
@@ -273,17 +352,16 @@ class FlatSchedulerKernel(SchedulerKernel):
             priority[p] = wcet + best_tail
 
         # --- placement over flat arrays --------------------------------
-        bus.reset()
+        start = [0.0] * count
         finish = [0.0] * count
         node_free = [0.0] * n_nodes
-        processes_by_name: Dict[str, ScheduledProcess] = {}
-        messages_by_name: Dict[str, ScheduledMessage] = {}
+        order: List[int] = []
+        messages: List[Tuple[str, str, int, str, float, float]] = []
         max_message_finish = 0.0
         # Bus reservation windows, kept sorted by start time (parallel
-        # arrays; ``windows`` carries the raw tuples the bus adopts lazily).
+        # arrays searched by the gap scan).
         res_start: List[float] = []
         res_finish: List[float] = []
-        windows: List[Tuple[str, str, float, float]] = []
         if tdma:
             slot_length = bus.slot_length
             round_length = bus.round_length
@@ -301,14 +379,6 @@ class FlatSchedulerKernel(SchedulerKernel):
             # grant in a slot drops that slot back to the full conflict scan.
             slot_clean: List[bool] = [True] * len(slot_index)
 
-        # The output entries are frozen dataclasses whose generated __init__
-        # assigns every field through object.__setattr__; handing __new__
-        # instances a ready-made __dict__ produces identical objects (same
-        # fields, same __eq__ / __hash__) at a fraction of the cost, which
-        # matters at one object per process and message for every design
-        # point of a sweep.
-        new_message = ScheduledMessage.__new__
-        new_process = ScheduledProcess.__new__
         in_edges = compiled.in_edges
         # While every granted window has positive duration the windows are
         # pairwise disjoint, so sorting by start also sorts by finish and a
@@ -373,37 +443,18 @@ class FlatSchedulerKernel(SchedulerKernel):
                     at = bisect_right(res_start, window)
                     res_start.insert(at, window)
                     res_finish.insert(at, window_finish)
-                    windows.insert(
-                        at, (message_name, sender, window, window_finish)
+                    messages.append(
+                        (message_name, producer_name, p, sender, window, window_finish)
                     )
-                    entry = new_message(ScheduledMessage)
-                    _SET_ATTR(entry, "__dict__", {
-                        "message": message_name,
-                        "source_process": producer_name,
-                        "destination_process": names[p],
-                        "source_node": sender,
-                        "destination_node": node_names[n],
-                        "start": window,
-                        "finish": window_finish,
-                    })
-                    messages_by_name[message_name] = entry
                     if window_finish > max_message_finish:
                         max_message_finish = window_finish
                     if window_finish > earliest:
                         earliest = window_finish
                 done = earliest + wcet_of[p]
+                start[p] = earliest
                 finish[p] = done
                 node_free[n] = done
-                entry = new_process(ScheduledProcess)
-                _SET_ATTR(entry, "__dict__", {
-                    "process": names[p],
-                    "node": node_names[n],
-                    "start": earliest,
-                    "finish": done,
-                })
-                processes_by_name[names[p]] = entry
-
-        bus.adopt_reservations(windows)
+                order.append(p)
 
         # --- recovery slack --------------------------------------------
         # Inlined shared/naive slack over the flat arrays: the same
@@ -414,41 +465,31 @@ class FlatSchedulerKernel(SchedulerKernel):
         sharing = problem.slack_sharing
         budgets = problem.budgets
         mu = compiled.mu
-        slack: Dict[str, float] = {}
+        slack = [0.0] * n_nodes
         for n in range(n_nodes):
             budget = budgets.get(node_names[n], 0)
             mapped = on_node[n]
             if not mapped or budget == 0:
-                slack[node_names[n]] = 0.0
                 continue
             if sharing:
-                slack[node_names[n]] = budget * max(
-                    wcet_of[p] + mu[p] for p in mapped
-                )
+                slack[n] = budget * max(wcet_of[p] + mu[p] for p in mapped)
             else:
-                slack[node_names[n]] = budget * sum(
-                    wcet_of[p] + mu[p] for p in mapped
-                )
+                slack[n] = budget * sum(wcet_of[p] + mu[p] for p in mapped)
 
-        schedule = Schedule.from_kernel(
-            processes_by_name=processes_by_name,
-            messages_by_name=messages_by_name,
-            node_recovery_slack=slack,
-            reexecutions=budgets,
-            hardening={node_names[n]: node_keys[n][1] for n in range(n_nodes)},
-        )
-        # The worst-case length is already on hand: per-node completions are
-        # the final node_free values and max over the same floats yields the
-        # same float the lazy property would compute — seed it so the caller
-        # skips the per-node table rebuild.
+        # The worst-case length: per-node completions are the final
+        # node_free values, and max over the same floats yields the same
+        # float the lazy Schedule.length property computes.
         length = max_message_finish
         for n in range(n_nodes):
             if on_node[n]:
-                worst_case = node_free[n] + slack[node_names[n]]
+                worst_case = node_free[n] + slack[n]
                 if worst_case > length:
                     length = worst_case
-        schedule.seed_worst_case_length(length)
-        return schedule
+
+        return _Placement(
+            names, node_names, node_keys, node_idx_of,
+            start, finish, order, messages, slack, length,
+        )
 
     # ------------------------------------------------------------------
     @staticmethod

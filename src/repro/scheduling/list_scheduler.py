@@ -14,6 +14,8 @@ adapted from the authors' earlier work [7, 15]:
    (see :mod:`repro.scheduling.slack`).
 3. The worst-case schedule length is the latest node completion including its
    slack; it is the value compared against the deadline by every heuristic.
+   :meth:`ListScheduler.worst_case_length` computes it without building the
+   schedule, which is how the design-space exploration scores its points.
 
 The scheduler is deterministic: ties in priority are broken by process name so
 that repeated runs over the same inputs produce identical schedules (important
@@ -31,6 +33,7 @@ evaluation-engine cache key.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, List, Mapping, Optional
 
 from repro.comm.bus import Bus, SimpleBus
@@ -138,6 +141,38 @@ class ListScheduler:
         reexecutions:
             Re-execution budget ``k_j`` per node name; omitted nodes get 0.
         """
+        return self.kernel.build_schedule(
+            self._problem(application, architecture, mapping, profile, reexecutions)
+        )
+
+    def worst_case_length(
+        self,
+        application: Application,
+        architecture: Architecture,
+        mapping: ProcessMapping,
+        profile: ExecutionProfile,
+        reexecutions: Optional[Mapping[str, int]] = None,
+    ) -> float:
+        """The ``length`` of :meth:`schedule`'s result, bit for bit.
+
+        Validates exactly like :meth:`schedule`.  The production kernel
+        computes the length without building the schedule or touching the
+        bus; the design-space exploration scores every design point by it
+        and builds a schedule only where one is read.
+        """
+        return self.kernel.worst_case_length(
+            self._problem(application, architecture, mapping, profile, reexecutions)
+        )
+
+    def _problem(
+        self,
+        application: Application,
+        architecture: Architecture,
+        mapping: ProcessMapping,
+        profile: ExecutionProfile,
+        reexecutions: Optional[Mapping[str, int]],
+    ) -> SchedulingProblem:
+        """Validate the inputs and normalize the budgets into one problem."""
         mapping.validate(application, architecture, profile)
         budgets: Dict[str, int] = {node.name: 0 for node in architecture}
         if reexecutions:
@@ -146,13 +181,20 @@ class ListScheduler:
                     raise SchedulingError(
                         f"Re-execution budget given for unknown node {name}"
                     )
+                # A bool is an Integral but not a count, and a float would
+                # be truncated.
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise SchedulingError(
+                        f"Re-execution budget of node {name} must be an "
+                        f"integer, got {value!r}"
+                    )
                 if value < 0:
                     raise SchedulingError(
                         f"Re-execution budget of node {name} must be >= 0, got {value}"
                     )
                 budgets[name] = int(value)
 
-        problem = SchedulingProblem(
+        return SchedulingProblem(
             application=application,
             architecture=architecture,
             mapping=mapping,
@@ -162,4 +204,3 @@ class ListScheduler:
             slack_sharing=self.slack_sharing,
             structure=self._application_structure(application),
         )
-        return self.kernel.build_schedule(problem)

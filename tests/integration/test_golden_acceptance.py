@@ -1,4 +1,4 @@
-"""Golden regression fixtures for the Fig. 6a / 6b fast-preset sweeps.
+"""Golden regression fixtures for the Fig. 6a–6d fast-preset sweeps.
 
 The checked-in JSON files under ``tests/golden/`` pin the exact acceptance
 percentages of the fast preset, computed on the session-shared
@@ -15,8 +15,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.core.fault_model import SER_MEDIUM
-from repro.experiments.synthetic import figure_6a_hpd_sweep, figure_6b_cost_table
+from repro.experiments.synthetic import (
+    figure_6a_hpd_sweep,
+    figure_6b_cost_table,
+    figure_6c_ser_sweep,
+    figure_6d_ser_sweep,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -41,6 +48,22 @@ def test_fig6b_acceptance_matches_golden(fast_experiment):
         f"{hpd:g}": {f"{arc:g}": values for arc, values in per_arc.items()}
         for hpd, per_arc in table.items()
     }
+    assert produced == golden["acceptance"]
+
+
+@pytest.mark.parametrize(
+    "name, hpd, ser_sweep",
+    [
+        ("fig6c_fast.json", 5.0, figure_6c_ser_sweep),
+        ("fig6d_fast.json", 100.0, figure_6d_ser_sweep),
+    ],
+)
+def test_ser_sweep_acceptance_matches_golden(fast_experiment, name, hpd, ser_sweep):
+    golden = _load(name)
+    assert golden["hpd"] == hpd
+    assert set(golden["acceptance"]) == {"1e-10", "1e-11", "1e-12"}
+    sweep = ser_sweep(fast_experiment)
+    produced = {f"{ser:g}": values for ser, values in sweep.items()}
     assert produced == golden["acceptance"]
 
 

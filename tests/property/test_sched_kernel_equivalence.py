@@ -19,6 +19,10 @@ Hypothesis drives randomized problems through both backends:
   disable the flat backend's sorted-finish scan shortcut);
 * naive and shared recovery slack, budgets 0..3 per node.
 
+The length-only entry point ``worst_case_length`` is held to the same
+contract: it must return exactly the ``length`` of the reference schedule
+and leave the bus as it found it.
+
 Equality is asserted with exact ``==`` on purpose — close is not a thing
 here.  The seeded worst-case length and the adopted bus reservations are
 checked against their lazily recomputed counterparts as well, so the flat
@@ -191,6 +195,39 @@ def test_backends_validate_and_reuse_structures(name, problem):
     assert second == first
 
 
+def _length_with(kernel_name, problem, bus):
+    """``worst_case_length`` of one backend on the given bus instance."""
+    application, architecture, mapping, profile, budgets, slack_sharing, _ = problem
+    scheduler = ListScheduler(
+        bus=bus, slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[kernel_name]
+    )
+    return scheduler.worst_case_length(application, architecture, mapping, profile, budgets)
+
+
+@pytest.mark.parametrize("name", OTHER_KERNELS)
+@given(problem=dag_problems())
+@settings(max_examples=150, deadline=None)
+def test_worst_case_length_equals_the_reference_schedule_length(name, problem):
+    expected, _ = _schedule_with("reference", problem)
+    make_bus = problem[-1]
+    assert _length_with(name, problem, make_bus()) == expected.length
+
+
+@pytest.mark.parametrize("name", OTHER_KERNELS)
+@given(problem=dag_problems())
+@settings(max_examples=60, deadline=None)
+def test_worst_case_length_leaves_the_bus_untouched(name, problem):
+    make_bus = problem[-1]
+    fresh = make_bus()
+    _length_with(name, problem, fresh)
+    assert fresh.reservations == []
+    # A bus holding the windows of an earlier schedule keeps them.
+    schedule, bus = _schedule_with(name, problem)
+    before = bus.reservations
+    assert _length_with(name, problem, bus) == schedule.length
+    assert bus.reservations == before
+
+
 # ----------------------------------------------------------------------
 # Deterministic TDMA boundary cases.
 # ----------------------------------------------------------------------
@@ -238,6 +275,15 @@ def test_oversized_tdma_message_rejected_identically(name):
     problem = _two_node_problem(transmission=4.5, slot_length=4.0)
     with pytest.raises(SchedulingError, match="does not fit into a TDMA slot"):
         _schedule_with(name, problem)
+
+
+@pytest.mark.parametrize("name", list(SCHED_BACKENDS))
+def test_oversized_tdma_message_rejected_by_the_length_only_path(name):
+    from repro.core.exceptions import SchedulingError
+
+    problem = _two_node_problem(transmission=4.5, slot_length=4.0)
+    with pytest.raises(SchedulingError, match="does not fit into a TDMA slot"):
+        _length_with(name, problem, problem[-1]())
 
 
 def test_reference_is_the_reference():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.comm.bus import TDMABus
@@ -111,6 +112,45 @@ class TestSchedulerBasics:
             ListScheduler().schedule(
                 diamond_app, architecture, mapping, profile, {"NA": -1}
             )
+
+    @pytest.mark.parametrize("budget", [1.5, 1.999, True])
+    @pytest.mark.parametrize("entry_point", ["schedule", "worst_case_length"])
+    def test_non_integer_budget_rejected(
+        self, diamond_app, two_node_types, entry_point, budget
+    ):
+        profile = uniform_profile_for(diamond_app, two_node_types)
+        architecture = Architecture([Node("NA", two_node_types[0])])
+        mapping = ProcessMapping({name: "NA" for name in ("A", "B", "C", "D")})
+        with pytest.raises(SchedulingError, match="must be an integer"):
+            getattr(ListScheduler(), entry_point)(
+                diamond_app, architecture, mapping, profile, {"NA": budget}
+            )
+
+    def test_integral_budget_types_accepted(self, diamond_app, two_node_types):
+        profile = uniform_profile_for(diamond_app, two_node_types)
+        architecture = Architecture([Node("NA", two_node_types[0])])
+        mapping = ProcessMapping({name: "NA" for name in ("A", "B", "C", "D")})
+        scheduler = ListScheduler()
+        expected = scheduler.schedule(diamond_app, architecture, mapping, profile, {"NA": 2})
+        produced = scheduler.schedule(
+            diamond_app, architecture, mapping, profile, {"NA": np.int64(2)}
+        )
+        assert produced == expected
+        assert produced.reexecutions == {"NA": 2}
+        assert type(produced.reexecutions["NA"]) is int
+
+    def test_worst_case_length_is_the_schedule_length(
+        self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping
+    ):
+        scheduler = ListScheduler()
+        for budgets in ({}, {"N1": 1}, {"N1": 2, "N2": 1}):
+            length = scheduler.worst_case_length(
+                fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof, budgets
+            )
+            schedule = scheduler.schedule(
+                fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof, budgets
+            )
+            assert length == schedule.length
 
     def test_incomplete_mapping_rejected(self, diamond_app, two_node_types):
         profile = uniform_profile_for(diamond_app, two_node_types)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.architecture import Architecture, Node
-from repro.core.exceptions import MappingError
-from repro.core.mapping import MappingAlgorithm, Objective
+from repro.core.exceptions import MappingError, OptimizationError
+from repro.core.mapping import MappingAlgorithm, MappingResult, Objective
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.core.redundancy import FixedHardeningRedundancyOpt
+from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyDecision
 from repro.experiments.motivational import fig1_node_types
 
 
@@ -127,6 +127,39 @@ class TestWithFixedHardeningOptimizer:
         )
         assert result is not None
         assert result.decision.hardening == {"N1": 3, "N2": 3}
+
+
+class TestMappingResultSchedule:
+    def test_optimize_returns_the_winners_schedule(
+        self, fig1_app, fig1_prof, fig1_architecture
+    ):
+        result = MappingAlgorithm(max_iterations=2).optimize(
+            fig1_app, fig1_architecture, fig1_prof
+        )
+        assert result is not None
+        assert result.schedule is result.decision.schedule
+        assert result.schedule.length == result.schedule_length
+
+    def test_schedule_less_decision_raises_instead_of_returning_none(self):
+        decision = RedundancyDecision(
+            hardening={"N1": 1},
+            reexecutions={"N1": 0},
+            schedule=None,
+            cost=1.0,
+            schedule_length=10.0,
+            meets_deadline=True,
+            meets_reliability=True,
+        )
+        result = MappingResult(
+            mapping=ProcessMapping({"P1": "N1"}),
+            decision=decision,
+            objective=Objective.SCHEDULE_LENGTH,
+            objective_value=10.0,
+            evaluations=1,
+        )
+        assert result.schedule_length == 10.0
+        with pytest.raises(OptimizationError, match="schedule_of"):
+            result.schedule
 
 
 class TestObjectiveValueHelper:
