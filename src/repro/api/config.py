@@ -17,6 +17,8 @@ mapping is part of the frozen config and its lossless
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
+from os import PathLike
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
@@ -73,11 +75,24 @@ class RunConfig:
     scenario_params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Every field is type-checked here, so a malformed ``POST /jobs``
+        # config is a ModelError (a 400), never a TypeError deeper down.
         for field_name in ("cache_dir", "output"):
             value = getattr(self, field_name)
             if value is not None:
+                if not isinstance(value, (str, PathLike)):
+                    raise ModelError(f"{field_name} must be a path, got {value!r}")
                 object.__setattr__(self, field_name, Path(value).expanduser())
-        if self.preset not in PRESETS:
+        for field_name in ("cache_size_mb", "jobs", "seed"):
+            value = getattr(self, field_name)
+            if value is None and field_name == "seed":
+                continue
+            # A bool is an Integral but not a count, and a float would be
+            # truncated.
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ModelError(f"{field_name} must be an integer, got {value!r}")
+            object.__setattr__(self, field_name, int(value))
+        if not isinstance(self.preset, str) or self.preset not in PRESETS:
             raise ModelError(
                 f"Unknown preset {self.preset!r}; expected one of {sorted(PRESETS)}"
             )
@@ -85,6 +100,12 @@ class RunConfig:
             raise ModelError(f"jobs must be >= 0 (1 = serial, 0 = one per CPU), got {self.jobs}")
         if self.cache_size_mb < 1:
             raise ModelError(f"cache_size_mb must be >= 1, got {self.cache_size_mb}")
+        if self.scenario_params is not None and not isinstance(
+            self.scenario_params, Mapping
+        ):
+            raise ModelError(
+                f"scenario_params must be a mapping, got {self.scenario_params!r}"
+            )
         params = dict(self.scenario_params) if self.scenario_params else {}
         for key, value in params.items():
             if not isinstance(key, str) or not key:

@@ -14,165 +14,37 @@ Two concrete bus models are provided:
   worst-case transmission times).
 * :class:`TDMABus` — a static TDMA round, as in TTP: each node owns a slot of
   fixed length per round and a message can only be transmitted during a slot
-  owned by its sender.  This model is used by the bus-protocol tests and by
-  the cruise-controller example to show the API supports a realistic
-  time-triggered bus.
+  owned by its sender.  The bus-protocol and kernel-equivalence tests use
+  it to show the API supports a realistic time-triggered bus.
 
-Both models are *stateful during one scheduling pass*: the list scheduler
-calls :meth:`Bus.reset` before scheduling and then :meth:`Bus.reserve` once
-per inter-node message, in the order the scheduler decides.
+Both models are plain configuration.  The scheduler kernel runs the gap
+search over its own placement state, and the resulting
+:class:`~repro.scheduling.schedule.Schedule` records every message window.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from bisect import insort
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.core.exceptions import ModelError, SchedulingError
-from repro.utils.validation import require_non_negative, require_positive
-
-#: Sort key of the reservation list (see :meth:`Bus.reserve`).
-_BY_START = attrgetter("start")
+from repro.core.exceptions import ModelError
+from repro.utils.validation import require_positive
 
 
-@dataclass(frozen=True)
-class BusReservation:
-    """A granted transmission window on the bus."""
-
-    message: str
-    sender_node: str
-    start: float
-    finish: float
-
-
-class Bus(ABC):
-    """Abstract interface of a shared communication medium."""
-
-    def __init__(self) -> None:
-        self._reservations: List[BusReservation] = []
-        # Windows adopted from a scheduler kernel but not yet materialized
-        # into BusReservation objects (see adopt_reservations).
-        self._pending_windows: Optional[List[Tuple[str, str, float, float]]] = None
-
-    def reset(self) -> None:
-        """Forget all reservations (called before each scheduling pass)."""
-        self._reservations = []
-        self._pending_windows = None
-
-    def _materialize(self) -> None:
-        """Turn adopted windows into BusReservation objects on first access."""
-        pending = self._pending_windows
-        if pending is not None:
-            self._pending_windows = None
-            self._reservations = [
-                BusReservation(
-                    message=message, sender_node=sender, start=start, finish=finish
-                )
-                for message, sender, start, finish in pending
-            ]
+class Bus:
+    """Configuration of a shared communication medium."""
 
     def signature(self) -> Tuple:
         """Configuration fingerprint for evaluation-engine cache keys.
 
-        Two buses with equal signatures must grant identical reservations for
-        identical request sequences.  Subclasses with configuration (slot
-        orders, slot lengths, ...) must extend this.
+        Two buses with equal signatures must grant identical windows for
+        identical schedules.  Subclasses with configuration (slot orders,
+        slot lengths, ...) must extend this.
         """
         return (type(self).__name__,)
-
-    @property
-    def reservations(self) -> List[BusReservation]:
-        """All reservations granted since the last :meth:`reset`."""
-        self._materialize()
-        return list(self._reservations)
-
-    def reserve(
-        self,
-        message: str,
-        sender_node: str,
-        earliest_start: float,
-        duration: float,
-    ) -> BusReservation:
-        """Reserve the earliest feasible window of ``duration`` for a message.
-
-        Parameters
-        ----------
-        message:
-            Message name (only used for reporting).
-        sender_node:
-            Name of the node that produces the message (TDMA cares about it).
-        earliest_start:
-            Time at which the message data is available.
-        duration:
-            Worst-case transmission time of the message.
-        """
-        require_non_negative(earliest_start, "earliest_start")
-        require_non_negative(duration, "duration")
-        self._materialize()
-        start = self._find_window(sender_node, earliest_start, duration)
-        reservation = BusReservation(
-            message=message, sender_node=sender_node, start=start, finish=start + duration
-        )
-        # Insert in start-time order (ties keep insertion order, exactly as
-        # the former append-then-stable-sort did, but in O(log n + n) moves
-        # instead of a full O(n log n) re-sort per message).
-        insort(self._reservations, reservation, key=_BY_START)
-        return reservation
-
-    def adopt_reservations(
-        self, windows: Sequence[Tuple[str, str, float, float]]
-    ) -> None:
-        """Replace the reservation list with windows computed out-of-band.
-
-        Scheduler kernel backends that run the gap search over their own flat
-        arrays use this to leave the bus in the same observable state an
-        equivalent sequence of :meth:`reserve` calls would have produced.
-        ``windows`` holds ``(message, sender_node, start, finish)`` tuples and
-        must already be sorted by start time — the invariant
-        :meth:`_earliest_gap` depends on.  The BusReservation objects are
-        materialized lazily on first access, so adopting costs nothing when a
-        design-space sweep never inspects the bus between scheduling passes.
-        """
-        self._reservations = []
-        self._pending_windows = list(windows)
-
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _find_window(self, sender_node: str, earliest_start: float, duration: float) -> float:
-        """Return the earliest feasible start time for a transmission."""
-
-    # ------------------------------------------------------------------
-    def _conflicts(self, start: float, duration: float) -> bool:
-        """Does a window [start, start+duration) overlap an existing reservation?"""
-        finish = start + duration
-        for reservation in self._reservations:
-            if start < reservation.finish and reservation.start < finish:
-                return True
-        return False
-
-    def _earliest_gap(self, earliest_start: float, duration: float) -> float:
-        """Earliest start >= ``earliest_start`` that avoids existing reservations.
-
-        ``_reservations`` is kept sorted by start time by :meth:`reserve`, so
-        the scan needs no extra sort.
-        """
-        candidate = earliest_start
-        for reservation in self._reservations:
-            if candidate + duration <= reservation.start:
-                break
-            if candidate < reservation.finish:
-                candidate = reservation.finish
-        return candidate
 
 
 class SimpleBus(Bus):
     """A single shared medium with first-come-first-served arbitration."""
-
-    def _find_window(self, sender_node: str, earliest_start: float, duration: float) -> float:
-        return self._earliest_gap(earliest_start, duration)
 
 
 class TDMABus(Bus):
@@ -188,7 +60,6 @@ class TDMABus(Bus):
     """
 
     def __init__(self, slot_order: Sequence[str], slot_length: float) -> None:
-        super().__init__()
         if not slot_order:
             raise ModelError("TDMA slot order must contain at least one node")
         if len(set(slot_order)) != len(slot_order):
@@ -203,44 +74,3 @@ class TDMABus(Bus):
     def round_length(self) -> float:
         """Length of one TDMA round."""
         return self.slot_length * len(self.slot_order)
-
-    def slot_index(self, node: str) -> int:
-        try:
-            return self.slot_order.index(node)
-        except ValueError as exc:
-            raise SchedulingError(
-                f"Node {node} owns no TDMA slot; slot order is {self.slot_order}"
-            ) from exc
-
-    def _find_window(self, sender_node: str, earliest_start: float, duration: float) -> float:
-        if duration > self.slot_length:
-            raise SchedulingError(
-                f"Message of duration {duration} ms does not fit into a TDMA slot "
-                f"of {self.slot_length} ms"
-            )
-        index = self.slot_index(sender_node)
-        round_length = self.round_length
-        # Walk rounds starting at the one containing earliest_start until a
-        # conflict-free window inside the sender's slot is found.  The loop is
-        # bounded: each iteration moves one full round forward and existing
-        # reservations are finite.
-        round_number = max(0, int(earliest_start // round_length) - 1)
-        for _ in range(len(self._reservations) + int(1e6)):
-            slot_start = round_number * round_length + index * self.slot_length
-            slot_end = slot_start + self.slot_length
-            candidate = max(slot_start, earliest_start)
-            # Push the candidate past conflicting reservations within the slot.
-            while candidate + duration <= slot_end and self._conflicts(candidate, duration):
-                blocking = [
-                    r.finish
-                    for r in self._reservations
-                    if candidate < r.finish and r.start < candidate + duration
-                ]
-                candidate = max(blocking)
-            if candidate + duration <= slot_end and not self._conflicts(candidate, duration):
-                return candidate
-            round_number += 1
-        raise SchedulingError(
-            f"Could not find a TDMA window for {sender_node} "
-            f"(duration {duration} ms after t={earliest_start} ms)"
-        )  # pragma: no cover - defensive, loop bound is effectively unreachable

@@ -14,7 +14,7 @@ Three classes model this:
 * :class:`Node` — an instance of a node type inside an architecture, carrying
   the currently selected hardening level (mutable, because the optimization
   heuristics raise and lower it).
-* :class:`Architecture` — an ordered collection of nodes plus the shared bus.
+* :class:`Architecture` — an ordered collection of the nodes on the shared bus.
 """
 
 from __future__ import annotations
@@ -230,18 +230,17 @@ class Architecture:
     """A selected set of computation nodes connected by one shared bus.
 
     The architecture owns the nodes (and therefore the hardening decision for
-    each of them); the bus is modelled separately in :mod:`repro.comm.bus` and
-    only referenced here so that scheduling has a single entry point.
+    each of them); the bus is configured on the list scheduler
+    (:mod:`repro.comm.bus`).
     """
 
-    def __init__(self, nodes: Sequence[Node], bus: Optional[object] = None) -> None:
+    def __init__(self, nodes: Sequence[Node]) -> None:
         if not nodes:
             raise ModelError("An architecture needs at least one computation node")
         names = [node.name for node in nodes]
         if len(set(names)) != len(names):
             raise ModelError(f"Duplicate node names in architecture: {names}")
         self._nodes: Dict[str, Node] = {node.name: node for node in nodes}
-        self.bus = bus
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -250,18 +249,17 @@ class Architecture:
     def from_node_types(
         cls,
         node_types: Sequence[NodeType],
-        bus: Optional[object] = None,
         name_prefix: str = "",
     ) -> "Architecture":
         """Create an architecture with one node instance per node type."""
         nodes = [
             Node(f"{name_prefix}{node_type.name}", node_type) for node_type in node_types
         ]
-        return cls(nodes, bus=bus)
+        return cls(nodes)
 
     def copy(self) -> "Architecture":
-        """Deep-enough copy: nodes are copied, the bus object is shared."""
-        return Architecture([node.copy() for node in self.nodes], bus=self.bus)
+        """Deep-enough copy: the nodes are copied."""
+        return Architecture([node.copy() for node in self.nodes])
 
     # ------------------------------------------------------------------
     # queries

@@ -96,17 +96,10 @@ class _RedundancyEvaluator:
         for identical design points, so MIN / MAX / OPT strategies can share
         one engine.
         """
-        bus = getattr(self.scheduler, "bus", None)
-        if bus is None:
-            bus_signature = None
-        elif hasattr(bus, "signature"):
-            bus_signature = bus.signature()
-        else:
-            bus_signature = (type(bus).__name__,)
         return (
             type(self.scheduler).__name__,
-            getattr(self.scheduler, "slack_sharing", None),
-            bus_signature,
+            self.scheduler.slack_sharing,
+            self.scheduler.bus.signature(),
             self.reexecution_opt.max_reexecutions_per_node,
             self.reexecution_opt.decimals,
         )

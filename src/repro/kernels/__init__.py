@@ -6,7 +6,7 @@ Two kernel families sit behind bit-identity contracts:
   (4) and (5) of the paper), the innermost numeric kernel of the design-space
   exploration.  See :mod:`repro.kernels.base` for the contract.
 * **Scheduler kernels** — the root-schedule construction of Section 6.4
-  (priorities, layer placement, bus reservation, recovery slack).  See
+  (priorities, layer placement, bus gap search, recovery slack).  See
   :mod:`repro.kernels.sched_base` for the contract.
 
 Each family has one production backend (``array`` and ``flat``), held by

@@ -2,7 +2,7 @@
 
 A *scheduler kernel* implements the inner loop of the list scheduler
 (Section 6.4): partial-critical-path priorities, layer-by-layer process
-placement, bus reservation and the per-node recovery-slack computation.
+placement, the bus gap search and the per-node recovery-slack computation.
 :class:`~repro.scheduling.list_scheduler.ListScheduler` stays the public
 entry point — it validates inputs, normalizes re-execution budgets and
 memoizes the application's static structure — and hands the resulting
@@ -10,12 +10,16 @@ memoizes the application's static structure — and hands the resulting
 
 A backend has two entry points over one :class:`SchedulingProblem`:
 
-* :meth:`SchedulerKernel.build_schedule` returns the full root schedule and
-  leaves the problem's bus holding the granted windows;
+* :meth:`SchedulerKernel.build_schedule` returns the full root schedule,
+  which records every granted bus window;
 * :meth:`SchedulerKernel.worst_case_length` returns only the worst-case
   length ``SL`` — the one number the design-space exploration scores a
   design point by.  A backend may compute it without building a
-  ``Schedule`` or touching the bus; the default builds the schedule.
+  ``Schedule``; the default builds the schedule.
+
+The problem's bus is configuration (exactly a ``SimpleBus`` or a
+``TDMABus``, checked by the list scheduler): a backend reads its slot table
+and keeps the granted windows in its own placement state.
 
 The backend contract mirrors the SFP kernels (:mod:`repro.kernels.base`):
 **bit identity**.  Every scheduler kernel must return, for every
@@ -25,7 +29,7 @@ process window, message window, recovery-slack reservation and budget, down
 to the last float bit — and a ``worst_case_length`` equal (``==``) to that
 schedule's ``length``.  All schedule arithmetic is max/+ chains over the same
 input floats, so a backend is free to reorganize *how* the chains are
-evaluated (integer-indexed tables, flat reservation arrays) but never *what*
+evaluated (integer-indexed tables, flat window arrays) but never *what*
 comes out.  Because of this, the backend is deliberately **not** part of any
 evaluation-engine cache key: cached design points stay valid whichever
 backend computed them.

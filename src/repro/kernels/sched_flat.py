@@ -3,29 +3,23 @@
 The per-object reference path spends most of a design-point evaluation in
 string-keyed dictionary traffic: every placed process re-hashes its name to
 find its node, its priority, its producers and its WCET, and every bus
-message pays a :class:`~repro.comm.bus.BusReservation` round-trip through
-``Bus.reserve``.  This backend compiles the memoized application structure
-once into integer-indexed tables —
+message rescans every granted window.  This backend compiles the memoized
+application structure once into integer-indexed tables —
 
 * process/node/message ids (names appear only in the final ``Schedule``),
 * per ``(node type, hardening)`` WCET rows over all process ids,
 * flat incoming-message and successor CSR tuples,
 
 — and then runs priorities, layer placement and the ``SimpleBus``/``TDMABus``
-gap search over plain float lists indexed by those ids.  The float arithmetic
-is the exact operation sequence of the reference backend (same max/+ chains,
-same reservation-scan order, same tie-breaks), so the resulting ``Schedule``
-is value-equal bit for bit; the property suite and the golden fixtures pin
-this.
+gap search over plain float lists indexed by those ids.  It is the only
+production gap search.  The float arithmetic is the exact operation sequence
+of the reference backend (same max/+ chains, same window-scan order, same
+tie-breaks), so the resulting ``Schedule`` is value-equal bit for bit; the
+property suite and the golden fixtures pin this.
 
 One placement routine feeds both entry points: ``worst_case_length`` reads
-the length it computes and never touches the bus, while ``build_schedule``
-turns its recorded windows into the ``Schedule`` and the bus reservations.
-
-Buses other than exactly ``SimpleBus`` / ``TDMABus`` may override
-``_find_window`` with arbitrary policies the flat gap search cannot
-reproduce, so those problems are delegated to the ``reference`` backend
-rather than guessed at.
+the length it computes, while ``build_schedule`` turns its recorded windows
+into the ``Schedule``.  The bus object is only read for its configuration.
 
 The compiled tables are cached per (structure, profile) identity — the
 list scheduler memoizes the structure object, so the cache holds across the
@@ -36,31 +30,20 @@ application actually changes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.comm.bus import SimpleBus, TDMABus
+from repro.comm.bus import TDMABus
 from repro.core.exceptions import SchedulingError
 from repro.kernels.sched_base import (
     ScheduleStructure,
     SchedulerKernel,
     SchedulingProblem,
 )
-from repro.kernels.sched_reference import ReferenceSchedulerKernel
 from repro.scheduling.schedule import Schedule, ScheduledMessage, ScheduledProcess
 
 if TYPE_CHECKING:
     from repro.core.application import Application
     from repro.core.profile import ExecutionProfile
-
-#: Fallback backend for bus models the flat tables cannot honour.
-_REFERENCE = ReferenceSchedulerKernel()
-
-#: The bus models whose gap search the flat arrays reproduce.
-_FLAT_BUSES = (SimpleBus, TDMABus)
-
-#: Sort key of a ``(message, sender, start, finish)`` bus window.
-_WINDOW_START = itemgetter(2)
 
 
 class _CompiledApplication:
@@ -184,7 +167,7 @@ class _Placement(NamedTuple):
     messages: List[Tuple[str, str, int, str, float, float]]
     #: Recovery slack per node id.
     slack: List[float]
-    #: Worst-case schedule length (the seeded ``Schedule.length``).
+    #: Worst-case schedule length (the built ``Schedule``'s ``length``).
     length: float
 
 
@@ -227,63 +210,46 @@ class FlatSchedulerKernel(SchedulerKernel):
 
     # ------------------------------------------------------------------
     def worst_case_length(self, problem: SchedulingProblem) -> float:
-        if type(problem.bus) not in _FLAT_BUSES:
-            return _REFERENCE.worst_case_length(problem)
         return self._place(problem).length
 
     def build_schedule(self, problem: SchedulingProblem) -> Schedule:
-        if type(problem.bus) not in _FLAT_BUSES:
-            # Unknown bus subclass: its _find_window may implement any
-            # policy; only the reference backend can honour it.
-            return _REFERENCE.build_schedule(problem)
         placement = self._place(problem)
         names = placement.names
         node_names = placement.node_names
         node_idx_of = placement.node_idx_of
-        processes_by_name = {
-            names[p]: ScheduledProcess(
-                names[p], node_names[node_idx_of[p]],
-                placement.start[p], placement.finish[p],
-            )
-            for p in placement.order
-        }
-        messages_by_name: Dict[str, ScheduledMessage] = {}
-        windows: List[Tuple[str, str, float, float]] = []
-        for message_name, producer_name, p, sender, window, window_finish in (
-            placement.messages
-        ):
-            messages_by_name[message_name] = ScheduledMessage(
-                message_name, producer_name, names[p],
-                sender, node_names[node_idx_of[p]],
-                window, window_finish,
-            )
-            windows.append((message_name, sender, window, window_finish))
-        # A stable sort by start of the grant order is the order a
-        # bisect_right insertion per grant (Bus.reserve) leaves behind.
-        windows.sort(key=_WINDOW_START)
-        problem.bus.adopt_reservations(windows)
-
-        schedule = Schedule.from_kernel(
-            processes_by_name=processes_by_name,
-            messages_by_name=messages_by_name,
+        return Schedule(
+            processes=[
+                ScheduledProcess(
+                    names[p], node_names[node_idx_of[p]],
+                    placement.start[p], placement.finish[p],
+                )
+                for p in placement.order
+            ],
+            messages=[
+                ScheduledMessage(
+                    message_name, producer_name, names[p],
+                    sender, node_names[node_idx_of[p]],
+                    window, window_finish,
+                )
+                for message_name, producer_name, p, sender, window, window_finish in (
+                    placement.messages
+                )
+            ],
             node_recovery_slack=dict(zip(node_names, placement.slack)),
             reexecutions=problem.budgets,
             hardening={
                 name: key[1] for name, key in zip(node_names, placement.node_keys)
             },
         )
-        schedule.seed_worst_case_length(placement.length)
-        return schedule
 
     # ------------------------------------------------------------------
     def _place(self, problem: SchedulingProblem) -> _Placement:
         """Priorities, layer placement, bus gap search and recovery slack.
 
         The one placement loop both consumers share.  It runs the gap search
-        over its own flat arrays and never touches ``problem.bus``;
-        :meth:`build_schedule` turns the recorded windows into a
-        ``Schedule`` and the bus's reservations, :meth:`worst_case_length`
-        reads only the length.
+        over its own flat arrays and reads ``problem.bus`` only for its
+        configuration; :meth:`build_schedule` turns the recorded windows into
+        a ``Schedule``, :meth:`worst_case_length` reads only the length.
         """
         bus = problem.bus
         tdma = type(bus) is TDMABus
@@ -358,7 +324,7 @@ class FlatSchedulerKernel(SchedulerKernel):
         order: List[int] = []
         messages: List[Tuple[str, str, int, str, float, float]] = []
         max_message_finish = 0.0
-        # Bus reservation windows, kept sorted by start time (parallel
+        # Granted bus windows, kept sorted by start time (parallel
         # arrays searched by the gap scan).
         res_start: List[float] = []
         res_finish: List[float] = []
@@ -414,7 +380,7 @@ class FlatSchedulerKernel(SchedulerKernel):
                             slot, slot_length, round_length,
                         )
                     else:
-                        # SimpleBus._earliest_gap over the flat arrays.  A
+                        # The reference earliest_gap over the flat arrays.  A
                         # reservation with finish <= candidate can neither
                         # end the scan (its start precedes the candidate)
                         # nor move it, so the sorted-finish prefix is safely
@@ -503,7 +469,7 @@ class FlatSchedulerKernel(SchedulerKernel):
         slot_length: float,
         round_length: float,
     ) -> float:
-        """``TDMABus._find_window`` over the sender's slot free-list.
+        """The reference ``tdma_window`` over the sender's slot free-list.
 
         ``starts``/``finishes`` are the sender slot's granted windows sorted
         by start.  With pairwise-disjoint intervals (``clean``) the conflict

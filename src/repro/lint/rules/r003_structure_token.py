@@ -65,7 +65,7 @@ GUARDS: Tuple[GuardSpec, ...] = (
     GuardSpec(
         class_name="Schedule",
         attrs=frozenset({"_processes", "_messages", "node_recovery_slack"}),
-        mutators=frozenset({"__init__", "from_kernel"}),
+        mutators=frozenset({"__init__"}),
     ),
 )
 

@@ -23,12 +23,15 @@ both for reproducibility of the experiments and for the tabu-search mapping
 heuristic, which compares schedule lengths across small perturbations).
 
 The root-schedule construction itself (priorities, layer placement, bus
-reservation, recovery slack) runs in a *scheduler kernel backend*
+gap search, recovery slack) runs in a *scheduler kernel backend*
 (:mod:`repro.kernels.sched_base`): the production ``flat`` backend compiles
-the application into integer-indexed tables, and the ``reference`` backend —
-the per-object loop this class historically inlined — is its test oracle.
-The backends are bit-identical, so the backend is never part of an
-evaluation-engine cache key.
+the application into integer-indexed tables and runs the only production
+gap search, and the ``reference`` backend — the per-object loop this class
+historically inlined — is its test oracle.  The backends are bit-identical,
+so the backend is never part of an evaluation-engine cache key.  The bus is
+configuration: exactly a :class:`~repro.comm.bus.SimpleBus` or a
+:class:`~repro.comm.bus.TDMABus`, whose arbitration rules the kernels
+implement.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from numbers import Integral
 from typing import Dict, List, Mapping, Optional
 
-from repro.comm.bus import Bus, SimpleBus
+from repro.comm.bus import Bus, SimpleBus, TDMABus
 from repro.core.application import Application
 from repro.core.architecture import Architecture
 from repro.core.exceptions import SchedulingError
@@ -57,9 +60,12 @@ class ListScheduler:
     Parameters
     ----------
     bus:
-        Bus model used for inter-node messages.  Defaults to a fresh
-        :class:`~repro.comm.bus.SimpleBus`; a TDMA bus can be supplied for
-        time-triggered platforms.
+        Bus model used for inter-node messages.  Defaults to a
+        :class:`~repro.comm.bus.SimpleBus`; a
+        :class:`~repro.comm.bus.TDMABus` can be supplied for time-triggered
+        platforms.  Any other type, subclasses of these two included, raises
+        ``TypeError``: the kernels implement exactly these two arbitration
+        rules.
     slack_sharing:
         When ``True`` (default, the paper's approach) the recovery slack of a
         node covers the worst single victim ``k_j`` times; when ``False`` the
@@ -76,7 +82,12 @@ class ListScheduler:
         slack_sharing: bool = True,
         kernel: Optional[SchedulerKernel] = None,
     ) -> None:
-        self.bus = bus if bus is not None else SimpleBus()
+        bus = bus if bus is not None else SimpleBus()
+        if type(bus) not in (SimpleBus, TDMABus):
+            raise TypeError(
+                f"bus must be a SimpleBus or a TDMABus, got {type(bus).__name__}"
+            )
+        self.bus = bus
         self.slack_sharing = slack_sharing
         self.kernel = SCHED_KERNELS.or_active(kernel)
         # One-slot memo of the application's static structure (scheduling
@@ -156,9 +167,9 @@ class ListScheduler:
         """The ``length`` of :meth:`schedule`'s result, bit for bit.
 
         Validates exactly like :meth:`schedule`.  The production kernel
-        computes the length without building the schedule or touching the
-        bus; the design-space exploration scores every design point by it
-        and builds a schedule only where one is read.
+        computes the length without building the schedule; the design-space
+        exploration scores every design point by it and builds a schedule
+        only where one is read.
         """
         return self.kernel.worst_case_length(
             self._problem(application, architecture, mapping, profile, reexecutions)

@@ -77,33 +77,6 @@ class Schedule:
         self._length: Optional[float] = None
         self._hash: Optional[int] = None
 
-    @classmethod
-    def from_kernel(
-        cls,
-        processes_by_name: Dict[str, ScheduledProcess],
-        messages_by_name: Dict[str, ScheduledMessage],
-        node_recovery_slack: Dict[str, float],
-        reexecutions: Dict[str, int],
-        hardening: Dict[str, int],
-    ) -> "Schedule":
-        """Trusted constructor for scheduler kernels.
-
-        Takes ownership of the dictionaries without copying and skips the
-        duplicate-entry check — the kernel's placement loop guarantees one
-        entry per process/message.  Semantically identical to the public
-        constructor for such inputs.
-        """
-        schedule = cls.__new__(cls)
-        schedule._processes = processes_by_name
-        schedule._messages = messages_by_name
-        schedule.node_recovery_slack = node_recovery_slack
-        schedule.reexecutions = reexecutions
-        schedule.hardening = hardening
-        schedule._by_node = None
-        schedule._length = None
-        schedule._hash = None
-        return schedule
-
     def _node_table(self) -> Dict[str, List[ScheduledProcess]]:
         if self._by_node is None:
             table: Dict[str, List[ScheduledProcess]] = {}
@@ -183,18 +156,6 @@ class Schedule:
 
     def meets_deadline(self, deadline: float) -> bool:
         return self.length <= deadline
-
-    def seed_worst_case_length(self, length: float) -> None:
-        """Install a precomputed worst-case length (scheduler-kernel fast path).
-
-        The caller must supply the exact float the lazy :attr:`length`
-        property would compute — kernels derive it from their per-node
-        completion arrays, where ``max`` over the same values yields the
-        same float regardless of evaluation order.  Seeding only skips the
-        lazy per-node table construction; every other query still derives
-        from the entry dicts.
-        """
-        self._length = length
 
     # ------------------------------------------------------------------
     # equality
@@ -276,10 +237,11 @@ class Schedule:
                         f"on node {node}"
                     )
         # Zero-duration messages occupy no bus time: the half-open window
-        # [t, t) conflicts with nothing (exactly the arbitration rule of
-        # ``Bus._conflicts``), so they are excluded from the pairwise scan —
-        # both as non-overlapping themselves and so they cannot mask a real
-        # overlap between their neighbours in the sorted adjacency check.
+        # [t, t) conflicts with nothing (exactly the arbitration rule of the
+        # scheduler kernels' gap searches), so they are excluded from the
+        # pairwise scan — both as non-overlapping themselves and so they
+        # cannot mask a real overlap between their neighbours in the sorted
+        # adjacency check.
         messages = [entry for entry in self.messages if entry.finish > entry.start]
         for first, second in zip(messages, messages[1:]):
             if second.start < first.finish - 1e-9:

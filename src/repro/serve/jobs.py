@@ -278,6 +278,8 @@ class JobManager:
         Validation happens at submit time — unknown scenarios, malformed
         configs and out-of-schema parameters are a 400 here, never a
         ``failed`` job later.  A full queue is a 429 with ``Retry-After``.
+        The queued config uses the server's store, writes no report file and
+        runs with ``jobs=1``, whatever the payload asked for.
         """
         queue = self._queue
         if queue is None:
@@ -296,10 +298,14 @@ class JobManager:
             raise HttpError(400, str(error)) from None
         # The server owns persistence: every job shares the warm store, and
         # report files are returned over HTTP, never written server-side.
+        # It owns parallelism too: a job runs serially inside its pool
+        # worker, so a client's ``jobs`` cannot make that worker fork more
+        # processes.  Results are identical for any ``jobs`` value.
         effective = replace(
             requested,
             cache_dir=self.store_dir,
             cache_size_mb=self.config.cache_size_mb,
+            jobs=1,
             output=None,
         )
         job_id = f"job-{self._seq:06d}"

@@ -5,7 +5,9 @@ Endpoints (all JSON, ``Connection: close``):
 * ``GET /scenarios`` — the registry with full parameter schemas;
 * ``POST /jobs`` — submit ``{"scenario": id, "config": RunConfig.to_dict()}``;
   202 with the job record, 400 on validation errors, 429 + ``Retry-After``
-  when the bounded queue is full;
+  when the bounded queue is full.  The server forces ``jobs`` to 1 (a job
+  runs serially in its pool worker) and uses its own store and no output
+  file;
 * ``GET /jobs/<id>`` — the job's state machine record; once ``done`` the
   full ``RunReport`` payload rides along as ``"report"``;
 * ``GET /jobs/<id>/events`` — NDJSON progress stream (queue/lifecycle

@@ -295,6 +295,17 @@ def test_post_jobs_rejects_the_removed_kernel_fields(tmp_path, field):
         assert app.manager.jobs == {}
 
 
+def test_post_jobs_rejects_a_mistyped_config(tmp_path):
+    """A config value of the wrong type is a 400, not a 500."""
+    with serve_app(tmp_path, workers=1) as (host, port, app):
+        status, _, payload = _request(
+            host, port, "POST", "/jobs", {"scenario": "fig6a", "config": {"jobs": "2"}}
+        )
+        assert status == 400
+        assert "jobs must be an integer" in json.loads(payload)["error"]
+        assert app.manager.jobs == {}
+
+
 def test_unknown_routes_and_methods(tmp_path):
     with serve_app(tmp_path, workers=1) as (host, port, _app):
         assert _request(host, port, "GET", "/nope")[0] == 404

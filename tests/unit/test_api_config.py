@@ -55,6 +55,33 @@ class TestValidation:
         with pytest.raises(ModelError, match="cache_size_mb"):
             RunConfig(cache_size_mb=0)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"jobs": "2"}, "jobs must be an integer"),
+            ({"jobs": 1.5}, "jobs must be an integer"),
+            ({"jobs": True}, "jobs must be an integer"),
+            ({"seed": "x"}, "seed must be an integer"),
+            ({"seed": False}, "seed must be an integer"),
+            ({"cache_size_mb": 2.5}, "cache_size_mb must be an integer"),
+            ({"cache_size_mb": True}, "cache_size_mb must be an integer"),
+            ({"preset": ["fast"]}, "Unknown preset"),
+            ({"scenario_params": "ab"}, "scenario_params must be a mapping"),
+            ({"cache_dir": 5}, "cache_dir must be a path"),
+            ({"output": ["r.json"]}, "output must be a path"),
+        ],
+    )
+    def test_mistyped_values_rejected(self, data, message):
+        with pytest.raises(ModelError, match=message):
+            RunConfig.from_dict(data)
+
+    def test_integral_values_are_normalized(self):
+        import numpy as np
+
+        config = RunConfig(jobs=np.int64(2), seed=np.int32(5))
+        assert type(config.jobs) is int and config.jobs == 2
+        assert type(config.seed) is int and config.seed == 5
+
     def test_string_paths_are_coerced(self):
         config = RunConfig(cache_dir="/tmp/cache", output="/tmp/report.json")
         assert config.cache_dir == Path("/tmp/cache")

@@ -30,7 +30,6 @@ from repro.kernels.array_backend import NUMPY_MIN_WIDTH
 from repro.scheduling.list_scheduler import ListScheduler
 
 from tests.conftest import (
-    SCHED_BACKENDS,
     SFP_BACKENDS,
     build_diamond_application,
     production_kernels,
@@ -222,53 +221,23 @@ def _diamond_platform():
     return application, architecture, mapping, profile
 
 
-def test_flat_kernel_falls_back_to_reference_for_unknown_bus():
-    """A Bus subclass with a custom policy must get the reference path."""
-
-    class EveryOtherSlotBus(SimpleBus):
-        """Doubles every window's start — not reproducible from flat tables."""
-
-        def _find_window(self, sender_node, earliest_start, duration):
-            return 2.0 * super()._find_window(sender_node, earliest_start, duration)
-
-    application, architecture, mapping, profile = _diamond_platform()
-    flat = ListScheduler(bus=EveryOtherSlotBus(), kernel=SCHED_BACKENDS["flat"]).schedule(
-        application, architecture, mapping, profile
-    )
-    reference = ListScheduler(
-        bus=EveryOtherSlotBus(), kernel=SCHED_BACKENDS["reference"]
-    ).schedule(application, architecture, mapping, profile)
-    assert flat == reference
-    # The custom policy actually fired (windows were doubled), so the flat
-    # backend cannot have used its own SimpleBus gap search.
-    assert flat.message_entry("mAB").start == 2.0 * 10.0
+class _SimpleBusSubclass(SimpleBus):
+    pass
 
 
-def test_flat_kernel_falls_back_to_reference_for_a_tdma_subclass():
-    """Only exactly ``SimpleBus``/``TDMABus`` take the flat gap search."""
+class _TDMABusSubclass(TDMABus):
+    pass
 
-    class CountingTDMABus(TDMABus):
-        def __init__(self, slot_order, slot_length):
-            super().__init__(slot_order, slot_length)
-            self.window_searches = 0
 
-        def _find_window(self, sender_node, earliest_start, duration):
-            self.window_searches += 1
-            return super()._find_window(sender_node, earliest_start, duration)
-
-    application, architecture, mapping, profile = _diamond_platform()
-    flat = FlatSchedulerKernel()
-    subclass_bus = CountingTDMABus(["NA", "NB"], slot_length=5.0)
-    through_fallback = ListScheduler(bus=subclass_bus, kernel=flat).schedule(
-        application, architecture, mapping, profile
-    )
-    through_flat = ListScheduler(
-        bus=TDMABus(["NA", "NB"], slot_length=5.0), kernel=flat
-    ).schedule(application, architecture, mapping, profile)
-    # The subclass went through Bus.reserve (the reference path), and an
-    # unchanged policy gives the flat gap search's schedule.
-    assert subclass_bus.window_searches > 0
-    assert through_fallback == through_flat
+@pytest.mark.parametrize(
+    "bus",
+    [_SimpleBusSubclass(), _TDMABusSubclass(["NA", "NB"], slot_length=5.0), object()],
+    ids=["SimpleBus-subclass", "TDMABus-subclass", "object"],
+)
+def test_list_scheduler_rejects_a_bus_the_kernels_do_not_implement(bus):
+    """Only exactly ``SimpleBus``/``TDMABus``: no bus reroutes the kernel."""
+    with pytest.raises(TypeError, match="bus must be a SimpleBus or a TDMABus"):
+        ListScheduler(bus=bus)
 
 
 def test_flat_kernel_recompiles_after_in_place_profile_and_overhead_edits():

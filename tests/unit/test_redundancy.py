@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.comm.bus import TDMABus
 from repro.core.architecture import Architecture, Node
 from repro.core.baselines import optimized_strategy
 from repro.core.exceptions import ModelError, OptimizationError
@@ -14,6 +15,7 @@ from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
 from repro.core.reexecution import ReExecutionOpt
 from repro.core.sfp import SFPAnalysis
 from repro.engine import EvaluationEngine
+from repro.scheduling.list_scheduler import ListScheduler
 from repro.experiments.motivational import (
     fig1_application,
     fig1_node_types,
@@ -269,3 +271,23 @@ def test_engine_bound_to_another_context_raises(fig4a_setup, entry_point):
         )
     assert foreign.stats.hits == foreign.stats.misses == 0
     assert foreign.evaluations == 0
+
+
+@pytest.mark.parametrize(
+    "scheduler, signature",
+    [
+        (ListScheduler(), ("ListScheduler", True, ("SimpleBus",), 20, 11)),
+        (
+            ListScheduler(bus=TDMABus(["N1", "N2"], slot_length=2.0), slack_sharing=False),
+            ("ListScheduler", False, ("TDMABus", ("N1", "N2"), 2.0), 20, 11),
+        ),
+    ],
+    ids=["simple-bus", "tdma-bus"],
+)
+def test_evaluator_signature_is_pinned(scheduler, signature):
+    """The configuration part of every stored decision key, as literals.
+
+    A store written by an earlier tree is only read back while these tuples
+    stay the same, so any change to them must be deliberate.
+    """
+    assert RedundancyOpt(scheduler=scheduler)._evaluator_signature() == signature

@@ -99,6 +99,17 @@ def test_submit_enqueues_and_spools_the_queued_event(tmp_path):
     assert events[0]["queue_position"] == 0
 
 
+@pytest.mark.parametrize("jobs", [0, 64])
+def test_submit_forces_serial_jobs(tmp_path, jobs):
+    """A job runs inside a pool worker, so its own process pool would be
+    forked there; the server runs every job serially instead.  The job is
+    only queued here, never executed."""
+    manager = _manager(tmp_path)
+    job = manager.submit({"scenario": "fig6a", "config": {"jobs": jobs}})
+    assert job.config.jobs == 1
+    assert job.spec()["config"]["jobs"] == 1
+
+
 def test_submit_applies_backpressure_with_retry_after(tmp_path):
     manager = _manager(tmp_path, queue_size=2, job_timeout_seconds=30.0)
     payload = {"scenario": "fig6a", "config": {"preset": "fast"}}
