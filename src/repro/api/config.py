@@ -100,6 +100,9 @@ class RunConfig:
             raise ModelError(f"jobs must be >= 0 (1 = serial, 0 = one per CPU), got {self.jobs}")
         if self.cache_size_mb < 1:
             raise ModelError(f"cache_size_mb must be >= 1, got {self.cache_size_mb}")
+        if self.seed is not None and self.seed < 0:
+            # numpy's generators take non-negative seeds only.
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
         if self.scenario_params is not None and not isinstance(
             self.scenario_params, Mapping
         ):

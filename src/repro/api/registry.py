@@ -26,6 +26,7 @@ runner and recorded in the :class:`~repro.api.report.RunReport`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -141,12 +142,18 @@ class ScenarioParam:
                     value: Any = _BOOL_STRINGS[key]
                 else:
                     value = bool(raw)
+            elif isinstance(raw, bool) and self.type != "str":
+                # ``int(True)`` is 1: a JSON ``true`` is not a number.
+                raise ValueError(raw)
             elif self.type == "int":
                 if isinstance(raw, float) and not raw.is_integer():
                     raise ValueError(raw)
                 value = int(raw)
             else:
                 value = target(raw)
+                if self.type == "float" and not math.isfinite(value):
+                    # NaN passes both bound checks (every comparison is false).
+                    raise ValueError(raw)
         except (TypeError, ValueError):
             raise ModelError(
                 f"Parameter {self.name!r} expects {self.type}, got {raw!r}"

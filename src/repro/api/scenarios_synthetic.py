@@ -109,7 +109,7 @@ def _result_summary(result: DesignResult, max_cost: float) -> Dict[str, Any]:
             maximum=16,
             description="Size of the node-type library",
         ),
-        ScenarioParam("seed", "int", default=1, description="Generator seed"),
+        ScenarioParam("seed", "int", default=1, minimum=0, description="Generator seed"),
         ScenarioParam(
             "layers",
             "int",
@@ -142,10 +142,8 @@ def run_synthetic_random(session: "Session", params: Dict[str, Any]) -> Scenario
         FAMILY_SER,
         FAMILY_HPD,
         preset,
-        tuple(STRATEGIES),
         session.config.cache_dir,
         session.config.cache_max_bytes,
-        session.single_flight,
     )
     session.add_cache_counters(
         sum_cache_counters([*map(design_counters, results.values()), disk])
@@ -214,7 +212,9 @@ def run_synthetic_random(session: "Session", params: Dict[str, Any]) -> Scenario
             maximum=2000,
             description="Processes per application",
         ),
-        ScenarioParam("seed", "int", default=1, description="Base seed; app i uses seed+i"),
+        ScenarioParam(
+            "seed", "int", default=1, minimum=0, description="Base seed; app i uses seed+i"
+        ),
     ),
 )
 def run_synthetic_suite(session: "Session", params: Dict[str, Any]) -> ScenarioOutcome:
@@ -232,7 +232,6 @@ def run_synthetic_suite(session: "Session", params: Dict[str, Any]) -> ScenarioO
         n_jobs=session.config.jobs,
         store_dir=session.config.cache_dir,
         store_max_bytes=session.config.cache_max_bytes,
-        single_flight=session.single_flight,
         progress=session.emit_progress if session.progress is not None else None,
     )
     try:
@@ -321,7 +320,7 @@ def _injection_application() -> Application:
             maximum=10_000_000,
             description="Simulated executions per estimate",
         ),
-        ScenarioParam("seed", "int", default=2009, description="Campaign seed"),
+        ScenarioParam("seed", "int", default=2009, minimum=0, description="Campaign seed"),
         ScenarioParam(
             "hardening_levels",
             "int",

@@ -5,7 +5,9 @@ the evaluation machinery and owns, for its lifetime:
 
 * **the persistent design-point store** — one lazily-opened
   :class:`~repro.engine.store.DesignPointStore` handle when
-  ``config.cache_dir`` is set;
+  ``config.cache_dir`` is set; every store-backed evaluation holds the
+  store's single-flight guard, so concurrent sessions sharing the
+  directory compute each context once;
 * **the shared experiment** — :meth:`experiment` memoizes one
   :class:`~repro.experiments.synthetic.AcceptanceExperiment` so scenarios
   run back to back (e.g. Fig. 6a then 6b) reuse each other's settings.
@@ -46,7 +48,6 @@ class Session:
         self,
         config: Optional[RunConfig] = None,
         progress: Optional[ProgressCallback] = None,
-        single_flight: bool = False,
     ) -> None:
         self.config = config if config is not None else RunConfig()
         #: Optional progress observer (see :data:`ProgressCallback`).  Like
@@ -55,10 +56,6 @@ class Session:
         #: keeping it out of the frozen config preserves the lossless config
         #: round-trip in report JSON.
         self.progress = progress
-        #: Serialize identical engine contexts across concurrent processes
-        #: sharing this session's ``cache_dir`` (the serve job queue's
-        #: shared warm store); see :meth:`DesignPointStore.single_flight`.
-        self.single_flight = single_flight
         self._experiment: Optional[AcceptanceExperiment] = None
         self._store: Optional[DesignPointStore] = None
         self._scenario_counters = sum_cache_counters(())
@@ -106,7 +103,6 @@ class Session:
                 n_jobs=jobs,
                 store_dir=self.config.cache_dir,
                 store_max_bytes=self.config.cache_max_bytes,
-                single_flight=self.single_flight,
                 progress=self.emit_progress if self.progress is not None else None,
             )
         return self._experiment

@@ -135,7 +135,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
             spool_dir=arguments.spool_dir,
             cache_dir=arguments.cache_dir,
             cache_size_mb=arguments.cache_size_mb,
-            single_flight=not arguments.no_single_flight,
             sanitize=sanitize,
         )
     except ModelError as error:
@@ -274,12 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="size cap of the shared store in MiB",
     )
     serve.add_argument(
-        "--no-single-flight",
-        action="store_true",
-        help="disable the store's single-flight guard (debugging aid; "
-        "concurrent identical jobs may then compute points twice)",
-    )
-    serve.add_argument(
         "--sanitize",
         action="store_true",
         help="install the runtime determinism sanitizer in every job "
@@ -344,9 +337,9 @@ def _run_scenario(arguments: argparse.Namespace) -> int:
     if arguments.scenario is None:
         print("error: a scenario id is required (or --list)", file=sys.stderr)
         return 2
-    config = _config_from_arguments(arguments)
     sanitizer = _maybe_sanitizer(arguments)
     try:
+        config = _config_from_arguments(arguments)
         if sanitizer is not None:
             with sanitizer:
                 report = api_run(arguments.scenario, config)

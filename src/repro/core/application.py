@@ -22,7 +22,7 @@ All times are expressed in milliseconds, matching the paper's examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.exceptions import ModelError
 from repro.utils.validation import (
@@ -372,28 +372,6 @@ class TaskGraph:
             longest[name] = best_arrival + execution_time(name)
         return max(longest.values(), default=0.0)
 
-    def downward_rank(
-        self,
-        execution_time: Callable[[str], float],
-        include_messages: bool = True,
-    ) -> Dict[str, float]:
-        """Longest path from each process to any sink (inclusive of itself).
-
-        This is the classic *upward rank* priority used by list schedulers:
-        processes with a longer remaining path are scheduled first.
-        """
-        rank: Dict[str, float] = {}
-        for name in reversed(self.topological_order()):
-            best_tail = 0.0
-            for succ in self.successors(name):
-                tail = rank[succ]
-                if include_messages:
-                    message = self._messages[(name, succ)]
-                    tail += message.transmission_time
-                best_tail = max(best_tail, tail)
-            rank[name] = best_tail + execution_time(name)
-        return rank
-
 
 class Application:
     """A complete application: task graphs plus real-time/reliability goals.
@@ -559,13 +537,6 @@ class Application:
                 return graph.process(name)
         raise ModelError(f"Unknown process {name} in application {self.name}")
 
-    def graph_of(self, process_name: str) -> TaskGraph:
-        """Return the task graph containing ``process_name``."""
-        for graph in self._graphs.values():
-            if graph.has_process(process_name):
-                return graph
-        raise ModelError(f"Unknown process {process_name} in application {self.name}")
-
     def messages(self) -> List[Message]:
         result: List[Message] = []
         for graph in self._graphs.values():
@@ -610,38 +581,3 @@ class Application:
             f"processes={self.number_of_processes()}, deadline={self.deadline}, "
             f"rho={self.reliability_goal})"
         )
-
-
-def build_chain_application(
-    name: str,
-    wcets: Iterable[float],
-    deadline: float,
-    reliability_goal: float,
-    recovery_overhead: float,
-    message_time: float = 0.0,
-) -> Application:
-    """Convenience builder: a single linear chain ``P1 -> P2 -> ... -> Pn``.
-
-    Useful in tests and examples where the exact graph shape is irrelevant.
-    """
-    application = Application(
-        name=name,
-        deadline=deadline,
-        reliability_goal=reliability_goal,
-        recovery_overhead=recovery_overhead,
-    )
-    graph = application.new_graph(f"{name}_chain")
-    previous: Optional[Process] = None
-    for index, wcet in enumerate(wcets, start=1):
-        process = graph.add_process(Process(f"P{index}", nominal_wcet=wcet))
-        if previous is not None:
-            graph.add_message(
-                Message(
-                    name=f"m{index - 1}",
-                    source=previous.name,
-                    destination=process.name,
-                    transmission_time=message_time,
-                )
-            )
-        previous = process
-    return application

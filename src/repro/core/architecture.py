@@ -245,18 +245,6 @@ class Architecture:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_node_types(
-        cls,
-        node_types: Sequence[NodeType],
-        name_prefix: str = "",
-    ) -> "Architecture":
-        """Create an architecture with one node instance per node type."""
-        nodes = [
-            Node(f"{name_prefix}{node_type.name}", node_type) for node_type in node_types
-        ]
-        return cls(nodes)
-
     def copy(self) -> "Architecture":
         """Deep-enough copy: the nodes are copied."""
         return Architecture([node.copy() for node in self.nodes])
@@ -319,11 +307,6 @@ class Architecture:
         """Reset all nodes to their minimum hardening level (paper line 5)."""
         for node in self._nodes.values():
             node.hardening = node.node_type.min_hardening
-
-    def set_max_hardening(self) -> None:
-        """Set all nodes to their maximum hardening level (MAX baseline)."""
-        for node in self._nodes.values():
-            node.hardening = node.node_type.max_hardening
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         summary = ", ".join(

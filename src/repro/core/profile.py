@@ -25,10 +25,10 @@ be populated three ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.application import Application
-from repro.core.architecture import Architecture, Node, NodeType
+from repro.core.architecture import Node, NodeType
 from repro.core.exceptions import ProfileError
 from repro.utils.validation import require_in_unit_interval, require_positive
 
@@ -86,26 +86,6 @@ class ExecutionProfile:
         self._known_node_types.add(node_type)
         self._supported_cache.clear()
         self._version += 1
-
-    @classmethod
-    def from_tables(
-        cls,
-        wcet: Mapping[ProfileKey, float],
-        failure_probability: Mapping[ProfileKey, float],
-    ) -> "ExecutionProfile":
-        """Build a profile from two parallel ``{(p, n, h): value}`` tables."""
-        missing = set(wcet) ^ set(failure_probability)
-        if missing:
-            raise ProfileError(
-                f"WCET and failure-probability tables disagree on keys: {sorted(missing)}"
-            )
-        profile = cls()
-        for key, time in wcet.items():
-            process, node_type, hardening = key
-            profile.add_entry(
-                process, node_type, hardening, time, failure_probability[key]
-            )
-        return profile
 
     # ------------------------------------------------------------------
     # queries
@@ -202,38 +182,3 @@ class ExecutionProfile:
             raise ProfileError(
                 f"Execution profile is missing {len(problems)} entries, e.g. {preview}"
             )
-
-    def average_wcet(self, process: str, node_type: str) -> float:
-        """Average WCET of a process over all hardening levels of a node type."""
-        values = [
-            entry.wcet
-            for key, entry in self._entries.items()
-            if key[0] == process and key[1] == node_type
-        ]
-        if not values:
-            raise ProfileError(
-                f"No entries for process {process!r} on node type {node_type!r}"
-            )
-        return sum(values) / len(values)
-
-    def fastest_node_type_for(
-        self, process: str, node_types: Iterable[NodeType]
-    ) -> NodeType:
-        """Node type with the smallest WCET for ``process`` at min hardening."""
-        best: Optional[Tuple[float, NodeType]] = None
-        for node_type in node_types:
-            if not self.supports(process, node_type.name, node_type.min_hardening):
-                continue
-            time = self.wcet(process, node_type.name, node_type.min_hardening)
-            if best is None or time < best[0]:
-                best = (time, node_type)
-        if best is None:
-            raise ProfileError(f"Process {process!r} cannot run on any offered node type")
-        return best[1]
-
-    def architecture_supports(self, process: str, architecture: Architecture) -> bool:
-        """Whether at least one node of ``architecture`` can execute ``process``."""
-        return any(
-            self.supports(process, node.node_type.name, node.hardening)
-            for node in architecture
-        )

@@ -202,18 +202,6 @@ def reliability_over_time_unit(
     return (1.0 - per_iteration_failure) ** iterations
 
 
-def meets_reliability_goal(
-    per_iteration_failure: float,
-    reliability_goal: float,
-    time_unit: float,
-    period: float,
-) -> bool:
-    """Formula (6): does the system satisfy ``rho`` over the time unit?"""
-    require_in_unit_interval(reliability_goal, "reliability_goal")
-    achieved = reliability_over_time_unit(per_iteration_failure, time_unit, period)
-    return achieved >= reliability_goal
-
-
 # ----------------------------------------------------------------------
 # Analysis bound to an application / architecture / mapping
 # ----------------------------------------------------------------------

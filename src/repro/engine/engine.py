@@ -44,7 +44,6 @@ from repro.engine.cache import MISS, CacheStats, MemoCache
 from repro.engine.fingerprint import stable_context_fingerprint
 from repro.kernels.base import SFPKernel
 from repro.kernels.registry import SFP_KERNELS
-from repro.utils.rounding import DEFAULT_DECIMALS
 
 
 class EvaluationEngine:
@@ -62,12 +61,10 @@ class EvaluationEngine:
         self,
         application: Application,
         profile: ExecutionProfile,
-        decimals: int = DEFAULT_DECIMALS,
         kernel: Optional[SFPKernel] = None,
     ) -> None:
         self.application = application
         self.profile = profile
-        self.decimals = decimals
         #: SFP kernel backend computing cache misses.  Backends are
         #: bit-identical, so the kernel is *not* part of any memo key.
         self.kernel = SFP_KERNELS.or_active(kernel)

@@ -211,12 +211,10 @@ def _evaluate_benchmark_setting(
     ser: float,
     hpd: float,
     preset: ExperimentPreset,
-    strategies: Tuple[str, ...],
     store_dir: Optional[Path] = None,
     store_max_bytes: int = DEFAULT_MAX_BYTES,
-    single_flight: bool = False,
 ) -> Tuple[Dict[str, DesignResult], Dict[str, int]]:
-    """Run the requested strategies for one application at one setting.
+    """Run MIN, MAX and OPT for one application at one setting.
 
     Module-level (not a method) so the parallel sweep can ship it to worker
     processes.  All strategies share one :class:`EvaluationEngine` bound to
@@ -228,17 +226,17 @@ def _evaluate_benchmark_setting(
     persistent design-point store before the strategies run and its memo
     tables are merged back afterwards; the returned counters report how many
     entries were preloaded and how many lookups they served.  Every worker
-    process opens its own store handle (cheap — it is just a directory), and
-    distinct benchmarks/settings hash to distinct files, so parallel sweeps
-    need no cross-process locking.
+    process opens its own store handle (cheap — it is just a directory).
 
-    ``single_flight`` additionally serializes *identical* contexts across
-    concurrent processes (the serve job queue's shared warm store): the
-    first process to reach a context computes it, everyone else blocks on
-    the store's lock file and then warm-loads the winner's entries instead
-    of recomputing them (see :meth:`DesignPointStore.single_flight`).
-    Results are bit-identical either way; the guard only removes duplicated
-    work.
+    Whenever a store is attached, the run holds the store's
+    :meth:`~repro.engine.store.DesignPointStore.single_flight` guard, which
+    serializes *identical* contexts across concurrent processes (the serve
+    job queue's shared warm store): the first process to reach a context
+    computes it, everyone else blocks on the store's lock file and then
+    warm-loads the winner's entries instead of recomputing them.  Distinct
+    benchmarks/settings hash to distinct files, so a parallel sweep never
+    waits on itself.  Results are bit-identical either way; the guard only
+    removes duplicated work.
     """
     node_types, profile = build_platform(
         benchmark,
@@ -250,11 +248,7 @@ def _evaluate_benchmark_setting(
     disk = {"disk_hits": 0, "disk_entries_loaded": 0}
     if store_dir is not None:
         store = DesignPointStore(store_dir, max_bytes=store_max_bytes)
-    guard = (
-        store.single_flight(engine)
-        if store is not None and single_flight
-        else nullcontext(True)
-    )
+    guard = store.single_flight(engine) if store is not None else nullcontext(True)
     with guard:
         # Warming happens inside the guard: a single-flight follower warms
         # *after* the leader's persist, so the leader's design points are
@@ -277,7 +271,7 @@ def _evaluate_benchmark_setting(
             name: builders[name](node_types, algorithm, scheduler=scheduler).explore(
                 benchmark.application, profile, engine=engine
             )
-            for name in strategies
+            for name in STRATEGIES
         }
         if store is not None:
             store.persist(engine)
@@ -294,10 +288,8 @@ _WORKER_STATE: Dict[str, object] = {}
 def _init_worker(
     benchmarks: Sequence[SyntheticBenchmark],
     preset: ExperimentPreset,
-    strategies: Tuple[str, ...],
     store_dir: Optional[Path],
     store_max_bytes: int,
-    single_flight: bool = False,
 ) -> None:
     """Executor initializer: ship the benchmark suite once per worker.
 
@@ -308,10 +300,8 @@ def _init_worker(
     """
     _WORKER_STATE["benchmarks"] = list(benchmarks)
     _WORKER_STATE["preset"] = preset
-    _WORKER_STATE["strategies"] = strategies
     _WORKER_STATE["store_dir"] = store_dir
     _WORKER_STATE["store_max_bytes"] = store_max_bytes
-    _WORKER_STATE["single_flight"] = single_flight
     _maybe_install_worker_sanitizer()
 
 
@@ -347,10 +337,8 @@ def _evaluate_indexed_setting(
         ser,
         hpd,
         _WORKER_STATE["preset"],
-        _WORKER_STATE["strategies"],
         _WORKER_STATE["store_dir"],
         _WORKER_STATE["store_max_bytes"],
-        _WORKER_STATE["single_flight"],
     )
 
 
@@ -360,7 +348,7 @@ def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
 
 
 class AcceptanceExperiment:
-    """Run MIN / MAX / OPT over a suite of synthetic benchmarks.
+    """Run MIN / MAX / OPT over the preset's generated benchmark suite.
 
     The expensive part — running the three strategies for a given SER/HPD
     technology setting — is decoupled from the cheap part — counting
@@ -379,16 +367,13 @@ class AcceptanceExperiment:
         Optional directory of the persistent design-point store
         (:class:`~repro.engine.store.DesignPointStore`).  When given, every
         engine is warm-started from disk and persisted back, so repeating
-        the same sweep in a fresh process starts warm.  Results are
-        bit-identical with or without a store.
+        the same sweep in a fresh process starts warm, and concurrent
+        processes sharing ``store_dir`` compute each context once (see
+        :func:`_evaluate_benchmark_setting`).  Results are bit-identical
+        with or without a store.
     store_max_bytes:
         Size cap of the store directory (least-recently-used files are
         evicted beyond it).
-    single_flight:
-        Serialize identical engine contexts across concurrent *processes*
-        sharing ``store_dir`` (the serve job queue): the first process
-        computes a context, the others wait and warm-load its entries
-        instead of recomputing them.  Bit-identical either way.
     progress:
         Optional callback receiving one JSON-native event dict per
         completed benchmark evaluation (``setting_progress`` events with
@@ -399,35 +384,24 @@ class AcceptanceExperiment:
     def __init__(
         self,
         preset: Optional[ExperimentPreset] = None,
-        benchmarks: Optional[Sequence[SyntheticBenchmark]] = None,
-        strategies: Sequence[str] = STRATEGIES,
         n_jobs: Optional[int] = None,
         store_dir: Union[str, Path, None] = None,
         store_max_bytes: int = DEFAULT_MAX_BYTES,
-        single_flight: bool = False,
         progress: Optional[Callable[[Dict[str, object]], None]] = None,
     ) -> None:
         self.preset = preset if preset is not None else ExperimentPreset.fast()
-        unknown = set(strategies) - set(STRATEGIES)
-        if unknown:
-            raise ValueError(f"Unknown strategies requested: {sorted(unknown)}")
-        self.strategies = tuple(strategies)
         if n_jobs is not None and n_jobs < 0:
             raise ValueError(f"n_jobs must be >= 0, got {n_jobs}")
         self.n_jobs = n_jobs
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.store_max_bytes = store_max_bytes
-        self.single_flight = single_flight
         self.progress = progress
-        if benchmarks is not None:
-            self.benchmarks = list(benchmarks)
-        else:
-            self.benchmarks = generate_benchmark_suite(
-                count=self.preset.n_applications,
-                base_seed=self.preset.base_seed,
-                config=self.preset.benchmark_config(),
-                process_counts=self.preset.process_counts,
-            )
+        self.benchmarks = generate_benchmark_suite(
+            count=self.preset.n_applications,
+            base_seed=self.preset.base_seed,
+            config=self.preset.benchmark_config(),
+            process_counts=self.preset.process_counts,
+        )
         self._cache: Dict[Tuple[float, float], SettingResult] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._finalizer: Optional[weakref.finalize] = None
@@ -451,10 +425,8 @@ class AcceptanceExperiment:
                 initargs=(
                     self.benchmarks,
                     self.preset,
-                    self.strategies,
                     self.store_dir,
                     self.store_max_bytes,
-                    self.single_flight,
                 ),
             )
             self._finalizer = weakref.finalize(
@@ -484,13 +456,12 @@ class AcceptanceExperiment:
         key = (ser, hpd)
         if key in self._cache:
             return self._cache[key]
-        setting = SettingResult(ser=ser, hpd=hpd, results={name: [] for name in self.strategies})
+        setting = SettingResult(ser=ser, hpd=hpd, results={name: [] for name in STRATEGIES})
         count = len(self.benchmarks)
         if self.n_jobs is None or self.n_jobs == 1:
             iterator = (
                 _evaluate_benchmark_setting(
-                    benchmark, ser, hpd, self.preset, self.strategies,
-                    self.store_dir, self.store_max_bytes, self.single_flight,
+                    benchmark, ser, hpd, self.preset, self.store_dir, self.store_max_bytes
                 )
                 for benchmark in self.benchmarks
             )
@@ -508,7 +479,7 @@ class AcceptanceExperiment:
         # completes; ``pool.map`` preserves submission order, so collection
         # stays bit-identical to serial.
         for completed, (results, disk) in enumerate(iterator, start=1):
-            for name in self.strategies:
+            for name in STRATEGIES:
                 setting.results[name].append(results[name])
             setting.disk_hits += disk["disk_hits"]
             setting.disk_entries_loaded += disk["disk_entries_loaded"]

@@ -18,17 +18,6 @@ from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 
 
-def mapped_execution_time(
-    process: str,
-    architecture: Architecture,
-    mapping: ProcessMapping,
-    profile: ExecutionProfile,
-) -> float:
-    """WCET of ``process`` on its mapped node at the node's current hardening."""
-    node = architecture.node(mapping.node_of(process))
-    return profile.wcet_on_node(process, node)
-
-
 def critical_path_priorities(
     application: Application,
     architecture: Architecture,

@@ -12,9 +12,9 @@ scalars (the config as ``RunConfig.to_dict()``, the spool path as a
 string).  No live :class:`Session`, engine, or store handle is ever
 submitted; the worker-side :func:`_execute_job` rebuilds everything from
 the spec.  All workers share one persistent
-:class:`~repro.engine.store.DesignPointStore` directory, and jobs run with
-the store's single-flight guard enabled so two jobs over the same context
-fingerprint compute each design point exactly once.
+:class:`~repro.engine.store.DesignPointStore` directory, whose single-flight
+guard (taken whenever a store is attached) makes two jobs over the same
+context fingerprint compute each design point exactly once.
 
 **Backpressure.**  A full queue rejects the submission with HTTP 429 and a
 ``Retry-After`` hint; a per-job wall-clock timeout marks the job
@@ -74,7 +74,6 @@ class ServeConfig:
     spool_dir: Optional[Path] = None
     cache_dir: Optional[Path] = None
     cache_size_mb: int = DEFAULT_CACHE_SIZE_MB
-    single_flight: bool = True
     sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -97,7 +96,6 @@ class Job:
     scenario: str
     config: RunConfig
     events_path: Path
-    single_flight: bool
     state: str = "queued"
     created_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
@@ -116,7 +114,6 @@ class Job:
             "scenario": self.scenario,
             "config": self.config.to_dict(),
             "events_path": str(self.events_path),
-            "single_flight": self.single_flight,
         }
 
     def describe(self, queue_position: Optional[int] = None) -> Dict[str, Any]:
@@ -163,10 +160,10 @@ def _execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job spec to completion; returns ``RunReport.to_dict()``.
 
     Rebuilds the full execution context from the scalar spec: the frozen
-    config, a :class:`Session` with the spool-backed progress observer and
-    the single-flight store guard.  Under the sanitizer, violations
-    recorded during *this* job fail it loudly instead of accumulating
-    silently in a long-lived worker.
+    config and a :class:`Session` with the spool-backed progress observer
+    (the config's store brings the single-flight guard with it).  Under the
+    sanitizer, violations recorded during *this* job fail it loudly instead
+    of accumulating silently in a long-lived worker.
     """
     from repro.lint.sanitizer import active_sanitizer
 
@@ -174,9 +171,7 @@ def _execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     writer = EventWriter(Path(spec["events_path"]))
     sanitizer = active_sanitizer()
     violations_before = len(sanitizer.violations) if sanitizer is not None else 0
-    with Session(
-        config, progress=writer.emit, single_flight=bool(spec["single_flight"])
-    ) as session:
+    with Session(config, progress=writer.emit) as session:
         report = session.run(spec["scenario"])
     if sanitizer is not None and len(sanitizer.violations) > violations_before:
         fresh = sanitizer.violations[violations_before:]
@@ -315,7 +310,6 @@ class JobManager:
             scenario=scenario_id,
             config=effective,
             events_path=self.spool_dir / f"{job_id}.ndjson",
-            single_flight=self.config.single_flight,
         )
         try:
             queue.put_nowait(job)

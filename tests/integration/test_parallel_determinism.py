@@ -73,7 +73,9 @@ def test_engine_counters_identical(serial, parallel):
 
 def test_parallel_run_with_store_stays_identical(tmp_path, serial):
     """The persistent store must not perturb parallel results either; a
-    second warm parallel run must hit the disk cache and still agree."""
+    second warm parallel run must hit the disk cache and still agree.  Every
+    store-backed evaluation holds the store's single-flight lock, and none
+    may outlive its run."""
     cold = _run(n_jobs=2, store_dir=tmp_path)
     assert cold[0] == serial[0]
     warm = _run(n_jobs=2, store_dir=tmp_path)
@@ -82,3 +84,4 @@ def test_parallel_run_with_store_stays_identical(tmp_path, serial):
     warm_loaded = sum(setting.disk_entries_loaded for setting in warm[1])
     assert warm_loaded > 0
     assert warm_disk_hits > 0
+    assert not list(tmp_path.glob("*.lock"))

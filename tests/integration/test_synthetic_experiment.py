@@ -106,12 +106,6 @@ class TestExperimentMachinery:
         with pytest.raises(RuntimeError):
             pool.submit(int)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            AcceptanceExperiment(
-                preset=ExperimentPreset.smoke(), strategies=("MIN", "BOGUS")
-            )
-
     def test_presets_expose_paper_configuration(self):
         paper = ExperimentPreset.paper()
         assert paper.n_applications == 150

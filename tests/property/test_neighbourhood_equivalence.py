@@ -33,6 +33,7 @@ from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig1_application, fig1_profile
 from repro.kernels.array_backend import MAX_FAST_DECIMALS
 from repro.scheduling.list_scheduler import ListScheduler
+from repro.utils.rounding import DEFAULT_DECIMALS
 
 from tests.conftest import SCHED_BACKENDS, SFP_BACKENDS
 
@@ -81,9 +82,9 @@ def sfp_neighbourhoods(draw):
     return rows
 
 
-def _engine(kernel_name: str, decimals: int = 11) -> EvaluationEngine:
+def _engine(kernel_name: str) -> EvaluationEngine:
     return EvaluationEngine(
-        fig1_application(), fig1_profile(), decimals=decimals, kernel=SFP_BACKENDS[kernel_name]
+        fig1_application(), fig1_profile(), kernel=SFP_BACKENDS[kernel_name]
     )
 
 
@@ -102,7 +103,7 @@ def _counters(engine: EvaluationEngine):
 def test_memoized_exceedance_rowwise_identical(name, rows, decimals):
     """Every trial of a neighbourhood equals the reference kernel's value,
     and a duplicate trial is a memo hit that returns its first value."""
-    engine = _engine(name, decimals)
+    engine = _engine(name)
     produced = [
         engine.node_exceedance(probabilities, budget, decimals)
         for probabilities, budget in rows
@@ -132,18 +133,18 @@ def test_counters_do_not_depend_on_the_backend(name, warm, preloaded, rows):
         # Store hits: preloaded entries count disk_hits when touched.
         twin.exceedance.load(
             {
-                (probabilities, budget, twin.decimals): 0.123
+                (probabilities, budget, DEFAULT_DECIMALS): 0.123
                 for probabilities, budget in preloaded
             }
         )
         for probabilities, budget in warm:
-            twin.node_exceedance(probabilities, budget, twin.decimals)
+            twin.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
     produced = [
-        engine.node_exceedance(probabilities, budget, engine.decimals)
+        engine.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
         for probabilities, budget in rows
     ]
     expected = [
-        reference.node_exceedance(probabilities, budget, reference.decimals)
+        reference.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
         for probabilities, budget in rows
     ]
     assert produced == expected
@@ -156,13 +157,13 @@ def test_counters_do_not_depend_on_the_backend(name, warm, preloaded, rows):
 def test_repeated_neighbourhood_is_all_hits(name, rows):
     engine = _engine(name)
     first = [
-        engine.node_exceedance(probabilities, budget, engine.decimals)
+        engine.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
         for probabilities, budget in rows
     ]
     misses_after_first = engine.exceedance.misses
     hits_after_first = engine.exceedance.hits
     second = [
-        engine.node_exceedance(probabilities, budget, engine.decimals)
+        engine.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
         for probabilities, budget in rows
     ]
     assert second == first
@@ -175,16 +176,16 @@ def test_invalid_trial_raises_and_caches_nothing(name):
     """A bad trial fails with the scalar validation error, leaves no memo
     entry behind, and the rest of the neighbourhood evaluates normally."""
     engine = _engine(name)
-    assert engine.node_exceedance((0.1,), 1, engine.decimals) == (
-        SFP_REFERENCE.probability_exceeds((0.1,), 1, engine.decimals)
+    assert engine.node_exceedance((0.1,), 1, DEFAULT_DECIMALS) == (
+        SFP_REFERENCE.probability_exceeds((0.1,), 1, DEFAULT_DECIMALS)
     )
     with pytest.raises(ModelError):
-        engine.node_exceedance((0.2,), -1, engine.decimals)
+        engine.node_exceedance((0.2,), -1, DEFAULT_DECIMALS)
     with pytest.raises(ValueError):
-        engine.node_exceedance((1.5,), 1, engine.decimals)
+        engine.node_exceedance((1.5,), 1, DEFAULT_DECIMALS)
     assert len(engine.exceedance) == 1
-    assert engine.node_exceedance((0.2,), 1, engine.decimals) == (
-        SFP_REFERENCE.probability_exceeds((0.2,), 1, engine.decimals)
+    assert engine.node_exceedance((0.2,), 1, DEFAULT_DECIMALS) == (
+        SFP_REFERENCE.probability_exceeds((0.2,), 1, DEFAULT_DECIMALS)
     )
     assert len(engine.exceedance) == 2
 

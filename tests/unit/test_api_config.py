@@ -63,6 +63,7 @@ class TestValidation:
             ({"jobs": True}, "jobs must be an integer"),
             ({"seed": "x"}, "seed must be an integer"),
             ({"seed": False}, "seed must be an integer"),
+            ({"seed": -5}, "seed must be >= 0"),
             ({"cache_size_mb": 2.5}, "cache_size_mb must be an integer"),
             ({"cache_size_mb": True}, "cache_size_mb must be an integer"),
             ({"preset": ["fast"]}, "Unknown preset"),

@@ -35,6 +35,22 @@ class TestScenarioParam:
         param = ScenarioParam("p", "float", default=0.5)
         assert param.coerce("0.25") == 0.25
 
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_numbers_reject_bools(self, kind, raw):
+        with pytest.raises(ModelError, match=f"expects {kind}"):
+            ScenarioParam("n", kind).coerce(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [float("nan"), float("inf"), "nan", "-inf"],
+        ids=["nan", "inf", "nan-string", "minus-inf-string"],
+    )
+    def test_float_rejects_non_finite_values(self, raw):
+        # Unbounded on purpose: NaN must fail even where no bound would catch it.
+        with pytest.raises(ModelError, match="expects float"):
+            ScenarioParam("p", "float").coerce(raw)
+
     def test_bool_accepts_cli_spellings(self):
         param = ScenarioParam("flag", "bool", default=False)
         for truthy in ("true", "1", "Yes"):

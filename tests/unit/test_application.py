@@ -16,7 +16,6 @@ from repro.core.application import (
     Message,
     Process,
     TaskGraph,
-    build_chain_application,
 )
 from repro.core.exceptions import ModelError
 from repro.generator import BenchmarkConfig, generate_benchmark
@@ -141,14 +140,6 @@ class TestTaskGraph:
             lambda name: graph.process(name).nominal_wcet, include_messages=False
         )
         assert length == pytest.approx(30.0)
-
-    def test_downward_rank_of_source_equals_critical_path(self):
-        graph = self._chain()
-        ranks = graph.downward_rank(
-            lambda name: graph.process(name).nominal_wcet, include_messages=True
-        )
-        assert ranks["A"] == pytest.approx(33.0)
-        assert ranks["C"] == pytest.approx(15.0)
 
     def test_unknown_process_lookup_raises(self):
         graph = self._chain()
@@ -312,7 +303,6 @@ class TestApplication:
         application.new_graph("G1").add_process(Process("P1"))
         application.new_graph("G2").add_process(Process("P2"))
         assert application.process("P2").name == "P2"
-        assert application.graph_of("P1").name == "G1"
         assert application.number_of_processes() == 2
 
     def test_unknown_process_raises(self):
@@ -336,26 +326,6 @@ class TestApplication:
     def test_messages_listing(self, fig1_app):
         names = {message.name for message in fig1_app.messages()}
         assert names == {"m1", "m2", "m3", "m4"}
-
-
-class TestBuildChainApplication:
-    def test_chain_structure(self):
-        application = build_chain_application(
-            "chain", [5.0, 6.0, 7.0], deadline=100.0, reliability_goal=0.999,
-            recovery_overhead=1.0, message_time=0.5,
-        )
-        graph = application.graphs[0]
-        assert len(graph) == 3
-        assert graph.sources() == ["P1"]
-        assert graph.sinks() == ["P3"]
-        assert graph.message_between("P1", "P2") is not None
-        assert graph.message_between("P2", "P3") is not None
-
-    def test_single_process_chain_has_no_messages(self):
-        application = build_chain_application(
-            "chain", [5.0], deadline=10.0, reliability_goal=0.99, recovery_overhead=0.0
-        )
-        assert application.messages() == []
 
 
 class TestStructureToken:

@@ -160,14 +160,10 @@ class TestArchitecture:
         with pytest.raises(ModelError):
             fig4a_architecture.apply_hardening_vector({"missing": 1})
 
-    def test_set_max_hardening(self, fig4a_architecture):
-        fig4a_architecture.set_max_hardening()
-        assert fig4a_architecture.hardening_vector() == {"N1": 3, "N2": 3}
-        assert fig4a_architecture.cost == 64.0 + 80.0
-
     def test_copy_is_deep_for_nodes(self, fig4a_architecture):
         clone = fig4a_architecture.copy()
-        clone.set_max_hardening()
+        clone.node("N1").hardening = 1
+        assert clone.hardening_vector() == {"N1": 1, "N2": 2}
         assert fig4a_architecture.hardening_vector() == {"N1": 2, "N2": 2}
 
     def test_node_lookup(self, fig4a_architecture):
@@ -180,8 +176,3 @@ class TestArchitecture:
     def test_iteration_and_len(self, fig4a_architecture):
         assert len(fig4a_architecture) == 2
         assert [node.name for node in fig4a_architecture] == ["N1", "N2"]
-
-    def test_from_node_types(self, fig1_nodes):
-        architecture = Architecture.from_node_types(list(fig1_nodes))
-        assert architecture.node_names == ["N1", "N2"]
-        assert architecture.hardening_vector() == {"N1": 1, "N2": 1}

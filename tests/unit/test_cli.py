@@ -106,6 +106,12 @@ class TestRunCommand:
         assert exit_code == 2
         assert "accepts no parameters" in captured.err
 
+    def test_negative_seed_is_a_clean_error(self, capsys):
+        exit_code = main(["run", "fig6a", "--seed", "-3"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "seed must be >= 0" in captured.err
+
     def test_missing_scenario_is_an_error(self, capsys):
         exit_code = main(["run"])
         assert exit_code == 2
@@ -190,7 +196,6 @@ class TestServeCommand:
                 "--workers", "4",
                 "--queue-size", "8",
                 "--job-timeout", "30",
-                "--no-single-flight",
                 "--sanitize",
             ]
         )
@@ -199,7 +204,6 @@ class TestServeCommand:
         assert arguments.workers == 4
         assert arguments.queue_size == 8
         assert arguments.job_timeout == 30.0
-        assert arguments.no_single_flight is True
         assert arguments.sanitize is True
 
     @pytest.mark.parametrize("flag", ["--workers", "--queue-size"])
@@ -224,7 +228,6 @@ class TestServeCommand:
                 "--port", "9100",
                 "--workers", "3",
                 "--spool-dir", str(tmp_path / "spool"),
-                "--no-single-flight",
             ]
         )
         assert exit_code == 0
@@ -232,7 +235,6 @@ class TestServeCommand:
         assert config.host == "127.0.0.1"
         assert config.port == 9100
         assert config.workers == 3
-        assert config.single_flight is False
         assert config.spool_dir == tmp_path / "spool"
 
     def test_degenerate_timeout_is_a_clean_error(self, capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.application import Application, Message, Process
+from repro.core.application import Application, Process
 from repro.core.exceptions import OptimizationError
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.design_strategy import DesignStrategy

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from repro.comm.bus import TDMABus
-from repro.core.application import Application, Message, Process
+from repro.core.application import Message
 from repro.core.architecture import Architecture, HVersion, Node, NodeType
 from repro.core.exceptions import SchedulingError
 from repro.core.mapping_model import ProcessMapping
-from repro.core.profile import ExecutionProfile
 from repro.scheduling.list_scheduler import ListScheduler
 
 from tests.conftest import build_diamond_application, uniform_profile_for

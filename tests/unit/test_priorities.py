@@ -4,20 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.architecture import Architecture, Node
 from repro.core.mapping_model import ProcessMapping
-from repro.scheduling.priorities import critical_path_priorities, mapped_execution_time
-
-
-class TestMappedExecutionTime:
-    def test_uses_current_hardening(self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping):
-        assert (
-            mapped_execution_time("P1", fig4a_architecture, fig4a_mapping, fig1_prof) == 75.0
-        )
-        fig4a_architecture.node("N1").hardening = 1
-        assert (
-            mapped_execution_time("P1", fig4a_architecture, fig4a_mapping, fig1_prof) == 60.0
-        )
+from repro.scheduling.priorities import critical_path_priorities
 
 
 class TestCriticalPathPriorities:

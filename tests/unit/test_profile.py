@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.architecture import Architecture, HVersion, Node, NodeType
+from repro.core.architecture import Node
 from repro.core.exceptions import ProfileError
 from repro.core.profile import ExecutionProfile, ProfileEntry
 
@@ -51,36 +51,9 @@ class TestExecutionProfile:
         node = Node("N2", n2, hardening=3)
         assert fig1_prof.failure_probability_on_node("P4", node) == pytest.approx(1.3e-10)
 
-    def test_from_tables_roundtrip(self):
-        wcet = {("P1", "N1", 1): 10.0, ("P1", "N1", 2): 12.0}
-        prob = {("P1", "N1", 1): 1e-4, ("P1", "N1", 2): 1e-6}
-        profile = ExecutionProfile.from_tables(wcet, prob)
-        assert profile.wcet("P1", "N1", 2) == 12.0
-        assert len(profile) == 2
-
-    def test_from_tables_mismatched_keys_rejected(self):
-        with pytest.raises(ProfileError):
-            ExecutionProfile.from_tables({("P1", "N1", 1): 10.0}, {})
-
     def test_processes_and_node_types(self, fig1_prof):
         assert fig1_prof.processes() == ["P1", "P2", "P3", "P4"]
         assert fig1_prof.node_types() == ["N1", "N2"]
-
-    def test_average_wcet(self, fig1_prof):
-        assert fig1_prof.average_wcet("P1", "N1") == pytest.approx((60 + 75 + 90) / 3)
-
-    def test_average_wcet_missing_raises(self, fig1_prof):
-        with pytest.raises(ProfileError):
-            fig1_prof.average_wcet("P1", "N9")
-
-    def test_fastest_node_type_for(self, fig1_prof, fig1_nodes):
-        fastest = fig1_prof.fastest_node_type_for("P1", list(fig1_nodes))
-        assert fastest.name == "N2"  # 50 ms beats 60 ms at minimum hardening
-
-    def test_fastest_node_type_without_support_raises(self, fig1_nodes):
-        profile = ExecutionProfile()
-        with pytest.raises(ProfileError):
-            profile.fastest_node_type_for("P1", list(fig1_nodes))
 
     def test_validate_against_full_coverage(self, fig1_app, fig1_nodes, fig1_prof):
         fig1_prof.validate_against(fig1_app, list(fig1_nodes))
@@ -90,13 +63,6 @@ class TestExecutionProfile:
         profile.add_entry("P1", "N1", 1, 60.0, 1e-3)
         with pytest.raises(ProfileError, match="missing"):
             profile.validate_against(fig1_app, list(fig1_nodes))
-
-    def test_architecture_supports(self, fig1_prof, fig1_nodes):
-        n1, _ = fig1_nodes
-        architecture = Architecture([Node("N1", n1)])
-        assert fig1_prof.architecture_supports("P1", architecture)
-        other = Architecture([Node("NX", NodeType("NX", [HVersion(1, 1.0)]))])
-        assert not fig1_prof.architecture_supports("P1", other)
 
     def test_entries_returns_copy(self, fig1_prof):
         entries = fig1_prof.entries()

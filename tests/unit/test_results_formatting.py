@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.results import format_bar_chart, format_table, percentages
 from repro.experiments.synthetic import render_cost_table, render_hpd_sweep
 

@@ -65,6 +65,19 @@ def test_submit_validates_scenario_config_and_params(tmp_path):
         {"scenario": "fig6a", "config": {"scenario_params": {"x": 1}}},
         # A family parameter outside its declared bounds.
         {"scenario": "synthetic-random", "config": {"scenario_params": {"n_processes": -3}}},
+        # A JSON ``true`` is not a number, and NaN is not a probability.
+        {"scenario": "synthetic-random", "config": {"scenario_params": {"n_processes": True}}},
+        {
+            "scenario": "synthetic-random",
+            "config": {"scenario_params": {"extra_edge_probability": float("nan")}},
+        },
+        {
+            "scenario": "synthetic-random",
+            "config": {"scenario_params": {"extra_edge_probability": True}},
+        },
+        # numpy seeds must be non-negative: caught at submit, not at run time.
+        {"scenario": "fig6a", "config": {"seed": -5}},
+        {"scenario": "synthetic-random", "config": {"scenario_params": {"seed": -3}}},
     ]:
         with pytest.raises(HttpError) as info:
             manager.submit(payload)
@@ -160,7 +173,6 @@ def test_job_spec_is_scalar_and_picklable(tmp_path):
     import json
 
     assert json.loads(json.dumps(spec)) == spec
-    assert spec["single_flight"] is True
     assert spec["config"]["cache_dir"] == str(manager.store_dir)
 
 

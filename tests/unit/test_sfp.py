@@ -6,14 +6,12 @@ import math
 
 import pytest
 
-from repro.core.architecture import Architecture, Node
 from repro.core.exceptions import ModelError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.sfp import (
     SFPAnalysis,
     complete_homogeneous_sum,
     enumerate_fault_scenarios,
-    meets_reliability_goal,
     probability_exactly,
     probability_exceeds,
     probability_no_fault,
@@ -154,10 +152,7 @@ class TestReliabilityOverTimeUnit:
     def test_paper_k0_reliability_fails_goal(self):
         reliability = reliability_over_time_unit(4.999908e-05, 3.6e6, 360.0)
         assert reliability == pytest.approx(0.6065, abs=1e-3)
-        assert not meets_reliability_goal(4.999908e-05, 1 - 1e-5, 3.6e6, 360.0)
-
-    def test_meets_goal_boundary(self):
-        assert meets_reliability_goal(0.0, 1.0, 3.6e6, 100.0)
+        assert reliability < 1 - 1e-5
 
     def test_zero_failure_gives_perfect_reliability(self):
         assert reliability_over_time_unit(0.0, 3.6e6, 1.0) == 1.0
