@@ -14,9 +14,12 @@ hold:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.fault_model import SER_HIGH, SER_LOW, SER_MEDIUM
+from repro.engine.store import DesignPointStore
 from repro.experiments.synthetic import AcceptanceExperiment, ExperimentPreset
 
 
@@ -110,3 +113,40 @@ class TestExperimentMachinery:
         paper = ExperimentPreset.paper()
         assert paper.n_applications == 150
         assert paper.process_counts == (20, 40)
+
+
+class TestStoreGuard:
+    """Every store-backed evaluation holds the store's single-flight guard,
+    serial runs included; a storeless run takes none."""
+
+    @staticmethod
+    def _spy_on_guard(monkeypatch):
+        entered = []
+        original = DesignPointStore.single_flight
+
+        @contextmanager
+        def spy(store, engine, *args, **kwargs):
+            with original(store, engine, *args, **kwargs) as leader:
+                entered.append((leader, len(list(store.directory.glob("*.lock")))))
+                yield leader
+
+        monkeypatch.setattr(DesignPointStore, "single_flight", spy)
+        return entered
+
+    def test_serial_store_backed_run_holds_the_guard(self, tmp_path, monkeypatch):
+        entered = self._spy_on_guard(monkeypatch)
+        preset = ExperimentPreset.smoke()
+        experiment = AcceptanceExperiment(preset=preset, n_jobs=1, store_dir=tmp_path)
+        setting = experiment.run_setting(SER_MEDIUM, 5.0)
+        # One leader per benchmark, each holding exactly its own lock file.
+        assert entered == [(True, 1)] * len(experiment.benchmarks)
+        assert not list(tmp_path.glob("*.lock"))
+        storeless = AcceptanceExperiment(preset=preset, n_jobs=1).run_setting(SER_MEDIUM, 5.0)
+        assert setting.results == storeless.results
+
+    def test_storeless_run_takes_no_guard(self, monkeypatch):
+        entered = self._spy_on_guard(monkeypatch)
+        AcceptanceExperiment(preset=ExperimentPreset.smoke(), n_jobs=1).run_setting(
+            SER_MEDIUM, 5.0
+        )
+        assert entered == []

@@ -51,6 +51,11 @@ class TestValidation:
         with pytest.raises(ModelError, match="jobs must be >= 0"):
             RunConfig(jobs=-1)
 
+    def test_zero_seed_is_accepted(self):
+        config = RunConfig(seed=0)
+        assert config.seed == 0
+        assert config.resolved_preset().base_seed == 0
+
     def test_tiny_cache_cap_rejected(self):
         with pytest.raises(ModelError, match="cache_size_mb"):
             RunConfig(cache_size_mb=0)

@@ -115,6 +115,17 @@ class TestResolveParams:
         with pytest.raises(ModelError, match="accepts no parameters"):
             spec.resolve_params({"n": 1})
 
+    @pytest.mark.parametrize(
+        "scenario_id", ["synthetic-random", "synthetic-suite", "fault-injection"]
+    )
+    def test_generator_seed_must_be_non_negative(self, scenario_id):
+        # numpy's generators take non-negative seeds only, so a negative seed
+        # must fail when the params resolve, not when the scenario runs.
+        spec = get_scenario(scenario_id)
+        assert spec.resolve_params({"seed": 0})["seed"] == 0
+        with pytest.raises(ModelError, match=">= 0"):
+            spec.resolve_params({"seed": -1})
+
     def test_registered_family_schema_is_visible(self):
         spec = get_scenario("synthetic-random")
         assert "n_processes:int=20" in spec.schema()

@@ -92,6 +92,26 @@ class TestRunCommand:
         assert report["config"]["scenario_params"] == {"n_processes": "8", "seed": "3"}
         assert report["results"]["benchmark"]["n_processes"] == 8
 
+    def test_cache_dir_run_releases_the_store_lock(self, tmp_path, capsys):
+        """A store-backed CLI run holds the store's single-flight lock; the
+        lock must be gone afterwards, or the next run sharing the store waits."""
+        store = tmp_path / "store"
+        reports = []
+        for name in ("cold.json", "warm.json"):
+            output = tmp_path / name
+            exit_code = main(
+                ["run", "synthetic-random", "--preset", "smoke", "--output", str(output),
+                 "--cache-dir", str(store), "--param", "n_processes=8", "--param", "seed=3"]
+            )
+            capsys.readouterr()
+            assert exit_code == 0
+            assert not list(store.glob("*.lock"))
+            reports.append(json.loads(output.read_text(encoding="utf-8")))
+        cold, warm = reports
+        assert warm["cache"]["points_computed"] == 0
+        assert warm["cache"]["disk_hits"] > 0
+        assert warm["results"] == cold["results"]
+
     def test_invalid_param_value_is_a_clean_error(self, capsys):
         exit_code = main(
             ["run", "synthetic-random", "--param", "n_processes=zero"]
