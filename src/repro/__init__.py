@@ -49,7 +49,6 @@ from repro.core import (
     min_hardening_strategy,
     optimized_strategy,
 )
-from repro.comm import Bus, SimpleBus, TDMABus
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.scheduling import ListScheduler, Schedule, ScheduledMessage, ScheduledProcess
 from repro.simulation import FaultScenarioSimulator, SimulationSummary
@@ -61,7 +60,6 @@ __all__ = [
     "Application",
     "Architecture",
     "ArchitectureEnumerator",
-    "Bus",
     "DesignResult",
     "DesignStrategy",
     "ExecutionProfile",
@@ -89,9 +87,7 @@ __all__ = [
     "Schedule",
     "ScheduledMessage",
     "ScheduledProcess",
-    "SimpleBus",
     "SimulationSummary",
-    "TDMABus",
     "TaskGraph",
     "TechnologyModel",
     "acceptance_rate",

@@ -1,16 +1,16 @@
 """The Session: one configured front door to the evaluation machinery.
 
 A :class:`Session` binds a frozen :class:`~repro.api.config.RunConfig` to
-the evaluation machinery and owns, for its lifetime:
+the evaluation machinery and owns, for its lifetime, **the shared
+experiment**: :meth:`experiment` memoizes one
+:class:`~repro.experiments.synthetic.AcceptanceExperiment` so scenarios run
+back to back (e.g. Fig. 6a then 6b) reuse each other's settings.
 
-* **the persistent design-point store** — one lazily-opened
-  :class:`~repro.engine.store.DesignPointStore` handle when
-  ``config.cache_dir`` is set; every store-backed evaluation holds the
-  store's single-flight guard, so concurrent sessions sharing the
-  directory compute each context once;
-* **the shared experiment** — :meth:`experiment` memoizes one
-  :class:`~repro.experiments.synthetic.AcceptanceExperiment` so scenarios
-  run back to back (e.g. Fig. 6a then 6b) reuse each other's settings.
+The session holds no store handle.  With ``config.cache_dir`` set, every
+store-backed evaluation opens its own
+:class:`~repro.engine.store.DesignPointStore` on that directory and holds
+the store's single-flight guard, so concurrent sessions sharing the
+directory compute each context once.
 
 Scenarios execute through :meth:`run`, which times the runner and assembles
 the structured :class:`~repro.api.report.RunReport`.
@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from repro.api.config import RunConfig
 from repro.api.registry import get_scenario
 from repro.api.report import RunReport
-from repro.engine.store import DesignPointStore
 from repro.experiments.synthetic import AcceptanceExperiment, sum_cache_counters
 
 #: Observer invoked with one JSON-native event dict per progress step —
@@ -57,7 +56,6 @@ class Session:
         #: round-trip in report JSON.
         self.progress = progress
         self._experiment: Optional[AcceptanceExperiment] = None
-        self._store: Optional[DesignPointStore] = None
         self._scenario_counters = sum_cache_counters(())
 
     # ------------------------------------------------------------------
@@ -78,17 +76,6 @@ class Session:
     # ------------------------------------------------------------------
     # owned resources
     # ------------------------------------------------------------------
-    @property
-    def store(self) -> Optional[DesignPointStore]:
-        """The session's persistent store handle (``None`` without cache_dir)."""
-        if self.config.cache_dir is None:
-            return None
-        if self._store is None:
-            self._store = DesignPointStore(
-                self.config.cache_dir, max_bytes=self.config.cache_max_bytes
-            )
-        return self._store
-
     def experiment(self) -> AcceptanceExperiment:
         """The session's shared synthetic experiment (memoized).
 

@@ -230,8 +230,8 @@ class Architecture:
     """A selected set of computation nodes connected by one shared bus.
 
     The architecture owns the nodes (and therefore the hardening decision for
-    each of them); the bus is configured on the list scheduler
-    (:mod:`repro.comm.bus`).
+    each of them); the bus has no configuration: the list scheduler
+    serializes messages on it first-come-first-served.
     """
 
     def __init__(self, nodes: Sequence[Node]) -> None:

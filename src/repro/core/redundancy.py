@@ -99,9 +99,7 @@ class _RedundancyEvaluator:
         return (
             type(self.scheduler).__name__,
             self.scheduler.slack_sharing,
-            self.scheduler.bus.signature(),
             self.reexecution_opt.max_reexecutions_per_node,
-            self.reexecution_opt.decimals,
         )
 
     # ------------------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.sfp import SFPAnalysis, reliability_over_time_unit
 from repro.engine.engine import EvaluationEngine, resolve_engine
-from repro.utils.rounding import DEFAULT_DECIMALS
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,6 @@ class ReExecutionOpt:
         every node the heuristic reports failure (``None``), which the caller
         interprets as "this hardening level cannot satisfy the reliability
         goal with software redundancy alone".
-    decimals:
-        Rounding accuracy forwarded to the SFP analysis.
 
     :meth:`optimize` and :meth:`evaluate` take the
     :class:`~repro.engine.engine.EvaluationEngine` whose per-node exceedance
@@ -60,18 +57,13 @@ class ReExecutionOpt:
     Decimal-chain recomputation.
     """
 
-    def __init__(
-        self,
-        max_reexecutions_per_node: int = 20,
-        decimals: int = DEFAULT_DECIMALS,
-    ) -> None:
+    def __init__(self, max_reexecutions_per_node: int = 20) -> None:
         if max_reexecutions_per_node < 0:
             raise ValueError(
                 "max_reexecutions_per_node must be >= 0, got "
                 f"{max_reexecutions_per_node}"
             )
         self.max_reexecutions_per_node = max_reexecutions_per_node
-        self.decimals = decimals
 
     # ------------------------------------------------------------------
     def optimize(
@@ -88,15 +80,11 @@ class ReExecutionOpt:
         (typically because the hardening level is too low for the error rate).
         """
         engine = resolve_engine(engine, application, profile)
-        decimals = self.decimals
         cap = self.max_reexecutions_per_node
         node_names = [node.name for node in architecture]
         # Ordered tuples: the DP sums are order-sensitive in their last bits,
         # so only the mapping order reproduces the kernel's result exactly.
-        analysis = SFPAnalysis(
-            application, architecture, mapping, profile,
-            decimals=decimals, engine=engine,
-        )
+        analysis = SFPAnalysis(application, architecture, mapping, profile, engine=engine)
         # Per-node state lives in lists aligned with ``node_names``: the
         # candidate tuples below are substitute-snapshot-restore over one
         # flat list, which keeps the hottest expression of the optimizer
@@ -109,13 +97,13 @@ class ReExecutionOpt:
         union_failure = engine.system_failure
 
         budget_list = [0] * count
-        ex_list = [exceedance(block, 0, decimals) for block in prob_list]
+        ex_list = [exceedance(block, 0) for block in prob_list]
 
         goal = application.reliability_goal
         time_unit = application.time_unit
         period = application.period
 
-        system = union_failure(tuple(ex_list), decimals)
+        system = union_failure(tuple(ex_list))
         reliability = reliability_over_time_unit(system, time_unit, period)
         while reliability < goal:
             best_index = -1
@@ -125,14 +113,12 @@ class ReExecutionOpt:
                 # Nodes without mapped processes: re-executions cannot help.
                 if budget_list[i] >= cap or not prob_list[i]:
                     continue
-                candidate_exceedance = exceedance(
-                    prob_list[i], budget_list[i] + 1, decimals
-                )
+                candidate_exceedance = exceedance(prob_list[i], budget_list[i] + 1)
                 previous = ex_list[i]
                 ex_list[i] = candidate_exceedance
                 candidate_values = tuple(ex_list)
                 ex_list[i] = previous
-                candidate_system = union_failure(candidate_values, decimals)
+                candidate_system = union_failure(candidate_values)
                 if candidate_system < best_system:
                     # Only a strict improvement is accepted, so stagnation
                     # (no candidate lowers the rounded system failure) is
@@ -146,7 +132,7 @@ class ReExecutionOpt:
                 return None
             budget_list[best_index] += 1
             ex_list[best_index] = best_exceedance
-            system = union_failure(tuple(ex_list), decimals)
+            system = union_failure(tuple(ex_list))
             reliability = reliability_over_time_unit(system, time_unit, period)
 
         return ReExecutionDecision(
@@ -167,10 +153,7 @@ class ReExecutionOpt:
         engine: Optional[EvaluationEngine] = None,
     ) -> ReExecutionDecision:
         """Evaluate a user-supplied assignment without optimizing it."""
-        analysis = SFPAnalysis(
-            application, architecture, mapping, profile, decimals=self.decimals,
-            engine=engine,
-        )
+        analysis = SFPAnalysis(application, architecture, mapping, profile, engine=engine)
         report = analysis.evaluate(reexecutions)
         return ReExecutionDecision(
             reexecutions=dict(report.reexecutions),

@@ -32,9 +32,8 @@ The chain of formulae (numbers refer to the paper):
     — the reliability goal over the time unit.
 
 All intermediate *success* probabilities are rounded **down** and all
-*failure* probabilities are rounded **up** at a configurable accuracy
-(1e-11 in the paper) so the analysis stays pessimistic; see
-:mod:`repro.utils.rounding`.
+*failure* probabilities are rounded **up** at the paper's accuracy of 1e-11
+so the analysis stays pessimistic; see :mod:`repro.utils.rounding`.
 
 The three hot primitives — formulae (1), (4) and (5) — are served by a
 *kernel backend* (:mod:`repro.kernels`): the module-level functions below
@@ -62,7 +61,7 @@ from repro.core.profile import ExecutionProfile
 from repro.engine.engine import EvaluationEngine, resolve_engine
 from repro.kernels.base import SFPKernel
 from repro.kernels.registry import SFP_KERNELS
-from repro.utils.rounding import DEFAULT_DECIMALS, floor_probability
+from repro.utils.rounding import floor_probability
 from repro.utils.validation import require_in_unit_interval, require_positive
 
 
@@ -71,7 +70,6 @@ from repro.utils.validation import require_in_unit_interval, require_positive
 # ----------------------------------------------------------------------
 def probability_no_fault(
     failure_probabilities: Sequence[float],
-    decimals: int = DEFAULT_DECIMALS,
     kernel: Optional[SFPKernel] = None,
 ) -> float:
     """Formula (1): probability that none of the processes fails.
@@ -79,9 +77,7 @@ def probability_no_fault(
     An empty probability list (no process mapped on the node) trivially gives
     probability 1.
     """
-    return SFP_KERNELS.or_active(kernel).probability_no_fault(
-        failure_probabilities, decimals
-    )
+    return SFP_KERNELS.or_active(kernel).probability_no_fault(failure_probabilities)
 
 
 def complete_homogeneous_sum(
@@ -131,23 +127,18 @@ def enumerate_fault_scenarios(
     return scenarios
 
 
-def probability_exactly(
-    failure_probabilities: Sequence[float],
-    faults: int,
-    decimals: int = DEFAULT_DECIMALS,
-) -> float:
+def probability_exactly(failure_probabilities: Sequence[float], faults: int) -> float:
     """Formula (3): probability of recovering from exactly ``faults`` faults."""
+    no_fault = probability_no_fault(failure_probabilities)
     if faults == 0:
-        return probability_no_fault(failure_probabilities, decimals)
-    no_fault = probability_no_fault(failure_probabilities, decimals)
+        return no_fault
     raw = no_fault * complete_homogeneous_sum(failure_probabilities, faults)
-    return floor_probability(raw, decimals)
+    return floor_probability(raw)
 
 
 def probability_exceeds(
     failure_probabilities: Sequence[float],
     reexecutions: int,
-    decimals: int = DEFAULT_DECIMALS,
     kernel: Optional[SFPKernel] = None,
 ) -> float:
     """Formula (4): probability that more than ``reexecutions`` faults occur.
@@ -165,19 +156,18 @@ def probability_exceeds(
 
     The subtraction ``1 - Pr(0) - sum Pr(f)`` is carried out in exact decimal
     (or exact integer-quanta) arithmetic: the operands are already rounded to
-    ``decimals`` digits, so the result matches the paper's hand computation
+    11 digits, so the result matches the paper's hand computation
     (Appendix A.2) instead of picking up binary floating point noise.  The
     computation itself runs on the SFP kernel backend
     (:mod:`repro.kernels`); all backends are bit-identical.
     """
     return SFP_KERNELS.or_active(kernel).probability_exceeds(
-        failure_probabilities, reexecutions, decimals
+        failure_probabilities, reexecutions
     )
 
 
 def system_failure_probability(
     per_node_exceedance: Sequence[float],
-    decimals: int = DEFAULT_DECIMALS,
     kernel: Optional[SFPKernel] = None,
 ) -> float:
     """Formula (5): probability that at least one node exceeds its budget.
@@ -186,7 +176,7 @@ def system_failure_probability(
     exceedance probabilities so the union matches the paper's worked example
     digit for digit.
     """
-    return SFP_KERNELS.or_active(kernel).system_failure(per_node_exceedance, decimals)
+    return SFP_KERNELS.or_active(kernel).system_failure(per_node_exceedance)
 
 
 def reliability_over_time_unit(
@@ -243,14 +233,12 @@ class SFPAnalysis:
         architecture: Architecture,
         mapping: ProcessMapping,
         profile: ExecutionProfile,
-        decimals: int = DEFAULT_DECIMALS,
         engine: Optional[EvaluationEngine] = None,
     ) -> None:
         self.application = application
         self.architecture = architecture
         self.mapping = mapping
         self.profile = profile
-        self.decimals = decimals
         self.engine = resolve_engine(engine, application, profile)
 
     # ------------------------------------------------------------------
@@ -263,14 +251,12 @@ class SFPAnalysis:
 
     def probability_no_fault(self, node: Node) -> float:
         """Formula (1) for one node at its current hardening level."""
-        return self.engine.kernel.probability_no_fault(
-            self.node_failure_probabilities(node), self.decimals
-        )
+        return self.engine.kernel.probability_no_fault(self.node_failure_probabilities(node))
 
     def node_exceedance(self, node: Node, reexecutions: int) -> float:
         """Formula (4): probability node ``Nj`` sees more than ``k_j`` faults."""
         return self.engine.node_exceedance(
-            tuple(self.node_failure_probabilities(node)), reexecutions, self.decimals
+            tuple(self.node_failure_probabilities(node)), reexecutions
         )
 
     def system_failure_per_iteration(self, reexecutions: Mapping[str, int]) -> float:
@@ -279,7 +265,7 @@ class SFPAnalysis:
             self.node_exceedance(node, self._budget_of(node, reexecutions))
             for node in self.architecture
         )
-        return self.engine.system_failure(exceedances, self.decimals)
+        return self.engine.system_failure(exceedances)
 
     def evaluate(self, reexecutions: Mapping[str, int]) -> SFPReport:
         """Full evaluation of formulae (1)-(6) for a redundancy assignment."""
@@ -287,9 +273,7 @@ class SFPAnalysis:
             node.name: self.node_exceedance(node, self._budget_of(node, reexecutions))
             for node in self.architecture
         }
-        system_per_iteration = self.engine.system_failure(
-            tuple(per_node.values()), self.decimals
-        )
+        system_per_iteration = self.engine.system_failure(tuple(per_node.values()))
         reliability = reliability_over_time_unit(
             system_per_iteration,
             self.application.time_unit,

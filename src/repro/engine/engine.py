@@ -107,9 +107,7 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # incremental SFP layer
     # ------------------------------------------------------------------
-    def node_exceedance(
-        self, probabilities: Tuple[float, ...], reexecutions: int, decimals: int
-    ) -> float:
+    def node_exceedance(self, probabilities: Tuple[float, ...], reexecutions: int) -> float:
         """Memoized formula (4) for one node.
 
         The probability tuple is kept in mapping order (not sorted): the DP
@@ -118,28 +116,20 @@ class EvaluationEngine:
         bit-identical to the kernel's result for only one of them.
         """
         cache = self.exceedance
-        key = (probabilities, reexecutions, decimals)
+        key = (probabilities, reexecutions)
         value = cache.get(key)
         if value is MISS:
             value = cache.put(
-                key,
-                self.kernel.probability_exceeds(
-                    probabilities, reexecutions, decimals
-                ),
+                key, self.kernel.probability_exceeds(probabilities, reexecutions)
             )
         return value
 
-    def system_failure(
-        self, exceedances: Tuple[float, ...], decimals: int
-    ) -> float:
+    def system_failure(self, exceedances: Tuple[float, ...]) -> float:
         """Memoized formula (5) for an ordered per-node exceedance tuple."""
         cache = self.system
-        key = (exceedances, decimals)
-        value = cache.get(key)
+        value = cache.get(exceedances)
         if value is MISS:
-            value = cache.put(
-                key, self.kernel.system_failure(exceedances, decimals)
-            )
+            value = cache.put(exceedances, self.kernel.system_failure(exceedances))
         return value
 
     # ------------------------------------------------------------------

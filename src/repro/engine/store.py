@@ -51,7 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: canonical byte encoding (R001), renaming every context key.
 #: 3: redundancy decisions are persisted without their schedules
 #: (``schedule=None`` on disk, rebuilt on read by ``schedule_of``).
-STORE_SCHEMA_VERSION = 3
+#: 4: exceedance/system keys and evaluator signatures no longer carry a bus
+#: signature or a rounding precision.
+STORE_SCHEMA_VERSION = 4
 
 #: Default size cap of a store directory (bytes).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024

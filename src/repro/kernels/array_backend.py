@@ -15,14 +15,14 @@ stay bit-identical (IEEE-754 operations are deterministic functions of their
 operands and the operand sequence is unchanged, only its traversal order).
 
 **Integer quanta rounding.**  ``floor_probability``/``ceil_probability``
-round the *shortest-repr decimal value* of a float on the ``10^-decimals``
-grid via ``Decimal(repr(x)).quantize(...)``.  For ``decimals <=``
-:data:`MAX_FAST_DECIMALS` the grid spacing is many orders of magnitude wider
-than one float ulp, which makes the repr semantics reproducible with exact
-integer arithmetic on ``float.as_integer_ratio()``:
+round the *shortest-repr decimal value* of a float on the paper's ``10^-11``
+grid via ``Decimal(repr(x)).quantize(...)``.  That grid spacing is many
+orders of magnitude wider than one float ulp (``10^-11 >> 2^-52``), which
+makes the repr semantics reproducible with exact integer arithmetic on
+``float.as_integer_ratio()``:
 
 * at most one grid point can round-trip to ``x`` (two would have to lie
-  within one ulp of each other, impossible while ``10^-decimals >> ulp(1)``);
+  within one ulp of each other, impossible while ``10^-11 >> ulp(1)``);
 * if a grid point ``n / 10^d`` round-trips to ``x`` then the shortest repr of
   ``x`` *is* that grid value (a shorter decimal would be a coarser grid point
   round-tripping to the same float — excluded by the previous point), so both
@@ -40,10 +40,6 @@ precision of 28 digits never rounds it either).  The formula (5) union keeps
 the reference's ``Decimal`` product — its 28-digit context rounding is part
 of the contract — but memoizes the per-value ``1 - Decimal(repr(p))``
 complements, which repeat heavily across the greedy re-execution loop.
-
-For ``decimals > MAX_FAST_DECIMALS`` every operation falls back to the
-reference implementation (the grid argument above needs ``10^-decimals``
-well above one ulp), keeping the backend total.
 """
 
 from __future__ import annotations
@@ -56,15 +52,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import ModelError
-from repro.kernels.reference import ReferenceKernel
+from repro.kernels.base import SFPKernel
 from repro.utils.rounding import DEFAULT_DECIMALS
 from repro.utils.validation import require_in_unit_interval
 
-#: Largest ``decimals`` for which the integer-quanta fast path is used.  The
-#: correctness argument needs the decimal grid to dwarf the float ulp
-#: (``10^-d >> 2^-52``); 12 leaves three orders of magnitude of margin over
-#: the paper's 11 digits.
-MAX_FAST_DECIMALS = 12
+#: Quanta per unit probability on the paper's rounding grid.
+_SCALE = 10 ** DEFAULT_DECIMALS
 
 #: Input width (process count) from which the numpy row recurrence beats the
 #: scalar buffer loop; below it, ufunc dispatch overhead dominates.
@@ -74,49 +67,47 @@ NUMPY_MIN_WIDTH = 64
 _COMPLEMENT_CACHE_LIMIT = 1 << 16
 
 
-def _floor_quanta(value: float, scale: int) -> Tuple[float, int]:
-    """Floor ``value``'s shortest-repr decimal on the ``1/scale`` grid.
+def _floor_quanta(value: float) -> Tuple[float, int]:
+    """Floor ``value``'s shortest-repr decimal on the ``1/_SCALE`` grid.
 
     Returns ``(rounded float, exact integer numerator)`` so callers can keep
     accumulating in exact quanta.  ``value`` must already be clamped to
     ``[0, 1]``.
     """
     numerator, denominator = value.as_integer_ratio()
-    scaled = numerator * scale
-    floor_n, remainder = divmod(scaled, denominator)
+    floor_n, remainder = divmod(numerator * _SCALE, denominator)
     if remainder == 0:
         # The binary value sits exactly on the grid; repr is that grid value.
         return value, floor_n
-    if floor_n / scale == value:
+    if floor_n / _SCALE == value:
         # The grid point below round-trips to the same float: the shortest
         # repr *is* the grid value, flooring is the identity.
         return value, floor_n
     above = floor_n + 1
-    if above / scale == value:
+    if above / _SCALE == value:
         return value, above
-    return floor_n / scale, floor_n
+    return floor_n / _SCALE, floor_n
 
 
-def _ceil_quanta(value: float, scale: int) -> float:
+def _ceil_quanta(value: float) -> float:
     """Ceiling counterpart of :func:`_floor_quanta` (float result only)."""
     if value < 0.0:
         return 0.0
     if value > 1.0:
         return 1.0
     numerator, denominator = value.as_integer_ratio()
-    scaled = numerator * scale
-    floor_n, remainder = divmod(scaled, denominator)
+    floor_n, remainder = divmod(numerator * _SCALE, denominator)
     if remainder == 0:
         return value
-    if floor_n / scale == value:
+    if floor_n / _SCALE == value:
         return value
     ceil_n = floor_n + 1
-    if ceil_n / scale == value:
+    if ceil_n / _SCALE == value:
         return value
-    return ceil_n / scale if ceil_n < scale else 1.0
+    return ceil_n / _SCALE if ceil_n < _SCALE else 1.0
 
 
-class ArrayKernel(ReferenceKernel):
+class ArrayKernel(SFPKernel):
     """Preallocated-buffer SFP kernel with integer-quanta rounding."""
 
     name = "array"
@@ -131,13 +122,7 @@ class ArrayKernel(ReferenceKernel):
         self._complements: Dict[float, Decimal] = {}
 
     # ------------------------------------------------------------------
-    def probability_no_fault(
-        self,
-        failure_probabilities: Sequence[float],
-        decimals: int = DEFAULT_DECIMALS,
-    ) -> float:
-        if not 0 <= decimals <= MAX_FAST_DECIMALS:
-            return super().probability_no_fault(failure_probabilities, decimals)
+    def probability_no_fault(self, failure_probabilities: Sequence[float]) -> float:
         for probability in failure_probabilities:
             require_in_unit_interval(probability, "failure probability")
         raw = prod(1.0 - p for p in failure_probabilities)
@@ -145,31 +130,23 @@ class ArrayKernel(ReferenceKernel):
             raw = 0.0
         elif raw > 1.0:
             raw = 1.0
-        return _floor_quanta(raw, 10 ** decimals)[0]
+        return _floor_quanta(raw)[0]
 
     def probability_exceeds(
-        self,
-        failure_probabilities: Sequence[float],
-        reexecutions: int,
-        decimals: int = DEFAULT_DECIMALS,
+        self, failure_probabilities: Sequence[float], reexecutions: int
     ) -> float:
-        if not 0 <= decimals <= MAX_FAST_DECIMALS:
-            return super().probability_exceeds(
-                failure_probabilities, reexecutions, decimals
-            )
         if reexecutions < 0:
             raise ModelError(
                 f"Number of re-executions must be >= 0, got {reexecutions}"
             )
         for probability in failure_probabilities:
             require_in_unit_interval(probability, "failure probability")
-        scale = 10 ** decimals
         raw = prod(1.0 - p for p in failure_probabilities)
         if raw < 0.0:
             raw = 0.0
         elif raw > 1.0:
             raw = 1.0
-        no_fault, survival_quanta = _floor_quanta(raw, scale)
+        no_fault, survival_quanta = _floor_quanta(raw)
         if reexecutions and failure_probabilities:
             for h_f in self._homogeneous_sums(failure_probabilities, reexecutions):
                 term = no_fault * h_f
@@ -177,19 +154,13 @@ class ArrayKernel(ReferenceKernel):
                     term = 0.0
                 elif term > 1.0:
                     term = 1.0
-                survival_quanta += _floor_quanta(term, scale)[1]
-        # (scale - survival) / scale is the exact decimal 1 - survival; the
+                survival_quanta += _floor_quanta(term)[1]
+        # (_SCALE - survival) / _SCALE is the exact decimal 1 - survival; the
         # big-int division returns the correctly-rounded float, matching the
         # reference's float(Decimal(1) - survival).
-        return _ceil_quanta((scale - survival_quanta) / scale, scale)
+        return _ceil_quanta((_SCALE - survival_quanta) / _SCALE)
 
-    def system_failure(
-        self,
-        per_node_exceedance: Sequence[float],
-        decimals: int = DEFAULT_DECIMALS,
-    ) -> float:
-        if not 0 <= decimals <= MAX_FAST_DECIMALS:
-            return super().system_failure(per_node_exceedance, decimals)
+    def system_failure(self, per_node_exceedance: Sequence[float]) -> float:
         complements = self._complements
         if len(complements) > _COMPLEMENT_CACHE_LIMIT:
             complements.clear()
@@ -203,7 +174,7 @@ class ArrayKernel(ReferenceKernel):
             # The Decimal product (28-digit context rounding included) is part
             # of the reference semantics and is kept as-is.
             survival *= complement
-        return _ceil_quanta(float(Decimal(1) - survival), 10 ** decimals)
+        return _ceil_quanta(float(Decimal(1) - survival))
 
     # ------------------------------------------------------------------
     def _homogeneous_sums(

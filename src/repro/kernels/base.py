@@ -13,7 +13,8 @@ The backend contract is **bit identity**: every kernel must return, for every
 input, the exact same ``float`` as the ``reference`` backend (the pure-Python
 implementation historically living in ``core/sfp.py``).  The
 rounding direction (success probabilities down, failure probabilities up, on
-the decimal grid of ``decimals`` digits) is part of the paper's pessimism
+the paper's decimal grid of :data:`~repro.utils.rounding.DEFAULT_DECIMALS`
+digits) is part of the paper's pessimism
 argument, so a backend is free to reorganize *how* it computes — preallocated
 buffers, integer quanta arithmetic, a numpy row recurrence — but never *what*
 comes out.  The property suite (``tests/property/test_kernel_equivalence.py``)
@@ -30,8 +31,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.utils.rounding import DEFAULT_DECIMALS
-
 
 class SFPKernel:
     """Abstract SFP kernel backend; subclasses set :attr:`name`."""
@@ -42,28 +41,17 @@ class SFPKernel:
     # ------------------------------------------------------------------
     # the three SFP primitives — see core/sfp.py for formula semantics
     # ------------------------------------------------------------------
-    def probability_no_fault(
-        self,
-        failure_probabilities: Sequence[float],
-        decimals: int = DEFAULT_DECIMALS,
-    ) -> float:
+    def probability_no_fault(self, failure_probabilities: Sequence[float]) -> float:
         """Formula (1): probability that none of the processes fails."""
         raise NotImplementedError
 
     def probability_exceeds(
-        self,
-        failure_probabilities: Sequence[float],
-        reexecutions: int,
-        decimals: int = DEFAULT_DECIMALS,
+        self, failure_probabilities: Sequence[float], reexecutions: int
     ) -> float:
         """Formula (4): probability that more than ``reexecutions`` faults occur."""
         raise NotImplementedError
 
-    def system_failure(
-        self,
-        per_node_exceedance: Sequence[float],
-        decimals: int = DEFAULT_DECIMALS,
-    ) -> float:
+    def system_failure(self, per_node_exceedance: Sequence[float]) -> float:
         """Formula (5): probability that at least one node exceeds its budget."""
         raise NotImplementedError
 

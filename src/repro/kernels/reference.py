@@ -15,7 +15,7 @@ from typing import Sequence
 
 from repro.core.exceptions import ModelError
 from repro.kernels.base import SFPKernel
-from repro.utils.rounding import DEFAULT_DECIMALS, ceil_probability, floor_probability
+from repro.utils.rounding import ceil_probability, floor_probability
 from repro.utils.validation import require_in_unit_interval
 
 
@@ -25,27 +25,20 @@ class ReferenceKernel(SFPKernel):
     name = "reference"
 
     # ------------------------------------------------------------------
-    def probability_no_fault(
-        self,
-        failure_probabilities: Sequence[float],
-        decimals: int = DEFAULT_DECIMALS,
-    ) -> float:
+    def probability_no_fault(self, failure_probabilities: Sequence[float]) -> float:
         for probability in failure_probabilities:
             require_in_unit_interval(probability, "failure probability")
         raw = prod(1.0 - p for p in failure_probabilities)
-        return floor_probability(raw, decimals)
+        return floor_probability(raw)
 
     def probability_exceeds(
-        self,
-        failure_probabilities: Sequence[float],
-        reexecutions: int,
-        decimals: int = DEFAULT_DECIMALS,
+        self, failure_probabilities: Sequence[float], reexecutions: int
     ) -> float:
         if reexecutions < 0:
             raise ModelError(
                 f"Number of re-executions must be >= 0, got {reexecutions}"
             )
-        no_fault = self.probability_no_fault(failure_probabilities, decimals)
+        no_fault = self.probability_no_fault(failure_probabilities)
         survival = Decimal(repr(no_fault))
         if reexecutions and failure_probabilities:
             # table[f] accumulates the complete homogeneous symmetric
@@ -57,19 +50,13 @@ class ReferenceKernel(SFPKernel):
                 for f in range(1, reexecutions + 1):
                     table[f] = table[f] + probability * table[f - 1]
             for faults in range(1, reexecutions + 1):
-                survival += Decimal(
-                    repr(floor_probability(no_fault * table[faults], decimals))
-                )
-        return ceil_probability(float(Decimal(1) - survival), decimals)
+                survival += Decimal(repr(floor_probability(no_fault * table[faults])))
+        return ceil_probability(float(Decimal(1) - survival))
 
-    def system_failure(
-        self,
-        per_node_exceedance: Sequence[float],
-        decimals: int = DEFAULT_DECIMALS,
-    ) -> float:
+    def system_failure(self, per_node_exceedance: Sequence[float]) -> float:
         for probability in per_node_exceedance:
             require_in_unit_interval(probability, "node exceedance probability")
         survival = Decimal(1)
         for probability in per_node_exceedance:
             survival *= Decimal(1) - Decimal(repr(probability))
-        return ceil_probability(float(Decimal(1) - survival), decimals)
+        return ceil_probability(float(Decimal(1) - survival))

@@ -17,9 +17,9 @@ A backend has two entry points over one :class:`SchedulingProblem`:
   design point by.  A backend may compute it without building a
   ``Schedule``; the default builds the schedule.
 
-The problem's bus is configuration (exactly a ``SimpleBus`` or a
-``TDMABus``, checked by the list scheduler): a backend reads its slot table
-and keeps the granted windows in its own placement state.
+The bus is the paper's single shared medium, arbitrated
+first-come-first-served; it has no configuration, so a backend keeps the
+granted windows in its own placement state and the problem carries no bus.
 
 The backend contract mirrors the SFP kernels (:mod:`repro.kernels.base`):
 **bit identity**.  Every scheduler kernel must return, for every
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.comm.bus import Bus
     from repro.core.application import Application, Message
     from repro.core.architecture import Architecture
     from repro.core.mapping_model import ProcessMapping
@@ -85,7 +84,6 @@ class SchedulingProblem:
     mapping: "ProcessMapping"
     profile: "ExecutionProfile"
     budgets: Dict[str, int]
-    bus: "Bus"
     slack_sharing: bool
     structure: ScheduleStructure
 

@@ -10,8 +10,8 @@ application structure once into integer-indexed tables —
 * per ``(node type, hardening)`` WCET rows over all process ids,
 * flat incoming-message and successor CSR tuples,
 
-— and then runs priorities, layer placement and the ``SimpleBus``/``TDMABus``
-gap search over plain float lists indexed by those ids.  It is the only
+— and then runs priorities, layer placement and the first-come-first-served
+bus gap search over plain float lists indexed by those ids.  It is the only
 production gap search.  The float arithmetic is the exact operation sequence
 of the reference backend (same max/+ chains, same window-scan order, same
 tie-breaks), so the resulting ``Schedule`` is value-equal bit for bit; the
@@ -19,7 +19,7 @@ property suite and the golden fixtures pin this.
 
 One placement routine feeds both entry points: ``worst_case_length`` reads
 the length it computes, while ``build_schedule`` turns its recorded windows
-into the ``Schedule``.  The bus object is only read for its configuration.
+into the ``Schedule``.
 
 The compiled tables are cached per (structure, profile) identity — the
 list scheduler memoizes the structure object, so the cache holds across the
@@ -32,8 +32,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.comm.bus import TDMABus
-from repro.core.exceptions import SchedulingError
 from repro.kernels.sched_base import (
     ScheduleStructure,
     SchedulerKernel,
@@ -247,12 +245,10 @@ class FlatSchedulerKernel(SchedulerKernel):
         """Priorities, layer placement, bus gap search and recovery slack.
 
         The one placement loop both consumers share.  It runs the gap search
-        over its own flat arrays and reads ``problem.bus`` only for its
-        configuration; :meth:`build_schedule` turns the recorded windows into
-        a ``Schedule``, :meth:`worst_case_length` reads only the length.
+        over its own flat arrays; :meth:`build_schedule` turns the recorded
+        windows into a ``Schedule``, :meth:`worst_case_length` reads only the
+        length.
         """
-        bus = problem.bus
-        tdma = type(bus) is TDMABus
         compiled = self._compile(problem)
         architecture = problem.architecture
         mapping = problem.mapping
@@ -328,22 +324,6 @@ class FlatSchedulerKernel(SchedulerKernel):
         # arrays searched by the gap scan).
         res_start: List[float] = []
         res_finish: List[float] = []
-        if tdma:
-            slot_length = bus.slot_length
-            round_length = bus.round_length
-            slot_index = {node: i for i, node in enumerate(bus.slot_order)}
-            # Slot-indexed free-list: per slot, the granted windows sorted by
-            # start time.  Every TDMA window lies inside one occurrence of
-            # its sender's slot and distinct slots never share an instant
-            # beyond boundary points, so a candidate can only ever conflict
-            # with same-slot reservations — the gap search scans one short
-            # sorted list (bisect + walk) instead of every bus reservation.
-            slot_starts: List[List[float]] = [[] for _ in slot_index]
-            slot_finishes: List[List[float]] = [[] for _ in slot_index]
-            # The bisect walk needs the per-slot intervals pairwise disjoint,
-            # which positive durations guarantee; the first zero-duration
-            # grant in a slot drops that slot back to the full conflict scan.
-            slot_clean: List[bool] = [True] * len(slot_index)
 
         in_edges = compiled.in_edges
         # While every granted window has positive duration the windows are
@@ -366,46 +346,26 @@ class FlatSchedulerKernel(SchedulerKernel):
                             earliest = ready
                         continue
                     sender = node_names[pn]
-                    if tdma:
-                        slot = slot_index.get(sender)
-                        if slot is None:
-                            raise SchedulingError(
-                                f"Node {sender} owns no TDMA slot; slot order "
-                                f"is {bus.slot_order}"
-                            )
-                        window = self._tdma_window(
-                            ready, duration,
-                            slot_starts[slot], slot_finishes[slot],
-                            slot_clean[slot],
-                            slot, slot_length, round_length,
-                        )
+                    # The reference earliest_gap over the flat arrays.  A
+                    # reservation with finish <= candidate can neither end
+                    # the scan (its start precedes the candidate) nor move
+                    # it, so the sorted-finish prefix is safely skipped when
+                    # positive durations guarantee it.
+                    candidate = ready
+                    if finish_sorted and duration > 0.0:
+                        scan = bisect_right(res_finish, candidate)
                     else:
-                        # The reference earliest_gap over the flat arrays.  A
-                        # reservation with finish <= candidate can neither
-                        # end the scan (its start precedes the candidate)
-                        # nor move it, so the sorted-finish prefix is safely
-                        # skipped when positive durations guarantee it.
-                        candidate = ready
-                        if finish_sorted and duration > 0.0:
-                            scan = bisect_right(res_finish, candidate)
-                        else:
-                            scan = 0
-                        for k in range(scan, len(res_start)):
-                            if candidate + duration <= res_start[k]:
-                                break
-                            held = res_finish[k]
-                            if candidate < held:
-                                candidate = held
-                        window = candidate
+                        scan = 0
+                    for k in range(scan, len(res_start)):
+                        if candidate + duration <= res_start[k]:
+                            break
+                        held = res_finish[k]
+                        if candidate < held:
+                            candidate = held
+                    window = candidate
                     window_finish = window + duration
                     if window_finish == window:
                         finish_sorted = False
-                    if tdma:
-                        at_slot = bisect_right(slot_starts[slot], window)
-                        slot_starts[slot].insert(at_slot, window)
-                        slot_finishes[slot].insert(at_slot, window_finish)
-                        if window_finish == window:
-                            slot_clean[slot] = False
                     at = bisect_right(res_start, window)
                     res_start.insert(at, window)
                     res_finish.insert(at, window_finish)
@@ -456,74 +416,3 @@ class FlatSchedulerKernel(SchedulerKernel):
             names, node_names, node_keys, node_idx_of,
             start, finish, order, messages, slack, length,
         )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _tdma_window(
-        earliest_start: float,
-        duration: float,
-        starts: List[float],
-        finishes: List[float],
-        clean: bool,
-        slot: int,
-        slot_length: float,
-        round_length: float,
-    ) -> float:
-        """The reference ``tdma_window`` over the sender's slot free-list.
-
-        ``starts``/``finishes`` are the sender slot's granted windows sorted
-        by start.  With pairwise-disjoint intervals (``clean``) the conflict
-        resolution is a bisect into the finish array plus a forward walk —
-        the walk visits exactly the contiguous run of conflicting windows the
-        reference ``max(blocking)`` bump would jump over, one finish float at
-        a time, so the resulting candidate is the identical float.  A slot
-        polluted by zero-duration grants (nested intervals possible) keeps
-        the reference full scan, restricted to the slot — cross-slot windows
-        can never satisfy the strict-overlap predicate.
-        """
-        if duration > slot_length:
-            raise SchedulingError(
-                f"Message of duration {duration} ms does not fit into a TDMA slot "
-                f"of {slot_length} ms"
-            )
-        total = len(starts)
-
-        def conflicts(candidate: float) -> bool:
-            limit = candidate + duration
-            for k in range(total):
-                if candidate < finishes[k] and starts[k] < limit:
-                    return True
-            return False
-
-        round_number = max(0, int(earliest_start // round_length) - 1)
-        for _ in range(total + int(1e6)):
-            slot_start = round_number * round_length + slot * slot_length
-            slot_end = slot_start + slot_length
-            candidate = max(slot_start, earliest_start)
-            if clean:
-                k = bisect_right(finishes, candidate)
-                while (
-                    candidate + duration <= slot_end
-                    and k < total
-                    and starts[k] < candidate + duration
-                ):
-                    candidate = finishes[k]
-                    k += 1
-                if candidate + duration <= slot_end:
-                    return candidate
-            else:
-                while candidate + duration <= slot_end and conflicts(candidate):
-                    blocking = [
-                        finishes[k]
-                        for k in range(total)
-                        if candidate < finishes[k]
-                        and starts[k] < candidate + duration
-                    ]
-                    candidate = max(blocking)
-                if candidate + duration <= slot_end and not conflicts(candidate):
-                    return candidate
-            round_number += 1
-        raise SchedulingError(
-            f"Could not find a TDMA window in slot {slot} "
-            f"(duration {duration} ms after t={earliest_start} ms)"
-        )  # pragma: no cover - defensive, loop bound is effectively unreachable

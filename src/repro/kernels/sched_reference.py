@@ -5,10 +5,10 @@ against: the exact placement loop, bus gap search and recovery-slack
 arithmetic that historically lived in
 :class:`~repro.scheduling.list_scheduler.ListScheduler` and produced the
 paper reproduction's published schedules.  It is deliberately boring — name
-keyed dictionaries, one full gap search (:func:`earliest_gap` or
-:func:`tdma_window`) per inter-node message over a start-sorted list of the
-windows granted so far — so it stays readable as the executable
-specification of the scheduler bit-identity contract.
+keyed dictionaries, one full gap search (:func:`earliest_gap`) per
+inter-node message over a start-sorted list of the windows granted so far —
+so it stays readable as the executable specification of the scheduler
+bit-identity contract.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from bisect import insort
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.comm.bus import Bus, TDMABus
-from repro.core.exceptions import SchedulingError
 from repro.kernels.sched_base import SchedulerKernel, SchedulingProblem
 from repro.scheduling.priorities import critical_path_priorities
 from repro.scheduling.schedule import Schedule, ScheduledMessage, ScheduledProcess
@@ -38,9 +36,9 @@ _START = itemgetter(0)
 def earliest_gap(windows: List[Window], earliest_start: float, duration: float) -> float:
     """Earliest start >= ``earliest_start`` that avoids the granted windows.
 
-    First-come-first-served arbitration of a :class:`~repro.comm.bus.SimpleBus`.
-    ``windows`` must be sorted by start time: the scan stops at the first
-    gap the message fits into.
+    First-come-first-served arbitration of the shared bus.  ``windows``
+    must be sorted by start time: the scan stops at the first gap the
+    message fits into.
     """
     candidate = earliest_start
     for start, finish in windows:
@@ -51,82 +49,14 @@ def earliest_gap(windows: List[Window], earliest_start: float, duration: float) 
     return candidate
 
 
-def _conflicts(windows: List[Window], start: float, duration: float) -> bool:
-    """Does a window [start, start+duration) overlap a granted window?"""
-    finish = start + duration
-    for window_start, window_finish in windows:
-        if start < window_finish and window_start < finish:
-            return True
-    return False
-
-
-def tdma_window(
-    windows: List[Window],
-    bus: TDMABus,
-    sender_node: str,
-    earliest_start: float,
-    duration: float,
-) -> float:
-    """Earliest conflict-free start inside a slot of ``sender_node``.
-
-    The TDMA arbitration of ``bus``: a message must fit entirely inside one
-    occurrence of its sender's slot and must not overlap a granted window.
-    """
-    if duration > bus.slot_length:
-        raise SchedulingError(
-            f"Message of duration {duration} ms does not fit into a TDMA slot "
-            f"of {bus.slot_length} ms"
-        )
-    try:
-        index = bus.slot_order.index(sender_node)
-    except ValueError as exc:
-        raise SchedulingError(
-            f"Node {sender_node} owns no TDMA slot; slot order is {bus.slot_order}"
-        ) from exc
-    round_length = bus.round_length
-    # Walk rounds starting at the one containing earliest_start until a
-    # conflict-free window inside the sender's slot is found.  The loop is
-    # bounded: each iteration moves one full round forward and the granted
-    # windows are finite.
-    round_number = max(0, int(earliest_start // round_length) - 1)
-    for _ in range(len(windows) + int(1e6)):
-        slot_start = round_number * round_length + index * bus.slot_length
-        slot_end = slot_start + bus.slot_length
-        candidate = max(slot_start, earliest_start)
-        # Push the candidate past conflicting windows within the slot.
-        while candidate + duration <= slot_end and _conflicts(windows, candidate, duration):
-            blocking = [
-                finish
-                for start, finish in windows
-                if candidate < finish and start < candidate + duration
-            ]
-            candidate = max(blocking)
-        if candidate + duration <= slot_end and not _conflicts(windows, candidate, duration):
-            return candidate
-        round_number += 1
-    raise SchedulingError(
-        f"Could not find a TDMA window for {sender_node} "
-        f"(duration {duration} ms after t={earliest_start} ms)"
-    )  # pragma: no cover - defensive, loop bound is effectively unreachable
-
-
-def grant(
-    windows: List[Window],
-    bus: Bus,
-    sender_node: str,
-    earliest_start: float,
-    duration: float,
-) -> Window:
-    """Grant a message the earliest window ``bus`` arbitrates; record it.
+def grant(windows: List[Window], earliest_start: float, duration: float) -> Window:
+    """Grant a message the earliest free bus window; record it.
 
     The window is inserted into ``windows`` in start order, after any
-    window with the same start, which is the order both gap searches rely
+    window with the same start, which is the order the gap search relies
     on.
     """
-    if isinstance(bus, TDMABus):
-        start = tdma_window(windows, bus, sender_node, earliest_start, duration)
-    else:
-        start = earliest_gap(windows, earliest_start, duration)
+    start = earliest_gap(windows, earliest_start, duration)
     window = (start, start + duration)
     insort(windows, window, key=_START)
     return window
@@ -143,7 +73,6 @@ class ReferenceSchedulerKernel(SchedulerKernel):
         architecture = problem.architecture
         mapping = problem.mapping
         profile = problem.profile
-        bus = problem.bus
 
         priorities = critical_path_priorities(application, architecture, mapping, profile)
         scheduled: Dict[str, ScheduledProcess] = {}
@@ -172,7 +101,6 @@ class ReferenceSchedulerKernel(SchedulerKernel):
                     profile,
                     scheduled,
                     node_free,
-                    bus,
                     windows,
                 )
                 scheduled[process] = entry
@@ -197,7 +125,6 @@ class ReferenceSchedulerKernel(SchedulerKernel):
         profile: ExecutionProfile,
         scheduled: Dict[str, ScheduledProcess],
         node_free: Dict[str, float],
-        bus: Bus,
         windows: List[Window],
     ) -> Tuple[ScheduledProcess, List[ScheduledMessage]]:
         """Compute the execution window of ``process`` and its input messages."""
@@ -212,11 +139,7 @@ class ReferenceSchedulerKernel(SchedulerKernel):
                 earliest = max(earliest, producer_entry.finish)
                 continue
             start, finish = grant(
-                windows,
-                bus,
-                producer_entry.node,
-                producer_entry.finish,
-                message.transmission_time,
+                windows, producer_entry.finish, message.transmission_time
             )
             new_messages.append(
                 ScheduledMessage(

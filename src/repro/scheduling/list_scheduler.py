@@ -28,10 +28,10 @@ gap search, recovery slack) runs in a *scheduler kernel backend*
 the application into integer-indexed tables and runs the only production
 gap search, and the ``reference`` backend — the per-object loop this class
 historically inlined — is its test oracle.  The backends are bit-identical,
-so the backend is never part of an evaluation-engine cache key.  The bus is
-configuration: exactly a :class:`~repro.comm.bus.SimpleBus` or a
-:class:`~repro.comm.bus.TDMABus`, whose arbitration rules the kernels
-implement.
+so the backend is never part of an evaluation-engine cache key.  The paper's
+platform has one shared bus arbitrated first-come-first-served: a message
+starts once its data is ready and the bus is free, and every message's
+worst-case transmission time is a given input.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 from numbers import Integral
 from typing import Dict, List, Mapping, Optional
 
-from repro.comm.bus import Bus, SimpleBus, TDMABus
 from repro.core.application import Application
 from repro.core.architecture import Architecture
 from repro.core.exceptions import SchedulingError
@@ -59,13 +58,6 @@ class ListScheduler:
 
     Parameters
     ----------
-    bus:
-        Bus model used for inter-node messages.  Defaults to a
-        :class:`~repro.comm.bus.SimpleBus`; a
-        :class:`~repro.comm.bus.TDMABus` can be supplied for time-triggered
-        platforms.  Any other type, subclasses of these two included, raises
-        ``TypeError``: the kernels implement exactly these two arbitration
-        rules.
     slack_sharing:
         When ``True`` (default, the paper's approach) the recovery slack of a
         node covers the worst single victim ``k_j`` times; when ``False`` the
@@ -78,16 +70,9 @@ class ListScheduler:
 
     def __init__(
         self,
-        bus: Optional[Bus] = None,
         slack_sharing: bool = True,
         kernel: Optional[SchedulerKernel] = None,
     ) -> None:
-        bus = bus if bus is not None else SimpleBus()
-        if type(bus) not in (SimpleBus, TDMABus):
-            raise TypeError(
-                f"bus must be a SimpleBus or a TDMABus, got {type(bus).__name__}"
-            )
-        self.bus = bus
         self.slack_sharing = slack_sharing
         self.kernel = SCHED_KERNELS.or_active(kernel)
         # One-slot memo of the application's static structure (scheduling
@@ -211,7 +196,6 @@ class ListScheduler:
             mapping=mapping,
             profile=profile,
             budgets=budgets,
-            bus=self.bus,
             slack_sharing=self.slack_sharing,
             structure=self._application_structure(application),
         )

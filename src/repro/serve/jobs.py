@@ -37,6 +37,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from math import isfinite
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -77,13 +79,30 @@ class ServeConfig:
     sanitize: bool = False
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ModelError(f"serve workers must be >= 1, got {self.workers}")
-        if self.queue_size < 1:
-            raise ModelError(f"serve queue_size must be >= 1, got {self.queue_size}")
-        if self.job_timeout_seconds is not None and self.job_timeout_seconds <= 0:
+        # The same checks as RunConfig: a bool is an Integral but not a
+        # count, and every bound is checked here rather than at bind time or
+        # on the first request.
+        for field_name, low, high in (
+            ("port", 0, 65535),
+            ("workers", 1, None),
+            ("queue_size", 1, None),
+            ("cache_size_mb", 1, None),
+        ):
+            value = getattr(self, field_name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ModelError(f"serve {field_name} must be an integer, got {value!r}")
+            if value < low or (high is not None and value > high):
+                bound = f">= {low}" if high is None else f"in {low}..{high}"
+                raise ModelError(f"serve {field_name} must be {bound}, got {value}")
+        timeout = self.job_timeout_seconds
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, Real)
+            or not isfinite(timeout)
+            or timeout <= 0
+        ):
             raise ModelError(
-                f"serve job_timeout_seconds must be > 0, got {self.job_timeout_seconds}"
+                f"serve job_timeout_seconds must be a finite number > 0, got {timeout!r}"
             )
 
 

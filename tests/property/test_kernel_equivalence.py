@@ -3,11 +3,9 @@
 The production ``array`` backend must return, for every input, the exact
 float the ``reference`` backend (its test oracle) returns — this is the
 contract that keeps memoized/persisted design points valid whichever backend
-computed them.  Hypothesis drives randomized probability tuples, budgets and
-rounding accuracies through both backends, including:
+computed them.  Hypothesis drives randomized probability tuples and budgets
+through both backends at the paper's 11-digit accuracy, including:
 
-* the decimal accuracies on both sides of the array backend's integer-quanta
-  cutoff (``MAX_FAST_DECIMALS``), so the fallback path is exercised;
 * inputs wide enough to trigger the numpy row-recurrence path
   (``NUMPY_MIN_WIDTH``), so its accumulate order is pinned too;
 * grid-aligned, near-grid and degenerate (0.0 / 1.0) probabilities, where
@@ -23,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import ModelError
-from repro.kernels.array_backend import MAX_FAST_DECIMALS, NUMPY_MIN_WIDTH
+from repro.kernels.array_backend import NUMPY_MIN_WIDTH
 from repro.kernels.reference import ReferenceKernel
 
 from tests.conftest import SFP_BACKENDS
@@ -34,10 +32,6 @@ REFERENCE = SFP_BACKENDS["reference"]
 OTHER_KERNELS = [
     name for name in SFP_BACKENDS if name != "reference"
 ]
-
-#: Rounding accuracies: the paper's 11, coarse grids, the fast-path cutoff
-#: and one value beyond it (exercising the Decimal fallback).
-DECIMALS = st.sampled_from([2, 5, 11, MAX_FAST_DECIMALS, MAX_FAST_DECIMALS + 3])
 
 #: Individual failure probabilities across the magnitudes the fault model
 #: produces (SER ~1e-12..1e-9 per cycle scaled by WCET) plus adversarial
@@ -58,15 +52,15 @@ BUDGET = st.integers(min_value=0, max_value=8)
 
 
 @pytest.mark.parametrize("name", OTHER_KERNELS)
-@given(probabilities=PROBABILITIES, budget=BUDGET, decimals=DECIMALS)
+@given(probabilities=PROBABILITIES, budget=BUDGET)
 @settings(max_examples=300, deadline=None)
-def test_probability_exceeds_bit_identical(name, probabilities, budget, decimals):
+def test_probability_exceeds_bit_identical(name, probabilities, budget):
     kernel = SFP_BACKENDS[name]
-    expected = REFERENCE.probability_exceeds(probabilities, budget, decimals)
-    produced = kernel.probability_exceeds(probabilities, budget, decimals)
+    expected = REFERENCE.probability_exceeds(probabilities, budget)
+    produced = kernel.probability_exceeds(probabilities, budget)
     assert produced == expected, (
         f"{name} drifted: {produced.hex()} != {expected.hex()} "
-        f"for {probabilities!r}, k={budget}, decimals={decimals}"
+        f"for {probabilities!r}, k={budget}"
     )
 
 
@@ -81,24 +75,21 @@ def test_probability_exceeds_wide_inputs(name, probabilities, budget):
 
 
 @pytest.mark.parametrize("name", OTHER_KERNELS)
-@given(probabilities=PROBABILITIES, decimals=DECIMALS)
+@given(probabilities=PROBABILITIES)
 @settings(max_examples=200, deadline=None)
-def test_probability_no_fault_bit_identical(name, probabilities, decimals):
+def test_probability_no_fault_bit_identical(name, probabilities):
     kernel = SFP_BACKENDS[name]
-    expected = REFERENCE.probability_no_fault(probabilities, decimals)
-    assert kernel.probability_no_fault(probabilities, decimals) == expected
+    expected = REFERENCE.probability_no_fault(probabilities)
+    assert kernel.probability_no_fault(probabilities) == expected
 
 
 @pytest.mark.parametrize("name", OTHER_KERNELS)
-@given(
-    exceedances=st.lists(PROBABILITY, min_size=0, max_size=6),
-    decimals=DECIMALS,
-)
+@given(exceedances=st.lists(PROBABILITY, min_size=0, max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_system_failure_bit_identical(name, exceedances, decimals):
+def test_system_failure_bit_identical(name, exceedances):
     kernel = SFP_BACKENDS[name]
-    expected = REFERENCE.system_failure(exceedances, decimals)
-    assert kernel.system_failure(exceedances, decimals) == expected
+    expected = REFERENCE.system_failure(exceedances)
+    assert kernel.system_failure(exceedances) == expected
 
 
 @pytest.mark.parametrize("name", list(SFP_BACKENDS))

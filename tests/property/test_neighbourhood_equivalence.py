@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.bus import SimpleBus, TDMABus
 from repro.core.application import Application, Message, Process
 from repro.core.architecture import Architecture, HVersion, Node, NodeType
 from repro.core.exceptions import ModelError
@@ -31,9 +30,7 @@ from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig1_application, fig1_profile
-from repro.kernels.array_backend import MAX_FAST_DECIMALS
 from repro.scheduling.list_scheduler import ListScheduler
-from repro.utils.rounding import DEFAULT_DECIMALS
 
 from tests.conftest import SCHED_BACKENDS, SFP_BACKENDS
 
@@ -41,8 +38,6 @@ SFP_REFERENCE = SFP_BACKENDS["reference"]
 
 ALL_SFP = list(SFP_BACKENDS)
 ALL_SCHED = list(SCHED_BACKENDS)
-
-DECIMALS = st.sampled_from([2, 5, 11, MAX_FAST_DECIMALS, MAX_FAST_DECIMALS + 3])
 
 PROBABILITY = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -98,18 +93,18 @@ def _counters(engine: EvaluationEngine):
 
 
 @pytest.mark.parametrize("name", ALL_SFP)
-@given(rows=sfp_neighbourhoods(), decimals=DECIMALS)
+@given(rows=sfp_neighbourhoods())
 @settings(max_examples=150, deadline=None)
-def test_memoized_exceedance_rowwise_identical(name, rows, decimals):
+def test_memoized_exceedance_rowwise_identical(name, rows):
     """Every trial of a neighbourhood equals the reference kernel's value,
     and a duplicate trial is a memo hit that returns its first value."""
     engine = _engine(name)
     produced = [
-        engine.node_exceedance(probabilities, budget, decimals)
+        engine.node_exceedance(probabilities, budget)
         for probabilities, budget in rows
     ]
     expected = [
-        SFP_REFERENCE.probability_exceeds(probabilities, budget, decimals)
+        SFP_REFERENCE.probability_exceeds(probabilities, budget)
         for probabilities, budget in rows
     ]
     assert produced == expected, f"{name} drifted for {rows!r}"
@@ -132,19 +127,16 @@ def test_counters_do_not_depend_on_the_backend(name, warm, preloaded, rows):
     for twin in (engine, reference):
         # Store hits: preloaded entries count disk_hits when touched.
         twin.exceedance.load(
-            {
-                (probabilities, budget, DEFAULT_DECIMALS): 0.123
-                for probabilities, budget in preloaded
-            }
+            {(probabilities, budget): 0.123 for probabilities, budget in preloaded}
         )
         for probabilities, budget in warm:
-            twin.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
+            twin.node_exceedance(probabilities, budget)
     produced = [
-        engine.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
+        engine.node_exceedance(probabilities, budget)
         for probabilities, budget in rows
     ]
     expected = [
-        reference.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
+        reference.node_exceedance(probabilities, budget)
         for probabilities, budget in rows
     ]
     assert produced == expected
@@ -157,13 +149,13 @@ def test_counters_do_not_depend_on_the_backend(name, warm, preloaded, rows):
 def test_repeated_neighbourhood_is_all_hits(name, rows):
     engine = _engine(name)
     first = [
-        engine.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
+        engine.node_exceedance(probabilities, budget)
         for probabilities, budget in rows
     ]
     misses_after_first = engine.exceedance.misses
     hits_after_first = engine.exceedance.hits
     second = [
-        engine.node_exceedance(probabilities, budget, DEFAULT_DECIMALS)
+        engine.node_exceedance(probabilities, budget)
         for probabilities, budget in rows
     ]
     assert second == first
@@ -176,16 +168,16 @@ def test_invalid_trial_raises_and_caches_nothing(name):
     """A bad trial fails with the scalar validation error, leaves no memo
     entry behind, and the rest of the neighbourhood evaluates normally."""
     engine = _engine(name)
-    assert engine.node_exceedance((0.1,), 1, DEFAULT_DECIMALS) == (
-        SFP_REFERENCE.probability_exceeds((0.1,), 1, DEFAULT_DECIMALS)
+    assert engine.node_exceedance((0.1,), 1) == (
+        SFP_REFERENCE.probability_exceeds((0.1,), 1)
     )
     with pytest.raises(ModelError):
-        engine.node_exceedance((0.2,), -1, DEFAULT_DECIMALS)
+        engine.node_exceedance((0.2,), -1)
     with pytest.raises(ValueError):
-        engine.node_exceedance((1.5,), 1, DEFAULT_DECIMALS)
+        engine.node_exceedance((1.5,), 1)
     assert len(engine.exceedance) == 1
-    assert engine.node_exceedance((0.2,), 1, DEFAULT_DECIMALS) == (
-        SFP_REFERENCE.probability_exceeds((0.2,), 1, DEFAULT_DECIMALS)
+    assert engine.node_exceedance((0.2,), 1) == (
+        SFP_REFERENCE.probability_exceeds((0.2,), 1)
     )
     assert len(engine.exceedance) == 2
 
@@ -227,16 +219,13 @@ def sched_neighbourhoods(draw):
             max_size=2 * n_processes,
         )
     )
-    max_transmission = 0.0
     for source, destination in edges:
-        transmission = draw(TRANSMISSION)
-        max_transmission = max(max_transmission, transmission)
         graph.add_message(
             Message(
                 f"m{source}_{destination}",
                 f"P{source}",
                 f"P{destination}",
-                transmission_time=transmission,
+                transmission_time=draw(TRANSMISSION),
             )
         )
 
@@ -277,17 +266,7 @@ def sched_neighbourhoods(draw):
         }
         trials.append((architecture, mapping, budgets))
     slack_sharing = draw(st.booleans())
-
-    if draw(st.booleans()):
-        slot_length = max(
-            max_transmission, draw(st.sampled_from([0.5, 1.0, 3.0]))
-        )
-        make_bus = lambda: TDMABus(  # noqa: E731
-            slot_order=list(node_names), slot_length=slot_length
-        )
-    else:
-        make_bus = SimpleBus
-    return application, trials, profile, slack_sharing, make_bus
+    return application, trials, profile, slack_sharing
 
 
 @pytest.mark.parametrize("name", ALL_SCHED)
@@ -296,16 +275,14 @@ def sched_neighbourhoods(draw):
 def test_neighbourhood_schedules_rowwise_identical(name, problem):
     """One scheduler instance walking a neighbourhood reproduces, trial by
     trial, what a fresh reference scheduler computes for each trial."""
-    application, trials, profile, slack_sharing, make_bus = problem
+    application, trials, profile, slack_sharing = problem
     expected = [
         ListScheduler(
-            bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS["reference"]
+            slack_sharing=slack_sharing, kernel=SCHED_BACKENDS["reference"]
         ).schedule(application, architecture, mapping, profile, budgets)
         for architecture, mapping, budgets in trials
     ]
-    scheduler = ListScheduler(
-        bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name]
-    )
+    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name])
     produced = [
         scheduler.schedule(application, architecture, mapping, profile, budgets)
         for architecture, mapping, budgets in trials
@@ -322,10 +299,8 @@ def test_neighbourhood_schedules_rowwise_identical(name, problem):
 def test_rescheduling_an_earlier_trial_stays_identical(name, problem):
     """Re-scheduling the first trial after the rest of the neighbourhood must
     not see per-mapping tables left behind by the later trials."""
-    application, trials, profile, slack_sharing, make_bus = problem
-    scheduler = ListScheduler(
-        bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name]
-    )
+    application, trials, profile, slack_sharing = problem
+    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name])
     produced = [
         scheduler.schedule(application, architecture, mapping, profile, budgets)
         for architecture, mapping, budgets in trials

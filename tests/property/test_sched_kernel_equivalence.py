@@ -13,10 +13,8 @@ Hypothesis drives randomized problems through both backends:
   recovery overheads, mapped arbitrarily onto 2-3 nodes with mixed hardening
   levels — so layers contain real priority ties, intra- and inter-node
   messages coexist, and some nodes may be left empty;
-* both bus models: ``SimpleBus`` and ``TDMABus``, the latter including slot
-  lengths a message fills *exactly* (``duration == slot_length``, the
-  boundary of the fits-in-slot check) and zero-duration messages (which
-  disable the flat backend's sorted-finish scan shortcut);
+* zero-duration messages among positive ones (they disable the flat
+  backend's sorted-finish scan shortcut);
 * naive and shared recovery slack, budgets 0..3 per node.
 
 The length-only entry point ``worst_case_length`` is held to the same
@@ -40,7 +38,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.bus import SimpleBus, TDMABus
 from repro.core.application import Application, Message, Process
 from repro.core.architecture import Architecture, HVersion, Node, NodeType
 from repro.core.mapping_model import ProcessMapping
@@ -69,7 +66,7 @@ TRANSMISSION = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
 
 @st.composite
 def dag_problems(draw):
-    """A random scheduling problem: DAG, platform, mapping, budgets, bus."""
+    """A random scheduling problem: DAG, platform, mapping, budgets."""
     n_processes = draw(st.integers(min_value=1, max_value=9))
     n_nodes = draw(st.integers(min_value=2, max_value=3))
     node_names = NODE_NAMES[:n_nodes]
@@ -93,16 +90,13 @@ def dag_problems(draw):
             max_size=2 * n_processes,
         )
     )
-    max_transmission = 0.0
     for source, destination in edges:
-        transmission = draw(TRANSMISSION)
-        max_transmission = max(max_transmission, transmission)
         graph.add_message(
             Message(
                 f"m{source}_{destination}",
                 f"P{source}",
                 f"P{destination}",
-                transmission_time=transmission,
+                transmission_time=draw(TRANSMISSION),
             )
         )
 
@@ -133,24 +127,13 @@ def dag_problems(draw):
         name: draw(st.integers(min_value=0, max_value=3)) for name in node_names
     }
     slack_sharing = draw(st.booleans())
-
-    if draw(st.booleans()):
-        # Slot lengths down to the largest transmission time exactly: a
-        # message may fill its sender's slot with zero margin.
-        slot_length = max(max_transmission, draw(st.sampled_from([0.5, 1.0, 3.0, 4.0])))
-        make_bus = lambda: TDMABus(slot_order=list(node_names), slot_length=slot_length)
-    else:
-        make_bus = SimpleBus
-
-    return application, architecture, mapping, profile, budgets, slack_sharing, make_bus
+    return application, architecture, mapping, profile, budgets, slack_sharing
 
 
 def _schedule_with(kernel_name, problem):
-    """The schedule one backend builds for ``problem`` on its own bus."""
-    application, architecture, mapping, profile, budgets, slack_sharing, make_bus = problem
-    scheduler = ListScheduler(
-        bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[kernel_name]
-    )
+    """The schedule one backend builds for ``problem``."""
+    application, architecture, mapping, profile, budgets, slack_sharing = problem
+    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[kernel_name])
     return scheduler.schedule(application, architecture, mapping, profile, budgets)
 
 
@@ -176,10 +159,8 @@ def test_schedules_value_equal_across_backends(name, problem):
 @settings(max_examples=40, deadline=None)
 def test_backends_validate_and_reuse_structures(name, problem):
     """Back-to-back runs on one scheduler instance stay identical (memo reuse)."""
-    application, architecture, mapping, profile, budgets, slack_sharing, make_bus = problem
-    scheduler = ListScheduler(
-        bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name]
-    )
+    application, architecture, mapping, profile, budgets, slack_sharing = problem
+    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name])
     first = scheduler.schedule(application, architecture, mapping, profile, budgets)
     first.validate()
     second = scheduler.schedule(application, architecture, mapping, profile, budgets)
@@ -187,11 +168,9 @@ def test_backends_validate_and_reuse_structures(name, problem):
 
 
 def _length_with(kernel_name, problem):
-    """``worst_case_length`` of one backend for ``problem`` on its own bus."""
-    application, architecture, mapping, profile, budgets, slack_sharing, make_bus = problem
-    scheduler = ListScheduler(
-        bus=make_bus(), slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[kernel_name]
-    )
+    """``worst_case_length`` of one backend for ``problem``."""
+    application, architecture, mapping, profile, budgets, slack_sharing = problem
+    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[kernel_name])
     return scheduler.worst_case_length(application, architecture, mapping, profile, budgets)
 
 
@@ -201,64 +180,6 @@ def _length_with(kernel_name, problem):
 def test_worst_case_length_equals_the_reference_schedule_length(name, problem):
     expected = _schedule_with("reference", problem)
     assert _length_with(name, problem) == expected.length
-
-
-# ----------------------------------------------------------------------
-# Deterministic TDMA boundary cases.
-# ----------------------------------------------------------------------
-def _two_node_problem(transmission, slot_length):
-    """P0 on NA feeds P1 on NB over a TDMA bus."""
-    application = Application(
-        "tdma", deadline=10_000.0, reliability_goal=0.9, recovery_overhead=1.0
-    )
-    graph = application.new_graph("G")
-    graph.add_process(Process("P0", nominal_wcet=5.0))
-    graph.add_process(Process("P1", nominal_wcet=5.0))
-    graph.add_message(Message("m0", "P0", "P1", transmission_time=transmission))
-    node_types = [NodeType("TA", [HVersion(1, 1.0)]), NodeType("TB", [HVersion(1, 1.0)])]
-    profile = ExecutionProfile()
-    for process in ("P0", "P1"):
-        for node_type in node_types:
-            profile.add_entry(process, node_type.name, 1, 5.0, 1e-6)
-    architecture = Architecture(
-        [Node("NA", node_types[0]), Node("NB", node_types[1])]
-    )
-    mapping = ProcessMapping({"P0": "NA", "P1": "NB"})
-    budgets = {"NA": 1, "NB": 1}
-    make_bus = lambda: TDMABus(slot_order=["NA", "NB"], slot_length=slot_length)
-    return application, architecture, mapping, profile, budgets, True, make_bus
-
-
-@pytest.mark.parametrize("name", OTHER_KERNELS)
-def test_message_exactly_filling_tdma_slot(name):
-    """duration == slot_length is feasible and bit-identical across backends."""
-    problem = _two_node_problem(transmission=4.0, slot_length=4.0)
-    expected = _schedule_with("reference", problem)
-    produced = _schedule_with(name, problem)
-    assert produced == expected
-    entry = produced.message_entry("m0")
-    assert entry.duration == 4.0
-    # The window must sit flush inside one of NA's slots (slot 0 of each
-    # 8 ms round), not straddle a boundary.
-    assert entry.start % 8.0 == 0.0
-
-
-@pytest.mark.parametrize("name", list(SCHED_BACKENDS))
-def test_oversized_tdma_message_rejected_identically(name):
-    from repro.core.exceptions import SchedulingError
-
-    problem = _two_node_problem(transmission=4.5, slot_length=4.0)
-    with pytest.raises(SchedulingError, match="does not fit into a TDMA slot"):
-        _schedule_with(name, problem)
-
-
-@pytest.mark.parametrize("name", list(SCHED_BACKENDS))
-def test_oversized_tdma_message_rejected_by_the_length_only_path(name):
-    from repro.core.exceptions import SchedulingError
-
-    problem = _two_node_problem(transmission=4.5, slot_length=4.0)
-    with pytest.raises(SchedulingError, match="does not fit into a TDMA slot"):
-        _length_with(name, problem)
 
 
 def test_reference_is_the_reference():
@@ -272,7 +193,7 @@ def test_reference_is_the_reference():
 def _dense_problem(n_processes, zero_every=None):
     """A generated application mapped round-robin onto its node types.
 
-    Round-robin sends most edges over the bus, so the ``SimpleBus`` fills
+    Round-robin sends most edges over the bus, so the bus fills
     with back-to-back windows (1 341 messages at n=400).  With
     ``zero_every=k`` every k-th message carries no data, so zero-duration
     windows land among them.
@@ -296,7 +217,7 @@ def _dense_problem(n_processes, zero_every=None):
         }
     )
     budgets = {name: index % 3 for index, name in enumerate(nodes)}
-    return application, architecture, mapping, profile, budgets, True, SimpleBus
+    return application, architecture, mapping, profile, budgets, True
 
 
 @pytest.mark.parametrize("name", OTHER_KERNELS)

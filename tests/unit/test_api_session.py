@@ -7,7 +7,6 @@ import pytest
 from repro.api import REPORT_SCHEMA_VERSION, RunConfig, RunReport, Session
 from repro.api.registry import ScenarioOutcome, register_scenario
 from repro.core.exceptions import ModelError
-from repro.engine.store import DesignPointStore
 from repro.kernels import SCHED_KERNELS, SFP_KERNELS
 
 
@@ -66,15 +65,6 @@ class TestReportSchema:
 
 
 class TestOwnedResources:
-    def test_no_store_without_cache_dir(self):
-        assert Session().store is None
-
-    def test_store_is_lazily_created_and_memoized(self, tmp_path):
-        session = Session(RunConfig(cache_dir=tmp_path / "store"))
-        store = session.store
-        assert isinstance(store, DesignPointStore)
-        assert session.store is store
-
     def test_experiment_is_shared_within_a_session(self):
         session = Session(RunConfig(preset="smoke"))
         assert session.experiment() is session.experiment()

@@ -261,3 +261,17 @@ class TestServeCommand:
         exit_code = main(["serve", "--job-timeout", "-1"])
         assert exit_code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--job-timeout", "nan"], ["--job-timeout", "inf"], ["--port", "70000"], ["--port", "-1"]],
+        ids=["nan-timeout", "inf-timeout", "port-above", "port-below"],
+    )
+    def test_out_of_range_serve_flags_exit_2_before_serving(self, monkeypatch, capsys, flags):
+        import repro.serve
+
+        served = []
+        monkeypatch.setattr(repro.serve, "run_server", lambda config: served.append(config) or 0)
+        assert main(["serve", *flags]) == 2
+        assert served == []
+        assert "error:" in capsys.readouterr().err

@@ -153,24 +153,22 @@ class TestEvaluationEngine:
     def test_memoized_sfp_matches_module_functions(self, engine):
         probabilities = (1.2e-5, 3.4e-6, 5.6e-7)
         for reexecutions in range(4):
-            assert engine.node_exceedance(
-                probabilities, reexecutions, 11
-            ) == probability_exceeds(probabilities, reexecutions, 11)
+            assert engine.node_exceedance(probabilities, reexecutions) == probability_exceeds(
+                probabilities, reexecutions
+            )
         exceedances = (1.0e-9, 2.0e-9)
-        assert engine.system_failure(exceedances, 11) == system_failure_probability(
-            exceedances, 11
-        )
+        assert engine.system_failure(exceedances) == system_failure_probability(exceedances)
 
     def test_memoized_sfp_counts_hits(self, engine):
         probabilities = (1.2e-5, 3.4e-6)
-        engine.node_exceedance(probabilities, 1, 11)
-        engine.node_exceedance(probabilities, 1, 11)
+        engine.node_exceedance(probabilities, 1)
+        engine.node_exceedance(probabilities, 1)
         assert engine.exceedance.hits == 1
         assert engine.exceedance.misses == 1
         assert engine.stats.hits == 1
 
     def test_stats_by_cache_names_every_memo_table(self, engine):
-        engine.node_exceedance((1e-6,), 1, 11)
+        engine.node_exceedance((1e-6,), 1)
         by_cache = engine.stats_by_cache()
         assert set(by_cache) == {
             "decisions",
@@ -187,10 +185,10 @@ class TestEvaluationEngine:
         application, profile = fig1_application(), fig1_profile()
         source = EvaluationEngine(application, profile, kernel=ReferenceKernel())
         rows = [((1.2e-5, 3.4e-6), budget) for budget in range(4)]
-        values = [source.node_exceedance(row, budget, 11) for row, budget in rows]
+        values = [source.node_exceedance(row, budget) for row, budget in rows]
         target = EvaluationEngine(application, profile, kernel=ArrayKernel())
         target.exceedance.load(source.exceedance.snapshot())
-        assert [target.node_exceedance(row, budget, 11) for row, budget in rows] == values
+        assert [target.node_exceedance(row, budget) for row, budget in rows] == values
         assert target.exceedance.misses == 0
         assert target.exceedance.disk_hits == len(rows)
 

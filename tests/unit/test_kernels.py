@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.comm.bus import SimpleBus, TDMABus
+from repro.core.reexecution import ReExecutionOpt
 from repro.core.sfp import (
     SFPAnalysis,
     probability_exceeds,
@@ -25,6 +25,8 @@ from repro.kernels import (
     FlatSchedulerKernel,
     ReferenceKernel,
     ReferenceSchedulerKernel,
+    SchedulerKernel,
+    SFPKernel,
 )
 from repro.kernels.array_backend import NUMPY_MIN_WIDTH
 from repro.scheduling.list_scheduler import ListScheduler
@@ -63,6 +65,38 @@ def test_production_backends_are_array_and_flat():
     assert SCHED_KERNELS.active() is SCHED_KERNELS.active()
 
 
+@pytest.mark.parametrize(
+    "production, oracle, base",
+    [
+        (ArrayKernel, ReferenceKernel, SFPKernel),
+        (FlatSchedulerKernel, ReferenceSchedulerKernel, SchedulerKernel),
+    ],
+    ids=["sfp", "sched"],
+)
+def test_production_backends_do_not_inherit_from_their_oracle(production, oracle, base):
+    """An oracle edit can never change production results through inheritance."""
+    assert issubclass(production, base)
+    assert not issubclass(production, oracle)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda application, profile: ListScheduler(bus=object()),
+        lambda application, profile: ReExecutionOpt(decimals=11),
+        lambda application, profile: SFPAnalysis(application, None, None, profile, decimals=11),
+        lambda application, profile: EvaluationEngine(application, profile).node_exceedance(
+            (1e-5,), 1, 11
+        ),
+    ],
+    ids=["ListScheduler-bus", "ReExecutionOpt-decimals", "SFPAnalysis-decimals", "engine-decimals"],
+)
+def test_bus_and_precision_are_not_options(build):
+    """One FCFS bus and the paper's 11 digits: neither can be passed in."""
+    with pytest.raises(TypeError):
+        build(fig1_application(), fig1_profile())
+
+
 def test_defaults_bind_the_exact_production_instances():
     kernels = _default_kernels()
     for entry_point in ("EvaluationEngine", "SFPAnalysis"):
@@ -86,13 +120,13 @@ def test_module_functions_run_on_the_production_backend():
         def __init__(self):
             self.calls = []
 
-        def probability_no_fault(self, failure_probabilities, decimals=11):
+        def probability_no_fault(self, failure_probabilities):
             self.calls.append("probability_no_fault")
-            return super().probability_no_fault(failure_probabilities, decimals)
+            return super().probability_no_fault(failure_probabilities)
 
-        def system_failure(self, per_node_exceedance, decimals=11):
+        def system_failure(self, per_node_exceedance):
             self.calls.append("system_failure")
-            return super().system_failure(per_node_exceedance, decimals)
+            return super().system_failure(per_node_exceedance)
 
     recording = Recording()
     with production_kernels(sfp=recording):
@@ -219,25 +253,6 @@ def _diamond_platform():
     )
     mapping = ProcessMapping({"A": "NA", "B": "NB", "C": "NA", "D": "NB"})
     return application, architecture, mapping, profile
-
-
-class _SimpleBusSubclass(SimpleBus):
-    pass
-
-
-class _TDMABusSubclass(TDMABus):
-    pass
-
-
-@pytest.mark.parametrize(
-    "bus",
-    [_SimpleBusSubclass(), _TDMABusSubclass(["NA", "NB"], slot_length=5.0), object()],
-    ids=["SimpleBus-subclass", "TDMABus-subclass", "object"],
-)
-def test_list_scheduler_rejects_a_bus_the_kernels_do_not_implement(bus):
-    """Only exactly ``SimpleBus``/``TDMABus``: no bus reroutes the kernel."""
-    with pytest.raises(TypeError, match="bus must be a SimpleBus or a TDMABus"):
-        ListScheduler(bus=bus)
 
 
 def test_flat_kernel_recompiles_after_in_place_profile_and_overhead_edits():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.bus import TDMABus
 from repro.core.application import Message
 from repro.core.architecture import Architecture, HVersion, Node, NodeType
 from repro.core.exceptions import SchedulingError
@@ -182,20 +181,6 @@ class TestSlackSharingToggle:
         )
         assert naive.length >= shared.length
         assert naive.node_recovery_slack["N1"] == pytest.approx(75 + 15 + 90 + 15)
-
-
-class TestSchedulerWithTDMABus:
-    def test_messages_wait_for_their_slot(self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping):
-        bus = TDMABus(["N1", "N2"], slot_length=20.0)
-        schedule = ListScheduler(bus=bus).schedule(
-            fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof, {"N1": 1, "N2": 1}
-        )
-        schedule.validate()
-        # m2 is produced by N1 at t=75; N1's slots are [0,20), [40,60), [80,100)...
-        message = schedule.message_entry("m2")
-        assert message.start >= 75.0
-        assert message.start % 40.0 < 20.0  # inside an N1 slot
-        assert schedule.entry("P3").start >= message.finish
 
 
 class TestStructureMemoInvalidation:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.comm.bus import TDMABus
 from repro.core.architecture import Architecture, Node
 from repro.core.baselines import optimized_strategy
 from repro.core.exceptions import ModelError, OptimizationError
@@ -276,13 +275,10 @@ def test_engine_bound_to_another_context_raises(fig4a_setup, entry_point):
 @pytest.mark.parametrize(
     "scheduler, signature",
     [
-        (ListScheduler(), ("ListScheduler", True, ("SimpleBus",), 20, 11)),
-        (
-            ListScheduler(bus=TDMABus(["N1", "N2"], slot_length=2.0), slack_sharing=False),
-            ("ListScheduler", False, ("TDMABus", ("N1", "N2"), 2.0), 20, 11),
-        ),
+        (ListScheduler(), ("ListScheduler", True, 20)),
+        (ListScheduler(slack_sharing=False), ("ListScheduler", False, 20)),
     ],
-    ids=["simple-bus", "tdma-bus"],
+    ids=["shared-slack", "naive-slack"],
 )
 def test_evaluator_signature_is_pinned(scheduler, signature):
     """The configuration part of every stored decision key, as literals.

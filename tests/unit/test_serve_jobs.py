@@ -42,6 +42,19 @@ def _manager(tmp_path, **overrides) -> JobManager:
         {"queue_size": 0},
         {"job_timeout_seconds": 0.0},
         {"job_timeout_seconds": -1.0},
+        {"job_timeout_seconds": float("nan")},
+        {"job_timeout_seconds": float("inf")},
+        {"port": -1},
+        {"port": 65536},
+        {"workers": True},
+        {"queue_size": True},
+        {"port": True},
+        {"cache_size_mb": True},
+        {"cache_size_mb": 0},
+        {"workers": 2.5},
+        {"port": "8321"},
+        {"job_timeout_seconds": "30"},
+        {"job_timeout_seconds": True},
     ],
 )
 def test_serve_config_rejects_degenerate_values(kwargs):

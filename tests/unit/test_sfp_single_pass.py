@@ -29,16 +29,14 @@ from repro.core.sfp import (
 from repro.utils.rounding import ceil_probability, floor_probability
 
 
-def reference_exceeds(probabilities, reexecutions, decimals):
+def reference_exceeds(probabilities, reexecutions):
     """Formula (4) composed exactly as the pre-rewrite implementation did."""
-    survival = Decimal(repr(probability_no_fault(probabilities, decimals)))
+    survival = Decimal(repr(probability_no_fault(probabilities)))
     for faults in range(1, reexecutions + 1):
-        no_fault = probability_no_fault(probabilities, decimals)
-        exactly = floor_probability(
-            no_fault * complete_homogeneous_sum(probabilities, faults), decimals
-        )
+        no_fault = probability_no_fault(probabilities)
+        exactly = floor_probability(no_fault * complete_homogeneous_sum(probabilities, faults))
         survival += Decimal(repr(exactly))
-    return ceil_probability(float(Decimal(1) - survival), decimals)
+    return ceil_probability(float(Decimal(1) - survival))
 
 
 def random_probability_vectors(count, max_len=6, seed=20090420):
@@ -50,15 +48,12 @@ def random_probability_vectors(count, max_len=6, seed=20090420):
 
 
 class TestBitIdenticalWithReference:
-    @pytest.mark.parametrize("decimals", [5, 9, 11])
-    def test_matches_reference_composition_exactly(self, decimals):
+    def test_matches_reference_composition_exactly(self):
         for probabilities in random_probability_vectors(40):
             for reexecutions in range(0, 6):
-                assert probability_exceeds(
-                    probabilities, reexecutions, decimals
-                ) == reference_exceeds(probabilities, reexecutions, decimals), (
-                    f"mismatch for probs={probabilities} k={reexecutions}"
-                )
+                assert probability_exceeds(probabilities, reexecutions) == reference_exceeds(
+                    probabilities, reexecutions
+                ), f"mismatch for probs={probabilities} k={reexecutions}"
 
     def test_tuple_and_list_inputs_agree(self):
         probabilities = [1.2e-4, 3.4e-5, 5.6e-6]
@@ -90,12 +85,12 @@ class TestAgainstEnumeration:
         for _ in range(20):
             probabilities = [rng.uniform(0.01, 0.3) for _ in range(rng.randint(1, 5))]
             for reexecutions in range(0, 4):
-                no_fault = probability_no_fault(probabilities, 11)
+                no_fault = probability_no_fault(probabilities)
                 survival = Decimal(repr(no_fault))
                 for faults in range(1, reexecutions + 1):
                     h_f = sum(enumerate_fault_scenarios(probabilities, faults))
-                    survival += Decimal(repr(floor_probability(no_fault * h_f, 11)))
-                expected = ceil_probability(float(Decimal(1) - survival), 11)
-                assert probability_exceeds(probabilities, reexecutions, 11) == (
+                    survival += Decimal(repr(floor_probability(no_fault * h_f)))
+                expected = ceil_probability(float(Decimal(1) - survival))
+                assert probability_exceeds(probabilities, reexecutions) == (
                     pytest.approx(expected, rel=1e-9, abs=1e-11)
                 )

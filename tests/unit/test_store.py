@@ -18,7 +18,7 @@ from repro.engine import (
     EvaluationEngine,
     stable_context_fingerprint,
 )
-from repro.engine.store import code_version_salt
+from repro.engine.store import STORE_SCHEMA_VERSION, code_version_salt
 from repro.experiments.motivational import fig1_application, fig1_profile
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -52,9 +52,9 @@ def _engine_with_entries(context) -> EvaluationEngine:
     """A fresh engine with a few real memo entries in every SFP table."""
     application, profile = context
     engine = EvaluationEngine(application, profile)
-    engine.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
-    engine.node_exceedance((1.2e-5, 1.3e-5), 2, 11)
-    engine.system_failure((1e-9, 2e-9), 11)
+    engine.node_exceedance((1.2e-5, 1.3e-5), 1)
+    engine.node_exceedance((1.2e-5, 1.3e-5), 2)
+    engine.system_failure((1e-9, 2e-9))
     return engine
 
 
@@ -73,10 +73,23 @@ def test_round_trip_restores_entries_and_counts_disk_hits(tmp_path, context):
     assert second.disk_hits == 0
 
     # Preloaded entries must serve (and count) hits without recomputation.
-    value = second.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
-    assert value == first.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
+    value = second.node_exceedance((1.2e-5, 1.3e-5), 1)
+    assert value == first.node_exceedance((1.2e-5, 1.3e-5), 1)
     assert second.disk_hits == 1
     assert second.exceedance.stats.misses == 0
+
+
+def test_persisted_sfp_keys_have_the_pinned_shapes(tmp_path, context):
+    """The on-disk key shapes, as literals: exceedance ``(probabilities, k)``,
+    system the exceedance tuple itself.  A change to either must bump the
+    schema version, which is pinned here too."""
+    store = DesignPointStore(tmp_path)
+    engine = _engine_with_entries(context)
+    store.persist(engine)
+    caches = store._read(store.path_for(engine))["caches"]
+    assert set(caches["exceedance"]) == {((1.2e-5, 1.3e-5), 1), ((1.2e-5, 1.3e-5), 2)}
+    assert set(caches["system"]) == {(1e-9, 2e-9)}
+    assert STORE_SCHEMA_VERSION == 4
 
 
 def test_a_file_with_the_former_no_fault_table_still_warms(tmp_path, context):
@@ -93,7 +106,7 @@ def test_a_file_with_the_former_no_fault_table_still_warms(tmp_path, context):
 
     second = EvaluationEngine(application, profile)
     assert store.warm(second) == len(first.exceedance) + len(first.system)
-    second.node_exceedance((9e-6,), 3, 11)
+    second.node_exceedance((9e-6,), 3)
     store.persist(second)
     assert "no_fault" not in store._read(path)["caches"]
 
@@ -134,13 +147,13 @@ def test_persist_merges_with_existing_file(tmp_path, context):
     # A second engine computing a *different* entry must not clobber the
     # first engine's entries on disk.
     second = EvaluationEngine(application, profile)
-    second.node_exceedance((9e-6,), 3, 11)
+    second.node_exceedance((9e-6,), 3)
     store.persist(second)
 
     third = EvaluationEngine(application, profile)
     store.warm(third)
-    assert ((1.2e-5, 1.3e-5), 1, 11) in third.exceedance
-    assert ((9e-6,), 3, 11) in third.exceedance
+    assert ((1.2e-5, 1.3e-5), 1) in third.exceedance
+    assert ((9e-6,), 3) in third.exceedance
 
 
 def test_fully_warm_rerun_skips_the_rewrite(tmp_path, context, monkeypatch):
@@ -155,8 +168,8 @@ def test_fully_warm_rerun_skips_the_rewrite(tmp_path, context, monkeypatch):
     rerun = EvaluationEngine(application, profile)
     store.warm(rerun)
     # The rerun's lookups are all served by preloaded entries.
-    rerun.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
-    rerun.system_failure((1e-9, 2e-9), 11)
+    rerun.node_exceedance((1.2e-5, 1.3e-5), 1)
+    rerun.system_failure((1e-9, 2e-9))
     assert rerun.disk_hits == 2
 
     def no_io(*args, **kwargs):
@@ -180,7 +193,7 @@ def test_one_new_entry_still_merges_and_replaces(tmp_path, context):
 
     rerun = EvaluationEngine(application, profile)
     store.warm(rerun)
-    rerun.node_exceedance((9e-6,), 3, 11)
+    rerun.node_exceedance((9e-6,), 3)
     written = store.persist(rerun)
     assert written == len(first.exceedance) + len(first.system) + 1
     assert store.stats.files_persisted == persisted + 1
@@ -188,8 +201,8 @@ def test_one_new_entry_still_merges_and_replaces(tmp_path, context):
 
     check = EvaluationEngine(application, profile)
     store.warm(check)
-    assert ((1.2e-5, 1.3e-5), 1, 11) in check.exceedance
-    assert ((9e-6,), 3, 11) in check.exceedance
+    assert ((1.2e-5, 1.3e-5), 1) in check.exceedance
+    assert ((9e-6,), 3) in check.exceedance
 
 
 def test_empty_engine_persists_nothing(tmp_path, context):
@@ -302,7 +315,7 @@ def test_writer_killed_between_dump_and_replace_keeps_the_old_file(tmp_path, con
     store = DesignPointStore(tmp_path)
     persisted = store.persist(_engine_with_entries(context))
     crashing_writer = (
-        "engine.node_exceedance((1.2e-5, 1.3e-5), 3, 11)\n"
+        "engine.node_exceedance((1.2e-5, 1.3e-5), 3)\n"
         "os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)\n"
         "store.persist(engine)\n"
     )
@@ -491,7 +504,7 @@ def test_single_flight_breaks_the_lock_of_a_killed_leader(tmp_path, context):
         waited = time.monotonic() - start
         assert is_leader is False
         assert store.warm(engine) == 0  # the leader died before persisting
-        engine.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
+        engine.node_exceedance((1.2e-5, 1.3e-5), 1)
         assert store.persist(engine) > 0  # so the follower computes
     assert waited < 5.0  # broken within one poll
     assert not lock.exists()
@@ -511,8 +524,8 @@ def test_single_flight_follower_serves_the_leaders_points_from_disk(tmp_path, co
     with follower_store.single_flight(follower_engine):
         loaded = follower_store.warm(follower_engine)
     assert loaded > 0
-    value = follower_engine.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
-    assert value == leader_engine.node_exceedance((1.2e-5, 1.3e-5), 1, 11)
+    value = follower_engine.node_exceedance((1.2e-5, 1.3e-5), 1)
+    assert value == leader_engine.node_exceedance((1.2e-5, 1.3e-5), 1)
     assert follower_engine.exceedance.stats.misses == 0
 
 
