@@ -502,11 +502,6 @@ class Application:
         """Maximum allowed probability of system failure per time unit."""
         return 1.0 - self.reliability_goal
 
-    @property
-    def iterations_per_time_unit(self) -> float:
-        """Number of application iterations executed during ``tau`` (= tau/T)."""
-        return self.time_unit / self.period
-
     def processes(self) -> List[Process]:
         """All processes of all task graphs, in graph insertion order."""
         result: List[Process] = []

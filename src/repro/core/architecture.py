@@ -204,20 +204,11 @@ class Node:
     def can_harden(self) -> bool:
         return self._hardening < self.node_type.max_hardening
 
-    def can_soften(self) -> bool:
-        return self._hardening > self.node_type.min_hardening
-
     def harden(self) -> None:
         """Raise the hardening level by one."""
         if not self.can_harden():
             raise ModelError(f"Node {self.name} is already at maximum hardening")
         self._hardening += 1
-
-    def soften(self) -> None:
-        """Lower the hardening level by one."""
-        if not self.can_soften():
-            raise ModelError(f"Node {self.name} is already at minimum hardening")
-        self._hardening -= 1
 
     def copy(self) -> "Node":
         return Node(self.name, self.node_type, hardening=self._hardening)

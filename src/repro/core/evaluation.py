@@ -58,14 +58,6 @@ class DesignResult:
     def meets_deadline(self) -> bool:
         return self.schedule_length <= self.deadline
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of engine cache lookups served from cache (0.0 if none)."""
-        lookups = self.cache_hits + self.cache_misses
-        if not lookups:
-            return 0.0
-        return self.cache_hits / lookups
-
     def is_accepted(self, max_architecture_cost: Optional[float] = None) -> bool:
         """Paper acceptance criterion: reliable, schedulable, affordable."""
         if not self.feasible:

@@ -28,9 +28,5 @@ class SchedulingError(ReproError):
     """The scheduler could not construct a static schedule."""
 
 
-class ReliabilityError(ReproError):
-    """The reliability goal cannot be reached with the allowed redundancy."""
-
-
 class OptimizationError(ReproError):
     """A design-space exploration heuristic failed to produce any solution."""

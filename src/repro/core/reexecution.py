@@ -33,10 +33,6 @@ class ReExecutionDecision:
     reliability_over_time_unit: float
     meets_goal: bool
 
-    @property
-    def total_reexecutions(self) -> int:
-        return sum(self.reexecutions.values())
-
 
 class ReExecutionOpt:
     """Greedy re-execution assignment driven by the SFP analysis.

@@ -206,10 +206,6 @@ class SFPReport:
     meets_goal: bool
     reexecutions: Dict[str, int]
 
-    def margin(self) -> float:
-        """How far above (positive) or below (negative) the goal we are."""
-        return self.reliability_over_time_unit - self.reliability_goal
-
 
 class SFPAnalysis:
     """SFP analysis bound to an application, architecture, mapping and profile.

@@ -29,116 +29,60 @@ sanitizer (:mod:`repro.lint.sanitizer`, ``repro-ftes run --sanitize`` or
 ``REPRO_SANITIZE=1``) that observes a real run through patched choke points
 and reports violations in the same format/rule-id vocabulary.
 
-Run the static checker with ``repro-ftes lint`` or ``python -m repro.lint``;
-see :mod:`repro.lint.cli` for options (JSON output, per-rule selection,
-``--jobs N`` parallel parsing, the committed baseline,
-``# repro-lint: disable=R00x`` suppressions).
+Run the static checker with ``repro-ftes lint`` or ``python -m repro.lint``.
+It is one gate: every rule runs over one serial parse of the package, every
+violation is reported, and any violation fails the run (exit 1).  See
+:mod:`repro.lint.cli` for the options (``--root``, ``--format json``,
+``--list-rules``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-import repro.lint.rules  # noqa: F401  (registers the rule set on import)
-from repro.lint.baseline import (
-    BaselineEntry,
-    BaselineError,
-    load_baseline,
-    match_baseline,
-    save_baseline,
-)
-from repro.lint.model import (
-    Violation,
-    is_suppressed,
-    sort_violations,
-    suppressed_rules_by_line,
-)
+from repro.lint.model import LintRule, Violation, sort_violations
 from repro.lint.project import Project
-from repro.lint.registry import RULES, LintRule, RuleRegistry, register_rule
+from repro.lint.rules import RULES
 
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run, pre-split against a baseline."""
+    """Outcome of one lint run: every violation of every rule."""
 
     violations: List[Violation] = field(default_factory=list)
-    new: List[Violation] = field(default_factory=list)
-    baselined: List[Violation] = field(default_factory=list)
-    stale: List[BaselineEntry] = field(default_factory=list)
-    suppressed_count: int = 0
     checked_modules: int = 0
     rule_ids: List[str] = field(default_factory=list)
 
-    def exit_code(self, strict_baseline: bool = False) -> int:
-        if self.new:
-            return 1
-        if strict_baseline and self.stale:
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        return 1 if self.violations else 0
 
     def as_dict(self) -> Dict[str, object]:
-        baselined_fingerprints = {id(v) for v in self.baselined}
         return {
             "checked_modules": self.checked_modules,
             "rules": self.rule_ids,
-            "violations": [
-                {**v.as_dict(), "baselined": id(v) in baselined_fingerprints}
-                for v in self.violations
-            ],
-            "new_count": len(self.new),
-            "baselined_count": len(self.baselined),
-            "stale_entries": [entry.as_dict() for entry in self.stale],
-            "suppressed_count": self.suppressed_count,
+            "violations": [violation.as_dict() for violation in self.violations],
         }
 
 
-def run_lint(
-    project: Project,
-    rule_ids: Optional[Sequence[str]] = None,
-    baseline: Sequence[BaselineEntry] = (),
-) -> LintReport:
-    """Run the (selected) rule set over ``project`` and split vs ``baseline``."""
-    selected = RULES.rules(list(rule_ids) if rule_ids is not None else None)
-    raw: List[Violation] = []
-    suppressed_count = 0
-    suppression_maps = {
-        name: suppressed_rules_by_line(module.lines)
-        for name, module in project.modules.items()
-    }
-    for rule in selected:
-        for violation in rule.check(project):
-            suppressions = suppression_maps.get(violation.module, {})
-            if is_suppressed(violation, suppressions):
-                suppressed_count += 1
-                continue
-            raw.append(violation)
-    violations = sort_violations(raw)
-    new, baselined, stale = match_baseline(violations, baseline)
+def run_lint(project: Project) -> LintReport:
+    """Run the whole rule set over ``project``."""
+    violations: List[Violation] = []
+    for rule in RULES:
+        violations.extend(rule.check(project))
     return LintReport(
-        violations=violations,
-        new=new,
-        baselined=baselined,
-        stale=stale,
-        suppressed_count=suppressed_count,
+        violations=sort_violations(violations),
         checked_modules=len(project.modules),
-        rule_ids=[rule.rule_id for rule in selected],
+        rule_ids=[rule.rule_id for rule in RULES],
     )
 
 
 __all__ = [
-    "BaselineEntry",
-    "BaselineError",
     "LintReport",
     "LintRule",
     "Project",
     "RULES",
-    "RuleRegistry",
     "Violation",
-    "load_baseline",
-    "match_baseline",
-    "register_rule",
     "run_lint",
-    "save_baseline",
     "sort_violations",
 ]

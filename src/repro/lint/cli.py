@@ -1,8 +1,7 @@
 """Command-line driver of ``repro.lint`` (``repro-ftes lint``).
 
-Exit codes: ``0`` — no non-baselined violations (and, under
-``--strict-baseline``, no stale baseline entries); ``1`` — new violations
-(or stale entries under ``--strict-baseline``); ``2`` — usage error.
+Exit codes: ``0`` — no violations; ``1`` — at least one violation (each is
+reported); ``2`` — usage error.
 """
 
 from __future__ import annotations
@@ -11,20 +10,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.lint import (
-    RULES,
-    BaselineError,
-    LintReport,
-    Project,
-    load_baseline,
-    run_lint,
-    save_baseline,
-)
-
-#: Name of the committed baseline file at the repository root.
-DEFAULT_BASELINE_NAME = "lint-baseline.json"
+from repro.lint import RULES, LintReport, Project, run_lint
 
 
 def default_package_dir() -> Path:
@@ -32,16 +20,6 @@ def default_package_dir() -> Path:
     import repro
 
     return Path(repro.__file__).resolve().parent
-
-
-def default_baseline_path(package_dir: Path) -> Path:
-    """``lint-baseline.json`` at the repository root of a src layout.
-
-    For ``<repo>/src/repro`` this is ``<repo>/lint-baseline.json``; when the
-    package is installed elsewhere the file simply does not exist, which is
-    an empty baseline.
-    """
-    return package_dir.parent.parent / DEFAULT_BASELINE_NAME
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,84 +45,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule ids to run (default: all registered rules)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=(
-            "baseline file tracking legacy violations "
-            f"(default: {DEFAULT_BASELINE_NAME} at the repository root)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; every violation is reported as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--strict-baseline",
-        action="store_true",
-        help=(
-            "fail when the baseline has stale entries (violations fixed "
-            "without regenerating the file); what CI runs"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="list the registered rules and exit",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_job_count,
-        default=1,
-        help=(
-            "worker processes for parallel module parsing "
-            "(1 = serial, 0 = one per CPU)"
-        ),
+        help="list the rules and exit",
     )
     return parser
 
 
-def _job_count(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (1 = serial, 0 = one per CPU), got {jobs}"
-        )
-    return jobs
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    arguments = parser.parse_args(argv)
+    arguments = build_parser().parse_args(argv)
 
     if arguments.list_rules:
-        for rule in RULES.rules():
+        for rule in RULES:
             print(f"{rule.rule_id}  {rule.title}")
             print(f"      {rule.rationale}")
         return 0
-
-    rule_ids: Optional[List[str]] = None
-    if arguments.rules:
-        rule_ids = [part.strip() for part in arguments.rules.split(",") if part.strip()]
-        unknown = sorted(set(rule_ids) - set(RULES.ids()))
-        if unknown:
-            print(
-                f"error: unknown rule id(s) {', '.join(unknown)}; "
-                f"registered: {', '.join(RULES.ids())}",
-                file=sys.stderr,
-            )
-            return 2
 
     package_dir = (
         Path(arguments.root).resolve() if arguments.root else default_package_dir()
@@ -152,53 +67,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not package_dir.is_dir():
         print(f"error: lint root {package_dir} is not a directory", file=sys.stderr)
         return 2
-    project = Project.from_directory(package_dir, jobs=arguments.jobs)
 
-    baseline_path = (
-        Path(arguments.baseline)
-        if arguments.baseline
-        else default_baseline_path(package_dir)
-    )
-    if arguments.write_baseline:
-        report = run_lint(project, rule_ids=rule_ids)
-        count = save_baseline(baseline_path, report.violations)
-        print(f"wrote {count} baseline entries to {baseline_path}")
-        return 0
-
-    baseline = []
-    if not arguments.no_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    report = run_lint(project, rule_ids=rule_ids, baseline=baseline)
+    report = run_lint(Project.from_directory(package_dir))
     if arguments.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     else:
-        _print_text(report, strict_baseline=arguments.strict_baseline)
-    return report.exit_code(strict_baseline=arguments.strict_baseline)
+        _print_text(report)
+    return report.exit_code()
 
 
-def _print_text(report: LintReport, strict_baseline: bool) -> None:
-    for violation in report.new:
+def _print_text(report: LintReport) -> None:
+    for violation in report.violations:
         print(violation.format_text())
-    if report.stale:
-        level = "error" if strict_baseline else "warning"
-        for entry in report.stale:
-            print(
-                f"{level}: stale baseline entry {entry.fingerprint} "
-                f"({entry.rule} in {entry.module}): the violation is gone — "
-                f"regenerate with --write-baseline"
-            )
-    summary = (
+    print(
         f"{report.checked_modules} modules checked "
         f"({', '.join(report.rule_ids)}): "
-        f"{len(report.new)} new, {len(report.baselined)} baselined, "
-        f"{len(report.stale)} stale, {report.suppressed_count} suppressed"
+        f"{len(report.violations)} violation(s)"
     )
-    print(summary)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,35 +1,25 @@
-"""Violation model and suppression-comment handling for ``repro.lint``.
+"""Violation model and rule base class for ``repro.lint``.
 
 A :class:`Violation` is one rule finding, anchored to a module/line/column and
 to the enclosing *symbol* (function or class qualname) when one exists.  The
 :meth:`Violation.fingerprint` is deliberately line-number-insensitive — it
-hashes the rule id, module, symbol and message — so the committed baseline
-file survives unrelated edits that merely shift code up or down.
+hashes the rule id, module, symbol and message — so the runtime sanitizer can
+deduplicate one defect observed at several call sites, and a JSON report
+names a finding stably across edits that merely shift code up or down.
 
-Suppressions are trailing (or immediately preceding, standalone) comments of
-the form::
-
-    risky_expression()  # repro-lint: disable=R001 -- short justification
-    # repro-lint: disable=R003,R004 -- covers the next line
-    another_expression()
-
-``disable=all`` silences every rule for that line.  A justification after
-``--`` is optional but encouraged; the linter only parses the rule list.
+A :class:`LintRule` is one invariant: a stable id (``R001`` …), a title, the
+rationale, and a :meth:`LintRule.check` over a parsed project.  Every rule
+reports every violation it finds; there is no per-line opt-out.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List
 
-_SUPPRESSION_PATTERN = re.compile(
-    r"#\s*repro-lint:\s*disable=([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
-)
-
-#: Pseudo-rule name suppressing every rule on a line.
-SUPPRESS_ALL = "all"
+if TYPE_CHECKING:
+    from repro.lint.project import Project
 
 
 @dataclass(frozen=True)
@@ -67,40 +57,33 @@ class Violation:
         return f"{location}: {self.rule}{symbol}: {self.message}"
 
 
-def suppressed_rules_by_line(lines: Sequence[str]) -> Dict[int, FrozenSet[str]]:
-    """Map 1-based line numbers to the rule ids suppressed on them.
-
-    A directive on a standalone comment line also covers the next line, so a
-    suppression can sit above a long statement instead of trailing it.  Only
-    the *first* physical line of a multi-line statement is covered — rules
-    report violations at the statement head, which is where ``ast`` anchors
-    its line numbers.
-    """
-    suppressed: Dict[int, FrozenSet[str]] = {}
-    for index, line in enumerate(lines, start=1):
-        match = _SUPPRESSION_PATTERN.search(line)
-        if match is None:
-            continue
-        rules = frozenset(part.strip() for part in match.group(1).split(","))
-        suppressed[index] = suppressed.get(index, frozenset()) | rules
-        if line.lstrip().startswith("#"):
-            # Standalone directive: extend the scope to the following line.
-            suppressed[index + 1] = suppressed.get(index + 1, frozenset()) | rules
-    return suppressed
-
-
-def is_suppressed(
-    violation: Violation, suppressed: Dict[int, FrozenSet[str]]
-) -> bool:
-    rules = suppressed.get(violation.line)
-    if not rules:
-        return False
-    return violation.rule in rules or SUPPRESS_ALL in rules
-
-
 def sort_violations(violations: List[Violation]) -> List[Violation]:
     """Deterministic report order: by path, line, column, then rule id."""
     return sorted(
         violations,
         key=lambda v: (v.path, v.line, v.column, v.rule, v.message),
     )
+
+
+class LintRule:
+    """Abstract lint rule.
+
+    Subclasses set :attr:`rule_id` (the report and ``--list-rules``
+    identifier), a one-line :attr:`title`, and :attr:`rationale` (why the
+    invariant exists; surfaced by ``--list-rules`` and the docs) — then
+    implement :meth:`check`.
+    """
+
+    #: Stable identifier, ``R001`` … ``R008``.
+    rule_id: str = ""
+    #: One-line human description of what the rule enforces.
+    title: str = ""
+    #: Why violating the invariant breaks the reproduction (one sentence).
+    rationale: str = ""
+
+    def check(self, project: "Project") -> Iterator[Violation]:
+        """Yield every violation of this rule in ``project``."""
+        raise NotImplementedError
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}(rule_id={self.rule_id!r})"

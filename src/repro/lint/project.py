@@ -87,9 +87,7 @@ class LintModule:
 
     name: str
     path: str
-    source: str
     tree: ast.Module
-    lines: List[str]
     bindings: Dict[str, str] = field(default_factory=dict)
     runtime_imports: Set[str] = field(default_factory=set)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
@@ -279,47 +277,25 @@ class Project:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_directory(
-        cls,
-        package_dir: Path,
-        package: Optional[str] = None,
-        jobs: int = 1,
-    ) -> "Project":
+    def from_directory(cls, package_dir: Path) -> "Project":
         """Parse every ``*.py`` file under one package directory.
 
         ``package_dir`` is the directory of the package itself (the one
-        containing the top-level ``__init__.py``); ``package`` defaults to
-        the directory name.  ``jobs > 1`` parses the files in a process pool
-        (AST trees pickle cleanly); cross-module indexing stays in the
-        parent, so results are identical to the serial path.  ``jobs == 0``
-        means one worker per CPU.
+        containing the top-level ``__init__.py``); its name is the package
+        name.
         """
-        if jobs == 0:
-            import os
-
-            jobs = os.cpu_count() or 1
         package_dir = Path(package_dir).resolve()
-        package_name = package or package_dir.name
-        tasks: List[Tuple[str, str, str]] = []
+        modules: Dict[str, LintModule] = {}
         for path in sorted(package_dir.rglob("*.py")):
             relative = path.relative_to(package_dir)
-            parts = [package_name, *relative.parts[:-1]]
+            parts = [package_dir.name, *relative.parts[:-1]]
             if relative.name != "__init__.py":
                 parts.append(relative.stem)
             name = ".".join(parts)
             display = str(Path(package_dir.name, *relative.parts))
-            tasks.append((name, display, str(path)))
-        modules: Dict[str, LintModule] = {}
-        if jobs > 1 and len(tasks) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for module in pool.map(_load_module_file, tasks):
-                    modules[module.name] = module
-        else:
-            for task in tasks:
-                module = _load_module_file(task)
-                modules[module.name] = module
+            modules[name] = _parse_module(
+                name, display, path.read_text(encoding="utf-8")
+            )
         return cls(modules)
 
     @classmethod
@@ -445,7 +421,7 @@ class Project:
         Like :meth:`resolve_call` but also names targets *outside* the
         project: any Python builtin resolves to ``builtins.<name>``, and a
         dotted chain rooted in an import binding resolves to its external
-        dotted path (``concurrent.futures.ProcessPoolExecutor``,
+        dotted path (``multiprocessing.Pool``,
         ``decimal.getcontext``).  Attribute chains rooted in a local variable
         stay unresolvable — the dataflow pass handles those separately.
         """
@@ -589,21 +565,7 @@ class Project:
 # module parsing helpers
 # ----------------------------------------------------------------------
 def _parse_module(name: str, path: str, source: str) -> LintModule:
-    tree = ast.parse(source, filename=path)
-    return LintModule(
-        name=name,
-        path=path,
-        source=source,
-        tree=tree,
-        lines=source.splitlines(),
-    )
-
-
-def _load_module_file(task: Tuple[str, str, str]) -> LintModule:
-    """Read and parse one file; module-level so a process pool can run it."""
-    name, display, path = task
-    source = Path(path).read_text(encoding="utf-8")
-    return _parse_module(name, display, source)
+    return LintModule(name=name, path=path, tree=ast.parse(source, filename=path))
 
 
 def _resolve_relative(module_name: str, level: int, target: Optional[str]) -> str:

@@ -23,9 +23,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
-from repro.lint.model import Violation
+from repro.lint.model import LintRule, Violation
 from repro.lint.project import FunctionInfo, LintModule, Project, dotted_name
-from repro.lint.registry import LintRule, register_rule
 
 #: Modules whose every top-level function is a key-computation root.
 KEY_ROOT_MODULES: Tuple[str, ...] = ("repro.engine.fingerprint",)
@@ -58,7 +57,6 @@ _ORDER_NORMALIZERS = {"builtins.sorted", "builtins.min", "builtins.max"}
 _DICT_VIEW_METHODS = {"keys", "values", "items"}
 
 
-@register_rule
 class FingerprintPurityRule(LintRule):
     """No impure builtins or unordered iteration on cache-key paths."""
 

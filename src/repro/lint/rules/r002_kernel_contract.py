@@ -35,9 +35,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.lint.model import Violation
+from repro.lint.model import LintRule, Violation
 from repro.lint.project import ClassInfo, FunctionNode, LintModule, Project
-from repro.lint.registry import LintRule, register_rule
 
 #: Family base classes whose subclasses must conform.
 FAMILY_BASES: Tuple[str, ...] = (
@@ -60,7 +59,6 @@ KERNELS_PACKAGE = "repro.kernels"
 _MUTABLE_CALLS = {"list", "dict", "set", "defaultdict", "deque", "Counter", "OrderedDict"}
 
 
-@register_rule
 class KernelContractRule(LintRule):
     """Backends implement the full contract; cache keys never see kernels."""
 

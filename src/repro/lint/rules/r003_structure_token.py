@@ -24,9 +24,8 @@ import ast
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.lint.model import Violation
+from repro.lint.model import LintRule, Violation
 from repro.lint.project import LintModule, Project, dotted_name
-from repro.lint.registry import LintRule, register_rule
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,6 @@ _MUTATING_METHODS = frozenset(
 _ALL_GUARDED_ATTRS: FrozenSet[str] = frozenset().union(*(g.attrs for g in GUARDS))
 
 
-@register_rule
 class StructureTokenRule(LintRule):
     """Guarded structure containers mutate only inside sanctioned mutators."""
 

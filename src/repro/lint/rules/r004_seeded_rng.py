@@ -25,9 +25,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Tuple
 
-from repro.lint.model import Violation
+from repro.lint.model import LintRule, Violation
 from repro.lint.project import LintModule, Project, dotted_name
-from repro.lint.registry import LintRule, register_rule
 
 #: Attributes of the stdlib ``random`` module that are allowed (explicit,
 #: seedable instances; everything else is global-state).
@@ -45,7 +44,6 @@ _ALLOWED_NUMPY_RANDOM = frozenset(
 _SEED_REQUIRED = frozenset({"default_rng", "SeedSequence"}) | _BIT_GENERATORS
 
 
-@register_rule
 class SeededRngRule(LintRule):
     """All randomness flows from explicit seeded generators."""
 

@@ -23,14 +23,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Sequence, Set, Tuple
 
-from repro.lint.model import Violation
+from repro.lint.model import LintRule, Violation
 from repro.lint.project import LintModule, Project
-from repro.lint.registry import LintRule, register_rule
 
 _ARITHMETIC_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 
 
-@register_rule
 class DecimalFloatRule(LintRule):
     """Decimal chains stay decimal: floats enter via ``Decimal(repr(x))``."""
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Tuple
 
-from repro.lint.model import Violation
+from repro.lint.model import LintRule, Violation
 from repro.lint.project import (
     FunctionDataflow,
     FunctionInfo,
@@ -31,7 +31,6 @@ from repro.lint.project import (
     ValueOrigin,
     dotted_name,
 )
-from repro.lint.registry import LintRule, register_rule
 
 #: Class names (suffix of the resolved constructor target) that open a
 #: process-pool boundary.
@@ -106,7 +105,6 @@ def submitted_callables(
             yield node, node.args[0]
 
 
-@register_rule
 class ForkPickleRule(LintRule):
     """Pool-crossing callables and task payloads are picklable by type."""
 

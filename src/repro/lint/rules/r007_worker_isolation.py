@@ -24,9 +24,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.lint.model import Violation
+from repro.lint.model import LintRule, Violation
 from repro.lint.project import FunctionDataflow, FunctionInfo, LintModule, Project
-from repro.lint.registry import LintRule, register_rule
 from repro.lint.rules.r003_structure_token import _MUTATING_METHODS, GuardSpec
 from repro.lint.rules.r006_fork_pickle import submitted_callables
 
@@ -35,11 +34,9 @@ from repro.lint.rules.r006_fork_pickle import submitted_callables
 WORKER_GUARDS: Tuple[GuardSpec, ...] = (
     GuardSpec(
         class_name="Session",
-        attrs=frozenset(
-            {"_experiment", "_store", "_scenario_counters"}
-        ),
+        attrs=frozenset({"_experiment", "_scenario_counters"}),
         mutators=frozenset(
-            {"__init__", "__enter__", "__exit__", "store", "experiment",
+            {"__init__", "__enter__", "__exit__", "experiment",
              "add_cache_counters"}
         ),
     ),
@@ -65,7 +62,6 @@ _ALL_GUARDED_ATTRS = frozenset().union(*(guard.attrs for guard in WORKER_GUARDS)
 _GUARD_CLASS_NAMES = frozenset(guard.class_name for guard in WORKER_GUARDS)
 
 
-@register_rule
 class WorkerIsolationRule(LintRule):
     """Worker-reachable code never mutates shared parent-process state."""
 

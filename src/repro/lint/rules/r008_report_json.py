@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.model import Violation
+from repro.lint.model import LintRule, Violation
 from repro.lint.project import (
     FunctionDataflow,
     FunctionInfo,
@@ -37,7 +37,6 @@ from repro.lint.project import (
     Project,
     ValueOrigin,
 )
-from repro.lint.registry import LintRule, register_rule
 
 #: Modules allowed to construct ``RunReport`` directly (the API boundary).
 REPORT_BOUNDARY_MODULES = frozenset({"repro.api.session", "repro.api.report"})
@@ -68,7 +67,6 @@ _NON_JSON_FACTORIES: Dict[str, str] = {
 }
 
 
-@register_rule
 class ReportJsonRule(LintRule):
     """Every report payload value reaches a JSON-native type."""
 

@@ -3,8 +3,8 @@
 The static rules (R001–R008) reason about the tree; this module observes a
 *real run* through patched choke points and reports what actually happened,
 in the same :class:`~repro.lint.model.Violation` format and rule-id
-vocabulary so CI can diff the static and dynamic reports against one
-baseline:
+vocabulary, so a static and a dynamic finding of one defect name the same
+invariant:
 
 ========  ============================================================
 R001      an unordered container (set/frozenset/dict) reached the
@@ -235,10 +235,7 @@ class DeterminismSanitizer:
             self._patch(random_module, name, factory)
 
     def _patch_numpy_random(self) -> None:
-        try:
-            import numpy.random as np_random
-        except ImportError:  # pragma: no cover - numpy is a core dependency
-            return
+        import numpy.random as np_random
 
         for name in _NUMPY_GLOBALS:
             if not hasattr(np_random, name):
@@ -341,10 +338,7 @@ class DeterminismSanitizer:
             )
 
     def _patch_fingerprint_encoder(self) -> None:
-        try:
-            from repro.engine import fingerprint as fingerprint_module
-        except ImportError:  # pragma: no cover - engine is a core package
-            return
+        from repro.engine import fingerprint as fingerprint_module
 
         def encode_factory(original: Any) -> Any:
             def wrapper(value: Any) -> Any:
@@ -377,8 +371,6 @@ class DeterminismSanitizer:
 
             self._patch(owner, "__init__", init_factory)
             for method_name in mutators:
-                if not hasattr(owner, method_name):
-                    continue
 
                 def method_factory(
                     original: Any,
@@ -467,35 +459,22 @@ def _caller_site() -> Optional[Tuple[str, str, int, str]]:
 
 def _guarded_runtime_classes() -> Iterator[Tuple[type, Tuple[str, ...]]]:
     """Guarded classes with the mutating methods worth PID-checking."""
-    try:
-        from repro.engine.cache import MemoCache
+    from repro.api.session import Session
+    from repro.engine.cache import MemoCache
+    from repro.engine.store import DesignPointStore
 
-        yield MemoCache, ("put", "load")
-    except ImportError:  # pragma: no cover - engine is a core package
-        pass
-    try:
-        from repro.engine.store import DesignPointStore
-
-        yield DesignPointStore, ("warm", "persist")
-    except ImportError:  # pragma: no cover
-        pass
-    try:
-        from repro.api.session import Session
-
-        yield Session, ("add_cache_counters",)
-    except ImportError:  # pragma: no cover
-        pass
+    yield MemoCache, ("put", "load")
+    yield DesignPointStore, ("warm", "persist")
+    yield Session, ("add_cache_counters",)
 
 
 def _shared_handles(value: Any, depth: int = 3) -> List[str]:
     """Names of shared-handle instances found in a (shallow) payload walk."""
     found: List[str] = []
-    class_names = {cls.__name__ for cls, _ in _guarded_runtime_classes()}
-    class_names.update(_SHARED_HANDLE_CLASSES)
 
     def walk(node: Any, remaining: int) -> None:
         type_name = type(node).__name__
-        if type_name in class_names and not isinstance(
+        if type_name in _SHARED_HANDLE_CLASSES and not isinstance(
             node, (str, bytes, int, float, bool, type(None))
         ):
             found.append(type_name)

@@ -67,7 +67,8 @@ def test_injected_unpicklable_task_caught_by_both_layers():
             )
         }
     )
-    static_rules = {v.rule for v in RULES.get("R006").check(project)}
+    (rule,) = [rule for rule in RULES if rule.rule_id == "R006"]
+    static_rules = {v.rule for v in rule.check(project)}
     assert static_rules == {"R006"}
 
     # --- dynamic layer: the same defect actually executed -------------

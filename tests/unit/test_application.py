@@ -260,7 +260,9 @@ class TestApplication:
     def test_gamma_and_iterations(self):
         application = Application("app", deadline=100.0, reliability_goal=1 - 1e-5)
         assert application.gamma == pytest.approx(1e-5)
-        assert application.iterations_per_time_unit == pytest.approx(ONE_HOUR_MS / 100.0)
+        assert application.time_unit / application.period == pytest.approx(
+            ONE_HOUR_MS / 100.0
+        )
 
     def test_period_defaults_to_deadline(self):
         application = Application("app", deadline=250.0, reliability_goal=0.999)

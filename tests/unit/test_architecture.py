@@ -106,7 +106,7 @@ class TestNode:
         node = Node("N1", n1)
         node.harden()
         assert node.hardening == 2
-        node.soften()
+        node.hardening = 1
         assert node.hardening == 1
 
     def test_harden_beyond_max_rejected(self, fig1_nodes):
@@ -119,9 +119,10 @@ class TestNode:
     def test_soften_below_min_rejected(self, fig1_nodes):
         n1, _ = fig1_nodes
         node = Node("N1", n1)
-        assert not node.can_soften()
+        assert node.hardening == n1.min_hardening
         with pytest.raises(ModelError):
-            node.soften()
+            node.hardening = n1.min_hardening - 1
+        assert node.hardening == n1.min_hardening
 
     def test_copy_is_independent(self, fig1_nodes):
         n1, _ = fig1_nodes

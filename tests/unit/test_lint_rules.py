@@ -1,4 +1,4 @@
-"""Fixture tests for the ``repro.lint`` rules, suppressions and baseline.
+"""Fixture tests for the ``repro.lint`` rules and the report they feed.
 
 Each rule gets at least one known-bad fixture (the rule must fire, on the
 right line/symbol) and one known-good fixture (the rule must stay quiet).
@@ -9,21 +9,9 @@ semantics*, independent of the state of the real tree.
 
 from __future__ import annotations
 
-import json
 import textwrap
 
-import pytest
-
-from repro.lint import (
-    RULES,
-    Violation,
-    load_baseline,
-    match_baseline,
-    run_lint,
-    save_baseline,
-)
-from repro.lint.baseline import BaselineError, entry_for
-from repro.lint.model import is_suppressed, suppressed_rules_by_line
+from repro.lint import RULES, Violation
 from repro.lint.project import Project
 
 
@@ -34,7 +22,8 @@ def project_from(**sources: str) -> Project:
 
 
 def findings(project: Project, rule_id: str):
-    return list(RULES.get(rule_id).check(project))
+    (rule,) = [rule for rule in RULES if rule.rule_id == rule_id]
+    return list(rule.check(project))
 
 
 # ----------------------------------------------------------------------
@@ -717,65 +706,7 @@ class TestDecimalFloat:
 
 
 # ----------------------------------------------------------------------
-# suppression comments
-# ----------------------------------------------------------------------
-class TestSuppressions:
-    def test_trailing_directive_silences_the_line(self):
-        project = project_from(
-            **{
-                "repro.generator.bad": """
-                import random
-
-                def jitter():
-                    return random.random()  # repro-lint: disable=R004 -- fixture
-                """
-            }
-        )
-        report = run_lint(project)
-        assert report.violations == []
-        assert report.suppressed_count == 1
-
-    def test_standalone_directive_covers_next_line(self):
-        project = project_from(
-            **{
-                "repro.generator.bad": """
-                import random
-
-                def jitter():
-                    # repro-lint: disable=R004 -- fixture
-                    return random.random()
-                """
-            }
-        )
-        report = run_lint(project)
-        assert report.violations == []
-        assert report.suppressed_count == 1
-
-    def test_wrong_rule_id_does_not_suppress(self):
-        project = project_from(
-            **{
-                "repro.generator.bad": """
-                import random
-
-                def jitter():
-                    return random.random()  # repro-lint: disable=R001 -- wrong rule
-                """
-            }
-        )
-        report = run_lint(project)
-        assert [v.rule for v in report.violations] == ["R004"]
-
-    def test_disable_all_suppresses_every_rule(self):
-        lines = ["x = 1  # repro-lint: disable=all"]
-        suppressed = suppressed_rules_by_line(lines)
-        violation = Violation(
-            rule="R004", module="m", path="m.py", line=1, column=0, symbol="", message="x"
-        )
-        assert is_suppressed(violation, suppressed)
-
-
-# ----------------------------------------------------------------------
-# baseline mechanics
+# the rule set and the violation identity
 # ----------------------------------------------------------------------
 def _violation(message: str, line: int = 1) -> Violation:
     return Violation(
@@ -789,101 +720,14 @@ def _violation(message: str, line: int = 1) -> Violation:
     )
 
 
-class TestBaseline:
+class TestRuleSet:
     def test_fingerprint_is_line_insensitive(self):
         assert _violation("x", line=3).fingerprint() == _violation("x", line=99).fingerprint()
 
-    def test_match_splits_new_baselined_stale(self):
-        known = _violation("known")
-        fixed = _violation("fixed long ago")
-        fresh = _violation("fresh")
-        baseline = [entry_for(known), entry_for(fixed)]
-        new, baselined, stale = match_baseline([known, fresh], baseline)
-        assert new == [fresh]
-        assert baselined == [known]
-        assert [entry.fingerprint for entry in stale] == [entry_for(fixed).fingerprint]
-
-    def test_multiset_matching_needs_one_entry_per_finding(self):
-        duplicate = _violation("dup")
-        baseline = [entry_for(duplicate)]
-        new, baselined, _ = match_baseline([duplicate, duplicate], baseline)
-        assert len(baselined) == 1
-        assert len(new) == 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        violations = [_violation("b"), _violation("a")]
-        assert save_baseline(path, violations) == 2
-        entries = load_baseline(path)
-        assert [entry.message for entry in entries] == ["a", "b"]  # sorted
-        assert load_baseline(tmp_path / "missing.json") == []
-
-    def test_rejects_foreign_layout(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        path.write_text(json.dumps({"version": 999, "entries": []}))
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-    def test_run_lint_applies_baseline(self):
-        project = project_from(
-            **{
-                "repro.generator.bad": """
-                import random
-
-                def jitter():
-                    return random.random()
-                """
-            }
-        )
-        first = run_lint(project)
-        assert len(first.new) == 1
-        second = run_lint(project, baseline=[entry_for(v) for v in first.violations])
-        assert second.new == []
-        assert len(second.baselined) == 1
-        assert second.exit_code() == 0
-        assert first.exit_code() == 1
-
-
-# ----------------------------------------------------------------------
-# registry / report plumbing
-# ----------------------------------------------------------------------
-class TestRegistry:
     def test_all_eight_rules_registered_in_order(self):
-        assert RULES.ids() == [
+        assert [rule.rule_id for rule in RULES] == [
             "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
         ]
-
-    def test_rule_selection_restricts_the_run(self):
-        project = project_from(
-            **{
-                "repro.generator.bad": """
-                import random
-
-                def jitter():
-                    return random.random()
-                """
-            }
-        )
-        report = run_lint(project, rule_ids=["R001"])
-        assert report.rule_ids == ["R001"]
-        assert report.violations == []
-
-    def test_report_as_dict_marks_baselined(self):
-        project = project_from(
-            **{
-                "repro.generator.bad": """
-                import random
-
-                def jitter():
-                    return random.random()
-                """
-            }
-        )
-        first = run_lint(project)
-        second = run_lint(project, baseline=[entry_for(v) for v in first.violations])
-        payload = second.as_dict()
-        assert payload["new_count"] == 0
-        assert payload["violations"][0]["baselined"] is True
 
 
 # ----------------------------------------------------------------------

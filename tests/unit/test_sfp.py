@@ -185,7 +185,11 @@ class TestSFPAnalysis:
         assert report_k1.system_failure_per_iteration == pytest.approx(9.6e-10, abs=1e-13)
         assert report_k1.reliability_over_time_unit == pytest.approx(0.9999904, abs=1e-7)
         assert report_k1.reexecutions == {"N1": 1, "N2": 1}
-        assert report_k1.margin() > 0 > report_k0.margin()
+        assert (
+            report_k1.reliability_over_time_unit
+            > report_k1.reliability_goal
+            > report_k0.reliability_over_time_unit
+        )
 
     def test_missing_budget_defaults_to_zero(
         self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping
