@@ -143,17 +143,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
     return run_server(config)
 
 
-def _run_lint_args(lint_args: Sequence[str]) -> int:
-    """Delegate ``repro-ftes lint ...`` to the :mod:`repro.lint` CLI."""
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(lint_args)
-
-
-def _run_lint(arguments: argparse.Namespace) -> int:
-    return _run_lint_args(arguments.lint_args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Create the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -281,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(handler=_run_serve)
 
-    lint = subparsers.add_parser(
+    # Listed for ``--help`` only: ``main`` hands every ``lint`` argv to the
+    # repro.lint CLI before argparse runs.
+    subparsers.add_parser(
         "lint",
         help="AST invariant checker: fingerprint purity, kernel contracts, "
         "structure tokens, seeded RNGs (see `repro-ftes lint --help`)",
         add_help=False,
     )
-    lint.add_argument("lint_args", nargs=argparse.REMAINDER)
-    lint.set_defaults(handler=_run_lint)
     return parser
 
 
@@ -296,9 +285,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     arg_list = list(argv) if argv is not None else sys.argv[1:]
     if arg_list and arg_list[0] == "lint":
-        # Dispatched before argparse: the lint CLI owns its flags, and
-        # ``nargs=REMAINDER`` does not forward leading optionals.
-        return _run_lint_args(arg_list[1:])
+        # Dispatched before argparse: the lint CLI owns its flags.
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(arg_list[1:])
     parser = build_parser()
     arguments = parser.parse_args(arg_list)
     return arguments.handler(arguments)

@@ -23,7 +23,6 @@ from repro.core.architecture import NodeType
 from repro.core.design_strategy import DesignStrategy
 from repro.core.mapping import MappingAlgorithm
 from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
-from repro.core.reexecution import ReExecutionOpt
 from repro.scheduling.list_scheduler import ListScheduler
 
 
@@ -38,7 +37,6 @@ def _mapping_algorithm_with(
         redundancy_optimizer=redundancy_optimizer,
         max_iterations=mapping_algorithm.max_iterations,
         stop_after_no_improvement=mapping_algorithm.stop_after_no_improvement,
-        tabu_tenure=mapping_algorithm.tabu_tenure,
         max_candidates=mapping_algorithm.max_candidates,
     )
 
@@ -47,10 +45,9 @@ def optimized_strategy(
     node_types: Sequence[NodeType],
     mapping_algorithm: Optional[MappingAlgorithm] = None,
     scheduler: Optional[ListScheduler] = None,
-    reexecution_opt: Optional[ReExecutionOpt] = None,
 ) -> DesignStrategy:
     """The paper's OPT strategy: full hardening/re-execution trade-off."""
-    redundancy = RedundancyOpt(scheduler=scheduler, reexecution_opt=reexecution_opt)
+    redundancy = RedundancyOpt(scheduler=scheduler)
     algorithm = _mapping_algorithm_with(redundancy, mapping_algorithm)
     return DesignStrategy(node_types, mapping_algorithm=algorithm, strategy_name="OPT")
 
@@ -59,12 +56,9 @@ def min_hardening_strategy(
     node_types: Sequence[NodeType],
     mapping_algorithm: Optional[MappingAlgorithm] = None,
     scheduler: Optional[ListScheduler] = None,
-    reexecution_opt: Optional[ReExecutionOpt] = None,
 ) -> DesignStrategy:
     """MIN baseline: minimum hardening, software fault tolerance only."""
-    redundancy = FixedHardeningRedundancyOpt(
-        "min", scheduler=scheduler, reexecution_opt=reexecution_opt
-    )
+    redundancy = FixedHardeningRedundancyOpt("min", scheduler=scheduler)
     algorithm = _mapping_algorithm_with(redundancy, mapping_algorithm)
     return DesignStrategy(node_types, mapping_algorithm=algorithm, strategy_name="MIN")
 
@@ -73,12 +67,9 @@ def max_hardening_strategy(
     node_types: Sequence[NodeType],
     mapping_algorithm: Optional[MappingAlgorithm] = None,
     scheduler: Optional[ListScheduler] = None,
-    reexecution_opt: Optional[ReExecutionOpt] = None,
 ) -> DesignStrategy:
     """MAX baseline: maximum hardening on every node."""
-    redundancy = FixedHardeningRedundancyOpt(
-        "max", scheduler=scheduler, reexecution_opt=reexecution_opt
-    )
+    redundancy = FixedHardeningRedundancyOpt("max", scheduler=scheduler)
     algorithm = _mapping_algorithm_with(redundancy, mapping_algorithm)
     return DesignStrategy(node_types, mapping_algorithm=algorithm, strategy_name="MAX")
 
@@ -86,10 +77,11 @@ def max_hardening_strategy(
 def all_strategies(
     node_types: Sequence[NodeType],
     mapping_algorithm: Optional[MappingAlgorithm] = None,
+    scheduler: Optional[ListScheduler] = None,
 ) -> dict:
     """The three strategies compared in the paper, keyed by their name."""
     return {
-        "MIN": min_hardening_strategy(node_types, mapping_algorithm),
-        "MAX": max_hardening_strategy(node_types, mapping_algorithm),
-        "OPT": optimized_strategy(node_types, mapping_algorithm),
+        "MIN": min_hardening_strategy(node_types, mapping_algorithm, scheduler),
+        "MAX": max_hardening_strategy(node_types, mapping_algorithm, scheduler),
+        "OPT": optimized_strategy(node_types, mapping_algorithm, scheduler),
     }

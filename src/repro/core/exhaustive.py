@@ -29,7 +29,6 @@ from repro.core.exceptions import OptimizationError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import RedundancyDecision, _RedundancyEvaluator
-from repro.core.reexecution import ReExecutionOpt
 from repro.engine import EvaluationEngine, resolve_engine
 from repro.scheduling.list_scheduler import ListScheduler
 
@@ -50,16 +49,13 @@ class ExhaustiveSearch:
         self,
         node_types: Sequence[NodeType],
         scheduler: Optional[ListScheduler] = None,
-        reexecution_opt: Optional[ReExecutionOpt] = None,
         max_processes: int = 8,
         max_nodes: int = 2,
     ) -> None:
         if not node_types:
             raise OptimizationError("At least one node type is required")
         self.node_types = list(node_types)
-        self.evaluator = _RedundancyEvaluator(
-            scheduler=scheduler, reexecution_opt=reexecution_opt
-        )
+        self.evaluator = _RedundancyEvaluator(scheduler=scheduler)
         self.max_processes = max_processes
         self.max_nodes = max_nodes
 

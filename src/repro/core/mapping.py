@@ -37,6 +37,9 @@ from repro.core.redundancy import RedundancyDecision, RedundancyOpt, _Redundancy
 from repro.engine import EvaluationEngine, resolve_engine
 from repro.scheduling.schedule import Schedule
 
+#: Number of iterations a re-mapped process stays tabu.
+TABU_TENURE = 3
+
 
 class Objective(Enum):
     """Cost functions supported by the mapping heuristic."""
@@ -102,12 +105,11 @@ class MappingAlgorithm:
     stop_after_no_improvement:
         The search stops after this many consecutive iterations without
         improving the best-so-far solution (the paper's stopping rule).
-    tabu_tenure:
-        Number of iterations a re-mapped process stays tabu.
     max_candidates:
         At most this many critical-path processes are considered for
         re-mapping per iteration (keeps the neighbourhood small).
 
+    A re-mapped process stays tabu for :data:`TABU_TENURE` iterations.
     :meth:`optimize` takes the :class:`~repro.engine.engine.EvaluationEngine`
     it forwards to the redundancy optimizer (``None`` gets a fresh one), so
     revisited design points (tabu moves, the COST pass re-evaluating the
@@ -120,7 +122,6 @@ class MappingAlgorithm:
         redundancy_optimizer: Optional[_RedundancyEvaluator] = None,
         max_iterations: int = 12,
         stop_after_no_improvement: int = 4,
-        tabu_tenure: int = 3,
         max_candidates: int = 4,
     ) -> None:
         self.redundancy_optimizer = (
@@ -128,7 +129,6 @@ class MappingAlgorithm:
         )
         self.max_iterations = max_iterations
         self.stop_after_no_improvement = stop_after_no_improvement
-        self.tabu_tenure = tabu_tenure
         self.max_candidates = max_candidates
 
     # ------------------------------------------------------------------
@@ -210,7 +210,7 @@ class MappingAlgorithm:
             current_mapping = candidate_mapping
             current_value = value
             self._age_counters(tabu, waiting, moved_process=process)
-            tabu[process] = self.tabu_tenure
+            tabu[process] = TABU_TENURE
             if value < best_value:
                 best_value = value
                 best_decision = decision

@@ -74,33 +74,17 @@ class _RedundancyEvaluator:
     profile) being explored (``None`` gets a fresh one).  Every evaluated
     design point — (architecture, mapping, hardening vector) — is memoized
     there, so revisited points skip both the re-execution optimization and
-    the list scheduler.  Cached :class:`RedundancyDecision` objects are shared
-    between callers and must be treated as immutable (their dict fields are
-    copied by every consumer that mutates).
+    the list scheduler.  The key is the design point alone: the scheduler
+    always reserves shared slack and :class:`ReExecutionOpt` always caps
+    ``k_j`` at the same constant, so every evaluator (MIN, MAX and OPT alike)
+    decides a design point the same way and one engine serves them all.
+    Cached :class:`RedundancyDecision` objects are shared between callers
+    and must be treated as immutable (their dict fields are copied by every
+    consumer that mutates).
     """
 
-    def __init__(
-        self,
-        scheduler: Optional[ListScheduler] = None,
-        reexecution_opt: Optional[ReExecutionOpt] = None,
-    ) -> None:
+    def __init__(self, scheduler: Optional[ListScheduler] = None) -> None:
         self.scheduler = scheduler if scheduler is not None else ListScheduler()
-        self.reexecution_opt = (
-            reexecution_opt if reexecution_opt is not None else ReExecutionOpt()
-        )
-
-    def _evaluator_signature(self) -> Tuple:
-        """Configuration part of the cache keys.
-
-        Two evaluators with the same signature produce identical decisions
-        for identical design points, so MIN / MAX / OPT strategies can share
-        one engine.
-        """
-        return (
-            type(self.scheduler).__name__,
-            self.scheduler.slack_sharing,
-            self.reexecution_opt.max_reexecutions_per_node,
-        )
 
     # ------------------------------------------------------------------
     def evaluate_hardening(
@@ -129,7 +113,6 @@ class _RedundancyEvaluator:
                 f"the architecture {architecture.node_names}"
             )
         key = (
-            self._evaluator_signature(),
             architecture_fingerprint(architecture),
             mapping_fingerprint(mapping),
             hardening_fingerprint(hardening),
@@ -156,7 +139,7 @@ class _RedundancyEvaluator:
     ) -> RedundancyDecision:
         candidate = architecture.copy()
         candidate.apply_hardening_vector(hardening)
-        reexecution = self.reexecution_opt.optimize(
+        reexecution = ReExecutionOpt().optimize(
             application, candidate, mapping, profile, engine=engine
         )
         if reexecution is None:
@@ -217,11 +200,7 @@ class _RedundancyEvaluator:
         Subclasses extend this with their own configuration (e.g. the fixed
         hardening policy); :meth:`optimize` appends the mapping fingerprint.
         """
-        return (
-            type(self).__name__,
-            self._evaluator_signature(),
-            architecture_fingerprint(architecture),
-        )
+        return (type(self).__name__, architecture_fingerprint(architecture))
 
     def optimize(
         self,
@@ -340,13 +319,8 @@ class FixedHardeningRedundancyOpt(_RedundancyEvaluator):
     ``policy="max"`` reproduces MAX (most hardened versions only).
     """
 
-    def __init__(
-        self,
-        policy: str,
-        scheduler: Optional[ListScheduler] = None,
-        reexecution_opt: Optional[ReExecutionOpt] = None,
-    ) -> None:
-        super().__init__(scheduler=scheduler, reexecution_opt=reexecution_opt)
+    def __init__(self, policy: str, scheduler: Optional[ListScheduler] = None) -> None:
+        super().__init__(scheduler=scheduler)
         if policy not in ("min", "max"):
             raise OptimizationError(
                 f"FixedHardeningRedundancyOpt policy must be 'min' or 'max', got {policy!r}"
@@ -354,13 +328,8 @@ class FixedHardeningRedundancyOpt(_RedundancyEvaluator):
         self.policy = policy
 
     def _optimization_prefix(self, architecture: Architecture) -> Tuple:
-        """The shared prefix with the fixed policy between name and signature."""
-        return (
-            type(self).__name__,
-            self.policy,
-            self._evaluator_signature(),
-            architecture_fingerprint(architecture),
-        )
+        """The shared prefix with the fixed policy between name and architecture."""
+        return (type(self).__name__, self.policy, architecture_fingerprint(architecture))
 
     def _optimize(
         self,

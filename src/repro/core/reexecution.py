@@ -34,32 +34,23 @@ class ReExecutionDecision:
     meets_goal: bool
 
 
+#: Safety cap on ``k_j``.  When the goal is not reached within the cap on
+#: every node the heuristic reports failure (``None``), which the caller
+#: reads as "this hardening level cannot satisfy the reliability goal with
+#: software redundancy alone".
+MAX_REEXECUTIONS_PER_NODE = 20
+
+
 class ReExecutionOpt:
     """Greedy re-execution assignment driven by the SFP analysis.
 
-    Parameters
-    ----------
-    max_reexecutions_per_node:
-        Safety cap on ``k_j``; if the goal is not reached within the cap on
-        every node the heuristic reports failure (``None``), which the caller
-        interprets as "this hardening level cannot satisfy the reliability
-        goal with software redundancy alone".
-
-    :meth:`optimize` and :meth:`evaluate` take the
-    :class:`~repro.engine.engine.EvaluationEngine` whose per-node exceedance
-    and system-failure memo tables serve the SFP queries (``None`` gets a
-    fresh one).  The greedy loop re-queries the same (node, budget)
-    exceedances on every iteration, so memoization removes most of the
-    Decimal-chain recomputation.
+    The per-node budget is capped at :data:`MAX_REEXECUTIONS_PER_NODE`.
+    :meth:`optimize` takes the :class:`~repro.engine.engine.EvaluationEngine`
+    whose per-node exceedance and system-failure memo tables serve the SFP
+    queries (``None`` gets a fresh one).  The greedy loop re-queries the same
+    (node, budget) exceedances on every iteration, so memoization removes
+    most of the Decimal-chain recomputation.
     """
-
-    def __init__(self, max_reexecutions_per_node: int = 20) -> None:
-        if max_reexecutions_per_node < 0:
-            raise ValueError(
-                "max_reexecutions_per_node must be >= 0, got "
-                f"{max_reexecutions_per_node}"
-            )
-        self.max_reexecutions_per_node = max_reexecutions_per_node
 
     # ------------------------------------------------------------------
     def optimize(
@@ -76,7 +67,7 @@ class ReExecutionOpt:
         (typically because the hardening level is too low for the error rate).
         """
         engine = resolve_engine(engine, application, profile)
-        cap = self.max_reexecutions_per_node
+        cap = MAX_REEXECUTIONS_PER_NODE
         node_names = [node.name for node in architecture]
         # Ordered tuples: the DP sums are order-sensitive in their last bits,
         # so only the mapping order reproduces the kernel's result exactly.
@@ -136,24 +127,4 @@ class ReExecutionOpt:
             system_failure_per_iteration=system,
             reliability_over_time_unit=reliability,
             meets_goal=True,
-        )
-
-    # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        application: Application,
-        architecture: Architecture,
-        mapping: ProcessMapping,
-        profile: ExecutionProfile,
-        reexecutions: Dict[str, int],
-        engine: Optional[EvaluationEngine] = None,
-    ) -> ReExecutionDecision:
-        """Evaluate a user-supplied assignment without optimizing it."""
-        analysis = SFPAnalysis(application, architecture, mapping, profile, engine=engine)
-        report = analysis.evaluate(reexecutions)
-        return ReExecutionDecision(
-            reexecutions=dict(report.reexecutions),
-            system_failure_per_iteration=report.system_failure_per_iteration,
-            reliability_over_time_unit=report.reliability_over_time_unit,
-            meets_goal=report.meets_goal,
         )

@@ -14,12 +14,12 @@ explicitly to the layer below.  The engine owns four memo tables:
 
 ``decisions``
     Full :class:`~repro.core.redundancy.RedundancyDecision` per design point,
-    keyed by (evaluator signature, architecture, mapping, hardening vector).
+    keyed by (architecture, mapping, hardening vector).
     Hits skip the re-execution optimization *and* the list scheduler.
 ``optimizations``
     Outcome of a whole redundancy-optimizer run (Phase 1 + Phase 2, or a
-    fixed-hardening baseline) per (optimizer signature, architecture,
-    mapping).  Hits make revisited tabu-search moves free.
+    fixed-hardening baseline) per (optimizer class name [+ fixed policy],
+    architecture, mapping).  Hits make revisited tabu-search moves free.
 ``exceedance``
     Per-node formula (4) keyed by the ordered tuple of per-process failure
     probabilities (which canonically encodes node type × hardening level ×

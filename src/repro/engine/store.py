@@ -53,7 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: (``schedule=None`` on disk, rebuilt on read by ``schedule_of``).
 #: 4: exceedance/system keys and evaluator signatures no longer carry a bus
 #: signature or a rounding precision.
-STORE_SCHEMA_VERSION = 4
+#: 5: decision and optimization keys no longer carry an evaluator signature
+#: (scheduler name, slack sharing, re-execution cap).
+STORE_SCHEMA_VERSION = 5
 
 #: Default size cap of a store directory (bytes).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024

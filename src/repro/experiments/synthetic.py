@@ -28,11 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.baselines import (
-    max_hardening_strategy,
-    min_hardening_strategy,
-    optimized_strategy,
-)
+from repro.core.baselines import all_strategies
 from repro.core.evaluation import DesignResult
 from repro.core.fault_model import SER_HIGH, SER_LOW, SER_MEDIUM
 from repro.core.mapping import MappingAlgorithm
@@ -261,17 +257,10 @@ def _evaluate_benchmark_setting(
         # application structure, which is the same for MIN, MAX and OPT — so
         # sharing also means the flat kernel compiles the application once per
         # setting instead of once per strategy.
-        scheduler = ListScheduler()
-        builders = {
-            "MIN": min_hardening_strategy,
-            "MAX": max_hardening_strategy,
-            "OPT": optimized_strategy,
-        }
+        strategies = all_strategies(node_types, algorithm, scheduler=ListScheduler())
         results = {
-            name: builders[name](node_types, algorithm, scheduler=scheduler).explore(
-                benchmark.application, profile, engine=engine
-            )
-            for name in STRATEGIES
+            name: strategy.explore(benchmark.application, profile, engine=engine)
+            for name, strategy in strategies.items()
         }
         if store is not None:
             store.persist(engine)
@@ -296,35 +285,16 @@ def _init_worker(
     Submitting ``(benchmark, ser, hpd, preset, …)`` per task re-pickles each
     benchmark (and the shared arguments) for every task; installing the
     whole suite once per worker makes each task a ``(index, ser, hpd)``
-    triple of scalars.
+    triple of scalars.  A ``REPRO_SANITIZE`` run also gets a worker-side
+    sanitizer here.
     """
+    from repro.lint.sanitizer import install_from_env
+
     _WORKER_STATE["benchmarks"] = list(benchmarks)
     _WORKER_STATE["preset"] = preset
     _WORKER_STATE["store_dir"] = store_dir
     _WORKER_STATE["store_max_bytes"] = store_max_bytes
-    _maybe_install_worker_sanitizer()
-
-
-def _maybe_install_worker_sanitizer() -> None:
-    """Install a child-side determinism sanitizer under ``REPRO_SANITIZE``.
-
-    The parent's sanitizer state does not survive the pool boundary (each
-    worker is a fresh process), so workers install their own: cross-process
-    mutation of guarded objects (R007) is detected where it happens and
-    surfaced on the shared stderr.  The environment variable — not a task
-    argument — is the opt-in channel because ``fork``-started workers
-    inherit it for free and task tuples stay scalar.
-    """
-    from repro.lint.sanitizer import (
-        DeterminismSanitizer,
-        active_sanitizer,
-        env_requests_sanitizer,
-    )
-
-    # fork-started workers inherit the parent's installed sanitizer
-    # (patches and all); only spawn-started workers need a fresh one.
-    if env_requests_sanitizer() and active_sanitizer() is None:
-        DeterminismSanitizer().install()
+    install_from_env()
 
 
 def _evaluate_indexed_setting(

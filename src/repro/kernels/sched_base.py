@@ -84,7 +84,6 @@ class SchedulingProblem:
     mapping: "ProcessMapping"
     profile: "ExecutionProfile"
     budgets: Dict[str, int]
-    slack_sharing: bool
     structure: ScheduleStructure
 
 

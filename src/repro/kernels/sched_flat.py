@@ -383,12 +383,10 @@ class FlatSchedulerKernel(SchedulerKernel):
                 order.append(p)
 
         # --- recovery slack --------------------------------------------
-        # Inlined shared/naive slack over the flat arrays: the same
-        # ``budget * max_i(t + mu)`` / ``budget * sum_i(t + mu)`` chains as
-        # repro.scheduling.slack, iterated in mapping order exactly like the
-        # reference's processes_on scan (the list scheduler already rejected
-        # negative budgets).
-        sharing = problem.slack_sharing
+        # Inlined shared slack over the flat arrays: the same
+        # ``budget * max_i(t + mu)`` chain as repro.scheduling.slack, iterated
+        # in mapping order exactly like the reference's processes_on scan
+        # (the list scheduler already rejected negative budgets).
         budgets = problem.budgets
         mu = compiled.mu
         slack = [0.0] * n_nodes
@@ -397,10 +395,7 @@ class FlatSchedulerKernel(SchedulerKernel):
             mapped = on_node[n]
             if not mapped or budget == 0:
                 continue
-            if sharing:
-                slack[n] = budget * max(wcet_of[p] + mu[p] for p in mapped)
-            else:
-                slack[n] = budget * sum(wcet_of[p] + mu[p] for p in mapped)
+            slack[n] = budget * max(wcet_of[p] + mu[p] for p in mapped)
 
         # The worst-case length: per-node completions are the final
         # node_free values, and max over the same floats yields the same

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 from repro.kernels.sched_base import SchedulerKernel, SchedulingProblem
 from repro.scheduling.priorities import critical_path_priorities
 from repro.scheduling.schedule import Schedule, ScheduledMessage, ScheduledProcess
-from repro.scheduling.slack import naive_recovery_slack, shared_recovery_slack
+from repro.scheduling.slack import shared_recovery_slack
 
 if TYPE_CHECKING:
     from repro.core.application import Message
@@ -162,9 +162,6 @@ class ReferenceSchedulerKernel(SchedulerKernel):
     def _recovery_slack(self, problem: SchedulingProblem) -> Dict[str, float]:
         """Recovery slack reserved at the end of each node's schedule."""
         slack: Dict[str, float] = {}
-        slack_function = (
-            shared_recovery_slack if problem.slack_sharing else naive_recovery_slack
-        )
         application = problem.application
         mapping = problem.mapping
         budgets = problem.budgets
@@ -179,5 +176,5 @@ class ReferenceSchedulerKernel(SchedulerKernel):
                 )
                 for process in mapping.processes_on(node.name)
             ]
-            slack[node.name] = slack_function(pairs, budgets.get(node.name, 0))
+            slack[node.name] = shared_recovery_slack(pairs, budgets.get(node.name, 0))
         return slack

@@ -81,6 +81,23 @@ def env_requests_sanitizer() -> bool:
     return os.environ.get(SANITIZE_ENV, "").strip().lower() in ("1", "true", "yes", "on")
 
 
+def install_from_env() -> Optional["DeterminismSanitizer"]:
+    """Worker-pool initializer half: install a sanitizer under ``REPRO_SANITIZE``.
+
+    The parent's sanitizer state does not survive the pool boundary, so
+    workers install their own: cross-process mutation of guarded objects
+    (R007) is detected where it happens and surfaced on the shared stderr.
+    The environment variable — not a task argument — is the opt-in channel
+    because ``fork``-started workers inherit it for free and task tuples stay
+    scalar.  A fork-started worker also inherits the parent's installed
+    sanitizer (patches and all), so a fresh one is installed only when none
+    is active.  Returns the sanitizer this call installed, or ``None``.
+    """
+    if env_requests_sanitizer() and _ACTIVE is None:
+        return DeterminismSanitizer().install()
+    return None
+
+
 @dataclass
 class SanitizerReport:
     """Violations plus contextual counters from one sanitized span."""

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from repro.scheduling.list_scheduler import ListScheduler
 from repro.scheduling.schedule import Schedule, ScheduledMessage, ScheduledProcess
-from repro.scheduling.slack import naive_recovery_slack, shared_recovery_slack
+from repro.scheduling.slack import shared_recovery_slack
 
 __all__ = [
     "ListScheduler",
     "Schedule",
     "ScheduledMessage",
     "ScheduledProcess",
-    "naive_recovery_slack",
     "shared_recovery_slack",
 ]

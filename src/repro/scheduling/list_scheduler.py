@@ -56,24 +56,18 @@ from repro.scheduling.schedule import Schedule
 class ListScheduler:
     """List scheduler producing root schedules with recovery slack.
 
+    The recovery slack of a node is always shared: it covers the worst
+    single victim ``k_j`` times (Section 6.4).
+
     Parameters
     ----------
-    slack_sharing:
-        When ``True`` (default, the paper's approach) the recovery slack of a
-        node covers the worst single victim ``k_j`` times; when ``False`` the
-        naive per-process slack is reserved instead (ablation baseline).
     kernel:
         Scheduler kernel backend running the root-schedule construction;
         ``None`` means the production backend.  Every backend is
         bit-identical.
     """
 
-    def __init__(
-        self,
-        slack_sharing: bool = True,
-        kernel: Optional[SchedulerKernel] = None,
-    ) -> None:
-        self.slack_sharing = slack_sharing
+    def __init__(self, kernel: Optional[SchedulerKernel] = None) -> None:
         self.kernel = SCHED_KERNELS.or_active(kernel)
         # One-slot memo of the application's static structure (scheduling
         # layers and per-process incoming messages).  The DSE stack schedules
@@ -196,6 +190,5 @@ class ListScheduler:
             mapping=mapping,
             profile=profile,
             budgets=budgets,
-            slack_sharing=self.slack_sharing,
             structure=self._application_structure(application),
         )

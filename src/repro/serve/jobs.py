@@ -158,21 +158,15 @@ class Job:
 def _init_serve_worker(sanitize: bool) -> None:
     """Pool initializer: opt the worker into the determinism sanitizer.
 
-    Mirrors the experiment pool's initializer: the environment variable is
-    the opt-in channel (fork-started workers inherit it for free), and a
-    fresh sanitizer is installed only when none is active yet.
+    ``sanitize`` sets the environment variable that
+    :func:`~repro.lint.sanitizer.install_from_env` reads, like the experiment
+    pool's initializer does through the inherited environment.
     """
-    from repro.lint.sanitizer import (
-        SANITIZE_ENV,
-        DeterminismSanitizer,
-        active_sanitizer,
-        env_requests_sanitizer,
-    )
+    from repro.lint.sanitizer import SANITIZE_ENV, install_from_env
 
     if sanitize:
         os.environ.setdefault(SANITIZE_ENV, "1")
-    if env_requests_sanitizer() and active_sanitizer() is None:
-        DeterminismSanitizer().install()
+    install_from_env()
 
 
 def _execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:

@@ -25,7 +25,6 @@ from repro.core.fault_model import SER_MEDIUM
 from repro.core.mapping import MappingAlgorithm
 from repro.core.mapping_model import ProcessMapping
 from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
-from repro.core.reexecution import ReExecutionOpt
 from repro.engine import EvaluationEngine
 from repro.generator.benchmark import (
     BenchmarkConfig,
@@ -192,11 +191,8 @@ def test_shared_engine_decisions_equal_fresh_engine_decisions(platform):
     point, what a fresh engine computes for that point alone."""
     application, node_types, profile = platform
     rng = random.Random(application.name)
-    # Two evaluator configurations whose decisions differ, sharing the engine.
-    evaluators = (
-        RedundancyOpt(),
-        RedundancyOpt(reexecution_opt=ReExecutionOpt(max_reexecutions_per_node=1)),
-    )
+    # Two evaluators sharing the engine, and so every decision key.
+    evaluators = (RedundancyOpt(), FixedHardeningRedundancyOpt("min"))
     shared = EvaluationEngine(application, profile)
     for architecture, mapping, hardening in _design_points(
         application, node_types, profile, rng, 120

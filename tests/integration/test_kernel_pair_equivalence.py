@@ -19,14 +19,11 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.core.baselines import (
-    max_hardening_strategy,
-    min_hardening_strategy,
-    optimized_strategy,
-)
+from repro.core.baselines import all_strategies, optimized_strategy
 from repro.core.fault_model import SER_MEDIUM
 from repro.core.mapping import MappingAlgorithm
 from repro.engine import EvaluationEngine
+from repro.experiments.synthetic import STRATEGIES
 from repro.generator.benchmark import (
     BenchmarkConfig,
     build_platform,
@@ -39,12 +36,6 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 KERNEL_PAIRS = list(product(SFP_BACKENDS, SCHED_BACKENDS))
 PAIR_IDS = [f"{sfp}+{sched}" for sfp, sched in KERNEL_PAIRS]
-
-STRATEGY_BUILDERS = {
-    "MIN": min_hardening_strategy,
-    "MAX": max_hardening_strategy,
-    "OPT": optimized_strategy,
-}
 
 #: The cache counters a report exposes: hit/miss accounting of the memo
 #: tables, search effort, computed points and the persistent store's share.
@@ -80,9 +71,8 @@ def _explore(platform, strategy_name, sfp, sched):
     )
     with production_kernels(sfp=SFP_BACKENDS[sfp], sched=SCHED_BACKENDS[sched]):
         engine = EvaluationEngine(application, profile)
-        result = STRATEGY_BUILDERS[strategy_name](node_types, algorithm).explore(
-            application, profile, engine=engine
-        )
+        strategy = all_strategies(node_types, algorithm)[strategy_name]
+        result = strategy.explore(application, profile, engine=engine)
     return result, engine
 
 
@@ -110,11 +100,11 @@ def _observable(result, engine):
 def reference_runs(platform):
     return {
         name: _observable(*_explore(platform, name, "reference", "reference"))
-        for name in STRATEGY_BUILDERS
+        for name in STRATEGIES
     }
 
 
-@pytest.mark.parametrize("strategy_name", sorted(STRATEGY_BUILDERS))
+@pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
 @pytest.mark.parametrize("sfp, sched", KERNEL_PAIRS, ids=PAIR_IDS)
 def test_exploration_is_identical_on_every_kernel_pair(
     platform, reference_runs, strategy_name, sfp, sched

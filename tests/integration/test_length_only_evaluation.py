@@ -62,7 +62,7 @@ def explored(platform):
 
 def _design_point(key, node_types):
     """Rebuild the (architecture, mapping) a decision-table key names."""
-    _, architecture_key, mapping_key, _ = key
+    architecture_key, mapping_key, _ = key
     by_name = {node_type.name: node_type for node_type in node_types}
     architecture = Architecture(
         [Node(name, by_name[type_name]) for name, type_name in architecture_key]

@@ -32,6 +32,7 @@ from repro.core.mapping import MappingAlgorithm, Objective
 from repro.core.mapping_model import ProcessMapping
 from repro.core.redundancy import RedundancyDecision, RedundancyOpt
 from repro.engine import DesignPointStore, EvaluationEngine
+from repro.engine.fingerprint import hardening_fingerprint
 from repro.experiments.synthetic import ExperimentPreset
 from repro.generator.benchmark import BenchmarkConfig, build_platform, generate_benchmark
 from repro.scheduling.list_scheduler import ListScheduler
@@ -99,7 +100,7 @@ def _schedule_objects(value, seen=None):
 
 def _design_point(key, node_types):
     """Rebuild the (architecture, mapping) a decision-table key names."""
-    _, architecture_key, mapping_key, _ = key
+    architecture_key, mapping_key, _ = key
     by_name = {node_type.name: node_type for node_type in node_types}
     architecture = Architecture(
         [Node(name, by_name[type_name]) for name, type_name in architecture_key]
@@ -146,7 +147,7 @@ def test_rebuilt_schedules_equal_the_cold_ones(platform, explored):
     warm_decisions = warm_engine.decisions.snapshot()
     assert warm_decisions.keys() == cold_decisions.keys()
     for key, decision in warm_decisions.items():
-        assert key[0] == evaluator._evaluator_signature()
+        assert key[2] == hardening_fingerprint(decision.hardening)
         assert decision.schedule is None
         architecture, mapping = _design_point(key, node_types)
         rebuilt = evaluator.schedule_of(decision, application, architecture, mapping, profile)

@@ -265,8 +265,7 @@ def sched_neighbourhoods(draw):
             for name in node_names
         }
         trials.append((architecture, mapping, budgets))
-    slack_sharing = draw(st.booleans())
-    return application, trials, profile, slack_sharing
+    return application, trials, profile
 
 
 @pytest.mark.parametrize("name", ALL_SCHED)
@@ -275,14 +274,14 @@ def sched_neighbourhoods(draw):
 def test_neighbourhood_schedules_rowwise_identical(name, problem):
     """One scheduler instance walking a neighbourhood reproduces, trial by
     trial, what a fresh reference scheduler computes for each trial."""
-    application, trials, profile, slack_sharing = problem
+    application, trials, profile = problem
     expected = [
-        ListScheduler(
-            slack_sharing=slack_sharing, kernel=SCHED_BACKENDS["reference"]
-        ).schedule(application, architecture, mapping, profile, budgets)
+        ListScheduler(kernel=SCHED_BACKENDS["reference"]).schedule(
+            application, architecture, mapping, profile, budgets
+        )
         for architecture, mapping, budgets in trials
     ]
-    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name])
+    scheduler = ListScheduler(kernel=SCHED_BACKENDS[name])
     produced = [
         scheduler.schedule(application, architecture, mapping, profile, budgets)
         for architecture, mapping, budgets in trials
@@ -299,8 +298,8 @@ def test_neighbourhood_schedules_rowwise_identical(name, problem):
 def test_rescheduling_an_earlier_trial_stays_identical(name, problem):
     """Re-scheduling the first trial after the rest of the neighbourhood must
     not see per-mapping tables left behind by the later trials."""
-    application, trials, profile, slack_sharing = problem
-    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name])
+    application, trials, profile = problem
+    scheduler = ListScheduler(kernel=SCHED_BACKENDS[name])
     produced = [
         scheduler.schedule(application, architecture, mapping, profile, budgets)
         for architecture, mapping, budgets in trials

@@ -15,7 +15,7 @@ Hypothesis drives randomized problems through both backends:
   messages coexist, and some nodes may be left empty;
 * zero-duration messages among positive ones (they disable the flat
   backend's sorted-finish scan shortcut);
-* naive and shared recovery slack, budgets 0..3 per node.
+* shared recovery slack with budgets 0..3 per node.
 
 The length-only entry point ``worst_case_length`` is held to the same
 contract: it must return exactly the ``length`` of the reference schedule.
@@ -126,14 +126,13 @@ def dag_problems(draw):
     budgets = {
         name: draw(st.integers(min_value=0, max_value=3)) for name in node_names
     }
-    slack_sharing = draw(st.booleans())
-    return application, architecture, mapping, profile, budgets, slack_sharing
+    return application, architecture, mapping, profile, budgets
 
 
 def _schedule_with(kernel_name, problem):
     """The schedule one backend builds for ``problem``."""
-    application, architecture, mapping, profile, budgets, slack_sharing = problem
-    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[kernel_name])
+    application, architecture, mapping, profile, budgets = problem
+    scheduler = ListScheduler(kernel=SCHED_BACKENDS[kernel_name])
     return scheduler.schedule(application, architecture, mapping, profile, budgets)
 
 
@@ -159,8 +158,8 @@ def test_schedules_value_equal_across_backends(name, problem):
 @settings(max_examples=40, deadline=None)
 def test_backends_validate_and_reuse_structures(name, problem):
     """Back-to-back runs on one scheduler instance stay identical (memo reuse)."""
-    application, architecture, mapping, profile, budgets, slack_sharing = problem
-    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[name])
+    application, architecture, mapping, profile, budgets = problem
+    scheduler = ListScheduler(kernel=SCHED_BACKENDS[name])
     first = scheduler.schedule(application, architecture, mapping, profile, budgets)
     first.validate()
     second = scheduler.schedule(application, architecture, mapping, profile, budgets)
@@ -169,8 +168,8 @@ def test_backends_validate_and_reuse_structures(name, problem):
 
 def _length_with(kernel_name, problem):
     """``worst_case_length`` of one backend for ``problem``."""
-    application, architecture, mapping, profile, budgets, slack_sharing = problem
-    scheduler = ListScheduler(slack_sharing=slack_sharing, kernel=SCHED_BACKENDS[kernel_name])
+    application, architecture, mapping, profile, budgets = problem
+    scheduler = ListScheduler(kernel=SCHED_BACKENDS[kernel_name])
     return scheduler.worst_case_length(application, architecture, mapping, profile, budgets)
 
 
@@ -217,7 +216,7 @@ def _dense_problem(n_processes, zero_every=None):
         }
     )
     budgets = {name: index % 3 for index, name in enumerate(nodes)}
-    return application, architecture, mapping, profile, budgets, True
+    return application, architecture, mapping, profile, budgets
 
 
 @pytest.mark.parametrize("name", OTHER_KERNELS)

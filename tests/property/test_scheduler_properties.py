@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from repro.core.architecture import Architecture, HVersion, Node, NodeType
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.scheduling.list_scheduler import ListScheduler
-from repro.scheduling.slack import naive_recovery_slack, shared_recovery_slack
+from repro.scheduling.slack import shared_recovery_slack
 
 
 # ----------------------------------------------------------------------
@@ -137,15 +138,22 @@ class TestSchedulerProperties:
 
     @given(chain_problems())
     @settings(max_examples=40, deadline=None)
-    def test_naive_slack_never_beats_shared_slack(self, problem):
+    def test_node_slack_covers_the_worst_single_victim(self, problem):
         application, architecture, mapping, profile, reexecutions = problem
-        shared = ListScheduler(slack_sharing=True).schedule(
+        schedule = ListScheduler().schedule(
             application, architecture, mapping, profile, reexecutions
         )
-        naive = ListScheduler(slack_sharing=False).schedule(
-            application, architecture, mapping, profile, reexecutions
-        )
-        assert naive.length >= shared.length - 1e-9
+        for node in architecture.node_names:
+            entries = schedule.processes_on(node)
+            worst = max(
+                (
+                    entry.duration + application.recovery_overhead_of(entry.process)
+                    for entry in entries
+                ),
+                default=0.0,
+            )
+            expected = reexecutions.get(node, 0) * worst
+            assert schedule.node_recovery_slack[node] == pytest.approx(expected)
 
 
 class TestSlackFunctionProperties:
@@ -160,7 +168,8 @@ class TestSlackFunctionProperties:
 
     @given(pairs, st.integers(min_value=0, max_value=5))
     def test_shared_never_exceeds_naive(self, values, budget):
-        assert shared_recovery_slack(values, budget) <= naive_recovery_slack(values, budget) + 1e-9
+        naive = budget * sum(time + overhead for time, overhead in values)
+        assert shared_recovery_slack(values, budget) <= naive + 1e-9
 
     @given(pairs, st.integers(min_value=0, max_value=5))
     def test_slack_monotone_in_budget(self, values, budget):
@@ -169,4 +178,3 @@ class TestSlackFunctionProperties:
     @given(pairs, st.integers(min_value=0, max_value=5))
     def test_slack_non_negative(self, values, budget):
         assert shared_recovery_slack(values, budget) >= 0.0
-        assert naive_recovery_slack(values, budget) >= 0.0

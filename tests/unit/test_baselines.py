@@ -40,13 +40,12 @@ class TestStrategyFactories:
 
     def test_mapping_tuning_is_propagated(self):
         template = MappingAlgorithm(
-            max_iterations=2, stop_after_no_improvement=1, tabu_tenure=5, max_candidates=2
+            max_iterations=2, stop_after_no_improvement=1, max_candidates=2
         )
         strategy = min_hardening_strategy(list(fig1_node_types()), template)
         algorithm = strategy.mapping_algorithm
         assert algorithm.max_iterations == 2
         assert algorithm.stop_after_no_improvement == 1
-        assert algorithm.tabu_tenure == 5
         assert algorithm.max_candidates == 2
 
 

@@ -20,6 +20,14 @@ class TestParser:
         assert parser.parse_args(["run", "fig6a"]).scenario == "fig6a"
         assert parser.parse_args(["run", "--list"]).list_scenarios
 
+    def test_lint_is_listed_and_dispatched(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "lint" in capsys.readouterr().out
+        assert main(["lint", "--list-rules"]) == 0
+        assert "R001" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["motivational", "synthetic", "cruise-control"])
     def test_removed_legacy_subcommands_are_rejected(self, command):
         with pytest.raises(SystemExit):

@@ -10,11 +10,11 @@ from repro.core.exceptions import ModelError, OptimizationError
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.mapping import MappingAlgorithm
 from repro.core.mapping_model import ProcessMapping
+from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
 from repro.core.reexecution import ReExecutionOpt
 from repro.core.sfp import SFPAnalysis
 from repro.engine import EvaluationEngine
-from repro.scheduling.list_scheduler import ListScheduler
 from repro.experiments.motivational import (
     fig1_application,
     fig1_node_types,
@@ -142,11 +142,14 @@ class TestFixedHardeningRedundancyOpt:
 
 class TestEvaluateHardening:
     def test_reports_infeasible_reliability_when_goal_unreachable(self, fig3_setup):
-        application, architecture, mapping, profile = fig3_setup
-        evaluator = RedundancyOpt(reexecution_opt=None)
-        # Re-execution cap of zero makes the goal unreachable at h=1.
-        evaluator = RedundancyOpt(reexecution_opt=ReExecutionOpt(max_reexecutions_per_node=0))
-        decision = evaluator.evaluate_hardening(
+        application, architecture, mapping, _ = fig3_setup
+        # A 90 % failure probability at h=1 keeps the goal out of reach
+        # within MAX_REEXECUTIONS_PER_NODE re-executions.
+        profile = ExecutionProfile()
+        table = {1: (80.0, 0.9), 2: (100.0, 4e-4), 3: (160.0, 4e-6)}
+        for level, (wcet, probability) in table.items():
+            profile.add_entry("P1", "N1", level, wcet, probability)
+        decision = RedundancyOpt().evaluate_hardening(
             application, architecture, mapping, profile, {"N1": 1}
         )
         assert not decision.meets_reliability
@@ -245,9 +248,6 @@ FOREIGN_ENGINE_CALLS = {
     "ReExecutionOpt.optimize": lambda app, arch, mapping, prof, engine: ReExecutionOpt().optimize(
         app, arch, mapping, prof, engine=engine
     ),
-    "ReExecutionOpt.evaluate": lambda app, arch, mapping, prof, engine: ReExecutionOpt().evaluate(
-        app, arch, mapping, prof, {"N1": 1, "N2": 1}, engine=engine
-    ),
     "SFPAnalysis": lambda app, arch, mapping, prof, engine: SFPAnalysis(
         app, arch, mapping, prof, engine=engine
     ),
@@ -272,18 +272,40 @@ def test_engine_bound_to_another_context_raises(fig4a_setup, entry_point):
     assert foreign.evaluations == 0
 
 
-@pytest.mark.parametrize(
-    "scheduler, signature",
-    [
-        (ListScheduler(), ("ListScheduler", True, 20)),
-        (ListScheduler(slack_sharing=False), ("ListScheduler", False, 20)),
-    ],
-    ids=["shared-slack", "naive-slack"],
-)
-def test_evaluator_signature_is_pinned(scheduler, signature):
-    """The configuration part of every stored decision key, as literals.
+#: The Fig. 4a design point's architecture and mapping fingerprints.
+FIG4A_ARCHITECTURE_KEY = (("N1", "N1"), ("N2", "N2"))
+FIG4A_MAPPING_KEY = (("P1", "N1"), ("P2", "N1"), ("P3", "N2"), ("P4", "N2"))
 
-    A store written by an earlier tree is only read back while these tuples
-    stay the same, so any change to them must be deliberate.
+
+def test_decision_key_is_pinned(fig4a_setup):
+    """A stored decision's key, as a literal: (architecture, mapping, hardening).
+
+    A store written by an earlier tree is only read back while the keys stay
+    the same, so any change to them must be deliberate.
     """
-    assert RedundancyOpt(scheduler=scheduler)._evaluator_signature() == signature
+    application, architecture, mapping, profile = fig4a_setup
+    engine = EvaluationEngine(application, profile)
+    RedundancyOpt().evaluate_hardening(
+        application, architecture, mapping, profile, {"N1": 2, "N2": 2}, engine=engine
+    )
+    assert list(engine.decisions.snapshot()) == [
+        (FIG4A_ARCHITECTURE_KEY, FIG4A_MAPPING_KEY, (("N1", 2), ("N2", 2)))
+    ]
+
+
+@pytest.mark.parametrize(
+    "optimizer, prefix",
+    [
+        (RedundancyOpt(), ("RedundancyOpt",)),
+        (FixedHardeningRedundancyOpt("max"), ("FixedHardeningRedundancyOpt", "max")),
+    ],
+    ids=["OPT", "MAX"],
+)
+def test_optimization_key_is_pinned(fig4a_setup, optimizer, prefix):
+    """A stored optimization's key: class name [+ policy], architecture, mapping."""
+    application, architecture, mapping, profile = fig4a_setup
+    engine = EvaluationEngine(application, profile)
+    optimizer.optimize(application, architecture, mapping, profile, engine=engine)
+    assert list(engine.optimizations.snapshot()) == [
+        prefix + (FIG4A_ARCHITECTURE_KEY, FIG4A_MAPPING_KEY)
+    ]

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import reexecution
 from repro.core.architecture import Architecture, HVersion, Node, NodeType
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.reexecution import ReExecutionOpt
+from repro.core.sfp import SFPAnalysis
 from repro.experiments.motivational import fig3_application, fig3_node_type, fig3_profile
 
 
@@ -85,11 +87,10 @@ class TestReExecutionOptGeneral:
         assert decision.reexecutions == {"N1": 0}
 
     def test_goal_unreachable_within_cap_returns_none(self):
-        # A 50% failure probability cannot reach 1-1e-5 per hour with only two
-        # allowed re-executions.
-        application, architecture, mapping, profile = self._one_node_setup(0.5)
-        optimizer = ReExecutionOpt(max_reexecutions_per_node=2)
-        assert optimizer.optimize(application, architecture, mapping, profile) is None
+        # A 90% failure probability cannot reach 1-1e-5 per hour within
+        # MAX_REEXECUTIONS_PER_NODE re-executions.
+        application, architecture, mapping, profile = self._one_node_setup(0.9)
+        assert ReExecutionOpt().optimize(application, architecture, mapping, profile) is None
 
     def test_budget_grows_with_failure_probability(self):
         small = self._one_node_setup(1e-6)
@@ -113,16 +114,16 @@ class TestReExecutionOptGeneral:
     def test_evaluate_reports_without_optimizing(
         self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping
     ):
-        optimizer = ReExecutionOpt()
-        evaluation = optimizer.evaluate(
-            fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof, {"N1": 0, "N2": 0}
-        )
-        assert not evaluation.meets_goal
-        evaluation = optimizer.evaluate(
-            fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof, {"N1": 1, "N2": 1}
-        )
-        assert evaluation.meets_goal
+        analysis = SFPAnalysis(fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof)
+        assert not analysis.evaluate({"N1": 0, "N2": 0}).meets_goal
+        assert analysis.evaluate({"N1": 1, "N2": 1}).meets_goal
 
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            ReExecutionOpt(max_reexecutions_per_node=-1)
+    def test_cap_bounds_the_budget(self, monkeypatch):
+        # A 30% failure probability needs 16 re-executions: within the cap,
+        # out of reach below it.
+        setup = self._one_node_setup(0.3)
+        decision = ReExecutionOpt().optimize(*setup)
+        assert decision.reexecutions == {"N1": 16}
+        assert decision.reexecutions["N1"] <= reexecution.MAX_REEXECUTIONS_PER_NODE
+        monkeypatch.setattr(reexecution, "MAX_REEXECUTIONS_PER_NODE", 15)
+        assert ReExecutionOpt().optimize(*setup) is None

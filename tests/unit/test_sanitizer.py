@@ -23,6 +23,7 @@ from repro.lint.sanitizer import (
     DeterminismSanitizer,
     active_sanitizer,
     env_requests_sanitizer,
+    install_from_env,
 )
 
 # ----------------------------------------------------------------------
@@ -67,6 +68,43 @@ class TestLifecycle:
         assert env_requests_sanitizer()
         monkeypatch.setenv(SANITIZE_ENV, "0")
         assert not env_requests_sanitizer()
+
+    def test_install_from_env_needs_the_opt_in(self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        assert install_from_env() is None
+        assert active_sanitizer() is None
+
+    def test_install_from_env_installs_once(self, monkeypatch):
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        sanitizer = install_from_env()
+        try:
+            assert sanitizer is not None
+            assert active_sanitizer() is sanitizer
+            # A fork-started worker inherits the parent's sanitizer: keep it.
+            assert install_from_env() is None
+            assert active_sanitizer() is sanitizer
+        finally:
+            sanitizer.uninstall()
+        assert active_sanitizer() is None
+
+    def test_experiment_pool_initializer_installs_from_env(self, monkeypatch):
+        from repro.experiments import synthetic
+
+        monkeypatch.setattr(synthetic, "_WORKER_STATE", {})
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        synthetic._init_worker([], None, None, 0)
+        sanitizer = active_sanitizer()
+        assert sanitizer is not None
+        sanitizer.uninstall()
+
+    def test_serve_pool_initializer_opts_in_on_sanitize(self, monkeypatch):
+        from repro.serve import jobs
+
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        jobs._init_serve_worker(True)
+        sanitizer = active_sanitizer()
+        assert sanitizer is not None
+        sanitizer.uninstall()
 
 
 class TestSeededRng:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.exceptions import ModelError
-from repro.scheduling.slack import naive_recovery_slack, shared_recovery_slack
+from repro.scheduling.slack import shared_recovery_slack
 
 
 class TestSharedRecoverySlack:
@@ -31,24 +31,3 @@ class TestSharedRecoverySlack:
         with pytest.raises(ModelError):
             shared_recovery_slack([(10.0, 1.0)], -1)
 
-
-class TestNaiveRecoverySlack:
-    def test_sums_over_processes(self):
-        pairs = [(75.0, 15.0), (90.0, 15.0)]
-        assert naive_recovery_slack(pairs, 1) == pytest.approx(195.0)
-
-    def test_never_smaller_than_shared(self):
-        pairs = [(10.0, 1.0), (20.0, 2.0), (5.0, 0.5)]
-        for budget in range(4):
-            assert naive_recovery_slack(pairs, budget) >= shared_recovery_slack(pairs, budget)
-
-    def test_equal_to_shared_for_single_process(self):
-        pairs = [(42.0, 3.0)]
-        assert naive_recovery_slack(pairs, 2) == shared_recovery_slack(pairs, 2)
-
-    def test_zero_budget(self):
-        assert naive_recovery_slack([(10.0, 1.0)], 0) == 0.0
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ModelError):
-            naive_recovery_slack([(10.0, 1.0)], -2)

@@ -89,7 +89,7 @@ def test_persisted_sfp_keys_have_the_pinned_shapes(tmp_path, context):
     caches = store._read(store.path_for(engine))["caches"]
     assert set(caches["exceedance"]) == {((1.2e-5, 1.3e-5), 1), ((1.2e-5, 1.3e-5), 2)}
     assert set(caches["system"]) == {(1e-9, 2e-9)}
-    assert STORE_SCHEMA_VERSION == 4
+    assert STORE_SCHEMA_VERSION == 5
 
 
 def test_a_file_with_the_former_no_fault_table_still_warms(tmp_path, context):
