@@ -40,7 +40,6 @@ from repro.core import (
     SFPReport,
     TaskGraph,
     TechnologyModel,
-    acceptance_rate,
     all_strategies,
     doubling_cost_node_type,
     failure_probability_from_ser,
@@ -90,7 +89,6 @@ __all__ = [
     "SimulationSummary",
     "TaskGraph",
     "TechnologyModel",
-    "acceptance_rate",
     "all_strategies",
     "doubling_cost_node_type",
     "failure_probability_from_ser",

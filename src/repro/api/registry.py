@@ -93,10 +93,7 @@ class ScenarioOutcome:
 
 
 #: Accepted ``ScenarioParam.type`` names and their coercions.
-_PARAM_TYPES: Dict[str, type] = {"int": int, "float": float, "str": str, "bool": bool}
-
-#: Strings accepted as booleans by :meth:`ScenarioParam.coerce` (CLI input).
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_PARAM_TYPES: Dict[str, type] = {"int": int, "float": float}
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,7 @@ class ScenarioParam:
 
     ``default`` may be ``None`` for nullable parameters (the runner sees
     ``None`` and applies its own fallback, e.g. the generator's automatic
-    layer count).  ``minimum``/``maximum`` are inclusive bounds applied to
-    ``int`` and ``float`` parameters.
+    layer count).  ``minimum``/``maximum`` are inclusive bounds.
     """
 
     name: str
@@ -132,41 +128,31 @@ class ScenarioParam:
         """Coerce one raw override (CLI string or API value) to the declared type."""
         if raw is None:
             return None
-        target = _PARAM_TYPES[self.type]
         try:
-            if self.type == "bool":
-                if isinstance(raw, str):
-                    key = raw.strip().lower()
-                    if key not in _BOOL_STRINGS:
-                        raise ValueError(raw)
-                    value: Any = _BOOL_STRINGS[key]
-                else:
-                    value = bool(raw)
-            elif isinstance(raw, bool) and self.type != "str":
+            if isinstance(raw, bool):
                 # ``int(True)`` is 1: a JSON ``true`` is not a number.
                 raise ValueError(raw)
-            elif self.type == "int":
+            if self.type == "int":
                 if isinstance(raw, float) and not raw.is_integer():
                     raise ValueError(raw)
                 value = int(raw)
             else:
-                value = target(raw)
-                if self.type == "float" and not math.isfinite(value):
+                value = float(raw)
+                if not math.isfinite(value):
                     # NaN passes both bound checks (every comparison is false).
                     raise ValueError(raw)
         except (TypeError, ValueError):
             raise ModelError(
                 f"Parameter {self.name!r} expects {self.type}, got {raw!r}"
             ) from None
-        if self.type in ("int", "float"):
-            if self.minimum is not None and value < self.minimum:
-                raise ModelError(
-                    f"Parameter {self.name!r} must be >= {self.minimum:g}, got {value!r}"
-                )
-            if self.maximum is not None and value > self.maximum:
-                raise ModelError(
-                    f"Parameter {self.name!r} must be <= {self.maximum:g}, got {value!r}"
-                )
+        if self.minimum is not None and value < self.minimum:
+            raise ModelError(
+                f"Parameter {self.name!r} must be >= {self.minimum:g}, got {value!r}"
+            )
+        if self.maximum is not None and value > self.maximum:
+            raise ModelError(
+                f"Parameter {self.name!r} must be <= {self.maximum:g}, got {value!r}"
+            )
         return value
 
     def describe(self) -> str:

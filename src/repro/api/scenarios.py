@@ -4,8 +4,8 @@ Every experiment the repository can reproduce is declared here as a
 scenario behind the common :class:`~repro.api.registry.ScenarioSpec`
 contract — the motivational examples (Fig. 3/4 + Appendix A.2), the four
 synthetic acceptance-rate figures (6a–6d) and the cruise-controller case
-study.  The CLI's legacy subcommands delegate to these runners, so the
-rendered tables here are the single source of the printed output.
+study.  ``repro-ftes run <scenario>`` prints the tables these runners
+render, so they are the single source of the printed output.
 
 Payload conventions (shared with the golden fixtures under
 ``tests/golden/``): sweep settings are keyed ``f"{value:g}"`` (``"5"``,
@@ -29,12 +29,11 @@ from repro.experiments.motivational import (
 )
 from repro.experiments.results import format_table
 from repro.experiments.synthetic import (
-    figure_6a_hpd_sweep,
-    figure_6b_cost_table,
-    figure_6c_ser_sweep,
-    figure_6d_ser_sweep,
-    render_cost_table,
-    render_hpd_sweep,
+    PAPER_ARC_VALUES,
+    PAPER_HPD_VALUES,
+    PAPER_SER_VALUES,
+    render_arc_table,
+    render_sweep,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,81 +109,103 @@ def run_motivational(session: "Session", params: Dict[str, Any]) -> ScenarioOutc
 # ----------------------------------------------------------------------
 # Synthetic acceptance-rate experiments (Fig. 6a–6d)
 # ----------------------------------------------------------------------
+#: The fixed setting of each Fig. 6 sweep: the SER of Fig. 6a/6b, the HPD
+#: (in percent) of Fig. 6c and of Fig. 6d, and the maximum architectural
+#: cost of Fig. 6a, 6c and 6d.  The generator-backed scenario families
+#: accept designs under the same cost cap.
+FIG6AB_SER = SER_MEDIUM
+FIG6C_HPD = 5.0
+FIG6D_HPD = 100.0
+FIG6_ARC = 20.0
+
+FIG6A_TITLE = f"Fig. 6a — % accepted vs. HPD (SER={FIG6AB_SER:g}, ArC={FIG6_ARC:g})"
+FIG6B_TITLE = f"Fig. 6b — % accepted vs. (HPD, ArC) at SER={FIG6AB_SER:g}"
+FIG6C_TITLE = f"Fig. 6c — % accepted vs. SER (HPD={FIG6C_HPD:g}%, ArC={FIG6_ARC:g})"
+FIG6D_TITLE = f"Fig. 6d — % accepted vs. SER (HPD={FIG6D_HPD:g}%, ArC={FIG6_ARC:g})"
+
+
+def _accepted(session: "Session", ser: float, hpd: float, max_cost: float) -> Dict[str, float]:
+    """% accepted per strategy at one (SER, HPD) setting of the session's experiment.
+
+    The experiment memoizes each setting, so every figure counts acceptance
+    under its cost caps from the same strategy runs (as Section 7 does).
+    """
+    return session.experiment().run_setting(ser, hpd).acceptance_percent(max_cost)
+
+
 @register_scenario(
     "fig6a",
-    title="Fig. 6a — % accepted vs. HPD (SER=1e-11, ArC=20)",
+    title=FIG6A_TITLE,
     description="MIN/MAX/OPT acceptance over the hardening performance degradation sweep",
     figure="6a",
 )
 def run_fig6a(session: "Session", params: Dict[str, Any]) -> ScenarioOutcome:
-    sweep = figure_6a_hpd_sweep(session.experiment())
+    sweep = {hpd: _accepted(session, FIG6AB_SER, hpd, FIG6_ARC) for hpd in PAPER_HPD_VALUES}
     payload = {
         "figure": "6a",
         "preset": session.config.preset,
-        "ser": SER_MEDIUM,
-        "max_cost": 20.0,
+        "ser": FIG6AB_SER,
+        "max_cost": FIG6_ARC,
         "acceptance": _g_keyed(sweep),
     }
-    text = render_hpd_sweep(sweep, "Fig. 6a — % accepted vs. HPD (SER=1e-11, ArC=20)")
-    return ScenarioOutcome(payload=payload, text=text)
+    return ScenarioOutcome(payload=payload, text=render_sweep(sweep, FIG6A_TITLE))
 
 
 @register_scenario(
     "fig6b",
-    title="Fig. 6b — % accepted vs. (HPD, ArC) at SER=1e-11",
+    title=FIG6B_TITLE,
     description="MIN/MAX/OPT acceptance per (HPD, maximum architectural cost) pair",
     figure="6b",
 )
 def run_fig6b(session: "Session", params: Dict[str, Any]) -> ScenarioOutcome:
-    table = figure_6b_cost_table(session.experiment())
+    table = {
+        hpd: {arc: _accepted(session, FIG6AB_SER, hpd, arc) for arc in PAPER_ARC_VALUES}
+        for hpd in PAPER_HPD_VALUES
+    }
     payload = {
         "figure": "6b",
         "preset": session.config.preset,
-        "ser": SER_MEDIUM,
+        "ser": FIG6AB_SER,
         "acceptance": {
             f"{hpd:g}": _g_keyed(per_arc) for hpd, per_arc in table.items()
         },
     }
-    text = render_cost_table(table, "Fig. 6b — % accepted vs. (HPD, ArC) at SER=1e-11")
-    return ScenarioOutcome(payload=payload, text=text)
+    return ScenarioOutcome(payload=payload, text=render_arc_table(table, FIG6B_TITLE))
+
+
+def _by_ser_outcome(
+    session: "Session", figure: str, hpd: float, title: str
+) -> ScenarioOutcome:
+    """Fig. 6c / 6d: acceptance over the three technologies at one HPD."""
+    sweep = {ser: _accepted(session, ser, hpd, FIG6_ARC) for ser in PAPER_SER_VALUES}
+    payload = {
+        "figure": figure,
+        "preset": session.config.preset,
+        "hpd": hpd,
+        "max_cost": FIG6_ARC,
+        "acceptance": _g_keyed(sweep),
+    }
+    return ScenarioOutcome(payload=payload, text=render_sweep(sweep, title))
 
 
 @register_scenario(
     "fig6c",
-    title="Fig. 6c — % accepted vs. SER (HPD=5%, ArC=20)",
+    title=FIG6C_TITLE,
     description="MIN/MAX/OPT acceptance over the soft-error-rate sweep at low HPD",
     figure="6c",
 )
 def run_fig6c(session: "Session", params: Dict[str, Any]) -> ScenarioOutcome:
-    sweep = figure_6c_ser_sweep(session.experiment())
-    payload = {
-        "figure": "6c",
-        "preset": session.config.preset,
-        "hpd": 5.0,
-        "max_cost": 20.0,
-        "acceptance": _g_keyed(sweep),
-    }
-    text = render_hpd_sweep(sweep, "Fig. 6c — % accepted vs. SER (HPD=5%, ArC=20)")
-    return ScenarioOutcome(payload=payload, text=text)
+    return _by_ser_outcome(session, "6c", FIG6C_HPD, FIG6C_TITLE)
 
 
 @register_scenario(
     "fig6d",
-    title="Fig. 6d — % accepted vs. SER (HPD=100%, ArC=20)",
+    title=FIG6D_TITLE,
     description="MIN/MAX/OPT acceptance over the soft-error-rate sweep at high HPD",
     figure="6d",
 )
 def run_fig6d(session: "Session", params: Dict[str, Any]) -> ScenarioOutcome:
-    sweep = figure_6d_ser_sweep(session.experiment())
-    payload = {
-        "figure": "6d",
-        "preset": session.config.preset,
-        "hpd": 100.0,
-        "max_cost": 20.0,
-        "acceptance": _g_keyed(sweep),
-    }
-    text = render_hpd_sweep(sweep, "Fig. 6d — % accepted vs. SER (HPD=100%, ArC=20)")
-    return ScenarioOutcome(payload=payload, text=text)
+    return _by_ser_outcome(session, "6d", FIG6D_HPD, FIG6D_TITLE)
 
 
 # ----------------------------------------------------------------------

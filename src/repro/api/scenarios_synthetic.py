@@ -31,6 +31,7 @@ from math import sqrt
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.api.registry import ScenarioOutcome, ScenarioParam, register_scenario
+from repro.api.scenarios import FIG6_ARC
 from repro.core.application import Application, Message, Process, TaskGraph
 from repro.core.architecture import linear_cost_node_type
 from repro.core.evaluation import DesignResult
@@ -41,8 +42,6 @@ from repro.experiments.synthetic import (
     STRATEGIES,
     AcceptanceExperiment,
     _evaluate_benchmark_setting,
-    design_counters,
-    sum_cache_counters,
 )
 from repro.faults.hardening import SelectiveHardeningPlan, apply_selective_hardening
 from repro.faults.injection import FaultInjectionCampaign
@@ -135,19 +134,16 @@ def run_synthetic_random(session: "Session", params: Dict[str, Any]) -> Scenario
     )
     seed = params["seed"]
     benchmark = generate_benchmark(seed, config, name=f"synthetic_random_{seed}")
-    preset = session.config.resolved_preset()
-    max_cost = preset.arc_default
-    results, disk = _evaluate_benchmark_setting(
+    max_cost = FIG6_ARC
+    results, counters = _evaluate_benchmark_setting(
         benchmark,
         FAMILY_SER,
         FAMILY_HPD,
-        preset,
+        session.config.resolved_preset(),
         session.config.cache_dir,
         session.config.cache_max_bytes,
     )
-    session.add_cache_counters(
-        sum_cache_counters([*map(design_counters, results.values()), disk])
-    )
+    session.add_cache_counters(counters)
 
     summaries = {name: _result_summary(results[name], max_cost) for name in STRATEGIES}
     payload = {

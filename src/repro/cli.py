@@ -14,6 +14,7 @@ unless ``--output`` is given.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
@@ -116,8 +117,6 @@ def _worker_count(value: str) -> int:
 
 def _run_serve(arguments: argparse.Namespace) -> int:
     """Build a :class:`ServeConfig` from the flags and run the server."""
-    import os
-
     from repro.lint.sanitizer import SANITIZE_ENV, env_requests_sanitizer
     from repro.serve import DEFAULT_HOST, DEFAULT_PORT, ServeConfig, run_server
 
@@ -297,7 +296,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # Generic scenario driver
 # ----------------------------------------------------------------------
-def _print_cache_summary(report: RunReport) -> None:
+def _unusable_path(config: RunConfig) -> Optional[str]:
+    """Why the run could not write its report or open its store, if it could not.
+
+    Checked before the scenario runs, so a bad path costs no work and is a
+    usage error (exit 2) rather than a traceback after the run.
+    """
+    output = config.output
+    if output is not None:
+        parent = output.parent
+        if output.is_dir() or not parent.is_dir() or not os.access(parent, os.W_OK):
+            return f"cannot write the report to {output}: {parent} is not a writable directory"
+    if config.cache_dir is not None:
+        try:
+            config.cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            return f"cannot use the cache directory {config.cache_dir}: {error.strerror}"
+    return None
+
+
+def _print_engine_counters(report: RunReport) -> None:
     cache = report.cache
     print(
         f"evaluation engine: {cache['points_computed']} design points computed "
@@ -330,6 +348,10 @@ def _run_scenario(arguments: argparse.Namespace) -> int:
     sanitizer = _maybe_sanitizer(arguments)
     try:
         config = _config_from_arguments(arguments)
+        problem = _unusable_path(config)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
         if sanitizer is not None:
             with sanitizer:
                 report = api_run(arguments.scenario, config)
@@ -340,7 +362,7 @@ def _run_scenario(arguments: argparse.Namespace) -> int:
         return 2
     print(report.text)
     print()
-    _print_cache_summary(report)
+    _print_engine_counters(report)
     print(
         f"scenario {report.scenario}: "
         f"{report.timings['wall_clock_seconds']:.2f} s wall clock"
@@ -365,8 +387,6 @@ def _maybe_sanitizer(
     observer, not an experiment parameter, and keeping it out of the config
     preserves the lossless config round-trip in report JSON and goldens.
     """
-    import os
-
     from repro.lint.sanitizer import (
         SANITIZE_ENV,
         DeterminismSanitizer,

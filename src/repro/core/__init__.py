@@ -18,7 +18,7 @@ from repro.core.baselines import (
     optimized_strategy,
 )
 from repro.core.design_strategy import ArchitectureEnumerator, DesignStrategy
-from repro.core.evaluation import DesignResult, acceptance_rate, infeasible_result
+from repro.core.evaluation import DesignResult, infeasible_result
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.fault_model import (
     FaultModel,
@@ -66,7 +66,6 @@ __all__ = [
     "SFPReport",
     "TaskGraph",
     "TechnologyModel",
-    "acceptance_rate",
     "all_strategies",
     "doubling_cost_node_type",
     "failure_probability_from_ser",

@@ -131,35 +131,17 @@ class DesignStrategy:
         """
         application.validate()
         engine = resolve_engine(engine, application, profile)
-        # Attribute only this exploration's engine activity to the result when
-        # the caller shares an engine across strategies.
-        before = engine.stats
-        computed_before = engine.evaluations
         best, total_evaluations = self._explore(
             application, profile, max_architecture_cost, engine
         )
-        after = engine.stats
-        cache_hits = after.hits - before.hits
-        cache_misses = after.misses - before.misses
-        points_computed = engine.evaluations - computed_before
-
         if best is None:
             return infeasible_result(
                 self.strategy_name,
                 application.name,
                 reason="no architecture meets the deadline and reliability goal",
                 evaluations=total_evaluations,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                points_computed=points_computed,
             )
-        return replace(
-            best,
-            evaluations=total_evaluations,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            points_computed=points_computed,
-        )
+        return replace(best, evaluations=total_evaluations)
 
     def _explore(
         self,

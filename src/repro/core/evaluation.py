@@ -16,7 +16,7 @@ was or was not accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.mapping_model import ProcessMapping
 from repro.scheduling.schedule import Schedule
@@ -41,17 +41,8 @@ class DesignResult:
     failure_reason: str = ""
     #: Design points *examined* by the search (tabu-move evaluations); this is
     #: the paper's notion of search effort and is identical with or without
-    #: caching.
+    #: caching.  The engine that evaluated them counts its own work.
     evaluations: int = 0
-    # Engine counters attributed to this exploration.  Excluded from
-    # equality: a warm-cache run must compare equal to a cold one as long as
-    # the *design* is identical.  ``points_computed`` counts design points
-    # actually evaluated (decision-cache misses that ran the re-execution
-    # optimizer + scheduler) — on a warm cache it approaches zero while
-    # ``evaluations`` stays constant.
-    cache_hits: int = field(default=0, compare=False)
-    cache_misses: int = field(default=0, compare=False)
-    points_computed: int = field(default=0, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -92,9 +83,6 @@ def infeasible_result(
     application: str,
     reason: str,
     evaluations: int = 0,
-    cache_hits: int = 0,
-    cache_misses: int = 0,
-    points_computed: int = 0,
 ) -> DesignResult:
     """Convenience constructor for an infeasible design outcome."""
     return DesignResult(
@@ -103,17 +91,4 @@ def infeasible_result(
         feasible=False,
         failure_reason=reason,
         evaluations=evaluations,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        points_computed=points_computed,
     )
-
-
-def acceptance_rate(
-    results: List[DesignResult], max_architecture_cost: Optional[float] = None
-) -> float:
-    """Fraction (0..1) of results accepted under the given cost cap."""
-    if not results:
-        return 0.0
-    accepted = sum(1 for result in results if result.is_accepted(max_architecture_cost))
-    return accepted / len(results)

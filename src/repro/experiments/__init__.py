@@ -17,10 +17,6 @@ from repro.experiments.synthetic import (
     AcceptanceExperiment,
     ExperimentPreset,
     SettingResult,
-    figure_6a_hpd_sweep,
-    figure_6b_cost_table,
-    figure_6c_ser_sweep,
-    figure_6d_ser_sweep,
 )
 from repro.experiments.cruise_control import (
     cruise_controller_application,
@@ -45,9 +41,5 @@ __all__ = [
     "fig3_application",
     "fig3_node_type",
     "fig3_profile",
-    "figure_6a_hpd_sweep",
-    "figure_6b_cost_table",
-    "figure_6c_ser_sweep",
-    "figure_6d_ser_sweep",
     "run_cruise_controller_study",
 ]

@@ -69,16 +69,6 @@ CACHE_COUNTERS = (
 )
 
 
-def design_counters(result: DesignResult) -> Dict[str, int]:
-    """One exploration's engine counters under the cache-report keys."""
-    return {
-        "hits": result.cache_hits,
-        "misses": result.cache_misses,
-        "search_evaluations": result.evaluations,
-        "points_computed": result.points_computed,
-    }
-
-
 def sum_cache_counters(parts: Iterable[Mapping[str, float]]) -> Dict[str, float]:
     """Sum the :data:`CACHE_COUNTERS` of ``parts`` and derive ``hit_rate``.
 
@@ -105,7 +95,6 @@ class ExperimentPreset:
     mapping_stop_after: int
     mapping_candidates: int
     base_seed: int = 1
-    arc_default: float = 20.0
 
     @classmethod
     def paper(cls) -> "ExperimentPreset":
@@ -161,10 +150,9 @@ class SettingResult:
     ser: float
     hpd: float
     results: Dict[str, List[DesignResult]] = field(default_factory=dict)
-    #: Aggregate persistent-store counters over the setting's engines (zero
-    #: when no store is attached).
-    disk_hits: int = 0
-    disk_entries_loaded: int = 0
+    #: Running engine counters (:data:`CACHE_COUNTERS` and ``hit_rate``)
+    #: over the applications evaluated so far.
+    counters: Dict[str, float] = field(default_factory=lambda: sum_cache_counters(()))
 
     def acceptance_percent(self, max_cost: Optional[float]) -> Dict[str, float]:
         """Percentage of applications accepted per strategy under ``max_cost``."""
@@ -186,21 +174,6 @@ class SettingResult:
             return float("inf")
         return sum(costs) / len(costs)
 
-    def cache_summary(self) -> Dict[str, float]:
-        """Aggregate engine counters over all strategies/applications.
-
-        See :data:`CACHE_COUNTERS` for the field semantics.
-        """
-        parts: List[Mapping[str, float]] = [
-            design_counters(result)
-            for results in self.results.values()
-            for result in results
-        ]
-        parts.append(
-            {"disk_hits": self.disk_hits, "disk_entries_loaded": self.disk_entries_loaded}
-        )
-        return sum_cache_counters(parts)
-
 
 def _evaluate_benchmark_setting(
     benchmark: SyntheticBenchmark,
@@ -216,11 +189,13 @@ def _evaluate_benchmark_setting(
     processes.  All strategies share one :class:`EvaluationEngine` bound to
     the benchmark's (application, profile): design points evaluated by MIN
     (all-minimum hardening, which OPT's Phase 1 always evaluates first) or
-    MAX are free for OPT and vice versa.
+    MAX are free for OPT and vice versa.  The returned counters
+    (:data:`CACHE_COUNTERS`) are that engine's, plus the search effort of
+    the three explorations.
 
     When ``store_dir`` is given, the engine is warm-started from the
     persistent design-point store before the strategies run and its memo
-    tables are merged back afterwards; the returned counters report how many
+    tables are merged back afterwards; the counters then report how many
     entries were preloaded and how many lookups they served.  Every worker
     process opens its own store handle (cheap — it is just a directory).
 
@@ -241,7 +216,7 @@ def _evaluate_benchmark_setting(
     )
     engine = EvaluationEngine(benchmark.application, profile)
     store: Optional[DesignPointStore] = None
-    disk = {"disk_hits": 0, "disk_entries_loaded": 0}
+    loaded = 0
     if store_dir is not None:
         store = DesignPointStore(store_dir, max_bytes=store_max_bytes)
     guard = store.single_flight(engine) if store is not None else nullcontext(True)
@@ -250,7 +225,7 @@ def _evaluate_benchmark_setting(
         # *after* the leader's persist, so the leader's design points are
         # all served from disk and the follower computes none of them.
         if store is not None:
-            disk["disk_entries_loaded"] = store.warm(engine)
+            loaded = store.warm(engine)
         algorithm = preset.mapping_algorithm()
         # One scheduler (on the production scheduler kernel) shared by
         # all strategies: it is stateless across calls except for the memoized
@@ -264,8 +239,15 @@ def _evaluate_benchmark_setting(
         }
         if store is not None:
             store.persist(engine)
-            disk["disk_hits"] = engine.disk_hits
-    return results, disk
+    stats = engine.stats
+    return results, {
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "search_evaluations": sum(result.evaluations for result in results.values()),
+        "points_computed": engine.evaluations,
+        "disk_hits": engine.disk_hits,
+        "disk_entries_loaded": loaded,
+    }
 
 
 #: Per-worker-process state installed by :func:`_init_worker`.  Worker
@@ -448,15 +430,14 @@ class AcceptanceExperiment:
         # Results are folded in (and progress emitted) as each benchmark
         # completes; ``pool.map`` preserves submission order, so collection
         # stays bit-identical to serial.
-        for completed, (results, disk) in enumerate(iterator, start=1):
+        for completed, (results, counters) in enumerate(iterator, start=1):
             for name in STRATEGIES:
                 setting.results[name].append(results[name])
-            setting.disk_hits += disk["disk_hits"]
-            setting.disk_entries_loaded += disk["disk_entries_loaded"]
+            setting.counters = sum_cache_counters((setting.counters, counters))
             if self.progress is not None:
-                snapshot = setting.cache_summary()
-                snapshot.update(
+                self.progress(
                     {
+                        **setting.counters,
                         "event": "setting_progress",
                         "ser": ser,
                         "hpd": hpd,
@@ -464,7 +445,6 @@ class AcceptanceExperiment:
                         "total": count,
                     }
                 )
-                self.progress(snapshot)
         self._cache[key] = setting
         return setting
 
@@ -473,102 +453,13 @@ class AcceptanceExperiment:
 
         See :data:`CACHE_COUNTERS` for the field semantics.
         """
-        return sum_cache_counters(
-            setting.cache_summary() for setting in self._cache.values()
-        )
-
-    # ------------------------------------------------------------------
-    def hpd_sweep(
-        self,
-        ser: float,
-        hpd_values: Sequence[float],
-        max_cost: Optional[float],
-    ) -> Dict[float, Dict[str, float]]:
-        """Acceptance percentages per HPD value (Fig. 6a series)."""
-        return {
-            hpd: self.run_setting(ser, hpd).acceptance_percent(max_cost)
-            for hpd in hpd_values
-        }
-
-    def ser_sweep(
-        self,
-        hpd: float,
-        ser_values: Sequence[float],
-        max_cost: Optional[float],
-    ) -> Dict[float, Dict[str, float]]:
-        """Acceptance percentages per SER value (Fig. 6c / 6d series)."""
-        return {
-            ser: self.run_setting(ser, hpd).acceptance_percent(max_cost)
-            for ser in ser_values
-        }
-
-    def cost_table(
-        self,
-        ser: float,
-        hpd_values: Sequence[float],
-        arc_values: Sequence[float],
-    ) -> Dict[float, Dict[float, Dict[str, float]]]:
-        """Acceptance per (HPD, ArC) pair (the Fig. 6b table)."""
-        table: Dict[float, Dict[float, Dict[str, float]]] = {}
-        for hpd in hpd_values:
-            setting = self.run_setting(ser, hpd)
-            table[hpd] = {
-                arc: setting.acceptance_percent(arc) for arc in arc_values
-            }
-        return table
+        return sum_cache_counters(setting.counters for setting in self._cache.values())
 
 
 # ----------------------------------------------------------------------
-# One function per figure
+# Text rendering of the Fig. 6 scenario tables
 # ----------------------------------------------------------------------
-def figure_6a_hpd_sweep(
-    experiment: Optional[AcceptanceExperiment] = None,
-    ser: float = SER_MEDIUM,
-    hpd_values: Sequence[float] = PAPER_HPD_VALUES,
-    max_cost: float = 20.0,
-) -> Dict[float, Dict[str, float]]:
-    """Fig. 6a: % accepted architectures vs. HPD (SER=1e-11, ArC=20)."""
-    experiment = experiment if experiment is not None else AcceptanceExperiment()
-    return experiment.hpd_sweep(ser, hpd_values, max_cost)
-
-
-def figure_6b_cost_table(
-    experiment: Optional[AcceptanceExperiment] = None,
-    ser: float = SER_MEDIUM,
-    hpd_values: Sequence[float] = PAPER_HPD_VALUES,
-    arc_values: Sequence[float] = PAPER_ARC_VALUES,
-) -> Dict[float, Dict[float, Dict[str, float]]]:
-    """Fig. 6b: % accepted for each (HPD, ArC) combination at SER=1e-11."""
-    experiment = experiment if experiment is not None else AcceptanceExperiment()
-    return experiment.cost_table(ser, hpd_values, arc_values)
-
-
-def figure_6c_ser_sweep(
-    experiment: Optional[AcceptanceExperiment] = None,
-    hpd: float = 5.0,
-    ser_values: Sequence[float] = PAPER_SER_VALUES,
-    max_cost: float = 20.0,
-) -> Dict[float, Dict[str, float]]:
-    """Fig. 6c: % accepted architectures vs. SER for HPD=5 %, ArC=20."""
-    experiment = experiment if experiment is not None else AcceptanceExperiment()
-    return experiment.ser_sweep(hpd, ser_values, max_cost)
-
-
-def figure_6d_ser_sweep(
-    experiment: Optional[AcceptanceExperiment] = None,
-    hpd: float = 100.0,
-    ser_values: Sequence[float] = PAPER_SER_VALUES,
-    max_cost: float = 20.0,
-) -> Dict[float, Dict[str, float]]:
-    """Fig. 6d: % accepted architectures vs. SER for HPD=100 %, ArC=20."""
-    experiment = experiment if experiment is not None else AcceptanceExperiment()
-    return experiment.ser_sweep(hpd, ser_values, max_cost)
-
-
-# ----------------------------------------------------------------------
-# Text rendering helpers used by the benchmark harness and the CLI
-# ----------------------------------------------------------------------
-def render_hpd_sweep(sweep: Mapping[float, Mapping[str, float]], title: str) -> str:
+def render_sweep(sweep: Mapping[float, Mapping[str, float]], title: str) -> str:
     """Render a HPD (or SER) sweep as a text table, one row per setting."""
     headers = ["setting"] + list(STRATEGIES)
     rows = []
@@ -578,7 +469,7 @@ def render_hpd_sweep(sweep: Mapping[float, Mapping[str, float]], title: str) -> 
     return format_table(headers, rows, title=title)
 
 
-def render_cost_table(
+def render_arc_table(
     table: Mapping[float, Mapping[float, Mapping[str, float]]], title: str
 ) -> str:
     """Render the Fig. 6b style table: rows are (HPD, ArC), columns strategies."""

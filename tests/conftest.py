@@ -1,4 +1,4 @@
-"""Shared pytest fixtures: the paper's examples, the fast-preset experiment, helpers."""
+"""Shared pytest fixtures: the paper's examples, the fast-preset session, helpers."""
 
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from repro.experiments.motivational import (
     fig3_node_type,
     fig3_profile,
 )
-from repro.experiments.synthetic import AcceptanceExperiment, ExperimentPreset
+from repro.api import RunConfig, Session
+from repro.experiments.synthetic import AcceptanceExperiment
 from repro.kernels import (
     SCHED_KERNELS,
     SFP_KERNELS,
@@ -58,13 +59,21 @@ def production_kernels(
 
 
 @pytest.fixture(scope="session")
-def fast_experiment() -> AcceptanceExperiment:
-    """The fast-preset synthetic experiment, computed once per test session.
+def fast_session() -> Iterator[Session]:
+    """The fast-preset API session, shared by the whole test session.
 
-    Every test that reads a fast-preset Fig. 6 setting shares its memoized
-    settings, so each (SER, HPD) setting is evaluated once per session.
+    Its experiment memoizes every (SER, HPD) setting, so the Fig. 6
+    scenarios and every test that reads a fast-preset setting evaluate each
+    setting once per test session.
     """
-    return AcceptanceExperiment(preset=ExperimentPreset.fast())
+    with Session(RunConfig(preset="fast")) as session:
+        yield session
+
+
+@pytest.fixture(scope="session")
+def fast_experiment(fast_session) -> AcceptanceExperiment:
+    """The shared fast-preset experiment behind :func:`fast_session`."""
+    return fast_session.experiment()
 
 
 @pytest.fixture

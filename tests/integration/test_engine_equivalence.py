@@ -4,9 +4,8 @@ The engine's whole contract is "same results, less work": a warm engine,
 a cold engine, an engine shared with other strategies and the fresh engine
 an engine-free call makes for itself must produce bit-identical designs for
 every strategy.  These tests drive the full DSE stack over several generated
-applications and compare every semantic field of the resulting
-:class:`DesignResult`s (cache counters are bookkeeping, not semantics, and
-are excluded from ``DesignResult`` equality by construction).
+applications and compare every field of the resulting :class:`DesignResult`s;
+the engine's own counters show how much of the work the memo tables served.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ def _algorithm() -> MappingAlgorithm:
     return MappingAlgorithm(
         max_iterations=3, stop_after_no_improvement=2, max_candidates=2
     )
-
-
-def _hit_rate(result):
-    return result.cache_hits / (result.cache_hits + result.cache_misses)
 
 
 def _semantic_fields(result):
@@ -88,12 +83,16 @@ class TestColdWarmEquivalence:
         strategy = STRATEGY_BUILDERS[strategy_name](node_types, _algorithm())
         engine = EvaluationEngine(application, profile)
         cold = strategy.explore(application, profile, engine=engine)
-        assert engine.stats.misses > 0
+        cold_stats = engine.stats
+        assert cold_stats.misses > 0
         warm = strategy.explore(application, profile, engine=engine)
         assert _semantic_fields(cold) == _semantic_fields(warm)
-        # The warm pass re-resolves every design point from cache.
-        assert warm.cache_hits > 0
-        assert _hit_rate(warm) > _hit_rate(cold)
+        # The warm pass re-resolves every design point from cache: it adds
+        # hits, and at a higher rate than the cold pass served them.
+        warm_hits = engine.stats.hits - cold_stats.hits
+        warm_misses = engine.stats.misses - cold_stats.misses
+        assert warm_hits > 0
+        assert warm_hits / (warm_hits + warm_misses) > cold_stats.hit_rate
 
     def test_fresh_vs_shared_engine_is_bit_identical(self, platform, strategy_name):
         application, node_types, profile = platform
@@ -109,15 +108,6 @@ class TestColdWarmEquivalence:
         shared = shared_strategy.explore(application, profile, engine=shared_engine)
         fresh = fresh_strategy.explore(application, profile)
         assert _semantic_fields(shared) == _semantic_fields(fresh)
-        # An engine-free call counts exactly the activity of its own private
-        # engine: the same counters as a call on an explicit fresh engine.
-        private = EvaluationEngine(application, profile)
-        STRATEGY_BUILDERS[strategy_name](node_types, _algorithm()).explore(
-            application, profile, engine=private
-        )
-        assert fresh.cache_hits == private.stats.hits
-        assert fresh.cache_misses == private.stats.misses
-        assert fresh.points_computed == private.evaluations
 
 
 def test_shared_engine_across_strategies_is_bit_identical(platform):
@@ -133,14 +123,6 @@ def test_shared_engine_across_strategies_is_bit_identical(platform):
         isolated[name] = builder(node_types, _algorithm()).explore(application, profile)
     for name in STRATEGY_BUILDERS:
         assert _semantic_fields(shared[name]) == _semantic_fields(isolated[name])
-
-
-def test_design_result_reports_nonzero_cache_activity(platform):
-    application, node_types, profile = platform
-    result = STRATEGY_BUILDERS["OPT"](node_types, _algorithm()).explore(
-        application, profile
-    )
-    assert result.cache_hits + result.cache_misses > 0
 
 
 # ----------------------------------------------------------------------

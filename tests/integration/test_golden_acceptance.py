@@ -1,13 +1,14 @@
-"""Golden regression fixtures for the Fig. 6a–6d fast-preset sweeps.
+"""Golden regression fixtures for the Fig. 6a–6d fast-preset scenarios.
 
-The checked-in JSON files under ``tests/golden/`` pin the exact acceptance
-percentages of the fast preset, computed on the session-shared
-``fast_experiment`` fixture.  Kernel backends, engine caching, the
-persistent store and parallelism are all required to be bit-identical
-transformations — so *any* drift in these fixtures is a correctness bug, not
-noise, and the diff in the failure message names the exact setting that
-moved.  Regenerate deliberately (only when the experiment definition itself
-changes) by rerunning the sweep and rewriting the JSON.
+The checked-in JSON files under ``tests/golden/`` pin the exact payload of
+each fast-preset Fig. 6 scenario — its fixed setting and its acceptance
+percentages — run on the session-shared ``fast_session`` fixture.  Kernel
+backends, engine caching, the persistent store and parallelism are all
+required to be bit-identical transformations — so *any* drift in these
+fixtures is a correctness bug, not noise, and the equality diff names the
+exact setting that moved.  Regenerate deliberately (only when the
+experiment definition itself changes) by rerunning the scenario and
+rewriting the JSON.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.fault_model import SER_MEDIUM
-from repro.experiments.synthetic import (
-    figure_6a_hpd_sweep,
-    figure_6b_cost_table,
-    figure_6c_ser_sweep,
-    figure_6d_ser_sweep,
-)
-
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+
+FIG6_GOLDENS = {
+    "fig6a": "fig6a_fast.json",
+    "fig6b": "fig6b_fast.json",
+    "fig6c": "fig6c_fast.json",
+    "fig6d": "fig6d_fast.json",
+}
 
 
 def _load(name: str) -> dict:
@@ -33,38 +33,9 @@ def _load(name: str) -> dict:
         return json.load(handle)
 
 
-def test_fig6a_acceptance_matches_golden(fast_experiment):
-    golden = _load("fig6a_fast.json")
-    assert golden["ser"] == SER_MEDIUM
-    sweep = figure_6a_hpd_sweep(fast_experiment)
-    produced = {f"{hpd:g}": values for hpd, values in sweep.items()}
-    assert produced == golden["acceptance"]
-
-
-def test_fig6b_acceptance_matches_golden(fast_experiment):
-    golden = _load("fig6b_fast.json")
-    table = figure_6b_cost_table(fast_experiment)
-    produced = {
-        f"{hpd:g}": {f"{arc:g}": values for arc, values in per_arc.items()}
-        for hpd, per_arc in table.items()
-    }
-    assert produced == golden["acceptance"]
-
-
-@pytest.mark.parametrize(
-    "name, hpd, ser_sweep",
-    [
-        ("fig6c_fast.json", 5.0, figure_6c_ser_sweep),
-        ("fig6d_fast.json", 100.0, figure_6d_ser_sweep),
-    ],
-)
-def test_ser_sweep_acceptance_matches_golden(fast_experiment, name, hpd, ser_sweep):
-    golden = _load(name)
-    assert golden["hpd"] == hpd
-    assert set(golden["acceptance"]) == {"1e-10", "1e-11", "1e-12"}
-    sweep = ser_sweep(fast_experiment)
-    produced = {f"{ser:g}": values for ser, values in sweep.items()}
-    assert produced == golden["acceptance"]
+@pytest.mark.parametrize("scenario", sorted(FIG6_GOLDENS))
+def test_fig6_payload_matches_golden(fast_session, scenario):
+    assert fast_session.run(scenario).results == _load(FIG6_GOLDENS[scenario])
 
 
 def test_goldens_cover_all_strategies():
@@ -76,3 +47,5 @@ def test_goldens_cover_all_strategies():
     fig6b = _load("fig6b_fast.json")
     for per_arc in fig6b["acceptance"].values():
         assert set(per_arc) == {"15", "20", "25"}
+    for name in ("fig6c_fast.json", "fig6d_fast.json"):
+        assert set(_load(name)["acceptance"]) == {"1e-10", "1e-11", "1e-12"}

@@ -1,8 +1,9 @@
 """The paper's qualitative claims on the fast preset, and three ablations.
 
-Fig. 6a-6d are read from the session-shared ``fast_experiment`` fixture, so
-each (SER, HPD) setting is evaluated once per test session (the golden
-tests read the same settings).  Every assertion is parametrized over the
+Fig. 6a-6d are read setting by setting from the session-shared
+``fast_experiment`` fixture at each figure's fixed setting, so each
+(SER, HPD) setting is evaluated once per test session (the golden tests
+read the same settings).  Every assertion is parametrized over the
 swept axis or the instance, so a failure names the setting that broke the
 claim:
 
@@ -28,6 +29,7 @@ from typing import Dict
 
 import pytest
 
+from repro.api.scenarios import FIG6_ARC, FIG6AB_SER, FIG6C_HPD, FIG6D_HPD
 from repro.core.architecture import Architecture, Node
 from repro.core.design_strategy import DesignStrategy
 from repro.core.exhaustive import ExhaustiveSearch
@@ -38,10 +40,6 @@ from repro.experiments.synthetic import (
     PAPER_ARC_VALUES,
     PAPER_HPD_VALUES,
     PAPER_SER_VALUES,
-    figure_6a_hpd_sweep,
-    figure_6b_cost_table,
-    figure_6c_ser_sweep,
-    figure_6d_ser_sweep,
 )
 from repro.generator.benchmark import BenchmarkConfig, build_platform, generate_benchmark
 from repro.scheduling.list_scheduler import ListScheduler
@@ -57,22 +55,38 @@ INFEASIBLE = float("inf")
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fig6a(fast_experiment):
-    return figure_6a_hpd_sweep(fast_experiment)
+    return {
+        hpd: fast_experiment.run_setting(FIG6AB_SER, hpd).acceptance_percent(FIG6_ARC)
+        for hpd in PAPER_HPD_VALUES
+    }
 
 
 @pytest.fixture(scope="module")
 def fig6b(fast_experiment):
-    return figure_6b_cost_table(fast_experiment)
+    return {
+        hpd: {
+            arc: fast_experiment.run_setting(FIG6AB_SER, hpd).acceptance_percent(arc)
+            for arc in PAPER_ARC_VALUES
+        }
+        for hpd in PAPER_HPD_VALUES
+    }
+
+
+def _by_ser(experiment, hpd):
+    return {
+        ser: experiment.run_setting(ser, hpd).acceptance_percent(FIG6_ARC)
+        for ser in PAPER_SER_VALUES
+    }
 
 
 @pytest.fixture(scope="module")
 def fig6c(fast_experiment):
-    return figure_6c_ser_sweep(fast_experiment)
+    return _by_ser(fast_experiment, FIG6C_HPD)
 
 
 @pytest.fixture(scope="module")
 def fig6d(fast_experiment):
-    return figure_6d_ser_sweep(fast_experiment)
+    return _by_ser(fast_experiment, FIG6D_HPD)
 
 
 @pytest.mark.parametrize("hpd", PAPER_HPD_VALUES[1:])

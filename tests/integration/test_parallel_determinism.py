@@ -16,7 +16,7 @@ from repro.core.fault_model import SER_MEDIUM
 from repro.experiments.synthetic import (
     AcceptanceExperiment,
     ExperimentPreset,
-    render_hpd_sweep,
+    render_sweep,
 )
 
 HPD_VALUES = (5.0, 100.0)
@@ -26,10 +26,8 @@ def _run(n_jobs, store_dir=None):
     experiment = AcceptanceExperiment(
         preset=ExperimentPreset.smoke(), n_jobs=n_jobs, store_dir=store_dir
     )
-    sweep = experiment.hpd_sweep(
-        ser=SER_MEDIUM, hpd_values=HPD_VALUES, max_cost=20.0
-    )
     settings = [experiment.run_setting(SER_MEDIUM, hpd) for hpd in HPD_VALUES]
+    sweep = {setting.hpd: setting.acceptance_percent(20.0) for setting in settings}
     return sweep, settings
 
 
@@ -48,27 +46,21 @@ def test_acceptance_percentages_identical(serial, parallel):
 
 
 def test_design_results_identical(serial, parallel):
-    """Every semantic field of every DesignResult matches (cache counters are
-    excluded from DesignResult equality by construction)."""
+    """Every field of every DesignResult matches."""
     for setting_serial, setting_parallel in zip(serial[1], parallel[1]):
         assert setting_serial.results == setting_parallel.results
 
 
 def test_rendered_golden_output_identical(serial, parallel):
     title = "determinism check"
-    assert render_hpd_sweep(serial[0], title) == render_hpd_sweep(
-        parallel[0], title
-    )
+    assert render_sweep(serial[0], title) == render_sweep(parallel[0], title)
 
 
 def test_engine_counters_identical(serial, parallel):
     """Search effort, computed points and hit/miss totals do not depend on
     worker processes: each application's engine lives in one worker."""
     for setting_serial, setting_parallel in zip(serial[1], parallel[1]):
-        serial_summary = setting_serial.cache_summary()
-        parallel_summary = setting_parallel.cache_summary()
-        for key in ("search_evaluations", "points_computed", "hits", "misses"):
-            assert parallel_summary[key] == serial_summary[key], key
+        assert setting_parallel.counters == setting_serial.counters
 
 
 def test_parallel_run_with_store_stays_identical(tmp_path, serial):
@@ -80,8 +72,8 @@ def test_parallel_run_with_store_stays_identical(tmp_path, serial):
     assert cold[0] == serial[0]
     warm = _run(n_jobs=2, store_dir=tmp_path)
     assert warm[0] == serial[0]
-    warm_disk_hits = sum(setting.disk_hits for setting in warm[1])
-    warm_loaded = sum(setting.disk_entries_loaded for setting in warm[1])
-    assert warm_loaded > 0
-    assert warm_disk_hits > 0
+    for setting in warm[1]:
+        assert setting.counters["disk_entries_loaded"] > 0
+        assert setting.counters["disk_hits"] > 0
+        assert setting.counters["misses"] == 0
     assert not list(tmp_path.glob("*.lock"))

@@ -24,49 +24,51 @@ from repro.experiments.synthetic import AcceptanceExperiment, ExperimentPreset
 
 
 @pytest.fixture(scope="module")
-def experiment() -> AcceptanceExperiment:
-    preset = ExperimentPreset(
-        n_applications=6,
-        process_counts=(16, 24),
-        n_node_types=3,
-        mapping_iterations=3,
-        mapping_stop_after=2,
-        mapping_candidates=2,
-    )
-    return AcceptanceExperiment(preset=preset)
+def experiment(fast_experiment) -> AcceptanceExperiment:
+    # The session-shared fast-preset experiment: settings the Fig. 6 tests
+    # already ran are not run again.
+    return fast_experiment
 
 
 @pytest.fixture(scope="module")
-def hpd_sweep(experiment):
-    return experiment.hpd_sweep(SER_MEDIUM, (5.0, 100.0), max_cost=20.0)
+def by_hpd(experiment):
+    """% accepted at SER=1e-11, ArC=20 for two HPD values."""
+    return {
+        hpd: experiment.run_setting(SER_MEDIUM, hpd).acceptance_percent(20.0)
+        for hpd in (5.0, 100.0)
+    }
 
 
 @pytest.fixture(scope="module")
-def ser_sweep(experiment):
-    return experiment.ser_sweep(25.0, (SER_LOW, SER_HIGH), max_cost=20.0)
+def by_ser(experiment):
+    """% accepted at HPD=25 %, ArC=20 for the lowest and highest SER."""
+    return {
+        ser: experiment.run_setting(ser, 25.0).acceptance_percent(20.0)
+        for ser in (SER_LOW, SER_HIGH)
+    }
 
 
 class TestFig6Shape:
-    def test_min_is_flat_over_hpd(self, hpd_sweep):
-        assert hpd_sweep[5.0]["MIN"] == pytest.approx(hpd_sweep[100.0]["MIN"])
+    def test_min_is_flat_over_hpd(self, by_hpd):
+        assert by_hpd[5.0]["MIN"] == pytest.approx(by_hpd[100.0]["MIN"])
 
-    def test_max_degrades_with_hpd(self, hpd_sweep):
-        assert hpd_sweep[100.0]["MAX"] <= hpd_sweep[5.0]["MAX"]
+    def test_max_degrades_with_hpd(self, by_hpd):
+        assert by_hpd[100.0]["MAX"] <= by_hpd[5.0]["MAX"]
 
-    def test_opt_dominates_baselines(self, hpd_sweep, ser_sweep):
-        for values in list(hpd_sweep.values()) + list(ser_sweep.values()):
+    def test_opt_dominates_baselines(self, by_hpd, by_ser):
+        for values in list(by_hpd.values()) + list(by_ser.values()):
             assert values["OPT"] >= values["MIN"]
             assert values["OPT"] >= values["MAX"]
 
-    def test_min_degrades_with_error_rate(self, ser_sweep):
-        assert ser_sweep[SER_HIGH]["MIN"] <= ser_sweep[SER_LOW]["MIN"]
+    def test_min_degrades_with_error_rate(self, by_ser):
+        assert by_ser[SER_HIGH]["MIN"] <= by_ser[SER_LOW]["MIN"]
 
-    def test_opt_matches_min_at_low_error_rate(self, ser_sweep):
+    def test_opt_matches_min_at_low_error_rate(self, by_ser):
         # Software fault tolerance alone suffices at SER = 1e-12.
-        assert ser_sweep[SER_LOW]["OPT"] >= ser_sweep[SER_LOW]["MIN"]
+        assert by_ser[SER_LOW]["OPT"] >= by_ser[SER_LOW]["MIN"]
 
-    def test_opt_clearly_beats_min_at_high_error_rate(self, ser_sweep):
-        assert ser_sweep[SER_HIGH]["OPT"] > ser_sweep[SER_HIGH]["MIN"]
+    def test_opt_clearly_beats_min_at_high_error_rate(self, by_ser):
+        assert by_ser[SER_HIGH]["OPT"] > by_ser[SER_HIGH]["MIN"]
 
 
 class TestCostCapBehaviour:

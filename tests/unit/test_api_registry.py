@@ -51,15 +51,6 @@ class TestScenarioParam:
         with pytest.raises(ModelError, match="expects float"):
             ScenarioParam("p", "float").coerce(raw)
 
-    def test_bool_accepts_cli_spellings(self):
-        param = ScenarioParam("flag", "bool", default=False)
-        for truthy in ("true", "1", "Yes"):
-            assert param.coerce(truthy) is True
-        for falsy in ("false", "0", "no"):
-            assert param.coerce(falsy) is False
-        with pytest.raises(ModelError, match="expects bool"):
-            param.coerce("maybe")
-
     def test_inclusive_bounds(self):
         param = ScenarioParam("n", "int", default=5, minimum=1, maximum=10)
         assert param.coerce(1) == 1

@@ -145,6 +145,25 @@ class TestRunCommand:
         assert exit_code == 2
         assert "scenario id is required" in capsys.readouterr().err
 
+    def test_unwritable_output_is_a_clean_error_before_the_run(self, tmp_path, capsys):
+        output = tmp_path / "missing" / "report.json"
+        exit_code = main(["run", "motivational", "--output", str(output)])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith(f"error: cannot write the report to {output}")
+        assert captured.out == ""  # the scenario never ran
+        assert not output.exists()
+
+    def test_unusable_cache_dir_is_a_clean_error_before_the_run(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        cache_dir = blocker / "store"
+        exit_code = main(["run", "fig6a", "--preset", "smoke", "--cache-dir", str(cache_dir)])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith(f"error: cannot use the cache directory {cache_dir}")
+        assert captured.out == ""
+
     def test_unknown_scenario_is_a_clean_error(self, capsys):
         exit_code = main(["run", "fig6x"])
         captured = capsys.readouterr()

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.evaluation import DesignResult, acceptance_rate, infeasible_result
+from repro.core.evaluation import DesignResult, infeasible_result
 from repro.core.mapping_model import ProcessMapping
+from repro.experiments.synthetic import SettingResult
 
 
 def _feasible_result(cost: float = 10.0, schedule_length: float = 100.0) -> DesignResult:
@@ -69,9 +70,10 @@ class TestDesignResult:
         assert "too slow" in summary
 
 
-class TestAcceptanceRate:
-    def test_empty_list_gives_zero(self):
-        assert acceptance_rate([]) == 0.0
+class TestAcceptancePercent:
+    def test_empty_strategy_gives_zero(self):
+        setting = SettingResult(ser=1e-11, hpd=5.0, results={"OPT": []})
+        assert setting.acceptance_percent(None) == {"OPT": 0.0}
 
     def test_mixed_results(self):
         results = [
@@ -79,5 +81,6 @@ class TestAcceptanceRate:
             _feasible_result(cost=30.0),
             infeasible_result("OPT", "x", "nope"),
         ]
-        assert acceptance_rate(results) == pytest.approx(2 / 3)
-        assert acceptance_rate(results, max_architecture_cost=20.0) == pytest.approx(1 / 3)
+        setting = SettingResult(ser=1e-11, hpd=5.0, results={"OPT": results})
+        assert setting.acceptance_percent(None)["OPT"] == pytest.approx(200 / 3)
+        assert setting.acceptance_percent(20.0)["OPT"] == pytest.approx(100 / 3)

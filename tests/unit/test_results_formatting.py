@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.experiments.results import format_bar_chart, format_table, percentages
-from repro.experiments.synthetic import render_cost_table, render_hpd_sweep
+from repro.experiments.synthetic import render_arc_table, render_sweep
 
 
 class TestFormatTable:
@@ -52,15 +52,15 @@ class TestPercentages:
 
 
 class TestSweepRendering:
-    def test_render_hpd_sweep(self):
+    def test_render_sweep(self):
         sweep = {5.0: {"MIN": 76.0, "MAX": 71.0, "OPT": 94.0}}
-        text = render_hpd_sweep(sweep, "Fig. 6a")
+        text = render_sweep(sweep, "Fig. 6a")
         assert "Fig. 6a" in text
         assert "MIN" in text and "OPT" in text
         assert "94.0" in text
 
-    def test_render_cost_table(self):
+    def test_render_arc_table(self):
         table = {5.0: {15.0: {"MIN": 76.0, "MAX": 35.0, "OPT": 92.0}}}
-        text = render_cost_table(table, "Fig. 6b")
+        text = render_arc_table(table, "Fig. 6b")
         assert "ArC" in text
         assert "92.0" in text
