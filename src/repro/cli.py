@@ -139,6 +139,11 @@ def _run_serve(arguments: argparse.Namespace) -> int:
     except ModelError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    for role, directory in (("spool", config.spool_dir), ("cache", config.cache_dir)):
+        problem = _unusable_directory(role, directory)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
     return run_server(config)
 
 
@@ -307,11 +312,17 @@ def _unusable_path(config: RunConfig) -> Optional[str]:
         parent = output.parent
         if output.is_dir() or not parent.is_dir() or not os.access(parent, os.W_OK):
             return f"cannot write the report to {output}: {parent} is not a writable directory"
-    if config.cache_dir is not None:
-        try:
-            config.cache_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as error:
-            return f"cannot use the cache directory {config.cache_dir}: {error.strerror}"
+    return _unusable_directory("cache", config.cache_dir)
+
+
+def _unusable_directory(role: str, directory: Optional[Path]) -> Optional[str]:
+    """Why ``directory`` could not be created, if it could not."""
+    if directory is None:
+        return None
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        return f"cannot use the {role} directory {directory}: {error.strerror}"
     return None
 
 

@@ -9,11 +9,9 @@ from __future__ import annotations
 from repro.engine.cache import CacheStats, MemoCache, MISS
 from repro.engine.engine import EvaluationEngine, resolve_engine
 from repro.engine.fingerprint import (
-    application_fingerprint,
     architecture_fingerprint,
     hardening_fingerprint,
     mapping_fingerprint,
-    profile_fingerprint,
     stable_context_fingerprint,
 )
 from repro.engine.store import (
@@ -33,12 +31,10 @@ __all__ = [
     "MISS",
     "STORE_SCHEMA_VERSION",
     "StoreStats",
-    "application_fingerprint",
     "architecture_fingerprint",
     "code_version_salt",
     "hardening_fingerprint",
     "mapping_fingerprint",
-    "profile_fingerprint",
     "resolve_engine",
     "stable_context_fingerprint",
 ]

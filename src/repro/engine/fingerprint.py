@@ -16,14 +16,17 @@ Fingerprint contracts:
   levels are deliberately excluded: the redundancy heuristics mutate levels
   while exploring, and the hardening vector is keyed separately.
 * A hardening vector is identified by its sorted ``(node name, level)`` pairs.
-* Application and execution profile are identified by a content hash computed
-  once per engine (they are immutable for the duration of one exploration).
+* Application and execution profile are identified together by
+  :func:`stable_context_fingerprint`, a content hash computed once per engine
+  (they are immutable for the duration of one exploration).  It is the only
+  fingerprint that is encoded and digested; the others are plain sorted
+  tuples.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple, Union
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
@@ -43,8 +46,14 @@ def _canonical_encode(value: object) -> bytes:
     every value gets a one-byte type tag and a self-delimiting payload, so no
     two distinct values share an encoding and no ``repr()`` formatting ever
     enters a cache key.  Floats encode via ``float.hex()``, which is exact
-    and locale/platform independent.
+    and locale/platform independent; a string's length is its UTF-8 byte
+    length.  A tuple or list is encoded in one pass into a single buffer
+    (:func:`_encode_items`).
     """
+    if isinstance(value, (tuple, list)):
+        buffer = bytearray()
+        _encode_items(value, buffer, {})
+        return bytes(buffer)
     if value is None:
         return b"N;"
     if isinstance(value, bool):  # before int: bool is an int subtype
@@ -59,23 +68,45 @@ def _canonical_encode(value: object) -> bytes:
         return b"S" + str(len(payload)).encode("ascii") + b":" + payload
     if isinstance(value, bytes):
         return b"Y" + str(len(value)).encode("ascii") + b":" + value
-    if isinstance(value, (tuple, list)):
-        items = b"".join(_canonical_encode(item) for item in value)
-        return b"T" + str(len(value)).encode("ascii") + b":" + items + b")"
     raise TypeError(
         f"unsupported fingerprint key material of type {type(value).__name__}"
     )
 
 
-def _stable_digest(value: object) -> int:
-    """128-bit content digest of ``value`` under the canonical encoding.
+def _encode_items(
+    items: Union[Tuple[object, ...], List[object]],
+    buffer: bytearray,
+    strings: Dict[str, bytes],
+) -> None:
+    """Append the encoding of one tuple or list to ``buffer``.
 
-    Unlike builtin ``hash()`` this is independent of ``PYTHONHASHSEED``, the
-    interpreter build and the process — the same content always digests to
-    the same integer, on any machine.
+    Exact ``str``/``float``/``int``/``tuple`` items are encoded inline — no
+    call per scalar — and each distinct string is encoded once per
+    :func:`_canonical_encode` call (``strings``), because process and node
+    names repeat in every profile row.  Any other item goes through the
+    module-level :func:`_canonical_encode`, so a wrapper installed there
+    (the determinism sanitizer's) still sees nested sets and dicts.  One
+    growing buffer, not a list of pieces, keeps the peak memory near the
+    size of the encoding.
     """
-    digest = hashlib.sha256(_canonical_encode(value)).digest()
-    return int.from_bytes(digest[:16], "big")
+    buffer += b"T%d:" % len(items)
+    for item in items:
+        kind = type(item)
+        if kind is str:
+            encoded = strings.get(item)
+            if encoded is None:
+                payload = item.encode("utf-8")
+                encoded = strings[item] = b"S%d:%s" % (len(payload), payload)
+            buffer += encoded
+        elif kind is float:
+            buffer += b"F%s;" % item.hex().encode("ascii")
+        elif kind is int:
+            buffer += b"I%d;" % item
+        elif kind is tuple:
+            _encode_items(item, buffer, strings)
+        else:
+            buffer += _canonical_encode(item)
+    buffer += b")"
 
 
 def mapping_fingerprint(mapping: ProcessMapping) -> MappingFingerprint:
@@ -95,18 +126,8 @@ def architecture_fingerprint(architecture: Architecture) -> ArchitectureFingerpr
     )
 
 
-def application_fingerprint(application: Application) -> int:
-    """Content digest of the application's graphs and global parameters."""
-    return _stable_digest(_canonical_application(application))
-
-
-def profile_fingerprint(profile: ExecutionProfile) -> int:
-    """Content digest of the execution profile tables."""
-    return _stable_digest(_canonical_profile(profile))
-
-
 def _canonical_application(application: Application) -> Tuple[object, ...]:
-    """Canonical content tuple of an application (same data as the hash)."""
+    """Canonical content tuple of an application's graphs and global parameters."""
     graphs = []
     for graph in application.graphs:
         processes = tuple(sorted(graph.process_names))
@@ -149,10 +170,10 @@ def stable_context_fingerprint(
 ) -> str:
     """Cross-process content hash of one (application, profile) context.
 
-    The hex-string form of the same canonical content the in-memory
-    fingerprints digest: SHA-256 of the type-tagged canonical encoding, with
-    no ``hash()``/``repr()`` anywhere on the path, so the value is stable
-    across interpreter runs (``PYTHONHASHSEED``), platforms and processes.
+    SHA-256 (hex) of the type-tagged canonical encoding of the application
+    and profile content tuples, with no ``hash()``/``repr()`` anywhere on
+    the path, so the value is stable across interpreter runs
+    (``PYTHONHASHSEED``), platforms and processes.
     It is the key the persistent design-point store files are named by.
     """
     canonical = (_canonical_application(application), _canonical_profile(profile))

@@ -121,6 +121,9 @@ class Job:
     finished_at: Optional[float] = None
     error: Optional[str] = None
     result: Optional[Dict[str, Any]] = None
+    #: Set once the spool is sealed with the terminal event; event streams
+    #: wait on it between polls instead of finding the terminal line late.
+    sealed: asyncio.Event = field(default_factory=asyncio.Event, repr=False, compare=False)
 
     def spec(self) -> Dict[str, Any]:
         """The picklable payload that crosses the pool boundary.
@@ -385,6 +388,32 @@ class JobManager:
                 queue.task_done()
 
     async def _run_job(self, job: Job) -> None:
+        """Run one job to its outcome, then seal its spool and wake its streams.
+
+        Every way out — success, failure, timeout, a closed manager, and
+        cancellation at :meth:`close` — ends in the same seal, so every job
+        gets exactly one terminal event and no stream waits on it forever.
+        """
+        try:
+            await self._execute(job)
+        finally:
+            job.finished_at = time.time()
+            writer = EventWriter(job.events_path)
+            if job.state == "done":
+                writer.seal({"event": "job_done", "job": job.job_id, "scenario": job.scenario})
+            else:
+                writer.seal(
+                    {
+                        "event": "job_failed",
+                        "job": job.job_id,
+                        "scenario": job.scenario,
+                        "error": job.error,
+                    }
+                )
+            job.sealed.set()
+
+    async def _execute(self, job: Job) -> None:
+        """Run the job in the pool; records its outcome on ``job``."""
         executor = self._executor
         if executor is None:  # pragma: no cover - close() raced a consumer
             job.state = "failed"
@@ -392,8 +421,9 @@ class JobManager:
             return
         job.state = "running"
         job.started_at = time.time()
-        writer = EventWriter(job.events_path)
-        writer.emit({"event": "job_started", "job": job.job_id, "scenario": job.scenario})
+        EventWriter(job.events_path).emit(
+            {"event": "job_started", "job": job.job_id, "scenario": job.scenario}
+        )
         future: "Optional[asyncio.Future[Dict[str, Any]]]" = None
         try:
             future = asyncio.wrap_future(executor.submit(_execute_job, job.spec()))
@@ -420,15 +450,3 @@ class JobManager:
             # Abandons a timed-out or cancelled run; a no-op once it finished.
             if future is not None:
                 future.cancel()
-        job.finished_at = time.time()
-        if job.state == "done":
-            writer.seal({"event": "job_done", "job": job.job_id, "scenario": job.scenario})
-        else:
-            writer.seal(
-                {
-                    "event": "job_failed",
-                    "job": job.job_id,
-                    "scenario": job.scenario,
-                    "error": job.error,
-                }
-            )

@@ -6,7 +6,10 @@ worker (the :data:`~repro.api.session.ProgressCallback` threaded through
 process streaming ``GET /jobs/<id>/events``.  The bridge is a plain
 append-only file per job: the worker's :class:`EventWriter` appends one
 canonicalized JSON line per event, and the server tails the file with
-:func:`iter_new_lines` between ``asyncio.sleep`` polls.
+:func:`iter_new_lines`.  Between reads the stream waits on the job's
+``sealed`` event with a short timeout: worker events are picked up at the
+next timeout, while the terminal event, which the server writes itself,
+wakes the stream at once.
 
 A file — not a pipe or queue — is deliberate: it is picklable-by-path
 (only the path string crosses the pool boundary, satisfying R006/R007 by
@@ -16,8 +19,10 @@ intact, and late stream subscribers replay the full history for free.
 A spool is *sealed* when the server decides a job's outcome: before it
 appends the terminal event it creates a ``<spool>.sealed`` sentinel, and
 every later :meth:`EventWriter.emit` raises :class:`SpoolSealed`.  A
-timed-out job's worker therefore stops at its next progress event instead
-of computing on (and appending) after its ``job_failed``.
+timed-out or cancelled job's worker therefore stops at its next progress
+event instead of computing on (and appending) after its ``job_failed``.
+Every job a consumer takes from the queue is sealed exactly once, whichever
+way it ends.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ Endpoints (all JSON, ``Connection: close``):
   full ``RunReport`` payload rides along as ``"report"``;
 * ``GET /jobs/<id>/events`` — NDJSON progress stream (queue/lifecycle
   events from the server, ``scenario_*``/``setting_progress`` events from
-  the worker), closed after the terminal event;
+  the worker), closed after the terminal event, which is relayed as soon as
+  the server seals the job rather than at the next poll;
 * ``GET /healthz`` — queue depth, per-state job counts, worker liveness
   and shared-store statistics.
 
@@ -38,7 +39,9 @@ from repro.serve.protocol import (
     stream_head,
 )
 
-#: Poll interval of the ``/events`` spool tail, seconds.
+#: Longest wait between reads of the ``/events`` spool tail, seconds.  The
+#: worker's progress events are relayed at this pace; the terminal event
+#: wakes the stream at once (:attr:`Job.sealed`).
 _EVENT_POLL_SECONDS = 0.05
 
 
@@ -201,9 +204,13 @@ class ServeApp:
     async def stream_events(self, job: Job, writer: asyncio.StreamWriter) -> None:
         """Tail the job's spool as NDJSON until its terminal event.
 
-        Replays the full history for late subscribers, then polls.  The
-        stream is delimited by connection close (no chunked framing) —
-        clients read lines until EOF.
+        Replays the full history for late subscribers, then re-reads the
+        spool whenever the job is sealed or :data:`_EVENT_POLL_SECONDS`
+        pass, whichever comes first: the worker's progress events arrive
+        through the file alone, but the server seals the spool itself, so
+        the terminal event is relayed as soon as it is written.  The stream
+        is delimited by connection close (no chunked framing) — clients read
+        lines until EOF.
         """
         writer.write(stream_head())
         await writer.drain()
@@ -222,7 +229,10 @@ class ServeApp:
             await writer.drain()
             if finished:
                 return
-            await asyncio.sleep(_EVENT_POLL_SECONDS)
+            try:
+                await asyncio.wait_for(job.sealed.wait(), _EVENT_POLL_SECONDS)
+            except asyncio.TimeoutError:
+                pass
 
 
 def _is_terminal(line: bytes) -> bool:

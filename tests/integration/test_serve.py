@@ -226,6 +226,38 @@ def test_parallel_distinct_jobs_match_sequential_runs_byte_for_byte(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# the terminal event wakes its streams
+# ----------------------------------------------------------------------
+def test_terminal_event_is_relayed_without_waiting_for_a_poll(tmp_path, monkeypatch):
+    """With a 30 s poll, only the seal's wake-up can deliver the end in time."""
+    from repro.serve import server
+
+    monkeypatch.setattr(server, "_EVENT_POLL_SECONDS", 30.0)
+    with serve_app(tmp_path, workers=1) as (host, port, _app):
+        # Fork the pool worker first: a worker forked while the stream is
+        # open would inherit its socket.
+        warmup = _submit(host, port, GOLDEN_JOB["scenario"], GOLDEN_JOB["config"])
+        assert _wait_done(host, port, warmup)["state"] == "done"
+
+        job_id = _submit(host, port, "synthetic-random", {"scenario_params": RANDOM_PARAMS})
+        connection = HTTPConnection(host, port, timeout=300.0)
+        try:
+            connection.request("GET", f"/jobs/{job_id}/events")
+            response = connection.getresponse()
+            while True:
+                line = response.readline()
+                assert line, "stream closed before its terminal event"
+                if json.loads(line)["event"] in ("job_done", "job_failed"):
+                    arrived = time.time()
+                    break
+        finally:
+            connection.close()
+        record = _wait_done(host, port, job_id)
+    assert record["state"] == "done", record["error"]
+    assert arrived - record["finished_at"] < 5.0
+
+
+# ----------------------------------------------------------------------
 # backpressure and timeouts
 # ----------------------------------------------------------------------
 def test_full_queue_returns_429_with_retry_after(tmp_path):
@@ -377,6 +409,30 @@ async def _run_after_worker_death(tmp_path, kill_while_running):
         if not closed:
             await manager.close()
     return killed, follow_up, consumers_alive
+
+
+def test_close_during_a_running_job_seals_it_as_cancelled(tmp_path):
+    async def scenario():
+        manager = JobManager(ServeConfig(spool_dir=tmp_path / "serve", workers=1))
+        await manager.start()
+        try:
+            job = manager.submit(LONG_JOB)
+            await _until(lambda: "scenario_started" in job.events_path.read_text())
+            workers = list(manager._executor._processes)
+        finally:
+            await manager.close()
+        for pid in workers:  # the abandoned run would stop at its next event
+            os.kill(pid, signal.SIGKILL)
+        return job
+
+    job = asyncio.run(scenario())
+    assert job.state == "failed" and job.error == "cancelled"
+    assert job.sealed.is_set()
+    events = _events(job)
+    terminal = [event for event in events if event["event"] in ("job_done", "job_failed")]
+    assert terminal == [events[-1]]
+    assert events[-1]["event"] == "job_failed" and events[-1]["error"] == "cancelled"
+    assert job.events_path.with_name(job.events_path.name + ".sealed").exists()
 
 
 @pytest.mark.parametrize("kill_while_running", [True, False], ids=["running", "idle"])

@@ -289,6 +289,24 @@ class TestServeCommand:
         assert exit_code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, role", [("--cache-dir", "cache"), ("--spool-dir", "spool")])
+    def test_unusable_serve_directory_is_a_clean_error_before_serving(
+        self, monkeypatch, tmp_path, capsys, flag, role
+    ):
+        import repro.serve
+
+        served = []
+        monkeypatch.setattr(repro.serve, "run_server", lambda config: served.append(config) or 0)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        directory = blocker / "x"
+        exit_code = main(["serve", "--port", "0", flag, str(directory)])
+        assert exit_code == 2
+        assert served == []
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot use the {role} directory {directory}"
+        )
+
     @pytest.mark.parametrize(
         "flags",
         [["--job-timeout", "nan"], ["--job-timeout", "inf"], ["--port", "70000"], ["--port", "-1"]],

@@ -10,11 +10,9 @@ from repro.core.sfp import probability_exceeds, system_failure_probability
 from repro.engine import EvaluationEngine, MISS, MemoCache, resolve_engine
 from repro.engine.cache import CacheStats
 from repro.engine.fingerprint import (
-    application_fingerprint,
     architecture_fingerprint,
     hardening_fingerprint,
     mapping_fingerprint,
-    profile_fingerprint,
 )
 from repro.experiments.motivational import fig1_application, fig1_profile, fig3_application
 from repro.kernels import ArrayKernel, ReferenceKernel
@@ -43,19 +41,6 @@ class TestFingerprints:
         before = architecture_fingerprint(architecture)
         architecture.node("N1").hardening = 3
         assert architecture_fingerprint(architecture) == before
-
-    def test_application_fingerprint_is_stable(self):
-        application = fig1_application()
-        assert application_fingerprint(application) == application_fingerprint(
-            application
-        )
-
-    def test_profile_fingerprint_tracks_content(self):
-        profile = fig1_profile()
-        before = profile_fingerprint(profile)
-        assert before == profile_fingerprint(fig1_profile())
-        profile.add_entry("P1", "N1", 1, wcet=123.0, failure_probability=0.5)
-        assert profile_fingerprint(profile) != before
 
 
 # ----------------------------------------------------------------------

@@ -177,6 +177,15 @@ class TestFingerprintEncoder:
         assert rules_of(sanitizer) == {"R001"}
         assert "unordered set" in sanitizer.violations[0].message
 
+    def test_set_nested_in_a_tuple_records_r001(self):
+        from repro.engine import fingerprint
+
+        with DeterminismSanitizer() as sanitizer:
+            with pytest.raises(TypeError):
+                from_repro(fingerprint._canonical_encode, (("P1", 1.5), {"a", "b"}))
+        assert rules_of(sanitizer) == {"R001"}
+        assert "unordered set" in sanitizer.violations[0].message
+
     def test_canonical_tuples_are_silent(self):
         from repro.engine import fingerprint
 

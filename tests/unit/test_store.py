@@ -347,6 +347,36 @@ def test_stable_fingerprint_is_deterministic_within_process(context):
     assert len(first) == 64 and int(first, 16) >= 0
 
 
+#: Context digests recorded before the encoder was flattened: the store's
+#: file names derive from them, so a store written by an older build must
+#: keep warming.
+FIG1_CONTEXT_DIGEST = "97ba9e7a1b8b6a69e1430fe6a50dbbcdabd2d368a9a6a0162c12e44df27a6959"
+SMOKE_CONTEXT_DIGEST = "bfcdf08d05ac6bcffcbeda296abc7a1a72254b1d545440564769e792afd6212b"
+
+
+def test_stable_fingerprint_pins_the_fig1_digest(context):
+    assert stable_context_fingerprint(*context) == FIG1_CONTEXT_DIGEST
+
+
+def test_stable_fingerprint_pins_the_synthetic_random_smoke_digest():
+    """The context of ``synthetic-random`` with n_processes=10, seed=3."""
+    from repro.api.scenarios_synthetic import FAMILY_HPD, FAMILY_SER
+    from repro.experiments.synthetic import build_platform
+    from repro.generator.benchmark import BenchmarkConfig, generate_benchmark
+
+    benchmark = generate_benchmark(3, BenchmarkConfig(n_processes=10), name="synthetic_random_3")
+    _, profile = build_platform(
+        benchmark, ser_per_cycle=FAMILY_SER, hardening_performance_degradation=FAMILY_HPD
+    )
+    assert stable_context_fingerprint(benchmark.application, profile) == SMOKE_CONTEXT_DIGEST
+
+
+def test_stable_fingerprint_tracks_profile_content(context):
+    application, profile = context
+    profile.add_entry("P1", "N1", 1, wcet=123.0, failure_probability=0.5)
+    assert stable_context_fingerprint(application, profile) != FIG1_CONTEXT_DIGEST
+
+
 def test_stable_fingerprint_survives_hash_randomization():
     """PYTHONHASHSEED must not leak into persisted keys (unlike builtin hash)."""
     script = (
