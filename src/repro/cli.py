@@ -28,22 +28,6 @@ from repro.api.config import DEFAULT_CACHE_SIZE_MB, PRESETS
 from repro.core.exceptions import ModelError
 
 
-def _job_count(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (1 = serial, 0 = one per CPU), got {jobs}"
-        )
-    return jobs
-
-
-def _cache_size(value: str) -> int:
-    size = int(value)
-    if size < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 (MiB), got {size}")
-    return size
-
-
 def _scenario_param(value: str) -> Tuple[str, str]:
     """Parse one ``--param key=value`` pair; validation happens at run time
     against the scenario's declared schema."""
@@ -58,11 +42,12 @@ def _scenario_param(value: str) -> Tuple[str, str]:
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     """Configuration flags of the generic scenario driver.
 
-    Each flag maps 1:1 onto a :class:`RunConfig` field.
+    Each flag maps 1:1 onto a :class:`RunConfig` field, which validates it:
+    an out-of-range value is an ``error: …`` line and exit code 2.
     """
     parser.add_argument(
         "--jobs",
-        type=_job_count,
+        type=int,
         default=1,
         help=(
             "worker processes for the per-application loop "
@@ -81,7 +66,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-size-mb",
-        type=_cache_size,
+        type=int,
         default=DEFAULT_CACHE_SIZE_MB,
         help=(
             "size cap of the persistent cache directory in MiB; "
@@ -106,13 +91,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> RunConfig:
         output=arguments.output,
         scenario_params=dict(arguments.params or []),
     )
-
-
-def _worker_count(value: str) -> int:
-    count = int(value)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
 
 
 def _run_serve(arguments: argparse.Namespace) -> int:
@@ -226,13 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=_worker_count,
+        type=int,
         default=2,
         help="job worker processes sharing the warm store (default 2)",
     )
     serve.add_argument(
         "--queue-size",
-        type=_worker_count,
+        type=int,
         default=16,
         metavar="N",
         help="bounded job queue capacity; beyond it POST /jobs returns "
@@ -261,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-size-mb",
-        type=_cache_size,
+        type=int,
         default=DEFAULT_CACHE_SIZE_MB,
         help="size cap of the shared store in MiB",
     )
@@ -279,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser(
         "lint",
         help="AST invariant checker: fingerprint purity, kernel contracts, "
-        "structure tokens, seeded RNGs (see `repro-ftes lint --help`)",
+        "structure safety, seeded RNGs (see `repro-ftes lint --help`)",
         add_help=False,
     )
     return parser

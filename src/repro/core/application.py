@@ -16,6 +16,10 @@ This module provides three classes:
   reliability parameters (deadline ``D``, period ``T``, recovery overhead
   ``mu``, reliability goal ``rho`` and the time unit ``tau``).
 
+Task graphs and applications are built freely; once an evaluation binds an
+application (:meth:`Application.freeze`) it and its task graphs are read-only
+and every mutator raises :class:`ModelError`.
+
 All times are expressed in milliseconds, matching the paper's examples.
 """
 
@@ -102,7 +106,8 @@ class TaskGraph:
     derived order follows insertion order, so
     neighbour lists, the topological order and its tie breaks are
     reproducible; removing an edge and adding it back moves it to the end of
-    its endpoints' neighbour orders.
+    its endpoints' neighbour orders.  The graph is read-only once its
+    application is frozen.
     """
 
     def __init__(self, name: str) -> None:
@@ -120,12 +125,19 @@ class TaskGraph:
         self._adjacency_cache: Optional[
             Tuple[Dict[str, List[str]], Dict[str, List[str]]]
         ] = None
-        self._token_cache: Optional[Tuple] = None
+        # Set by Application.freeze when an evaluation binds the application.
+        self._frozen = False
+
+    def _require_mutable(self) -> None:
+        if self._frozen:
+            raise ModelError(
+                f"Task graph {self.name} is read-only: an evaluation has bound "
+                "its application"
+            )
 
     def _invalidate_structure_caches(self) -> None:
         self._order_cache = None
         self._adjacency_cache = None
-        self._token_cache = None
 
     def _adjacency(self) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
         if self._adjacency_cache is None:
@@ -152,6 +164,7 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def add_process(self, process: Process) -> Process:
         """Add ``process`` to the graph.  Re-adding the same name is an error."""
+        self._require_mutable()
         if process.name in self._processes:
             raise ModelError(
                 f"Process {process.name} already exists in task graph {self.name}"
@@ -166,8 +179,9 @@ class TaskGraph:
         """Add a data dependency; both endpoints must already be processes.
 
         An edge that would close a cycle is rejected before anything is
-        mutated, so the graph, its caches and its token stay as they were.
+        mutated, so the graph and its caches stay as they were.
         """
+        self._require_mutable()
         for endpoint in (message.source, message.destination):
             if endpoint not in self._processes:
                 raise ModelError(
@@ -194,10 +208,11 @@ class TaskGraph:
     def remove_message(self, source: str, destination: str) -> Message:
         """Remove (and return) the message from ``source`` to ``destination``.
 
-        This is the supported way to rewire a task graph in place (remove one
-        dependency, then :meth:`add_message` its replacement); it keeps the
-        structure caches and the structural token consistent.
+        This is the supported way to rewire a task graph before it is bound
+        (remove one dependency, then :meth:`add_message` its replacement); it
+        keeps the structure caches consistent.
         """
+        self._require_mutable()
         key = (source, destination)
         message = self._messages.get(key)
         if message is None:
@@ -308,29 +323,6 @@ class TaskGraph:
         )
         return self._order_cache
 
-    def structure_token(self) -> Tuple:
-        """Value token of the graph structure.
-
-        Any mutation through the construction API — adding or removing a
-        process or message, including edits that preserve the process and
-        message *counts* (rewired edges, renamed messages, changed
-        transmission times) — yields a different token, so consumers that
-        memoize derived structure (the list scheduler, compiled scheduler
-        kernels) can use it as their guard.  Cached alongside the other
-        structure caches; like them, it does not observe mutations that
-        bypass the public API.
-        """
-        if self._token_cache is None:
-            self._token_cache = (
-                tuple(self._processes),
-                tuple(
-                    (message.name, message.source, message.destination,
-                     message.transmission_time)
-                    for message in self._messages.values()
-                ),
-            )
-        return self._token_cache
-
     def __len__(self) -> int:
         return len(self._processes)
 
@@ -417,45 +409,50 @@ class Application:
         self.name = name
         self.deadline = require_positive(deadline, "deadline")
         self.reliability_goal = require_in_unit_interval(reliability_goal, "reliability_goal")
-        # Bumped whenever any recovery overhead changes; consumers that
-        # snapshot the per-process mu values (compiled scheduler kernels)
-        # guard their caches on (identity, recovery_version).
-        self._recovery_version = 0
+        #: Default recovery overhead ``mu`` for processes without an override.
         self.recovery_overhead = require_non_negative(recovery_overhead, "recovery_overhead")
         self.period = require_positive(period if period is not None else deadline, "period")
         self.time_unit = require_positive(time_unit, "time_unit")
         self._graphs: Dict[str, TaskGraph] = {}
         self._recovery_overheads: Dict[str, float] = {}
-        # Name-list cache guarded by the structural token (hot paths — the
-        # scheduler's per-call mapping validation above all — ask for the
-        # process names of an unchanged application thousands of times).
-        self._names_cache: Optional[Tuple[Tuple, List[str]]] = None
+        self._frozen = False
+        # ``(names, name set)``, cached once the application is frozen (hot
+        # paths — the scheduler's per-call mapping validation above all — ask
+        # for the process names of a bound application thousands of times).
+        self._names_cache: Optional[Tuple[List[str], frozenset]] = None
         if recovery_overheads:
             for process_name, value in recovery_overheads.items():
                 self._recovery_overheads[process_name] = require_non_negative(
                     value, f"recovery overhead of {process_name}"
                 )
 
-    @property
-    def recovery_overhead(self) -> float:
-        """Default recovery overhead ``mu`` for processes without an override."""
-        return self._recovery_overhead
+    def freeze(self) -> None:
+        """Make the application and its task graphs read-only.
 
-    @recovery_overhead.setter
-    def recovery_overhead(self, value: float) -> None:
-        self._recovery_overhead = require_non_negative(value, "recovery_overhead")
-        self._recovery_version += 1
+        Every evaluation binds its application through this call (an
+        :class:`~repro.engine.engine.EvaluationEngine` on construction, the
+        list scheduler on every schedule), because each memoizes what it
+        derives by object identity alone.  From then on every mutator of the
+        application and of its task graphs raises :class:`ModelError`.  A
+        frozen application returns at the flag check.
+        """
+        if not self._frozen:
+            for graph in self._graphs.values():
+                graph._frozen = True
+            self._frozen = True
 
-    @property
-    def recovery_version(self) -> int:
-        """Mutation counter: changes whenever any recovery overhead is edited."""
-        return self._recovery_version
+    def _require_mutable(self) -> None:
+        if self._frozen:
+            raise ModelError(
+                f"Application {self.name} is read-only: an evaluation has bound it"
+            )
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_graph(self, graph: TaskGraph) -> TaskGraph:
         """Attach a task graph; process names must be globally unique."""
+        self._require_mutable()
         if graph.name in self._graphs:
             raise ModelError(f"Task graph {graph.name} already part of {self.name}")
         existing = set(self.process_names())
@@ -470,11 +467,13 @@ class Application:
 
     def new_graph(self, name: str) -> TaskGraph:
         """Create, attach and return an empty task graph."""
+        self._require_mutable()
         graph = TaskGraph(name)
         return self.add_graph(graph)
 
     def set_recovery_overhead(self, process_name: str, value: float) -> None:
         """Override the recovery overhead ``mu`` for one process."""
+        self._require_mutable()
         if process_name not in set(self.process_names()):
             raise ModelError(
                 f"Cannot set recovery overhead: unknown process {process_name}"
@@ -482,7 +481,6 @@ class Application:
         self._recovery_overheads[process_name] = require_non_negative(
             value, f"recovery overhead of {process_name}"
         )
-        self._recovery_version += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -509,22 +507,21 @@ class Application:
             result.extend(graph.processes)
         return result
 
-    def process_names(self) -> List[str]:
-        token = self.structure_token()
+    def _names(self) -> Tuple[List[str], frozenset]:
         cached = self._names_cache
-        if cached is None or cached[0] != token:
+        if cached is None:
             names = [process.name for process in self.processes()]
-            cached = self._names_cache = (token, names, frozenset(names))
-        return list(cached[1])
+            cached = (names, frozenset(names))
+            if self._frozen:
+                self._names_cache = cached
+        return cached
+
+    def process_names(self) -> List[str]:
+        return list(self._names()[0])
 
     def process_name_set(self) -> frozenset:
-        """The set of process names (cached alongside :meth:`process_names`)."""
-        token = self.structure_token()
-        cached = self._names_cache
-        if cached is None or cached[0] != token:
-            self.process_names()
-            cached = self._names_cache
-        return cached[2]
+        """The set of process names (cached once the application is frozen)."""
+        return self._names()[1]
 
     def process(self, name: str) -> Process:
         for graph in self._graphs.values():
@@ -544,13 +541,6 @@ class Application:
 
     def number_of_processes(self) -> int:
         return sum(len(graph) for graph in self._graphs.values())
-
-    def structure_token(self) -> Tuple:
-        """Structural token over all task graphs (see TaskGraph.structure_token)."""
-        return tuple(
-            (graph.name, graph.structure_token())
-            for graph in self._graphs.values()
-        )
 
     def validate(self) -> None:
         """Check global consistency; raise :class:`ModelError` when violated."""

@@ -154,7 +154,7 @@ class MappingAlgorithm:
         engine = resolve_engine(engine, application, profile)
         evaluations = 0
         mapping = (
-            initial_mapping.copy()
+            initial_mapping
             if initial_mapping is not None
             else self.initial_mapping(application, architecture, profile)
         )
@@ -168,7 +168,7 @@ class MappingAlgorithm:
             return self._objective_value(decision, objective), decision
 
         best_value, best_decision = evaluate(mapping)
-        best_mapping = mapping.copy()
+        best_mapping = mapping
         current_mapping = mapping
         current_value = best_value
 
@@ -214,7 +214,7 @@ class MappingAlgorithm:
             if value < best_value:
                 best_value = value
                 best_decision = decision
-                best_mapping = candidate_mapping.copy()
+                best_mapping = candidate_mapping
                 stagnation = 0
             else:
                 stagnation += 1
@@ -247,7 +247,7 @@ class MappingAlgorithm:
         the supporting node with the smallest accumulated load after adding
         the process's WCET at the node's minimum hardening level.
         """
-        mapping = ProcessMapping()
+        assignment: Dict[str, str] = {}
         load: Dict[str, float] = {node.name: 0.0 for node in architecture}
         for graph in application.graphs:
             for process in graph.topological_order():
@@ -267,9 +267,9 @@ class MappingAlgorithm:
                         "candidate architecture"
                     )
                 _, node_name, wcet = best
-                mapping.assign(process, node_name)
+                assignment[process] = node_name
                 load[node_name] += wcet
-        return mapping
+        return ProcessMapping(assignment)
 
     # ------------------------------------------------------------------
     # internals

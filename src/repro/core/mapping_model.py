@@ -2,9 +2,10 @@
 
 A mapping ``M`` assigns every process of the application to exactly one node
 instance of the architecture (the paper writes ``M(Pi) = Nj^h``).  The class
-below is a thin, validated wrapper around a ``{process name: node name}``
-dictionary with the convenience queries used throughout the heuristics and
-the SFP analysis.
+below is a thin, validated, immutable wrapper around a ``{process name: node
+name}`` dictionary with the convenience queries used throughout the
+heuristics and the SFP analysis; :meth:`ProcessMapping.moved` derives a new
+mapping instead of editing one in place.
 """
 
 from __future__ import annotations
@@ -18,39 +19,24 @@ from repro.core.profile import ExecutionProfile
 
 
 class ProcessMapping:
-    """Assignment of processes to architecture nodes."""
+    """Immutable assignment of processes to architecture nodes.
+
+    Hot paths (scheduler kernels) memoize tables derived from a mapping by
+    object identity, which is sound because a mapping never changes.
+    """
 
     def __init__(self, assignment: Optional[Mapping[str, str]] = None) -> None:
         self._assignment: Dict[str, str] = dict(assignment or {})
-        # Bumped on every in-place mutation; (identity, version) lets hot
-        # paths (scheduler kernels) guard one-slot memos of derived tables
-        # in O(1) instead of re-deriving or re-hashing the assignment.
-        self._version = 0
-        # Mapped-name set guarded by the version (validate runs per schedule
-        # call, the set only changes when the assignment does).
-        self._names_cache: Optional[tuple] = None
+        # Mapped-name set, built on first use (validate runs per schedule
+        # call).
+        self._names: Optional[frozenset] = None
 
     # ------------------------------------------------------------------
-    # construction / modification
+    # derivation
     # ------------------------------------------------------------------
-    def assign(self, process: str, node: str) -> None:
-        """Map ``process`` onto ``node`` (overwrites any previous assignment)."""
-        self._assignment[process] = node
-        self._version += 1
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: changes whenever the assignment is edited in place."""
-        return self._version
-
-    def copy(self) -> "ProcessMapping":
-        return ProcessMapping(self._assignment)
-
     def moved(self, process: str, node: str) -> "ProcessMapping":
-        """Return a copy of the mapping with one process re-mapped."""
-        clone = self.copy()
-        clone.assign(process, node)
-        return clone
+        """Return a new mapping with ``process`` (re-)mapped onto ``node``."""
+        return ProcessMapping({**self._assignment, process: node})
 
     # ------------------------------------------------------------------
     # queries
@@ -69,14 +55,10 @@ class ProcessMapping:
         return process in self._assignment
 
     def mapped_names(self) -> frozenset:
-        """The set of mapped process names (cached until the next edit)."""
-        cached = self._names_cache
-        if cached is None or cached[0] != self._version:
-            cached = self._names_cache = (
-                self._version,
-                frozenset(self._assignment),
-            )
-        return cached[1]
+        """The set of mapped process names (cached)."""
+        if self._names is None:
+            self._names = frozenset(self._assignment)
+        return self._names
 
     def items(self):
         return self._assignment.items()

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Node, NodeType
-from repro.core.exceptions import ProfileError
+from repro.core.exceptions import ModelError, ProfileError
 from repro.utils.validation import require_in_unit_interval, require_positive
 
 ProfileKey = Tuple[str, str, int]
@@ -54,6 +54,9 @@ class ExecutionProfile:
     A missing entry means the process cannot be mapped onto that node (the
     mapping heuristics respect this), except that a completely unknown
     process/node pair raises :class:`ProfileError` to catch typos early.
+
+    Like the application, a profile is read-only once an evaluation binds it
+    (:meth:`freeze`): every memo keyed on it assumes its content is fixed.
     """
 
     def __init__(self) -> None:
@@ -63,10 +66,15 @@ class ExecutionProfile:
         # Per (node type, hardening) supported-process sets, built lazily for
         # the mapping-validation fast path and discarded on every add_entry.
         self._supported_cache: Dict[Tuple[str, int], frozenset] = {}
-        # Bumped on every add_entry; (identity, version) lets consumers that
-        # snapshot the table (compiled scheduler kernels) guard their caches
-        # against in-place profile edits.
-        self._version = 0
+        self._frozen = False
+
+    def freeze(self) -> None:
+        """Make the profile read-only: :meth:`add_entry` raises from now on.
+
+        Called by every evaluation that binds the profile (see
+        :meth:`~repro.core.application.Application.freeze`).
+        """
+        self._frozen = True
 
     # ------------------------------------------------------------------
     # population
@@ -80,12 +88,15 @@ class ExecutionProfile:
         failure_probability: float,
     ) -> None:
         """Add (or overwrite) the entry for one (process, node, level) triple."""
+        if self._frozen:
+            raise ModelError(
+                "ExecutionProfile is read-only: an evaluation has bound it"
+            )
         key = (process, node_type, hardening)
         self._entries[key] = ProfileEntry(wcet=wcet, failure_probability=failure_probability)
         self._known_processes.add(process)
         self._known_node_types.add(node_type)
         self._supported_cache.clear()
-        self._version += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -144,11 +155,6 @@ class ExecutionProfile:
 
     def node_types(self) -> List[str]:
         return sorted(self._known_node_types)
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: changes whenever an entry is added or overwritten."""
-        return self._version
 
     def entries(self) -> Dict[ProfileKey, ProfileEntry]:
         """A copy of the raw table (used by serialization)."""

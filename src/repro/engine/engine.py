@@ -55,6 +55,11 @@ class EvaluationEngine:
     counters, evaluation counts) and context safety via :meth:`matches` —
     :func:`resolve_engine` rejects an engine bound to another
     application/profile.
+
+    No memo key encodes the application or profile content, so construction
+    freezes both: from then on their mutators raise
+    :class:`~repro.core.exceptions.ModelError` instead of letting an
+    in-place edit reuse (or persist) results of the old content.
     """
 
     def __init__(
@@ -63,6 +68,8 @@ class EvaluationEngine:
         profile: ExecutionProfile,
         kernel: Optional[SFPKernel] = None,
     ) -> None:
+        application.freeze()
+        profile.freeze()
         self.application = application
         self.profile = profile
         #: SFP kernel backend computing cache misses.  Backends are
@@ -85,7 +92,7 @@ class EvaluationEngine:
     def stable_context(self) -> str:
         """Cross-process content hash of the bound context, computed once.
 
-        The application and profile are immutable for the engine's lifetime
+        The application and profile are frozen for the engine's lifetime
         (the premise of every memo table), so the canonical encoding —
         which walks both structures in full — runs at most once per engine
         instead of once per store interaction (warm + persist + path).

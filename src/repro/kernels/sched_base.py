@@ -42,7 +42,7 @@ worker its own instance (module state is per process).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.application import Application, Message
@@ -58,13 +58,11 @@ class ScheduleStructure:
 
     ``layers`` concatenates the topological generations of every task graph
     (each layer is exactly one ready set of the original ready-list loop);
-    ``incoming`` maps each process to its incoming messages.  ``token`` is the
-    application's structural token (see ``Application.structure_token``): a
-    new token means a new structure object, which is what kernel-side
-    compilation caches key their identity checks on.
+    ``incoming`` maps each process to its incoming messages.  The list
+    scheduler builds one structure object per (frozen) application, which is
+    what kernel-side compilation caches key their identity checks on.
     """
 
-    token: Tuple[object, ...]
     layers: List[List[str]]
     incoming: Dict[str, List["Message"]]
 

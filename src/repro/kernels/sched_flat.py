@@ -22,9 +22,10 @@ the length it computes, while ``build_schedule`` turns its recorded windows
 into the ``Schedule``.
 
 The compiled tables are cached per (structure, profile) identity — the
-list scheduler memoizes the structure object, so the cache holds across the
-thousands of design points of one exploration and recompiles only when the
-application actually changes.
+list scheduler memoizes the structure object per application, so the cache
+holds across the thousands of design points of one exploration and
+recompiles only when another application or profile arrives.  Identity is
+enough because both are frozen once scheduled.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ class _CompiledApplication:
     __slots__ = (
         "structure",
         "profile",
-        "profile_version",
-        "recovery_version",
         "names",
         "index",
         "layers",
@@ -71,8 +70,6 @@ class _CompiledApplication:
     ) -> None:
         self.structure = structure
         self.profile = profile
-        self.profile_version = profile.version
-        self.recovery_version = application.recovery_version
         names: List[str] = []
         index: Dict[str, int] = {}
         for graph in application.graphs:
@@ -178,27 +175,21 @@ class FlatSchedulerKernel(SchedulerKernel):
         self._compiled: Optional[_CompiledApplication] = None
         # One-slot memo of the mapping-derived tables (node id per process,
         # process ids per node).  The redundancy optimizer evaluates many
-        # hardening vectors for the same mapping object in a row; the guard
-        # is (compiled, mapping identity, mapping version, node-name order).
+        # hardening vectors for the same (immutable) mapping object in a row;
+        # the guard is (compiled, mapping identity, node-name order).
         self._mapping_memo: Optional[Tuple] = None
 
     # ------------------------------------------------------------------
     def _compile(self, problem: SchedulingProblem) -> _CompiledApplication:
         compiled = self._compiled
-        # The list scheduler re-creates the structure object whenever the
-        # application's structural token changes, and the compiled object
-        # keeps strong references, so a recycled address can never alias a
-        # dead structure/profile.  Identity alone does not cover *in-place*
-        # edits of the snapshotted tables, so the profile's and the
-        # application's recovery-overhead mutation counters are part of the
-        # guard: overwriting a WCET entry or a mu value recompiles instead of
-        # silently replaying stale floats.
+        # The list scheduler creates one structure object per application,
+        # and the compiled object keeps strong references, so a recycled
+        # address can never alias a dead structure/profile.  The application
+        # and profile are frozen once scheduled, so identity covers content.
         if (
             compiled is None
             or compiled.structure is not problem.structure
             or compiled.profile is not problem.profile
-            or compiled.profile_version != problem.profile.version
-            or compiled.recovery_version != problem.application.recovery_version
         ):
             compiled = _CompiledApplication(
                 problem.structure, problem.application, problem.profile
@@ -274,10 +265,9 @@ class FlatSchedulerKernel(SchedulerKernel):
             memo is not None
             and memo[0] is compiled
             and memo[1] is mapping
-            and memo[2] == mapping.version
-            and memo[3] == node_names
+            and memo[2] == node_names
         ):
-            node_idx_of, on_node = memo[4], memo[5]
+            node_idx_of, on_node = memo[3], memo[4]
         else:
             node_idx_of = [0] * count
             on_node = [[] for _ in range(n_nodes)]
@@ -287,8 +277,7 @@ class FlatSchedulerKernel(SchedulerKernel):
                 node_idx_of[p] = n
                 on_node[n].append(p)
             self._mapping_memo = (
-                compiled, mapping, mapping.version, list(node_names),
-                node_idx_of, on_node,
+                compiled, mapping, list(node_names), node_idx_of, on_node,
             )
 
         # --- priorities (bit-identical to critical_path_priorities) ----

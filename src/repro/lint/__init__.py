@@ -2,8 +2,9 @@
 
 Generic linters cannot know that a builtin ``hash()`` inside
 ``engine/fingerprint.py`` breaks the federated warm store, or that mutating
-``TaskGraph._messages`` without bumping ``structure_token`` silently serves
-stale schedules.  ``repro.lint`` machine-checks exactly those contracts:
+``TaskGraph._messages`` behind the construction API slips past the freeze
+that evaluations rely on and silently serves stale schedules.
+``repro.lint`` machine-checks exactly those contracts:
 
 ========  ==============================================================
 R001      fingerprint purity — cache-key paths are content-pure
@@ -11,8 +12,8 @@ R001      fingerprint purity — cache-key paths are content-pure
 R002      kernel-contract conformance — backends implement the full
           abstract contract with matching signatures, no mutable class
           state; cache-key modules never import ``repro.kernels``
-R003      structure-token safety — guarded containers mutate only inside
-          the token-bumping construction API
+R003      structure-token safety — guarded containers mutate only inside the
+          construction API, which checks the freeze
 R004      seeded-RNG-only — no interpreter-global random state, and the
           allowed constructors are themselves seeded
 R005      no ``Decimal``/``float`` mixing in the SFP rounding chains

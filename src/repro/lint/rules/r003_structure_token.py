@@ -1,12 +1,14 @@
 """R003 — structure-token safety: guarded containers mutate only via the API.
 
-PR 4 fixed, by hand, the exact bug this rule now machine-checks: the list
-scheduler memoized an application's static structure, and a count-preserving
-in-place graph edit (rewiring one message) left the memo stale because
-nothing bumped ``structure_token``.  The contract since then: the containers
-backing ``TaskGraph``/``Application`` structure (and the immutable-after-
+The list scheduler, the compiled scheduler kernel and the evaluation engine
+memoize what they derive from an application by object identity, which is
+sound only because an application is frozen once an evaluation binds it:
+its construction API (``add_process``, ``add_message`` …) checks the freeze
+and keeps the derived-structure caches consistent.  A write that bypasses
+that API escapes both.  The contract: the containers backing
+``TaskGraph``/``Application`` structure (and the immutable-after-
 construction ``Schedule`` tables) are mutated **only** inside the methods
-that keep the structural token and caches consistent.
+that check the freeze and keep the caches consistent.
 
 The rule flags, anywhere in the tree, item assignment / deletion, mutating
 method calls (``append``, ``update``, ``add_edge`` …) and attribute
@@ -37,8 +39,8 @@ class GuardSpec:
     mutators: FrozenSet[str]
 
 
-#: The guarded containers.  Mutator lists name exactly the methods that keep
-#: the structural token / derived caches consistent (or construct the object).
+#: The guarded containers.  Mutator lists name exactly the methods that check
+#: the freeze and keep the derived caches consistent (or construct the object).
 GUARDS: Tuple[GuardSpec, ...] = (
     GuardSpec(
         class_name="TaskGraph",
@@ -57,8 +59,7 @@ GUARDS: Tuple[GuardSpec, ...] = (
         class_name="Application",
         attrs=frozenset({"_graphs", "_recovery_overheads"}),
         mutators=frozenset(
-            {"__init__", "add_graph", "new_graph", "set_recovery_overhead",
-             "recovery_overhead"}
+            {"__init__", "add_graph", "new_graph", "set_recovery_overhead"}
         ),
     ),
     GuardSpec(
@@ -102,8 +103,8 @@ class StructureTokenRule(LintRule):
     title = "structure-token safety: no out-of-API container mutation"
     rationale = (
         "in-place edits of Application/TaskGraph/Schedule containers that "
-        "bypass the token-bumping methods leave memoized scheduler structure "
-        "stale (the PR 4 bug class)"
+        "bypass the construction API escape the freeze check, so memoized "
+        "scheduler structure goes stale"
     )
 
     def check(self, project: Project) -> Iterator[Violation]:

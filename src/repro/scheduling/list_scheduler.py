@@ -71,30 +71,24 @@ class ListScheduler:
         self.kernel = SCHED_KERNELS.or_active(kernel)
         # One-slot memo of the application's static structure (scheduling
         # layers and per-process incoming messages).  The DSE stack schedules
-        # the same application thousands of times in a row.  The memo holds a
-        # strong reference to the application (so a recycled object address
-        # can never alias a dead one) and re-derives when the identity or the
-        # structural token — process/message names, edge endpoints and
-        # transmission times — changes, so in-place graph edits that preserve
-        # the process/message counts still invalidate it.
+        # the same application thousands of times in a row.  Every call
+        # freezes the application and profile it schedules, so the memo
+        # guards on identity alone; it holds a strong reference to the
+        # application, so a recycled object address can never alias a dead
+        # one.
         self._structure_app: Optional[Application] = None
         self._structure: Optional[ScheduleStructure] = None
 
     def _application_structure(self, application: Application) -> ScheduleStructure:
-        """Static scheduling structure: (layers, incoming messages, token).
+        """Static scheduling structure: (layers, incoming messages).
 
         ``layers`` concatenates the topological generations of every task
         graph: all processes of layer ``i`` have their predecessors in layers
         ``< i``, which is exactly the set the ready-list loop would discover
         batch by batch — but precomputed once instead of rescanned per call.
         """
-        token = application.structure_token()
         structure = self._structure
-        if (
-            self._structure_app is not application
-            or structure is None
-            or structure.token != token
-        ):
+        if self._structure_app is not application or structure is None:
             graph_generations = [
                 graph.topological_generations() for graph in application.graphs
             ]
@@ -110,7 +104,7 @@ class ListScheduler:
             for graph in application.graphs:
                 for process in graph.process_names:
                     incoming[process] = graph.incoming_messages(process)
-            structure = ScheduleStructure(token=token, layers=layers, incoming=incoming)
+            structure = ScheduleStructure(layers=layers, incoming=incoming)
             self._structure = structure
             self._structure_app = application
         return structure
@@ -162,7 +156,14 @@ class ListScheduler:
         profile: ExecutionProfile,
         reexecutions: Optional[Mapping[str, int]],
     ) -> SchedulingProblem:
-        """Validate the inputs and normalize the budgets into one problem."""
+        """Bind and validate the inputs; normalize the budgets into one problem.
+
+        Binding freezes the application and profile (a flag check once
+        frozen): the structure memo and the kernel's compiled tables key on
+        their identity.
+        """
+        application.freeze()
+        profile.freeze()
         mapping.validate(application, architecture, profile)
         budgets: Dict[str, int] = {node.name: 0 for node in architecture}
         if reexecutions:

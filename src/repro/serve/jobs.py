@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -159,13 +160,20 @@ class Job:
 # worker-side execution (runs inside ProcessPoolExecutor workers)
 # ----------------------------------------------------------------------
 def _init_serve_worker(sanitize: bool) -> None:
-    """Pool initializer: opt the worker into the determinism sanitizer.
+    """Pool initializer: reset the server's signal set-up, opt the worker
+    into the determinism sanitizer.
 
+    A forked worker inherits the server's SIGTERM handler and its event
+    loop's signal wakeup socket, so a SIGTERM sent to the worker would stop
+    the server instead; the worker takes the default action again.
     ``sanitize`` sets the environment variable that
     :func:`~repro.lint.sanitizer.install_from_env` reads, like the experiment
     pool's initializer does through the inherited environment.
     """
     from repro.lint.sanitizer import SANITIZE_ENV, install_from_env
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
 
     if sanitize:
         os.environ.setdefault(SANITIZE_ENV, "1")

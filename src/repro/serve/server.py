@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 from typing import Any, Callable, Dict, Optional
 
 from repro.api.registry import list_scenarios
@@ -244,7 +245,13 @@ def _is_terminal(line: bytes) -> bool:
 
 
 def run_server(config: ServeConfig) -> int:
-    """Blocking CLI entry: serve until interrupted; returns an exit code."""
+    """Blocking CLI entry: serve until interrupted; returns an exit code.
+
+    SIGTERM (``kill``, ``docker stop``) takes the Ctrl-C path: it cancels
+    the serving task, so :meth:`ServeApp.run` closes the manager — running
+    jobs are sealed as cancelled and the pool workers are released — and
+    the process exits 0 instead of orphaning its workers.
+    """
     app = ServeApp(config)
 
     def announce(host: str, port: int) -> None:
@@ -256,8 +263,13 @@ def run_server(config: ServeConfig) -> int:
             flush=True,
         )
 
+    async def serve() -> None:
+        serving = asyncio.ensure_future(app.run(ready=announce))
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, serving.cancel)
+        await serving
+
     try:
-        asyncio.run(app.run(ready=announce))
-    except KeyboardInterrupt:
+        asyncio.run(serve())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     return 0

@@ -142,7 +142,9 @@ def _design_points(application, node_types, profile, rng, count):
     while len(points) < count:
         if points and rng.random() < 0.3:
             architecture, mapping, hardening = rng.choice(points)
-            points.append((architecture.copy(), mapping.copy(), dict(hardening)))
+            points.append(
+                (architecture.copy(), ProcessMapping(mapping.as_dict()), dict(hardening))
+            )
             continue
         size = rng.randint(1, min(3, len(node_types)))
         subset = rng.sample(node_types, size)

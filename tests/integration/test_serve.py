@@ -20,7 +20,10 @@ import asyncio
 import contextlib
 import json
 import os
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 from http.client import HTTPConnection
@@ -33,6 +36,7 @@ from repro.serve import ServeApp, ServeConfig
 from repro.serve.jobs import JobManager
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Fixed size/seed of the synthetic-random jobs used below: big enough for
 #: a non-trivial DSE trajectory, small enough to keep the suite fast.
@@ -491,3 +495,77 @@ def test_one_dead_worker_fails_every_job_of_its_pool_and_replaces_it_once(tmp_pa
     golden = json.loads((GOLDEN_DIR / "synthetic_random_smoke.json").read_text())
     assert follow_up.result["results"] == golden
     assert consumers_alive
+
+
+# ----------------------------------------------------------------------
+# SIGTERM: the server process stops cleanly and takes its workers along
+# ----------------------------------------------------------------------
+def _child_pids(pid):
+    """Pids whose parent is ``pid``: from ``/proc/<pid>/task/*/children``
+    where the kernel provides it, else from every process's stat line."""
+    files = list(Path(f"/proc/{pid}/task").glob("*/children"))
+    if files:
+        return {int(child) for path in files for child in path.read_text().split()}
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.add(int(stat.parent.name))
+    return children
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie has exited and counts as gone)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+def test_sigterm_cancels_like_ctrl_c_and_leaves_no_worker_behind(tmp_path):
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--port", "0", "--workers", "2",
+         "--spool-dir", str(tmp_path / "serve")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    workers = set()
+    try:
+        banner = server.stdout.readline()
+        host, port = re.search(r"http://([^:]+):(\d+)", banner).groups()
+        job_id = _submit(host, int(port), GOLDEN_JOB["scenario"], GOLDEN_JOB["config"])
+        assert _wait_done(host, int(port), job_id)["state"] == "done"
+        workers = _child_pids(server.pid)
+        assert workers, "the job ran without a pool worker"
+
+        # A worker forked from the server does not inherit its SIGTERM
+        # routing: signalling one worker kills only that worker.
+        victim = min(workers)
+        os.kill(victim, signal.SIGTERM)
+        deadline = time.monotonic() + 30.0
+        while _alive(victim) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(victim)
+        assert server.poll() is None
+
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30.0) == 0
+        deadline = time.monotonic() + 30.0
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)], "orphaned pool workers"
+    finally:
+        for pid in workers | _child_pids(server.pid):
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()

@@ -62,8 +62,27 @@ _KEY_MATERIAL = st.recursive(
 )
 
 
+def _outcome(encode, value):
+    """The encoding, or the type of the error raised in its place.
+
+    ``st.text()`` draws lone surrogates (``"\\ud800"``), which have no UTF-8
+    encoding: there the definition raises, and the one-pass encoder must
+    raise the same error rather than produce some bytes.
+    """
+    try:
+        return encode(value)
+    except UnicodeEncodeError as error:
+        return type(error)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_KEY_MATERIAL)
 def test_one_pass_encoding_equals_the_recursive_definition(value):
-    assert _canonical_encode(value) == _reference_encode(value)
+    assert _outcome(_canonical_encode, value) == _outcome(_reference_encode, value)
+
+
+def test_a_lone_surrogate_raises_in_both_encoders():
+    for value in ("\ud800", ["P1", ("\udfff",)]):
+        assert _outcome(_canonical_encode, value) is UnicodeEncodeError
+        assert _outcome(_reference_encode, value) is UnicodeEncodeError
 

@@ -38,10 +38,10 @@ class TestProcessMappingProperties:
                 assert moved.node_of(other) == mapping.node_of(other)
 
     @given(assignments)
-    def test_copy_equals_original(self, assignment):
+    def test_equal_content_equals_and_hashes_alike(self, assignment):
         mapping = ProcessMapping(assignment)
-        assert mapping.copy() == mapping
-        assert hash(mapping.copy()) == hash(mapping)
+        assert ProcessMapping(dict(assignment)) == mapping
+        assert hash(ProcessMapping(dict(assignment))) == hash(mapping)
 
 
 class TestInitialMappingProperties:

@@ -256,7 +256,7 @@ def sched_neighbourhoods(draw):
         architecture = base_architecture.copy()
         for name in node_names:
             architecture.node(name).hardening = draw(st.sampled_from([1, 2]))
-        mapping = base_mapping.copy()
+        mapping = ProcessMapping(base_mapping.as_dict())
         if draw(st.booleans()):
             process = draw(st.sampled_from(sorted(base_mapping.mapped_names())))
             mapping = mapping.moved(process, draw(st.sampled_from(node_names)))

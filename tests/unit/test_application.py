@@ -92,7 +92,6 @@ class TestTaskGraph:
 
     def test_cycle_rejected_and_rolled_back(self):
         graph = self._chain()
-        token = graph.structure_token()
         messages = graph.messages
         graph.topological_order()
         cached_orders = graph._order_cache
@@ -102,7 +101,6 @@ class TestTaskGraph:
         # from the graph may have been dropped or rebuilt.
         assert graph.message_between("C", "A") is None
         assert graph.successors("C") == [] and graph.predecessors("A") == []
-        assert graph.structure_token() is token
         assert len(graph.messages) == 2
         assert all(a is b for a, b in zip(graph.messages, messages))
         assert graph._order_cache is cached_orders
@@ -330,8 +328,8 @@ class TestApplication:
         assert names == {"m1", "m2", "m3", "m4"}
 
 
-class TestStructureToken:
-    """The structural token guards memoized derived structure downstream."""
+class TestRemoveMessage:
+    """``remove_message`` rewires a graph that no evaluation has bound yet."""
 
     def _chain(self) -> TaskGraph:
         graph = TaskGraph("G")
@@ -341,32 +339,6 @@ class TestStructureToken:
         graph.add_message(Message("m1", "A", "B", transmission_time=1.0))
         graph.add_message(Message("m2", "B", "C", transmission_time=2.0))
         return graph
-
-    def test_token_stable_without_mutation(self):
-        graph = self._chain()
-        assert graph.structure_token() == graph.structure_token()
-
-    def test_count_preserving_rewire_changes_token(self):
-        graph = self._chain()
-        before = graph.structure_token()
-        graph.remove_message("B", "C")
-        graph.add_message(Message("m2", "A", "C", transmission_time=2.0))
-        assert len(graph.messages) == 2  # counts unchanged...
-        assert graph.structure_token() != before  # ...token not
-
-    def test_renamed_message_changes_token(self):
-        graph = self._chain()
-        before = graph.structure_token()
-        graph.remove_message("A", "B")
-        graph.add_message(Message("m1-renamed", "A", "B", transmission_time=1.0))
-        assert graph.structure_token() != before
-
-    def test_changed_transmission_time_changes_token(self):
-        graph = self._chain()
-        before = graph.structure_token()
-        graph.remove_message("A", "B")
-        graph.add_message(Message("m1", "A", "B", transmission_time=3.0))
-        assert graph.structure_token() != before
 
     def test_remove_message_unknown_edge_raises(self):
         graph = self._chain()
@@ -380,17 +352,94 @@ class TestStructureToken:
         assert graph.incoming_messages("C") == []
         assert "C" in graph.sources() or graph.predecessors("C") == []
 
-    def test_application_token_covers_all_graphs(self):
-        application = Application(
-            "app", deadline=100.0, reliability_goal=0.99, recovery_overhead=1.0
-        )
-        first = application.new_graph("G1")
-        first.add_process(Process("A", nominal_wcet=5.0))
-        before = application.structure_token()
-        second = application.new_graph("G2")
-        second.add_process(Process("B", nominal_wcet=5.0))
-        mid = application.structure_token()
-        assert mid != before
-        second.add_process(Process("C", nominal_wcet=5.0))
-        second.add_message(Message("m", "B", "C", transmission_time=1.0))
-        assert application.structure_token() != mid
+
+def _unbound_context():
+    """A two-graph application and its profile, before any evaluation."""
+    from repro.core.profile import ExecutionProfile
+
+    application = Application(
+        "app", deadline=100.0, reliability_goal=0.99, recovery_overhead=1.0
+    )
+    first = application.new_graph("G1")
+    for name in ("A", "B", "D"):
+        first.add_process(Process(name, nominal_wcet=5.0))
+    first.add_message(Message("mAB", "A", "B", transmission_time=1.0))
+    second = application.new_graph("G2")
+    second.add_process(Process("C", nominal_wcet=5.0))
+    profile = ExecutionProfile()
+    for name in ("A", "B", "C", "D"):
+        profile.add_entry(name, "T", 1, 5.0, 1e-6)
+    return application, profile
+
+
+def _bind_with_engine(application, profile) -> None:
+    from repro.engine import EvaluationEngine
+
+    EvaluationEngine(application, profile)
+
+
+def _bind_with_scheduler(application, profile) -> None:
+    from repro.core.architecture import Architecture, HVersion, Node, NodeType
+    from repro.core.mapping_model import ProcessMapping
+    from repro.scheduling.list_scheduler import ListScheduler
+
+    architecture = Architecture([Node("N", NodeType("T", [HVersion(1, 1.0)]))])
+    mapping = ProcessMapping({name: "N" for name in application.process_names()})
+    ListScheduler().worst_case_length(application, architecture, mapping, profile)
+
+
+def _snapshot(application, profile) -> tuple:
+    return (
+        application.process_names(),
+        [message.name for message in application.messages()],
+        [graph.name for graph in application.graphs],
+        application.recovery_overhead_of("A"),
+        profile.wcet("A", "T", 1),
+    )
+
+
+#: Every mutator of the model: ``(id, edit, the object the error names)``.
+_MUTATORS = [
+    ("TaskGraph.add_process",
+     lambda app, prof: app.graph("G1").add_process(Process("E")), "Task graph G1"),
+    ("TaskGraph.add_message",
+     lambda app, prof: app.graph("G1").add_message(Message("mBD", "B", "D")),
+     "Task graph G1"),
+    ("TaskGraph.remove_message",
+     lambda app, prof: app.graph("G1").remove_message("A", "B"), "Task graph G1"),
+    ("Application.add_graph",
+     lambda app, prof: app.add_graph(TaskGraph("G3")), "Application app"),
+    ("Application.new_graph", lambda app, prof: app.new_graph("G3"), "Application app"),
+    ("Application.set_recovery_overhead",
+     lambda app, prof: app.set_recovery_overhead("A", 9.0), "Application app"),
+    ("ExecutionProfile.add_entry",
+     lambda app, prof: prof.add_entry("A", "T", 1, 50.0, 1e-6), "ExecutionProfile"),
+]
+_MUTATOR_IDS = [entry[0] for entry in _MUTATORS]
+
+
+class TestReadOnlyOnceBound:
+    """Binding an evaluation freezes the application, its graphs and the profile.
+
+    Every memo downstream (engine tables, the store key, the scheduler's
+    structure memo, the flat kernel's compiled tables) keys on object
+    identity, so an in-place edit after binding must fail loudly instead of
+    reusing results computed for the old content.
+    """
+
+    @pytest.mark.parametrize(
+        "bind", [_bind_with_engine, _bind_with_scheduler], ids=["engine", "scheduler"]
+    )
+    @pytest.mark.parametrize("mutator, edit, owner", _MUTATORS, ids=_MUTATOR_IDS)
+    def test_every_mutator_raises_after_binding(self, bind, mutator, edit, owner):
+        # Construction is unchanged: the edit works before binding ...
+        application, profile = _unbound_context()
+        before = _snapshot(application, profile)
+        edit(application, profile)
+        assert _snapshot(application, profile) != before
+        # ... and raises, naming the object and changing nothing, after it.
+        application, profile = _unbound_context()
+        bind(application, profile)
+        with pytest.raises(ModelError, match=f"^{owner} is read-only"):
+            edit(application, profile)
+        assert _snapshot(application, profile) == before

@@ -70,6 +70,20 @@ class TestParser:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "-1"], "jobs must be >= 0 (1 = serial, 0 = one per CPU), got -1"),
+            (["--cache-size-mb", "0"], "cache_size_mb must be >= 1, got 0"),
+        ],
+        ids=["jobs", "cache-size-mb"],
+    )
+    def test_out_of_range_counts_exit_2_before_any_work(self, capsys, flags, message):
+        assert main(["run", "motivational", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_list_prints_all_scenarios(self, capsys):
         exit_code = main(["run", "--list"])
         captured = capsys.readouterr().out
@@ -253,11 +267,24 @@ class TestServeCommand:
         assert arguments.job_timeout == 30.0
         assert arguments.sanitize is True
 
-    @pytest.mark.parametrize("flag", ["--workers", "--queue-size"])
-    def test_degenerate_counts_rejected_at_parse_time(self, flag):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve", flag, "0"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--workers", "serve workers must be >= 1, got 0"),
+            ("--queue-size", "serve queue_size must be >= 1, got 0"),
+            ("--cache-size-mb", "serve cache_size_mb must be >= 1, got 0"),
+        ],
+    )
+    def test_degenerate_counts_exit_2_before_serving(
+        self, monkeypatch, capsys, flag, message
+    ):
+        import repro.serve
+
+        served = []
+        monkeypatch.setattr(repro.serve, "run_server", lambda config: served.append(config) or 0)
+        assert main(["serve", flag, "0"]) == 2
+        assert served == []
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_serve_builds_the_config_and_delegates(self, monkeypatch, tmp_path):
         import repro.serve

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.exceptions import ModelError
 from repro.core.reexecution import ReExecutionOpt
 from repro.core.sfp import (
     SFPAnalysis,
@@ -255,35 +256,30 @@ def _diamond_platform():
     return application, architecture, mapping, profile
 
 
-def test_flat_kernel_recompiles_after_in_place_profile_and_overhead_edits():
-    """In-place WCET/mu edits must invalidate the flat kernel's compiled tables.
+def test_flat_kernel_sees_wcet_and_mu_edits_before_binding_and_rejects_later_ones():
+    """The flat kernel caches its compiled tables on (structure, profile)
+    identity, so WCET/mu edits must land before the first schedule.
 
-    Regression: the compiled cache was guarded by (structure, profile)
-    identity only, so overwriting a profile entry or a recovery overhead
-    replayed stale snapshot floats while the reference backend read the live
-    objects.
+    Made before it, they reach the compiled tables exactly as the reference
+    backend reads them.  Made after it, they raise instead of letting the
+    cache replay the old floats.
     """
     application, architecture, mapping, profile = _diamond_platform()
     budgets = {"NA": 1, "NB": 1}
+    # A takes 30 ms instead of 10 ms on TA, and its recovery overhead is 50.
+    profile.add_entry("A", "TA", 1, 30.0, 1e-6)
+    application.set_recovery_overhead("A", 50.0)
 
     flat = ListScheduler(kernel=FlatSchedulerKernel())
-    reference = ListScheduler(kernel=ReferenceSchedulerKernel())
-    assert flat.schedule(
-        application, architecture, mapping, profile, budgets
-    ) == reference.schedule(application, architecture, mapping, profile, budgets)
-
-    # Overwrite one WCET in place: A now takes 30 ms instead of 10 ms on TA.
-    profile.add_entry("A", "TA", 1, 30.0, 1e-6)
-    after_wcet = flat.schedule(application, architecture, mapping, profile, budgets)
-    assert after_wcet == reference.schedule(
+    schedule = flat.schedule(application, architecture, mapping, profile, budgets)
+    assert schedule == ListScheduler(kernel=ReferenceSchedulerKernel()).schedule(
         application, architecture, mapping, profile, budgets
     )
-    assert after_wcet.entry("A").finish == 30.0
+    assert schedule.entry("A").finish == 30.0
+    assert schedule.node_recovery_slack["NA"] == 30.0 + 50.0  # budget 1 × (t + mu)
 
-    # Edit a recovery overhead in place: slack must follow the live value.
-    application.set_recovery_overhead("A", 50.0)
-    after_mu = flat.schedule(application, architecture, mapping, profile, budgets)
-    assert after_mu == reference.schedule(
-        application, architecture, mapping, profile, budgets
-    )
-    assert after_mu.node_recovery_slack["NA"] == 30.0 + 50.0  # budget 1 × (t + mu)
+    with pytest.raises(ModelError, match="ExecutionProfile is read-only"):
+        profile.add_entry("A", "TA", 1, 10.0, 1e-6)
+    with pytest.raises(ModelError, match="Application diamond is read-only"):
+        application.set_recovery_overhead("A", 5.0)
+    assert flat.schedule(application, architecture, mapping, profile, budgets) == schedule

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.application import Message
+from repro.core.application import Application, Message, Process
 from repro.core.architecture import Architecture, HVersion, Node, NodeType
-from repro.core.exceptions import SchedulingError
+from repro.core.exceptions import ModelError, SchedulingError
 from repro.core.mapping_model import ProcessMapping
 from repro.scheduling.list_scheduler import ListScheduler
 
@@ -184,13 +184,28 @@ class TestSharedSlack:
         assert schedule.length >= schedule.node_completion("N1") + 90 + 15
 
 
-class TestStructureMemoInvalidation:
-    """In-place graph edits must invalidate the memoized scheduling structure.
+def _diamond_with_messages(messages) -> Application:
+    """The diamond application built directly with ``messages`` in order."""
+    application = Application(
+        name="diamond", deadline=200.0, reliability_goal=1.0 - 1e-5, recovery_overhead=5.0
+    )
+    graph = application.new_graph("G")
+    for name, wcet in (("A", 10.0), ("B", 20.0), ("C", 15.0), ("D", 12.0)):
+        graph.add_process(Process(name, nominal_wcet=wcet))
+    for message in messages:
+        graph.add_message(message)
+    return application
 
-    Regression: the memo guard used to key on (process count, message count)
-    only, so a rewired edge or a renamed message — edits that preserve both
-    counts — silently reused stale layers and incoming-message tables.  The
-    guard now keys on the application's structural token.
+
+class TestStructureMemoInvalidation:
+    """In-place graph edits are construction: allowed until the first schedule.
+
+    The scheduler's structure memo (and the flat kernel's compiled tables)
+    key on the application's identity alone.  That is sound because every
+    schedule call freezes the application: an edit made before it is seen
+    like a freshly built application, and the same edit after it raises
+    instead of leaving the memo stale.  Each case covers an edit that keeps
+    the process and message counts, which a count-based guard once missed.
     """
 
     def _two_node_problem(self, application):
@@ -201,50 +216,69 @@ class TestStructureMemoInvalidation:
         mapping = ProcessMapping({"A": "NA", "B": "NB", "C": "NA", "D": "NB"})
         return architecture, mapping, profile
 
-    def test_rewired_edge_yields_fresh_schedule(self):
-        application = build_diamond_application(message_time=2.0)
-        architecture, mapping, profile = self._two_node_problem(application)
+    def _check_edit(self, edit, fresh_messages):
+        """Schedule an application edited in place, compare it with one built
+        fresh on the same scheduler, then show the edit raises once bound.
+        Returns the edited schedule and the unedited one."""
         scheduler = ListScheduler()
-        stale = scheduler.schedule(application, architecture, mapping, profile)
+        edited_app = build_diamond_application(message_time=2.0)
+        edit(next(iter(edited_app.graphs)))
+        edited = scheduler.schedule(edited_app, *self._two_node_problem(edited_app))
+        fresh_app = _diamond_with_messages(fresh_messages)
+        assert scheduler.schedule(fresh_app, *self._two_node_problem(fresh_app)) == edited
+
+        bound_app = build_diamond_application(message_time=2.0)
+        original = scheduler.schedule(bound_app, *self._two_node_problem(bound_app))
+        graph = next(iter(bound_app.graphs))
+        with pytest.raises(ModelError, match="Task graph G is read-only"):
+            edit(graph)
+        assert scheduler.schedule(bound_app, *self._two_node_problem(bound_app)) == original
+        assert edited != original
+        return edited, original
+
+    def test_rewired_edge_yields_fresh_schedule(self):
         # Rewire B -> D into A -> D: same process and message counts, but D
         # now depends on A, putting a new message (from another node) on the
-        # bus.  A stale incoming table would reproduce `stale` instead.
-        graph = next(iter(application.graphs))
-        graph.remove_message("B", "D")
-        graph.add_message(Message("mAD", "A", "D", transmission_time=2.0))
-        rescheduled = scheduler.schedule(application, architecture, mapping, profile)
-        fresh = ListScheduler().schedule(application, architecture, mapping, profile)
-        assert rescheduled == fresh
-        assert rescheduled != stale
-        assert rescheduled.has_message("mAD")
-        assert not rescheduled.has_message("mBD")
+        # bus.
+        def rewire(graph):
+            graph.remove_message("B", "D")
+            graph.add_message(Message("mAD", "A", "D", transmission_time=2.0))
+
+        edited, _ = self._check_edit(rewire, [
+            Message("mAB", "A", "B", transmission_time=2.0),
+            Message("mAC", "A", "C", transmission_time=2.0),
+            Message("mCD", "C", "D", transmission_time=2.0),
+            Message("mAD", "A", "D", transmission_time=2.0),
+        ])
+        assert edited.has_message("mAD")
+        assert not edited.has_message("mBD")
 
     def test_renamed_message_yields_fresh_schedule(self):
-        application = build_diamond_application(message_time=2.0)
-        architecture, mapping, profile = self._two_node_problem(application)
-        scheduler = ListScheduler()
-        stale = scheduler.schedule(application, architecture, mapping, profile)
-        assert stale.has_message("mAB")
-        graph = next(iter(application.graphs))
-        removed = graph.remove_message("A", "B")
-        graph.add_message(
-            Message("renamed", "A", "B", transmission_time=removed.transmission_time)
-        )
-        rescheduled = scheduler.schedule(application, architecture, mapping, profile)
-        assert rescheduled == ListScheduler().schedule(
-            application, architecture, mapping, profile
-        )
-        assert rescheduled.has_message("renamed")
-        assert not rescheduled.has_message("mAB")
+        def rename(graph):
+            removed = graph.remove_message("A", "B")
+            graph.add_message(
+                Message("renamed", "A", "B", transmission_time=removed.transmission_time)
+            )
+
+        edited, original = self._check_edit(rename, [
+            Message("mAC", "A", "C", transmission_time=2.0),
+            Message("mBD", "B", "D", transmission_time=2.0),
+            Message("mCD", "C", "D", transmission_time=2.0),
+            Message("renamed", "A", "B", transmission_time=2.0),
+        ])
+        assert original.has_message("mAB")
+        assert edited.has_message("renamed")
+        assert not edited.has_message("mAB")
 
     def test_changed_transmission_time_yields_fresh_schedule(self):
-        application = build_diamond_application(message_time=2.0)
-        architecture, mapping, profile = self._two_node_problem(application)
-        scheduler = ListScheduler()
-        stale = scheduler.schedule(application, architecture, mapping, profile)
-        graph = next(iter(application.graphs))
-        graph.remove_message("A", "B")
-        graph.add_message(Message("mAB", "A", "B", transmission_time=9.0))
-        rescheduled = scheduler.schedule(application, architecture, mapping, profile)
-        assert rescheduled.message_entry("mAB").duration == 9.0
-        assert rescheduled != stale
+        def retime(graph):
+            graph.remove_message("A", "B")
+            graph.add_message(Message("mAB", "A", "B", transmission_time=9.0))
+
+        edited, _ = self._check_edit(retime, [
+            Message("mAC", "A", "C", transmission_time=2.0),
+            Message("mBD", "B", "D", transmission_time=2.0),
+            Message("mCD", "C", "D", transmission_time=2.0),
+            Message("mAB", "A", "B", transmission_time=9.0),
+        ])
+        assert edited.message_entry("mAB").duration == 9.0

@@ -9,9 +9,8 @@ from repro.core.mapping_model import ProcessMapping
 
 
 class TestProcessMapping:
-    def test_assign_and_lookup(self):
-        mapping = ProcessMapping()
-        mapping.assign("P1", "N1")
+    def test_construct_and_lookup(self):
+        mapping = ProcessMapping({"P1": "N1"})
         assert mapping.node_of("P1") == "N1"
         assert mapping.is_mapped("P1")
         assert not mapping.is_mapped("P2")
@@ -28,10 +27,10 @@ class TestProcessMapping:
     def test_used_nodes_preserves_first_seen_order(self, fig4a_mapping):
         assert fig4a_mapping.used_nodes() == ["N1", "N2"]
 
-    def test_copy_is_independent(self, fig4a_mapping):
-        clone = fig4a_mapping.copy()
-        clone.assign("P1", "N2")
-        assert fig4a_mapping.node_of("P1") == "N1"
+    def test_is_immutable(self, fig4a_mapping):
+        assert not hasattr(fig4a_mapping, "assign")
+        assert fig4a_mapping.moved("P9", "N1").node_of("P9") == "N1"
+        assert not fig4a_mapping.is_mapped("P9")
 
     def test_moved_returns_new_mapping(self, fig4a_mapping):
         moved = fig4a_mapping.moved("P1", "N2")
@@ -64,8 +63,7 @@ class TestProcessMapping:
             incomplete.validate(fig1_app, fig4a_architecture)
 
     def test_validate_detects_unknown_process(self, fig1_app, fig4a_architecture, fig4a_mapping):
-        extra = fig4a_mapping.copy()
-        extra.assign("P9", "N1")
+        extra = fig4a_mapping.moved("P9", "N1")
         with pytest.raises(MappingError, match="unknown processes"):
             extra.validate(fig1_app, fig4a_architecture)
 

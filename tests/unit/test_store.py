@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.exceptions import ModelError
 from repro.core.reexecution import ReExecutionOpt
 from repro.engine import (
     DesignPointStore,
@@ -375,6 +376,25 @@ def test_stable_fingerprint_tracks_profile_content(context):
     application, profile = context
     profile.add_entry("P1", "N1", 1, wcet=123.0, failure_probability=0.5)
     assert stable_context_fingerprint(application, profile) != FIG1_CONTEXT_DIGEST
+
+
+def test_in_place_profile_edit_after_warm_raises_instead_of_poisoning_the_store(
+    tmp_path, context
+):
+    """The store files an engine's results under the context key taken when
+    it was bound.  An in-place WCET edit after ``warm`` would file results of
+    the edited profile under the unedited context's key, where a later run on
+    the unedited profile reads them from disk; binding freezes the profile,
+    so the edit raises and the store only ever holds the bound content."""
+    application, profile = context
+    store = DesignPointStore(tmp_path)
+    engine = EvaluationEngine(application, profile)
+    store.warm(engine)
+    entry = profile.entries()[("P1", "N1", 1)]
+    with pytest.raises(ModelError, match="ExecutionProfile is read-only"):
+        profile.add_entry("P1", "N1", 1, entry.wcet * 10, entry.failure_probability)
+    assert profile.entries()[("P1", "N1", 1)] == entry
+    assert stable_context_fingerprint(application, profile) == FIG1_CONTEXT_DIGEST
 
 
 def test_stable_fingerprint_survives_hash_randomization():
