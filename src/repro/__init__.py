@@ -21,7 +21,6 @@ from repro.core import (
     DesignStrategy,
     ExecutionProfile,
     FaultModel,
-    FixedHardeningRedundancyOpt,
     HardeningModel,
     HVersion,
     MappingAlgorithm,
@@ -40,13 +39,9 @@ from repro.core import (
     SFPReport,
     TaskGraph,
     TechnologyModel,
-    all_strategies,
     doubling_cost_node_type,
     failure_probability_from_ser,
     linear_cost_node_type,
-    max_hardening_strategy,
-    min_hardening_strategy,
-    optimized_strategy,
 )
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.scheduling import ListScheduler, Schedule, ScheduledMessage, ScheduledProcess
@@ -65,7 +60,6 @@ __all__ = [
     "ExhaustiveSearch",
     "FaultModel",
     "FaultScenarioSimulator",
-    "FixedHardeningRedundancyOpt",
     "HVersion",
     "HardeningModel",
     "ListScheduler",
@@ -89,11 +83,7 @@ __all__ = [
     "SimulationSummary",
     "TaskGraph",
     "TechnologyModel",
-    "all_strategies",
     "doubling_cost_node_type",
     "failure_probability_from_ser",
     "linear_cost_node_type",
-    "max_hardening_strategy",
-    "min_hardening_strategy",
-    "optimized_strategy",
 ]

@@ -11,12 +11,6 @@ from repro.core.architecture import (
     doubling_cost_node_type,
     linear_cost_node_type,
 )
-from repro.core.baselines import (
-    all_strategies,
-    max_hardening_strategy,
-    min_hardening_strategy,
-    optimized_strategy,
-)
 from repro.core.design_strategy import ArchitectureEnumerator, DesignStrategy
 from repro.core.evaluation import DesignResult, infeasible_result
 from repro.core.exhaustive import ExhaustiveSearch
@@ -29,11 +23,7 @@ from repro.core.fault_model import (
 from repro.core.mapping import MappingAlgorithm, MappingResult, Objective
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile, ProfileEntry
-from repro.core.redundancy import (
-    FixedHardeningRedundancyOpt,
-    RedundancyDecision,
-    RedundancyOpt,
-)
+from repro.core.redundancy import POLICIES, RedundancyDecision, RedundancyOpt
 from repro.core.reexecution import ReExecutionDecision, ReExecutionOpt
 from repro.core.sfp import SFPAnalysis, SFPReport
 
@@ -46,7 +36,6 @@ __all__ = [
     "ExecutionProfile",
     "ExhaustiveSearch",
     "FaultModel",
-    "FixedHardeningRedundancyOpt",
     "HVersion",
     "HardeningModel",
     "MappingAlgorithm",
@@ -55,6 +44,7 @@ __all__ = [
     "Node",
     "NodeType",
     "Objective",
+    "POLICIES",
     "Process",
     "ProcessMapping",
     "ProfileEntry",
@@ -66,12 +56,8 @@ __all__ = [
     "SFPReport",
     "TaskGraph",
     "TechnologyModel",
-    "all_strategies",
     "doubling_cost_node_type",
     "failure_probability_from_ser",
     "infeasible_result",
     "linear_cost_node_type",
-    "max_hardening_strategy",
-    "min_hardening_strategy",
-    "optimized_strategy",
 ]

@@ -17,8 +17,9 @@ This module provides three classes:
   ``mu``, reliability goal ``rho`` and the time unit ``tau``).
 
 Task graphs and applications are built freely; once an evaluation binds an
-application (:meth:`Application.freeze`) it and its task graphs are read-only
-and every mutator raises :class:`ModelError`.
+application (:meth:`Application.freeze`) it and its task graphs are read-only:
+every mutator, and every assignment to a name or a real-time or reliability
+parameter, raises :class:`ModelError`.
 
 All times are expressed in milliseconds, matching the paper's examples.
 """
@@ -31,12 +32,19 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 from repro.core.exceptions import ModelError
 from repro.utils.validation import (
     require_in_unit_interval,
+    require_name,
     require_non_negative,
     require_positive,
 )
 
 #: One hour expressed in milliseconds — the paper's default time unit ``tau``.
 ONE_HOUR_MS = 3_600_000.0
+
+#: Application attributes that feed the context fingerprint or the DSE, and
+#: are therefore read-only once an evaluation binds the application.
+_BOUND_PARAMETERS = frozenset(
+    {"name", "deadline", "period", "reliability_goal", "time_unit", "recovery_overhead"}
+)
 
 
 @dataclass(frozen=True)
@@ -58,8 +66,7 @@ class Process:
     nominal_wcet: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ModelError("Process name must be a non-empty string")
+        require_name(self.name, "Process")
         if self.nominal_wcet is not None:
             require_positive(self.nominal_wcet, f"nominal_wcet of {self.name}")
 
@@ -84,8 +91,7 @@ class Message:
     transmission_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ModelError("Message name must be a non-empty string")
+        require_name(self.name, "Message")
         if self.source == self.destination:
             raise ModelError(
                 f"Message {self.name} connects {self.source} to itself; "
@@ -111,9 +117,7 @@ class TaskGraph:
     """
 
     def __init__(self, name: str) -> None:
-        if not name:
-            raise ModelError("TaskGraph name must be a non-empty string")
-        self.name = name
+        self.name = require_name(name, "TaskGraph")
         self._processes: Dict[str, Process] = {}
         self._succ: Dict[str, Dict[str, None]] = {}
         self._pred: Dict[str, Dict[str, None]] = {}
@@ -127,6 +131,12 @@ class TaskGraph:
         ] = None
         # Set by Application.freeze when an evaluation binds the application.
         self._frozen = False
+
+    def __setattr__(self, attribute: str, value: object) -> None:
+        # The name feeds the context fingerprint: read-only once bound.
+        if attribute == "name" and getattr(self, "_frozen", False):
+            self._require_mutable()
+        object.__setattr__(self, attribute, value)
 
     def _require_mutable(self) -> None:
         if self._frozen:
@@ -404,9 +414,7 @@ class Application:
         time_unit: float = ONE_HOUR_MS,
         recovery_overheads: Optional[Mapping[str, float]] = None,
     ) -> None:
-        if not name:
-            raise ModelError("Application name must be a non-empty string")
-        self.name = name
+        self.name = require_name(name, "Application")
         self.deadline = require_positive(deadline, "deadline")
         self.reliability_goal = require_in_unit_interval(reliability_goal, "reliability_goal")
         #: Default recovery overhead ``mu`` for processes without an override.
@@ -433,13 +441,20 @@ class Application:
         :class:`~repro.engine.engine.EvaluationEngine` on construction, the
         list scheduler on every schedule), because each memoizes what it
         derives by object identity alone.  From then on every mutator of the
-        application and of its task graphs raises :class:`ModelError`.  A
-        frozen application returns at the flag check.
+        application and of its task graphs, and every assignment to their
+        names and to the application's deadline, period, reliability goal,
+        time unit and default recovery overhead, raises :class:`ModelError`.
+        A frozen application returns at the flag check.
         """
         if not self._frozen:
             for graph in self._graphs.values():
                 graph._frozen = True
             self._frozen = True
+
+    def __setattr__(self, attribute: str, value: object) -> None:
+        if attribute in _BOUND_PARAMETERS and getattr(self, "_frozen", False):
+            self._require_mutable()
+        object.__setattr__(self, attribute, value)
 
     def _require_mutable(self) -> None:
         if self._frozen:

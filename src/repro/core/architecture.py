@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.exceptions import ModelError
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_name, require_non_negative, require_positive
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ class NodeType:
         h_versions: Sequence[HVersion],
         speed_factor: float = 1.0,
     ) -> None:
-        if not name:
-            raise ModelError("NodeType name must be a non-empty string")
+        require_name(name, "NodeType")
         if not h_versions:
             raise ModelError(f"NodeType {name} must offer at least one h-version")
         levels = sorted(version.level for version in h_versions)
@@ -176,9 +175,7 @@ class Node:
     """A node instance inside an architecture with its selected h-version."""
 
     def __init__(self, name: str, node_type: NodeType, hardening: Optional[int] = None) -> None:
-        if not name:
-            raise ModelError("Node name must be a non-empty string")
-        self.name = name
+        self.name = require_name(name, "Node")
         self.node_type = node_type
         self._hardening = node_type.min_hardening
         if hardening is not None:

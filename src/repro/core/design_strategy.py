@@ -19,7 +19,8 @@ cheapest architecture for which the application is schedulable and reliable:
    when the size-``n`` alternatives are exhausted.
 
 The MIN and MAX baselines of Section 7 reuse the same exploration but lock the
-hardening levels (see :mod:`repro.core.baselines`).
+hardening levels: the strategy is named after the policy of its mapping
+algorithm's :class:`~repro.core.redundancy.RedundancyOpt`.
 """
 
 from __future__ import annotations
@@ -80,32 +81,32 @@ class ArchitectureEnumerator:
 
 
 class DesignStrategy:
-    """The paper's OPT design strategy.
+    """The paper's design strategy, for one of the policies MIN, MAX and OPT.
 
     Parameters
     ----------
     node_types:
         The library of available computation nodes (each with its h-versions).
     mapping_algorithm:
-        The mapping heuristic used to evaluate each candidate architecture.
-        Baselines inject a mapping algorithm whose redundancy optimizer locks
-        the hardening levels.
-    strategy_name:
-        Label stored in the produced :class:`DesignResult` (``"OPT"``,
-        ``"MIN"``, ``"MAX"`` ...).
+        The mapping heuristic used to evaluate each candidate architecture
+        (``None`` gets ``MappingAlgorithm()``, the OPT policy).  Its policy
+        names the strategy and every :class:`DesignResult` it produces.
     """
 
     def __init__(
         self,
         node_types: Sequence[NodeType],
         mapping_algorithm: Optional[MappingAlgorithm] = None,
-        strategy_name: str = "OPT",
     ) -> None:
         self.enumerator = ArchitectureEnumerator(node_types)
         self.mapping_algorithm = (
             mapping_algorithm if mapping_algorithm is not None else MappingAlgorithm()
         )
-        self.strategy_name = strategy_name
+
+    @property
+    def policy(self) -> str:
+        """``"MIN"``, ``"MAX"`` or ``"OPT"``: the redundancy optimizer's policy."""
+        return self.mapping_algorithm.redundancy_optimizer.policy
 
     # ------------------------------------------------------------------
     def explore(
@@ -136,7 +137,7 @@ class DesignStrategy:
         )
         if best is None:
             return infeasible_result(
-                self.strategy_name,
+                self.policy,
                 application.name,
                 reason="no architecture meets the deadline and reliability goal",
                 evaluations=total_evaluations,
@@ -152,10 +153,7 @@ class DesignStrategy:
     ):
         best: Optional[DesignResult] = None
         best_cost = inf
-        if max_architecture_cost is not None:
-            cost_cap = max_architecture_cost
-        else:
-            cost_cap = inf
+        cost_cap = max_architecture_cost if max_architecture_cost is not None else inf
         total_evaluations = 0
 
         node_count = 1
@@ -170,43 +168,60 @@ class DesignStrategy:
                     # applies from the very first candidate, before any
                     # feasible design is known.
                     continue
-                schedule_result = self.mapping_algorithm.optimize(
-                    application,
-                    architecture,
-                    profile,
-                    objective=Objective.SCHEDULE_LENGTH,
-                    engine=engine,
+                chosen, evaluations = self.design_for(
+                    application, architecture, profile, engine
                 )
-                if schedule_result is not None:
-                    total_evaluations += schedule_result.evaluations
-                if (
-                    schedule_result is None
-                    or schedule_result.schedule_length > application.deadline
-                ):
+                total_evaluations += evaluations
+                if chosen is None:
                     # Not even the fastest mapping fits the deadline on this
                     # architecture: adding more nodes is the only way forward
                     # (paper line 15).
                     node_count += 1
                     advanced = True
                     break
-                cost_result = self.mapping_algorithm.optimize(
-                    application,
-                    architecture,
-                    profile,
-                    objective=Objective.COST,
-                    initial_mapping=schedule_result.mapping,
-                    engine=engine,
-                )
-                if cost_result is not None:
-                    total_evaluations += cost_result.evaluations
-                chosen = cost_result if cost_result is not None else schedule_result
-                if chosen.is_feasible and chosen.cost < best_cost:
+                if chosen.cost < best_cost:
                     best_cost = chosen.cost
                     best = self._to_result(application, architecture, chosen)
             if not advanced:
                 node_count += 1
 
         return best, total_evaluations
+
+    def design_for(
+        self,
+        application: Application,
+        architecture: Architecture,
+        profile: ExecutionProfile,
+        engine: EvaluationEngine,
+    ) -> Tuple[Optional[MappingResult], int]:
+        """Design one architecture: the schedule-length pass, then the cost pass.
+
+        Returns the chosen mapping result and the mappings both passes
+        examined.  The result is ``None`` when no mapping is feasible (paper
+        line 15); otherwise it is feasible — a mapping search returns only
+        feasible decisions — and it is the cost pass's result, or the
+        schedule-length winner should the cost pass return nothing.
+        """
+        schedule_result = self.mapping_algorithm.optimize(
+            application,
+            architecture,
+            profile,
+            objective=Objective.SCHEDULE_LENGTH,
+            engine=engine,
+        )
+        if schedule_result is None:
+            return None, 0
+        cost_result = self.mapping_algorithm.optimize(
+            application,
+            architecture,
+            profile,
+            objective=Objective.COST,
+            initial_mapping=schedule_result.mapping,
+            engine=engine,
+        )
+        if cost_result is None:
+            return schedule_result, schedule_result.evaluations
+        return cost_result, schedule_result.evaluations + cost_result.evaluations
 
     # ------------------------------------------------------------------
     def _to_result(
@@ -218,7 +233,7 @@ class DesignStrategy:
         decision = mapping_result.decision
         node_types = {node.name: node.node_type.name for node in architecture}
         return DesignResult(
-            strategy=self.strategy_name,
+            strategy=self.policy,
             application=application.name,
             feasible=True,
             node_types=node_types,

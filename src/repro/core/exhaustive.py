@@ -28,9 +28,8 @@ from repro.core.evaluation import DesignResult, infeasible_result
 from repro.core.exceptions import OptimizationError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.core.redundancy import RedundancyDecision, _RedundancyEvaluator
+from repro.core.redundancy import RedundancyDecision, RedundancyOpt
 from repro.engine import EvaluationEngine, resolve_engine
-from repro.scheduling.list_scheduler import ListScheduler
 
 
 class ExhaustiveSearch:
@@ -48,14 +47,13 @@ class ExhaustiveSearch:
     def __init__(
         self,
         node_types: Sequence[NodeType],
-        scheduler: Optional[ListScheduler] = None,
         max_processes: int = 8,
         max_nodes: int = 2,
     ) -> None:
         if not node_types:
             raise OptimizationError("At least one node type is required")
         self.node_types = list(node_types)
-        self.evaluator = _RedundancyEvaluator(scheduler=scheduler)
+        self.evaluator = RedundancyOpt()
         self.max_processes = max_processes
         self.max_nodes = max_nodes
 

@@ -33,7 +33,7 @@ from repro.core.architecture import Architecture
 from repro.core.exceptions import MappingError, OptimizationError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.core.redundancy import RedundancyDecision, RedundancyOpt, _RedundancyEvaluator
+from repro.core.redundancy import RedundancyDecision, RedundancyOpt
 from repro.engine import EvaluationEngine, resolve_engine
 from repro.scheduling.schedule import Schedule
 
@@ -91,15 +91,13 @@ class MappingAlgorithm:
 
     Parameters
     ----------
-    redundancy_optimizer:
-        A :class:`~repro.core.redundancy._RedundancyEvaluator` whose
-        ``optimize(application, architecture, mapping, profile, engine)``
-        returns a :class:`RedundancyDecision` or ``None``, called once per
-        tabu move; its ``schedule_of`` supplies the best decision's schedule
-        (rebuilt when the decision came from the persistent store).  The OPT
-        strategy passes :class:`~repro.core.redundancy.RedundancyOpt`; the
-        MIN and MAX baselines pass
-        :class:`~repro.core.redundancy.FixedHardeningRedundancyOpt`.
+    policy:
+        The strategy of Section 7 (``"MIN"``, ``"MAX"`` or ``"OPT"``); the
+        mapping algorithm completes every evaluated mapping with a
+        :class:`~repro.core.redundancy.RedundancyOpt` of that policy, called
+        once per tabu move, whose ``schedule_of`` supplies the best
+        decision's schedule (rebuilt when the decision came from the
+        persistent store).
     max_iterations:
         Hard cap on tabu-search iterations.
     stop_after_no_improvement:
@@ -119,14 +117,12 @@ class MappingAlgorithm:
 
     def __init__(
         self,
-        redundancy_optimizer: Optional[_RedundancyEvaluator] = None,
+        policy: str = "OPT",
         max_iterations: int = 12,
         stop_after_no_improvement: int = 4,
         max_candidates: int = 4,
     ) -> None:
-        self.redundancy_optimizer = (
-            redundancy_optimizer if redundancy_optimizer is not None else RedundancyOpt()
-        )
+        self.redundancy_optimizer = RedundancyOpt(policy)
         self.max_iterations = max_iterations
         self.stop_after_no_improvement = stop_after_no_improvement
         self.max_candidates = max_candidates

@@ -14,9 +14,10 @@ therefore less recovery slack, at the price of slower execution), then
 *trims* hardening level by level as long as the application stays schedulable,
 keeping the cheapest schedulable alternative at every step.
 
-A fixed-hardening variant (:class:`FixedHardeningRedundancyOpt`) implements
-the MIN and MAX baselines of Section 7, where the hardening optimization step
-is removed and only the software redundancy is optimized.
+The MIN and MAX baselines of Section 7 remove that hardening optimization
+step and optimize only the software redundancy, at the minimum or maximum
+hardening levels; :class:`RedundancyOpt` takes the strategy as its
+``policy``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class RedundancyDecision:
     it was just evaluated or read back from the persistent design-point
     store: the search scores designs by ``schedule_length`` alone, computed
     by :meth:`ListScheduler.worst_case_length`.  The schedule is built on
-    first read through :meth:`_RedundancyEvaluator.schedule_of`, which
+    first read through :meth:`RedundancyOpt.schedule_of`, which
     installs it on the decision.
     """
 
@@ -66,8 +67,23 @@ class RedundancyDecision:
         return self.meets_deadline and self.meets_reliability
 
 
-class _RedundancyEvaluator:
-    """Shared machinery: evaluate one hardening vector for a fixed mapping.
+#: The three strategies of Section 7, by the hardening policy they differ in.
+POLICIES = ("MIN", "MAX", "OPT")
+
+#: The list scheduler holds no state, so one instance serves every optimizer.
+_SCHEDULER = ListScheduler()
+
+
+class RedundancyOpt:
+    """Hardening and re-execution decision for a fixed mapping, per policy.
+
+    ``policy`` is one of :data:`POLICIES`.  ``"OPT"`` is the paper's
+    heuristic: it starts from the minimum hardening vector, hardens until the
+    mapping is feasible (Phase 1), then trims hardening while the cost drops
+    (Phase 2).  ``"MIN"`` and ``"MAX"`` are the Section 7 baselines, which
+    remove the hardening optimization: they evaluate the locked minimum or
+    maximum hardening vector and stop, so only the software redundancy is
+    optimized.
 
     :meth:`evaluate_hardening` and :meth:`optimize` take the
     :class:`~repro.engine.engine.EvaluationEngine` of the (application,
@@ -76,15 +92,20 @@ class _RedundancyEvaluator:
     there, so revisited points skip both the re-execution optimization and
     the list scheduler.  The key is the design point alone: the scheduler
     always reserves shared slack and :class:`ReExecutionOpt` always caps
-    ``k_j`` at the same constant, so every evaluator (MIN, MAX and OPT alike)
-    decides a design point the same way and one engine serves them all.
-    Cached :class:`RedundancyDecision` objects are shared between callers
-    and must be treated as immutable (their dict fields are copied by every
-    consumer that mutates).
+    ``k_j`` at the same constant, so every policy decides a design point the
+    same way and one engine serves them all.  A whole :meth:`optimize` run
+    is memoized per (policy, architecture, mapping).  Cached
+    :class:`RedundancyDecision` objects are shared between callers and must
+    be treated as immutable (their dict fields are copied by every consumer
+    that mutates).
     """
 
-    def __init__(self, scheduler: Optional[ListScheduler] = None) -> None:
-        self.scheduler = scheduler if scheduler is not None else ListScheduler()
+    def __init__(self, policy: str = "OPT") -> None:
+        if policy not in POLICIES:
+            raise OptimizationError(
+                f"RedundancyOpt policy must be one of {POLICIES}, got {policy!r}"
+            )
+        self.policy = policy
 
     # ------------------------------------------------------------------
     def evaluate_hardening(
@@ -150,7 +171,7 @@ class _RedundancyEvaluator:
         else:
             budgets = reexecution.reexecutions
             meets_reliability = True
-        length = self.scheduler.worst_case_length(
+        length = _SCHEDULER.worst_case_length(
             application, candidate, mapping, profile, budgets
         )
         return RedundancyDecision(
@@ -185,7 +206,7 @@ class _RedundancyEvaluator:
         if schedule is None:
             candidate = architecture.copy()
             candidate.apply_hardening_vector(decision.hardening)
-            schedule = self.scheduler.schedule(
+            schedule = _SCHEDULER.schedule(
                 application, candidate, mapping, profile, decision.reexecutions
             )
             # Lazy field of a frozen value: the decision's identity and every
@@ -194,13 +215,12 @@ class _RedundancyEvaluator:
         return schedule
 
     # ------------------------------------------------------------------
-    def _optimization_prefix(self, architecture: Architecture) -> Tuple:
-        """Optimization-memo key minus the mapping fingerprint.
-
-        Subclasses extend this with their own configuration (e.g. the fixed
-        hardening policy); :meth:`optimize` appends the mapping fingerprint.
-        """
-        return (type(self).__name__, architecture_fingerprint(architecture))
+    def initial_hardening(self, architecture: Architecture) -> Dict[str, int]:
+        """The vector the policy starts from: every node at its maximum
+        level for ``"MAX"``, at its minimum level otherwise."""
+        if self.policy == "MAX":
+            return {node.name: node.node_type.max_hardening for node in architecture}
+        return {node.name: node.node_type.min_hardening for node in architecture}
 
     def optimize(
         self,
@@ -217,7 +237,11 @@ class _RedundancyEvaluator:
         discarded by the caller, as in the paper's Fig. 4d discussion).
         """
         engine = resolve_engine(engine, application, profile)
-        key = self._optimization_prefix(architecture) + (mapping_fingerprint(mapping),)
+        key = (
+            self.policy,
+            architecture_fingerprint(architecture),
+            mapping_fingerprint(mapping),
+        )
         return engine.optimizations.memoize(
             key,
             lambda: self._optimize(application, architecture, mapping, profile, engine),
@@ -231,26 +255,12 @@ class _RedundancyEvaluator:
         profile: ExecutionProfile,
         engine: EvaluationEngine,
     ) -> Optional[RedundancyDecision]:
-        raise NotImplementedError
-
-
-class RedundancyOpt(_RedundancyEvaluator):
-    """Hardening/re-execution trade-off heuristic of the paper (OPT)."""
-
-    def _optimize(
-        self,
-        application: Application,
-        architecture: Architecture,
-        mapping: ProcessMapping,
-        profile: ExecutionProfile,
-        engine: EvaluationEngine,
-    ) -> Optional[RedundancyDecision]:
-        hardening = {
-            node.name: node.node_type.min_hardening for node in architecture
-        }
+        hardening = self.initial_hardening(architecture)
         decision = self.evaluate_hardening(
             application, architecture, mapping, profile, hardening, engine
         )
+        if self.policy != "OPT":
+            return decision if decision.is_feasible else None
 
         # ---------------- Phase 1: harden until feasible -----------------
         visited = 0
@@ -310,46 +320,3 @@ class RedundancyOpt(_RedundancyEvaluator):
                 improved = True
         return decision
 
-
-class FixedHardeningRedundancyOpt(_RedundancyEvaluator):
-    """Baseline redundancy optimizer with the hardening level locked.
-
-    ``policy="min"`` reproduces the paper's MIN strategy (cheapest, least
-    hardened nodes; reliability achieved through re-execution only), while
-    ``policy="max"`` reproduces MAX (most hardened versions only).
-    """
-
-    def __init__(self, policy: str, scheduler: Optional[ListScheduler] = None) -> None:
-        super().__init__(scheduler=scheduler)
-        if policy not in ("min", "max"):
-            raise OptimizationError(
-                f"FixedHardeningRedundancyOpt policy must be 'min' or 'max', got {policy!r}"
-            )
-        self.policy = policy
-
-    def _optimization_prefix(self, architecture: Architecture) -> Tuple:
-        """The shared prefix with the fixed policy between name and architecture."""
-        return (type(self).__name__, self.policy, architecture_fingerprint(architecture))
-
-    def _optimize(
-        self,
-        application: Application,
-        architecture: Architecture,
-        mapping: ProcessMapping,
-        profile: ExecutionProfile,
-        engine: EvaluationEngine,
-    ) -> Optional[RedundancyDecision]:
-        hardening = {
-            node.name: (
-                node.node_type.min_hardening
-                if self.policy == "min"
-                else node.node_type.max_hardening
-            )
-            for node in architecture
-        }
-        decision = self.evaluate_hardening(
-            application, architecture, mapping, profile, hardening, engine
-        )
-        if not decision.is_feasible:
-            return None
-        return decision

@@ -59,7 +59,6 @@ from repro.core.exceptions import ModelError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.engine.engine import EvaluationEngine, resolve_engine
-from repro.kernels.base import SFPKernel
 from repro.kernels.registry import SFP_KERNELS
 from repro.utils.rounding import floor_probability
 from repro.utils.validation import require_in_unit_interval, require_positive
@@ -68,16 +67,13 @@ from repro.utils.validation import require_in_unit_interval, require_positive
 # ----------------------------------------------------------------------
 # Stateless building blocks operating on plain probability lists
 # ----------------------------------------------------------------------
-def probability_no_fault(
-    failure_probabilities: Sequence[float],
-    kernel: Optional[SFPKernel] = None,
-) -> float:
+def probability_no_fault(failure_probabilities: Sequence[float]) -> float:
     """Formula (1): probability that none of the processes fails.
 
     An empty probability list (no process mapped on the node) trivially gives
     probability 1.
     """
-    return SFP_KERNELS.or_active(kernel).probability_no_fault(failure_probabilities)
+    return SFP_KERNELS.active().probability_no_fault(failure_probabilities)
 
 
 def complete_homogeneous_sum(
@@ -136,11 +132,7 @@ def probability_exactly(failure_probabilities: Sequence[float], faults: int) -> 
     return floor_probability(raw)
 
 
-def probability_exceeds(
-    failure_probabilities: Sequence[float],
-    reexecutions: int,
-    kernel: Optional[SFPKernel] = None,
-) -> float:
+def probability_exceeds(failure_probabilities: Sequence[float], reexecutions: int) -> float:
     """Formula (4): probability that more than ``reexecutions`` faults occur.
 
     ``reexecutions`` is the per-node budget ``k_j``; the node fails when the
@@ -161,22 +153,17 @@ def probability_exceeds(
     computation itself runs on the SFP kernel backend
     (:mod:`repro.kernels`); all backends are bit-identical.
     """
-    return SFP_KERNELS.or_active(kernel).probability_exceeds(
-        failure_probabilities, reexecutions
-    )
+    return SFP_KERNELS.active().probability_exceeds(failure_probabilities, reexecutions)
 
 
-def system_failure_probability(
-    per_node_exceedance: Sequence[float],
-    kernel: Optional[SFPKernel] = None,
-) -> float:
+def system_failure_probability(per_node_exceedance: Sequence[float]) -> float:
     """Formula (5): probability that at least one node exceeds its budget.
 
     Evaluated in decimal arithmetic on the (already rounded) per-node
     exceedance probabilities so the union matches the paper's worked example
     digit for digit.
     """
-    return SFP_KERNELS.or_active(kernel).system_failure(per_node_exceedance)
+    return SFP_KERNELS.active().system_failure(per_node_exceedance)
 
 
 def reliability_over_time_unit(

@@ -17,9 +17,9 @@ explicitly to the layer below.  The engine owns four memo tables:
     keyed by (architecture, mapping, hardening vector).
     Hits skip the re-execution optimization *and* the list scheduler.
 ``optimizations``
-    Outcome of a whole redundancy-optimizer run (Phase 1 + Phase 2, or a
-    fixed-hardening baseline) per (optimizer class name [+ fixed policy],
-    architecture, mapping).  Hits make revisited tabu-search moves free.
+    Outcome of a whole redundancy-optimizer run (Phase 1 + Phase 2 for OPT,
+    the locked hardening vector for MIN and MAX) per (policy, architecture,
+    mapping).  Hits make revisited tabu-search moves free.
 ``exceedance``
     Per-node formula (4) keyed by the ordered tuple of per-process failure
     probabilities (which canonically encodes node type × hardening level ×
@@ -62,19 +62,15 @@ class EvaluationEngine:
     in-place edit reuse (or persist) results of the old content.
     """
 
-    def __init__(
-        self,
-        application: Application,
-        profile: ExecutionProfile,
-        kernel: Optional[SFPKernel] = None,
-    ) -> None:
+    def __init__(self, application: Application, profile: ExecutionProfile) -> None:
         application.freeze()
         profile.freeze()
         self.application = application
         self.profile = profile
-        #: SFP kernel backend computing cache misses.  Backends are
-        #: bit-identical, so the kernel is *not* part of any memo key.
-        self.kernel = SFP_KERNELS.or_active(kernel)
+        #: SFP kernel backend computing cache misses: the production backend
+        #: when the engine is built.  Backends are bit-identical, so the
+        #: kernel is *not* part of any memo key.
+        self.kernel: SFPKernel = SFP_KERNELS.active()
         #: Lazily-computed context hash (see :meth:`stable_context`) —
         #: ``None`` until first requested.
         self._stable_context: Optional[str] = None

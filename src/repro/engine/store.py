@@ -55,7 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: signature or a rounding precision.
 #: 5: decision and optimization keys no longer carry an evaluator signature
 #: (scheduler name, slack sharing, re-execution cap).
-STORE_SCHEMA_VERSION = 5
+#: 6: optimization keys start with the strategy policy (``"MIN"``, ``"MAX"``,
+#: ``"OPT"``) instead of the optimizer class name and fixed policy.
+STORE_SCHEMA_VERSION = 6
 
 #: Default size cap of a store directory (bytes).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024

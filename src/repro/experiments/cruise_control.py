@@ -28,11 +28,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.application import Application, Message, Process
-from repro.core.architecture import Architecture, Node, NodeType, linear_cost_node_type
+from repro.core.architecture import NodeType, linear_cost_node_type
+from repro.core.design_strategy import DesignStrategy
 from repro.core.fault_model import FaultModel, HardeningModel, TechnologyModel
-from repro.core.mapping import MappingAlgorithm, Objective
+from repro.core.mapping import MappingAlgorithm
 from repro.core.profile import ExecutionProfile
-from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
+from repro.core.redundancy import POLICIES
+from repro.engine import EvaluationEngine
 
 #: Deadline and period of the cruise controller, in milliseconds.
 CC_DEADLINE = 300.0
@@ -50,6 +52,10 @@ CC_CLOCK_MHZ = 1000.0
 CC_RECOVERY_FRACTION = 0.05
 #: Worst-case bus transmission time of every CC message, in milliseconds.
 CC_MESSAGE_TIME = 1.0
+#: Tabu-search effort of the case study: iterations (the search stops after
+#: half as many without improvement) and re-mapping candidates per iteration.
+CC_MAPPING_ITERATIONS = 6
+CC_MAPPING_CANDIDATES = 3
 
 #: The 32 processes of the reconstructed cruise controller.  Each entry is
 #: ``(name, WCET on the unhardened ECU in ms, list of predecessors)``.
@@ -194,77 +200,53 @@ class CruiseControlStudy:
         return relative_cost_saving(opt.cost, max_outcome.cost)
 
 
-def run_cruise_controller_study(
-    mapping_iterations: int = 6,
-    mapping_candidates: int = 3,
-) -> CruiseControlStudy:
+def run_cruise_controller_study() -> CruiseControlStudy:
     """Run MIN, MAX and OPT on the fixed three-ECU architecture.
 
     Unlike the synthetic experiments, the CC architecture is given (the three
-    ECUs are physically present in the vehicle), so the strategies differ only
-    in how they pick hardening levels and re-executions, and in the mapping
-    they converge to.
+    ECUs are physically present in the vehicle), so each strategy runs only
+    its per-architecture step — the schedule-length pass, then the cost
+    pass — and the strategies differ only in how they pick hardening levels
+    and re-executions, and in the mapping they converge to.  All three share
+    one evaluation engine.
     """
     application = cruise_controller_application()
     node_types = cruise_controller_node_types()
     profile = cruise_controller_profile(application, node_types)
+    engine = EvaluationEngine(application, profile)
 
-    optimizers = {
-        "MIN": FixedHardeningRedundancyOpt("min"),
-        "MAX": FixedHardeningRedundancyOpt("max"),
-        "OPT": RedundancyOpt(),
-    }
     outcomes: Dict[str, CruiseControlOutcome] = {}
-    for strategy, optimizer in optimizers.items():
-        architecture = Architecture(
-            [Node(node_type.name, node_type) for node_type in node_types]
-        )
-        architecture.set_min_hardening()
+    for policy in POLICIES:
         algorithm = MappingAlgorithm(
-            redundancy_optimizer=optimizer,
-            max_iterations=mapping_iterations,
-            stop_after_no_improvement=max(2, mapping_iterations // 2),
-            max_candidates=mapping_candidates,
+            policy,
+            max_iterations=CC_MAPPING_ITERATIONS,
+            stop_after_no_improvement=CC_MAPPING_ITERATIONS // 2,
+            max_candidates=CC_MAPPING_CANDIDATES,
         )
-        schedule_result = algorithm.optimize(
-            application, architecture, profile, objective=Objective.SCHEDULE_LENGTH
-        )
-        if schedule_result is None or not schedule_result.is_feasible:
+        strategy = DesignStrategy(node_types, algorithm)
+        architecture = strategy.enumerator.build(node_types)
+        chosen, _ = strategy.design_for(application, architecture, profile, engine)
+        if chosen is not None:
+            decision = chosen.decision
+        else:
             # Best-effort reporting: evaluate the greedy initial mapping at the
-            # strategy's locked (or minimum) hardening so the study can still
-            # show how far from the deadline the strategy lands.
-            initial = algorithm.initial_mapping(application, architecture, profile)
-            locked_level = {
-                "MIN": {node.name: node.node_type.min_hardening for node in architecture},
-                "MAX": {node.name: node.node_type.max_hardening for node in architecture},
-                "OPT": {node.name: node.node_type.min_hardening for node in architecture},
-            }[strategy]
-            fallback = optimizer.evaluate_hardening(
-                application, architecture, initial, profile, locked_level
+            # policy's starting hardening so the study can still show how far
+            # from the deadline the strategy lands.
+            optimizer = algorithm.redundancy_optimizer
+            decision = optimizer.evaluate_hardening(
+                application,
+                architecture,
+                algorithm.initial_mapping(application, architecture, profile),
+                profile,
+                optimizer.initial_hardening(architecture),
+                engine,
             )
-            outcomes[strategy] = CruiseControlOutcome(
-                strategy=strategy,
-                schedulable=False,
-                cost=float("inf"),
-                schedule_length=fallback.schedule_length,
-                hardening=dict(fallback.hardening),
-                reexecutions=dict(fallback.reexecutions),
-            )
-            continue
-        cost_result = algorithm.optimize(
-            application,
-            architecture,
-            profile,
-            objective=Objective.COST,
-            initial_mapping=schedule_result.mapping,
-        )
-        chosen = cost_result if cost_result is not None else schedule_result
-        outcomes[strategy] = CruiseControlOutcome(
-            strategy=strategy,
-            schedulable=chosen.is_feasible,
-            cost=chosen.cost,
-            schedule_length=chosen.schedule_length,
-            hardening=dict(chosen.decision.hardening),
-            reexecutions=dict(chosen.decision.reexecutions),
+        outcomes[policy] = CruiseControlOutcome(
+            strategy=policy,
+            schedulable=chosen is not None,
+            cost=decision.cost if chosen is not None else float("inf"),
+            schedule_length=decision.schedule_length,
+            hardening=dict(decision.hardening),
+            reexecutions=dict(decision.reexecutions),
         )
     return CruiseControlStudy(outcomes=outcomes)

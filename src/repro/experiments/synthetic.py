@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.baselines import all_strategies
+from repro.core.design_strategy import DesignStrategy
 from repro.core.evaluation import DesignResult
 from repro.core.fault_model import SER_HIGH, SER_LOW, SER_MEDIUM
 from repro.core.mapping import MappingAlgorithm
+from repro.core.redundancy import POLICIES
 from repro.engine import DEFAULT_MAX_BYTES, DesignPointStore, EvaluationEngine
 from repro.experiments.results import format_table
 from repro.generator.benchmark import (
@@ -40,10 +41,9 @@ from repro.generator.benchmark import (
     build_platform,
     generate_benchmark_suite,
 )
-from repro.scheduling.list_scheduler import ListScheduler
 
-#: The three strategies compared throughout Section 7.
-STRATEGIES = ("MIN", "MAX", "OPT")
+#: The three strategies compared throughout Section 7, named by their policy.
+STRATEGIES = POLICIES
 
 #: HPD values (in percent) used by Fig. 6a and Fig. 6b.
 PAPER_HPD_VALUES = (5.0, 25.0, 50.0, 100.0)
@@ -135,8 +135,10 @@ class ExperimentPreset:
     def benchmark_config(self) -> BenchmarkConfig:
         return BenchmarkConfig(n_node_types=self.n_node_types)
 
-    def mapping_algorithm(self) -> MappingAlgorithm:
+    def mapping_algorithm(self, policy: str) -> MappingAlgorithm:
+        """The preset's tabu-search tuning for one of :data:`STRATEGIES`."""
         return MappingAlgorithm(
+            policy=policy,
             max_iterations=self.mapping_iterations,
             stop_after_no_improvement=self.mapping_stop_after,
             max_candidates=self.mapping_candidates,
@@ -226,16 +228,11 @@ def _evaluate_benchmark_setting(
         # all served from disk and the follower computes none of them.
         if store is not None:
             loaded = store.warm(engine)
-        algorithm = preset.mapping_algorithm()
-        # One scheduler (on the production scheduler kernel) shared by
-        # all strategies: it is stateless across calls except for the memoized
-        # application structure, which is the same for MIN, MAX and OPT — so
-        # sharing also means the flat kernel compiles the application once per
-        # setting instead of once per strategy.
-        strategies = all_strategies(node_types, algorithm, scheduler=ListScheduler())
         results = {
-            name: strategy.explore(benchmark.application, profile, engine=engine)
-            for name, strategy in strategies.items()
+            policy: DesignStrategy(node_types, preset.mapping_algorithm(policy)).explore(
+                benchmark.application, profile, engine=engine
+            )
+            for policy in STRATEGIES
         }
         if store is not None:
             store.persist(engine)

@@ -23,11 +23,7 @@ from repro.kernels.array_backend import ArrayKernel
 from repro.kernels.base import SFPKernel
 from repro.kernels.reference import ReferenceKernel
 from repro.kernels.registry import SCHED_KERNELS, SFP_KERNELS
-from repro.kernels.sched_base import (
-    SchedulerKernel,
-    ScheduleStructure,
-    SchedulingProblem,
-)
+from repro.kernels.sched_base import SchedulerKernel, SchedulingProblem
 from repro.kernels.sched_flat import FlatSchedulerKernel
 from repro.kernels.sched_reference import ReferenceSchedulerKernel
 
@@ -40,6 +36,5 @@ __all__ = [
     "SFPKernel",
     "SFP_KERNELS",
     "SchedulerKernel",
-    "ScheduleStructure",
     "SchedulingProblem",
 ]

@@ -8,14 +8,15 @@ Two kernel families exist, each with one production backend:
   — the root-schedule construction of Section 6.4, served by
   :class:`~repro.kernels.sched_flat.FlatSchedulerKernel`.
 
-:data:`SFP_KERNELS` and :data:`SCHED_KERNELS` hold those instances.  Every
-entry point with a ``kernel=None`` default (the :mod:`repro.core.sfp`
-functions, ``EvaluationEngine`` and ``ListScheduler``) reads :meth:`active`
-when it is built — ``SFPAnalysis`` and ``ReExecutionOpt`` run on their
-engine's kernel — so a whole-stack
-test swaps a family's backend by replacing the holder's ``kernel``
-attribute (``monkeypatch.setattr(SFP_KERNELS, "kernel", ReferenceKernel())``).
-An explicit ``kernel=`` takes an instance of the family's base class.
+:data:`SFP_KERNELS` and :data:`SCHED_KERNELS` hold those instances, and no
+entry point takes a backend as an argument.  ``ListScheduler`` and the
+:mod:`repro.core.sfp` functions read :meth:`~_Production.active` on every
+call; an ``EvaluationEngine`` reads it once, when it is built, and
+``SFPAnalysis`` and ``ReExecutionOpt`` run on their engine's kernel.  A
+whole-stack test swaps a family's backend by replacing the holder's
+``kernel`` attribute
+(``monkeypatch.setattr(SFP_KERNELS, "kernel", ReferenceKernel())``, which
+``tests/conftest.py::production_kernels`` wraps).
 
 The ``reference`` backends are the executable specifications the production
 backends are tested against; they are not reachable from any option.
@@ -23,7 +24,7 @@ backends are tested against; they are not reachable from any option.
 
 from __future__ import annotations
 
-from typing import Generic, Optional, Type, TypeVar
+from typing import Generic, TypeVar
 
 from repro.kernels.base import SFPKernel
 from repro.kernels.sched_base import SchedulerKernel
@@ -36,30 +37,16 @@ class _Production(Generic[KernelT]):
 
     kernel: KernelT
 
-    def __init__(self, base_class: Type[KernelT]) -> None:
-        self.base_class = base_class
-
     def active(self) -> KernelT:
-        """The backend every ``kernel=None`` default runs on."""
+        """The backend the whole stack runs on."""
         return self.kernel
-
-    def or_active(self, kernel: Optional[KernelT]) -> KernelT:
-        """``kernel`` when given (a backend instance), else :meth:`active`."""
-        if kernel is None:
-            return self.active()
-        if not isinstance(kernel, self.base_class):
-            raise TypeError(
-                f"kernel= takes a {self.base_class.__name__} instance, "
-                f"got {kernel!r}"
-            )
-        return kernel
 
 
 #: The two families.  Their instances are bound below, after the backend
 #: imports: the scheduler backends pull in ``repro.scheduling``, whose list
 #: scheduler imports these holders while this module is still initializing.
-SFP_KERNELS: _Production[SFPKernel] = _Production(SFPKernel)
-SCHED_KERNELS: _Production[SchedulerKernel] = _Production(SchedulerKernel)
+SFP_KERNELS: _Production[SFPKernel] = _Production()
+SCHED_KERNELS: _Production[SchedulerKernel] = _Production()
 
 from repro.kernels.array_backend import ArrayKernel  # noqa: E402
 from repro.kernels.sched_flat import FlatSchedulerKernel  # noqa: E402

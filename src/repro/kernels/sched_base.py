@@ -4,9 +4,10 @@ A *scheduler kernel* implements the inner loop of the list scheduler
 (Section 6.4): partial-critical-path priorities, layer-by-layer process
 placement, the bus gap search and the per-node recovery-slack computation.
 :class:`~repro.scheduling.list_scheduler.ListScheduler` stays the public
-entry point — it validates inputs, normalizes re-execution budgets and
-memoizes the application's static structure — and hands the resulting
-:class:`SchedulingProblem` to its backend.
+entry point — it validates inputs and normalizes re-execution budgets — and
+hands the resulting :class:`SchedulingProblem` to the production backend.
+Both backends read the application's static structure through
+:func:`scheduling_layers`.
 
 A backend has two entry points over one :class:`SchedulingProblem`:
 
@@ -42,7 +43,7 @@ worker its own instance (module state is per process).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.application import Application, Message
@@ -52,19 +53,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scheduling.schedule import Schedule
 
 
-@dataclass(frozen=True)
-class ScheduleStructure:
-    """Static scheduling structure of one application, memoized upstream.
+def scheduling_layers(
+    application: "Application",
+) -> Tuple[List[List[str]], Dict[str, List["Message"]]]:
+    """The static scheduling structure: (layers, incoming messages).
 
-    ``layers`` concatenates the topological generations of every task graph
-    (each layer is exactly one ready set of the original ready-list loop);
-    ``incoming`` maps each process to its incoming messages.  The list
-    scheduler builds one structure object per (frozen) application, which is
-    what kernel-side compilation caches key their identity checks on.
+    ``layers`` concatenates the topological generations of every task graph:
+    all processes of layer ``i`` have their predecessors in layers ``< i``,
+    which is exactly the set the ready-list loop would discover batch by
+    batch.  ``incoming`` maps each process to its incoming messages.
     """
-
-    layers: List[List[str]]
-    incoming: Dict[str, List["Message"]]
+    graph_generations = [graph.topological_generations() for graph in application.graphs]
+    depth = max((len(generations) for generations in graph_generations), default=0)
+    layers: List[List[str]] = []
+    for level in range(depth):
+        layer: List[str] = []
+        for generations in graph_generations:
+            if level < len(generations):
+                layer.extend(generations[level])
+        layers.append(layer)
+    incoming: Dict[str, List["Message"]] = {}
+    for graph in application.graphs:
+        for process in graph.process_names:
+            incoming[process] = graph.incoming_messages(process)
+    return layers, incoming
 
 
 @dataclass(frozen=True)
@@ -72,9 +84,9 @@ class SchedulingProblem:
     """Everything one root-schedule construction depends on.
 
     ``budgets`` is the normalized re-execution budget per node (every node of
-    the architecture has an entry); ``structure`` is the memoized static
-    structure of ``application``.  The mapping has already been validated
-    against the architecture and profile.
+    the architecture has an entry).  The application and profile are frozen,
+    and the mapping has already been validated against the architecture and
+    profile.
     """
 
     application: "Application"
@@ -82,7 +94,6 @@ class SchedulingProblem:
     mapping: "ProcessMapping"
     profile: "ExecutionProfile"
     budgets: Dict[str, int]
-    structure: ScheduleStructure
 
 
 class SchedulerKernel:

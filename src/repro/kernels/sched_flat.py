@@ -3,8 +3,9 @@
 The per-object reference path spends most of a design-point evaluation in
 string-keyed dictionary traffic: every placed process re-hashes its name to
 find its node, its priority, its producers and its WCET, and every bus
-message rescans every granted window.  This backend compiles the memoized
-application structure once into integer-indexed tables —
+message rescans every granted window.  This backend compiles the application's
+static structure (:func:`~repro.kernels.sched_base.scheduling_layers`) once
+into integer-indexed tables —
 
 * process/node/message ids (names appear only in the final ``Schedule``),
 * per ``(node type, hardening)`` WCET rows over all process ids,
@@ -21,9 +22,8 @@ One placement routine feeds both entry points: ``worst_case_length`` reads
 the length it computes, while ``build_schedule`` turns its recorded windows
 into the ``Schedule``.
 
-The compiled tables are cached per (structure, profile) identity — the
-list scheduler memoizes the structure object per application, so the cache
-holds across the thousands of design points of one exploration and
+The compiled tables are cached per (application, profile) identity, so the
+cache holds across the thousands of design points of one exploration and
 recompiles only when another application or profile arrives.  Identity is
 enough because both are frozen once scheduled.
 """
@@ -34,9 +34,9 @@ from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.kernels.sched_base import (
-    ScheduleStructure,
     SchedulerKernel,
     SchedulingProblem,
+    scheduling_layers,
 )
 from repro.scheduling.schedule import Schedule, ScheduledMessage, ScheduledProcess
 
@@ -46,10 +46,10 @@ if TYPE_CHECKING:
 
 
 class _CompiledApplication:
-    """Integer-indexed tables for one (application structure, profile) pair."""
+    """Integer-indexed tables for one (application, profile) pair."""
 
     __slots__ = (
-        "structure",
+        "application",
         "profile",
         "names",
         "index",
@@ -62,13 +62,8 @@ class _CompiledApplication:
         "_versions",
     )
 
-    def __init__(
-        self,
-        structure: ScheduleStructure,
-        application: Application,
-        profile: ExecutionProfile,
-    ) -> None:
-        self.structure = structure
+    def __init__(self, application: Application, profile: ExecutionProfile) -> None:
+        self.application = application
         self.profile = profile
         names: List[str] = []
         index: Dict[str, int] = {}
@@ -79,18 +74,19 @@ class _CompiledApplication:
         self.names = names
         self.index = index
         count = len(names)
+        layers, incoming = scheduling_layers(application)
 
         # Layers pre-sorted by process name: the per-call ordering sorts each
         # layer by descending priority with a *stable* sort, which then
         # reproduces the reference (-priority, name) tie-break without
         # building a tuple key per process per design point.
         self.layers = [
-            [index[name] for name in sorted(layer)] for layer in structure.layers
+            [index[name] for name in sorted(layer)] for layer in layers
         ]
         # Incoming CSR: (producer id, message name, producer name, duration)
         # per consumer, in the exact order the reference loop visits them.
         in_edges: List[Tuple] = [()] * count
-        for name, messages in structure.incoming.items():
+        for name, messages in incoming.items():
             in_edges[index[name]] = tuple(
                 (index[message.source], message.name, message.source,
                  message.transmission_time)
@@ -182,18 +178,15 @@ class FlatSchedulerKernel(SchedulerKernel):
     # ------------------------------------------------------------------
     def _compile(self, problem: SchedulingProblem) -> _CompiledApplication:
         compiled = self._compiled
-        # The list scheduler creates one structure object per application,
-        # and the compiled object keeps strong references, so a recycled
-        # address can never alias a dead structure/profile.  The application
-        # and profile are frozen once scheduled, so identity covers content.
+        # The compiled object keeps strong references, so a recycled address
+        # can never alias a dead application/profile.  Both are frozen once
+        # scheduled, so identity covers content.
         if (
             compiled is None
-            or compiled.structure is not problem.structure
+            or compiled.application is not problem.application
             or compiled.profile is not problem.profile
         ):
-            compiled = _CompiledApplication(
-                problem.structure, problem.application, problem.profile
-            )
+            compiled = _CompiledApplication(problem.application, problem.profile)
             self._compiled = compiled
         return compiled
 

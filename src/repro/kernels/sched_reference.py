@@ -17,7 +17,11 @@ from bisect import insort
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.kernels.sched_base import SchedulerKernel, SchedulingProblem
+from repro.kernels.sched_base import (
+    SchedulerKernel,
+    SchedulingProblem,
+    scheduling_layers,
+)
 from repro.scheduling.priorities import critical_path_priorities
 from repro.scheduling.schedule import Schedule, ScheduledMessage, ScheduledProcess
 from repro.scheduling.slack import shared_recovery_slack
@@ -81,8 +85,7 @@ class ReferenceSchedulerKernel(SchedulerKernel):
         # Granted bus windows in start order (see grant).
         windows: List[Window] = []
 
-        layers = problem.structure.layers
-        incoming = problem.structure.incoming
+        layers, incoming = scheduling_layers(application)
         # Per-call node view: (name, wcet lookup key) resolved once per node
         # instead of re-deriving type/hardening for each placed process.
         node_info: Dict[str, Tuple[str, str, int]] = {

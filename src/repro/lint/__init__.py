@@ -12,7 +12,7 @@ R001      fingerprint purity — cache-key paths are content-pure
 R002      kernel-contract conformance — backends implement the full
           abstract contract with matching signatures, no mutable class
           state; cache-key modules never import ``repro.kernels``
-R003      structure-token safety — guarded containers mutate only inside the
+R003      freeze safety — guarded containers mutate only inside the
           construction API, which checks the freeze
 R004      seeded-RNG-only — no interpreter-global random state, and the
           allowed constructors are themselves seeded

@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-ftes lint",
         description=(
             "AST-based invariant checker: fingerprint purity, kernel "
-            "contracts, structure-token safety, seeded RNGs, Decimal/float "
+            "contracts, freeze safety, seeded RNGs, Decimal/float "
             "hygiene, fork/pickle safety, worker isolation, report "
             "JSON-serializability"
         ),

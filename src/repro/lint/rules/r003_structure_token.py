@@ -1,7 +1,7 @@
-"""R003 — structure-token safety: guarded containers mutate only via the API.
+"""R003 — freeze safety: guarded containers mutate only via the API.
 
-The list scheduler, the compiled scheduler kernel and the evaluation engine
-memoize what they derive from an application by object identity, which is
+The compiled scheduler kernel and the evaluation engine memoize what they
+derive from an application by object identity, which is
 sound only because an application is frozen once an evaluation binds it:
 its construction API (``add_process``, ``add_message`` …) checks the freeze
 and keeps the derived-structure caches consistent.  A write that bypasses
@@ -100,11 +100,11 @@ class StructureTokenRule(LintRule):
     """Guarded structure containers mutate only inside sanctioned mutators."""
 
     rule_id = "R003"
-    title = "structure-token safety: no out-of-API container mutation"
+    title = "freeze safety: no out-of-API container mutation"
     rationale = (
         "in-place edits of Application/TaskGraph/Schedule containers that "
-        "bypass the construction API escape the freeze check, so memoized "
-        "scheduler structure goes stale"
+        "bypass the construction API escape the freeze check, so what the "
+        "scheduler kernel and the engine memoized for the model goes stale"
     )
 
     def check(self, project: Project) -> Iterator[Violation]:
@@ -128,9 +128,9 @@ class StructureTokenRule(LintRule):
                     symbol=project.enclosing_function(module, anchor) or "",
                     message=(
                         f"{mutation} of guarded container .{attr} outside "
-                        f"the owning class's token-bumping mutators; use the "
-                        f"construction API (add_*/remove_*) so "
-                        f"structure_token observes the edit"
+                        f"the owning class's freeze-checking mutators; use "
+                        f"the construction API (add_*/remove_*), which "
+                        f"raises once an evaluation has frozen the model"
                     ),
                 )
 

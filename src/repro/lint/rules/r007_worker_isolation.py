@@ -5,7 +5,7 @@ A worker process is a fork-time copy: mutating a module global, a
 from a pool task entrypoint either mutates the *copy* (the parent silently
 never sees the write — the classic "my cache warmed but stayed cold" bug) or
 corrupts shared on-disk state without the owning class's invariants.  The
-sanctioned write paths mirror R003's token-bumping idiom: each guarded
+sanctioned write paths mirror R003's mutator idiom: each guarded
 class's own state-keeping methods (``MemoCache.put``,
 ``DesignPointStore.persist`` …) may mutate its attributes, and pool
 *initializers* (``_init_worker``) may populate worker-local module state —

@@ -24,11 +24,12 @@ heuristic, which compares schedule lengths across small perturbations).
 
 The root-schedule construction itself (priorities, layer placement, bus
 gap search, recovery slack) runs in a *scheduler kernel backend*
-(:mod:`repro.kernels.sched_base`): the production ``flat`` backend compiles
-the application into integer-indexed tables and runs the only production
-gap search, and the ``reference`` backend — the per-object loop this class
-historically inlined — is its test oracle.  The backends are bit-identical,
-so the backend is never part of an evaluation-engine cache key.  The paper's
+(:mod:`repro.kernels.sched_base`): every call runs on the production ``flat``
+backend (``SCHED_KERNELS.active()``), which compiles the application into
+integer-indexed tables and runs the only production gap search; the
+``reference`` backend — the per-object loop this class historically
+inlined — is its test oracle.  The backends are bit-identical, so the
+backend is never part of an evaluation-engine cache key.  The paper's
 platform has one shared bus arbitrated first-come-first-served: a message
 starts once its data is ready and the bus is free, and every message's
 worst-case transmission time is a given input.
@@ -37,7 +38,7 @@ worst-case transmission time is a given input.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
@@ -45,11 +46,7 @@ from repro.core.exceptions import SchedulingError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.kernels.registry import SCHED_KERNELS
-from repro.kernels.sched_base import (
-    SchedulerKernel,
-    ScheduleStructure,
-    SchedulingProblem,
-)
+from repro.kernels.sched_base import SchedulingProblem
 from repro.scheduling.schedule import Schedule
 
 
@@ -57,57 +54,11 @@ class ListScheduler:
     """List scheduler producing root schedules with recovery slack.
 
     The recovery slack of a node is always shared: it covers the worst
-    single victim ``k_j`` times (Section 6.4).
-
-    Parameters
-    ----------
-    kernel:
-        Scheduler kernel backend running the root-schedule construction;
-        ``None`` means the production backend.  Every backend is
-        bit-identical.
+    single victim ``k_j`` times (Section 6.4).  The scheduler holds no
+    state: every call validates its inputs and runs on the production
+    scheduler kernel, whose compiled tables are cached per (application,
+    profile).
     """
-
-    def __init__(self, kernel: Optional[SchedulerKernel] = None) -> None:
-        self.kernel = SCHED_KERNELS.or_active(kernel)
-        # One-slot memo of the application's static structure (scheduling
-        # layers and per-process incoming messages).  The DSE stack schedules
-        # the same application thousands of times in a row.  Every call
-        # freezes the application and profile it schedules, so the memo
-        # guards on identity alone; it holds a strong reference to the
-        # application, so a recycled object address can never alias a dead
-        # one.
-        self._structure_app: Optional[Application] = None
-        self._structure: Optional[ScheduleStructure] = None
-
-    def _application_structure(self, application: Application) -> ScheduleStructure:
-        """Static scheduling structure: (layers, incoming messages).
-
-        ``layers`` concatenates the topological generations of every task
-        graph: all processes of layer ``i`` have their predecessors in layers
-        ``< i``, which is exactly the set the ready-list loop would discover
-        batch by batch — but precomputed once instead of rescanned per call.
-        """
-        structure = self._structure
-        if self._structure_app is not application or structure is None:
-            graph_generations = [
-                graph.topological_generations() for graph in application.graphs
-            ]
-            depth = max((len(g) for g in graph_generations), default=0)
-            layers: List[List[str]] = []
-            for level in range(depth):
-                layer: List[str] = []
-                for generations in graph_generations:
-                    if level < len(generations):
-                        layer.extend(generations[level])
-                layers.append(layer)
-            incoming: Dict[str, List] = {}
-            for graph in application.graphs:
-                for process in graph.process_names:
-                    incoming[process] = graph.incoming_messages(process)
-            structure = ScheduleStructure(layers=layers, incoming=incoming)
-            self._structure = structure
-            self._structure_app = application
-        return structure
 
     # ------------------------------------------------------------------
     def schedule(
@@ -125,7 +76,7 @@ class ListScheduler:
         reexecutions:
             Re-execution budget ``k_j`` per node name; omitted nodes get 0.
         """
-        return self.kernel.build_schedule(
+        return SCHED_KERNELS.active().build_schedule(
             self._problem(application, architecture, mapping, profile, reexecutions)
         )
 
@@ -144,7 +95,7 @@ class ListScheduler:
         exploration scores every design point by it and builds a schedule
         only where one is read.
         """
-        return self.kernel.worst_case_length(
+        return SCHED_KERNELS.active().worst_case_length(
             self._problem(application, architecture, mapping, profile, reexecutions)
         )
 
@@ -159,8 +110,7 @@ class ListScheduler:
         """Bind and validate the inputs; normalize the budgets into one problem.
 
         Binding freezes the application and profile (a flag check once
-        frozen): the structure memo and the kernel's compiled tables key on
-        their identity.
+        frozen): the kernel's compiled tables key on their identity.
         """
         application.freeze()
         profile.freeze()
@@ -191,5 +141,4 @@ class ListScheduler:
             mapping=mapping,
             profile=profile,
             budgets=budgets,
-            structure=self._application_structure(application),
         )

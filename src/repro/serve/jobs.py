@@ -247,6 +247,16 @@ class JobManager:
             spool = Path(tempfile.mkdtemp(prefix="repro-serve-"))
         spool.mkdir(parents=True, exist_ok=True)
         self._spool_dir = spool
+        # A restarted server reuses its spool directory: number new jobs
+        # past the spools a previous server sealed there.
+        self._seq = 1 + max(
+            (
+                int(path.stem[len("job-"):])
+                for path in spool.glob("job-*.ndjson")
+                if path.stem[len("job-"):].isdigit()
+            ),
+            default=-1,
+        )
         store = self.config.cache_dir if self.config.cache_dir is not None else spool / "store"
         store.mkdir(parents=True, exist_ok=True)
         self._store_dir = store

@@ -47,7 +47,7 @@ def production_kernels(
 ) -> Iterator[None]:
     """Run the whole stack on the given backends inside the block.
 
-    Swaps the instances every ``kernel=None`` default reads and restores
+    Swaps the production instances the whole stack reads and restores
     them on exit, also when the block raises.
     """
     with pytest.MonkeyPatch.context() as patch:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.architecture import Architecture, Node
-from repro.core.baselines import all_strategies
+from repro.core.design_strategy import DesignStrategy
 from repro.core.mapping import MappingAlgorithm
+from repro.core.redundancy import POLICIES
 from repro.core.sfp import SFPAnalysis
 from repro.generator.benchmark import BenchmarkConfig, build_platform, generate_benchmark
 from repro.scheduling.list_scheduler import ListScheduler
@@ -32,11 +33,14 @@ def problem():
 @pytest.fixture(scope="module")
 def results(problem):
     benchmark, node_types, profile = problem
-    algorithm = MappingAlgorithm(max_iterations=3, stop_after_no_improvement=2, max_candidates=2)
-    strategies = all_strategies(node_types, algorithm)
     return {
-        name: strategy.explore(benchmark.application, profile)
-        for name, strategy in strategies.items()
+        policy: DesignStrategy(
+            node_types,
+            MappingAlgorithm(
+                policy, max_iterations=3, stop_after_no_improvement=2, max_candidates=2
+            ),
+        ).explore(benchmark.application, profile)
+        for policy in POLICIES
     }
 
 

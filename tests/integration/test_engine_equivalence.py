@@ -15,15 +15,11 @@ import random
 import pytest
 
 from repro.core.architecture import Architecture, Node
-from repro.core.baselines import (
-    max_hardening_strategy,
-    min_hardening_strategy,
-    optimized_strategy,
-)
+from repro.core.design_strategy import DesignStrategy
 from repro.core.fault_model import SER_MEDIUM
 from repro.core.mapping import MappingAlgorithm
 from repro.core.mapping_model import ProcessMapping
-from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
+from repro.core.redundancy import POLICIES, RedundancyOpt
 from repro.engine import EvaluationEngine
 from repro.generator.benchmark import (
     BenchmarkConfig,
@@ -31,17 +27,11 @@ from repro.generator.benchmark import (
     generate_benchmark_suite,
 )
 
-STRATEGY_BUILDERS = {
-    "MIN": min_hardening_strategy,
-    "MAX": max_hardening_strategy,
-    "OPT": optimized_strategy,
-}
-
-
-def _algorithm() -> MappingAlgorithm:
-    return MappingAlgorithm(
-        max_iterations=3, stop_after_no_improvement=2, max_candidates=2
+def _strategy(policy, node_types) -> DesignStrategy:
+    algorithm = MappingAlgorithm(
+        policy, max_iterations=3, stop_after_no_improvement=2, max_candidates=2
     )
+    return DesignStrategy(node_types, algorithm)
 
 
 def _semantic_fields(result):
@@ -80,7 +70,7 @@ def platform(request):
 class TestColdWarmEquivalence:
     def test_cold_vs_warm_engine_is_bit_identical(self, platform, strategy_name):
         application, node_types, profile = platform
-        strategy = STRATEGY_BUILDERS[strategy_name](node_types, _algorithm())
+        strategy = _strategy(strategy_name, node_types)
         engine = EvaluationEngine(application, profile)
         cold = strategy.explore(application, profile, engine=engine)
         cold_stats = engine.stats
@@ -98,13 +88,13 @@ class TestColdWarmEquivalence:
         application, node_types, profile = platform
         # The shared engine already holds the other strategies' design points.
         shared_engine = EvaluationEngine(application, profile)
-        for other, builder in STRATEGY_BUILDERS.items():
+        for other in POLICIES:
             if other != strategy_name:
-                builder(node_types, _algorithm()).explore(
+                _strategy(other, node_types).explore(
                     application, profile, engine=shared_engine
                 )
-        shared_strategy = STRATEGY_BUILDERS[strategy_name](node_types, _algorithm())
-        fresh_strategy = STRATEGY_BUILDERS[strategy_name](node_types, _algorithm())
+        shared_strategy = _strategy(strategy_name, node_types)
+        fresh_strategy = _strategy(strategy_name, node_types)
         shared = shared_strategy.explore(application, profile, engine=shared_engine)
         fresh = fresh_strategy.explore(application, profile)
         assert _semantic_fields(shared) == _semantic_fields(fresh)
@@ -115,13 +105,13 @@ def test_shared_engine_across_strategies_is_bit_identical(platform):
     application, node_types, profile = platform
     shared_engine = EvaluationEngine(application, profile)
     shared, isolated = {}, {}
-    for name, builder in STRATEGY_BUILDERS.items():
-        shared[name] = builder(node_types, _algorithm()).explore(
+    for name in POLICIES:
+        shared[name] = _strategy(name, node_types).explore(
             application, profile, engine=shared_engine
         )
-    for name, builder in STRATEGY_BUILDERS.items():
-        isolated[name] = builder(node_types, _algorithm()).explore(application, profile)
-    for name in STRATEGY_BUILDERS:
+    for name in POLICIES:
+        isolated[name] = _strategy(name, node_types).explore(application, profile)
+    for name in POLICIES:
         assert _semantic_fields(shared[name]) == _semantic_fields(isolated[name])
 
 
@@ -176,7 +166,7 @@ def test_shared_engine_decisions_equal_fresh_engine_decisions(platform):
     application, node_types, profile = platform
     rng = random.Random(application.name)
     # Two evaluators sharing the engine, and so every decision key.
-    evaluators = (RedundancyOpt(), FixedHardeningRedundancyOpt("min"))
+    evaluators = (RedundancyOpt("OPT"), RedundancyOpt("MIN"))
     shared = EvaluationEngine(application, profile)
     for architecture, mapping, hardening in _design_points(
         application, node_types, profile, rng, 120
@@ -196,11 +186,7 @@ def test_shared_engine_optimizations_equal_fresh_engine_optimizations(platform):
     OPT, MIN and MAX on one shared engine versus a fresh engine each."""
     application, node_types, profile = platform
     rng = random.Random(application.name)
-    optimizers = (
-        RedundancyOpt(),
-        FixedHardeningRedundancyOpt("min"),
-        FixedHardeningRedundancyOpt("max"),
-    )
+    optimizers = [RedundancyOpt(policy) for policy in POLICIES]
     shared = EvaluationEngine(application, profile)
     for architecture, mapping, _ in _design_points(
         application, node_types, profile, rng, 40

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.core.baselines import all_strategies, optimized_strategy
+from repro.core.design_strategy import DesignStrategy
 from repro.core.fault_model import SER_MEDIUM
 from repro.core.mapping import MappingAlgorithm
 from repro.engine import EvaluationEngine
@@ -67,12 +67,13 @@ def platform():
 def _explore(platform, strategy_name, sfp, sched):
     application, node_types, profile = platform
     algorithm = MappingAlgorithm(
-        max_iterations=3, stop_after_no_improvement=2, max_candidates=2
+        strategy_name, max_iterations=3, stop_after_no_improvement=2, max_candidates=2
     )
     with production_kernels(sfp=SFP_BACKENDS[sfp], sched=SCHED_BACKENDS[sched]):
         engine = EvaluationEngine(application, profile)
-        strategy = all_strategies(node_types, algorithm)[strategy_name]
-        result = strategy.explore(application, profile, engine=engine)
+        result = DesignStrategy(node_types, algorithm).explore(
+            application, profile, engine=engine
+        )
     return result, engine
 
 
@@ -142,7 +143,7 @@ def test_the_whole_stack_runs_on_the_swapped_pair(platform, sfp, sched):
     algorithm = MappingAlgorithm(max_iterations=1, stop_after_no_improvement=1, max_candidates=1)
     with production_kernels(sfp=sfp_kernel, sched=sched_kernel):
         engine = EvaluationEngine(application, profile)
-        optimized_strategy(node_types, algorithm).explore(application, profile, engine=engine)
+        DesignStrategy(node_types, algorithm).explore(application, profile, engine=engine)
     assert engine.kernel is sfp_kernel
     assert sfp_calls["probability_exceeds"] > 0 and sfp_calls["system_failure"] > 0
     assert engine.evaluations > 0

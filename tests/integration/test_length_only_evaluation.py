@@ -3,7 +3,7 @@
 Every freshly evaluated :class:`RedundancyDecision` starts without a
 schedule, exactly like one read back from the persistent store.  The search
 scores it by ``schedule_length`` (``ListScheduler.worst_case_length``), and
-:meth:`_RedundancyEvaluator.schedule_of` is the only place a schedule gets
+:meth:`RedundancyOpt.schedule_of` is the only place a schedule gets
 built.  A smoke MIN/MAX/OPT exploration pins both halves: the decisions that
 hold a schedule are exactly the ones the search read, and the schedule built
 for any decision has that decision's length, bit for bit.
@@ -14,18 +14,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.architecture import Architecture, Node
-from repro.core.baselines import (
-    max_hardening_strategy,
-    min_hardening_strategy,
-    optimized_strategy,
-)
+from repro.core.design_strategy import DesignStrategy
 from repro.core.fault_model import SER_MEDIUM
 from repro.core.mapping_model import ProcessMapping
-from repro.core.redundancy import RedundancyOpt, _RedundancyEvaluator
+from repro.core.redundancy import POLICIES, RedundancyOpt
 from repro.engine import EvaluationEngine
 from repro.experiments.synthetic import ExperimentPreset
 from repro.generator.benchmark import BenchmarkConfig, build_platform, generate_benchmark
-from repro.scheduling.list_scheduler import ListScheduler
 
 
 @pytest.fixture(scope="module")
@@ -42,20 +37,19 @@ def explored(platform):
     """A smoke exploration plus the ids of the decisions it read schedules of."""
     application, node_types, profile = platform
     read = set()
-    original = _RedundancyEvaluator.schedule_of
+    original = RedundancyOpt.schedule_of
 
     def recording(self, decision, *args):
         read.add(id(decision))
         return original(self, decision, *args)
 
     engine = EvaluationEngine(application, profile)
-    algorithm = ExperimentPreset.smoke().mapping_algorithm()
+    preset = ExperimentPreset.smoke()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_RedundancyEvaluator, "schedule_of", recording)
-        for builder in (min_hardening_strategy, max_hardening_strategy, optimized_strategy):
-            result = builder(node_types, algorithm).explore(
-                application, profile, engine=engine
-            )
+        patch.setattr(RedundancyOpt, "schedule_of", recording)
+        for policy in POLICIES:
+            strategy = DesignStrategy(node_types, preset.mapping_algorithm(policy))
+            result = strategy.explore(application, profile, engine=engine)
             assert result.feasible
     return engine, read
 
@@ -83,7 +77,7 @@ def test_only_the_decisions_the_search_read_hold_a_schedule(explored):
 def test_every_built_schedule_has_the_scored_length(platform, explored):
     application, node_types, profile = platform
     engine, _ = explored
-    evaluator = RedundancyOpt(scheduler=ListScheduler())
+    evaluator = RedundancyOpt()
     for key, decision in engine.decisions.snapshot().items():
         architecture, mapping = _design_point(key, node_types)
         schedule = evaluator.schedule_of(decision, application, architecture, mapping, profile)

@@ -13,14 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.architecture import Architecture, Node
-from repro.core.baselines import optimized_strategy
+from repro.core.design_strategy import DesignStrategy
 from repro.core.mapping import MappingAlgorithm
 from repro.core.sfp import SFPAnalysis
 from repro.engine import EvaluationEngine
 from repro.generator.benchmark import build_platform, generate_benchmark_suite
 from repro.simulation.fault_simulator import FaultScenarioSimulator
 
-from tests.conftest import SFP_BACKENDS
+from tests.conftest import SFP_BACKENDS, production_kernels
 
 #: High enough error rate that a 20k-iteration campaign observes faults.
 SER = 3e-9
@@ -39,12 +39,12 @@ def _design_with_kernel(small_benchmark, kernel_name):
     node_types, profile = build_platform(
         small_benchmark, ser_per_cycle=SER, hardening_performance_degradation=HPD
     )
-    kernel = SFP_BACKENDS[kernel_name]
-    engine = EvaluationEngine(small_benchmark.application, profile, kernel=kernel)
+    with production_kernels(sfp=SFP_BACKENDS[kernel_name]):
+        engine = EvaluationEngine(small_benchmark.application, profile)
     algorithm = MappingAlgorithm(
         max_iterations=2, stop_after_no_improvement=1, max_candidates=2
     )
-    result = optimized_strategy(node_types, algorithm).explore(
+    result = DesignStrategy(node_types, algorithm).explore(
         small_benchmark.application, profile, engine=engine
     )
     return result, node_types, profile
@@ -79,14 +79,10 @@ def test_simulator_respects_analytic_bound(small_benchmark, kernel_name):
 
     # The analytic bound recomputed directly on this backend matches what
     # the simulator derived internally.
+    with production_kernels(sfp=SFP_BACKENDS[kernel_name]):
+        engine = EvaluationEngine(small_benchmark.application, profile)
     analysis = SFPAnalysis(
-        small_benchmark.application,
-        architecture,
-        result.mapping,
-        profile,
-        engine=EvaluationEngine(
-            small_benchmark.application, profile, kernel=SFP_BACKENDS[kernel_name]
-        ),
+        small_benchmark.application, architecture, result.mapping, profile, engine=engine
     )
     assert (
         analysis.system_failure_per_iteration(result.reexecutions)

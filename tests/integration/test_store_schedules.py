@@ -2,7 +2,7 @@
 
 The store persists every memoized :class:`RedundancyDecision` without its
 schedule; searches that read a schedule build it through
-:meth:`_RedundancyEvaluator.schedule_of`.  These tests pin both halves of
+:meth:`RedundancyOpt.schedule_of`.  These tests pin both halves of
 that contract on a generated 50-process ``synthetic-random`` application:
 
 * no schedule object of any kind survives in a store file, and the two
@@ -23,20 +23,19 @@ import pytest
 
 from repro.api.scenarios_synthetic import FAMILY_HPD, FAMILY_SER
 from repro.core.architecture import Architecture, Node
-from repro.core.baselines import (
-    max_hardening_strategy,
-    min_hardening_strategy,
-    optimized_strategy,
-)
+from repro.core.design_strategy import DesignStrategy
 from repro.core.mapping import MappingAlgorithm, Objective
 from repro.core.mapping_model import ProcessMapping
-from repro.core.redundancy import RedundancyDecision, RedundancyOpt
+from repro.core.redundancy import POLICIES, RedundancyDecision, RedundancyOpt
 from repro.engine import DesignPointStore, EvaluationEngine
 from repro.engine.fingerprint import hardening_fingerprint
 from repro.experiments.synthetic import ExperimentPreset
 from repro.generator.benchmark import BenchmarkConfig, build_platform, generate_benchmark
+from repro.kernels import FlatSchedulerKernel
 from repro.scheduling.list_scheduler import ListScheduler
 from repro.scheduling.schedule import Schedule, ScheduledMessage, ScheduledProcess
+
+from tests.conftest import production_kernels
 
 SCHEDULE_TYPES = (Schedule, ScheduledProcess, ScheduledMessage)
 
@@ -58,10 +57,9 @@ def explored(platform, tmp_path_factory):
     """A cold MIN/MAX/OPT exploration persisted to a fresh store."""
     application, node_types, profile = platform
     engine = EvaluationEngine(application, profile)
-    algorithm = ExperimentPreset.smoke().mapping_algorithm()
-    scheduler = ListScheduler()
-    for builder in (min_hardening_strategy, max_hardening_strategy, optimized_strategy):
-        builder(node_types, algorithm, scheduler=scheduler).explore(
+    preset = ExperimentPreset.smoke()
+    for policy in POLICIES:
+        DesignStrategy(node_types, preset.mapping_algorithm(policy)).explore(
             application, profile, engine=engine
         )
     store = DesignPointStore(tmp_path_factory.mktemp("store"))
@@ -142,7 +140,7 @@ def test_rebuilt_schedules_equal_the_cold_ones(platform, explored):
     application, node_types, profile = platform
     cold_engine, store = explored
     warm_engine = _warm_engine(platform, store)
-    evaluator = RedundancyOpt(scheduler=ListScheduler())
+    evaluator = RedundancyOpt()
     cold_decisions = cold_engine.decisions.snapshot()
     warm_decisions = warm_engine.decisions.snapshot()
     assert warm_decisions.keys() == cold_decisions.keys()
@@ -168,7 +166,6 @@ def test_store_warmed_tabu_search_returns_the_cold_result(platform, tmp_path, ob
 
     def search(engine):
         algorithm = MappingAlgorithm(
-            redundancy_optimizer=RedundancyOpt(),
             max_iterations=3,
             stop_after_no_improvement=2,
             max_candidates=2,
@@ -196,34 +193,37 @@ def test_store_warmed_tabu_search_returns_the_cold_result(platform, tmp_path, ob
     assert 1 <= rebuilt < len(warm_engine.decisions)
 
 
-class _CountingScheduler(ListScheduler):
+class _CountingScheduler(FlatSchedulerKernel):
+    """The production scheduler backend, counting the schedules it builds."""
+
     def __init__(self) -> None:
         super().__init__()
         self.calls = 0
 
-    def schedule(self, *args, **kwargs):
+    def build_schedule(self, problem):
         self.calls += 1
-        return super().schedule(*args, **kwargs)
+        return super().build_schedule(problem)
 
 
 def test_schedule_of_schedules_at_most_once_per_decision(platform, explored):
     application, node_types, profile = platform
     cold_engine, _ = explored
-    scheduler = _CountingScheduler()
-    evaluator = RedundancyOpt(scheduler=scheduler)
+    evaluator = RedundancyOpt()
     keys = list(cold_engine.decisions.snapshot())[:5]
+    scheduler = _CountingScheduler()
     for key in keys:
         cold = cold_engine.decisions.snapshot()[key]
         architecture, mapping = _design_point(key, node_types)
         cold_schedule = _cold_schedule(cold, application, architecture, mapping, profile)
-        # A decision that already holds its schedule is returned as is.
-        held: RedundancyDecision = replace(cold, schedule=cold_schedule)
-        assert evaluator.schedule_of(
-            held, application, architecture, mapping, profile
-        ) is cold_schedule
-        slim: RedundancyDecision = replace(cold, schedule=None)
-        first = evaluator.schedule_of(slim, application, architecture, mapping, profile)
-        second = evaluator.schedule_of(slim, application, architecture, mapping, profile)
+        with production_kernels(sched=scheduler):
+            # A decision that already holds its schedule is returned as is.
+            held: RedundancyDecision = replace(cold, schedule=cold_schedule)
+            assert evaluator.schedule_of(
+                held, application, architecture, mapping, profile
+            ) is cold_schedule
+            slim: RedundancyDecision = replace(cold, schedule=None)
+            first = evaluator.schedule_of(slim, application, architecture, mapping, profile)
+            second = evaluator.schedule_of(slim, application, architecture, mapping, profile)
         assert first is second is slim.schedule
         assert first == cold_schedule
     assert scheduler.calls == len(keys)

@@ -32,7 +32,7 @@ from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig1_application, fig1_profile
 from repro.scheduling.list_scheduler import ListScheduler
 
-from tests.conftest import SCHED_BACKENDS, SFP_BACKENDS
+from tests.conftest import SCHED_BACKENDS, SFP_BACKENDS, production_kernels
 
 SFP_REFERENCE = SFP_BACKENDS["reference"]
 
@@ -78,9 +78,8 @@ def sfp_neighbourhoods(draw):
 
 
 def _engine(kernel_name: str) -> EvaluationEngine:
-    return EvaluationEngine(
-        fig1_application(), fig1_profile(), kernel=SFP_BACKENDS[kernel_name]
-    )
+    with production_kernels(sfp=SFP_BACKENDS[kernel_name]):
+        return EvaluationEngine(fig1_application(), fig1_profile())
 
 
 def _counters(engine: EvaluationEngine):
@@ -272,20 +271,20 @@ def sched_neighbourhoods(draw):
 @given(problem=sched_neighbourhoods())
 @settings(max_examples=75, deadline=None)
 def test_neighbourhood_schedules_rowwise_identical(name, problem):
-    """One scheduler instance walking a neighbourhood reproduces, trial by
-    trial, what a fresh reference scheduler computes for each trial."""
+    """One backend instance walking a neighbourhood reproduces, trial by
+    trial, what the reference backend computes for each trial."""
     application, trials, profile = problem
-    expected = [
-        ListScheduler(kernel=SCHED_BACKENDS["reference"]).schedule(
-            application, architecture, mapping, profile, budgets
-        )
-        for architecture, mapping, budgets in trials
-    ]
-    scheduler = ListScheduler(kernel=SCHED_BACKENDS[name])
-    produced = [
-        scheduler.schedule(application, architecture, mapping, profile, budgets)
-        for architecture, mapping, budgets in trials
-    ]
+    scheduler = ListScheduler()
+    with production_kernels(sched=SCHED_BACKENDS["reference"]):
+        expected = [
+            scheduler.schedule(application, architecture, mapping, profile, budgets)
+            for architecture, mapping, budgets in trials
+        ]
+    with production_kernels(sched=SCHED_BACKENDS[name]):
+        produced = [
+            scheduler.schedule(application, architecture, mapping, profile, budgets)
+            for architecture, mapping, budgets in trials
+        ]
     assert produced == expected, f"{name} drifted"
     for first, second in zip(produced, expected):
         assert first.length == second.length
@@ -299,11 +298,12 @@ def test_rescheduling_an_earlier_trial_stays_identical(name, problem):
     """Re-scheduling the first trial after the rest of the neighbourhood must
     not see per-mapping tables left behind by the later trials."""
     application, trials, profile = problem
-    scheduler = ListScheduler(kernel=SCHED_BACKENDS[name])
-    produced = [
-        scheduler.schedule(application, architecture, mapping, profile, budgets)
-        for architecture, mapping, budgets in trials
-    ]
-    architecture, mapping, budgets = trials[0]
-    again = scheduler.schedule(application, architecture, mapping, profile, budgets)
+    scheduler = ListScheduler()
+    with production_kernels(sched=SCHED_BACKENDS[name]):
+        produced = [
+            scheduler.schedule(application, architecture, mapping, profile, budgets)
+            for architecture, mapping, budgets in trials
+        ]
+        architecture, mapping, budgets = trials[0]
+        again = scheduler.schedule(application, architecture, mapping, profile, budgets)
     assert again == produced[0]

@@ -46,7 +46,7 @@ from repro.generator.benchmark import BenchmarkConfig, build_platform, generate_
 from repro.kernels.sched_reference import ReferenceSchedulerKernel
 from repro.scheduling.list_scheduler import ListScheduler
 
-from tests.conftest import SCHED_BACKENDS
+from tests.conftest import SCHED_BACKENDS, production_kernels
 
 REFERENCE = SCHED_BACKENDS["reference"]
 
@@ -132,8 +132,8 @@ def dag_problems(draw):
 def _schedule_with(kernel_name, problem):
     """The schedule one backend builds for ``problem``."""
     application, architecture, mapping, profile, budgets = problem
-    scheduler = ListScheduler(kernel=SCHED_BACKENDS[kernel_name])
-    return scheduler.schedule(application, architecture, mapping, profile, budgets)
+    with production_kernels(sched=SCHED_BACKENDS[kernel_name]):
+        return ListScheduler().schedule(application, architecture, mapping, profile, budgets)
 
 
 @pytest.mark.parametrize("name", OTHER_KERNELS)
@@ -157,20 +157,23 @@ def test_schedules_value_equal_across_backends(name, problem):
 @given(problem=dag_problems())
 @settings(max_examples=40, deadline=None)
 def test_backends_validate_and_reuse_structures(name, problem):
-    """Back-to-back runs on one scheduler instance stay identical (memo reuse)."""
+    """Back-to-back runs on one backend instance stay identical (memo reuse)."""
     application, architecture, mapping, profile, budgets = problem
-    scheduler = ListScheduler(kernel=SCHED_BACKENDS[name])
-    first = scheduler.schedule(application, architecture, mapping, profile, budgets)
-    first.validate()
-    second = scheduler.schedule(application, architecture, mapping, profile, budgets)
+    scheduler = ListScheduler()
+    with production_kernels(sched=SCHED_BACKENDS[name]):
+        first = scheduler.schedule(application, architecture, mapping, profile, budgets)
+        first.validate()
+        second = scheduler.schedule(application, architecture, mapping, profile, budgets)
     assert second == first
 
 
 def _length_with(kernel_name, problem):
     """``worst_case_length`` of one backend for ``problem``."""
     application, architecture, mapping, profile, budgets = problem
-    scheduler = ListScheduler(kernel=SCHED_BACKENDS[kernel_name])
-    return scheduler.worst_case_length(application, architecture, mapping, profile, budgets)
+    with production_kernels(sched=SCHED_BACKENDS[kernel_name]):
+        return ListScheduler().worst_case_length(
+            application, architecture, mapping, profile, budgets
+        )
 
 
 @pytest.mark.parametrize("name", OTHER_KERNELS)

@@ -417,13 +417,28 @@ _MUTATORS = [
 ]
 _MUTATOR_IDS = [entry[0] for entry in _MUTATORS]
 
+#: Every assignable parameter of the model that feeds the context fingerprint
+#: or the DSE: ``(id, owner getter, attribute, new value, the object the
+#: error names)``.
+_PARAMETERS = [
+    ("Application.name", lambda app: app, "name", "renamed", "Application app"),
+    ("Application.deadline", lambda app: app, "deadline", 50.0, "Application app"),
+    ("Application.period", lambda app: app, "period", 200.0, "Application app"),
+    ("Application.reliability_goal", lambda app: app, "reliability_goal", 0.5,
+     "Application app"),
+    ("Application.time_unit", lambda app: app, "time_unit", 1.0, "Application app"),
+    ("Application.recovery_overhead", lambda app: app, "recovery_overhead", 9.0,
+     "Application app"),
+    ("TaskGraph.name", lambda app: app.graph("G1"), "name", "G9", "Task graph G1"),
+]
+_PARAMETER_IDS = [entry[0] for entry in _PARAMETERS]
+
 
 class TestReadOnlyOnceBound:
     """Binding an evaluation freezes the application, its graphs and the profile.
 
-    Every memo downstream (engine tables, the store key, the scheduler's
-    structure memo, the flat kernel's compiled tables) keys on object
-    identity, so an in-place edit after binding must fail loudly instead of
+    Every memo downstream (engine tables, the store key, the flat kernel's
+    compiled tables) keys on object identity, so an in-place edit after binding must fail loudly instead of
     reusing results computed for the old content.
     """
 
@@ -443,3 +458,46 @@ class TestReadOnlyOnceBound:
         with pytest.raises(ModelError, match=f"^{owner} is read-only"):
             edit(application, profile)
         assert _snapshot(application, profile) == before
+
+    @pytest.mark.parametrize(
+        "bind", [_bind_with_engine, _bind_with_scheduler], ids=["engine", "scheduler"]
+    )
+    @pytest.mark.parametrize(
+        "parameter, owner_of, attribute, value, owner", _PARAMETERS, ids=_PARAMETER_IDS
+    )
+    def test_every_parameter_is_read_only_after_binding(
+        self, bind, parameter, owner_of, attribute, value, owner
+    ):
+        # Assignable while the model is built ...
+        application, _ = _unbound_context()
+        setattr(owner_of(application), attribute, value)
+        assert getattr(owner_of(application), attribute) == value
+        # ... and read-only, naming the object and changing nothing, once bound.
+        application, profile = _unbound_context()
+        bind(application, profile)
+        target = owner_of(application)
+        before = getattr(target, attribute)
+        with pytest.raises(ModelError, match=f"^{owner} is read-only"):
+            setattr(target, attribute, value)
+        assert getattr(target, attribute) == before
+
+    def test_a_deadline_edit_cannot_reuse_a_stale_decision(
+        self, fig1_app, fig1_prof, fig1_nodes, fig4a_mapping
+    ):
+        """Fig. 1 with the Fig. 4a mapping: after one optimization the old
+        deadline's feasible decision is memoized, so tightening the deadline
+        in place must raise instead of letting the engine return it."""
+        from repro.core.architecture import Architecture, Node
+        from repro.core.redundancy import RedundancyOpt
+        from repro.engine import EvaluationEngine
+
+        n1, n2 = fig1_nodes
+        architecture = Architecture([Node("N1", n1), Node("N2", n2)])
+        engine = EvaluationEngine(fig1_app, fig1_prof)
+        decision = RedundancyOpt().optimize(
+            fig1_app, architecture, fig4a_mapping, fig1_prof, engine
+        )
+        assert decision is not None and decision.schedule_length <= fig1_app.deadline
+        with pytest.raises(ModelError, match="^Application .* is read-only"):
+            fig1_app.deadline = 100.0
+        assert fig1_app.deadline == 360.0

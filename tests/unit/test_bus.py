@@ -17,7 +17,7 @@ from repro.kernels.sched_flat import FlatSchedulerKernel
 from repro.kernels.sched_reference import earliest_gap, grant
 from repro.scheduling.list_scheduler import ListScheduler
 
-from tests.conftest import SCHED_BACKENDS
+from tests.conftest import SCHED_BACKENDS, production_kernels
 
 
 class TestGrant:
@@ -106,10 +106,10 @@ def _message_windows(messages, kernel):
             nodes.append(Node(node, node_type))
             assignment[process] = node
         graph.add_message(Message(f"m{i}", f"S{i}", f"R{i}", transmission_time=duration))
-    scheduler = ListScheduler(kernel=kernel)
-    schedule = scheduler.schedule(
-        application, Architecture(nodes), ProcessMapping(assignment), profile
-    )
+    with production_kernels(sched=kernel):
+        schedule = ListScheduler().schedule(
+            application, Architecture(nodes), ProcessMapping(assignment), profile
+        )
     schedule.validate()
     return [
         (entry.start, entry.finish)

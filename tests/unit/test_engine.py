@@ -17,6 +17,8 @@ from repro.engine.fingerprint import (
 from repro.experiments.motivational import fig1_application, fig1_profile, fig3_application
 from repro.kernels import ArrayKernel, ReferenceKernel
 
+from tests.conftest import production_kernels
+
 
 # ----------------------------------------------------------------------
 # fingerprints
@@ -168,10 +170,12 @@ class TestEvaluationEngine:
         """The kernel is not part of any memo key: entries computed by one
         backend serve another backend's engine as preloaded hits."""
         application, profile = fig1_application(), fig1_profile()
-        source = EvaluationEngine(application, profile, kernel=ReferenceKernel())
+        with production_kernels(sfp=ReferenceKernel()):
+            source = EvaluationEngine(application, profile)
         rows = [((1.2e-5, 3.4e-6), budget) for budget in range(4)]
         values = [source.node_exceedance(row, budget) for row, budget in rows]
-        target = EvaluationEngine(application, profile, kernel=ArrayKernel())
+        target = EvaluationEngine(application, profile)
+        assert type(source.kernel) is ReferenceKernel and type(target.kernel) is ArrayKernel
         target.exceedance.load(source.exceedance.snapshot())
         assert [target.node_exceedance(row, budget) for row, budget in rows] == values
         assert target.exceedance.misses == 0

@@ -1,4 +1,4 @@
-"""Kernel backends: the production instances, the kernel= seam, known values."""
+"""Kernel backends: the production instances, no backend option, known values."""
 
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
 def _default_kernels():
-    """The backend each ``kernel=None`` entry point binds.
+    """The SFP backend each engine-holding entry point binds.
 
     ``SFPAnalysis`` runs on the kernel of the fresh engine it gets when no
     engine is passed in.
@@ -52,8 +52,18 @@ def _default_kernels():
     return {
         "EvaluationEngine": EvaluationEngine(application, profile).kernel,
         "SFPAnalysis": SFPAnalysis(application, None, None, profile).engine.kernel,
-        "ListScheduler": ListScheduler().kernel,
     }
+
+
+class _RecordingScheduler(ReferenceSchedulerKernel):
+    """The reference scheduler backend, counting the schedules it builds."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def build_schedule(self, problem):
+        self.calls += 1
+        return super().build_schedule(problem)
 
 
 # ----------------------------------------------------------------------
@@ -102,18 +112,25 @@ def test_defaults_bind_the_exact_production_instances():
     kernels = _default_kernels()
     for entry_point in ("EvaluationEngine", "SFPAnalysis"):
         assert kernels[entry_point] is SFP_KERNELS.active(), entry_point
-    assert kernels["ListScheduler"] is SCHED_KERNELS.active()
 
 
 def test_swapped_production_instances_reach_every_default():
-    sfp, sched = ReferenceKernel(), ReferenceSchedulerKernel()
+    """Engines bind the SFP backend when built; the list scheduler holds no
+    backend and runs every call on the active one, so one built before the
+    swap schedules on the swapped-in backend."""
+    scheduler = ListScheduler()
+    application, architecture, mapping, profile = _diamond_platform()
+    sfp, sched = ReferenceKernel(), _RecordingScheduler()
     with production_kernels(sfp=sfp, sched=sched):
         kernels = _default_kernels()
         assert kernels["EvaluationEngine"] is sfp
         assert kernels["SFPAnalysis"] is sfp
-        assert kernels["ListScheduler"] is sched
+        scheduler.schedule(application, architecture, mapping, profile)
+    assert sched.calls == 1
     assert type(SFP_KERNELS.active()) is ArrayKernel
     assert type(SCHED_KERNELS.active()) is FlatSchedulerKernel
+    scheduler.schedule(application, architecture, mapping, profile)
+    assert sched.calls == 1
 
 
 def test_module_functions_run_on_the_production_backend():
@@ -141,9 +158,8 @@ def test_module_functions_run_on_the_production_backend():
 @pytest.mark.parametrize("variable", ["REPRO_SFP_KERNEL", "REPRO_SCHED_KERNEL"])
 def test_former_kernel_env_vars_change_nothing_in_process(monkeypatch, variable):
     monkeypatch.setenv(variable, "reference")
-    kernels = _default_kernels()
-    assert type(kernels["EvaluationEngine"]) is ArrayKernel
-    assert type(kernels["ListScheduler"]) is FlatSchedulerKernel
+    assert type(_default_kernels()["EvaluationEngine"]) is ArrayKernel
+    assert type(SCHED_KERNELS.active()) is FlatSchedulerKernel
 
 
 def test_former_kernel_env_vars_change_nothing_in_a_fresh_interpreter():
@@ -160,17 +176,8 @@ def test_former_kernel_env_vars_change_nothing_in_a_fresh_interpreter():
 
 
 # ----------------------------------------------------------------------
-# The kernel= seam takes instances only
+# No entry point takes a backend: the production instance is the only path
 # ----------------------------------------------------------------------
-def test_explicit_instances_are_used_as_given():
-    sfp, sched = ReferenceKernel(), ReferenceSchedulerKernel()
-    application, profile = fig1_application(), fig1_profile()
-    engine = EvaluationEngine(application, profile, kernel=sfp)
-    assert engine.kernel is sfp
-    assert SFPAnalysis(application, None, None, profile, engine=engine).engine.kernel is sfp
-    assert ListScheduler(kernel=sched).kernel is sched
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -188,16 +195,10 @@ def test_explicit_instances_are_used_as_given():
         "system_failure_probability",
     ],
 )
-def test_kernel_names_are_rejected(build):
-    with pytest.raises(TypeError, match="instance"):
-        build("reference")
-
-
-def test_a_backend_of_the_other_family_is_rejected():
-    with pytest.raises(TypeError, match="SchedulerKernel instance"):
-        ListScheduler(kernel=ArrayKernel())
-    with pytest.raises(TypeError, match="SFPKernel instance"):
-        EvaluationEngine(fig1_application(), fig1_profile(), kernel=FlatSchedulerKernel())
+@pytest.mark.parametrize("kernel", [ReferenceKernel(), ReferenceSchedulerKernel()], ids=["sfp", "sched"])
+def test_no_entry_point_takes_a_kernel(build, kernel):
+    with pytest.raises(TypeError):
+        build(kernel)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +258,7 @@ def _diamond_platform():
 
 
 def test_flat_kernel_sees_wcet_and_mu_edits_before_binding_and_rejects_later_ones():
-    """The flat kernel caches its compiled tables on (structure, profile)
+    """The flat kernel caches its compiled tables on (application, profile)
     identity, so WCET/mu edits must land before the first schedule.
 
     Made before it, they reach the compiled tables exactly as the reference
@@ -270,11 +271,12 @@ def test_flat_kernel_sees_wcet_and_mu_edits_before_binding_and_rejects_later_one
     profile.add_entry("A", "TA", 1, 30.0, 1e-6)
     application.set_recovery_overhead("A", 50.0)
 
-    flat = ListScheduler(kernel=FlatSchedulerKernel())
-    schedule = flat.schedule(application, architecture, mapping, profile, budgets)
-    assert schedule == ListScheduler(kernel=ReferenceSchedulerKernel()).schedule(
-        application, architecture, mapping, profile, budgets
-    )
+    scheduler = ListScheduler()
+    schedule = scheduler.schedule(application, architecture, mapping, profile, budgets)
+    with production_kernels(sched=ReferenceSchedulerKernel()):
+        assert schedule == scheduler.schedule(
+            application, architecture, mapping, profile, budgets
+        )
     assert schedule.entry("A").finish == 30.0
     assert schedule.node_recovery_slack["NA"] == 30.0 + 50.0  # budget 1 × (t + mu)
 
@@ -282,4 +284,4 @@ def test_flat_kernel_sees_wcet_and_mu_edits_before_binding_and_rejects_later_one
         profile.add_entry("A", "TA", 1, 10.0, 1e-6)
     with pytest.raises(ModelError, match="Application diamond is read-only"):
         application.set_recovery_overhead("A", 5.0)
-    assert flat.schedule(application, architecture, mapping, profile, budgets) == schedule
+    assert scheduler.schedule(application, architecture, mapping, profile, budgets) == schedule

@@ -424,7 +424,7 @@ class TestKernelContract:
 
 
 # ----------------------------------------------------------------------
-# R003 — structure-token safety
+# R003 — freeze safety
 # ----------------------------------------------------------------------
 _TASKGRAPH = """
 class TaskGraph:
@@ -457,7 +457,11 @@ class TestStructureToken:
         )
         (violation,) = findings(project, "R003")
         assert violation.module == "repro.experiments.hacks"
-        assert "._messages" in violation.message.replace(" ", "")
+        assert violation.message == (
+            "item assignment of guarded container ._messages outside the owning "
+            "class's freeze-checking mutators; use the construction API "
+            "(add_*/remove_*), which raises once an evaluation has frozen the model"
+        )
 
     def test_unsanctioned_method_of_owner_fires(self):
         project = project_from(

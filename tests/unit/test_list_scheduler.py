@@ -200,8 +200,8 @@ def _diamond_with_messages(messages) -> Application:
 class TestStructureMemoInvalidation:
     """In-place graph edits are construction: allowed until the first schedule.
 
-    The scheduler's structure memo (and the flat kernel's compiled tables)
-    key on the application's identity alone.  That is sound because every
+    The flat kernel's compiled tables (layers and incoming messages among
+    them) key on the application's identity alone.  That is sound because every
     schedule call freezes the application: an edit made before it is seen
     like a freshly built application, and the same edit after it raises
     instead of leaving the memo stale.  Each case covers an edit that keeps

@@ -9,7 +9,7 @@ from repro.core.exceptions import MappingError, OptimizationError
 from repro.core.mapping import MappingAlgorithm, MappingResult, Objective
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyDecision
+from repro.core.redundancy import RedundancyDecision
 from repro.experiments.motivational import fig1_node_types
 
 
@@ -105,11 +105,9 @@ class TestOptimizeCost:
         assert result is None
 
 
-class TestWithFixedHardeningOptimizer:
+class TestWithLockedHardeningPolicy:
     def test_min_hardening_optimizer_is_used(self, fig1_app, fig1_prof, fig1_architecture):
-        algorithm = MappingAlgorithm(
-            redundancy_optimizer=FixedHardeningRedundancyOpt("min"), max_iterations=4
-        )
+        algorithm = MappingAlgorithm("MIN", max_iterations=4)
         result = algorithm.optimize(
             fig1_app, fig1_architecture, fig1_prof, objective=Objective.SCHEDULE_LENGTH
         )
@@ -119,9 +117,7 @@ class TestWithFixedHardeningOptimizer:
         assert result is None
 
     def test_max_hardening_optimizer_finds_design(self, fig1_app, fig1_prof, fig1_architecture):
-        algorithm = MappingAlgorithm(
-            redundancy_optimizer=FixedHardeningRedundancyOpt("max"), max_iterations=4
-        )
+        algorithm = MappingAlgorithm("MAX", max_iterations=4)
         result = algorithm.optimize(
             fig1_app, fig1_architecture, fig1_prof, objective=Objective.SCHEDULE_LENGTH
         )

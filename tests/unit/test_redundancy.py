@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.architecture import Architecture, Node
-from repro.core.baselines import optimized_strategy
+from repro.core.design_strategy import DesignStrategy
 from repro.core.exceptions import ModelError, OptimizationError
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.mapping import MappingAlgorithm
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.core.redundancy import FixedHardeningRedundancyOpt, RedundancyOpt
+from repro.core.redundancy import POLICIES, RedundancyOpt
 from repro.core.reexecution import ReExecutionOpt
 from repro.core.sfp import SFPAnalysis
 from repro.engine import EvaluationEngine
@@ -107,10 +107,10 @@ class TestRedundancyOptFig4:
         assert decision.cost == 80.0
 
 
-class TestFixedHardeningRedundancyOpt:
+class TestLockedPolicies:
     def test_min_policy_keeps_minimum_levels(self, fig3_setup):
         application, architecture, mapping, profile = fig3_setup
-        decision = FixedHardeningRedundancyOpt("min").optimize(
+        decision = RedundancyOpt("MIN").optimize(
             application, architecture, mapping, profile
         )
         # Fig. 3a: with the unhardened node the deadline cannot be met.
@@ -118,7 +118,7 @@ class TestFixedHardeningRedundancyOpt:
 
     def test_max_policy_uses_maximum_levels(self, fig3_setup):
         application, architecture, mapping, profile = fig3_setup
-        decision = FixedHardeningRedundancyOpt("max").optimize(
+        decision = RedundancyOpt("MAX").optimize(
             application, architecture, mapping, profile
         )
         assert decision is not None
@@ -126,13 +126,27 @@ class TestFixedHardeningRedundancyOpt:
         assert decision.cost == 40.0
         assert decision.reexecutions == {"N1": 1}
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(OptimizationError):
-            FixedHardeningRedundancyOpt("median")
+    @pytest.mark.parametrize("policy", ["median", "min", "max", "opt", ""])
+    def test_unknown_policy_rejected(self, policy):
+        with pytest.raises(OptimizationError, match="policy must be one of"):
+            RedundancyOpt(policy)
+
+    def test_default_policy_is_opt(self):
+        assert RedundancyOpt().policy == "OPT"
+        assert POLICIES == ("MIN", "MAX", "OPT")
+
+    @pytest.mark.parametrize(
+        "policy, level", [("MIN", 1), ("MAX", 3), ("OPT", 1)]
+    )
+    def test_initial_hardening_is_the_locked_or_starting_vector(
+        self, fig3_setup, policy, level
+    ):
+        _, architecture, _, _ = fig3_setup
+        assert RedundancyOpt(policy).initial_hardening(architecture) == {"N1": level}
 
     def test_decision_is_feasible_flag(self, fig3_setup):
         application, architecture, mapping, profile = fig3_setup
-        decision = FixedHardeningRedundancyOpt("max").optimize(
+        decision = RedundancyOpt("MAX").optimize(
             application, architecture, mapping, profile
         )
         assert decision.is_feasible
@@ -159,11 +173,6 @@ class TestEvaluateHardening:
 # ----------------------------------------------------------------------
 # the memoized optimize() shared by every redundancy optimizer
 # ----------------------------------------------------------------------
-OPTIMIZER_BUILDERS = {
-    "OPT": RedundancyOpt,
-    "MIN": lambda **kwargs: FixedHardeningRedundancyOpt("min", **kwargs),
-    "MAX": lambda **kwargs: FixedHardeningRedundancyOpt("max", **kwargs),
-}
 
 
 @pytest.fixture
@@ -176,17 +185,15 @@ def fig4a_setup():
     return application, architecture, mapping, profile
 
 
-@pytest.mark.parametrize("strategy", sorted(OPTIMIZER_BUILDERS))
+@pytest.mark.parametrize("strategy", POLICIES)
 def test_shared_engine_memo_returns_the_fresh_engine_decision(fig4a_setup, strategy):
     """On a shared engine the decision is memoized, never changed: the cold
     call equals the engine-free call (on its private engine) and a repeat is
     one memo hit."""
     application, architecture, mapping, profile = fig4a_setup
-    plain = OPTIMIZER_BUILDERS[strategy]().optimize(
-        application, architecture, mapping, profile
-    )
+    plain = RedundancyOpt(strategy).optimize(application, architecture, mapping, profile)
     engine = EvaluationEngine(application, profile)
-    optimizer = OPTIMIZER_BUILDERS[strategy]()
+    optimizer = RedundancyOpt(strategy)
     cold = optimizer.optimize(application, architecture, mapping, profile, engine)
     assert cold == plain
     assert engine.optimizations.misses == 1
@@ -195,25 +202,24 @@ def test_shared_engine_memo_returns_the_fresh_engine_decision(fig4a_setup, strat
     assert architecture.hardening_vector() == {"N1": 1, "N2": 1}
 
 
-def test_fixed_policies_sharing_an_engine_do_not_collide(fig4a_setup):
-    """MIN and MAX are one class; the policy is part of the memo key, so a
-    shared engine serves each its own decision."""
+def test_policies_sharing_an_engine_do_not_collide(fig4a_setup):
+    """MIN, MAX and OPT are one class; the policy is part of the memo key,
+    so a shared engine serves each its own decision."""
     application, architecture, mapping, profile = fig4a_setup
     engine = EvaluationEngine(application, profile)
     expected = {
-        policy: FixedHardeningRedundancyOpt(policy).optimize(
-            application, architecture, mapping, profile
-        )
-        for policy in ("min", "max")
+        policy: RedundancyOpt(policy).optimize(application, architecture, mapping, profile)
+        for policy in POLICIES
     }
+    assert expected["MIN"] != expected["MAX"]
     for _ in range(2):
-        for policy in ("min", "max"):
-            decision = FixedHardeningRedundancyOpt(policy).optimize(
+        for policy in POLICIES:
+            decision = RedundancyOpt(policy).optimize(
                 application, architecture, mapping, profile, engine
             )
             assert decision == expected[policy]
-    assert engine.optimizations.misses == 2
-    assert engine.optimizations.hits == 2
+    assert engine.optimizations.misses == 3
+    assert engine.optimizations.hits == 3
 
 
 def test_partial_hardening_vector_is_rejected(fig4a_setup):
@@ -228,7 +234,7 @@ def test_partial_hardening_vector_is_rejected(fig4a_setup):
 
 #: Every DSE entry point that takes an engine, called on the Fig. 4a setup.
 FOREIGN_ENGINE_CALLS = {
-    "DesignStrategy.explore": lambda app, arch, mapping, prof, engine: optimized_strategy(
+    "DesignStrategy.explore": lambda app, arch, mapping, prof, engine: DesignStrategy(
         fig1_node_types()
     ).explore(app, prof, engine=engine),
     "MappingAlgorithm.optimize": lambda app, arch, mapping, prof, engine: MappingAlgorithm().optimize(
@@ -237,8 +243,8 @@ FOREIGN_ENGINE_CALLS = {
     "RedundancyOpt.optimize": lambda app, arch, mapping, prof, engine: RedundancyOpt().optimize(
         app, arch, mapping, prof, engine=engine
     ),
-    "FixedHardeningRedundancyOpt.optimize": lambda app, arch, mapping, prof, engine: (
-        FixedHardeningRedundancyOpt("max").optimize(app, arch, mapping, prof, engine=engine)
+    "RedundancyOpt[MAX].optimize": lambda app, arch, mapping, prof, engine: (
+        RedundancyOpt("MAX").optimize(app, arch, mapping, prof, engine=engine)
     ),
     "RedundancyOpt.evaluate_hardening": lambda app, arch, mapping, prof, engine: (
         RedundancyOpt().evaluate_hardening(
@@ -293,19 +299,12 @@ def test_decision_key_is_pinned(fig4a_setup):
     ]
 
 
-@pytest.mark.parametrize(
-    "optimizer, prefix",
-    [
-        (RedundancyOpt(), ("RedundancyOpt",)),
-        (FixedHardeningRedundancyOpt("max"), ("FixedHardeningRedundancyOpt", "max")),
-    ],
-    ids=["OPT", "MAX"],
-)
-def test_optimization_key_is_pinned(fig4a_setup, optimizer, prefix):
-    """A stored optimization's key: class name [+ policy], architecture, mapping."""
+@pytest.mark.parametrize("policy", POLICIES)
+def test_optimization_key_is_pinned(fig4a_setup, policy):
+    """A stored optimization's key: policy, architecture, mapping."""
     application, architecture, mapping, profile = fig4a_setup
     engine = EvaluationEngine(application, profile)
-    optimizer.optimize(application, architecture, mapping, profile, engine=engine)
+    RedundancyOpt(policy).optimize(application, architecture, mapping, profile, engine=engine)
     assert list(engine.optimizations.snapshot()) == [
-        prefix + (FIG4A_ARCHITECTURE_KEY, FIG4A_MAPPING_KEY)
+        (policy, FIG4A_ARCHITECTURE_KEY, FIG4A_MAPPING_KEY)
     ]

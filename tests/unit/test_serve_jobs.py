@@ -319,3 +319,39 @@ def test_a_broken_pool_is_replaced_once_however_many_consumers_report_it(tmp_pat
     assert built == [fresh]
     assert broken.shutdowns == [(False, True)]
     assert fresh.shutdowns == []
+
+
+# ----------------------------------------------------------------------
+# a restarted server on the same spool directory
+# ----------------------------------------------------------------------
+def test_a_second_manager_on_the_same_spool_directory_runs_its_jobs(tmp_path):
+    """A server restarted on its spool directory numbers new jobs past the
+    previous run's sealed spools, so its jobs run to ``done`` instead of
+    failing on a sealed ``job-000000.ndjson``."""
+    job = {
+        "scenario": "synthetic-random",
+        "config": {"preset": "smoke", "scenario_params": {"n_processes": 10, "seed": 3}},
+    }
+
+    async def run_one(manager):
+        await manager.start()
+        try:
+            submitted = manager.submit(job)
+            deadline = asyncio.get_running_loop().time() + 120.0
+            while submitted.state not in ("done", "failed"):
+                assert asyncio.get_running_loop().time() < deadline, "job never finished"
+                await asyncio.sleep(0.02)
+            return submitted
+        finally:
+            await manager.close()
+
+    config = ServeConfig(spool_dir=tmp_path / "spool", workers=1)
+    first = asyncio.run(run_one(JobManager(config)))
+    second = asyncio.run(run_one(JobManager(config)))
+    assert (first.state, first.error) == ("done", None)
+    assert (second.state, second.error) == ("done", None)
+    assert (first.job_id, second.job_id) == ("job-000000", "job-000001")
+    for finished in (first, second):
+        events = [json.loads(line) for line in finished.events_path.read_text().splitlines()]
+        assert events[0]["event"] == "job_queued"
+        assert events[-1]["event"] == "job_done"

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.application import Application, Message, Process, TaskGraph
+from repro.core.architecture import HVersion, Node, NodeType
+from repro.core.exceptions import ModelError
 from repro.utils.validation import (
     require_in_unit_interval,
+    require_name,
     require_non_negative,
     require_positive,
 )
@@ -51,3 +55,42 @@ class TestRequireInUnitInterval:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             require_in_unit_interval(-0.2, "p")
+
+
+_NODE_TYPE = NodeType("T", [HVersion(1, 1.0)])
+
+#: Each model class that takes a name, built around the name it is given.
+NAMED = {
+    "Process": lambda name: Process(name),
+    "Message": lambda name: Message(name, "A", "B"),
+    "TaskGraph": lambda name: TaskGraph(name),
+    "Application": lambda name: Application(name, deadline=10.0, reliability_goal=0.9),
+    "NodeType": lambda name: NodeType(name, [HVersion(1, 1.0)]),
+    "Node": lambda name: Node(name, _NODE_TYPE),
+}
+
+
+class TestRequireName:
+    def test_returns_a_valid_name(self):
+        assert require_name("P1", "Process") == "P1"
+
+    @pytest.mark.parametrize("kind", sorted(NAMED))
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("", "name must be a non-empty string"),
+            (None, "name must be a non-empty string"),
+            (7, "name must be a non-empty string"),
+            (b"P1", "name must be a non-empty string"),
+            ("P\ud800", "has no UTF-8 encoding"),
+        ],
+        ids=["empty", "none", "int", "bytes", "lone-surrogate"],
+    )
+    def test_every_model_class_rejects_an_unusable_name(self, kind, name, message):
+        with pytest.raises(ModelError, match=f"^{kind} name") as raised:
+            NAMED[kind](name)
+        assert message in str(raised.value)
+
+    @pytest.mark.parametrize("kind", sorted(NAMED))
+    def test_every_model_class_keeps_a_unicode_name(self, kind):
+        assert NAMED[kind]("Überwachung-π").name == "Überwachung-π"
