@@ -20,7 +20,7 @@ Three classes model this:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import ModelError
 from repro.utils.validation import require_name, require_non_negative, require_positive
@@ -208,7 +208,12 @@ class Node:
         self._hardening += 1
 
     def copy(self) -> "Node":
-        return Node(self.name, self.node_type, hardening=self._hardening)
+        # The name and level were validated when this node was built.
+        clone = Node.__new__(Node)
+        clone.name = self.name
+        clone.node_type = self.node_type
+        clone._hardening = self._hardening
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Node(name={self.name!r}, type={self.node_type.name!r}, h={self._hardening})"
@@ -229,13 +234,20 @@ class Architecture:
         if len(set(names)) != len(names):
             raise ModelError(f"Duplicate node names in architecture: {names}")
         self._nodes: Dict[str, Node] = {node.name: node for node in nodes}
+        # Sorted (node name, node type name) pairs, built on first use; the
+        # node set never changes after construction.
+        self._node_set: Optional[Tuple[Tuple[str, str], ...]] = None
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
     def copy(self) -> "Architecture":
-        """Deep-enough copy: the nodes are copied."""
-        return Architecture([node.copy() for node in self.nodes])
+        """Deep-enough copy: the nodes are copied (their names are already
+        known to be unique)."""
+        clone = Architecture.__new__(Architecture)
+        clone._nodes = {name: node.copy() for name, node in self._nodes.items()}
+        clone._node_set = self._node_set
+        return clone
 
     # ------------------------------------------------------------------
     # queries
@@ -247,6 +259,14 @@ class Architecture:
     @property
     def node_names(self) -> List[str]:
         return list(self._nodes)
+
+    def node_set(self) -> Tuple[Tuple[str, str], ...]:
+        """The sorted ``(node name, node type name)`` pairs (cached)."""
+        if self._node_set is None:
+            self._node_set = tuple(
+                sorted((node.name, node.node_type.name) for node in self._nodes.values())
+            )
+        return self._node_set
 
     def node(self, name: str) -> Node:
         try:

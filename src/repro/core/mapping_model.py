@@ -10,7 +10,7 @@ mapping instead of editing one in place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
@@ -27,9 +27,12 @@ class ProcessMapping:
 
     def __init__(self, assignment: Optional[Mapping[str, str]] = None) -> None:
         self._assignment: Dict[str, str] = dict(assignment or {})
-        # Mapped-name set, built on first use (validate runs per schedule
-        # call).
+        # Tables derived from the assignment, each built on first use: the
+        # design-point evaluation reads them per schedule call and per SFP
+        # query.
         self._names: Optional[frozenset] = None
+        self._by_node: Optional[Dict[str, Tuple[str, ...]]] = None
+        self._sorted_items: Optional[Tuple[Tuple[str, str], ...]] = None
 
     # ------------------------------------------------------------------
     # derivation
@@ -47,9 +50,21 @@ class ProcessMapping:
         except KeyError as exc:
             raise MappingError(f"Process {process} is not mapped to any node") from exc
 
-    def processes_on(self, node: str) -> List[str]:
-        """All processes mapped to ``node`` (insertion order)."""
-        return [process for process, mapped in self._assignment.items() if mapped == node]
+    def processes_on(self, node: str) -> Tuple[str, ...]:
+        """All processes mapped to ``node`` (insertion order; cached)."""
+        return self._node_table().get(node, ())
+
+    def _node_table(self) -> Dict[str, Tuple[str, ...]]:
+        """``{node: processes on it}`` over the used nodes, in first-use order."""
+        by_node = self._by_node
+        if by_node is None:
+            grouped: Dict[str, List[str]] = {}
+            for process, node in self._assignment.items():
+                grouped.setdefault(node, []).append(process)
+            by_node = self._by_node = {
+                node: tuple(processes) for node, processes in grouped.items()
+            }
+        return by_node
 
     def is_mapped(self, process: str) -> bool:
         return process in self._assignment
@@ -63,15 +78,18 @@ class ProcessMapping:
     def items(self):
         return self._assignment.items()
 
+    def sorted_items(self) -> Tuple[Tuple[str, str], ...]:
+        """The ``(process, node)`` pairs sorted by process name (cached)."""
+        if self._sorted_items is None:
+            self._sorted_items = tuple(sorted(self._assignment.items()))
+        return self._sorted_items
+
     def as_dict(self) -> Dict[str, str]:
         return dict(self._assignment)
 
     def used_nodes(self) -> List[str]:
         """Names of nodes that host at least one process."""
-        seen: Dict[str, None] = {}
-        for node in self._assignment.values():
-            seen.setdefault(node, None)
-        return list(seen)
+        return list(self._node_table())
 
     def __len__(self) -> int:
         return len(self._assignment)
@@ -120,9 +138,8 @@ class ProcessMapping:
         # valid without walking the per-process assignment in Python.  The
         # check is sufficient but stricter than necessary, so a miss falls
         # back to the exact per-process loop for the precise error message.
-        used_nodes = set(self._assignment.values())
         fast_path_valid = True
-        for node_name in used_nodes:
+        for node_name in self._node_table():
             if not architecture.has_node(node_name):
                 fast_path_valid = False
                 break

@@ -25,12 +25,16 @@ be populated three ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Node, NodeType
 from repro.core.exceptions import ModelError, ProfileError
-from repro.utils.validation import require_in_unit_interval, require_positive
+from repro.utils.validation import (
+    require_in_unit_interval,
+    require_name,
+    require_positive,
+)
 
 ProfileKey = Tuple[str, str, int]
 
@@ -63,9 +67,10 @@ class ExecutionProfile:
         self._entries: Dict[ProfileKey, ProfileEntry] = {}
         self._known_processes: Set[str] = set()
         self._known_node_types: Set[str] = set()
-        # Per (node type, hardening) supported-process sets, built lazily for
-        # the mapping-validation fast path and discarded on every add_entry.
-        self._supported_cache: Dict[Tuple[str, int], frozenset] = {}
+        # Per (node type, hardening) {process: p_ijh} rows, read by the SFP
+        # analysis and the mapping-validation fast path; built on first use
+        # and discarded on every add_entry.
+        self._failure_rows: Optional[Dict[Tuple[str, int], Dict[str, float]]] = None
         self._frozen = False
 
     def freeze(self) -> None:
@@ -87,16 +92,25 @@ class ExecutionProfile:
         wcet: float,
         failure_probability: float,
     ) -> None:
-        """Add (or overwrite) the entry for one (process, node, level) triple."""
+        """Add (or overwrite) the entry for one (process, node, level) triple.
+
+        Names are checked the first time the profile sees them (a profile
+        holds many rows per name), before anything is stored, so a rejected
+        entry leaves the profile unchanged.
+        """
         if self._frozen:
             raise ModelError(
                 "ExecutionProfile is read-only: an evaluation has bound it"
             )
+        if process not in self._known_processes:
+            require_name(process, "Process")
+        if node_type not in self._known_node_types:
+            require_name(node_type, "NodeType")
         key = (process, node_type, hardening)
         self._entries[key] = ProfileEntry(wcet=wcet, failure_probability=failure_probability)
         self._known_processes.add(process)
         self._known_node_types.add(node_type)
-        self._supported_cache.clear()
+        self._failure_rows = None
 
     # ------------------------------------------------------------------
     # queries
@@ -126,6 +140,35 @@ class ExecutionProfile:
     def failure_probability_on_node(self, process: str, node: Node) -> float:
         return self.failure_probability(process, node.node_type.name, node.hardening)
 
+    def failure_probabilities(
+        self, processes: Sequence[str], node_type: str, hardening: int
+    ) -> Tuple[float, ...]:
+        """``p_ijh`` of each of ``processes`` on ``(node_type, hardening)``, in order.
+
+        Served from the per-(node type, hardening) ``{process: p_ijh}``
+        rows, so the SFP analysis of a design point costs one dictionary
+        read per mapped process.  A missing entry raises the
+        :class:`ProfileError` of :meth:`failure_probability`.
+        """
+        row = self._rows().get((node_type, hardening), {})
+        try:
+            return tuple([row[process] for process in processes])
+        except KeyError:
+            for process in processes:
+                self._lookup(process, node_type, hardening)
+            raise
+
+    def _rows(self) -> Dict[Tuple[str, int], Dict[str, float]]:
+        """``{(node type, hardening): {process: p_ijh}}``, built in one pass."""
+        rows = self._failure_rows
+        if rows is None:
+            rows = self._failure_rows = {}
+            for (process, node_type, hardening), entry in self._entries.items():
+                rows.setdefault((node_type, hardening), {})[process] = (
+                    entry.failure_probability
+                )
+        return rows
+
     def supports(self, process: str, node_type: str, hardening: Optional[int] = None) -> bool:
         """Whether ``process`` can be mapped to ``node_type`` (at ``hardening``)."""
         if hardening is not None:
@@ -134,21 +177,13 @@ class ExecutionProfile:
             key[0] == process and key[1] == node_type for key in self._entries
         )
 
-    def supported_processes(self, node_type: str, hardening: int) -> frozenset:
-        """All processes with an entry for ``(node_type, hardening)`` (cached).
+    def supported_processes(self, node_type: str, hardening: int) -> AbstractSet[str]:
+        """All processes with an entry for ``(node_type, hardening)``.
 
         Backs the mapping-validation fast path: a mapping is trivially valid
         on a node whose supported-process set covers every mapped process.
         """
-        key = (node_type, hardening)
-        supported = self._supported_cache.get(key)
-        if supported is None:
-            supported = self._supported_cache[key] = frozenset(
-                process
-                for process, entry_type, entry_level in self._entries
-                if entry_type == node_type and entry_level == hardening
-            )
-        return supported
+        return self._rows().get((node_type, hardening), {}).keys()
 
     def processes(self) -> List[str]:
         return sorted(self._known_processes)

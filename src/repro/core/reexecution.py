@@ -14,13 +14,13 @@ system failure probability the most receives one more re-execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
-from repro.core.sfp import SFPAnalysis, reliability_over_time_unit
+from repro.core.sfp import reliability_over_time_unit
 from repro.engine.engine import EvaluationEngine, resolve_engine
 
 
@@ -47,9 +47,10 @@ class ReExecutionOpt:
     The per-node budget is capped at :data:`MAX_REEXECUTIONS_PER_NODE`.
     :meth:`optimize` takes the :class:`~repro.engine.engine.EvaluationEngine`
     whose per-node exceedance and system-failure memo tables serve the SFP
-    queries (``None`` gets a fresh one).  The greedy loop re-queries the same
-    (node, budget) exceedances on every iteration, so memoization removes
-    most of the Decimal-chain recomputation.
+    queries (``None`` gets a fresh one).  Each node's exceedance at one more
+    re-execution is read from the engine once per budget and reused by every
+    later greedy step; the engine's counters are credited for each reuse, so
+    they read as if every step had looked it up again.
     """
 
     # ------------------------------------------------------------------
@@ -71,36 +72,53 @@ class ReExecutionOpt:
         node_names = [node.name for node in architecture]
         # Ordered tuples: the DP sums are order-sensitive in their last bits,
         # so only the mapping order reproduces the kernel's result exactly.
-        analysis = SFPAnalysis(application, architecture, mapping, profile, engine=engine)
+        failure_probabilities = profile.failure_probabilities
+        prob_list = [
+            failure_probabilities(
+                mapping.processes_on(node.name), node.node_type.name, node.hardening
+            )
+            for node in architecture
+        ]
         # Per-node state lives in lists aligned with ``node_names``: the
         # candidate tuples below are substitute-snapshot-restore over one
         # flat list, which keeps the hottest expression of the optimizer
         # free of per-element dictionary lookups.
-        prob_list = [
-            tuple(analysis.node_failure_probabilities(node)) for node in architecture
-        ]
         count = len(node_names)
         exceedance = engine.node_exceedance
         union_failure = engine.system_failure
+        # Each reuse is credited under the key EvaluationEngine's
+        # node_exceedance or system_failure would have looked up.
+        credit_exceedance = engine.exceedance.credit
+        credit_system = engine.system.credit
 
         budget_list = [0] * count
         ex_list = [exceedance(block, 0) for block in prob_list]
+        # ``next_list[i]`` is node i's exceedance at budget_list[i] + 1, read
+        # on the first greedy step that needs it (``None`` until then).
+        next_list: List[Optional[float]] = [None] * count
+        # Nodes without mapped processes never take part: re-executions
+        # cannot help them.
+        open_nodes = [i for i in range(count) if prob_list[i] and budget_list[i] < cap]
 
         goal = application.reliability_goal
         time_unit = application.time_unit
         period = application.period
+        iterations = time_unit / period
 
         system = union_failure(tuple(ex_list))
         reliability = reliability_over_time_unit(system, time_unit, period)
         while reliability < goal:
             best_index = -1
             best_system = system
-            best_exceedance = 0.0
-            for i in range(count):
-                # Nodes without mapped processes: re-executions cannot help.
-                if budget_list[i] >= cap or not prob_list[i]:
-                    continue
-                candidate_exceedance = exceedance(prob_list[i], budget_list[i] + 1)
+            best_values: Tuple[float, ...] = ()
+            for i in open_nodes:
+                candidate_exceedance = next_list[i]
+                if candidate_exceedance is None:
+                    candidate_exceedance = next_list[i] = exceedance(
+                        prob_list[i], budget_list[i] + 1
+                    )
+                else:
+                    credit_exceedance((prob_list[i], budget_list[i] + 1))
                 previous = ex_list[i]
                 ex_list[i] = candidate_exceedance
                 candidate_values = tuple(ex_list)
@@ -112,15 +130,22 @@ class ReExecutionOpt:
                     # detectable below.
                     best_index = i
                     best_system = candidate_system
-                    best_exceedance = candidate_exceedance
+                    best_values = candidate_values
             if best_index < 0:
                 # No additional re-execution improves the (rounded) system
                 # failure probability: the goal is unreachable in software.
                 return None
-            budget_list[best_index] += 1
-            ex_list[best_index] = best_exceedance
-            system = union_failure(tuple(ex_list))
-            reliability = reliability_over_time_unit(system, time_unit, period)
+            i = best_index
+            budget_list[i] += 1
+            ex_list[i] = next_list[i]
+            next_list[i] = None
+            if budget_list[i] >= cap:
+                open_nodes.remove(i)
+            # The new per-node tuple is the winner's candidate tuple, whose
+            # union this step already read.
+            credit_system(best_values)
+            system = best_system
+            reliability = (1.0 - system) ** iterations
 
         return ReExecutionDecision(
             reexecutions=dict(zip(node_names, budget_list)),
@@ -128,3 +153,4 @@ class ReExecutionOpt:
             reliability_over_time_unit=reliability,
             meets_goal=True,
         )
+

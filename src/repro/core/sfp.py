@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import prod
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture, Node
@@ -225,12 +225,12 @@ class SFPAnalysis:
         self.engine = resolve_engine(engine, application, profile)
 
     # ------------------------------------------------------------------
-    def node_failure_probabilities(self, node: Node) -> List[float]:
-        """Failure probabilities of all processes mapped on ``node``."""
-        return [
-            self.profile.failure_probability(process, node.node_type.name, node.hardening)
-            for process in self.mapping.processes_on(node.name)
-        ]
+    def node_failure_probabilities(self, node: Node) -> Tuple[float, ...]:
+        """Failure probabilities of all processes mapped on ``node``, in
+        mapping order."""
+        return self.profile.failure_probabilities(
+            self.mapping.processes_on(node.name), node.node_type.name, node.hardening
+        )
 
     def probability_no_fault(self, node: Node) -> float:
         """Formula (1) for one node at its current hardening level."""
@@ -239,7 +239,7 @@ class SFPAnalysis:
     def node_exceedance(self, node: Node, reexecutions: int) -> float:
         """Formula (4): probability node ``Nj`` sees more than ``k_j`` faults."""
         return self.engine.node_exceedance(
-            tuple(self.node_failure_probabilities(node)), reexecutions
+            self.node_failure_probabilities(node), reexecutions
         )
 
     def system_failure_per_iteration(self, reexecutions: Mapping[str, int]) -> float:

@@ -76,6 +76,17 @@ class MemoCache:
                 self.disk_hits += 1
         return value
 
+    def credit(self, key: Hashable) -> None:
+        """Count a hit on ``key`` that the caller served itself.
+
+        For a caller that read ``key`` through :meth:`get` and reuses the
+        value instead of looking it up again: the counters come out as if
+        the repeat had gone through :meth:`get`.  ``key`` must be cached.
+        """
+        self.hits += 1
+        if self._preloaded and key in self._preloaded:
+            self.disk_hits += 1
+
     def put(self, key: Hashable, value: Any) -> Any:
         self._store[key] = value
         return value

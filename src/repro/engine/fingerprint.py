@@ -110,8 +110,8 @@ def _encode_items(
 
 
 def mapping_fingerprint(mapping: ProcessMapping) -> MappingFingerprint:
-    """Canonical fingerprint of a process-to-node mapping."""
-    return tuple(sorted(mapping.items()))
+    """Canonical fingerprint of a process-to-node mapping (cached on it)."""
+    return mapping.sorted_items()
 
 
 def hardening_fingerprint(hardening: Mapping[str, int]) -> HardeningFingerprint:
@@ -120,10 +120,9 @@ def hardening_fingerprint(hardening: Mapping[str, int]) -> HardeningFingerprint:
 
 
 def architecture_fingerprint(architecture: Architecture) -> ArchitectureFingerprint:
-    """Canonical fingerprint of an architecture's node set (levels excluded)."""
-    return tuple(
-        sorted((node.name, node.node_type.name) for node in architecture)
-    )
+    """Canonical fingerprint of an architecture's node set (levels excluded;
+    cached on it)."""
+    return architecture.node_set()
 
 
 def _canonical_application(application: Application) -> Tuple[object, ...]:

@@ -234,3 +234,78 @@ def test_dense_bus_schedules_equal_the_reference(name, n_processes, zero_every):
         assert any(entry.duration == 0.0 for entry in expected.messages)
     assert produced == expected
     assert _length_with(name, problem) == expected.length
+
+
+# ----------------------------------------------------------------------
+# One mapping object through one backend instance, several node tables.
+# ----------------------------------------------------------------------
+def _variants(architecture, levels_per_variant, order):
+    """Copies of ``architecture`` under each hardening vector, then one with
+    the nodes in ``order`` and the original again."""
+    variants = []
+    for levels in levels_per_variant:
+        variant = architecture.copy()
+        variant.apply_hardening_vector(levels)
+        variants.append(variant)
+    variants.append(Architecture([architecture.node(name).copy() for name in order]))
+    variants.append(architecture)
+    return variants
+
+
+def _assert_variants_match_the_reference(name, problem, variants):
+    """Each variant, in a row on one fresh backend instance, equals the
+    reference: the backend's one-slot mapping memo is reused across the
+    hardening vectors and must be rebuilt when the node order changes."""
+    application, _, mapping, profile, budgets = problem
+    kernel = type(SCHED_BACKENDS[name])()
+    scheduler = ListScheduler()
+    for variant in variants:
+        expected = _schedule_with("reference", (application, variant, mapping, profile, budgets))
+        with production_kernels(sched=kernel):
+            produced = scheduler.schedule(application, variant, mapping, profile, budgets)
+            length = scheduler.worst_case_length(
+                application, variant, mapping, profile, budgets
+            )
+        assert produced == expected
+        assert length == expected.length
+
+
+def _input_kinds(application, mapping):
+    """Which of (same-node input, cross-node input, zero-duration input) occur."""
+    kinds = set()
+    for graph in application.graphs:
+        for message in graph.messages:
+            same = mapping.node_of(message.source) == mapping.node_of(message.destination)
+            kinds.add("same-node" if same else "cross-node")
+            if message.transmission_time == 0.0:
+                kinds.add("zero-duration")
+    return kinds
+
+
+@pytest.mark.parametrize("name", OTHER_KERNELS)
+@given(problem=dag_problems(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_mapping_under_several_hardenings_and_node_orders(name, problem, data):
+    _, architecture, _, _, _ = problem
+    names = architecture.node_names
+    levels_per_variant = [
+        {node: data.draw(st.sampled_from([1, 2])) for node in names} for _ in range(3)
+    ]
+    order = data.draw(st.permutations(names))
+    _assert_variants_match_the_reference(
+        name, problem, _variants(architecture, levels_per_variant, order)
+    )
+
+
+@pytest.mark.parametrize("name", OTHER_KERNELS)
+def test_dense_mapping_under_several_hardenings_and_a_permuted_node_order(name):
+    problem = _dense_problem(400, zero_every=5)
+    application, architecture, mapping, _, _ = problem
+    assert _input_kinds(application, mapping) == {"same-node", "cross-node", "zero-duration"}
+    names = architecture.node_names
+    top = {node: architecture.node(node).node_type.max_hardening for node in names}
+    mixed = {node: 1 + index % top[node] for index, node in enumerate(names)}
+    _assert_variants_match_the_reference(
+        name, problem,
+        _variants(architecture, [top, mixed, dict.fromkeys(names, 1)], names[::-1]),
+    )

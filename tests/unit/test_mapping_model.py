@@ -20,9 +20,11 @@ class TestProcessMapping:
             ProcessMapping().node_of("P1")
 
     def test_processes_on(self, fig4a_mapping):
-        assert fig4a_mapping.processes_on("N1") == ["P1", "P2"]
-        assert fig4a_mapping.processes_on("N2") == ["P3", "P4"]
-        assert fig4a_mapping.processes_on("N3") == []
+        assert fig4a_mapping.processes_on("N1") == ("P1", "P2")
+        assert fig4a_mapping.processes_on("N2") == ("P3", "P4")
+        assert fig4a_mapping.processes_on("N3") == ()
+        # The per-node tuples are built once per (immutable) mapping.
+        assert fig4a_mapping.processes_on("N1") is fig4a_mapping.processes_on("N1")
 
     def test_used_nodes_preserves_first_seen_order(self, fig4a_mapping):
         assert fig4a_mapping.used_nodes() == ["N1", "N2"]

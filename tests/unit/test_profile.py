@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.architecture import Node
-from repro.core.exceptions import ProfileError
+from repro.core.application import Application
+from repro.core.exceptions import ModelError, ProfileError
 from repro.core.profile import ExecutionProfile, ProfileEntry
+from repro.engine import EvaluationEngine
 
 
 class TestProfileEntry:
@@ -68,3 +70,45 @@ class TestExecutionProfile:
         entries = fig1_prof.entries()
         entries.clear()
         assert len(fig1_prof) == 24
+
+    def test_failure_probabilities_follow_the_process_order(self, fig1_prof):
+        expected = tuple(
+            fig1_prof.failure_probability(process, "N2", 2) for process in ("P3", "P1")
+        )
+        assert fig1_prof.failure_probabilities(("P3", "P1"), "N2", 2) == expected
+        assert fig1_prof.failure_probabilities((), "N2", 2) == ()
+
+    def test_failure_probabilities_report_a_missing_entry(self, fig1_prof):
+        with pytest.raises(ProfileError, match="P9.*N1.*hardening level 1"):
+            fig1_prof.failure_probabilities(("P1", "P9"), "N1", 1)
+
+    def test_failure_rows_follow_a_new_entry(self):
+        profile = ExecutionProfile()
+        profile.add_entry("P1", "N1", 1, 10.0, 1e-3)
+        assert profile.failure_probabilities(("P1",), "N1", 1) == (1e-3,)
+        profile.add_entry("P1", "N1", 1, 10.0, 2e-3)
+        profile.add_entry("P2", "N1", 1, 10.0, 3e-3)
+        assert profile.failure_probabilities(("P1", "P2"), "N1", 1) == (2e-3, 3e-3)
+
+
+class TestProfileNames:
+    """Names are checked where a row enters the profile, not later when a
+    store fingerprints the profile."""
+
+    @pytest.mark.parametrize("name", ["", "\ud800", None])
+    @pytest.mark.parametrize("position", ["process", "node_type"])
+    def test_bad_name_is_rejected_and_leaves_the_profile_unchanged(self, name, position):
+        profile = ExecutionProfile()
+        profile.add_entry("P1", "N1", 1, 10.0, 1e-3)
+        before = (profile.entries(), profile.processes(), profile.node_types())
+        row = {"process": "P1", "node_type": "N1", position: name}
+        with pytest.raises(ModelError, match="name"):
+            profile.add_entry(row["process"], row["node_type"], 1, 10.0, 1e-3)
+        assert (profile.entries(), profile.processes(), profile.node_types()) == before
+
+    def test_a_checked_profile_fingerprints(self):
+        application = Application("A", deadline=100.0, reliability_goal=0.9)
+        application.new_graph("G")
+        profile = ExecutionProfile()
+        profile.add_entry("P\u00e9", "N1", 1, 10.0, 1e-3)
+        assert len(EvaluationEngine(application, profile).stable_context()) == 64
