@@ -15,7 +15,15 @@ Run with:
 
 from __future__ import annotations
 
-from repro import Application, Architecture, Message, Node, Process, ReExecutionOpt
+from repro import (
+    Application,
+    Architecture,
+    EvaluationEngine,
+    Message,
+    Node,
+    Process,
+    ReExecutionOpt,
+)
 from repro.core.architecture import linear_cost_node_type
 from repro.core.mapping_model import ProcessMapping
 from repro.experiments.results import format_table
@@ -84,9 +92,10 @@ def main() -> None:
     print()
     print("re-executions required to meet rho = 1 - 1e-5 per hour:")
     mapping = ProcessMapping({name: "ECU" for name in application.process_names()})
+    engine = EvaluationEngine(application, profile)
     for level in plan.levels:
         architecture = Architecture([Node("ECU", node_types[0], hardening=level)])
-        decision = ReExecutionOpt().optimize(application, architecture, mapping, profile)
+        decision = ReExecutionOpt().optimize(engine, architecture, mapping)
         if decision is None:
             print(f"  h={level}: reliability goal unreachable")
             continue

@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro import (
     Application,
     DesignStrategy,
+    EvaluationEngine,
     ExecutionProfile,
     MappingAlgorithm,
     Message,
@@ -75,7 +76,9 @@ def main() -> None:
         node_types,
         mapping_algorithm=MappingAlgorithm(max_iterations=6, stop_after_no_improvement=3),
     )
-    result = strategy.explore(application, profile)
+    # The engine binds the (application, profile) context the strategy
+    # explores and memoizes every design point it evaluates.
+    result = strategy.explore(EvaluationEngine(application, profile))
 
     print(result.summary())
     print()

@@ -15,7 +15,7 @@ Run with:
 
 from __future__ import annotations
 
-from repro import DesignStrategy, FaultScenarioSimulator, MappingAlgorithm
+from repro import DesignStrategy, EvaluationEngine, FaultScenarioSimulator, MappingAlgorithm
 from repro.core.architecture import Architecture, Node
 from repro.experiments.motivational import fig1_application, fig1_node_types, fig1_profile
 from repro.experiments.results import format_table
@@ -31,7 +31,7 @@ def main() -> None:
     strategy = DesignStrategy(
         node_types, mapping_algorithm=MappingAlgorithm(max_iterations=6)
     )
-    design = strategy.explore(application, profile)
+    design = strategy.explore(EvaluationEngine(application, profile))
     print(design.summary())
 
     # 2. Rebuild the concrete architecture the design describes.

@@ -44,6 +44,7 @@ from repro.core import (
     linear_cost_node_type,
 )
 from repro.core.exhaustive import ExhaustiveSearch
+from repro.engine import EvaluationEngine
 from repro.scheduling import ListScheduler, Schedule, ScheduledMessage, ScheduledProcess
 from repro.simulation import FaultScenarioSimulator, SimulationSummary
 
@@ -56,6 +57,7 @@ __all__ = [
     "ArchitectureEnumerator",
     "DesignResult",
     "DesignStrategy",
+    "EvaluationEngine",
     "ExecutionProfile",
     "ExhaustiveSearch",
     "FaultModel",

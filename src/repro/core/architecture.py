@@ -20,9 +20,10 @@ Three classes model this:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
-from repro.core.exceptions import ModelError
+from repro.core.exceptions import ModelError, ReproError
 from repro.utils.validation import require_name, require_non_negative, require_positive
 
 
@@ -198,15 +199,6 @@ class Node:
         """Cost of the node at its current hardening level."""
         return self.node_type.cost(self._hardening)
 
-    def can_harden(self) -> bool:
-        return self._hardening < self.node_type.max_hardening
-
-    def harden(self) -> None:
-        """Raise the hardening level by one."""
-        if not self.can_harden():
-            raise ModelError(f"Node {self.name} is already at maximum hardening")
-        self._hardening += 1
-
     def copy(self) -> "Node":
         # The name and level were validated when this node was built.
         clone = Node.__new__(Node)
@@ -311,10 +303,33 @@ class Architecture:
         for name, level in levels.items():
             self._nodes[name].hardening = level
 
-    def set_min_hardening(self) -> None:
-        """Reset all nodes to their minimum hardening level (paper line 5)."""
-        for node in self._nodes.values():
-            node.hardening = node.node_type.min_hardening
+    def reexecution_budgets(
+        self,
+        reexecutions: Optional[Mapping[str, int]],
+        error: Type[ReproError] = ModelError,
+    ) -> Dict[str, int]:
+        """Every node's re-execution budget ``k_j``; omitted nodes get 0.
+
+        A budget for an unknown node, one that is not an integer (a bool is
+        an ``Integral`` but not a count, and a float would be truncated) and
+        a negative one raise ``error``.
+        """
+        budgets: Dict[str, int] = {name: 0 for name in self._nodes}
+        if reexecutions:
+            for name, value in reexecutions.items():
+                if name not in budgets:
+                    raise error(f"Re-execution budget given for unknown node {name}")
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise error(
+                        f"Re-execution budget of node {name} must be an "
+                        f"integer, got {value!r}"
+                    )
+                if value < 0:
+                    raise error(
+                        f"Re-execution budget of node {name} must be >= 0, got {value}"
+                    )
+                budgets[name] = int(value)
+        return budgets
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         summary = ", ".join(

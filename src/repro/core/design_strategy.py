@@ -35,8 +35,7 @@ from repro.core.architecture import Architecture, Node, NodeType
 from repro.core.evaluation import DesignResult, infeasible_result
 from repro.core.exceptions import OptimizationError
 from repro.core.mapping import MappingAlgorithm, MappingResult, Objective
-from repro.core.profile import ExecutionProfile
-from repro.engine import EvaluationEngine, resolve_engine
+from repro.engine import EvaluationEngine
 
 
 class ArchitectureEnumerator:
@@ -74,10 +73,7 @@ class ArchitectureEnumerator:
 
     def build(self, subset: Iterable[NodeType]) -> Architecture:
         """Instantiate an architecture (min hardening) from a node-type subset."""
-        nodes = [Node(node_type.name, node_type) for node_type in subset]
-        architecture = Architecture(nodes)
-        architecture.set_min_hardening()
-        return architecture
+        return Architecture([Node(node_type.name, node_type) for node_type in subset])
 
 
 class DesignStrategy:
@@ -111,10 +107,8 @@ class DesignStrategy:
     # ------------------------------------------------------------------
     def explore(
         self,
-        application: Application,
-        profile: ExecutionProfile,
+        engine: EvaluationEngine,
         max_architecture_cost: Optional[float] = None,
-        engine: Optional[EvaluationEngine] = None,
     ) -> DesignResult:
         """Explore architectures and return the best (cheapest feasible) design.
 
@@ -123,18 +117,16 @@ class DesignStrategy:
         ``ArC`` is re-checked by the caller via
         :meth:`DesignResult.is_accepted`.
 
-        Every design point is evaluated through ``engine`` (``None`` gets a
-        fresh one for this call).  Passing one lets callers share it across
-        several strategies exploring the same (application, profile) — e.g.
-        the synthetic experiment harness runs MIN / MAX / OPT against one
-        engine so design points evaluated by one strategy are free for the
-        others.
+        The application and profile are the ones ``engine`` is bound to,
+        and every design point is evaluated through it.  Several strategies
+        exploring the same (application, profile) can share one engine —
+        e.g. the synthetic experiment harness runs MIN / MAX / OPT against
+        one engine so design points evaluated by one strategy are free for
+        the others.
         """
+        application = engine.application
         application.validate()
-        engine = resolve_engine(engine, application, profile)
-        best, total_evaluations = self._explore(
-            application, profile, max_architecture_cost, engine
-        )
+        best, total_evaluations = self._explore(engine, max_architecture_cost)
         if best is None:
             return infeasible_result(
                 self.policy,
@@ -146,10 +138,8 @@ class DesignStrategy:
 
     def _explore(
         self,
-        application: Application,
-        profile: ExecutionProfile,
-        max_architecture_cost: Optional[float],
         engine: EvaluationEngine,
+        max_architecture_cost: Optional[float],
     ):
         best: Optional[DesignResult] = None
         best_cost = inf
@@ -168,9 +158,7 @@ class DesignStrategy:
                     # applies from the very first candidate, before any
                     # feasible design is known.
                     continue
-                chosen, evaluations = self.design_for(
-                    application, architecture, profile, engine
-                )
+                chosen, evaluations = self.design_for(engine, architecture)
                 total_evaluations += evaluations
                 if chosen is None:
                     # Not even the fastest mapping fits the deadline on this
@@ -181,7 +169,7 @@ class DesignStrategy:
                     break
                 if chosen.cost < best_cost:
                     best_cost = chosen.cost
-                    best = self._to_result(application, architecture, chosen)
+                    best = self._to_result(engine.application, architecture, chosen)
             if not advanced:
                 node_count += 1
 
@@ -189,10 +177,8 @@ class DesignStrategy:
 
     def design_for(
         self,
-        application: Application,
-        architecture: Architecture,
-        profile: ExecutionProfile,
         engine: EvaluationEngine,
+        architecture: Architecture,
     ) -> Tuple[Optional[MappingResult], int]:
         """Design one architecture: the schedule-length pass, then the cost pass.
 
@@ -203,21 +189,15 @@ class DesignStrategy:
         schedule-length winner should the cost pass return nothing.
         """
         schedule_result = self.mapping_algorithm.optimize(
-            application,
-            architecture,
-            profile,
-            objective=Objective.SCHEDULE_LENGTH,
-            engine=engine,
+            engine, architecture, objective=Objective.SCHEDULE_LENGTH
         )
         if schedule_result is None:
             return None, 0
         cost_result = self.mapping_algorithm.optimize(
-            application,
+            engine,
             architecture,
-            profile,
             objective=Objective.COST,
             initial_mapping=schedule_result.mapping,
-            engine=engine,
         )
         if cost_result is None:
             return schedule_result, schedule_result.evaluations

@@ -22,14 +22,13 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Optional, Sequence, Tuple
 
-from repro.core.application import Application
 from repro.core.architecture import Architecture, Node, NodeType
 from repro.core.evaluation import DesignResult, infeasible_result
 from repro.core.exceptions import OptimizationError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import RedundancyDecision, RedundancyOpt
-from repro.engine import EvaluationEngine, resolve_engine
+from repro.engine import EvaluationEngine
 
 
 class ExhaustiveSearch:
@@ -60,18 +59,17 @@ class ExhaustiveSearch:
     # ------------------------------------------------------------------
     def explore(
         self,
-        application: Application,
-        profile: ExecutionProfile,
+        engine: EvaluationEngine,
         max_architecture_cost: Optional[float] = None,
-        engine: Optional[EvaluationEngine] = None,
     ) -> DesignResult:
         """Return the cheapest feasible design over the whole search space.
 
-        Every design point is evaluated through ``engine`` (``None`` gets a
-        fresh one for this call).
+        The application and profile are the ones ``engine`` is bound to,
+        and every design point is evaluated through it.
         """
+        application = engine.application
+        profile = engine.profile
         application.validate()
-        engine = resolve_engine(engine, application, profile)
         n_processes = application.number_of_processes()
         if n_processes > self.max_processes:
             raise OptimizationError(
@@ -102,8 +100,7 @@ class ExhaustiveSearch:
                         if best is not None and cost >= best[0]:
                             continue
                         decision = self.evaluator.evaluate_hardening(
-                            application, architecture, mapping, profile, hardening,
-                            engine,
+                            engine, architecture, mapping, hardening
                         )
                         evaluated += 1
                         if not decision.is_feasible:
@@ -126,9 +123,7 @@ class ExhaustiveSearch:
             hardening=dict(decision.hardening),
             reexecutions=dict(decision.reexecutions),
             mapping=mapping,
-            schedule=self.evaluator.schedule_of(
-                decision, application, architecture, mapping, profile
-            ),
+            schedule=self.evaluator.schedule_of(engine, decision, architecture, mapping),
             schedule_length=decision.schedule_length,
             deadline=application.deadline,
             cost=cost,

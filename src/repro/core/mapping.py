@@ -34,7 +34,7 @@ from repro.core.exceptions import MappingError, OptimizationError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import RedundancyDecision, RedundancyOpt
-from repro.engine import EvaluationEngine, resolve_engine
+from repro.engine import EvaluationEngine
 from repro.scheduling.schedule import Schedule
 
 #: Number of iterations a re-mapped process stays tabu.
@@ -109,10 +109,10 @@ class MappingAlgorithm:
 
     A re-mapped process stays tabu for :data:`TABU_TENURE` iterations.
     :meth:`optimize` takes the :class:`~repro.engine.engine.EvaluationEngine`
-    it forwards to the redundancy optimizer (``None`` gets a fresh one), so
-    revisited design points (tabu moves, the COST pass re-evaluating the
-    SCHEDULE_LENGTH winner, overlapping hardening trials) are served from
-    cache.
+    of the (application, profile) being explored, reads both from it and
+    forwards it to the redundancy optimizer, so revisited design points
+    (tabu moves, the COST pass re-evaluating the SCHEDULE_LENGTH winner,
+    overlapping hardening trials) are served from cache.
     """
 
     def __init__(
@@ -132,14 +132,12 @@ class MappingAlgorithm:
     # ------------------------------------------------------------------
     def optimize(
         self,
-        application: Application,
+        engine: EvaluationEngine,
         architecture: Architecture,
-        profile: ExecutionProfile,
         objective: Objective = Objective.SCHEDULE_LENGTH,
         initial_mapping: Optional[ProcessMapping] = None,
-        engine: Optional[EvaluationEngine] = None,
     ) -> Optional[MappingResult]:
-        """Optimize the mapping of ``application`` onto ``architecture``.
+        """Optimize the mapping of the engine's application onto ``architecture``.
 
         Returns ``None`` if no evaluated mapping admits a feasible redundancy
         decision (neither hardenable into schedulability nor able to reach the
@@ -147,7 +145,8 @@ class MappingAlgorithm:
         the architecture is unusable; for ``COST`` it means no schedulable
         design exists to cheapen.
         """
-        engine = resolve_engine(engine, application, profile)
+        application = engine.application
+        profile = engine.profile
         evaluations = 0
         mapping = (
             initial_mapping
@@ -158,9 +157,7 @@ class MappingAlgorithm:
         def evaluate(candidate: ProcessMapping) -> Tuple[float, Optional[RedundancyDecision]]:
             nonlocal evaluations
             evaluations += 1
-            decision = self.redundancy_optimizer.optimize(
-                application, architecture, candidate, profile, engine=engine
-            )
+            decision = self.redundancy_optimizer.optimize(engine, architecture, candidate)
             return self._objective_value(decision, objective), decision
 
         best_value, best_decision = evaluate(mapping)
@@ -178,7 +175,7 @@ class MappingAlgorithm:
             reference_schedule = None
             if best_decision is not None:
                 reference_schedule = self.redundancy_optimizer.schedule_of(
-                    best_decision, application, architecture, best_mapping, profile
+                    engine, best_decision, architecture, best_mapping
                 )
             candidates = self._critical_candidates(
                 application, architecture, current_mapping, reference_schedule, waiting
@@ -218,7 +215,7 @@ class MappingAlgorithm:
         if best_decision is None or best_value == inf:
             return None
         self.redundancy_optimizer.schedule_of(
-            best_decision, application, architecture, best_mapping, profile
+            engine, best_decision, architecture, best_mapping
         )
         return MappingResult(
             mapping=best_mapping,

@@ -25,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.application import Application
 from repro.core.architecture import Architecture
 from repro.core.exceptions import ModelError, OptimizationError
 from repro.core.mapping_model import ProcessMapping
-from repro.core.profile import ExecutionProfile
 from repro.core.reexecution import ReExecutionOpt
-from repro.engine import MISS, EvaluationEngine, resolve_engine
+from repro.engine import MISS, EvaluationEngine
 from repro.engine.fingerprint import (
     architecture_fingerprint,
     hardening_fingerprint,
@@ -85,12 +83,12 @@ class RedundancyOpt:
     maximum hardening vector and stop, so only the software redundancy is
     optimized.
 
-    :meth:`evaluate_hardening` and :meth:`optimize` take the
-    :class:`~repro.engine.engine.EvaluationEngine` of the (application,
-    profile) being explored (``None`` gets a fresh one).  Every evaluated
-    design point — (architecture, mapping, hardening vector) — is memoized
-    there, so revisited points skip both the re-execution optimization and
-    the list scheduler.  The key is the design point alone: the scheduler
+    :meth:`evaluate_hardening`, :meth:`optimize` and :meth:`schedule_of`
+    take the :class:`~repro.engine.engine.EvaluationEngine` of the
+    (application, profile) being explored and read both from it.  Every
+    evaluated design point — (architecture, mapping, hardening vector) — is
+    memoized there, so revisited points skip both the re-execution
+    optimization and the list scheduler.  The key is the design point alone: the scheduler
     always reserves shared slack and :class:`ReExecutionOpt` always caps
     ``k_j`` at the same constant, so every policy decides a design point the
     same way and one engine serves them all.  A whole :meth:`optimize` run
@@ -110,12 +108,10 @@ class RedundancyOpt:
     # ------------------------------------------------------------------
     def evaluate_hardening(
         self,
-        application: Application,
+        engine: EvaluationEngine,
         architecture: Architecture,
         mapping: ProcessMapping,
-        profile: ExecutionProfile,
         hardening: Dict[str, int],
-        engine: Optional[EvaluationEngine] = None,
     ) -> RedundancyDecision:
         """Evaluate one hardening vector: re-executions, schedule, cost.
 
@@ -124,7 +120,6 @@ class RedundancyOpt:
         vector would alias design points that differ in the unnamed nodes'
         current levels.
         """
-        engine = resolve_engine(engine, application, profile)
         # Unknown names are rejected by apply_hardening_vector on a miss and
         # can never hit (the names are part of the key); a matching length
         # therefore means every node is named.
@@ -142,27 +137,22 @@ class RedundancyOpt:
         if decision is MISS:
             decision = engine.decisions.put(
                 key,
-                self._evaluate_hardening(
-                    application, architecture, mapping, profile, hardening, engine
-                ),
+                self._evaluate_hardening(engine, architecture, mapping, hardening),
             )
             engine.evaluations += 1
         return decision
 
     def _evaluate_hardening(
         self,
-        application: Application,
+        engine: EvaluationEngine,
         architecture: Architecture,
         mapping: ProcessMapping,
-        profile: ExecutionProfile,
         hardening: Dict[str, int],
-        engine: EvaluationEngine,
     ) -> RedundancyDecision:
+        application = engine.application
         candidate = architecture.copy()
         candidate.apply_hardening_vector(hardening)
-        reexecution = ReExecutionOpt().optimize(
-            application, candidate, mapping, profile, engine=engine
-        )
+        reexecution = ReExecutionOpt().optimize(engine, candidate, mapping)
         if reexecution is None:
             # Reliability goal unreachable at this hardening level; score
             # with zero re-executions only to report a schedule length.
@@ -172,7 +162,7 @@ class RedundancyOpt:
             budgets = reexecution.reexecutions
             meets_reliability = True
         length = _SCHEDULER.worst_case_length(
-            application, candidate, mapping, profile, budgets
+            application, candidate, mapping, engine.profile, budgets
         )
         return RedundancyDecision(
             hardening=dict(hardening),
@@ -186,11 +176,10 @@ class RedundancyOpt:
 
     def schedule_of(
         self,
+        engine: EvaluationEngine,
         decision: RedundancyDecision,
-        application: Application,
         architecture: Architecture,
         mapping: ProcessMapping,
-        profile: ExecutionProfile,
     ) -> Schedule:
         """The decision's schedule, built on first read.
 
@@ -207,7 +196,11 @@ class RedundancyOpt:
             candidate = architecture.copy()
             candidate.apply_hardening_vector(decision.hardening)
             schedule = _SCHEDULER.schedule(
-                application, candidate, mapping, profile, decision.reexecutions
+                engine.application,
+                candidate,
+                mapping,
+                engine.profile,
+                decision.reexecutions,
             )
             # Lazy field of a frozen value: the decision's identity and every
             # compared field are unchanged; only the derived schedule appears.
@@ -224,11 +217,9 @@ class RedundancyOpt:
 
     def optimize(
         self,
-        application: Application,
+        engine: EvaluationEngine,
         architecture: Architecture,
         mapping: ProcessMapping,
-        profile: ExecutionProfile,
-        engine: Optional[EvaluationEngine] = None,
     ) -> Optional[RedundancyDecision]:
         """Return the cheapest feasible redundancy decision for ``mapping``.
 
@@ -236,7 +227,6 @@ class RedundancyOpt:
         solution that is both schedulable and reliable (the mapping is then
         discarded by the caller, as in the paper's Fig. 4d discussion).
         """
-        engine = resolve_engine(engine, application, profile)
         key = (
             self.policy,
             architecture_fingerprint(architecture),
@@ -244,21 +234,17 @@ class RedundancyOpt:
         )
         return engine.optimizations.memoize(
             key,
-            lambda: self._optimize(application, architecture, mapping, profile, engine),
+            lambda: self._optimize(engine, architecture, mapping),
         )
 
     def _optimize(
         self,
-        application: Application,
+        engine: EvaluationEngine,
         architecture: Architecture,
         mapping: ProcessMapping,
-        profile: ExecutionProfile,
-        engine: EvaluationEngine,
     ) -> Optional[RedundancyDecision]:
         hardening = self.initial_hardening(architecture)
-        decision = self.evaluate_hardening(
-            application, architecture, mapping, profile, hardening, engine
-        )
+        decision = self.evaluate_hardening(engine, architecture, mapping, hardening)
         if self.policy != "OPT":
             return decision if decision.is_feasible else None
 
@@ -280,7 +266,7 @@ class RedundancyOpt:
                 trial = dict(hardening)
                 trial[node.name] = level + 1
                 trial_decision = self.evaluate_hardening(
-                    application, architecture, mapping, profile, trial, engine
+                    engine, architecture, mapping, trial
                 )
                 # Rank: feasible reliability first, then shorter schedules.
                 key = (
@@ -308,7 +294,7 @@ class RedundancyOpt:
                 trial = dict(hardening)
                 trial[node.name] = level - 1
                 trial_decision = self.evaluate_hardening(
-                    application, architecture, mapping, profile, trial, engine
+                    engine, architecture, mapping, trial
                 )
                 if not trial_decision.is_feasible:
                     continue

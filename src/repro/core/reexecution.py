@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.application import Application
 from repro.core.architecture import Architecture
 from repro.core.mapping_model import ProcessMapping
-from repro.core.profile import ExecutionProfile
 from repro.core.sfp import reliability_over_time_unit
-from repro.engine.engine import EvaluationEngine, resolve_engine
+from repro.engine.engine import EvaluationEngine
 
 
 @dataclass(frozen=True)
@@ -46,8 +44,8 @@ class ReExecutionOpt:
 
     The per-node budget is capped at :data:`MAX_REEXECUTIONS_PER_NODE`.
     :meth:`optimize` takes the :class:`~repro.engine.engine.EvaluationEngine`
-    whose per-node exceedance and system-failure memo tables serve the SFP
-    queries (``None`` gets a fresh one).  Each node's exceedance at one more
+    of the (application, profile) being explored; its per-node exceedance
+    and system-failure memo tables serve the SFP queries.  Each node's exceedance at one more
     re-execution is read from the engine once per budget and reused by every
     later greedy step; the engine's counters are credited for each reuse, so
     they read as if every step had looked it up again.
@@ -56,23 +54,21 @@ class ReExecutionOpt:
     # ------------------------------------------------------------------
     def optimize(
         self,
-        application: Application,
+        engine: EvaluationEngine,
         architecture: Architecture,
         mapping: ProcessMapping,
-        profile: ExecutionProfile,
-        engine: Optional[EvaluationEngine] = None,
     ) -> Optional[ReExecutionDecision]:
         """Return the cheapest re-execution assignment meeting ``rho``.
 
         Returns ``None`` when the goal cannot be met within the per-node cap
         (typically because the hardening level is too low for the error rate).
         """
-        engine = resolve_engine(engine, application, profile)
+        application = engine.application
         cap = MAX_REEXECUTIONS_PER_NODE
         node_names = [node.name for node in architecture]
         # Ordered tuples: the DP sums are order-sensitive in their last bits,
         # so only the mapping order reproduces the kernel's result exactly.
-        failure_probabilities = profile.failure_probabilities
+        failure_probabilities = engine.profile.failure_probabilities
         prob_list = [
             failure_probabilities(
                 mapping.processes_on(node.name), node.node_type.name, node.hardening

@@ -51,14 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import prod
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.application import Application
 from repro.core.architecture import Architecture, Node
 from repro.core.exceptions import ModelError
 from repro.core.mapping_model import ProcessMapping
-from repro.core.profile import ExecutionProfile
-from repro.engine.engine import EvaluationEngine, resolve_engine
+from repro.engine.engine import EvaluationEngine
 from repro.kernels.registry import SFP_KERNELS
 from repro.utils.rounding import floor_probability
 from repro.utils.validation import require_in_unit_interval, require_positive
@@ -195,40 +193,40 @@ class SFPReport:
 
 
 class SFPAnalysis:
-    """SFP analysis bound to an application, architecture, mapping and profile.
+    """SFP analysis of one architecture and mapping in an engine's context.
 
-    The object is cheap to construct; every query recomputes from the current
-    hardening levels of the architecture nodes, so the optimization heuristics
-    can mutate hardening in place and re-query.
+    The application and profile are the ones ``engine`` is bound to.  The
+    object is cheap to construct; every query reads the current hardening
+    levels of the architecture's nodes, so a caller that sets a node's level
+    sees the next query follow it.
 
     The per-node exceedance and the system-failure union are served from the
-    memo tables of an :class:`~repro.engine.engine.EvaluationEngine` (keyed
+    memo tables of the :class:`~repro.engine.engine.EvaluationEngine` (keyed
     by the ordered failure-probability tuples, which canonically encode node
     type, hardening level and mapped process multiset) — changing one node's
     hardening or moving one process recomputes only the affected node(s).
-    ``engine=None`` gets a fresh engine for this (application, profile); the
-    engine's kernel is the SFP backend of every query.
+    The engine's kernel is the SFP backend of every query.  Re-execution
+    budgets are checked like the list scheduler's
+    (:meth:`~repro.core.architecture.Architecture.reexecution_budgets`):
+    omitted nodes get 0, and a budget for an unknown node, a non-integer or
+    a negative one raises :class:`~repro.core.exceptions.ModelError`.
     """
 
     def __init__(
         self,
-        application: Application,
+        engine: EvaluationEngine,
         architecture: Architecture,
         mapping: ProcessMapping,
-        profile: ExecutionProfile,
-        engine: Optional[EvaluationEngine] = None,
     ) -> None:
-        self.application = application
+        self.engine = engine
         self.architecture = architecture
         self.mapping = mapping
-        self.profile = profile
-        self.engine = resolve_engine(engine, application, profile)
 
     # ------------------------------------------------------------------
     def node_failure_probabilities(self, node: Node) -> Tuple[float, ...]:
         """Failure probabilities of all processes mapped on ``node``, in
         mapping order."""
-        return self.profile.failure_probabilities(
+        return self.engine.profile.failure_probabilities(
             self.mapping.processes_on(node.name), node.node_type.name, node.hardening
         )
 
@@ -238,48 +236,38 @@ class SFPAnalysis:
 
     def node_exceedance(self, node: Node, reexecutions: int) -> float:
         """Formula (4): probability node ``Nj`` sees more than ``k_j`` faults."""
+        budgets = self.architecture.reexecution_budgets({node.name: reexecutions})
         return self.engine.node_exceedance(
-            self.node_failure_probabilities(node), reexecutions
+            self.node_failure_probabilities(node), budgets[node.name]
         )
 
     def system_failure_per_iteration(self, reexecutions: Mapping[str, int]) -> float:
         """Formula (5) for the whole architecture."""
-        exceedances = tuple(
-            self.node_exceedance(node, self._budget_of(node, reexecutions))
-            for node in self.architecture
-        )
-        return self.engine.system_failure(exceedances)
+        budgets = self.architecture.reexecution_budgets(reexecutions)
+        return self.engine.system_failure(tuple(self._per_node_failure(budgets).values()))
 
     def evaluate(self, reexecutions: Mapping[str, int]) -> SFPReport:
         """Full evaluation of formulae (1)-(6) for a redundancy assignment."""
-        per_node = {
-            node.name: self.node_exceedance(node, self._budget_of(node, reexecutions))
-            for node in self.architecture
-        }
+        application = self.engine.application
+        budgets = self.architecture.reexecution_budgets(reexecutions)
+        per_node = self._per_node_failure(budgets)
         system_per_iteration = self.engine.system_failure(tuple(per_node.values()))
         reliability = reliability_over_time_unit(
-            system_per_iteration,
-            self.application.time_unit,
-            self.application.period,
+            system_per_iteration, application.time_unit, application.period
         )
         return SFPReport(
             per_node_failure=per_node,
             system_failure_per_iteration=system_per_iteration,
             reliability_over_time_unit=reliability,
-            reliability_goal=self.application.reliability_goal,
-            meets_goal=reliability >= self.application.reliability_goal,
-            reexecutions={
-                node.name: self._budget_of(node, reexecutions)
-                for node in self.architecture
-            },
+            reliability_goal=application.reliability_goal,
+            meets_goal=reliability >= application.reliability_goal,
+            reexecutions=budgets,
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _budget_of(node: Node, reexecutions: Mapping[str, int]) -> int:
-        budget = reexecutions.get(node.name, 0)
-        if budget < 0:
-            raise ModelError(
-                f"Negative re-execution budget {budget} for node {node.name}"
-            )
-        return budget
+    def _per_node_failure(self, budgets: Dict[str, int]) -> Dict[str, float]:
+        exceedance = self.engine.node_exceedance
+        return {
+            node.name: exceedance(self.node_failure_probabilities(node), budgets[node.name])
+            for node in self.architecture
+        }

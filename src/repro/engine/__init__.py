@@ -7,7 +7,7 @@ See :mod:`repro.engine.engine` for the architecture overview and
 from __future__ import annotations
 
 from repro.engine.cache import CacheStats, MemoCache, MISS
-from repro.engine.engine import EvaluationEngine, resolve_engine
+from repro.engine.engine import EvaluationEngine
 from repro.engine.fingerprint import (
     architecture_fingerprint,
     hardening_fingerprint,
@@ -35,6 +35,5 @@ __all__ = [
     "code_version_salt",
     "hardening_fingerprint",
     "mapping_fingerprint",
-    "resolve_engine",
     "stable_context_fingerprint",
 ]

@@ -8,9 +8,11 @@ stack (:class:`~repro.core.design_strategy.DesignStrategy` →
 :class:`~repro.core.reexecution.ReExecutionOpt` → SFP /
 :class:`~repro.scheduling.list_scheduler.ListScheduler`) varies architecture,
 mapping and hardening.  Every design point of that stack is evaluated through
-an engine: each entry point takes ``engine=None``, resolves it once with
-:func:`resolve_engine` (a fresh engine when none is given) and passes it on
-explicitly to the layer below.  The engine owns four memo tables:
+an engine: each entry point takes the engine as its first argument, reads
+the application and profile from it (:attr:`EvaluationEngine.application`,
+:attr:`EvaluationEngine.profile`) and passes it on to the layer below, so the
+context is named once and a layer cannot be handed a mismatched pair.  The
+engine owns four memo tables:
 
 ``decisions``
     Full :class:`~repro.core.redundancy.RedundancyDecision` per design point,
@@ -52,9 +54,9 @@ class EvaluationEngine:
     The engine is intentionally dumb about *what* it caches: the redundancy
     and mapping layers build the keys (see :mod:`repro.engine.fingerprint`)
     and decide what to store.  The engine guarantees bookkeeping (hit/miss
-    counters, evaluation counts) and context safety via :meth:`matches` —
-    :func:`resolve_engine` rejects an engine bound to another
-    application/profile.
+    counters, evaluation counts); it is also the only place a DSE layer
+    reads the application and profile from, so every layer below one
+    engine evaluates the same context.
 
     No memo key encodes the application or profile content, so construction
     freezes both: from then on their mutators raise
@@ -83,7 +85,7 @@ class EvaluationEngine:
         self.evaluations = 0
 
     # ------------------------------------------------------------------
-    # context safety
+    # bound context
     # ------------------------------------------------------------------
     def stable_context(self) -> str:
         """Cross-process content hash of the bound context, computed once.
@@ -98,14 +100,6 @@ class EvaluationEngine:
                 self.application, self.profile
             )
         return self._stable_context
-
-    def matches(self, application: Application, profile: ExecutionProfile) -> bool:
-        """Is the engine bound to exactly this (application, profile) pair?
-
-        Identity comparison keeps the check O(1) on the hot path; the content
-        fingerprint (:meth:`stable_context`) names persisted artifacts.
-        """
-        return application is self.application and profile is self.profile
 
     # ------------------------------------------------------------------
     # incremental SFP layer
@@ -171,25 +165,3 @@ class EvaluationEngine:
             f"evaluations={self.evaluations})"
         )
 
-
-def resolve_engine(
-    engine: Optional[EvaluationEngine],
-    application: Application,
-    profile: ExecutionProfile,
-) -> EvaluationEngine:
-    """The engine an entry point evaluates ``(application, profile)`` on.
-
-    ``None`` gets a fresh engine for this context, so an engine-free call
-    still memoizes within itself; an engine bound to another context is an
-    error (its memo keys do not encode the application or profile, so its
-    entries would alias); otherwise ``engine`` itself is returned.
-    """
-    if engine is None:
-        return EvaluationEngine(application, profile)
-    if not engine.matches(application, profile):
-        raise ValueError(
-            f"EvaluationEngine bound to application {engine.application.name!r} "
-            f"cannot evaluate application {application.name!r}: an engine "
-            "serves exactly the (application, profile) objects it was built for"
-        )
-    return engine

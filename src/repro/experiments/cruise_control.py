@@ -225,7 +225,7 @@ def run_cruise_controller_study() -> CruiseControlStudy:
         )
         strategy = DesignStrategy(node_types, algorithm)
         architecture = strategy.enumerator.build(node_types)
-        chosen, _ = strategy.design_for(application, architecture, profile, engine)
+        chosen, _ = strategy.design_for(engine, architecture)
         if chosen is not None:
             decision = chosen.decision
         else:
@@ -234,12 +234,10 @@ def run_cruise_controller_study() -> CruiseControlStudy:
             # from the deadline the strategy lands.
             optimizer = algorithm.redundancy_optimizer
             decision = optimizer.evaluate_hardening(
-                application,
+                engine,
                 architecture,
                 algorithm.initial_mapping(application, architecture, profile),
-                profile,
                 optimizer.initial_hardening(architecture),
-                engine,
             )
         outcomes[policy] = CruiseControlOutcome(
             strategy=policy,

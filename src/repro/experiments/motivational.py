@@ -28,6 +28,7 @@ from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.reexecution import ReExecutionOpt
 from repro.core.sfp import SFPAnalysis
+from repro.engine.engine import EvaluationEngine
 from repro.scheduling.list_scheduler import ListScheduler
 
 #: Worst-case bus transmission time assumed for the Fig. 1 messages (the paper
@@ -169,7 +170,9 @@ def evaluate_fig3_alternatives() -> List[AlternativeOutcome]:
     for level in node_type.hardening_levels:
         architecture = Architecture([Node("N1", node_type, hardening=level)])
         mapping = ProcessMapping({"P1": "N1"})
-        decision = ReExecutionOpt().optimize(application, architecture, mapping, profile)
+        decision = ReExecutionOpt().optimize(
+            EvaluationEngine(application, profile), architecture, mapping
+        )
         reexecutions = decision.reexecutions if decision is not None else {"N1": 0}
         schedule = ListScheduler().schedule(
             application, architecture, mapping, profile, reexecutions
@@ -228,7 +231,9 @@ def evaluate_fig4_alternatives() -> Dict[str, AlternativeOutcome]:
         ]
         architecture = Architecture(nodes)
         mapping = ProcessMapping(assignment)
-        decision = ReExecutionOpt().optimize(application, architecture, mapping, profile)
+        decision = ReExecutionOpt().optimize(
+            EvaluationEngine(application, profile), architecture, mapping
+        )
         reexecutions = (
             decision.reexecutions
             if decision is not None
@@ -270,7 +275,7 @@ def appendix_sfp_example() -> Dict[str, float]:
         ]
     )
     mapping = ProcessMapping({"P1": "N1", "P2": "N1", "P3": "N2", "P4": "N2"})
-    analysis = SFPAnalysis(application, architecture, mapping, profile)
+    analysis = SFPAnalysis(EvaluationEngine(application, profile), architecture, mapping)
 
     node1 = architecture.node("N1")
     node2 = architecture.node("N2")

@@ -229,9 +229,7 @@ def _evaluate_benchmark_setting(
         if store is not None:
             loaded = store.warm(engine)
         results = {
-            policy: DesignStrategy(node_types, preset.mapping_algorithm(policy)).explore(
-                benchmark.application, profile, engine=engine
-            )
+            policy: DesignStrategy(node_types, preset.mapping_algorithm(policy)).explore(engine)
             for policy in STRATEGIES
         }
         if store is not None:

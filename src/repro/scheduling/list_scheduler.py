@@ -37,8 +37,7 @@ worst-case transmission time is a given input.
 
 from __future__ import annotations
 
-from numbers import Integral
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.core.application import Application
 from repro.core.architecture import Architecture
@@ -115,30 +114,10 @@ class ListScheduler:
         application.freeze()
         profile.freeze()
         mapping.validate(application, architecture, profile)
-        budgets: Dict[str, int] = {node.name: 0 for node in architecture}
-        if reexecutions:
-            for name, value in reexecutions.items():
-                if name not in budgets:
-                    raise SchedulingError(
-                        f"Re-execution budget given for unknown node {name}"
-                    )
-                # A bool is an Integral but not a count, and a float would
-                # be truncated.
-                if isinstance(value, bool) or not isinstance(value, Integral):
-                    raise SchedulingError(
-                        f"Re-execution budget of node {name} must be an "
-                        f"integer, got {value!r}"
-                    )
-                if value < 0:
-                    raise SchedulingError(
-                        f"Re-execution budget of node {name} must be >= 0, got {value}"
-                    )
-                budgets[name] = int(value)
-
         return SchedulingProblem(
             application=application,
             architecture=architecture,
             mapping=mapping,
             profile=profile,
-            budgets=budgets,
+            budgets=architecture.reexecution_budgets(reexecutions, SchedulingError),
         )

@@ -34,6 +34,7 @@ from repro.core.exceptions import ModelError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.sfp import SFPAnalysis
+from repro.engine.engine import EvaluationEngine
 from repro.scheduling.schedule import Schedule
 
 
@@ -127,7 +128,7 @@ class FaultScenarioSimulator:
         if reexecutions is not None:
             budgets.update(reexecutions)
 
-        analysis = SFPAnalysis(application, architecture, mapping, profile)
+        analysis = SFPAnalysis(EvaluationEngine(application, profile), architecture, mapping)
         predicted_bound = analysis.system_failure_per_iteration(budgets)
 
         node_plans = self._build_node_plans(application, architecture, mapping, profile, schedule)

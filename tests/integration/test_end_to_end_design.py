@@ -15,6 +15,7 @@ from repro.core.design_strategy import DesignStrategy
 from repro.core.mapping import MappingAlgorithm
 from repro.core.redundancy import POLICIES
 from repro.core.sfp import SFPAnalysis
+from repro.engine import EvaluationEngine
 from repro.generator.benchmark import BenchmarkConfig, build_platform, generate_benchmark
 from repro.scheduling.list_scheduler import ListScheduler
 
@@ -39,7 +40,7 @@ def results(problem):
             MappingAlgorithm(
                 policy, max_iterations=3, stop_after_no_improvement=2, max_candidates=2
             ),
-        ).explore(benchmark.application, profile)
+        ).explore(EvaluationEngine(benchmark.application, profile))
         for policy in POLICIES
     }
 
@@ -78,7 +79,7 @@ class TestEndToEndDesigns:
             ]
         )
         analysis = SFPAnalysis(
-            benchmark.application, architecture, result.mapping, profile
+            EvaluationEngine(benchmark.application, profile), architecture, result.mapping
         )
         report = analysis.evaluate(result.reexecutions)
         assert report.meets_goal

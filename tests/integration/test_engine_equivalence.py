@@ -72,10 +72,10 @@ class TestColdWarmEquivalence:
         application, node_types, profile = platform
         strategy = _strategy(strategy_name, node_types)
         engine = EvaluationEngine(application, profile)
-        cold = strategy.explore(application, profile, engine=engine)
+        cold = strategy.explore(engine)
         cold_stats = engine.stats
         assert cold_stats.misses > 0
-        warm = strategy.explore(application, profile, engine=engine)
+        warm = strategy.explore(engine)
         assert _semantic_fields(cold) == _semantic_fields(warm)
         # The warm pass re-resolves every design point from cache: it adds
         # hits, and at a higher rate than the cold pass served them.
@@ -90,13 +90,11 @@ class TestColdWarmEquivalence:
         shared_engine = EvaluationEngine(application, profile)
         for other in POLICIES:
             if other != strategy_name:
-                _strategy(other, node_types).explore(
-                    application, profile, engine=shared_engine
-                )
+                _strategy(other, node_types).explore(shared_engine)
         shared_strategy = _strategy(strategy_name, node_types)
         fresh_strategy = _strategy(strategy_name, node_types)
-        shared = shared_strategy.explore(application, profile, engine=shared_engine)
-        fresh = fresh_strategy.explore(application, profile)
+        shared = shared_strategy.explore(shared_engine)
+        fresh = fresh_strategy.explore(EvaluationEngine(application, profile))
         assert _semantic_fields(shared) == _semantic_fields(fresh)
 
 
@@ -106,11 +104,11 @@ def test_shared_engine_across_strategies_is_bit_identical(platform):
     shared_engine = EvaluationEngine(application, profile)
     shared, isolated = {}, {}
     for name in POLICIES:
-        shared[name] = _strategy(name, node_types).explore(
-            application, profile, engine=shared_engine
-        )
+        shared[name] = _strategy(name, node_types).explore(shared_engine)
     for name in POLICIES:
-        isolated[name] = _strategy(name, node_types).explore(application, profile)
+        isolated[name] = _strategy(name, node_types).explore(
+            EvaluationEngine(application, profile)
+        )
     for name in POLICIES:
         assert _semantic_fields(shared[name]) == _semantic_fields(isolated[name])
 
@@ -174,10 +172,8 @@ def test_shared_engine_decisions_equal_fresh_engine_decisions(platform):
         for evaluator in evaluators:
             fresh = EvaluationEngine(application, profile)
             assert evaluator.evaluate_hardening(
-                application, architecture, mapping, profile, hardening, shared
-            ) == evaluator.evaluate_hardening(
-                application, architecture, mapping, profile, hardening, fresh
-            )
+                shared, architecture, mapping, hardening
+            ) == evaluator.evaluate_hardening(fresh, architecture, mapping, hardening)
     assert shared.decisions.hits > 0
 
 
@@ -193,7 +189,7 @@ def test_shared_engine_optimizations_equal_fresh_engine_optimizations(platform):
     ):
         for optimizer in optimizers:
             fresh = EvaluationEngine(application, profile)
-            assert optimizer.optimize(
-                application, architecture, mapping, profile, shared
-            ) == optimizer.optimize(application, architecture, mapping, profile, fresh)
+            assert optimizer.optimize(shared, architecture, mapping) == optimizer.optimize(
+                fresh, architecture, mapping
+            )
     assert shared.optimizations.hits > 0

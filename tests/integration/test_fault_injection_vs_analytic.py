@@ -13,6 +13,7 @@ from repro.core.application import Application, Message, Process
 from repro.core.architecture import Architecture, Node, linear_cost_node_type
 from repro.core.mapping_model import ProcessMapping
 from repro.core.reexecution import ReExecutionOpt
+from repro.engine import EvaluationEngine
 from repro.faults.hardening import SelectiveHardeningPlan, apply_selective_hardening
 from repro.faults.injection import FaultInjectionCampaign
 from repro.faults.processor import ProcessorModel
@@ -141,7 +142,9 @@ class TestInjectionDrivenDesignFlow:
 
         architecture = Architecture([Node("ECU", node_types[0], hardening=1)])
         mapping = ProcessMapping({"sense": "ECU", "act": "ECU"})
-        decision = ReExecutionOpt().optimize(application, architecture, mapping, profile)
+        decision = ReExecutionOpt().optimize(
+            EvaluationEngine(application, profile), architecture, mapping
+        )
         assert decision is not None
         schedule = ListScheduler().schedule(
             application, architecture, mapping, profile, decision.reexecutions

@@ -71,9 +71,7 @@ def _explore(platform, strategy_name, sfp, sched):
     )
     with production_kernels(sfp=SFP_BACKENDS[sfp], sched=SCHED_BACKENDS[sched]):
         engine = EvaluationEngine(application, profile)
-        result = DesignStrategy(node_types, algorithm).explore(
-            application, profile, engine=engine
-        )
+        result = DesignStrategy(node_types, algorithm).explore(engine)
     return result, engine
 
 
@@ -143,7 +141,7 @@ def test_the_whole_stack_runs_on_the_swapped_pair(platform, sfp, sched):
     algorithm = MappingAlgorithm(max_iterations=1, stop_after_no_improvement=1, max_candidates=1)
     with production_kernels(sfp=sfp_kernel, sched=sched_kernel):
         engine = EvaluationEngine(application, profile)
-        DesignStrategy(node_types, algorithm).explore(application, profile, engine=engine)
+        DesignStrategy(node_types, algorithm).explore(engine)
     assert engine.kernel is sfp_kernel
     assert sfp_calls["probability_exceeds"] > 0 and sfp_calls["system_failure"] > 0
     assert engine.evaluations > 0

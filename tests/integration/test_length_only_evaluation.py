@@ -39,9 +39,9 @@ def explored(platform):
     read = set()
     original = RedundancyOpt.schedule_of
 
-    def recording(self, decision, *args):
+    def recording(self, engine, decision, *args):
         read.add(id(decision))
-        return original(self, decision, *args)
+        return original(self, engine, decision, *args)
 
     engine = EvaluationEngine(application, profile)
     preset = ExperimentPreset.smoke()
@@ -49,7 +49,7 @@ def explored(platform):
         patch.setattr(RedundancyOpt, "schedule_of", recording)
         for policy in POLICIES:
             strategy = DesignStrategy(node_types, preset.mapping_algorithm(policy))
-            result = strategy.explore(application, profile, engine=engine)
+            result = strategy.explore(engine)
             assert result.feasible
     return engine, read
 
@@ -80,7 +80,7 @@ def test_every_built_schedule_has_the_scored_length(platform, explored):
     evaluator = RedundancyOpt()
     for key, decision in engine.decisions.snapshot().items():
         architecture, mapping = _design_point(key, node_types)
-        schedule = evaluator.schedule_of(decision, application, architecture, mapping, profile)
+        schedule = evaluator.schedule_of(engine, decision, architecture, mapping)
         assert decision.schedule is schedule
         assert schedule.length == decision.schedule_length
         assert decision.meets_deadline == (schedule.length <= application.deadline)

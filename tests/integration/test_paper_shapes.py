@@ -35,6 +35,7 @@ from repro.core.design_strategy import DesignStrategy
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.mapping import MappingAlgorithm, Objective
 from repro.core.reexecution import ReExecutionOpt
+from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig1_application, fig1_node_types, fig1_profile
 from repro.experiments.synthetic import (
     PAPER_ARC_VALUES,
@@ -162,16 +163,14 @@ def tabu_vs_greedy() -> Dict[int, Dict[str, float]]:
         )
         node_types, profile = build_platform(instance, 1e-11, 25.0)
         architecture = Architecture([Node(nt.name, nt) for nt in node_types[:2]])
-        architecture.set_min_hardening()
         lengths = {}
         for name, algorithm in (
             ("greedy", MappingAlgorithm(max_iterations=0)),
             ("tabu", MappingAlgorithm(max_iterations=6, stop_after_no_improvement=3)),
         ):
             result = algorithm.optimize(
-                instance.application,
+                EvaluationEngine(instance.application, profile),
                 architecture,
-                profile,
                 objective=Objective.SCHEDULE_LENGTH,
             )
             lengths[name] = result.schedule_length if result else INFEASIBLE
@@ -200,8 +199,10 @@ OPTIMALITY_INSTANCES = ("fig1",) + tuple(f"seed{seed}" for seed in OPTIMALITY_SE
 def _heuristic_and_optimum(node_types, application, profile) -> Dict[str, float]:
     heuristic = DesignStrategy(
         node_types, mapping_algorithm=MappingAlgorithm(max_iterations=6)
-    ).explore(application, profile)
-    optimal = ExhaustiveSearch(node_types, max_nodes=2).explore(application, profile)
+    ).explore(EvaluationEngine(application, profile))
+    optimal = ExhaustiveSearch(node_types, max_nodes=2).explore(
+        EvaluationEngine(application, profile)
+    )
     return {
         "heuristic": heuristic.cost if heuristic.feasible else INFEASIBLE,
         "optimal": optimal.cost if optimal.feasible else INFEASIBLE,
@@ -282,10 +283,11 @@ def slack_sharing() -> Dict[int, Dict[str, float]]:
         )
         node_types, profile = build_platform(instance, 1e-11, 25.0)
         architecture = Architecture([Node(nt.name, nt) for nt in node_types[:2]])
-        architecture.set_min_hardening()
         application = instance.application
         mapping = MappingAlgorithm().initial_mapping(application, architecture, profile)
-        decision = ReExecutionOpt().optimize(application, architecture, mapping, profile)
+        decision = ReExecutionOpt().optimize(
+            EvaluationEngine(application, profile), architecture, mapping
+        )
         budgets = decision.reexecutions if decision is not None else {}
         shared = ListScheduler().schedule(
             application, architecture, mapping, profile, budgets

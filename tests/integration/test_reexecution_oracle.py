@@ -158,9 +158,7 @@ def _assert_same_walk(points, platform, production: EvaluationEngine, oracle: Ev
     outcomes: List[Optional[ReExecutionDecision]] = []
     for architecture, mapping in points:
         before = (_counters(production), _counters(oracle))
-        produced = optimizer.optimize(
-            application, architecture, mapping, profile, engine=production
-        )
+        produced = optimizer.optimize(production, architecture, mapping)
         expected = oracle_optimize(application, architecture, mapping, profile, oracle)
         assert produced == expected
         assert _delta(_counters(production), before[0]) == _delta(_counters(oracle), before[1])
@@ -191,7 +189,7 @@ def test_credited_disk_hits_match_the_oracle_on_a_warmed_engine(family, tmp_path
     application, _, profile = platform
     seeding = EvaluationEngine(application, profile)
     for architecture, mapping in _design_points(platform, seed=11, count=40):
-        ReExecutionOpt().optimize(application, architecture, mapping, profile, engine=seeding)
+        ReExecutionOpt().optimize(seeding, architecture, mapping)
     store = DesignPointStore(tmp_path)
     assert store.persist(seeding) > 0
 

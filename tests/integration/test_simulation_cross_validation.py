@@ -44,9 +44,7 @@ def _design_with_kernel(small_benchmark, kernel_name):
     algorithm = MappingAlgorithm(
         max_iterations=2, stop_after_no_improvement=1, max_candidates=2
     )
-    result = DesignStrategy(node_types, algorithm).explore(
-        small_benchmark.application, profile, engine=engine
-    )
+    result = DesignStrategy(node_types, algorithm).explore(engine)
     return result, node_types, profile
 
 
@@ -81,9 +79,7 @@ def test_simulator_respects_analytic_bound(small_benchmark, kernel_name):
     # the simulator derived internally.
     with production_kernels(sfp=SFP_BACKENDS[kernel_name]):
         engine = EvaluationEngine(small_benchmark.application, profile)
-    analysis = SFPAnalysis(
-        small_benchmark.application, architecture, result.mapping, profile, engine=engine
-    )
+    analysis = SFPAnalysis(engine, architecture, result.mapping)
     assert (
         analysis.system_failure_per_iteration(result.reexecutions)
         == summary.predicted_failure_bound

@@ -59,9 +59,7 @@ def explored(platform, tmp_path_factory):
     engine = EvaluationEngine(application, profile)
     preset = ExperimentPreset.smoke()
     for policy in POLICIES:
-        DesignStrategy(node_types, preset.mapping_algorithm(policy)).explore(
-            application, profile, engine=engine
-        )
+        DesignStrategy(node_types, preset.mapping_algorithm(policy)).explore(engine)
     store = DesignPointStore(tmp_path_factory.mktemp("store"))
     assert store.persist(engine) > 0
     return engine, store
@@ -148,7 +146,7 @@ def test_rebuilt_schedules_equal_the_cold_ones(platform, explored):
         assert key[2] == hardening_fingerprint(decision.hardening)
         assert decision.schedule is None
         architecture, mapping = _design_point(key, node_types)
-        rebuilt = evaluator.schedule_of(decision, application, architecture, mapping, profile)
+        rebuilt = evaluator.schedule_of(warm_engine, decision, architecture, mapping)
         cold = cold_decisions[key]
         cold_schedule = _cold_schedule(cold, application, architecture, mapping, profile)
         assert rebuilt == cold_schedule
@@ -162,7 +160,6 @@ def test_rebuilt_schedules_equal_the_cold_ones(platform, explored):
 def test_store_warmed_tabu_search_returns_the_cold_result(platform, tmp_path, objective):
     application, node_types, profile = platform
     architecture = Architecture([Node(node_type.name, node_type) for node_type in node_types])
-    architecture.set_min_hardening()
 
     def search(engine):
         algorithm = MappingAlgorithm(
@@ -170,9 +167,7 @@ def test_store_warmed_tabu_search_returns_the_cold_result(platform, tmp_path, ob
             stop_after_no_improvement=2,
             max_candidates=2,
         )
-        return algorithm.optimize(
-            application, architecture, profile, objective=objective, engine=engine
-        )
+        return algorithm.optimize(engine, architecture, objective=objective)
 
     cold_engine = EvaluationEngine(application, profile)
     cold = search(cold_engine)
@@ -218,12 +213,13 @@ def test_schedule_of_schedules_at_most_once_per_decision(platform, explored):
         with production_kernels(sched=scheduler):
             # A decision that already holds its schedule is returned as is.
             held: RedundancyDecision = replace(cold, schedule=cold_schedule)
-            assert evaluator.schedule_of(
-                held, application, architecture, mapping, profile
-            ) is cold_schedule
+            assert (
+                evaluator.schedule_of(cold_engine, held, architecture, mapping)
+                is cold_schedule
+            )
             slim: RedundancyDecision = replace(cold, schedule=None)
-            first = evaluator.schedule_of(slim, application, architecture, mapping, profile)
-            second = evaluator.schedule_of(slim, application, architecture, mapping, profile)
+            first = evaluator.schedule_of(cold_engine, slim, architecture, mapping)
+            second = evaluator.schedule_of(cold_engine, slim, architecture, mapping)
         assert first is second is slim.schedule
         assert first == cold_schedule
     assert scheduler.calls == len(keys)

@@ -53,7 +53,6 @@ class TestInitialMappingProperties:
         )
         node_types, profile = build_platform(benchmark, 1e-11, 25.0)
         architecture = Architecture([Node(nt.name, nt) for nt in node_types[:2]])
-        architecture.set_min_hardening()
         mapping = MappingAlgorithm().initial_mapping(
             benchmark.application, architecture, profile
         )

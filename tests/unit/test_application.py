@@ -494,9 +494,7 @@ class TestReadOnlyOnceBound:
         n1, n2 = fig1_nodes
         architecture = Architecture([Node("N1", n1), Node("N2", n2)])
         engine = EvaluationEngine(fig1_app, fig1_prof)
-        decision = RedundancyOpt().optimize(
-            fig1_app, architecture, fig4a_mapping, fig1_prof, engine
-        )
+        decision = RedundancyOpt().optimize(engine, architecture, fig4a_mapping)
         assert decision is not None and decision.schedule_length <= fig1_app.deadline
         with pytest.raises(ModelError, match="^Application .* is read-only"):
             fig1_app.deadline = 100.0

@@ -104,7 +104,7 @@ class TestNode:
     def test_harden_and_soften(self, fig1_nodes):
         n1, _ = fig1_nodes
         node = Node("N1", n1)
-        node.harden()
+        node.hardening = 2
         assert node.hardening == 2
         node.hardening = 1
         assert node.hardening == 1
@@ -112,9 +112,10 @@ class TestNode:
     def test_harden_beyond_max_rejected(self, fig1_nodes):
         n1, _ = fig1_nodes
         node = Node("N1", n1, hardening=3)
-        assert not node.can_harden()
+        assert node.hardening == n1.max_hardening
         with pytest.raises(ModelError):
-            node.harden()
+            node.hardening = n1.max_hardening + 1
+        assert node.hardening == n1.max_hardening
 
     def test_soften_below_min_rejected(self, fig1_nodes):
         n1, _ = fig1_nodes
@@ -128,7 +129,7 @@ class TestNode:
         n1, _ = fig1_nodes
         node = Node("N1", n1, hardening=2)
         clone = node.copy()
-        clone.harden()
+        clone.hardening = 3
         assert node.hardening == 2
         assert clone.hardening == 3
 
@@ -152,7 +153,7 @@ class TestArchitecture:
     def test_hardening_vector_roundtrip(self, fig4a_architecture):
         vector = fig4a_architecture.hardening_vector()
         assert vector == {"N1": 2, "N2": 2}
-        fig4a_architecture.set_min_hardening()
+        fig4a_architecture.apply_hardening_vector({"N1": 1, "N2": 1})
         assert fig4a_architecture.hardening_vector() == {"N1": 1, "N2": 1}
         fig4a_architecture.apply_hardening_vector(vector)
         assert fig4a_architecture.hardening_vector() == vector

@@ -8,6 +8,7 @@ from repro.core.design_strategy import DesignStrategy
 from repro.core.exceptions import OptimizationError
 from repro.core.mapping import MappingAlgorithm
 from repro.core.redundancy import POLICIES
+from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig1_application, fig1_node_types, fig1_profile
 from repro.experiments.synthetic import ExperimentPreset
 
@@ -47,12 +48,16 @@ class TestStrategiesOnFig1:
     TUNING = {"max_iterations": 4, "stop_after_no_improvement": 2}
 
     def test_min_strategy_fails_on_fig1(self):
-        result = _strategy("MIN", **self.TUNING).explore(fig1_application(), fig1_profile())
+        result = _strategy("MIN", **self.TUNING).explore(
+            EvaluationEngine(fig1_application(), fig1_profile())
+        )
         assert not result.feasible
         assert result.strategy == "MIN"
 
     def test_max_strategy_succeeds_on_fig1(self):
-        result = _strategy("MAX", **self.TUNING).explore(fig1_application(), fig1_profile())
+        result = _strategy("MAX", **self.TUNING).explore(
+            EvaluationEngine(fig1_application(), fig1_profile())
+        )
         assert result.feasible
         assert result.strategy == "MAX"
         assert set(result.hardening.values()) == {3}
@@ -60,8 +65,12 @@ class TestStrategiesOnFig1:
         assert result.cost == pytest.approx(80.0)
 
     def test_opt_strategy_beats_max_on_cost(self):
-        opt = _strategy("OPT", **self.TUNING).explore(fig1_application(), fig1_profile())
-        maximum = _strategy("MAX", **self.TUNING).explore(fig1_application(), fig1_profile())
+        opt = _strategy("OPT", **self.TUNING).explore(
+            EvaluationEngine(fig1_application(), fig1_profile())
+        )
+        maximum = _strategy("MAX", **self.TUNING).explore(
+            EvaluationEngine(fig1_application(), fig1_profile())
+        )
         assert opt.feasible and maximum.feasible
         assert opt.strategy == "OPT"
         assert opt.cost < maximum.cost

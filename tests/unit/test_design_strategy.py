@@ -8,6 +8,7 @@ from repro.core.architecture import HVersion, NodeType, linear_cost_node_type
 from repro.core.design_strategy import ArchitectureEnumerator, DesignStrategy
 from repro.core.exceptions import OptimizationError
 from repro.core.mapping import MappingAlgorithm
+from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig1_application, fig1_node_types, fig1_profile
 
 
@@ -61,7 +62,7 @@ class TestDesignStrategyFig1:
         return DesignStrategy(list(fig1_node_types()), mapping_algorithm=algorithm)
 
     def test_finds_solution_at_most_papers_cost(self, strategy):
-        result = strategy.explore(fig1_application(), fig1_profile())
+        result = strategy.explore(EvaluationEngine(fig1_application(), fig1_profile()))
         assert result.feasible
         assert result.is_accepted()
         # The paper's hand-picked solution (Fig. 4a) costs 72; the exploration
@@ -78,7 +79,7 @@ class TestDesignStrategyFig1:
         assert sum(result.reexecutions.values()) >= 1
 
     def test_acceptance_respects_cost_cap(self, strategy):
-        result = strategy.explore(fig1_application(), fig1_profile())
+        result = strategy.explore(EvaluationEngine(fig1_application(), fig1_profile()))
         assert result.is_accepted(max_architecture_cost=result.cost)
         assert not result.is_accepted(max_architecture_cost=result.cost - 1.0)
 
@@ -104,7 +105,7 @@ class TestDesignStrategyFig1:
             list(fig1_node_types()),
             mapping_algorithm=MappingAlgorithm(max_iterations=2),
         )
-        result = strategy.explore(tight, fig1_profile())
+        result = strategy.explore(EvaluationEngine(tight, fig1_profile()))
         assert not result.feasible
         assert not result.is_accepted()
         assert "deadline" in result.failure_reason or result.failure_reason
@@ -116,7 +117,7 @@ class TestDesignStrategyReporting:
             list(fig1_node_types()),
             mapping_algorithm=MappingAlgorithm(max_iterations=4),
         )
-        result = strategy.explore(fig1_application(), fig1_profile())
+        result = strategy.explore(EvaluationEngine(fig1_application(), fig1_profile()))
         assert set(result.node_types.values()) <= {"N1", "N2"}
         assert result.mapping is not None
         assert set(result.mapping.as_dict()) == {"P1", "P2", "P3", "P4"}

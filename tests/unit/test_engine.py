@@ -7,14 +7,14 @@ import pytest
 from repro.core.architecture import Architecture, Node, linear_cost_node_type
 from repro.core.mapping_model import ProcessMapping
 from repro.core.sfp import probability_exceeds, system_failure_probability
-from repro.engine import EvaluationEngine, MISS, MemoCache, resolve_engine
+from repro.engine import EvaluationEngine, MISS, MemoCache
 from repro.engine.cache import CacheStats
 from repro.engine.fingerprint import (
     architecture_fingerprint,
     hardening_fingerprint,
     mapping_fingerprint,
 )
-from repro.experiments.motivational import fig1_application, fig1_profile, fig3_application
+from repro.experiments.motivational import fig1_application, fig1_profile
 from repro.kernels import ArrayKernel, ReferenceKernel
 
 from tests.conftest import production_kernels
@@ -132,10 +132,10 @@ def engine():
 
 
 class TestEvaluationEngine:
-    def test_matches_is_identity_based(self, engine):
-        assert engine.matches(engine.application, engine.profile)
-        assert not engine.matches(fig1_application(), engine.profile)
-        assert not engine.matches(engine.application, fig1_profile())
+    def test_binds_the_context_it_was_built_for(self):
+        application, profile = fig1_application(), fig1_profile()
+        engine = EvaluationEngine(application, profile)
+        assert engine.application is application and engine.profile is profile
 
     def test_memoized_sfp_matches_module_functions(self, engine):
         probabilities = (1.2e-5, 3.4e-6, 5.6e-7)
@@ -181,20 +181,3 @@ class TestEvaluationEngine:
         assert target.exceedance.misses == 0
         assert target.exceedance.disk_hits == len(rows)
 
-
-class TestResolveEngine:
-    def test_none_gets_a_fresh_engine_for_the_context(self):
-        application, profile = fig1_application(), fig1_profile()
-        first = resolve_engine(None, application, profile)
-        assert first.matches(application, profile)
-        assert resolve_engine(None, application, profile) is not first
-
-    def test_an_engine_of_the_context_is_returned_as_is(self, engine):
-        assert resolve_engine(engine, engine.application, engine.profile) is engine
-
-    def test_an_engine_of_another_context_names_both_applications(self, engine):
-        other = fig3_application()
-        with pytest.raises(ValueError, match="'fig1'.*'fig3'"):
-            resolve_engine(engine, other, engine.profile)
-        with pytest.raises(ValueError, match="'fig1'.*'fig1'"):
-            resolve_engine(engine, engine.application, fig1_profile())

@@ -9,6 +9,7 @@ from repro.core.exceptions import OptimizationError
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.design_strategy import DesignStrategy
 from repro.core.mapping import MappingAlgorithm
+from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig1_application, fig1_node_types, fig1_profile
 
 
@@ -24,14 +25,14 @@ class TestExhaustiveSearchLimits:
             graph.add_process(Process(f"P{index}", nominal_wcet=1.0))
         search = ExhaustiveSearch(list(fig1_node_types()), max_processes=8)
         with pytest.raises(OptimizationError):
-            search.explore(application, fig1_profile())
+            search.explore(EvaluationEngine(application, fig1_profile()))
 
 
 class TestExhaustiveOnFig1:
     @pytest.fixture(scope="class")
     def optimal(self):
         search = ExhaustiveSearch(list(fig1_node_types()), max_nodes=2)
-        return search.explore(fig1_application(), fig1_profile())
+        return search.explore(EvaluationEngine(fig1_application(), fig1_profile()))
 
     def test_finds_a_feasible_design(self, optimal):
         assert optimal.feasible
@@ -50,14 +51,14 @@ class TestExhaustiveOnFig1:
             list(fig1_node_types()),
             mapping_algorithm=MappingAlgorithm(max_iterations=6, stop_after_no_improvement=3),
         )
-        heuristic = strategy.explore(fig1_application(), fig1_profile())
+        heuristic = strategy.explore(EvaluationEngine(fig1_application(), fig1_profile()))
         assert heuristic.feasible
         assert heuristic.cost >= optimal.cost - 1e-9
 
     def test_cost_cap_prunes_to_infeasible(self):
         search = ExhaustiveSearch(list(fig1_node_types()), max_nodes=2)
         result = search.explore(
-            fig1_application(), fig1_profile(), max_architecture_cost=30.0
+            EvaluationEngine(fig1_application(), fig1_profile()), max_architecture_cost=30.0
         )
         assert not result.feasible
 
@@ -74,7 +75,7 @@ class TestExhaustiveOnTinyInstance:
         )
 
         search = ExhaustiveSearch([fig3_node_type()], max_nodes=1)
-        result = search.explore(fig3_application(), fig3_profile())
+        result = search.explore(EvaluationEngine(fig3_application(), fig3_profile()))
         assert result.feasible
         # Fig. 3: the cheapest feasible h-version is the second one (cost 20).
         assert result.cost == 20.0

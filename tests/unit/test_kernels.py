@@ -45,13 +45,14 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 def _default_kernels():
     """The SFP backend each engine-holding entry point binds.
 
-    ``SFPAnalysis`` runs on the kernel of the fresh engine it gets when no
-    engine is passed in.
+    ``SFPAnalysis`` runs on the kernel of the engine it is given.
     """
     application, profile = fig1_application(), fig1_profile()
     return {
         "EvaluationEngine": EvaluationEngine(application, profile).kernel,
-        "SFPAnalysis": SFPAnalysis(application, None, None, profile).engine.kernel,
+        "SFPAnalysis": SFPAnalysis(
+            EvaluationEngine(application, profile), None, None
+        ).engine.kernel,
     }
 
 
@@ -95,7 +96,9 @@ def test_production_backends_do_not_inherit_from_their_oracle(production, oracle
     [
         lambda application, profile: ListScheduler(bus=object()),
         lambda application, profile: ReExecutionOpt(decimals=11),
-        lambda application, profile: SFPAnalysis(application, None, None, profile, decimals=11),
+        lambda application, profile: SFPAnalysis(
+            EvaluationEngine(application, profile), None, None, decimals=11
+        ),
         lambda application, profile: EvaluationEngine(application, profile).node_exceedance(
             (1e-5,), 1, 11
         ),

@@ -10,15 +10,14 @@ from repro.core.mapping import MappingAlgorithm, MappingResult, Objective
 from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.redundancy import RedundancyDecision
+from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig1_node_types
 
 
 @pytest.fixture
 def fig1_architecture():
     n1, n2 = fig1_node_types()
-    architecture = Architecture([Node("N1", n1), Node("N2", n2)])
-    architecture.set_min_hardening()
-    return architecture
+    return Architecture([Node("N1", n1), Node("N2", n2)])
 
 
 class TestInitialMapping:
@@ -44,7 +43,9 @@ class TestOptimizeScheduleLength:
     def test_finds_feasible_design_for_fig1(self, fig1_app, fig1_prof, fig1_architecture):
         algorithm = MappingAlgorithm(max_iterations=6, stop_after_no_improvement=3)
         result = algorithm.optimize(
-            fig1_app, fig1_architecture, fig1_prof, objective=Objective.SCHEDULE_LENGTH
+            EvaluationEngine(fig1_app, fig1_prof),
+            fig1_architecture,
+            objective=Objective.SCHEDULE_LENGTH,
         )
         assert result is not None
         assert result.is_feasible
@@ -56,9 +57,8 @@ class TestOptimizeScheduleLength:
         initial = ProcessMapping({"P1": "N1", "P2": "N1", "P3": "N2", "P4": "N2"})
         algorithm = MappingAlgorithm(max_iterations=1, stop_after_no_improvement=1)
         result = algorithm.optimize(
-            fig1_app,
+            EvaluationEngine(fig1_app, fig1_prof),
             fig1_architecture,
-            fig1_prof,
             objective=Objective.SCHEDULE_LENGTH,
             initial_mapping=initial,
         )
@@ -71,7 +71,7 @@ class TestOptimizeScheduleLength:
         architecture = Architecture([Node("N1", n1)])
         algorithm = MappingAlgorithm(max_iterations=3)
         result = algorithm.optimize(
-            fig1_app, architecture, fig1_prof, objective=Objective.SCHEDULE_LENGTH
+            EvaluationEngine(fig1_app, fig1_prof), architecture, objective=Objective.SCHEDULE_LENGTH
         )
         # Everything on N1 is unschedulable at any hardening level (Fig. 4b/4d).
         assert result is None
@@ -81,12 +81,13 @@ class TestOptimizeCost:
     def test_cost_objective_returns_feasible_cheapest(self, fig1_app, fig1_prof, fig1_architecture):
         algorithm = MappingAlgorithm(max_iterations=6, stop_after_no_improvement=3)
         schedule_result = algorithm.optimize(
-            fig1_app, fig1_architecture, fig1_prof, objective=Objective.SCHEDULE_LENGTH
+            EvaluationEngine(fig1_app, fig1_prof),
+            fig1_architecture,
+            objective=Objective.SCHEDULE_LENGTH,
         )
         cost_result = algorithm.optimize(
-            fig1_app,
+            EvaluationEngine(fig1_app, fig1_prof),
             fig1_architecture,
-            fig1_prof,
             objective=Objective.COST,
             initial_mapping=schedule_result.mapping,
         )
@@ -100,7 +101,7 @@ class TestOptimizeCost:
         architecture = Architecture([Node("N1", n1)])
         algorithm = MappingAlgorithm(max_iterations=2)
         result = algorithm.optimize(
-            fig1_app, architecture, fig1_prof, objective=Objective.COST
+            EvaluationEngine(fig1_app, fig1_prof), architecture, objective=Objective.COST
         )
         assert result is None
 
@@ -109,7 +110,9 @@ class TestWithLockedHardeningPolicy:
     def test_min_hardening_optimizer_is_used(self, fig1_app, fig1_prof, fig1_architecture):
         algorithm = MappingAlgorithm("MIN", max_iterations=4)
         result = algorithm.optimize(
-            fig1_app, fig1_architecture, fig1_prof, objective=Objective.SCHEDULE_LENGTH
+            EvaluationEngine(fig1_app, fig1_prof),
+            fig1_architecture,
+            objective=Objective.SCHEDULE_LENGTH,
         )
         # At minimum hardening the Fig. 1 error rates (1e-3) need several
         # re-executions; no mapping fits 360 ms, matching the paper's message
@@ -119,7 +122,9 @@ class TestWithLockedHardeningPolicy:
     def test_max_hardening_optimizer_finds_design(self, fig1_app, fig1_prof, fig1_architecture):
         algorithm = MappingAlgorithm("MAX", max_iterations=4)
         result = algorithm.optimize(
-            fig1_app, fig1_architecture, fig1_prof, objective=Objective.SCHEDULE_LENGTH
+            EvaluationEngine(fig1_app, fig1_prof),
+            fig1_architecture,
+            objective=Objective.SCHEDULE_LENGTH,
         )
         assert result is not None
         assert result.decision.hardening == {"N1": 3, "N2": 3}
@@ -130,7 +135,7 @@ class TestMappingResultSchedule:
         self, fig1_app, fig1_prof, fig1_architecture
     ):
         result = MappingAlgorithm(max_iterations=2).optimize(
-            fig1_app, fig1_architecture, fig1_prof
+            EvaluationEngine(fig1_app, fig1_prof), fig1_architecture
         )
         assert result is not None
         assert result.schedule is result.decision.schedule
@@ -175,21 +180,17 @@ class TestEngineEquivalence:
     def test_fresh_vs_shared_engine_is_identical(
         self, fig1_app, fig1_prof, fig1_architecture, objective
     ):
-        from repro.engine import EvaluationEngine
-
         def run(engine):
             algorithm = MappingAlgorithm(max_iterations=6, stop_after_no_improvement=3)
-            return algorithm.optimize(
-                fig1_app, fig1_architecture, fig1_prof, objective=objective, engine=engine
-            )
+            return algorithm.optimize(engine, fig1_architecture, objective=objective)
 
         # The shared engine has already served the other objective's search.
         engine = EvaluationEngine(fig1_app, fig1_prof)
         other = next(item for item in Objective if item is not objective)
         MappingAlgorithm(max_iterations=6, stop_after_no_improvement=3).optimize(
-            fig1_app, fig1_architecture, fig1_prof, objective=other, engine=engine
+            engine, fig1_architecture, objective=other
         )
-        memoized, plain = run(engine), run(None)
+        memoized, plain = run(engine), run(EvaluationEngine(fig1_app, fig1_prof))
         assert memoized is not None and plain is not None
         assert memoized.mapping.as_dict() == plain.mapping.as_dict()
         assert memoized.decision == plain.decision

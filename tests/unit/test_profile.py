@@ -45,7 +45,7 @@ class TestExecutionProfile:
         n1, _ = fig1_nodes
         node = Node("N1", n1, hardening=2)
         assert fig1_prof.wcet_on_node("P1", node) == 75.0
-        node.harden()
+        node.hardening = 3
         assert fig1_prof.wcet_on_node("P1", node) == 90.0
 
     def test_failure_probability_on_node(self, fig1_prof, fig1_nodes):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.core.architecture import Architecture, Node
@@ -39,7 +41,8 @@ class TestRedundancyOptFig3:
     def test_selects_cheapest_schedulable_hardening(self, fig3_setup):
         """The paper chooses N1^2: h=3 costs twice as much for the same delay."""
         application, architecture, mapping, profile = fig3_setup
-        decision = RedundancyOpt().optimize(application, architecture, mapping, profile)
+        engine = EvaluationEngine(application, profile)
+        decision = RedundancyOpt().optimize(engine, architecture, mapping)
         assert decision is not None
         assert decision.hardening == {"N1": 2}
         assert decision.reexecutions == {"N1": 2}
@@ -49,7 +52,7 @@ class TestRedundancyOptFig3:
 
     def test_does_not_mutate_input_architecture(self, fig3_setup):
         application, architecture, mapping, profile = fig3_setup
-        RedundancyOpt().optimize(application, architecture, mapping, profile)
+        RedundancyOpt().optimize(EvaluationEngine(application, profile), architecture, mapping)
         assert architecture.hardening_vector() == {"N1": 1}
 
     def test_infeasible_when_deadline_impossible(self, fig3_setup):
@@ -65,7 +68,8 @@ class TestRedundancyOptFig3:
             period=50.0,
         )
         tight_application.new_graph("G1").add_process(Process("P1"))
-        decision = RedundancyOpt().optimize(tight_application, architecture, mapping, profile)
+        engine = EvaluationEngine(tight_application, profile)
+        decision = RedundancyOpt().optimize(engine, architecture, mapping)
         assert decision is None
 
 
@@ -77,7 +81,8 @@ class TestRedundancyOptFig4:
         profile = fig1_profile()
         architecture = Architecture([Node("N1", n1), Node("N2", n2)])
         mapping = ProcessMapping({"P1": "N1", "P2": "N1", "P3": "N2", "P4": "N2"})
-        decision = RedundancyOpt().optimize(application, architecture, mapping, profile)
+        engine = EvaluationEngine(application, profile)
+        decision = RedundancyOpt().optimize(engine, architecture, mapping)
         assert decision is not None
         assert decision.hardening == {"N1": 2, "N2": 2}
         assert decision.reexecutions == {"N1": 1, "N2": 1}
@@ -91,7 +96,8 @@ class TestRedundancyOptFig4:
         profile = fig1_profile()
         architecture = Architecture([Node("N1", n1)])
         mapping = ProcessMapping({name: "N1" for name in ("P1", "P2", "P3", "P4")})
-        decision = RedundancyOpt().optimize(application, architecture, mapping, profile)
+        engine = EvaluationEngine(application, profile)
+        decision = RedundancyOpt().optimize(engine, architecture, mapping)
         assert decision is None
 
     def test_monoprocessor_n2_mapping_needs_maximum_hardening(self):
@@ -101,7 +107,8 @@ class TestRedundancyOptFig4:
         profile = fig1_profile()
         architecture = Architecture([Node("N2", n2)])
         mapping = ProcessMapping({name: "N2" for name in ("P1", "P2", "P3", "P4")})
-        decision = RedundancyOpt().optimize(application, architecture, mapping, profile)
+        engine = EvaluationEngine(application, profile)
+        decision = RedundancyOpt().optimize(engine, architecture, mapping)
         assert decision is not None
         assert decision.hardening == {"N2": 3}
         assert decision.cost == 80.0
@@ -110,17 +117,15 @@ class TestRedundancyOptFig4:
 class TestLockedPolicies:
     def test_min_policy_keeps_minimum_levels(self, fig3_setup):
         application, architecture, mapping, profile = fig3_setup
-        decision = RedundancyOpt("MIN").optimize(
-            application, architecture, mapping, profile
-        )
+        engine = EvaluationEngine(application, profile)
+        decision = RedundancyOpt("MIN").optimize(engine, architecture, mapping)
         # Fig. 3a: with the unhardened node the deadline cannot be met.
         assert decision is None
 
     def test_max_policy_uses_maximum_levels(self, fig3_setup):
         application, architecture, mapping, profile = fig3_setup
-        decision = RedundancyOpt("MAX").optimize(
-            application, architecture, mapping, profile
-        )
+        engine = EvaluationEngine(application, profile)
+        decision = RedundancyOpt("MAX").optimize(engine, architecture, mapping)
         assert decision is not None
         assert decision.hardening == {"N1": 3}
         assert decision.cost == 40.0
@@ -146,9 +151,8 @@ class TestLockedPolicies:
 
     def test_decision_is_feasible_flag(self, fig3_setup):
         application, architecture, mapping, profile = fig3_setup
-        decision = RedundancyOpt("MAX").optimize(
-            application, architecture, mapping, profile
-        )
+        engine = EvaluationEngine(application, profile)
+        decision = RedundancyOpt("MAX").optimize(engine, architecture, mapping)
         assert decision.is_feasible
         assert decision.meets_deadline
         assert decision.meets_reliability
@@ -164,7 +168,7 @@ class TestEvaluateHardening:
         for level, (wcet, probability) in table.items():
             profile.add_entry("P1", "N1", level, wcet, probability)
         decision = RedundancyOpt().evaluate_hardening(
-            application, architecture, mapping, profile, {"N1": 1}
+            EvaluationEngine(application, profile), architecture, mapping, {"N1": 1}
         )
         assert not decision.meets_reliability
         assert decision.reexecutions == {"N1": 0}
@@ -191,13 +195,15 @@ def test_shared_engine_memo_returns_the_fresh_engine_decision(fig4a_setup, strat
     call equals the engine-free call (on its private engine) and a repeat is
     one memo hit."""
     application, architecture, mapping, profile = fig4a_setup
-    plain = RedundancyOpt(strategy).optimize(application, architecture, mapping, profile)
+    plain = RedundancyOpt(strategy).optimize(
+        EvaluationEngine(application, profile), architecture, mapping
+    )
     engine = EvaluationEngine(application, profile)
     optimizer = RedundancyOpt(strategy)
-    cold = optimizer.optimize(application, architecture, mapping, profile, engine)
+    cold = optimizer.optimize(engine, architecture, mapping)
     assert cold == plain
     assert engine.optimizations.misses == 1
-    assert optimizer.optimize(application, architecture, mapping, profile, engine) is cold
+    assert optimizer.optimize(engine, architecture, mapping) is cold
     assert engine.optimizations.hits == 1
     assert architecture.hardening_vector() == {"N1": 1, "N2": 1}
 
@@ -208,15 +214,15 @@ def test_policies_sharing_an_engine_do_not_collide(fig4a_setup):
     application, architecture, mapping, profile = fig4a_setup
     engine = EvaluationEngine(application, profile)
     expected = {
-        policy: RedundancyOpt(policy).optimize(application, architecture, mapping, profile)
+        policy: RedundancyOpt(policy).optimize(
+            EvaluationEngine(application, profile), architecture, mapping
+        )
         for policy in POLICIES
     }
     assert expected["MIN"] != expected["MAX"]
     for _ in range(2):
         for policy in POLICIES:
-            decision = RedundancyOpt(policy).optimize(
-                application, architecture, mapping, profile, engine
-            )
+            decision = RedundancyOpt(policy).optimize(engine, architecture, mapping)
             assert decision == expected[policy]
     assert engine.optimizations.misses == 3
     assert engine.optimizations.hits == 3
@@ -228,54 +234,36 @@ def test_partial_hardening_vector_is_rejected(fig4a_setup):
     application, architecture, mapping, profile = fig4a_setup
     with pytest.raises(ModelError, match="must name every node"):
         RedundancyOpt().evaluate_hardening(
-            application, architecture, mapping, profile, {"N1": 2}
+            EvaluationEngine(application, profile), architecture, mapping, {"N1": 2}
         )
 
 
-#: Every DSE entry point that takes an engine, called on the Fig. 4a setup.
-FOREIGN_ENGINE_CALLS = {
-    "DesignStrategy.explore": lambda app, arch, mapping, prof, engine: DesignStrategy(
-        fig1_node_types()
-    ).explore(app, prof, engine=engine),
-    "MappingAlgorithm.optimize": lambda app, arch, mapping, prof, engine: MappingAlgorithm().optimize(
-        app, arch, prof, engine=engine
-    ),
-    "RedundancyOpt.optimize": lambda app, arch, mapping, prof, engine: RedundancyOpt().optimize(
-        app, arch, mapping, prof, engine=engine
-    ),
-    "RedundancyOpt[MAX].optimize": lambda app, arch, mapping, prof, engine: (
-        RedundancyOpt("MAX").optimize(app, arch, mapping, prof, engine=engine)
-    ),
-    "RedundancyOpt.evaluate_hardening": lambda app, arch, mapping, prof, engine: (
-        RedundancyOpt().evaluate_hardening(
-            app, arch, mapping, prof, {"N1": 2, "N2": 2}, engine=engine
-        )
-    ),
-    "ReExecutionOpt.optimize": lambda app, arch, mapping, prof, engine: ReExecutionOpt().optimize(
-        app, arch, mapping, prof, engine=engine
-    ),
-    "SFPAnalysis": lambda app, arch, mapping, prof, engine: SFPAnalysis(
-        app, arch, mapping, prof, engine=engine
-    ),
-    "ExhaustiveSearch.explore": lambda app, arch, mapping, prof, engine: ExhaustiveSearch(
-        fig1_node_types()
-    ).explore(app, prof, engine=engine),
+#: Every DSE entry point that evaluates design points.
+ENGINE_ENTRY_POINTS = {
+    "DesignStrategy.explore": DesignStrategy.explore,
+    "DesignStrategy._explore": DesignStrategy._explore,
+    "DesignStrategy.design_for": DesignStrategy.design_for,
+    "ExhaustiveSearch.explore": ExhaustiveSearch.explore,
+    "MappingAlgorithm.optimize": MappingAlgorithm.optimize,
+    "RedundancyOpt.evaluate_hardening": RedundancyOpt.evaluate_hardening,
+    "RedundancyOpt._evaluate_hardening": RedundancyOpt._evaluate_hardening,
+    "RedundancyOpt.optimize": RedundancyOpt.optimize,
+    "RedundancyOpt._optimize": RedundancyOpt._optimize,
+    "RedundancyOpt.schedule_of": RedundancyOpt.schedule_of,
+    "ReExecutionOpt.optimize": ReExecutionOpt.optimize,
+    "SFPAnalysis": SFPAnalysis.__init__,
 }
 
 
-@pytest.mark.parametrize("entry_point", sorted(FOREIGN_ENGINE_CALLS))
-def test_engine_bound_to_another_context_raises(fig4a_setup, entry_point):
-    """An engine's memo keys do not encode its (application, profile), so
-    an engine of another context is refused at every entry point instead of
-    being used (aliasing) or silently bypassed."""
-    application, architecture, mapping, profile = fig4a_setup
-    foreign = EvaluationEngine(fig3_application(), fig3_profile())
-    with pytest.raises(ValueError, match="'fig3'.*'fig1'"):
-        FOREIGN_ENGINE_CALLS[entry_point](
-            application, architecture, mapping, profile, foreign
-        )
-    assert foreign.stats.hits == foreign.stats.misses == 0
-    assert foreign.evaluations == 0
+@pytest.mark.parametrize("entry_point", sorted(ENGINE_ENTRY_POINTS))
+def test_entry_point_takes_the_context_once_as_the_engine(entry_point):
+    """The engine is the first argument, required, and the only source of
+    the application and profile: an entry point cannot be handed a pair
+    that differs from the one its engine's memo tables belong to."""
+    _, *parameters = inspect.signature(ENGINE_ENTRY_POINTS[entry_point]).parameters.values()
+    assert parameters[0].name == "engine"
+    assert parameters[0].default is inspect.Parameter.empty
+    assert not {"application", "profile"} & {parameter.name for parameter in parameters}
 
 
 #: The Fig. 4a design point's architecture and mapping fingerprints.
@@ -291,9 +279,7 @@ def test_decision_key_is_pinned(fig4a_setup):
     """
     application, architecture, mapping, profile = fig4a_setup
     engine = EvaluationEngine(application, profile)
-    RedundancyOpt().evaluate_hardening(
-        application, architecture, mapping, profile, {"N1": 2, "N2": 2}, engine=engine
-    )
+    RedundancyOpt().evaluate_hardening(engine, architecture, mapping, {"N1": 2, "N2": 2})
     assert list(engine.decisions.snapshot()) == [
         (FIG4A_ARCHITECTURE_KEY, FIG4A_MAPPING_KEY, (("N1", 2), ("N2", 2)))
     ]
@@ -304,7 +290,7 @@ def test_optimization_key_is_pinned(fig4a_setup, policy):
     """A stored optimization's key: policy, architecture, mapping."""
     application, architecture, mapping, profile = fig4a_setup
     engine = EvaluationEngine(application, profile)
-    RedundancyOpt(policy).optimize(application, architecture, mapping, profile, engine=engine)
+    RedundancyOpt(policy).optimize(engine, architecture, mapping)
     assert list(engine.optimizations.snapshot()) == [
         (policy, FIG4A_ARCHITECTURE_KEY, FIG4A_MAPPING_KEY)
     ]

@@ -10,6 +10,7 @@ from repro.core.mapping_model import ProcessMapping
 from repro.core.profile import ExecutionProfile
 from repro.core.reexecution import ReExecutionOpt
 from repro.core.sfp import SFPAnalysis
+from repro.engine import EvaluationEngine
 from repro.experiments.motivational import fig3_application, fig3_node_type, fig3_profile
 
 
@@ -23,7 +24,9 @@ class TestReExecutionOptFig3:
         profile = fig3_profile()
         architecture = Architecture([Node("N1", node_type, hardening=level)])
         mapping = ProcessMapping({"P1": "N1"})
-        decision = ReExecutionOpt().optimize(application, architecture, mapping, profile)
+        decision = ReExecutionOpt().optimize(
+            EvaluationEngine(application, profile), architecture, mapping
+        )
         assert decision is not None
         assert decision.reexecutions == {"N1": expected_k}
         assert decision.meets_goal
@@ -35,20 +38,20 @@ class TestReExecutionOptFig3:
         """The greedy steps re-query the same exceedances; serving them from
         a shared engine's memo matches the engine-free call's private engine,
         and a rerun is all memo hits."""
-        from repro.engine import EvaluationEngine
-
         application = fig3_application()
         profile = fig3_profile()
         architecture = Architecture([Node("N1", fig3_node_type(), hardening=level)])
         mapping = ProcessMapping({"P1": "N1"})
-        plain = ReExecutionOpt().optimize(application, architecture, mapping, profile)
+        plain = ReExecutionOpt().optimize(
+            EvaluationEngine(application, profile), architecture, mapping
+        )
         engine = EvaluationEngine(application, profile)
         optimizer = ReExecutionOpt()
-        memoized = optimizer.optimize(application, architecture, mapping, profile, engine)
+        memoized = optimizer.optimize(engine, architecture, mapping)
         assert memoized == plain
         misses = engine.exceedance.misses
         assert misses > 0
-        assert optimizer.optimize(application, architecture, mapping, profile, engine) == plain
+        assert optimizer.optimize(engine, architecture, mapping) == plain
         assert engine.exceedance.misses == misses
 
 
@@ -57,7 +60,7 @@ class TestReExecutionOptFig4a:
         self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping
     ):
         decision = ReExecutionOpt().optimize(
-            fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof
+            EvaluationEngine(fig1_app, fig1_prof), fig4a_architecture, fig4a_mapping
         )
         assert decision is not None
         assert decision.reexecutions == {"N1": 1, "N2": 1}
@@ -78,19 +81,17 @@ class TestReExecutionOptGeneral:
         profile.add_entry("P1", "N1", 1, 10.0, failure_probability)
         architecture = Architecture([Node("N1", node_type)])
         mapping = ProcessMapping({"P1": "N1"})
-        return application, architecture, mapping, profile
+        return EvaluationEngine(application, profile), architecture, mapping
 
     def test_zero_failure_probability_needs_no_reexecution(self):
-        application, architecture, mapping, profile = self._one_node_setup(0.0)
-        decision = ReExecutionOpt().optimize(application, architecture, mapping, profile)
+        decision = ReExecutionOpt().optimize(*self._one_node_setup(0.0))
         assert decision is not None
         assert decision.reexecutions == {"N1": 0}
 
     def test_goal_unreachable_within_cap_returns_none(self):
         # A 90% failure probability cannot reach 1-1e-5 per hour within
         # MAX_REEXECUTIONS_PER_NODE re-executions.
-        application, architecture, mapping, profile = self._one_node_setup(0.9)
-        assert ReExecutionOpt().optimize(application, architecture, mapping, profile) is None
+        assert ReExecutionOpt().optimize(*self._one_node_setup(0.9)) is None
 
     def test_budget_grows_with_failure_probability(self):
         small = self._one_node_setup(1e-6)
@@ -107,14 +108,18 @@ class TestReExecutionOptGeneral:
             [Node("N1", n1, hardening=3), Node("N2", n2, hardening=1)]
         )
         mapping = ProcessMapping({"P1": "N1", "P2": "N1", "P3": "N2", "P4": "N2"})
-        decision = ReExecutionOpt().optimize(fig1_app, architecture, mapping, fig1_prof)
+        decision = ReExecutionOpt().optimize(
+            EvaluationEngine(fig1_app, fig1_prof), architecture, mapping
+        )
         assert decision is not None
         assert decision.reexecutions["N2"] > decision.reexecutions["N1"]
 
     def test_evaluate_reports_without_optimizing(
         self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping
     ):
-        analysis = SFPAnalysis(fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof)
+        analysis = SFPAnalysis(
+            EvaluationEngine(fig1_app, fig1_prof), fig4a_architecture, fig4a_mapping
+        )
         assert not analysis.evaluate({"N1": 0, "N2": 0}).meets_goal
         assert analysis.evaluate({"N1": 1, "N2": 1}).meets_goal
 

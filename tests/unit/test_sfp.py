@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core.exceptions import ModelError
+from repro.core.exceptions import ModelError, ReproError
 from repro.core.mapping_model import ProcessMapping
 from repro.core.sfp import (
     SFPAnalysis,
@@ -18,6 +18,7 @@ from repro.core.sfp import (
     reliability_over_time_unit,
     system_failure_probability,
 )
+from repro.engine import EvaluationEngine
 
 
 class TestProbabilityNoFault:
@@ -166,7 +167,9 @@ class TestSFPAnalysis:
     def test_node_failure_probabilities_respect_hardening(
         self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping
     ):
-        analysis = SFPAnalysis(fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof)
+        analysis = SFPAnalysis(
+            EvaluationEngine(fig1_app, fig1_prof), fig4a_architecture, fig4a_mapping
+        )
         node1 = fig4a_architecture.node("N1")
         assert analysis.node_failure_probabilities(node1) == pytest.approx([1.2e-5, 1.3e-5])
         node1.hardening = 3
@@ -177,7 +180,9 @@ class TestSFPAnalysis:
     def test_evaluate_appendix_example(
         self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping
     ):
-        analysis = SFPAnalysis(fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof)
+        analysis = SFPAnalysis(
+            EvaluationEngine(fig1_app, fig1_prof), fig4a_architecture, fig4a_mapping
+        )
         report_k0 = analysis.evaluate({"N1": 0, "N2": 0})
         report_k1 = analysis.evaluate({"N1": 1, "N2": 1})
         assert not report_k0.meets_goal
@@ -194,21 +199,52 @@ class TestSFPAnalysis:
     def test_missing_budget_defaults_to_zero(
         self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping
     ):
-        analysis = SFPAnalysis(fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof)
+        analysis = SFPAnalysis(
+            EvaluationEngine(fig1_app, fig1_prof), fig4a_architecture, fig4a_mapping
+        )
         report = analysis.evaluate({})
         assert report.reexecutions == {"N1": 0, "N2": 0}
 
     def test_negative_budget_rejected(
         self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping
     ):
-        analysis = SFPAnalysis(fig1_app, fig4a_architecture, fig4a_mapping, fig1_prof)
+        analysis = SFPAnalysis(
+            EvaluationEngine(fig1_app, fig1_prof), fig4a_architecture, fig4a_mapping
+        )
         with pytest.raises(ModelError):
             analysis.evaluate({"N1": -1})
+
+    @pytest.mark.parametrize(
+        "budgets",
+        [{"n1": 1, "N2": 1}, {"N1": True}, {"N1": 1.5}, {"N1": "1"}, {"N1": -1}],
+        ids=["unknown-node", "bool", "float", "str", "negative"],
+    )
+    @pytest.mark.parametrize("entry_point", ["evaluate", "system_failure_per_iteration"])
+    def test_bad_budget_raises_a_repro_error(
+        self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping, entry_point, budgets
+    ):
+        """Budgets are checked like the list scheduler's: none is dropped,
+        coerced or left to fail inside the kernel."""
+        analysis = SFPAnalysis(
+            EvaluationEngine(fig1_app, fig1_prof), fig4a_architecture, fig4a_mapping
+        )
+        with pytest.raises(ReproError):
+            getattr(analysis, entry_point)(budgets)
+
+    @pytest.mark.parametrize("budget", [True, 1.5, "1", -1])
+    def test_bad_node_budget_raises_a_repro_error(
+        self, fig1_app, fig1_prof, fig4a_architecture, fig4a_mapping, budget
+    ):
+        analysis = SFPAnalysis(
+            EvaluationEngine(fig1_app, fig1_prof), fig4a_architecture, fig4a_mapping
+        )
+        with pytest.raises(ReproError):
+            analysis.node_exceedance(fig4a_architecture.node("N1"), budget)
 
     def test_empty_node_contributes_nothing(self, fig1_app, fig1_prof, fig4a_architecture):
         mapping = ProcessMapping(
             {"P1": "N1", "P2": "N1", "P3": "N1", "P4": "N1"}
         )
-        analysis = SFPAnalysis(fig1_app, fig4a_architecture, mapping, fig1_prof)
+        analysis = SFPAnalysis(EvaluationEngine(fig1_app, fig1_prof), fig4a_architecture, mapping)
         node2 = fig4a_architecture.node("N2")
         assert analysis.node_exceedance(node2, 0) == 0.0

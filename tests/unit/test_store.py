@@ -124,17 +124,13 @@ def test_round_trip_is_bit_identical_through_the_analysis_layer(tmp_path, contex
     mapping = ProcessMapping({"P1": "N1", "P2": "N1", "P3": "N2", "P4": "N2"})
 
     cold_engine = EvaluationEngine(application, profile)
-    cold = ReExecutionOpt().optimize(
-        application, architecture, mapping, profile, engine=cold_engine
-    )
+    cold = ReExecutionOpt().optimize(cold_engine, architecture, mapping)
     store = DesignPointStore(tmp_path)
     store.persist(cold_engine)
 
     warm_engine = EvaluationEngine(application, profile)
     store.warm(warm_engine)
-    warm = ReExecutionOpt().optimize(
-        application, architecture, mapping, profile, engine=warm_engine
-    )
+    warm = ReExecutionOpt().optimize(warm_engine, architecture, mapping)
     assert warm == cold
     assert warm_engine.disk_hits > 0
 
